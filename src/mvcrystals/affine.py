@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm
 
@@ -35,7 +35,7 @@ __all__ = [
     "face_sample_point",
     "face_vertices",
     "wall_relation",
-    "face_in_wall",
+    "face_level",
     "face_sup",
     "phi_plus_aff",
     "fundamentalize",
@@ -144,11 +144,12 @@ def alcove_face(mover: AffWeylElt) -> Face:
     return Face(mover, frozenset())
 
 
-@lru_cache(maxsize=None)
-def _model_vertices(datum_key, jtype):
+def _model_vertices(datum: RootDatum, jtype):
     """Qualifying vertices of closure(phi_J): 0 when 0 is not in J, and
-    omega_i^vee / m_i for finite i not in J."""
-    datum = _DATUM_BY_KEY[datum_key]
+    omega_i^vee / m_i for finite i not in J (cached on the datum)."""
+    cached = datum.model_vertex_cache.get(jtype)
+    if cached is not None:
+        return cached
     verts = []
     if 0 not in jtype:
         verts.append(tuple(0 for _ in range(datum.rank)))
@@ -159,26 +160,18 @@ def _model_vertices(datum_key, jtype):
             verts.append(tuple(_norm(Fraction(a, m)) for a in om.coords))
     if not verts:
         raise RootDataError("jtype must be a proper subset of I^aff")
-    return tuple(verts)
-
-
-_DATUM_BY_KEY = {}
-
-
-def _key(datum):
-    k = (datum.series, datum.rank)
-    _DATUM_BY_KEY[k] = datum
-    return k
+    verts = datum.model_vertex_cache[jtype] = tuple(verts)
+    return verts
 
 
 def face_vertices(datum: RootDatum, face: Face):
-    """The transported qualifying vertices of the face (exact rational points)."""
-    return _face_vertices_cached(_key(datum), face)
-
-
-@lru_cache(maxsize=200000)
-def _face_vertices_cached(datum_key, face: Face):
-    return tuple(face.mover.act_point(v) for v in _model_vertices(datum_key, face.jtype))
+    """The transported qualifying vertices of the face (exact rational points,
+    cached on the datum)."""
+    verts = datum.face_vertex_cache.get(face)
+    if verts is None:
+        verts = tuple(face.mover.act_point(v) for v in _model_vertices(datum, face.jtype))
+        datum.face_vertex_cache[face] = verts
+    return verts
 
 
 def face_sample_point(datum: RootDatum, face: Face):
@@ -193,9 +186,17 @@ def face_sup(datum: RootDatum, face: Face, alpha: Root):
     return max(datum.pairing_coords(alpha.coords, v) for v in face_vertices(datum, face))
 
 
-def face_in_wall(datum: RootDatum, face: Face, beta: AffineRoot) -> bool:
-    vals = [datum.pairing_coords(beta.root.coords, v) for v in face_vertices(datum, face)]
-    return all(v == beta.level for v in vals)
+def face_level(datum: RootDatum, face: Face, alpha: Root):
+    """The integer n with F inside the wall H_{alpha, n}, or None when F lies
+    in no wall of alpha (its vertex values differ or are not integral)."""
+    verts = face_vertices(datum, face)
+    n = datum.pairing_coords(alpha.coords, verts[0])
+    if not isinstance(n, int):
+        return None
+    for v in verts[1:]:
+        if datum.pairing_coords(alpha.coords, v) != n:
+            return None
+    return n
 
 
 def wall_relation(datum: RootDatum, face: Face, beta: AffineRoot) -> str:
@@ -204,12 +205,11 @@ def wall_relation(datum: RootDatum, face: Face, beta: AffineRoot) -> str:
     Faces of the arrangement never straddle walls, so the vertex values decide:
     all equal to the level means contained; otherwise the open face lies
     strictly on the side of its sample point."""
-    vals = [datum.pairing_coords(beta.root.coords, v) for v in face_vertices(datum, face)]
-    if all(v == beta.level for v in vals):
+    if face_level(datum, face, beta.root) == beta.level:
         return IN_WALL
-    if max(vals) <= beta.level:
+    if face_sup(datum, face, beta.root) <= beta.level:
         return STRICTLY_MINUS
-    if min(vals) >= beta.level:
+    if face_sup(datum, face, -beta.root) <= -beta.level:
         return STRICTLY_PLUS
     raise RuntimeError(f"face straddles wall {beta}; not a face of the complex")
 
@@ -221,35 +221,20 @@ def phi_plus_aff(datum: RootDatum, face_small: Face, face_big: Face):
     F' in closure(F) is the caller's responsibility."""
     out = []
     for alpha in datum.positive_roots:
-        vals = [datum.pairing_coords(alpha.coords, v)
-                for v in face_vertices(datum, face_small)]
-        n = vals[0]
-        if any(v != n for v in vals):
-            continue
-        if not (isinstance(n, int) or n.denominator == 1):
-            continue
-        n = int(n)
-        if face_sup(datum, face_big, alpha) > n:
+        n = face_level(datum, face_small, alpha)
+        if n is not None and face_sup(datum, face_big, alpha) > n:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
 
 
 # -- lengths and reduced words -----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _fund_alcove_sample_cached(datum_key):
-    datum = _DATUM_BY_KEY[datum_key]
-    face = alcove_face(identity_aff(datum))
-    return face_sample_point(datum, face)
-
-
-def _fund_alcove_sample(datum: RootDatum):
-    return _fund_alcove_sample_cached(_key(datum))
-
-
 def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
     """Number of walls separating A_fund from g(A_fund)."""
-    x0 = _fund_alcove_sample(datum)
+    x0 = datum.fund_alcove_sample
+    if x0 is None:
+        x0 = datum.fund_alcove_sample = face_sample_point(
+            datum, alcove_face(identity_aff(datum)))
     x1 = g.act_point(x0)
     total = 0
     for alpha in datum.positive_roots:
@@ -370,8 +355,10 @@ def minimal_word(datum: RootDatum, lam: Coweight):
     w = identity_aff(datum)
     for i in word:
         w = w * simple_affine_reflection(datum, i)
-    assert aff_length(datum, w) == len(word)
-    assert w.act_coweight(lam_fund) == lam
+    if aff_length(datum, w) != len(word):
+        raise RootDataError(f"greedy word {word} for {lam} is not reduced")
+    if w.act_coweight(lam_fund) != lam:
+        raise RootDataError(f"greedy word {word} does not map lam_fund to {lam}")
     return word
 
 
@@ -392,6 +379,12 @@ class GalleryType:
     def p(self):
         return len(self.word)
 
+    @cached_property
+    def dim_gamma(self) -> int:
+        """dim gamma_lambda, the dimension of the minimal gallery."""
+        from mvcrystals.gallery import dimension, minimal_gallery
+        return dimension(minimal_gallery(self))
+
     def datum(self) -> RootDatum:
         from mvcrystals.rootdata import build_root_datum
         return build_root_datum(self.datum_series, self.datum_rank)
@@ -411,9 +404,8 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     The word defaults to the greedy minimal one; any reduced word of w_lambda
     is accepted and checked (length, image, minimality, dominance of all
     fundamental faces)."""
-    if word is None:
-        word = minimal_word(datum, lam)
-    word = tuple(word)
+    minimal = minimal_word(datum, lam)
+    word = minimal if word is None else tuple(word)
     lam_fund, lam_jtype, _ = fundamentalize(datum, lam)
     prefixes = [identity_aff(datum)]
     for i in word:
@@ -423,7 +415,7 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         raise RootDataError(f"word {word} is not reduced")
     if w.act_coweight(lam_fund) != lam:
         raise RootDataError(f"word {word} does not map lam_fund to {lam}")
-    if len(word) != len(minimal_word(datum, lam)):
+    if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
     gt = GalleryType(datum.series, datum.rank, lam, lam_fund, lam_jtype,
                      word, tuple(prefixes))
@@ -433,10 +425,6 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         if j >= 1:
             faces.append(gt.fundamental_facet(j))
         for f in faces:
-            for v in face_vertices(datum, f):
-                for i in range(1, datum.rank + 1):
-                    if datum.pairing_coords(datum.simple_root(i).coords, v) < 0:
-                        raise RootDataError(
-                            f"gallery type face {j} leaves the dominant chamber")
-    assert gt.prefixes[-1].act_coweight(lam_fund) == lam
+            if any(face_sup(datum, f, -alpha) > 0 for alpha in datum.simple_roots()):
+                raise RootDataError(f"gallery type face {j} leaves the dominant chamber")
     return gt

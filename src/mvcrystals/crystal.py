@@ -53,6 +53,9 @@ class CrystalGraph:
     eps: dict
     phi: dict
     _index: dict = field(default_factory=dict, repr=False)
+    # found once per graph: "highest"/"lowest" -> node, and checked w_0 words
+    _ends: dict = field(default_factory=dict, init=False, repr=False)
+    _w0_words: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         self._index = {node: k for k, node in enumerate(self.nodes)}
@@ -70,17 +73,19 @@ class CrystalGraph:
     def e(self, node, i):
         return self.e_map.get((node, i))
 
+    def _end(self, kind, step, what):
+        if kind not in self._ends:
+            found = [b for b in self.nodes if all(step(b, i) is None for i in self.colors)]
+            if len(found) != 1:
+                raise CrystalError(f"expected one {what} node, found {len(found)}")
+            self._ends[kind] = found[0]
+        return self._ends[kind]
+
     def highest_node(self):
-        src = [b for b in self.nodes if all(self.e(b, i) is None for i in self.colors)]
-        if len(src) != 1:
-            raise CrystalError(f"expected one source node, found {len(src)}")
-        return src[0]
+        return self._end("highest", self.e, "source")
 
     def lowest_node(self):
-        snk = [b for b in self.nodes if all(self.f(b, i) is None for i in self.colors)]
-        if len(snk) != 1:
-            raise CrystalError(f"expected one sink node, found {len(snk)}")
-        return snk[0]
+        return self._end("lowest", self.f, "sink")
 
     def to_dict(self):
         """Structured export: nodes with weight/dim/eps/phi, colored edges."""
@@ -327,9 +332,12 @@ def string_param_from_c_tilde(datum: RootDatum, word, c_tilde) -> StringParam:
 def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
     """Successive maximal f-strings along the word; must land on the lowest node."""
     datum = graph.datum
-    if datum.word_to_element(word) != datum.longest_element() or \
-            len(word) != datum.weyl_length(datum.longest_element()):
-        raise CrystalError(f"{word} is not a reduced word of w_0")
+    word = tuple(word)
+    if word not in graph._w0_words:
+        if datum.word_to_element(word) != datum.longest_element() or \
+                len(word) != datum.weyl_length(datum.longest_element()):
+            raise CrystalError(f"{word} is not a reduced word of w_0")
+        graph._w0_words.add(word)
     cur = node
     c = []
     for i in word:

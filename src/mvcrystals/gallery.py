@@ -5,14 +5,14 @@ A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p};
 its faces are derived: Delta_j = delta_0...delta_j(A_fund),
 Delta'_j = delta_0...delta_{j-1}(phi_{i_j}), Delta'_{p+1} the end vertex.
 Root operators are implemented exactly as face surgery (reflect a window,
-translate the tail) followed by tuple recovery; the recovery asserts that the
+translate the tail) followed by tuple recovery; the recovery checks that the
 result is again a tuple of the same type, which is a theorem, so a failing
-assertion is an implementation bug and raises.
+check is an implementation bug and raises GalleryError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from mvcrystals.affine import (
@@ -22,7 +22,7 @@ from mvcrystals.affine import (
     GalleryType,
     affine_reflection,
     build_gallery_type,
-    face_vertices,
+    face_level,
     identity_aff,
     phi_plus_aff,
     simple_affine_reflection,
@@ -57,9 +57,13 @@ class Gallery:
     gtype: GalleryType
     delta0: WeylElt
     flips: tuple  # flips[j] True means delta_{j+1} = s_{i_{j+1}}, else identity
+    # color i -> the wall level of each face Delta'_j (see _levels)
+    _wall_levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        assert len(self.flips) == self.gtype.p
+        if len(self.flips) != self.gtype.p:
+            raise GalleryError(f"{len(self.flips)} flips for a gallery type of "
+                               f"length {self.gtype.p}")
 
     def __eq__(self, other):
         if not isinstance(other, Gallery):
@@ -77,9 +81,8 @@ class Gallery:
         datum = self.gtype.datum()
         out = [AffWeylElt(datum.zero_coweight(), self.delta0)]
         for j, flip in enumerate(self.flips):
-            step = simple_affine_reflection(datum, self.gtype.word[j]) if flip \
-                else identity_aff(datum)
-            out.append(out[-1] * step)
+            out.append(out[-1] * simple_affine_reflection(datum, self.gtype.word[j])
+                       if flip else out[-1])
         return tuple(out)
 
     def alcove(self, j) -> Face:
@@ -97,7 +100,8 @@ class Gallery:
     @cached_property
     def weight(self) -> Coweight:
         nu = self.prefixes[-1].act_coweight(self.gtype.lam_fund)
-        assert nu.is_integral()
+        if not nu.is_integral():
+            raise GalleryError(f"gallery weight {nu.coords} is not integral")
         return nu
 
     def sort_key(self):
@@ -113,27 +117,15 @@ def weight(g: Gallery) -> Coweight:
     return g.weight
 
 
-def _facet_wall_levels(g: Gallery, i: int):
-    """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None."""
-    datum = g.gtype.datum()
-    alpha = datum.simple_root(i)
-    out = []
-    for j in range(0, g.gtype.p + 2):
-        vals = [datum.pairing_coords(alpha.coords, v)
-                for v in face_vertices(datum, g.facet(j))]
-        n = vals[0]
-        if any(v != n for v in vals) or not (isinstance(n, int) or n.denominator == 1):
-            out.append(None)
-        else:
-            out.append(int(n))
-    return tuple(out)
-
-
 def _levels(g: Gallery, i: int):
-    cache = g.__dict__.setdefault("_levels_cache", {})
-    if i not in cache:
-        cache[i] = _facet_wall_levels(g, i)
-    return cache[i]
+    """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None."""
+    levels = g._wall_levels.get(i)
+    if levels is None:
+        datum = g.gtype.datum()
+        alpha = datum.simple_root(i)
+        levels = g._wall_levels[i] = tuple(face_level(datum, g.facet(j), alpha)
+                                           for j in range(g.gtype.p + 2))
+    return levels
 
 
 def min_wall_level(g: Gallery, i: int) -> int:
@@ -142,9 +134,9 @@ def min_wall_level(g: Gallery, i: int) -> int:
     Vertices contribute whenever their pairing is integral; facets only when
     the pairing is constant (wall containment) and integral.  Delta'_0 = {0}
     forces m <= 0."""
-    levels = [n for n in _levels(g, i) if n is not None]
-    best = min(levels)
-    assert best <= 0
+    best = min(n for n in _levels(g, i) if n is not None)
+    if best > 0:
+        raise GalleryError(f"lowest wall level {best} > 0 although Delta'_0 = {{0}}")
     return best
 
 
@@ -163,23 +155,35 @@ def _facet_levels(g: Gallery, i, level):
 
 
 def _recover_tuple(g: Gallery, movers):
-    """Tuple recovery from per-alcove movers g_l (type preservation tripwires)."""
+    """Tuple recovery from per-alcove movers g_l (type preservation tripwires).
+
+    The new prefixes are P'_l = g_l P_l; delta_l = 1 iff P'_l = P'_{l-1} and
+    delta_l = s_{i_l} iff P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.
+    Where g_l = g_{l-1} both tests reduce to the same tests on P, so the old
+    delta_l is kept and only the steps where the mover changes are decided."""
     datum = g.gtype.datum()
-    new_prefixes = [movers[l] * g.prefixes[l] for l in range(g.gtype.p + 1)]
-    d0_aff = new_prefixes[0]
+    P = g.prefixes
+    d0_aff = movers[0] * P[0]
     if not d0_aff.is_finite:
         raise GalleryError("recovered delta_0 has a translation part")
-    delta0 = d0_aff.finite
-    flips = []
+    flips = list(g.flips)
     for l in range(1, g.gtype.p + 1):
-        step = new_prefixes[l - 1].inverse() * new_prefixes[l]
-        if step.is_identity:
-            flips.append(False)
-        elif step == simple_affine_reflection(datum, g.gtype.word[l - 1]):
-            flips.append(True)
+        if movers[l] == movers[l - 1]:
+            continue
+        prev, cur = movers[l - 1] * P[l - 1], movers[l] * P[l]
+        if cur == prev:
+            flips[l - 1] = False
+        elif cur == prev * simple_affine_reflection(datum, g.gtype.word[l - 1]):
+            flips[l - 1] = True
         else:
             raise GalleryError(f"recovered delta_{l} is not in W_{{i_{l}}}")
-    return Gallery(g.gtype, delta0, tuple(flips))
+    return Gallery(g.gtype, d0_aff.finite, tuple(flips))
+
+
+def _check_shift(g: Gallery, out: Gallery, shift):
+    if out.weight != g.weight + shift:
+        raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
+                           f"{out.weight.coords}, not by {shift.coords}")
 
 
 def root_e(g: Gallery, i: int):
@@ -202,7 +206,7 @@ def root_e(g: Gallery, i: int):
     movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else shift
               for l in range(p + 1)]
     out = _recover_tuple(g, movers)
-    assert out.weight == g.weight + datum.coroot_of(alpha)
+    _check_shift(g, out, datum.coroot_of(alpha))
     return out
 
 
@@ -225,7 +229,7 @@ def root_f(g: Gallery, i: int):
     movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else shift
               for l in range(p + 1)]
     out = _recover_tuple(g, movers)
-    assert out.weight == g.weight - datum.coroot_of(alpha)
+    _check_shift(g, out, -datum.coroot_of(alpha))
     return out
 
 
@@ -244,17 +248,13 @@ def dimension(g: Gallery) -> int:
                for j in range(0, g.gtype.p + 1))
 
 
-def _dim_gamma(gtype: GalleryType) -> int:
-    return dimension(minimal_gallery(gtype))
-
-
 def is_ls(g: Gallery) -> bool:
     """Positively folded and of maximal dimension for its weight."""
     if not is_positively_folded(g):
         return False
     datum = g.gtype.datum()
     defect = datum.height(g.gtype.lam - g.weight)
-    return _dim_gamma(g.gtype) - dimension(g) == defect
+    return g.gtype.dim_gamma - dimension(g) == defect
 
 
 def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):

@@ -154,7 +154,13 @@ class WeylElt:
 
     def inverse(self):
         # Weyl matrices are integer with integer inverse; invert by exact Gauss.
-        return WeylElt(_int_inverse(self.cmat), _int_inverse(self.rmat))
+        mats = []
+        for m in (self.cmat, self.rmat):
+            inv = tuple(tuple(_norm(x) for x in row) for row in _rat_inverse(m))
+            if not all(isinstance(x, int) for row in inv for x in row):
+                raise RootDataError(f"Weyl matrix {m} has no integer inverse")
+            mats.append(inv)
+        return WeylElt(*mats)
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(_matvec(self.cmat, v.coords))
@@ -176,24 +182,6 @@ class WeylElt:
         return isinstance(other, WeylElt) and self.cmat == other.cmat
 
 
-def _int_inverse(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(_norm(aug[i][n + j]) for j in range(n)) for i in range(n))
-    assert all(isinstance(x, int) for row in inv for x in row)
-    return inv
-
-
 class RootDatum:
     """Root system data for one finite series/rank, all fields exact.
 
@@ -205,9 +193,17 @@ class RootDatum:
         self.series = series
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
-        self._build_roots()
         self._weyl_cache = None
         self._redword_cache = {}
+        self._pairing_rows = {}  # root coords rc -> the row rc.C
+        self._reflections = {}
+        # Alcove geometry of this datum, filled in by mvcrystals.affine:
+        # model-face vertices by type, transported vertices by Face, and
+        # the barycenter of the fundamental alcove.
+        self.model_vertex_cache = {}
+        self.face_vertex_cache = {}
+        self.fund_alcove_sample = None
+        self._build_roots()
 
     # -- construction ------------------------------------------------------
 
@@ -300,10 +296,16 @@ class RootDatum:
         return self.pairing_coords(root.coords, coweight.coords)
 
     def pairing_coords(self, rc, vc):
-        assert len(rc) == self.rank and len(vc) == self.rank, \
-            f"coordinate length mismatch for rank {self.rank}"
-        return _norm(sum(rc[i] * self.cartan[i][j] * vc[j]
-                         for i in range(self.rank) for j in range(self.rank)))
+        row = self._pairing_rows.get(rc)
+        if row is None:
+            if len(rc) != self.rank:
+                raise RootDataError(f"root coordinates {rc} do not have rank {self.rank}")
+            row = tuple(sum(rc[i] * self.cartan[i][j] for i in range(self.rank))
+                        for j in range(self.rank))
+            self._pairing_rows[rc] = row
+        if len(vc) != self.rank:
+            raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank}")
+        return _norm(sum(a * b for a, b in zip(row, vc)))
 
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
@@ -351,41 +353,38 @@ class RootDatum:
         return WeylElt(_identity(n), _identity(n))
 
     def reflection(self, root: Root) -> WeylElt:
-        """s_alpha for an arbitrary root alpha."""
-        co = self.coroot_of(root)
-        n = self.rank
-        cmat = []
-        rmat = []
-        for j in range(n):
-            ej_c = Coweight(tuple(int(j == k) for k in range(n)))
-            ej_r = Root(tuple(int(j == k) for k in range(n)))
-            col_c = (ej_c - co.scale(self.pairing(root, ej_c))).coords
-            col_r = (ej_r - root.scale(self.pairing(ej_r, co))).coords
-            cmat.append(col_c)
-            rmat.append(col_r)
-        # built column-wise; transpose
-        cmat = tuple(tuple(cmat[j][i] for j in range(n)) for i in range(n))
-        rmat = tuple(tuple(rmat[j][i] for j in range(n)) for i in range(n))
-        return WeylElt(cmat, rmat)
+        """s_alpha for an arbitrary root alpha, cached per root: x -> x - <alpha, x>
+        alpha^vee on coweights and beta -> beta - <beta, alpha^vee> alpha on roots."""
+        s = self._reflections.get(root)
+        if s is None:
+            n, rc, co = self.rank, root.coords, self.coroot_of(root).coords
+            unit = _identity(n)
+            on_unit = [self.pairing_coords(rc, e) for e in unit]
+            on_co = [self.pairing_coords(e, co) for e in unit]
+            s = self._reflections[root] = WeylElt(
+                tuple(tuple(unit[i][j] - co[i] * on_unit[j] for j in range(n)) for i in range(n)),
+                tuple(tuple(unit[i][j] - rc[i] * on_co[j] for j in range(n)) for i in range(n)))
+        return s
 
     def weyl_length(self, w: WeylElt) -> int:
         return sum(1 for rt in self.positive_roots if not w.act_root(rt).is_positive)
 
     def weyl_elements(self):
-        """All of W, BFS from the identity (cached)."""
+        """All of W sorted by (length, cmat), BFS from the identity (cached);
+        the BFS depth of w is its length."""
         if self._weyl_cache is None:
-            seen = {self.identity_elt()}
+            length = {self.identity_elt(): 0}
             frontier = [self.identity_elt()]
             while frontier:
                 nxt = []
                 for w in frontier:
                     for i in range(1, self.rank + 1):
                         w2 = w * self.simple_reflection(i)
-                        if w2 not in seen:
-                            seen.add(w2)
+                        if w2 not in length:
+                            length[w2] = length[w] + 1
                             nxt.append(w2)
                 frontier = nxt
-            self._weyl_cache = tuple(sorted(seen, key=lambda w: (self.weyl_length(w), w.cmat)))
+            self._weyl_cache = tuple(sorted(length, key=lambda w: (length[w], w.cmat)))
         return self._weyl_cache
 
     def longest_element(self) -> WeylElt:

@@ -1,8 +1,17 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from mvcrystals.affine import build_gallery_type
+from mvcrystals.affine import AffWeylElt, build_gallery_type, identity_aff, translation
 from mvcrystals.gallery import (
     Gallery,
+    GalleryError,
+    _recover_tuple,
     crystal_maps,
     dimension,
     enumerate_ls,
@@ -177,3 +186,72 @@ def test_serialization_roundtrip(a2_theta_type):
         data = gallery_to_dict(g)
         back = gallery_from_dict(A2, data)
         assert back == g
+
+
+def test_recover_tuple_keeps_the_tuple_under_identity_movers(a2_theta_type):
+    for g in enumerate_ls(a2_theta_type).nodes:
+        assert _recover_tuple(g, [identity_aff(A2)] * (g.gtype.p + 1)) == g
+
+
+def test_recover_tuple_rejects_translation_on_delta0(a1_type):
+    gamma = minimal_gallery(a1_type)
+    shift = translation(A1, A1.simple_coroot(1))
+    with pytest.raises(GalleryError, match="delta_0 has a translation"):
+        _recover_tuple(gamma, [shift, shift])
+
+
+def test_recover_tuple_rejects_step_outside_w_il(a1_type):
+    gamma = minimal_gallery(a1_type)
+    shift = translation(A1, A1.simple_coroot(1))
+    with pytest.raises(GalleryError, match=r"delta_1 is not in W_\{i_1\}"):
+        _recover_tuple(gamma, [identity_aff(A1), shift])
+    # a finite reflection applied from the middle of a longer gallery
+    gtype = build_gallery_type(A2, Coweight((2, 2)))
+    assert gtype.p == 5
+    gamma = minimal_gallery(gtype)
+    s1 = AffWeylElt(A2.zero_coweight(), A2.simple_reflection(1))
+    movers = [identity_aff(A2)] * 2 + [s1] * 4
+    with pytest.raises(GalleryError, match=r"delta_2 is not in W_\{i_2\}"):
+        _recover_tuple(gamma, movers)
+
+
+# sha256 of json.dumps(enumerate_ls(build_gallery_type(...)).to_dict(), sort_keys=True):
+# pins node order, edges, eps/phi and dim of the exported crystal byte for byte.
+GOLDEN_CRYSTALS = [
+    ("A", 2, (3, 5), "1b96868f2449f26939a2b250700ae15920a0deeb585618391f96c4a9d4a09ce3"),
+    ("B", 3, (1, 2, 1), "141d2e1ad553057f929f7420b60b2981326612dd4c3907479b1f4c06e06a1fde"),
+    ("C", 3, (1, 2, 2), "57b623c5a47c4e4b5772664e140fcb1fca50b1eae2428c09730da979358083dd"),
+    ("D", 4, (1, 2, 1, 1), "9c129a43aea3add82030c2ccfbbbd0cffcb5c650624fe53aed617adeab00aa19"),
+    ("G", 2, (2, 3), "032837b2b5f817b9352057576766306cea1939aec3ba3f94261d36605d00d9ca"),
+]
+
+
+@pytest.mark.parametrize("series,rank,lam,digest", GOLDEN_CRYSTALS,
+                         ids=[f"{s}{r}-{lam}" for s, r, lam, _ in GOLDEN_CRYSTALS])
+def test_crystal_export_golden(series, rank, lam, digest):
+    datum = build_root_datum(series, rank)
+    graph = enumerate_ls(build_gallery_type(datum, Coweight(lam)))
+    text = json.dumps(graph.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_flip_count_checked_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONOPTIMIZE", None)
+    code = (
+        "from mvcrystals.affine import build_gallery_type\n"
+        "from mvcrystals.gallery import Gallery, GalleryError\n"
+        "from mvcrystals.rootdata import build_root_datum\n"
+        "A1 = build_root_datum('A', 1)\n"
+        "gt = build_gallery_type(A1, A1.simple_coroot(1), word=(0,))\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    Gallery(gt, A1.identity_elt(), (True, False))\n"
+        "except GalleryError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: 2 flips")
