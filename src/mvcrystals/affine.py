@@ -17,6 +17,7 @@ straddle walls).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -241,21 +242,10 @@ def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
         a = datum.pairing_coords(alpha.coords, x0)
         b = datum.pairing_coords(alpha.coords, x1)
         lo, hi = (a, b) if a <= b else (b, a)
-        # integers strictly between lo and hi; alcove interiors avoid walls
-        total += max(0, _floor_strict(hi) - _ceil_strict(lo) + 1)
+        # integers strictly between lo and hi, floor(lo) + 1 .. ceil(hi) - 1;
+        # alcove interiors avoid walls
+        total += max(0, math.ceil(hi) - math.floor(lo) - 1)
     return total
-
-
-def _ceil_strict(x):
-    f = Fraction(x)
-    n = -((-f.numerator) // f.denominator)  # ceil
-    return n + 1 if n == f else n
-
-
-def _floor_strict(x):
-    f = Fraction(x)
-    n = f.numerator // f.denominator  # floor
-    return n - 1 if n == f else n
 
 
 def aff_descents_right(datum: RootDatum, g: AffWeylElt):

@@ -4,7 +4,8 @@ acceptance harness.
 
 Reports are deterministic for fixed flags and seed (JSON is emitted with
 sorted keys and all randomness is derived from the seed by stable hashing).
-The default series precision honours the MVCRYSTALS_PREC environment variable.
+The series precision is --prec if given, else the MVCRYSTALS_PREC environment
+variable, else 32.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from mvcrystals.trails import string_cone_inequalities
 from mvcrystals.verify import run_all
 
 __all__ = ["main"]
+
+_PREC_HELP = ("relative precision of series inversions, in [1, 256]; "
+              "default: MVCRYSTALS_PREC, else 32")
 
 
 def _datum(args):
@@ -101,7 +105,8 @@ def cmd_mv_sample(args):
     group = LoopGroup(datum)
     word = _word(args.word)
     c = _word(args.c)
-    set_default_rel_prec(args.prec)
+    if args.prec is not None:
+        set_default_rel_prec(args.prec)
     reports = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
     rows = [{
         "trial": rep.trial,
@@ -119,7 +124,8 @@ def cmd_trop(args):
     group = LoopGroup(datum)
     word = _word(args.word)
     c_tilde = _word(args.ctilde)
-    set_default_rel_prec(args.prec)
+    if args.prec is not None:
+        set_default_rel_prec(args.prec)
     n_vec = lusztig_from_string(group, word, c_tilde, seed=args.seed)
     _emit({"word": list(word), "c_tilde": list(c_tilde),
            "lusztig": [int(x) for x in n_vec]}, args.out)
@@ -190,7 +196,7 @@ def build_parser():
     p.add_argument("--c", required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--prec", type=int, default=32)
+    p.add_argument("--prec", type=int, default=None, help=_PREC_HELP)
     p.set_defaults(func=cmd_mv_sample)
 
     p = sub.add_parser("trop", help="string -> Lusztig tropical transition")
@@ -198,7 +204,7 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument("--ctilde", required=True)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--prec", type=int, default=32)
+    p.add_argument("--prec", type=int, default=None, help=_PREC_HELP)
     p.set_defaults(func=cmd_trop)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

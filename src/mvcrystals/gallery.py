@@ -36,6 +36,7 @@ __all__ = [
     "weight",
     "min_wall_level",
     "crystal_maps",
+    "fold_window",
     "root_e",
     "root_f",
     "is_positively_folded",
@@ -186,21 +187,30 @@ def _check_shift(g: Gallery, out: Gallery, shift):
                            f"{out.weight.coords}, not by {shift.coords}")
 
 
-def root_e(g: Gallery, i: int):
-    """Raising root operator e_{alpha_i}; None when undefined (m = 0)."""
-    datum = g.gtype.datum()
-    alpha = datum.simple_root(i)
+def fold_window(g: Gallery, i: int):
+    """The window (m, j, k) that e_{alpha_i} reflects, or None when it is
+    undefined (m = 0): m is the lowest wall level, k the first index >= 1 with
+    Delta'_k in H_{alpha_i, m}, and j the last index before k with Delta'_j
+    in H_{alpha_i, m+1}."""
     m = min_wall_level(g, i)
     if m == 0:
         return None
-    p = g.gtype.p
-    at_m = _facet_levels(g, i, m)
-    ks = [j for j in at_m if 1 <= j <= p + 1]
-    k = min(ks)
+    k = min(j for j in _facet_levels(g, i, m) if 1 <= j <= g.gtype.p + 1)
     js = [j for j in _facet_levels(g, i, m + 1) if j <= k - 1]
     if not js:
         raise GalleryError("no fold point at level m+1; gallery is disconnected")
-    j = max(js)
+    return m, max(js), k
+
+
+def root_e(g: Gallery, i: int):
+    """Raising root operator e_{alpha_i}; None when undefined (m = 0)."""
+    window = fold_window(g, i)
+    if window is None:
+        return None
+    m, j, k = window
+    datum = g.gtype.datum()
+    alpha = datum.simple_root(i)
+    p = g.gtype.p
     refl = affine_reflection(datum, AffineRoot(alpha, m + 1))
     shift = translation(datum, datum.coroot_of(alpha))
     movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else shift

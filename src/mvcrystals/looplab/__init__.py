@@ -18,6 +18,7 @@ from mvcrystals.looplab.series import (
     GenericityError,
     LaurentMatrix,
     LaurentSeries,
+    LoopGroupError,
     PrecisionError,
     default_rel_prec,
     set_default_rel_prec,
@@ -29,6 +30,7 @@ __all__ = [
     "LaurentMatrix",
     "PrecisionError",
     "GenericityError",
+    "LoopGroupError",
     "default_rel_prec",
     "set_default_rel_prec",
     "SampleReport",
@@ -42,7 +44,3 @@ __all__ = [
     "lusztig_from_string",
     "morier_genoud_check",
 ]
-
-from mvcrystals.looplab.groups import GrassmannPoint  # noqa: E402
-
-__all__.append("GrassmannPoint")

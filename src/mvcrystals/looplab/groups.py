@@ -16,15 +16,13 @@ from mvcrystals.looplab.series import (
     GenericityError,
     LaurentMatrix,
     LaurentSeries,
+    LoopGroupError,
     PrecisionError,
     vector_val,
 )
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum
 
-__all__ = [
-    "LoopGroup",
-    "GrassmannPoint",
-]
+__all__ = ["LoopGroup"]
 
 
 class LoopGroup:
@@ -58,7 +56,8 @@ class LoopGroup:
                 lhs = self.gen_t(lam) * self.gen_x(alpha, b)
                 rhs = self.gen_x(alpha, LaurentSeries.from_scalar(b).shift(k)) * \
                     self.gen_t(lam)
-                assert lhs.equals_exact(rhs), "torus commutation rule failed"
+                if not lhs.equals_exact(rhs):
+                    raise LoopGroupError("torus commutation rule failed")
         for i in range(1, self.datum.rank + 1):
             alpha = self.datum.simple_root(i)
             a, b = Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5))
@@ -67,21 +66,23 @@ class LoopGroup:
             rhs = self.gen_x(-alpha, b / (1 + a * b)) * \
                 self.gen_torus(self.datum.coroot_of(alpha), unit) * \
                 self.gen_x(alpha, a / (1 + a * b))
-            assert lhs.equals_exact(rhs), "SL_2 relation failed"
+            if not lhs.equals_exact(rhs):
+                raise LoopGroupError("SL_2 relation failed")
             lhs = self.gen_x(alpha, t) * self.gen_x(-alpha, -t.inverse()) * \
                 self.gen_x(alpha, t)
             rhs = self.gen_t(self.datum.coroot_of(alpha)) * self.gen_sbar(i)
-            assert lhs.agrees_with(rhs), "sbar torus identity failed"
+            if not lhs.agrees_with(rhs):
+                raise LoopGroupError("sbar torus identity failed")
 
     # -- coordinates ---------------------------------------------------------
 
     def coweight_diag(self, v: Coweight):
         """Coroot coordinates -> diagonal exponents: d_j = c_j - c_{j-1} with
         c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
-        c = list(v.coords)
-        d = [c[0]] + [c[j] - c[j - 1] for j in range(1, self.n - 1)] + [-c[self.n - 2]]
-        assert sum(d) == 0
-        return tuple(d)
+        c = v.coords
+        if len(c) != self.n - 1:
+            raise RootDataError(f"{c} has {len(c)} coroot coordinates, not {self.n - 1}")
+        return (c[0],) + tuple(c[j] - c[j - 1] for j in range(1, self.n - 1)) + (-c[-1],)
 
     def root_pair(self, alpha: Root):
         """Root -> (j, k) with alpha = eps_j - eps_k (1-based)."""
@@ -89,9 +90,9 @@ class LoopGroup:
         coords = alpha.coords
         if alpha.is_positive:
             support = [i for i, c in enumerate(coords) if c != 0]
-            assert all(coords[i] == 1 for i in support)
             a, b = support[0], support[-1]
-            assert support == list(range(a, b + 1))
+            if support != list(range(a, b + 1)) or any(coords[i] != 1 for i in support):
+                raise RootDataError(f"{coords} is not a root of type A")
             return a + 1, b + 2
         j, k = self.root_pair(-alpha)
         return k, j
@@ -323,18 +324,9 @@ class LoopGroup:
             raise GenericityError("could not find an independent square submatrix")
         return picked_rows, picked_cols
 
-    def point(self, g: LaurentMatrix) -> "GrassmannPoint":
-        return GrassmannPoint(self, g)
-
-    def zmap(self, g: LaurentMatrix) -> LaurentMatrix:
-        """z-coordinates carrier: the lower unitriangular Gauss factor of
-        g * wbar(w0); z_i(q) is the unique element of U^- cap B^+ y_i(q) wbar^{-1}."""
-        _, u = self.gauss_decompose(g * self.wbar_w0())
-        return u
-
     def factor_z(self, g: LaurentMatrix, word):
-        """Parameters q with z_word(q) = g for lower unitriangular g:
-        invert the zmap and then y-factor."""
+        """Parameters q with z_word(q) = g for lower unitriangular g: the lower
+        Gauss factor of g wbar(w0), y-factored."""
         # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
         _, u = self.gauss_decompose(g * self.wbar_w0())
         return self.factor_y(u, word)
@@ -344,50 +336,3 @@ class LoopGroup:
         y = self.y_product(word, qs)
         _, u = self.gauss_decompose(y * self.wbar_w0().inverse())
         return u
-
-
-class GrassmannPoint:
-    """A point [g] of the affine Grassmannian, up to right multiplication by
-    matrices over nonnegative-valuation series.
-
-    The stratum parameters mu_plus/mu_minus and the orbit coweight are derived
-    lazily; whenever both strata are known the dominance inequality
-    mu_plus >= mu_minus is asserted (nonempty intersections only exist that
-    way round)."""
-
-    __slots__ = ("group", "rep", "_mu_plus", "_mu_minus", "_orbit")
-
-    def __init__(self, group: LoopGroup, rep: LaurentMatrix):
-        self.group = group
-        self.rep = rep
-        self._mu_plus = None
-        self._mu_minus = None
-        self._orbit = None
-
-    @property
-    def mu_plus(self) -> Coweight:
-        if self._mu_plus is None:
-            self._mu_plus = self.group.mu_plus(self.rep)
-            self._check_dominance()
-        return self._mu_plus
-
-    @property
-    def mu_minus(self) -> Coweight:
-        if self._mu_minus is None:
-            self._mu_minus = self.group.mu_minus(self.rep)
-            self._check_dominance()
-        return self._mu_minus
-
-    @property
-    def orbit(self) -> Coweight:
-        if self._orbit is None:
-            self._orbit = self.group.orbit_coweight(self.rep)
-        return self._orbit
-
-    def _check_dominance(self):
-        if self._mu_plus is not None and self._mu_minus is not None:
-            assert self.group.datum.dominance_leq(self._mu_minus, self._mu_plus), \
-                "mu_plus fails to dominate mu_minus; not a Grassmannian point"
-
-    def same_point(self, other: "GrassmannPoint") -> bool:
-        return self.group.coset_equal(self.rep, other.rep)

@@ -21,9 +21,11 @@ from mvcrystals.crystal import string_param_from_c
 from mvcrystals.gallery import Gallery, is_positively_folded
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.series import (
+    _MAX_REL_PREC,
     GenericityError,
     LaurentMatrix,
     LaurentSeries,
+    LoopGroupError,
     PrecisionError,
 )
 from mvcrystals.rootdata import Coweight, RootDataError
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 _MAX_RETRIES = 5
-_MAX_REL_PREC = 256
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,16 @@ class SampleReport:
     mu_plus: Coweight
     mu_minus: Coweight
     orbit: Coweight | None
+
+
+def _report(group: LoopGroup, trial, g, orbit=True) -> SampleReport:
+    """The stratum pair of [g], and its orbit parameter unless orbit=False."""
+    return SampleReport(
+        trial=trial,
+        mu_plus=group.mu_plus(g),
+        mu_minus=group.mu_minus(g),
+        orbit=group.orbit_coweight(g) if orbit else None,
+    )
 
 
 def rand_nonzero_int(rng: random.Random, bound=9) -> int:
@@ -85,13 +96,7 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     for trial in range(trials):
         rng = random.Random(repr((seed, "ytilde", tuple(word), tuple(c), trial)))
         ps = [random_unit_series(rng).shift(ct) for ct in sp.c_tilde]
-        g = group.y_product(word, ps)
-        reports.append(SampleReport(
-            trial=trial,
-            mu_plus=group.mu_plus(g),
-            mu_minus=group.mu_minus(g),
-            orbit=group.orbit_coweight(g),
-        ))
+        reports.append(_report(group, trial, group.y_product(word, ps)))
     return reports
 
 
@@ -113,13 +118,7 @@ def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7):
     reports = []
     for trial in range(trials):
         rng = random.Random(repr((seed, "cell", gallery.delta0.cmat, gallery.flips, trial)))
-        g = cell_point(group, gallery, rng)
-        reports.append(SampleReport(
-            trial=trial,
-            mu_plus=group.mu_plus(g),
-            mu_minus=group.mu_minus(g),
-            orbit=group.orbit_coweight(g),
-        ))
+        reports.append(_report(group, trial, cell_point(group, gallery, rng)))
     return reports
 
 
@@ -130,13 +129,7 @@ def crystal_op_sample(group: LoopGroup, points, i, k, eps, seed=7):
     for trial, g in enumerate(points):
         rng = random.Random(repr((seed, "crysop", i, k, trial)))
         p = random_unit_series(rng).shift(-k + eps)
-        moved = group.gen_y(i, p) * g
-        reports.append(SampleReport(
-            trial=trial,
-            mu_plus=group.mu_plus(moved),
-            mu_minus=group.mu_minus(moved),
-            orbit=None,
-        ))
+        reports.append(_report(group, trial, group.gen_y(i, p) * g, orbit=False))
     return reports
 
 
@@ -160,7 +153,7 @@ def rank_one_identity_check(group: LoopGroup, nu_c: int, n_steps: int,
 
 def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
     """The SL_4 product y_2(-1) y_1(1/t) y_3(1/t) y_2(t) y_1(-1/t) y_3(-1/t);
-    asserted exactly equal to its closed form."""
+    checked exactly equal to its closed form."""
     if group.n != 4:
         raise RootDataError("the counterexample lives in SL_4")
     t = LaurentSeries.t_power(1)
@@ -175,8 +168,10 @@ def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
         [-one, LaurentSeries({0: -1, 1: 1}), one, zero],
         [-tinv, one, zero, one],
     ])
-    assert g.equals_exact(expected), "counterexample product drifted"
-    assert g.det().equals_exact(one)
+    if not g.equals_exact(expected):
+        raise LoopGroupError("counterexample product drifted from its closed form")
+    if not g.det().equals_exact(one):
+        raise LoopGroupError("counterexample product has determinant != 1")
     return g
 
 

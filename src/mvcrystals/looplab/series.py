@@ -20,11 +20,11 @@ __all__ = [
     "LaurentMatrix",
     "PrecisionError",
     "GenericityError",
+    "LoopGroupError",
     "default_rel_prec",
     "set_default_rel_prec",
 ]
 
-_DEFAULT_REL_PREC = int(os.environ.get("MVCRYSTALS_PREC", "32"))
 _MAX_REL_PREC = 256
 
 
@@ -36,15 +36,37 @@ class GenericityError(RuntimeError):
     """A required pivot/denominator vanished for this particular input."""
 
 
+class LoopGroupError(RuntimeError):
+    """An exact identity or invariant a loop-group construction relies on
+    failed: an implementation fault, not a bad draw or a precision shortfall."""
+
+
+def _check_rel_prec(n: int, what="relative precision") -> int:
+    if not 1 <= n <= _MAX_REL_PREC:
+        raise ValueError(f"{what} must be in [1, {_MAX_REL_PREC}], got {n}")
+    return n
+
+
+def _rel_prec_from_env() -> int:
+    text = os.environ.get("MVCRYSTALS_PREC", "32")
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"MVCRYSTALS_PREC must be an integer in "
+                         f"[1, {_MAX_REL_PREC}], got {text!r}") from None
+    return _check_rel_prec(n, "MVCRYSTALS_PREC")
+
+
+_DEFAULT_REL_PREC = _rel_prec_from_env()
+
+
 def default_rel_prec() -> int:
     return _DEFAULT_REL_PREC
 
 
 def set_default_rel_prec(n: int):
     global _DEFAULT_REL_PREC
-    if not 1 <= n <= _MAX_REL_PREC:
-        raise ValueError(f"relative precision must be in [1, {_MAX_REL_PREC}]")
-    _DEFAULT_REL_PREC = n
+    _DEFAULT_REL_PREC = _check_rel_prec(n)
 
 
 def _min_cap(a, b):
@@ -293,7 +315,8 @@ class LaurentMatrix:
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
-        assert all(len(r) == self.n for r in self.rows)
+        if not all(len(r) == self.n for r in self.rows):
+            raise ValueError("a LaurentMatrix needs a square array of series")
 
     @staticmethod
     def identity(n):

@@ -5,7 +5,7 @@ upper unitriangular matrix lies in Stab_+(F) iff val of the (j,k) entry is at
 least ceil(f_F(eps_j - eps_k)).  That makes the rewriting steps of the
 inclusion proof (absorb a stabilizer element into the tail of a cell product,
 push a torus element, push a negative root element) explicitly computable:
-every step is an exact matrix identity plus a membership assertion, and the
+every step is an exact matrix identity plus a membership check, and the
 final object is the coset identity
 
     A K C E F [t^nu]  =  A x_{-alpha,-m-1}(h) B [t^nu]
@@ -15,16 +15,19 @@ checked by exact arithmetic at random parameters.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from mvcrystals.affine import phi_plus_aff
-from mvcrystals.gallery import Gallery, min_wall_level, root_e, _facet_levels
+from mvcrystals.affine import face_vertices, phi_plus_aff
+from mvcrystals.gallery import Gallery, fold_window, root_e
 from mvcrystals.looplab.groups import LoopGroup
+from mvcrystals.looplab.sampling import rand_nonzero_int
 from mvcrystals.looplab.series import (
     GenericityError,
     LaurentMatrix,
     LaurentSeries,
+    LoopGroupError,
     PrecisionError,
 )
 from mvcrystals.rootdata import Coweight
@@ -32,28 +35,15 @@ from mvcrystals.rootdata import Coweight
 __all__ = ["prop_inclusion_coset_check"]
 
 
-def _ceil(x) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
-def _point_diag(n, coords):
-    c = list(coords)
-    return [c[0]] + [c[j] - c[j - 1] for j in range(1, n - 1)] + [-c[n - 2]]
-
-
 def _stab_bound(group: LoopGroup, face, j, k) -> int:
     """ceil(f_F(eps_j - eps_k)) from the face's qualifying vertices."""
-    from mvcrystals.affine import face_vertices
-
-    datum = group.datum
     best = None
-    for v in face_vertices(datum, face):
-        d = _point_diag(group.n, v)
+    for v in face_vertices(group.datum, face):
+        d = group.coweight_diag(Coweight(v))
         val = d[j - 1] - d[k - 1]
         if best is None or val > best:
             best = val
-    return _ceil(best)
+    return math.ceil(best)
 
 
 def _in_stab_plus(group: LoopGroup, mat: LaurentMatrix, face) -> bool:
@@ -114,8 +104,9 @@ class _Rewriter:
 
     def absorb(self, u: LaurentMatrix, tail, idx):
         """u * prod(tail) [t^nu] = prod(tail') [t^nu] for u in Stab_+(Delta'_idx)."""
-        assert _in_stab_plus(self.group, u, self.facet_face(idx)), \
-            "absorb precondition failed: u not in Stab_+ of the facet"
+        if not _in_stab_plus(self.group, u, self.facet_face(idx)):
+            raise LoopGroupError(
+                "absorb precondition failed: u not in Stab_+ of the facet")
         out = []
         cur = u
         for offset, slot in enumerate(tail):
@@ -132,12 +123,12 @@ class _Rewriter:
                 coeff = m[j0 - 1, k0 - 1].coefficient(beta.level)
                 new_slot.append((beta, coeff))
                 m = self.group.gen_x_affine(beta.root, beta.level, -coeff) * m
-            assert _in_stab_plus(self.group, m, self.alcove_face(l)), \
-                "absorb: remainder left Stab_+ of the alcove"
+            if not _in_stab_plus(self.group, m, self.alcove_face(l)):
+                raise LoopGroupError("absorb: remainder left Stab_+ of the alcove")
             out.append(new_slot)
             cur = m
-        assert _fixes_end(self.group, cur, self.nu), \
-            "absorb: final remainder moved [t^nu]"
+        if not _fixes_end(self.group, cur, self.nu):
+            raise LoopGroupError("absorb: final remainder moved [t^nu]")
         return out
 
     # -- torus push (assertion b) -----------------------------------------------
@@ -145,7 +136,8 @@ class _Rewriter:
     def push_torus(self, p_series: LaurentSeries, mu: Coweight, tail, idx):
         """p^mu * prod(tail) [t^nu] = prod(tail') [t^nu] for a unit series p."""
         a0 = p_series.coefficient(0)
-        assert a0 != 0
+        if a0 == 0:
+            raise LoopGroupError("torus push needs a unit series")
         out = []
         i = 0
         while i < len(tail):
@@ -170,8 +162,8 @@ class _Rewriter:
                     residue = self.group.gen_x(beta.root, rem.shift(beta.level))
             out.append(new_slot)
             if residue is not None:
-                assert _in_stab_plus(self.group, residue, self.alcove_face(l)), \
-                    "torus push residue left Stab_+"
+                if not _in_stab_plus(self.group, residue, self.alcove_face(l)):
+                    raise LoopGroupError("torus push residue left Stab_+")
                 rest = self.absorb(residue, tail[i + 1:], l + 1)
                 tail = tail[: i + 1] + rest
             i += 1
@@ -185,7 +177,8 @@ class _Rewriter:
         group, datum = self.group, self.datum
         if not tail:
             pair = datum.pairing(alpha, self.nu)
-            assert pair - m_level >= 0, "negative push does not fix the endpoint"
+            if pair < m_level:
+                raise LoopGroupError("negative push does not fix the endpoint")
             return []
         slot = tail[0]
         l = idx
@@ -200,13 +193,14 @@ class _Rewriter:
         if zeta != alpha:
             # commutator case: u = x(-1/c) v^{-1} x(1/c) v lands in Stab_+(Delta_l)
             u = xneg.inverse() * vmat.inverse() * xneg * vmat
-            assert _in_stab_plus(group, u, self.alcove_face(l)), \
-                "commutator left Stab_+ (Chevalley case)"
+            if not _in_stab_plus(group, u, self.alcove_face(l)):
+                raise LoopGroupError("commutator left Stab_+ (Chevalley case)")
             absorbed = self.absorb(u, tail[1:], idx + 1)
             rest = self.push_negative(c_scalar, alpha, m_level, absorbed, idx + 1)
             return [slot] + rest
         if n != m_level:
-            assert n > m_level, "minimality of the wall level violated"
+            if n < m_level:
+                raise LoopGroupError("minimality of the wall level violated")
             # x(1/c) v = p^{-alpha^vee} v x(1/c) p^{-alpha^vee},
             # p = sqrt(1 + t^{n-m} b/c)
             b_over_c = Fraction(coeff, 1) / c_scalar
@@ -215,7 +209,8 @@ class _Rewriter:
             torus = group.gen_torus(mu, p)
             lhs = xneg * vmat
             rhs = torus * vmat * xneg * torus
-            assert lhs.agrees_with(rhs), "Eq-(3) square-root rewrite failed"
+            if not lhs.agrees_with(rhs):
+                raise LoopGroupError("Eq-(3) square-root rewrite failed")
             inner = self.push_torus(p, mu, tail[1:], idx + 1)
             pushed = self.push_negative(c_scalar, alpha, m_level, inner, idx + 1)
             return self.push_torus(p, mu, [slot] + pushed, idx)
@@ -229,7 +224,8 @@ class _Rewriter:
         rhs = group.gen_x_affine(alpha, m_level, new_coeff) * \
             group.gen_torus(-datum.coroot_of(alpha), LaurentSeries.from_scalar(unit)) * \
             group.gen_x_affine(-alpha, -m_level, Fraction(1, 1) / (b + c_scalar))
-        assert lhs.agrees_with(rhs), "Eq-(3) fold-slot rewrite failed"
+        if not lhs.agrees_with(rhs):
+            raise LoopGroupError("Eq-(3) fold-slot rewrite failed")
         inner = self.push_negative(b + c_scalar, alpha, m_level, tail[1:], idx + 1)
         pushed = self.push_torus(LaurentSeries.from_scalar(unit),
                                  -datum.coroot_of(alpha), inner, idx + 1)
@@ -249,18 +245,14 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     if up is None:
         raise GenericityError("e_alpha is undefined on this gallery")
     alpha = datum.simple_root(i)
-    m = min_wall_level(gallery, i)
+    m, j, k = fold_window(gallery, i)
     p = gallery.gtype.p
-    at_m = [j for j in _facet_levels(gallery, i, m) if 1 <= j <= p + 1]
-    k = min(at_m)
-    js = [j for j in _facet_levels(gallery, i, m + 1) if j <= k - 1]
-    j = max(js)
 
     rng = random.Random(repr((seed, "prop511", gallery.delta0.cmat, gallery.flips, i)))
     gaps = [phi_plus_aff(datum, gallery.facet(l), gallery.alcove(l))
             for l in range(p + 1)]
     for _ in range(20):
-        coeffs = [[(beta, Fraction(_nonzero(rng))) for beta in gaps[l]]
+        coeffs = [[(beta, Fraction(rand_nonzero_int(rng, 6))) for beta in gaps[l]]
                   for l in range(p + 1)]
         fold_slots = [l for l in range(1, p + 1)
                       if [b.root for b, _ in coeffs[l]] == [alpha]
@@ -277,7 +269,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     else:
         raise GenericityError("could not draw coefficients with nonzero partial sums")
     if h is None:
-        h = Fraction(_nonzero(rng))
+        h = Fraction(rand_nonzero_int(rng, 6))
 
     nu = gallery.weight
     a_mat = LaurentMatrix.identity(group.n)
@@ -337,10 +329,3 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
         return False
     # the moved point must sit in the stratum of the raised gallery
     return group.mu_plus(lhs) == up.weight
-
-
-def _nonzero(rng):
-    x = 0
-    while x == 0:
-        x = rng.randint(-6, 6)
-    return x

@@ -86,3 +86,35 @@ def test_verify_reports_byte_identical(tmp_path, capsys):
     lines = f1.read_text().strip().split("\n")
     assert len(lines) == 12
     assert all(json.loads(line)["passed"] for line in lines)
+
+
+@pytest.mark.parametrize("env_prec,flags,expected", [
+    (None, [], "32"),
+    ("8", [], "8"),
+    ("8", ["--prec", "16"], "16"),
+])
+def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
+                                                  expected):
+    env = {} if env_prec is None else {"MVCRYSTALS_PREC": env_prec}
+    code = (
+        "import sys\n"
+        "from mvcrystals import cli\n"
+        "from mvcrystals.looplab import default_rel_prec\n"
+        "for cmd in (['mv-sample', '--rank', '1', '--word', '1', '--c', '1',\n"
+        "             '--trials', '1'],\n"
+        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"
+        "    assert cli.main(cmd + sys.argv[1:]) == 0\n"
+        "    print('prec', default_rel_prec())\n"
+    )
+    out = run_python(code, args=flags, **env)
+    assert out.returncode == 0, out.stderr
+    precs = [line.split()[1] for line in out.stdout.splitlines()
+             if line.startswith("prec ")]
+    assert precs == [expected, expected]
+
+
+def test_prec_flag_range_checked(capsys):
+    code, _, err = run_cli(["trop", "--rank", "1", "--word", "1", "--ctilde=-2",
+                            "--prec", "0"], capsys)
+    assert code == 2
+    assert "relative precision must be in [1, 256]" in err

@@ -1,9 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -235,10 +231,7 @@ def test_crystal_export_golden(series, rank, lam, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_flip_count_checked_under_python_O():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONOPTIMIZE", None)
+def test_flip_count_checked_under_python_O(run_python):
     code = (
         "from mvcrystals.affine import build_gallery_type\n"
         "from mvcrystals.gallery import Gallery, GalleryError\n"
@@ -251,7 +244,6 @@ def test_flip_count_checked_under_python_O():
         "except GalleryError as exc:\n"
         "    print('raised:', exc)\n"
     )
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = run_python(code, "-O")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: 2 flips")

@@ -499,14 +499,49 @@ def test_group_elements_have_det_one():
 
 
 def test_grassmann_point_wrapper():
-    from mvcrystals.looplab import GrassmannPoint
+    g = G1.gen_y(1, LaurentSeries.t_power(-1))
+    assert G1.mu_plus(g) == Coweight((1,))
+    assert G1.mu_minus(g) == Coweight((0,))
+    assert G1.orbit_coweight(g) == Coweight((-1,))
+    # the invariants depend only on the coset [g]
+    moved = g * G1.gen_x(A1.simple_root(1), 5)
+    assert G1.coset_equal(g, moved)
+    assert G1.mu_plus(moved) == G1.mu_plus(g)
+    assert G1.mu_minus(moved) == G1.mu_minus(g)
+    assert G1.orbit_coweight(moved) == G1.orbit_coweight(g)
 
-    pt = G1.point(G1.gen_y(1, LaurentSeries.t_power(-1)))
-    assert isinstance(pt, GrassmannPoint)
-    assert pt.mu_plus == Coweight((1,))
-    assert pt.mu_minus == Coweight((0,))
-    assert pt.orbit == Coweight((-1,))
-    # coset well-definedness through the wrapper
-    moved = G1.point(pt.rep * G1.gen_x(A1.simple_root(1), 5))
-    assert pt.same_point(moved)
-    assert moved.mu_plus == pt.mu_plus
+
+def test_counterexample_checked_under_python_O(run_python):
+    code = (
+        "from mvcrystals.looplab import LoopGroup, LoopGroupError, counterexample_matrix\n"
+        "from mvcrystals.looplab.series import LaurentMatrix\n"
+        "from mvcrystals.rootdata import build_root_datum\n"
+        "assert False, 'asserts are live'\n"
+        "group = LoopGroup(build_root_datum('A', 3))\n"
+        "LaurentMatrix.equals_exact = lambda self, other: False\n"
+        "try:\n"
+        "    counterexample_matrix(group)\n"
+        "except LoopGroupError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    out = run_python(code, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: counterexample product drifted")
+
+
+@pytest.mark.parametrize("value", ["abc", "12.5", "0", "257", "300"])
+def test_bad_prec_environment_rejected_at_import(run_python, value):
+    out = run_python("import mvcrystals", MVCRYSTALS_PREC=value)
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ValueError: MVCRYSTALS_PREC must be")
+    assert last.endswith(f"got {value if value.isdigit() else repr(value)}")
+
+
+@pytest.mark.parametrize("value", ["1", "256"])
+def test_prec_environment_range_ends_accepted(run_python, value):
+    code = ("from mvcrystals.looplab import default_rel_prec\n"
+            "print(default_rel_prec())\n")
+    out = run_python(code, MVCRYSTALS_PREC=value)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == value
