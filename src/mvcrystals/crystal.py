@@ -186,11 +186,13 @@ def _dual_form(datum: RootDatum):
                     if e[i] is not None and e[j] is None:
                         e[j] = e[i] * Fraction(datum.cartan[i][j], datum.cartan[j][i])
                         changed = True
-    assert all(x is not None for x in e), "Dynkin diagram not connected"
+    if any(x is None for x in e):
+        raise CrystalError("Dynkin diagram not connected")
     b = [[e[j] * datum.cartan[j][i] for i in range(r)] for j in range(r)]
     for i in range(r):
         for j in range(r):
-            assert b[i][j] == b[j][i], "dual form failed to symmetrize"
+            if b[i][j] != b[j][i]:
+                raise CrystalError("dual form failed to symmetrize")
     return b
 
 
@@ -211,7 +213,8 @@ def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
         num *= _form_value(bmat, (lam + rho).coords, co.coords)
         den *= _form_value(bmat, rho.coords, co.coords)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise CrystalError(f"Weyl dimension of {lam} came out as {d}")
     return int(d)
 
 
@@ -264,9 +267,11 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
                     acc += m * _form_value(bmat, x.coords, co.coords)
                 k += 1
         denom = c_lam - c_mu
-        assert denom != 0, "Freudenthal denominator vanished"
+        if denom == 0:
+            raise CrystalError("Freudenthal denominator vanished")
         val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise CrystalError(f"Freudenthal multiplicity of {mu} came out as {val}")
         if val:
             mult[mu] = int(val)
     out = Counter()
@@ -284,9 +289,10 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
             frontier = nxt
         for x in orbit:
             out[x] = m
-    assert sum(out.values()) == weyl_dimension(datum, lam), \
-        "Freudenthal total disagrees with the Weyl dimension formula"
-    assert out[lam] == 1
+    if sum(out.values()) != weyl_dimension(datum, lam):
+        raise CrystalError("Freudenthal total disagrees with the Weyl dimension formula")
+    if out[lam] != 1:
+        raise CrystalError(f"highest weight {lam} has multiplicity {out[lam]}")
     return out
 
 

@@ -10,6 +10,7 @@ formulas: for [g] in S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from mvcrystals.looplab.series import (
@@ -28,20 +29,17 @@ __all__ = ["LoopGroup"]
 class LoopGroup:
     """SL_n over the Laurent series field, tied to a type A root datum.
 
-    Construction runs a one-time randomized self-check of the pinned-group
-    commutation rules (torus conjugation, the SL_2 relation, and the
-    x(a) x(-1/a) x(a) = a^{alpha^vee} sbar identity) against the matrices."""
-
-    _verified = set()
+    Construction runs a randomized self-check of the pinned-group commutation
+    rules (torus conjugation, the SL_2 relation, and the
+    x(a) x(-1/a) x(a) = a^{alpha^vee} sbar identity) against the matrices.
+    wbar(w0) and its inverse are built once per group, on first use."""
 
     def __init__(self, datum: RootDatum):
         if datum.series != "A":
             raise RootDataError("loop-group matrices are realized for type A only")
         self.datum = datum
         self.n = datum.rank + 1
-        if (datum.series, datum.rank) not in LoopGroup._verified:
-            self._self_check()
-            LoopGroup._verified.add((datum.series, datum.rank))
+        self._self_check()
 
     def _self_check(self):
         import random
@@ -145,8 +143,13 @@ class LoopGroup:
             out = out * self.gen_sbar(i)
         return out
 
+    @cached_property
     def wbar_w0(self) -> LaurentMatrix:
         return self.gen_wbar(self.datum.reduced_word(self.datum.longest_element()))
+
+    @cached_property
+    def wbar_w0_inv(self) -> LaurentMatrix:
+        return self.wbar_w0.inverse()
 
     def y_product(self, word, ps) -> LaurentMatrix:
         out = LaurentMatrix.identity(self.n)
@@ -230,10 +233,7 @@ class LoopGroup:
                 for m in range(k):
                     acc = acc - lower[i][m] * upper[m][k]
                 lower[i][k] = acc
-            try:
-                pivot_inv = lower[k][k].inverse()
-            except PrecisionError as exc:
-                raise GenericityError(f"Gauss pivot {k} vanished: {exc}") from exc
+            pivot_inv = _pivot_inverse(lower[k][k], f"Gauss pivot {k}")
             for j in range(k + 1, n):
                 acc = rev.rows[k][j]
                 for m in range(k):
@@ -248,10 +248,13 @@ class LoopGroup:
     def factor_y(self, g: LaurentMatrix, word):
         """Factor a generic lower unitriangular g as y_{i_1}(p_1)...y_{i_N}(p_N).
 
-        Sequential elimination: p_1 is the unique scalar making the residual
-        y_{i_1}(-p_1) g drop into the Bruhat cell of s_{i_1} w, detected as the
-        vanishing of one exact minor (southwest rank condition); then recurse.
-        The full residual is checked to be trivial at the end."""
+        Peel one generator per step.  Let w be the current cell, b the position
+        of i+1 in w, R = w({1..b}) (it holds i+1, not i) and R' = s_i R.  Left
+        multiplication by y_i(p) adds p Delta_{R'} to Delta_R on columns 1..b
+        and fixes Delta_{R'}; Delta_R vanishes on the cell of s_i w, so
+        p = Delta_R / Delta_{R'} (Berenstein-Zelevinsky, Total positivity in
+        Schubert varieties, 1997).  The full residual is checked to be trivial
+        at the end."""
         n = self.n
         word = tuple(word)
         w0 = self.datum.longest_element()
@@ -261,12 +264,21 @@ class LoopGroup:
         perm = tuple(range(n, 0, -1))  # one-line of w0
         cur = g
         ps = []
-        for i in word:
+        for step, i in enumerate(word):
             a = perm.index(i) + 1
             b = perm.index(i + 1) + 1
             if a < b:
                 raise RootDataError("word does not stay reduced along the peel")
-            p = self._peel_parameter(cur, i, perm, b)
+            rows = sorted(x - 1 for x in perm[:b])  # R, 0-based
+            # rows 1..m of a lower unitriangular matrix add an identity block
+            # on columns 1..m; R is not {1..b}, so m < b
+            m = 0
+            while rows[m] == m:
+                m += 1
+            num = cur.minor_det(rows[m:], range(m, b))
+            rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
+            den = cur.minor_det(rows[m:], range(m, b))
+            p = num * _pivot_inverse(den, f"peel minor of y_{i} at step {step} of {word}")
             ps.append(p)
             cur = self.gen_y(i, -p) * cur
             perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
@@ -276,63 +288,24 @@ class LoopGroup:
             raise GenericityError("factorization residual is not the identity")
         return ps
 
-    def _peel_parameter(self, g: LaurentMatrix, i, perm, b):
-        """Solve det = 0 for the southwest minor that must vanish after the peel.
-
-        Rows {i+1..n} x cols {1..b}; rank in the current cell is r, and rows
-        {i+2..n} already contribute r-1 independent rows, so the minor is taken
-        on an (r-1)-subset plus the modified row i+1 and one extra column."""
-        n = self.n
-        rows_rest = list(range(i + 1, n))       # 0-based rows i+2..n
-        cols = list(range(b))                   # 0-based cols 1..b
-        r = sum(1 for k in range(b) if perm[k] >= i + 1)
-        rsel, csel = self._independent_square(g, rows_rest, cols, r - 1)
-        for cstar in cols:
-            if cstar in csel:
-                continue
-            col_set = sorted(csel + [cstar])
-            # det of the modified minor is A - p*B: A on rows {i+1} u R1, B with
-            # row i in the same slot; both in matrix row order, signs cancel
-            det_a = g.minor_det([i] + rsel, col_set)
-            det_b = g.minor_det([i - 1] + rsel, col_set)
-            try:
-                p = det_a * det_b.inverse()
-            except PrecisionError:
-                continue
-            return p
-        raise GenericityError("no usable pivot column for the peel")
-
-    def _independent_square(self, g: LaurentMatrix, rows, cols, size):
-        """Greedy row/column selection of a size x size nonsingular submatrix."""
-        if size == 0:
-            return [], []
-        picked_rows = []
-        picked_cols = []
-        for row in rows:
-            if len(picked_rows) == size:
-                break
-            trial_rows = picked_rows + [row]
-            for col in cols:
-                if col in picked_cols:
-                    continue
-                trial_cols = picked_cols + [col]
-                d = g.minor_det(trial_rows, sorted(trial_cols))
-                if d.coeffs:
-                    picked_rows, picked_cols = trial_rows, trial_cols
-                    break
-        if len(picked_rows) != size:
-            raise GenericityError("could not find an independent square submatrix")
-        return picked_rows, picked_cols
-
     def factor_z(self, g: LaurentMatrix, word):
         """Parameters q with z_word(q) = g for lower unitriangular g: the lower
         Gauss factor of g wbar(w0), y-factored."""
         # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
-        _, u = self.gauss_decompose(g * self.wbar_w0())
+        _, u = self.gauss_decompose(g * self.wbar_w0)
         return self.factor_y(u, word)
 
     def z_of(self, word, qs) -> LaurentMatrix:
         """z_word(q) = lower Gauss factor of y_word(q) wbar(w0)^{-1}."""
         y = self.y_product(word, qs)
-        _, u = self.gauss_decompose(y * self.wbar_w0().inverse())
+        _, u = self.gauss_decompose(y * self.wbar_w0_inv)
         return u
+
+
+def _pivot_inverse(s: LaurentSeries, what) -> LaurentSeries:
+    """1/s for a pivot.  An exactly zero pivot means the input is not generic;
+    a pivot whose known window is zero raises PrecisionError, so callers that
+    escalate precision (trop_eval) do."""
+    if s.is_known_zero and s.is_exact:
+        raise GenericityError(f"{what} is exactly zero")
+    return s.inverse()

@@ -6,8 +6,9 @@ Sampling draws exact rational coefficients (small integers over 1) so every
 generator matrix is an exact Laurent polynomial; inexactness only enters
 through inversions inside the Gauss/factorization steps, where the precision
 window is tracked.  Genericity failures raise and are retried a bounded
-number of times with derived seeds; valuation-indistinguishability escalates
-the relative precision by doubling up to 256.
+number of times with derived seeds; a valuation or pivot indistinguishable
+from zero (PrecisionError) escalates the relative precision by doubling up
+to 256.
 """
 
 from __future__ import annotations

@@ -110,10 +110,6 @@ class LaurentSeries:
     def from_scalar(a):
         return LaurentSeries({0: Fraction(a)}, None)
 
-    @staticmethod
-    def from_pairs(pairs, cap=None):
-        return LaurentSeries({e: Fraction(c) for e, c in pairs}, cap)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -353,10 +349,6 @@ class LaurentMatrix:
                     c = -c
                 cof[j][i] = c * dinv
         return LaurentMatrix(cof)
-
-    def transpose(self):
-        return LaurentMatrix([[self.rows[j][i] for j in range(self.n)]
-                              for i in range(self.n)])
 
     def minor_det(self, rows, cols) -> LaurentSeries:
         sub = [[self.rows[i][j] for j in cols] for i in rows]

@@ -237,22 +237,24 @@ class RootDatum:
                     if rt2 not in seen:
                         seen[rt2] = co2
                         nxt.append((rt2, co2))
-                    else:
-                        assert seen[rt2] == co2, "root/coroot matching broke"
+                    elif seen[rt2] != co2:
+                        raise RootDataError("root/coroot matching broke")
             frontier = nxt
         pos = sorted((rt for rt in seen if rt.is_positive),
                      key=lambda rt: (rt.height(), rt.coords))
-        assert len(seen) == 2 * len(pos), "reflection closure is not symmetric"
+        if len(seen) != 2 * len(pos):
+            raise RootDataError("reflection closure is not symmetric")
         self.positive_roots = tuple(pos)
         self.positive_coroots = tuple(seen[rt] for rt in pos)
         self._coroot_of = {rt: seen[rt] for rt in seen}
         self.highest_root = pos[-1]
-        assert all(self.highest_root.height() > rt.height() or self.highest_root == rt
-                   for rt in pos), "highest root not unique by height"
+        if not all(self.highest_root.height() > rt.height() or self.highest_root == rt
+                   for rt in pos):
+            raise RootDataError("highest root not unique by height")
         self.marks = self.highest_root.coords
-        # theta must dominate every positive root
-        assert all(self.pairing(self.highest_root, cov) >= 0
-                   for cov in self.simple_coroots())
+        if not all(self.pairing(self.highest_root, cov) >= 0
+                   for cov in self.simple_coroots()):
+            raise RootDataError("highest root is not dominant")
 
     # -- basic vectors ------------------------------------------------------
 

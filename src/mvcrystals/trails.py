@@ -69,10 +69,11 @@ class WedgeRep:
                     diff = ef.get(a, 0) - fe.get(a, 0)
                     if i == j:
                         wt = self.weight(a)
-                        assert diff == wt[i - 1] - wt[i], "[E_i,F_i] broke"
-                    else:
-                        # off-diagonal commutator has no diagonal matrix entry
-                        assert diff == 0
+                        if diff != wt[i - 1] - wt[i]:
+                            raise RootDataError("[E_i,F_i] broke")
+                    # off-diagonal commutator has no diagonal matrix entry
+                    elif diff != 0:
+                        raise RootDataError(f"[E_{i},F_{j}] has a diagonal entry")
 
     @staticmethod
     def _single(a, op):
@@ -143,12 +144,14 @@ def enumerate_itrails(rep: WedgeRep, gamma: tuple, delta: tuple, word):
                 for step, i in enumerate(word):
                     w = tuple(x - exps[step] * y for x, y in zip(w, _alpha_eps(n, i)))
                     weights.append(w)
-                assert weights[-1] == delta
+                if weights[-1] != delta:
+                    raise RootDataError(f"trail of {word} ends at {weights[-1]}, not {delta}")
                 d = []
                 for step, i in enumerate(word):
                     tot = tuple(x + y for x, y in zip(weights[step], weights[step + 1]))
                     num = tot[i - 1] - tot[i]
-                    assert num % 2 == 0, "d_j failed to be an integer"
+                    if num % 2:
+                        raise RootDataError("d_j failed to be an integer")
                     d.append(num // 2)
                 trails.append(ITrail(tuple(word), tuple(weights), tuple(exps),
                                      tuple(d)))
@@ -230,6 +233,7 @@ def zero_d_trail_exists(datum: RootDatum, word, i) -> bool:
     target = tuple(chain)
     for t in trails:
         if t.weights == target:
-            assert all(dj == 0 for dj in t.d), "reflection chain trail has d != 0"
+            if any(t.d):
+                raise RootDataError("reflection chain trail has d != 0")
             return True
     return False

@@ -40,7 +40,7 @@ from mvcrystals.looplab import (
 )
 from mvcrystals.looplab.sampling import random_unit_series
 from mvcrystals.crystal import string_param_from_c_tilde
-from mvcrystals.rootdata import Coweight, build_root_datum
+from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
@@ -93,7 +93,8 @@ def _suite_entries():
     # fundamental coweights of G2 are both in the coroot lattice
     for i in (1, 2):
         om = g2.fundamental_coweight(i).normalized()
-        assert om.is_integral()
+        if not om.is_integral():
+            raise RootDataError(f"G2 fundamental coweight {om} is not integral")
         entries.append((g2, om))
     return entries
 

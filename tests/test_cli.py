@@ -75,13 +75,17 @@ def test_usage_error():
     assert exc.value.code != 0
 
 
-def test_verify_reports_byte_identical(tmp_path, capsys):
+_MAIN = "import sys\nfrom mvcrystals.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def test_verify_reports_byte_identical(tmp_path, run_python):
+    # each report comes from a fresh interpreter, so the second one
+    # re-enumerates every crystal instead of reading the first one's
     f1, f2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
-    code1, _, _ = run_cli(["verify", "--suite", "desk", "--json", str(f1),
-                           "--full"], capsys)
-    code2, _, _ = run_cli(["verify", "--suite", "desk", "--json", str(f2),
-                           "--full"], capsys)
-    assert code1 == 0 and code2 == 0
+    for f in (f1, f2):
+        out = run_python(_MAIN, args=["verify", "--suite", "desk", "--json", str(f),
+                                      "--full"])
+        assert out.returncode == 0, out.stderr
     assert f1.read_bytes() == f2.read_bytes()
     lines = f1.read_text().strip().split("\n")
     assert len(lines) == 12
@@ -118,3 +122,13 @@ def test_prec_flag_range_checked(capsys):
                             "--prec", "0"], capsys)
     assert code == 2
     assert "relative precision must be in [1, 256]" in err
+
+
+def test_trop_escalates_precision_when_a_pivot_vanishes(run_python):
+    # at relative precision 4 a Gauss or peel pivot is indistinguishable from
+    # zero; trop_eval must double the precision rather than redraw at 4
+    out = run_python(_MAIN, args=["trop", "--type", "A", "--rank", "3",
+                                  "--word", "2,1,3,2,1,3", "--ctilde=-1,-1,0,0,-2,1",
+                                  "--prec", "4"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["lusztig"] == [1, -1, 3, -1, 0, 2]

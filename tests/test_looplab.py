@@ -8,8 +8,10 @@ from mvcrystals.crystal import contragredient_node, string_parameters
 from mvcrystals.gallery import crystal_maps, enumerate_ls, min_wall_level, root_e
 from mvcrystals.looplab import (
     LaurentMatrix,
+    GenericityError,
     LaurentSeries,
     LoopGroup,
+    LoopGroupError,
     PrecisionError,
     cell_point,
     counterexample_matrix,
@@ -265,7 +267,7 @@ def test_gauss_decompose_roundtrip():
     for group, word in ((G2, (1, 2, 1)), (G3, (2, 1, 3, 2, 1, 3))):
         for _ in range(10):
             ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
-            g = group.y_product(word, ps) * group.wbar_w0()
+            g = group.y_product(word, ps) * group.wbar_w0
             b, u = group.gauss_decompose(g)
             assert (b * u).agrees_with(g)
             # b upper triangular, u lower unitriangular
@@ -307,6 +309,41 @@ def test_factor_y_roundtrip_random():
                 assert [q.val() for q in qs] == [p.val() for p in ps]
                 for p, q in zip(ps, qs):
                     assert p.agrees_with(q)
+
+
+@pytest.mark.parametrize("group", [G2, G3], ids=["A2", "A3"])
+def test_factor_y_roundtrip_every_reduced_word(group):
+    words = group.datum.enumerate_reduced_words(group.datum.longest_element())
+    assert len(words) == {2: 2, 3: 16}[group.datum.rank]
+    for word in words:
+        rng = random.Random(repr(word))
+        ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
+        qs = group.factor_y(group.y_product(word, ps), word)
+        assert [q.val() for q in qs] == [p.val() for p in ps], word
+        assert all(p.agrees_with(q) for p, q in zip(ps, qs)), word
+
+
+def test_factor_y_exactly_singular_input_is_not_generic():
+    # y_1(a) y_2(0) y_1(c) = y_1(a + c) lies outside the open cell
+    one = LaurentSeries.one()
+    g = G2.y_product((1, 2, 1), (one, LaurentSeries.zero(), one))
+    with pytest.raises(GenericityError, match="exactly zero"):
+        G2.factor_y(g, (1, 2, 1))
+
+
+def test_gauss_pivot_below_precision_raises_precision_error():
+    # a pivot known to vanish below t^8 may still be nonzero: escalate
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    g = LaurentMatrix([[one, zero], [zero, LaurentSeries({}, 8)]])
+    with pytest.raises(PrecisionError):
+        G1.gauss_decompose(g)
+
+
+def test_every_loop_group_runs_its_self_check(monkeypatch):
+    LoopGroup(A2)
+    monkeypatch.setattr(LoopGroup, "gen_sbar", lambda self, i: LaurentMatrix.identity(self.n))
+    with pytest.raises(LoopGroupError, match="sbar torus identity"):
+        LoopGroup(A2)
 
 
 # -- counterexample -------------------------------------------------------------------

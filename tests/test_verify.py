@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 from mvcrystals.verify import _A3_PAPER_ROWS, _grid_solutions
 
 
@@ -32,3 +35,13 @@ def test_cli_and_criterion_5_run_without_numpy(run_python):
     out = run_python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "117649"]
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements; a check the criteria rely on must raise
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
