@@ -126,7 +126,7 @@ def cmd_trop(args):
     c_tilde = _word(args.ctilde)
     if args.prec is not None:
         set_default_rel_prec(args.prec)
-    n_vec = lusztig_from_string(group, word, c_tilde, seed=args.seed)
+    n_vec = lusztig_from_string(group, word, c_tilde)
     _emit({"word": list(word), "c_tilde": list(c_tilde),
            "lusztig": [int(x) for x in n_vec]}, args.out)
     return 0
@@ -203,7 +203,6 @@ def build_parser():
     add_datum_flags(p)
     p.add_argument("--word", required=True)
     p.add_argument("--ctilde", required=True)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--prec", type=int, default=None, help=_PREC_HELP)
     p.set_defaults(func=cmd_trop)
 

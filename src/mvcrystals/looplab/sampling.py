@@ -1,14 +1,13 @@
-"""Randomized valuation sampling: the subsets Y~_{i,c}, gallery cells,
-crystal-operator compatibility, tropical evaluation of transition maps, and
-the SL_4 counterexample.
+"""Valuation sampling and tropical evaluation: the subsets Y~_{i,c}, gallery
+cells, crystal-operator compatibility, tropical transition maps, and the SL_4
+counterexample.
 
-Sampling draws exact rational coefficients (small integers over 1) so every
-generator matrix is an exact Laurent polynomial; inexactness only enters
-through inversions inside the Gauss/factorization steps, where the precision
-window is tracked.  Genericity failures raise and are retried a bounded
-number of times with derived seeds; a valuation or pivot indistinguishable
-from zero (PrecisionError) escalates the relative precision by doubling up
-to 256.
+Sampling draws small integer coefficients from seeded generators, so every
+generator matrix is an exact Laurent polynomial; inexactness enters only
+through inversions in the Gauss/factorization steps, where the precision
+window is tracked.  Tropical evaluation draws nothing (see trop_eval).  A
+valuation or pivot indistinguishable from zero (PrecisionError) escalates the
+relative precision by doubling up to 256.
 """
 
 from __future__ import annotations
@@ -23,11 +22,12 @@ from mvcrystals.gallery import Gallery, is_positively_folded
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.series import (
     _MAX_REL_PREC,
-    GenericityError,
     LaurentMatrix,
     LaurentSeries,
     LoopGroupError,
     PrecisionError,
+    default_rel_prec,
+    set_default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, RootDataError
 
@@ -47,8 +47,6 @@ __all__ = [
     "string_to_lusztig_map",
     "lusztig_to_string_map",
 ]
-
-_MAX_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -178,43 +176,42 @@ def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
 
 # -- tropical evaluation ---------------------------------------------------------
 
-def trop_eval(func, m, trials=3, seed=7, arg_tag="trop"):
-    """Valuation vector of func at generic inputs with val(p_j) = m_j.
+def trop_eval(func, m, trials=3):
+    """Valuation vector of func at val(p_j) = m_j, for func a transition map.
 
-    Inputs are a_j t^{m_j} (1 + random higher terms) with a_j random nonzero
-    rationals; the output valuations must agree across all trials (the
-    genericity locus is Zariski-open, so disagreement means a bad draw and the
-    batch is retried with a derived seed, a bounded number of times).  A
-    valuation indistinguishable from zero doubles the working relative
-    precision, up to 256."""
-    from mvcrystals.looplab.series import default_rel_prec, set_default_rel_prec
-
-    base_prec = default_rel_prec()
-    prec = base_prec
-    last_exc = None
+    The transition maps are subtraction-free up to one overall sign
+    (Berenstein-Zelevinsky 2001, Fomin-Zelevinsky 1999), so no leading terms
+    cancel at positive inputs and the monomials p_j = k t^{m_j}, k = 1..trials,
+    give the tropical value exactly.  Each call checks that premise: an output
+    that is exactly zero, leading coefficients of both signs over all outputs
+    and all k, or valuations that differ between the k raise LoopGroupError.
+    A valuation or pivot indistinguishable from zero (PrecisionError) doubles
+    the working relative precision, up to 256."""
+    base_prec = prec = default_rel_prec()
     try:
-        for attempt in range(_MAX_RETRIES):
+        while True:
             set_default_rel_prec(prec)
             try:
-                outcomes = []
-                for trial in range(trials):
-                    rng = random.Random(repr((seed, arg_tag, tuple(m), attempt, trial)))
-                    ps = [random_unit_series(rng).shift(mj) for mj in m]
-                    out = func(ps)
-                    outcomes.append(tuple(s.val() for s in out))
-                if len(set(outcomes)) != 1:
-                    raise GenericityError(
-                        f"tropical valuations disagree: {set(outcomes)}")
-                return list(outcomes[0])
-            except PrecisionError as exc:
-                last_exc = exc
+                outs = [func([LaurentSeries.t_power(mj, k) for mj in m])
+                        for k in range(1, trials + 1)]
+                if any(s.is_known_zero and s.is_exact for out in outs for s in out):
+                    raise LoopGroupError(f"an output is exactly zero at m = {list(m)}")
+                vals = [[s.val() for s in out] for out in outs]
+                break
+            except PrecisionError:
+                if prec == _MAX_REL_PREC:
+                    raise
                 prec = min(2 * prec, _MAX_REL_PREC)
-            except GenericityError as exc:
-                last_exc = exc
     finally:
         set_default_rel_prec(base_prec)
-    raise GenericityError(
-        f"tropical evaluation failed after {_MAX_RETRIES} retries: {last_exc}")
+    leads = [[s.leading() for s in out] for out in outs]
+    at = f"at m = {list(m)}, k = 1..{trials}"
+    if len({lead > 0 for row in leads for lead in row}) > 1:
+        shown = "; ".join(", ".join(map(str, row)) for row in leads)
+        raise LoopGroupError(f"leading coefficients of mixed sign {at}: {shown}")
+    if any(v != vals[0] for v in vals):
+        raise LoopGroupError(f"valuations differ {at}: {vals}")
+    return vals[0]
 
 
 def string_to_lusztig_map(group: LoopGroup, word):
@@ -237,26 +234,26 @@ def lusztig_to_string_map(group: LoopGroup, word):
     return func
 
 
-def lusztig_from_string(group: LoopGroup, word, c_tilde, trials=3, seed=7):
+def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     """n = f^trop(c~) for f = z^{-1} o y, with the inverse direction
-    g^trop(n) = c~ verified; returns the Lusztig parameter vector."""
-    n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde),
-                      trials=trials, seed=seed, arg_tag="s2l")
-    back = trop_eval(lusztig_to_string_map(group, word), n_vec,
-                     trials=trials, seed=seed, arg_tag="l2s")
+    g^trop(n) = c~ verified; returns the Lusztig parameter vector.
+    ``seed`` is ignored; the benchmark's tropical workload still passes it."""
+    n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
+    back = trop_eval(lusztig_to_string_map(group, word), n_vec)
     if tuple(back) != tuple(c_tilde):
-        raise GenericityError(
-            f"inverse tropical map returned {back}, expected {tuple(c_tilde)}")
+        raise LoopGroupError(
+            f"inverse tropical map on word {tuple(word)}: c~ = {tuple(c_tilde)} "
+            f"gave n = {n_vec}, which maps back to {back}")
     return n_vec
 
 
 def morier_genoud_check(group: LoopGroup, word, c_tilde_node, c_tilde_flip,
-                        lam: Coweight, trials=3, seed=7) -> bool:
+                        lam: Coweight) -> bool:
     """d_j = <alpha_{i_j}, -w0 lam> + c~_j where d is the Lusztig parameter of
     the contragredient twin (computed tropically from its string)."""
     datum = group.datum
     w0lam = datum.longest_element().act_coweight(lam)
-    d = lusztig_from_string(group, word, c_tilde_flip, trials=trials, seed=seed)
+    d = lusztig_from_string(group, word, c_tilde_flip)
     for j, i in enumerate(word):
         shift = datum.pairing(datum.simple_root(i), -w0lam)
         if d[j] != shift + c_tilde_node[j]:

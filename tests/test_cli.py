@@ -125,10 +125,12 @@ def test_prec_flag_range_checked(capsys):
 
 
 def test_trop_escalates_precision_when_a_pivot_vanishes(run_python):
-    # at relative precision 4 a Gauss or peel pivot is indistinguishable from
-    # zero; trop_eval must double the precision rather than redraw at 4
-    out = run_python(_MAIN, args=["trop", "--type", "A", "--rank", "3",
-                                  "--word", "2,1,3,2,1,3", "--ctilde=-1,-1,0,0,-2,1",
-                                  "--prec", "4"])
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["lusztig"] == [1, -1, 3, -1, 0, 2]
+    # at relative precision 1 a Gauss or peel pivot of this A3 map is
+    # indistinguishable from zero, so trop_eval doubles the precision to 2 in
+    # both directions; at 4 every pivot is resolved and nothing escalates
+    for prec in ("4", "1"):
+        out = run_python(_MAIN, args=["trop", "--type", "A", "--rank", "3",
+                                      "--word", "2,1,3,2,1,3",
+                                      "--ctilde=-1,-1,0,0,-2,1", "--prec", prec])
+        assert out.returncode == 0, (prec, out.stderr)
+        assert json.loads(out.stdout)["lusztig"] == [1, -1, 3, -1, 0, 2]

@@ -16,14 +16,21 @@ from mvcrystals.looplab import (
     cell_point,
     counterexample_matrix,
     crystal_op_sample,
+    default_rel_prec,
     lusztig_from_string,
     morier_genoud_check,
     rank_one_identity_check,
     sample_cell,
     sample_ytilde,
+    set_default_rel_prec,
     trop_eval,
 )
-from mvcrystals.looplab.sampling import random_unit_series
+from mvcrystals.looplab import sampling
+from mvcrystals.looplab.sampling import (
+    lusztig_to_string_map,
+    random_unit_series,
+    string_to_lusztig_map,
+)
 from mvcrystals.rootdata import Coweight, build_root_datum
 
 A1 = build_root_datum("A", 1)
@@ -462,16 +469,14 @@ def test_trop_eval_sum():
 
 
 def test_trop_mutually_inverse_random_vectors():
-    from mvcrystals.looplab.sampling import lusztig_to_string_map, string_to_lusztig_map
-
     rng = random.Random(19)
     word = (1, 2, 1)
     f = string_to_lusztig_map(G2, word)
     g = lusztig_to_string_map(G2, word)
     for _ in range(20):
         m = [rng.randint(-2, 2) for _ in word]
-        fw = trop_eval(f, m, arg_tag="fwd")
-        back = trop_eval(g, fw, arg_tag="bwd")
+        fw = trop_eval(f, m)
+        back = trop_eval(g, fw)
         assert back == m
 
 
@@ -504,8 +509,169 @@ def test_cross_word_string_transition(theta_graph):
     for node in theta_graph.nodes:
         ci = string_parameters(theta_graph, node, word_i).c_tilde
         cj = string_parameters(theta_graph, node, word_j).c_tilde
-        got = trop_eval(func, list(ci), arg_tag="crossword")
+        got = trop_eval(func, list(ci))
         assert tuple(got) == cj, (ci, cj, got)
+
+
+def _randomized_trop_eval(func, m, trials=3, seed=7, arg_tag="trop", retries=5):
+    """Reference oracle: valuations of func at random inputs
+    a_j t^{m_j} (1 + random higher terms), which must agree over `trials`
+    draws; a disagreement redraws with a derived seed, and a PrecisionError
+    doubles the relative precision up to 256."""
+    base = prec = default_rel_prec()
+    try:
+        for attempt in range(retries):
+            set_default_rel_prec(prec)
+            try:
+                outcomes = set()
+                for trial in range(trials):
+                    rng = random.Random(repr((seed, arg_tag, tuple(m), attempt, trial)))
+                    ps = [random_unit_series(rng).shift(mj) for mj in m]
+                    outcomes.add(tuple(s.val() for s in func(ps)))
+                if len(outcomes) == 1:
+                    return list(outcomes.pop())
+            except PrecisionError:
+                prec = min(2 * prec, 256)
+    finally:
+        set_default_rel_prec(base)
+    raise GenericityError(f"no agreeing draws in {retries} attempts at m = {m}")
+
+
+def _assert_trop_matches_randomized(group, word, c_tilde):
+    """Both directions of the transition map agree with the oracle."""
+    n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
+    assert n_vec == _randomized_trop_eval(string_to_lusztig_map(group, word),
+                                          list(c_tilde)), (word, c_tilde)
+    back = trop_eval(lusztig_to_string_map(group, word), n_vec)
+    assert back == _randomized_trop_eval(lusztig_to_string_map(group, word),
+                                         n_vec) == list(c_tilde), (word, n_vec)
+
+
+def test_trop_eval_matches_randomized_oracle_on_criterion_11(theta_graph):
+    # every string criterion 11 feeds in: each node and its contragredient
+    # twin, on both reduced words of w_0
+    inputs = set()
+    for word in ((1, 2, 1), (2, 1, 2)):
+        for node in theta_graph.nodes:
+            flip = contragredient_node(theta_graph, node, theta_graph)
+            for b in (node, flip):
+                inputs.add((word, string_parameters(theta_graph, b, word).c_tilde))
+    assert len(inputs) == 16
+    for word, c_tilde in sorted(inputs):
+        _assert_trop_matches_randomized(G2, word, c_tilde)
+
+
+@pytest.mark.parametrize("word", [(2, 1, 3, 2, 1, 3), (1, 2, 1, 3, 2, 1)])
+def test_trop_eval_matches_randomized_oracle_a3(word):
+    rng = random.Random(repr(("a3-oracle", word)))
+    for _ in range(4):
+        _assert_trop_matches_randomized(G3, word, [rng.randint(-2, 2) for _ in word])
+
+
+def _a2_braid_move(n):
+    """Lusztig's piecewise-linear change of PBW parameters between the
+    words (1,2,1) and (2,1,2) of A2 (Lusztig, J. AMS 1990); an involution."""
+    a, b, c = n
+    m = min(a, c)
+    return (b + c - m, m, a + b - m)
+
+
+def test_lusztig_parameters_related_by_a2_braid_move(theta_graph):
+    # hand-worked: (a,b,c) = (2,0,1) has min(a,c) = 1, so it maps to
+    # (0+1-1, 1, 2+0-1) = (0,1,1), and back again
+    assert _a2_braid_move((2, 0, 1)) == (0, 1, 1)
+    assert _a2_braid_move((0, 1, 1)) == (2, 0, 1)
+    rows = {}
+    for node in theta_graph.nodes:
+        n121, n212 = (tuple(lusztig_from_string(
+            G2, word, string_parameters(theta_graph, node, word).c_tilde))
+            for word in ((1, 2, 1), (2, 1, 2)))
+        assert _a2_braid_move(n121) == n212
+        assert _a2_braid_move(n212) == n121
+        rows[n121] = n212
+    assert len(rows) == 8
+    # the convention pinned on the crystal: the node with parameter (2,0,1)
+    # on (1,2,1) has parameter (0,1,1) on (2,1,2)
+    assert rows[(2, 0, 1)] == (0, 1, 1)
+
+
+@pytest.mark.parametrize("func,m,reason", [
+    (lambda ps: [ps[0] - ps[1]], [0, 0], "exactly zero"),
+    (lambda ps: [ps[0], -ps[1]], [1, 2], "mixed sign"),
+    # valuation 1 at k = 1, valuation 0 at k = 2
+    (lambda ps: [ps[0] - LaurentSeries.one() + LaurentSeries.t_power(1)], [0],
+     "valuations differ"),
+])
+def test_trop_eval_tripwire_on_a_nonpositive_map(func, m, reason):
+    before = default_rel_prec()
+    with pytest.raises(LoopGroupError, match=reason):
+        trop_eval(func, m)
+    assert default_rel_prec() == before
+
+
+def test_lusztig_from_string_inverse_check_names_its_inputs(monkeypatch):
+    monkeypatch.setattr(sampling, "lusztig_to_string_map",
+                        lambda group, word: lambda qs: [q.shift(1) for q in qs])
+    with pytest.raises(LoopGroupError) as exc:
+        lusztig_from_string(G2, (1, 2, 1), (0, -1, 0))
+    msg = str(exc.value)
+    n_vec = trop_eval(string_to_lusztig_map(G2, (1, 2, 1)), [0, -1, 0])
+    assert "(1, 2, 1)" in msg and "(0, -1, 0)" in msg and str(n_vec) in msg
+
+
+@pytest.fixture
+def prec_log(monkeypatch):
+    """Every precision trop_eval sets, in order, from a default of 2."""
+    log = []
+
+    def record(n):
+        log.append(n)
+        set_default_rel_prec(n)
+
+    monkeypatch.setattr(sampling, "set_default_rel_prec", record)
+    before = default_rel_prec()
+    set_default_rel_prec(2)
+    yield log
+    set_default_rel_prec(before)
+
+
+def test_trop_eval_doubles_precision_then_restores_it(prec_log):
+    def needs_16(ps):
+        if default_rel_prec() < 16:
+            raise PrecisionError("pivot indistinguishable from zero")
+        return ps
+
+    assert trop_eval(needs_16, [1, -1]) == [1, -1]
+    assert prec_log == [2, 4, 8, 16, 2]
+
+
+def test_trop_eval_precision_shortfall_at_256_propagates(prec_log):
+    def never(ps):
+        raise PrecisionError("pivot indistinguishable from zero")
+
+    with pytest.raises(PrecisionError):
+        trop_eval(never, [0])
+    assert prec_log == [2, 4, 8, 16, 32, 64, 128, 256, 2]
+    assert default_rel_prec() == 2
+
+
+def test_trop_eval_restores_precision_when_func_raises(prec_log):
+    def broken(ps):
+        raise ValueError("broken evaluator")
+
+    with pytest.raises(ValueError):
+        trop_eval(broken, [0])
+    assert prec_log == [2, 2]
+    assert default_rel_prec() == 2
+
+
+def test_trop_eval_escalates_on_the_a3_reproducer(prec_log):
+    # at relative precision 2 no pivot vanishes in the window; at 1 one
+    # does, so the string -> Lusztig map runs at 1 and then at 2
+    set_default_rel_prec(1)
+    f = string_to_lusztig_map(G3, (2, 1, 3, 2, 1, 3))
+    assert trop_eval(f, [-1, -1, 0, 0, -2, 1]) == [1, -1, 3, -1, 0, 2]
+    assert prec_log == [1, 2, 1]
 
 
 def test_mu_plus_dominates_mu_minus_on_samples(theta_graph):
