@@ -120,16 +120,6 @@ def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
     return AffWeylElt(datum.zero_coweight(), datum.simple_reflection(i))
 
 
-def simple_affine_wall(datum: RootDatum, i: int) -> AffineRoot:
-    """The affine root whose wall is the i-th wall of the fundamental alcove.
-
-    For i >= 1 this is (alpha_i, 0); for i = 0 it is (theta, 1), the wall of
-    alpha_0 = (-theta, -1)."""
-    if i == 0:
-        return AffineRoot(datum.highest_root, 1)
-    return AffineRoot(datum.simple_root(i), 0)
-
-
 # -- faces -------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from mvcrystals.verify import run_all
 
 __all__ = ["main"]
 
-_PREC_HELP = ("relative precision of series inversions, in [1, 256]; "
+_PREC_HELP = ("relative precision of series divisions, in [1, 256]; "
               "default: MVCRYSTALS_PREC, else 32")
 
 

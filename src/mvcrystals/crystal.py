@@ -340,8 +340,7 @@ def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
     datum = graph.datum
     word = tuple(word)
     if word not in graph._w0_words:
-        if datum.word_to_element(word) != datum.longest_element() or \
-                len(word) != datum.weyl_length(datum.longest_element()):
+        if not datum.is_w0_word(word):
             raise CrystalError(f"{word} is not a reduced word of w_0")
         graph._w0_words.add(word)
     cur = node

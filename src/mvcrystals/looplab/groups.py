@@ -152,53 +152,44 @@ class LoopGroup:
         return self.wbar_w0.inverse()
 
     def y_product(self, word, ps) -> LaurentMatrix:
-        out = LaurentMatrix.identity(self.n)
+        """y_{i_1}(p_1) ... y_{i_N}(p_N); right multiplication by y_i(p) is
+        "column i += p * column i+1"."""
+        rows = [[LaurentSeries.one() if a == b else LaurentSeries.zero()
+                 for b in range(self.n)] for a in range(self.n)]
         for i, p in zip(word, ps):
-            out = out * self.gen_y(i, p)
-        return out
+            for row in rows:
+                row[i - 1] = row[i - 1] + row[i] * p
+        return LaurentMatrix(rows)
 
-    # -- wedge action and valuation formulas ---------------------------------------
+    # -- valuation formulas ----------------------------------------------------------
 
-    def wedge_column(self, g: LaurentMatrix, cols):
-        """Components of g(e_{cols}) in Lambda^k: minors on fixed columns."""
-        k = len(cols)
-        cols0 = [c - 1 for c in cols]
-        out = []
-        for rows in combinations(range(self.n), k):
-            out.append(g.minor_det(rows, cols0))
-        return out
+    def _extremal_vals(self, g: LaurentMatrix, top: bool):
+        """val(g^{-1} v) for v = e_1 ^ ... ^ e_k (top) or e_{k+1} ^ ... ^ e_n,
+        k = 1..n-1; the components are the minors of g^{-1} on those columns."""
+        ginv = g.inverse()
+        n = self.n
+        vals = []
+        for k in range(1, n):
+            cols = tuple(range(k)) if top else tuple(range(k, n))
+            vals.append(vector_val([ginv.minor_det(rows, cols)
+                                    for rows in combinations(range(n), len(cols))]))
+        return vals
 
     def mu_plus(self, g: LaurentMatrix) -> Coweight:
         """The stratum parameter of [g] in the S^+ decomposition."""
-        ginv = g.inverse()
-        coords = []
-        for k in range(1, self.n):
-            vec = self.wedge_column(ginv, tuple(range(1, k + 1)))
-            coords.append(-vector_val(vec))
-        return Coweight(tuple(coords))
+        return Coweight(tuple(-v for v in self._extremal_vals(g, top=True)))
 
     def mu_minus(self, g: LaurentMatrix) -> Coweight:
-        ginv = g.inverse()
-        coords = []
-        for k in range(1, self.n):
-            vec = self.wedge_column(ginv, tuple(range(k + 1, self.n + 1)))
-            coords.append(vector_val(vec))
-        return Coweight(tuple(coords))
+        return Coweight(tuple(self._extremal_vals(g, top=False)))
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
         <omega_k, lambda> = min valuation over all k-minors of g."""
         coords = []
         for k in range(1, self.n):
-            vals = []
-            for cols in combinations(range(self.n), k):
-                for rows in combinations(range(self.n), k):
-                    s = g.minor_det(rows, cols)
-                    if s.coeffs:
-                        vals.append(min(s.coeffs))
-                    elif s.cap is not None:
-                        vals.append(None)
-            known = [v for v in vals if v is not None]
+            subsets = list(combinations(range(self.n), k))
+            minors = [g.minor_det(rows, cols) for cols in subsets for rows in subsets]
+            known = [min(s.coeffs) for s in minors if s.coeffs]
             if not known:
                 raise PrecisionError("all k-minors indistinguishable from zero")
             coords.append(min(known))
@@ -218,32 +209,25 @@ class LoopGroup:
     def gauss_decompose(self, g: LaurentMatrix):
         """g = b u with b upper triangular and u lower unitriangular.
 
-        Exists iff the bottom-right principal minors are units; implemented as
-        a Crout LU of the row/column-reversed matrix."""
+        Both factors are ratios of minors of g (Berenstein-Fomin-Zelevinsky,
+        Adv. Math. 1996).  With D_k the minor on rows and columns k..n-1
+        (0-based, D_n = 1), b_kj = Delta(rows {k} + {j+1..n-1}, cols j..n-1)
+        / D_{j+1} for k <= j, and u_kj = Delta(rows k..n-1, cols {j} +
+        {k+1..n-1}) / D_k for j < k.  It exists iff every D_k is a unit."""
         n = self.n
-        rev = LaurentMatrix([[g.rows[n - 1 - i][n - 1 - j] for j in range(n)]
-                             for i in range(n)])
-        lower = [[LaurentSeries.zero()] * n for _ in range(n)]
-        upper = [[LaurentSeries.zero()] * n for _ in range(n)]
-        for k in range(n):
-            upper[k][k] = LaurentSeries.one()
-        for k in range(n):
-            for i in range(k, n):
-                acc = rev.rows[i][k]
-                for m in range(k):
-                    acc = acc - lower[i][m] * upper[m][k]
-                lower[i][k] = acc
-            pivot_inv = _pivot_inverse(lower[k][k], f"Gauss pivot {k}")
-            for j in range(k + 1, n):
-                acc = rev.rows[k][j]
-                for m in range(k):
-                    acc = acc - lower[k][m] * upper[m][j]
-                upper[k][j] = acc * pivot_inv
-        b = LaurentMatrix([[lower[n - 1 - i][n - 1 - j] for j in range(n)]
-                           for i in range(n)])
-        u = LaurentMatrix([[upper[n - 1 - i][n - 1 - j] for j in range(n)]
-                           for i in range(n)])
-        return b, u
+        dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
+        for k in range(n - 1, -1, -1):
+            _pivot(dets[k], f"Gauss pivot {n - 1 - k}")
+        dets.append(LaurentSeries.one())
+        zero, one = LaurentSeries.zero(), LaurentSeries.one()
+        b = [[zero] * n for _ in range(n)]
+        u = [[one if k == j else zero for j in range(n)] for k in range(n)]
+        for j in range(n):
+            for k in range(j + 1):
+                b[k][j] = g.minor_det((k, *range(j + 1, n)), range(j, n)) / dets[j + 1]
+            for k in range(j + 1, n):
+                u[k][j] = g.minor_det(range(k, n), (j, *range(k + 1, n))) / dets[k]
+        return LaurentMatrix(b), LaurentMatrix(u)
 
     def factor_y(self, g: LaurentMatrix, word):
         """Factor a generic lower unitriangular g as y_{i_1}(p_1)...y_{i_N}(p_N).
@@ -253,13 +237,12 @@ class LoopGroup:
         multiplication by y_i(p) adds p Delta_{R'} to Delta_R on columns 1..b
         and fixes Delta_{R'}; Delta_R vanishes on the cell of s_i w, so
         p = Delta_R / Delta_{R'} (Berenstein-Zelevinsky, Total positivity in
-        Schubert varieties, 1997).  The full residual is checked to be trivial
+        Schubert varieties, 1997).  Peeling y_i(p) off the left is
+        "row i+1 -= p * row i".  The full residual is checked to be trivial
         at the end."""
         n = self.n
         word = tuple(word)
-        w0 = self.datum.longest_element()
-        if self.datum.word_to_element(word) != w0 or \
-                len(word) != len(self.datum.positive_roots):
+        if not self.datum.is_w0_word(word):
             raise RootDataError(f"{word} is not a reduced word of w_0")
         perm = tuple(range(n, 0, -1))  # one-line of w0
         cur = g
@@ -278,9 +261,11 @@ class LoopGroup:
             num = cur.minor_det(rows[m:], range(m, b))
             rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
             den = cur.minor_det(rows[m:], range(m, b))
-            p = num * _pivot_inverse(den, f"peel minor of y_{i} at step {step} of {word}")
+            p = num / _pivot(den, f"peel minor of y_{i} at step {step} of {word}")
             ps.append(p)
-            cur = self.gen_y(i, -p) * cur
+            res = list(cur.rows)
+            res[i] = tuple(x - p * y for x, y in zip(res[i], res[i - 1]))
+            cur = LaurentMatrix(res)
             perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
         # the residual must be the identity within precision
         ident = LaurentMatrix.identity(n)
@@ -302,10 +287,10 @@ class LoopGroup:
         return u
 
 
-def _pivot_inverse(s: LaurentSeries, what) -> LaurentSeries:
-    """1/s for a pivot.  An exactly zero pivot means the input is not generic;
-    a pivot whose known window is zero raises PrecisionError, so callers that
-    escalate precision (trop_eval) do."""
+def _pivot(s: LaurentSeries, what) -> LaurentSeries:
+    """s, checked as a divisor.  An exactly zero pivot means the input is not
+    generic; dividing by a pivot whose known window is zero raises
+    PrecisionError, so callers that escalate precision (trop_eval) do."""
     if s.is_known_zero and s.is_exact:
         raise GenericityError(f"{what} is exactly zero")
-    return s.inverse()
+    return s

@@ -4,7 +4,7 @@ counterexample.
 
 Sampling draws small integer coefficients from seeded generators, so every
 generator matrix is an exact Laurent polynomial; inexactness enters only
-through inversions in the Gauss/factorization steps, where the precision
+through divisions in the Gauss/factorization steps, where the precision
 window is tracked.  Tropical evaluation draws nothing (see trop_eval).  A
 valuation or pivot indistinguishable from zero (PrecisionError) escalates the
 relative precision by doubling up to 256.
@@ -238,11 +238,17 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     """n = f^trop(c~) for f = z^{-1} o y, with the inverse direction
     g^trop(n) = c~ verified; returns the Lusztig parameter vector.
     ``seed`` is ignored; the benchmark's tropical workload still passes it."""
+    word, c_tilde = tuple(word), tuple(c_tilde)
+    if not group.datum.is_w0_word(word) or len(c_tilde) != len(word):
+        raise RootDataError(
+            f"c~ = {c_tilde} on word {word}: need a reduced word of w_0 "
+            f"({len(group.datum.positive_roots)} letters) and one c~ entry per letter; "
+            f"the word has {len(word)} letters, c~ has {len(c_tilde)} entries")
     n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
     back = trop_eval(lusztig_to_string_map(group, word), n_vec)
-    if tuple(back) != tuple(c_tilde):
+    if tuple(back) != c_tilde:
         raise LoopGroupError(
-            f"inverse tropical map on word {tuple(word)}: c~ = {tuple(c_tilde)} "
+            f"inverse tropical map on word {word}: c~ = {c_tilde} "
             f"gave n = {n_vec}, which maps back to {back}")
     return n_vec
 

@@ -4,10 +4,15 @@ tracking, and square matrices of them.
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
 (a Laurent polynomial).  Addition takes the worse cap; multiplication degrades
-caps by the partner's valuation lower bound; inversion of a non-monomial
-costs the relative precision of the input (or the module default for exact
-inputs).  Valuations are only ever reported below the cap; a series whose
-known window is all zero raises :class:`PrecisionError` instead of guessing.
+caps by the partner's valuation lower bound.  Division is long division from
+the lowest term.  A quotient of exact operands that divides out is exact, and
+so is any quotient by an exact monomial.  Any other quotient is known on
+``rel`` exponents from val(num) - val(den), fewer if the numerator's own
+window ends sooner; ``rel`` is ``rel_prec`` (else the module default) for an
+exact divisor, and the divisor's own relative window (or ``rel_prec`` if
+smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
+ever reported below the cap; a series whose known window is all zero raises
+:class:`PrecisionError` instead of guessing.
 """
 
 from __future__ import annotations
@@ -67,6 +72,16 @@ def default_rel_prec() -> int:
 def set_default_rel_prec(n: int):
     global _DEFAULT_REL_PREC
     _DEFAULT_REL_PREC = _check_rel_prec(n)
+
+
+def _rel_window(s, rel_prec):
+    """Relative precision of a windowed operation on s (a division by s, or
+    its square root): rel_prec, else the default, for exact s; its own
+    relative precision, or rel_prec if smaller, for windowed s."""
+    if s.cap is None:
+        return rel_prec if rel_prec is not None else _DEFAULT_REL_PREC
+    rel = s.cap - s.val()
+    return rel if rel_prec is None else min(rel, rel_prec)
 
 
 def _min_cap(a, b):
@@ -190,30 +205,37 @@ class LaurentSeries:
         return LaurentSeries({e + n: c for e, c in self.coeffs.items()},
                              None if self.cap is None else self.cap + n)
 
+    def __truediv__(self, other, rel_prec=None):
+        """self / other by long division from the lowest term; the quotient's
+        window is set out in the module docstring."""
+        v = other.val()
+        lead = Fraction(other.coeffs[v])
+        low = self.val_lower_bound()
+        if low is None:
+            return LaurentSeries.zero()
+        cap = None if self.cap is None else self.cap - v
+        if other.cap is not None or len(other.coeffs) > 1:
+            cap = _min_cap(cap, low - v + _rel_window(other, rel_prec))
+        exact = self.cap is None and other.cap is None
+        stop = cap
+        if exact:  # far enough to reach a polynomial quotient's top term
+            whole = max(self.coeffs) - max(other.coeffs) + 1
+            stop = whole if cap is None else max(cap, whole)
+        rem, out = dict(self.coeffs), {}
+        while rem and min(rem) - v < stop:
+            e = min(rem)
+            q = out[e - v] = rem.pop(e) / lead
+            for f, d in other.coeffs.items():
+                if f != v:
+                    x = e + f - v
+                    rem[x] = rem.get(x, 0) - q * d
+                    if not rem[x]:
+                        del rem[x]
+        return LaurentSeries(out, None if exact and not rem else cap)
+
     def inverse(self, rel_prec=None):
-        """Multiplicative inverse; exact for monomials, windowed otherwise."""
-        v = self.val()
-        lead = self.coeffs[v]
-        if len(self.coeffs) == 1 and self.is_exact:
-            return LaurentSeries({-v: Fraction(1, 1) / lead}, None)
-        if self.cap is None:
-            rel = rel_prec if rel_prec is not None else _DEFAULT_REL_PREC
-        else:
-            rel = self.cap - v
-            if rel_prec is not None:
-                rel = min(rel, rel_prec)
-        # u = t^-v * self / lead has constant term 1; invert by recurrence
-        u = {e - v: c / lead for e, c in self.coeffs.items()}
-        inv = {0: Fraction(1)}
-        for e in range(1, rel):
-            acc = Fraction(0)
-            for k, c in u.items():
-                if 0 < k <= e:
-                    acc -= c * inv.get(e - k, 0)
-            if acc:
-                inv[e] = acc
-        out = {e - v: c / lead for e, c in inv.items()}
-        return LaurentSeries(out, -v + rel)
+        """Multiplicative inverse: 1 / self, exact for monomials."""
+        return LaurentSeries.one().__truediv__(self, rel_prec)
 
     def __pow__(self, n):
         if n < 0:
@@ -225,17 +247,11 @@ class LaurentSeries:
 
     def sqrt(self, rel_prec=None):
         """Square root of a series with constant term a nonzero rational square
-        (used with 1 + t O); windowed like inverse."""
+        (used with 1 + t O); windowed like a division by self."""
         if self.val() != 0:
             raise GenericityError("sqrt implemented for unit series only")
-        c0 = self.coeffs[0]
-        r0 = _fraction_sqrt(c0)
-        if self.cap is None:
-            rel = rel_prec if rel_prec is not None else _DEFAULT_REL_PREC
-        else:
-            rel = self.cap
-            if rel_prec is not None:
-                rel = min(rel, rel_prec)
+        r0 = _fraction_sqrt(self.coeffs[0])
+        rel = _rel_window(self, rel_prec)
         out = {0: r0}
         for e in range(1, rel):
             # coefficient of t^e in out^2 must match self
@@ -306,13 +322,16 @@ def _fraction_sqrt(q: Fraction) -> Fraction:
 
 
 class LaurentMatrix:
-    __slots__ = ("n", "rows")
+    """A square matrix of series; it never changes, so it keeps its minors."""
+
+    __slots__ = ("n", "rows", "_minors")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
         if not all(len(r) == self.n for r in self.rows):
             raise ValueError("a LaurentMatrix needs a square array of series")
+        self._minors = {}
 
     @staticmethod
     def identity(n):
@@ -324,35 +343,46 @@ class LaurentMatrix:
         return self.rows[i][j]
 
     def __mul__(self, other):
-        n = self.n
-        return LaurentMatrix([
-            [_dot(self.rows[i], [other.rows[k][j] for k in range(n)])
-             for j in range(n)]
-            for i in range(n)
-        ])
+        cols = tuple(zip(*other.rows))
+        return LaurentMatrix([[_dot(row, col) for col in cols] for row in self.rows])
 
     def det(self) -> LaurentSeries:
-        return _det([list(r) for r in self.rows])
+        return self.minor_det(range(self.n), range(self.n))
 
     def inverse(self):
         """Adjugate over det; exact when the matrix is exact with det a monomial."""
-        d = self.det()
-        dinv = d.inverse()
+        dinv = self.det().inverse()
         n = self.n
+        idx = tuple(range(n))
         cof = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = [[self.rows[a][b] for b in range(n) if b != j]
-                         for a in range(n) if a != i]
-                c = _det(minor)
-                if (i + j) % 2:
-                    c = -c
-                cof[j][i] = c * dinv
+                c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+                cof[j][i] = (-c if (i + j) % 2 else c) * dinv
         return LaurentMatrix(cof)
 
     def minor_det(self, rows, cols) -> LaurentSeries:
-        sub = [[self.rows[i][j] for j in cols] for i in rows]
-        return _det(sub)
+        """The minor on these rows and columns, in the order given."""
+        return self._minor(tuple(rows), tuple(cols))
+
+    def _minor(self, rows, cols):
+        key = (rows, cols)
+        out = self._minors.get(key)
+        if out is None:
+            if len(rows) == 1:
+                out = self.rows[rows[0]][cols[0]]
+            else:
+                # expand along the first row, skipping exact zeros
+                out = LaurentSeries.zero()
+                first, rest = self.rows[rows[0]], rows[1:]
+                for k, j in enumerate(cols):
+                    a = first[j]
+                    if a.is_known_zero and a.is_exact:
+                        continue
+                    term = a * self._minor(rest, cols[:k] + cols[k + 1:])
+                    out = out - term if k % 2 else out + term
+            self._minors[key] = out
+        return out
 
     def equals_exact(self, other) -> bool:
         return all(self.rows[i][j].equals_exact(other.rows[i][j])
@@ -379,36 +409,13 @@ def _dot(u, v):
     return acc
 
 
-def _det(m) -> LaurentSeries:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = LaurentSeries.zero()
-    for j in range(n):
-        if m[0][j].is_known_zero and m[0][j].is_exact:
-            continue
-        minor = [[m[a][b] for b in range(n) if b != j] for a in range(1, n)]
-        term = m[0][j] * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def vector_val(entries) -> int:
     """Valuation of a vector of series: min over components, certified.
 
     Raises PrecisionError when an all-unknown component could undercut the
     best known valuation."""
-    known = []
-    caps = []
-    for s in entries:
-        if s.coeffs:
-            known.append(min(s.coeffs))
-            if s.cap is not None:
-                caps.append(s.cap)
-        elif s.cap is not None:
-            caps.append(s.cap)
+    known = [min(s.coeffs) for s in entries if s.coeffs]
+    caps = [s.cap for s in entries if s.cap is not None]
     if not known:
         raise PrecisionError("vector indistinguishable from zero")
     v = min(known)

@@ -417,6 +417,13 @@ class RootDatum:
             w = w * self.simple_reflection(i)
         return w
 
+    def is_w0_word(self, word) -> bool:
+        """True when word is a reduced word of the longest element w_0."""
+        word = tuple(word)
+        return len(word) == len(self.positive_roots) and \
+            all(1 <= i <= self.rank for i in word) and \
+            self.word_to_element(word) == self.longest_element()
+
     def reduced_word(self, w: WeylElt):
         """One reduced word (greedy left descent, deterministic)."""
         word = []

@@ -197,8 +197,7 @@ def string_cone_inequalities(datum: RootDatum, word):
     if datum.series != "A":
         raise RootDataError("string cone via i-trails is implemented for type A only")
     n = datum.rank + 1
-    if datum.word_to_element(word) != datum.longest_element() or \
-            len(word) != len(datum.positive_roots):
+    if not datum.is_w0_word(word):
         raise RootDataError(f"{word} is not a reduced word of w_0")
     raw = []
     for i in range(1, n):

@@ -134,3 +134,18 @@ def test_trop_escalates_precision_when_a_pivot_vanishes(run_python):
                                       "--ctilde=-1,-1,0,0,-2,1", "--prec", prec])
         assert out.returncode == 0, (prec, out.stderr)
         assert json.loads(out.stdout)["lusztig"] == [1, -1, 3, -1, 0, 2]
+
+
+@pytest.mark.parametrize("word,ctilde", [
+    ("1,2,1", "-1,0"),      # c~ shorter than the word
+    ("1,2", "-1,0"),        # not a reduced word of w_0
+    ("1,2,1", "-1,0,0,1"),  # c~ longer than the word
+])
+def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
+    code, out, err = run_cli(["trop", "--type", "A", "--rank", "2", "--word", word,
+                              f"--ctilde={ctilde}"], capsys)
+    assert code == 2 and out == ""
+    w, c = (tuple(int(x) for x in text.split(",")) for text in (word, ctilde))
+    assert err.startswith(f"error: c~ = {c} on word {w}: need a reduced word of w_0 "
+                          "(3 letters)")
+    assert f"the word has {len(w)} letters, c~ has {len(c)} entries" in err

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -60,6 +61,14 @@ def test_series_geometric_inverse():
     prod = one_minus_t * inv
     assert prod.val() == 0 and prod.leading() == 1
     assert all(prod.coefficient(e) == 0 for e in range(1, prod.cap))
+
+
+def test_series_inverse_of_integer_coefficients_stays_rational():
+    # integer coefficients must not pass through float division
+    s = LaurentSeries({0: 3, 1: 1})
+    inv = s.inverse(rel_prec=3)
+    assert inv.coeffs == {0: Fraction(1, 3), 1: Fraction(-1, 9), 2: Fraction(1, 27)}
+    assert (s * inv).agrees_with(LaurentSeries.one())
 
 
 def test_series_val_multiplicative_random():
@@ -285,6 +294,121 @@ def test_gauss_decompose_roundtrip():
                 assert u[i, i].agrees_with(LaurentSeries.one())
                 for j in range(i + 1, n):
                     assert u[i, j].is_known_zero
+
+
+def _crout_gauss(g):
+    """Reference Gauss factors: the Crout LU of the row- and column-reversed
+    matrix, dividing by each pivot as it is reached."""
+    n = g.n
+    rev = [[g[n - 1 - i, n - 1 - j] for j in range(n)] for i in range(n)]
+    lower = [[LaurentSeries.zero()] * n for _ in range(n)]
+    upper = [[LaurentSeries.one() if i == j else LaurentSeries.zero()
+              for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(k, n):
+            acc = rev[i][k]
+            for m in range(k):
+                acc = acc - lower[i][m] * upper[m][k]
+            lower[i][k] = acc
+        pivot_inv = lower[k][k].inverse()
+        for j in range(k + 1, n):
+            acc = rev[k][j]
+            for m in range(k):
+                acc = acc - lower[k][m] * upper[m][j]
+            upper[k][j] = acc * pivot_inv
+    b = LaurentMatrix([[lower[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)])
+    u = LaurentMatrix([[upper[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)])
+    return b, u
+
+
+def _gauss_inputs_of_trop(monkeypatch, group, cases):
+    """The matrices lusztig_from_string hands to gauss_decompose, in both
+    directions (g wbar(w0) and y wbar(w0)^{-1}), for each (word, c~)."""
+    seen = []
+    original = LoopGroup.gauss_decompose
+
+    def record(self, g):
+        seen.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(LoopGroup, "gauss_decompose", record)
+    for word, c_tilde in cases:
+        lusztig_from_string(group, word, c_tilde)
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_gauss_matches_crout(group, g):
+    b, u = group.gauss_decompose(g)
+    ref_b, ref_u = _crout_gauss(g)
+    for got, ref in ((b, ref_b), (u, ref_u)):
+        for i in range(group.n):
+            for j in range(group.n):
+                assert got[i, j].agrees_with(ref[i, j]), (i, j, got[i, j], ref[i, j])
+                # minors lose no precision against the elimination
+                assert got[i, j].cap is None or \
+                    (ref[i, j].cap is not None and got[i, j].cap >= ref[i, j].cap)
+
+
+def test_gauss_matches_crout_reference_on_criterion_11(theta_graph, monkeypatch):
+    inputs = _gauss_inputs_of_trop(monkeypatch, G2, _criterion_11_strings(theta_graph))
+    # three evaluations per direction per string
+    assert len(inputs) == 16 * 2 * 3
+    for g in inputs:
+        _assert_gauss_matches_crout(G2, g)
+
+
+@pytest.mark.parametrize("word", [(2, 1, 3, 2, 1, 3), (1, 2, 1, 3, 2, 1)])
+def test_gauss_matches_crout_reference_a3(word, monkeypatch):
+    rng = random.Random(repr(("a3-gauss", word)))
+    cases = [(word, [rng.randint(-2, 2) for _ in word]) for _ in range(3)]
+    inputs = _gauss_inputs_of_trop(monkeypatch, G3, cases)
+    for _ in range(3):
+        ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
+        inputs.append(G3.y_product(word, ps) * G3.wbar_w0)
+    for g in inputs:
+        _assert_gauss_matches_crout(G3, g)
+
+
+def _leibniz(g, rows, cols):
+    """The minor on these rows and columns as a sum over permutations."""
+    total = LaurentSeries.zero()
+    for perm in permutations(range(len(cols))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        term = LaurentSeries.one()
+        for r, k in zip(rows, perm):
+            term = term * g[r, cols[k]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_minor_det_matches_leibniz(n):
+    rng = random.Random(repr(("leibniz", n)))
+    for _ in range(6):
+        # about a third of the entries are exact zeros
+        g = LaurentMatrix([[LaurentSeries.zero() if rng.random() < 0.35 else
+                            random_unit_series(rng).shift(rng.randint(-2, 2))
+                            for _ in range(n)] for _ in range(n)])
+        assert g.det().equals_exact(_leibniz(g, range(n), range(n)))
+        for k in range(1, n + 1):
+            for _ in range(4):
+                rows = rng.sample(range(n), k)  # unsorted orders
+                cols = rng.sample(range(n), k)
+                want = _leibniz(g, rows, cols)
+                assert g.minor_det(rows, cols).equals_exact(want), (rows, cols)
+                assert g.minor_det(tuple(rows), cols).equals_exact(want)
+
+
+def test_factor_y_of_an_exact_y_product_is_exact():
+    # every peel parameter is an exact quotient of minors of an exact input
+    rng = random.Random(21)
+    for group, word in ((G1, (1,)), (G2, (1, 2, 1)), (G2, (2, 1, 2)),
+                        (G3, (2, 1, 3, 2, 1, 3))):
+        for _ in range(3):
+            ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
+            qs = group.factor_y(group.y_product(word, ps), word)
+            assert all(q.equals_exact(p) for p, q in zip(ps, qs)), (word, ps, qs)
 
 
 def test_gauss_lower_already():
@@ -547,9 +671,9 @@ def _assert_trop_matches_randomized(group, word, c_tilde):
                                          n_vec) == list(c_tilde), (word, n_vec)
 
 
-def test_trop_eval_matches_randomized_oracle_on_criterion_11(theta_graph):
-    # every string criterion 11 feeds in: each node and its contragredient
-    # twin, on both reduced words of w_0
+def _criterion_11_strings(theta_graph):
+    """Every string criterion 11 feeds in: each node and its contragredient
+    twin, on both reduced words of w_0."""
     inputs = set()
     for word in ((1, 2, 1), (2, 1, 2)):
         for node in theta_graph.nodes:
@@ -557,7 +681,11 @@ def test_trop_eval_matches_randomized_oracle_on_criterion_11(theta_graph):
             for b in (node, flip):
                 inputs.add((word, string_parameters(theta_graph, b, word).c_tilde))
     assert len(inputs) == 16
-    for word, c_tilde in sorted(inputs):
+    return sorted(inputs)
+
+
+def test_trop_eval_matches_randomized_oracle_on_criterion_11(theta_graph):
+    for word, c_tilde in _criterion_11_strings(theta_graph):
         _assert_trop_matches_randomized(G2, word, c_tilde)
 
 

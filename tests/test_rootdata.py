@@ -107,6 +107,17 @@ def test_reduced_words_multiply_back():
                 assert len(word) == datum.weyl_length(w)
 
 
+def test_is_w0_word():
+    for datum in (A2, A3, B2):
+        w0 = datum.longest_element()
+        words = datum.enumerate_reduced_words(w0)
+        assert words and all(datum.is_w0_word(word) for word in words)
+        assert all(datum.is_w0_word(list(word)) for word in words)
+    # too short, too long, right length but not reduced, letters out of range
+    for word in ((1, 2), (1, 2, 1, 2), (1, 1, 2), (0, 1, 2), (1, 2, 3), ()):
+        assert not A2.is_w0_word(word), word
+
+
 def test_length_changes_by_one():
     for datum in (A2, B2):
         for w in datum.weyl_elements():

@@ -1,5 +1,6 @@
 """Property tests of the series layer: ring laws and valuations on exact
-Laurent polynomials, and the precision-window contract of inverse/sqrt."""
+Laurent polynomials, and the precision-window contract of division, inverse
+and sqrt."""
 
 from fractions import Fraction
 
@@ -61,6 +62,33 @@ def test_inverse_window_agrees_with_four_times_the_precision(a, p, window):
     coarse, fine = a.inverse(rel_prec=p), a.inverse(rel_prec=4 * p)
     assert coarse.agrees_with(fine)
     assert (a * coarse).agrees_with(LaurentSeries.one())
+
+
+def _windowed(a, window):
+    """a known only on `window` exponents from its lowest term (None: exact)."""
+    if window is None:
+        return a
+    return LaurentSeries(a.coeffs, (a.val_lower_bound() or 0) + window)
+
+
+@_SETTINGS
+@given(_POLY, _NONZERO, st.none() | st.integers(1, 4))
+def test_exact_quotient_of_a_product_is_exact(a, b, p):
+    # exact even when the quotient reaches past the relative precision p
+    q = (a * b).__truediv__(b, rel_prec=p)
+    assert q.cap is None and q.equals_exact(a)
+
+
+@_SETTINGS
+@given(_POLY, _NONZERO, st.none() | st.integers(1, 12),
+       st.none() | st.integers(1, 8), st.none() | st.integers(1, 8))
+def test_division_agrees_with_multiplying_by_the_inverse(a, b, p, wa, wb):
+    a, b = _windowed(a, wa), _windowed(b, wb)
+    q, ref = a.__truediv__(b, rel_prec=p), a * b.inverse(rel_prec=p)
+    assert q.agrees_with(ref)
+    assert (q * b).agrees_with(a)
+    # the quotient's window is never smaller
+    assert q.cap is None or (ref.cap is not None and q.cap >= ref.cap)
 
 
 @_SETTINGS
