@@ -101,6 +101,8 @@ def cmd_cone(args):
 
 
 def cmd_mv_sample(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     datum = _datum(args)
     group = LoopGroup(datum)
     word = _word(args.word)

@@ -33,7 +33,6 @@ from mvcrystals.rootdata import Coweight, RootDatum, WeylElt
 __all__ = [
     "Gallery",
     "minimal_gallery",
-    "weight",
     "min_wall_level",
     "crystal_maps",
     "fold_window",
@@ -112,10 +111,6 @@ class Gallery:
 def minimal_gallery(gtype: GalleryType) -> Gallery:
     """gamma_lambda itself: delta_0 = 1 and every delta_j = s_{i_j}."""
     return Gallery(gtype, gtype.datum().identity_elt(), (True,) * gtype.p)
-
-
-def weight(g: Gallery) -> Coweight:
-    return g.weight
 
 
 def _levels(g: Gallery, i: int):

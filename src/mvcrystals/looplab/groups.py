@@ -1,6 +1,10 @@
 """SL_n loop-group matrices: pinned generators, Kamnitzer valuation formulas
 for the mu_+/mu_-/orbit parameters, Gauss decomposition and y-factorization.
 
+Every product of root-subgroup elements (x_beta, y_i, sbar_i, wbar, the
+y-products of Y~_{i,c}, cell products) is ``LoopGroup.x_product``: one column
+operation per factor.  Dense products remain where two general matrices meet.
+
 The matrix realization is type A only; all other types reach the loop group
 purely through the combinatorial modules.  Fundamental-representation data is
 the wedge power Lambda^k C^n, whose extremal vectors read off the valuation
@@ -31,8 +35,9 @@ class LoopGroup:
 
     Construction runs a randomized self-check of the pinned-group commutation
     rules (torus conjugation, the SL_2 relation, and the
-    x(a) x(-1/a) x(a) = a^{alpha^vee} sbar identity) against the matrices.
-    wbar(w0) and its inverse are built once per group, on first use."""
+    x(a) x(-1/a) x(a) = a^{alpha^vee} sbar identity), which tests the
+    column-operation generators against dense matrix products.  wbar(w0) is
+    built once per group, on first use, and keeps its inverse."""
 
     def __init__(self, datum: RootDatum):
         if datum.series != "A":
@@ -97,23 +102,33 @@ class LoopGroup:
 
     # -- generators -------------------------------------------------------------
 
-    def elementary(self, j, k, p: LaurentSeries) -> LaurentMatrix:
-        rows = [[LaurentSeries.one() if a == b else LaurentSeries.zero()
-                 for b in range(self.n)] for a in range(self.n)]
-        rows[j - 1][k - 1] = p
-        return LaurentMatrix(rows)
-
-    def gen_x(self, alpha: Root, p) -> LaurentMatrix:
+    def x_factor(self, alpha: Root, p, level=0):
+        """The x_product factor of x_{alpha,level}(p) = x_alpha(p t^level):
+        (j, k, p t^level) with alpha = eps_{j+1} - eps_{k+1}."""
         if isinstance(p, (int, Fraction)):
             p = LaurentSeries.from_scalar(p)
         j, k = self.root_pair(alpha)
-        return self.elementary(j, k, p)
+        return j - 1, k - 1, p.shift(level)
+
+    def x_product(self, factors) -> LaurentMatrix:
+        """prod x_{eps_j - eps_k}(p) over factors (j, k, p) in order, with j, k
+        0-based matrix positions (eps_0, ..., eps_{n-1}).  Right
+        multiplication by x_{eps_j - eps_k}(p) = 1 + p E_jk is "column k +=
+        p * column j", so a word of N root-subgroup elements costs N column
+        operations from the identity and no dense product."""
+        one, zero = LaurentSeries.one(), LaurentSeries.zero()
+        rows = [[one if a == b else zero for b in range(self.n)] for a in range(self.n)]
+        for j, k, p in factors:
+            for row in rows:
+                row[k] = row[k] + row[j] * p
+        return LaurentMatrix(rows)
+
+    def gen_x(self, alpha: Root, p) -> LaurentMatrix:
+        return self.x_product((self.x_factor(alpha, p),))
 
     def gen_x_affine(self, alpha: Root, level: int, a) -> LaurentMatrix:
         """x_{alpha,n}(a) = x_alpha(a t^n)."""
-        if isinstance(a, (int, Fraction)):
-            a = LaurentSeries.from_scalar(a)
-        return self.gen_x(alpha, a.shift(level))
+        return self.x_product((self.x_factor(alpha, a, level),))
 
     def gen_y(self, i: int, p) -> LaurentMatrix:
         return self.gen_x(-self.datum.simple_root(i), p)
@@ -133,33 +148,23 @@ class LoopGroup:
         return LaurentMatrix(rows)
 
     def gen_sbar(self, i: int) -> LaurentMatrix:
-        """sbar_i = x_i(1) y_i(-1) x_i(1), the SL_2 block [[0,1],[-1,0]]."""
-        return self.gen_x(self.datum.simple_root(i), 1) * self.gen_y(i, -1) * \
-            self.gen_x(self.datum.simple_root(i), 1)
+        """sbar_i, the SL_2 block [[0,1],[-1,0]] on rows and columns i, i+1."""
+        return self.gen_wbar((i,))
 
     def gen_wbar(self, word) -> LaurentMatrix:
-        out = LaurentMatrix.identity(self.n)
-        for i in word:
-            out = out * self.gen_sbar(i)
-        return out
+        """sbar_{i_1} ... sbar_{i_l} with sbar_i = x_i(1) y_i(-1) x_i(1)
+        (Berenstein-Fomin-Zelevinsky, Adv. Math. 1996): the 3l-factor word."""
+        one = LaurentSeries.one()
+        return self.x_product(f for i in word
+                              for f in ((i - 1, i, one), (i, i - 1, -one), (i - 1, i, one)))
 
     @cached_property
     def wbar_w0(self) -> LaurentMatrix:
         return self.gen_wbar(self.datum.reduced_word(self.datum.longest_element()))
 
-    @cached_property
-    def wbar_w0_inv(self) -> LaurentMatrix:
-        return self.wbar_w0.inverse()
-
     def y_product(self, word, ps) -> LaurentMatrix:
-        """y_{i_1}(p_1) ... y_{i_N}(p_N); right multiplication by y_i(p) is
-        "column i += p * column i+1"."""
-        rows = [[LaurentSeries.one() if a == b else LaurentSeries.zero()
-                 for b in range(self.n)] for a in range(self.n)]
-        for i, p in zip(word, ps):
-            for row in rows:
-                row[i - 1] = row[i - 1] + row[i] * p
-        return LaurentMatrix(rows)
+        """y_{i_1}(p_1) ... y_{i_N}(p_N); y_i(p) = x_{eps_{i+1} - eps_i}(p)."""
+        return self.x_product((i, i - 1, p) for i, p in zip(word, ps))
 
     # -- valuation formulas ----------------------------------------------------------
 
@@ -283,7 +288,7 @@ class LoopGroup:
     def z_of(self, word, qs) -> LaurentMatrix:
         """z_word(q) = lower Gauss factor of y_word(q) wbar(w0)^{-1}."""
         y = self.y_product(word, qs)
-        _, u = self.gauss_decompose(y * self.wbar_w0_inv)
+        _, u = self.gauss_decompose(y * self.wbar_w0.inverse())
         return u
 
 

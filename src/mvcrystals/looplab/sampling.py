@@ -90,6 +90,11 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     """Sample points of Y~_{word,c}: products y_{i_j}(p_j) with
     val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit) per trial."""
     datum = group.datum
+    word, c = tuple(word), tuple(c)
+    if not all(1 <= i <= datum.rank for i in word) or len(c) != len(word):
+        raise RootDataError(
+            f"c = {c} on word {word}: need letters in 1..{datum.rank} and one c entry "
+            f"per letter; the word has {len(word)} letters, c has {len(c)} entries")
     sp = string_param_from_c(datum, word, c)
     reports = []
     for trial in range(trials):
@@ -105,11 +110,10 @@ def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> Lauren
     datum = group.datum
     if not is_positively_folded(gallery):
         raise RootDataError("cell sampling requires a positively folded gallery")
-    g = LaurentMatrix.identity(group.n)
-    for j in range(0, gallery.gtype.p + 1):
-        for beta in phi_plus_aff(datum, gallery.facet(j), gallery.alcove(j)):
-            a = Fraction(rand_nonzero_int(rng))
-            g = g * group.gen_x_affine(beta.root, beta.level, a)
+    g = group.x_product([
+        group.x_factor(beta.root, Fraction(rand_nonzero_int(rng)), beta.level)
+        for j in range(0, gallery.gtype.p + 1)
+        for beta in phi_plus_aff(datum, gallery.facet(j), gallery.alcove(j))])
     return g * group.gen_t(gallery.weight)
 
 
@@ -157,9 +161,8 @@ def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
         raise RootDataError("the counterexample lives in SL_4")
     t = LaurentSeries.t_power(1)
     tinv = LaurentSeries.t_power(-1)
-    y = group.gen_y
-    g = y(2, LaurentSeries.from_scalar(-1)) * y(1, tinv) * y(3, tinv) * \
-        y(2, t) * y(1, -tinv) * y(3, -tinv)
+    g = group.y_product((2, 1, 3, 2, 1, 3), (-LaurentSeries.one(), tinv, tinv,
+                                             t, -tinv, -tinv))
     one, zero = LaurentSeries.one(), LaurentSeries.zero()
     expected = LaurentMatrix([
         [one, zero, zero, zero],

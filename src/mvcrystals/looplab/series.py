@@ -1,6 +1,9 @@
 """Truncated Laurent series over exact rationals with precision-window
 tracking, and square matrices of them.
 
+Coefficients are ``int`` or ``Fraction``; any other type (a float above all)
+raises TypeError rather than entering as its binary expansion.
+
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
 (a Laurent polynomial).  Addition takes the worse cap; multiplication degrades
@@ -99,11 +102,14 @@ class LaurentSeries:
         cleaned = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError("series coefficients are int or Fraction, "
+                                    f"got {type(c).__name__} {c!r}")
                 if c == 0:
                     continue
                 if cap is not None and e >= cap:
                     continue
-                cleaned[e] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+                cleaned[e] = c
         self.coeffs = cleaned
         self.cap = cap
 
@@ -119,11 +125,11 @@ class LaurentSeries:
 
     @staticmethod
     def t_power(n, coeff=1):
-        return LaurentSeries({n: Fraction(coeff)}, None)
+        return LaurentSeries({n: Fraction(coeff) if isinstance(coeff, int) else coeff})
 
     @staticmethod
     def from_scalar(a):
-        return LaurentSeries({0: Fraction(a)}, None)
+        return LaurentSeries.t_power(0, a)
 
     # -- structure ----------------------------------------------------------
 
@@ -322,9 +328,10 @@ def _fraction_sqrt(q: Fraction) -> Fraction:
 
 
 class LaurentMatrix:
-    """A square matrix of series; it never changes, so it keeps its minors."""
+    """A square matrix of series; it never changes, so it keeps its minors
+    and its inverse."""
 
-    __slots__ = ("n", "rows", "_minors")
+    __slots__ = ("n", "rows", "_minors", "_inverse")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
@@ -332,6 +339,7 @@ class LaurentMatrix:
         if not all(len(r) == self.n for r in self.rows):
             raise ValueError("a LaurentMatrix needs a square array of series")
         self._minors = {}
+        self._inverse = None
 
     @staticmethod
     def identity(n):
@@ -350,16 +358,21 @@ class LaurentMatrix:
         return self.minor_det(range(self.n), range(self.n))
 
     def inverse(self):
-        """Adjugate over det; exact when the matrix is exact with det a monomial."""
-        dinv = self.det().inverse()
-        n = self.n
-        idx = tuple(range(n))
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
-                cof[j][i] = (-c if (i + j) % 2 else c) * dinv
-        return LaurentMatrix(cof)
+        """Adjugate over det; exact when the matrix is exact with det a
+        monomial.  Built once per matrix, and again only when a windowed
+        1/det would take a new default relative precision."""
+        prec = _DEFAULT_REL_PREC
+        if self._inverse is None or self._inverse[0] not in (None, prec):
+            dinv = self.det().inverse()
+            n = self.n
+            idx = tuple(range(n))
+            cof = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+                    cof[j][i] = (-c if (i + j) % 2 else c) * dinv
+            self._inverse = (None if dinv.is_exact else prec, LaurentMatrix(cof))
+        return self._inverse[1]
 
     def minor_det(self, rows, cols) -> LaurentSeries:
         """The minor on these rows and columns, in the order given."""

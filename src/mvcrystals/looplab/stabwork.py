@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from mvcrystals.affine import face_vertices, phi_plus_aff
+from mvcrystals.affine import face_sup, phi_plus_aff
 from mvcrystals.gallery import Gallery, fold_window, root_e
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.sampling import rand_nonzero_int
@@ -30,20 +30,9 @@ from mvcrystals.looplab.series import (
     LoopGroupError,
     PrecisionError,
 )
-from mvcrystals.rootdata import Coweight
+from mvcrystals.rootdata import Coweight, Root
 
 __all__ = ["prop_inclusion_coset_check"]
-
-
-def _stab_bound(group: LoopGroup, face, j, k) -> int:
-    """ceil(f_F(eps_j - eps_k)) from the face's qualifying vertices."""
-    best = None
-    for v in face_vertices(group.datum, face):
-        d = group.coweight_diag(Coweight(v))
-        val = d[j - 1] - d[k - 1]
-        if best is None or val > best:
-            best = val
-    return math.ceil(best)
 
 
 def _in_stab_plus(group: LoopGroup, mat: LaurentMatrix, face) -> bool:
@@ -56,7 +45,9 @@ def _in_stab_plus(group: LoopGroup, mat: LaurentMatrix, face) -> bool:
                 return False
     for a in range(n):
         for b in range(a + 1, n):
-            bound = _stab_bound(group, face, a + 1, b + 1)
+            # eps_{a+1} - eps_{b+1} = alpha_{a+1} + ... + alpha_b
+            root = Root(tuple(int(a <= i < b) for i in range(n - 1)))
+            bound = math.ceil(face_sup(group.datum, face, root))
             s = mat[a, b]
             if s.coeffs and min(s.coeffs) < bound:
                 return False
@@ -65,18 +56,14 @@ def _in_stab_plus(group: LoopGroup, mat: LaurentMatrix, face) -> bool:
     return True
 
 
-def _slot_matrix(group: LoopGroup, slot):
-    m = LaurentMatrix.identity(group.n)
-    for beta, coeff in slot:
-        m = m * group.gen_x_affine(beta.root, beta.level, coeff)
-    return m
+def _factors(group: LoopGroup, tail):
+    """The x_product factors of a tail: x_beta(coeff) over its slots, in order."""
+    return [group.x_factor(beta.root, coeff, beta.level)
+            for slot in tail for beta, coeff in slot]
 
 
 def _tail_matrix(group: LoopGroup, tail):
-    m = LaurentMatrix.identity(group.n)
-    for slot in tail:
-        m = m * _slot_matrix(group, slot)
-    return m
+    return group.x_product(_factors(group, tail))
 
 
 def _fixes_end(group: LoopGroup, mat: LaurentMatrix, nu: Coweight) -> bool:
@@ -92,19 +79,12 @@ class _Rewriter:
         self.gallery = gallery
         self.datum = group.datum
         self.nu = gallery.weight
-        self.p = gallery.gtype.p
-
-    def facet_face(self, l):
-        return self.gallery.facet(l)
-
-    def alcove_face(self, l):
-        return self.gallery.alcove(l)
 
     # -- absorption of a positive stabilizer element (assertion a) -----------
 
     def absorb(self, u: LaurentMatrix, tail, idx):
         """u * prod(tail) [t^nu] = prod(tail') [t^nu] for u in Stab_+(Delta'_idx)."""
-        if not _in_stab_plus(self.group, u, self.facet_face(idx)):
+        if not _in_stab_plus(self.group, u, self.gallery.facet(idx)):
             raise LoopGroupError(
                 "absorb precondition failed: u not in Stab_+ of the facet")
         out = []
@@ -114,7 +94,7 @@ class _Rewriter:
             if not slot:
                 out.append([])
                 continue
-            m = cur * _slot_matrix(self.group, slot)
+            m = cur * _tail_matrix(self.group, [slot])
             new_slot = []
             # strip gap roots by increasing height: a strip only pollutes
             # strictly higher entries, so one pass extracts the coordinates
@@ -123,7 +103,7 @@ class _Rewriter:
                 coeff = m[j0 - 1, k0 - 1].coefficient(beta.level)
                 new_slot.append((beta, coeff))
                 m = self.group.gen_x_affine(beta.root, beta.level, -coeff) * m
-            if not _in_stab_plus(self.group, m, self.alcove_face(l)):
+            if not _in_stab_plus(self.group, m, self.gallery.alcove(l)):
                 raise LoopGroupError("absorb: remainder left Stab_+ of the alcove")
             out.append(new_slot)
             cur = m
@@ -162,7 +142,7 @@ class _Rewriter:
                     residue = self.group.gen_x(beta.root, rem.shift(beta.level))
             out.append(new_slot)
             if residue is not None:
-                if not _in_stab_plus(self.group, residue, self.alcove_face(l)):
+                if not _in_stab_plus(self.group, residue, self.gallery.alcove(l)):
                     raise LoopGroupError("torus push residue left Stab_+")
                 rest = self.absorb(residue, tail[i + 1:], l + 1)
                 tail = tail[: i + 1] + rest
@@ -189,11 +169,11 @@ class _Rewriter:
             raise GenericityError("negative push through a multi-root slot")
         (beta, coeff), = slot
         zeta, n = beta.root, beta.level
-        vmat = _slot_matrix(group, slot)
+        vmat = _tail_matrix(group, [slot])
         if zeta != alpha:
             # commutator case: u = x(-1/c) v^{-1} x(1/c) v lands in Stab_+(Delta_l)
             u = xneg.inverse() * vmat.inverse() * xneg * vmat
-            if not _in_stab_plus(group, u, self.alcove_face(l)):
+            if not _in_stab_plus(group, u, self.gallery.alcove(l)):
                 raise LoopGroupError("commutator left Stab_+ (Chevalley case)")
             absorbed = self.absorb(u, tail[1:], idx + 1)
             rest = self.push_negative(c_scalar, alpha, m_level, absorbed, idx + 1)
@@ -271,30 +251,22 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     if h is None:
         h = Fraction(rand_nonzero_int(rng, 6))
 
-    nu = gallery.weight
-    a_mat = LaurentMatrix.identity(group.n)
-    for l in range(0, j):
-        a_mat = a_mat * _slot_matrix(group, coeffs[l])
+    a_f = _factors(group, coeffs[:j])
     b_tail = coeffs[j:]
-    b_mat = _tail_matrix(group, b_tail)
-    tnu = group.gen_t(nu)
-    lhs = a_mat * group.gen_x_affine(-alpha, -m - 1, h) * b_mat * tnu
+    x_h = group.x_factor(-alpha, h, -m - 1)
+    tnu = group.gen_t(gallery.weight)
+    lhs = group.x_product(a_f + [x_h] + _factors(group, b_tail)) * tnu
 
     rw = _Rewriter(group, gallery)
     u0 = group.gen_x_affine(alpha, m + 1, Fraction(1, 1) / h)
     tail1 = rw.absorb(u0, b_tail, j)
-    k_mat = group.gen_x_affine(-alpha, -m - 1, h) * \
-        group.gen_x_affine(alpha, m + 1, -Fraction(1, 1) / h)
-    c_slots = tail1[: k - j]
-    c_mat = LaurentMatrix.identity(group.n)
-    for slot in c_slots:
-        c_mat = c_mat * _slot_matrix(group, slot)
+    k_f = [x_h, group.x_factor(alpha, -Fraction(1, 1) / h, m + 1)]
+    c_f = _factors(group, tail1[: k - j])
     if k == p + 1:
         # level m is reached only at the end vertex: no slot to move, the
         # window is pure reflection and E, F collapse to the identity
         a_k = None
-        e_mat = LaurentMatrix.identity(group.n)
-        f_mat = LaurentMatrix.identity(group.n)
+        e_f = f_f = []
     else:
         slot_k = tail1[k - j]
         if len(slot_k) != 1 or slot_k[0][0].root != alpha or slot_k[0][0].level != m:
@@ -303,13 +275,11 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
         if a_k == 0:
             raise GenericityError("slot k coefficient vanished during absorption")
         d_tail = tail1[k - j + 1:]
-        rw_k = _Rewriter(group, gallery)
-        tail2 = rw_k.push_negative(a_k, alpha, m, d_tail, k + 1)
-        e_mat = group.gen_x_affine(alpha, m, a_k) * \
-            group.gen_x_affine(-alpha, -m, -Fraction(1, 1) / a_k) * \
-            group.gen_x_affine(alpha, m, a_k)
-        f_mat = group.gen_x_affine(alpha, m, -a_k) * _tail_matrix(group, tail2)
-    rhs = a_mat * k_mat * c_mat * e_mat * f_mat * tnu
+        tail2 = rw.push_negative(a_k, alpha, m, d_tail, k + 1)
+        x_ak = group.x_factor(alpha, a_k, m)
+        e_f = [x_ak, group.x_factor(-alpha, -Fraction(1, 1) / a_k, -m), x_ak]
+        f_f = [group.x_factor(alpha, -a_k, m)] + _factors(group, tail2)
+    rhs = group.x_product(a_f + k_f + c_f + e_f + f_f) * tnu
 
     # closed-form torus rewrites of K and E (Eq (4) consequences)
     co = datum.coroot_of(alpha)
@@ -317,12 +287,12 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     t_shift = group.gen_t(co.scale(m + 1))
     k_closed = group.gen_torus(-co, LaurentSeries.from_scalar(-h)) * \
         group.gen_x_affine(alpha, m + 1, h) * t_shift * sbar
-    if not k_mat.agrees_with(k_closed):
+    if not group.x_product(k_f).agrees_with(k_closed):
         return False
     if a_k is not None:
         e_closed = (t_shift * sbar).inverse() * \
             group.gen_torus(-co, LaurentSeries.from_scalar(-a_k)) * group.gen_t(co)
-        if not e_mat.agrees_with(e_closed):
+        if not group.x_product(e_f).agrees_with(e_closed):
             return False
 
     if not group.coset_equal(lhs, rhs):

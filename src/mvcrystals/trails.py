@@ -19,7 +19,6 @@ from mvcrystals.rootdata import RootDataError, RootDatum
 __all__ = [
     "WedgeRep",
     "ITrail",
-    "build_wedge_rep",
     "enumerate_itrails",
     "string_cone_inequalities",
     "in_string_cone",
@@ -107,10 +106,6 @@ class WedgeRep:
         for j in range(1, self.n + 1):
             out[perm[j - 1] - 1] = wt[j - 1]
         return tuple(out)
-
-
-def build_wedge_rep(n, k) -> WedgeRep:
-    return WedgeRep(n, k)
 
 
 def _alpha_eps(n, i):
@@ -201,7 +196,7 @@ def string_cone_inequalities(datum: RootDatum, word):
         raise RootDataError(f"{word} is not a reduced word of w_0")
     raw = []
     for i in range(1, n):
-        rep = build_wedge_rep(n, i)
+        rep = WedgeRep(n, i)
         gamma = rep.highest_weight()
         target_perm = _compose(_w0_perm(n), _si_perm(n, i))
         delta = rep.permuted_weight(target_perm, gamma)
@@ -218,7 +213,7 @@ def in_string_cone(c, rows) -> bool:
 def zero_d_trail_exists(datum: RootDatum, word, i) -> bool:
     """The trail (omega_i, s_{i_1} omega_i, ..., w0 omega_i) with all d_j = 0."""
     n = datum.rank + 1
-    rep = build_wedge_rep(n, i)
+    rep = WedgeRep(n, i)
     gamma = rep.highest_weight()
     delta = rep.permuted_weight(_w0_perm(n), gamma)
     trails = enumerate_itrails(rep, gamma, delta, word)

@@ -149,3 +149,18 @@ def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
     assert err.startswith(f"error: c~ = {c} on word {w}: need a reduced word of w_0 "
                           "(3 letters)")
     assert f"the word has {len(w)} letters, c~ has {len(c)} entries" in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--word", "1,2,1", "--c", "1,0"],
+     "c = (1, 0) on word (1, 2, 1): need letters in 1..2 and one c entry per letter; "
+     "the word has 3 letters, c has 2 entries"),
+    (["--word", "1,5,1", "--c", "1,0,1"],
+     "c = (1, 0, 1) on word (1, 5, 1): need letters in 1..2 and one c entry per letter; "
+     "the word has 3 letters, c has 3 entries"),
+    (["--word", "1,2,1", "--c", "1,0,1", "--trials", "-3"],
+     "--trials must be at least 1, got -3"),
+], ids=["short-c", "bad-letter", "negative-trials"])
+def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
+    code, out, err = run_cli(["mv-sample", "--type", "A", "--rank", "2", *flags], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

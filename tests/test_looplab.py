@@ -97,6 +97,118 @@ def test_series_sqrt():
         assert (r * r).agrees_with(u)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LaurentSeries({0: 0.1}),
+    lambda: LaurentSeries({0: 1, 2: 0.0}),
+    lambda: LaurentSeries.t_power(1, 0.5),
+    lambda: LaurentSeries.from_scalar(0.1),
+], ids=["init", "init-float-zero", "t_power", "from_scalar"])
+def test_series_rejects_float_coefficients(make):
+    with pytest.raises(TypeError, match="int or Fraction, got float"):
+        make()
+
+
+# -- column-operation products -------------------------------------------------
+
+def _elementary(n, j, k, p):
+    """1 + p E_jk, entered entry by entry."""
+    rows = [[LaurentSeries.one() if a == b else LaurentSeries.zero() for b in range(n)]
+            for a in range(n)]
+    rows[j][k] = p
+    return LaurentMatrix(rows)
+
+
+def _dense_product(n, mats):
+    out = LaurentMatrix.identity(n)
+    for m in mats:
+        out = out * m
+    return out
+
+
+def _seeded_factors(rng, n, windowed):
+    """A random word of root-subgroup factors (j, k, p) in SL_n: y letters and
+    arbitrary positions j != k, with exact or sqrt-windowed parameters."""
+    factors = []
+    for _ in range(rng.randint(2, 9)):
+        if rng.random() < 0.5:
+            i = rng.randint(1, n - 1)
+            j, k = i, i - 1
+        else:
+            j, k = rng.sample(range(n), 2)
+        p = random_unit_series(rng)
+        if windowed and rng.random() < 0.7:
+            p = (LaurentSeries.one() + LaurentSeries.t_power(1, rng.randint(-4, 4))).sqrt(
+                rel_prec=rng.randint(1, 6)) * p
+        factors.append((j, k, p.shift(rng.randint(-2, 2))))
+    return factors
+
+
+@pytest.mark.parametrize("group", [G1, G2, G3], ids=["A1", "A2", "A3"])
+@pytest.mark.parametrize("windowed", [False, True], ids=["exact", "sqrt"])
+def test_x_product_matches_dense_elementary_products(group, windowed):
+    rng = random.Random(f"x_product-{group.n}-{windowed}")
+    for _ in range(12):
+        factors = _seeded_factors(rng, group.n, windowed)
+        got = group.x_product(factors)
+        want = _dense_product(group.n, [_elementary(group.n, *f) for f in factors])
+        # LaurentSeries equality compares coefficients and caps
+        assert got.rows == want.rows, factors
+    if windowed:
+        assert any(s.cap is not None for row in got.rows for s in row)
+
+
+@pytest.mark.parametrize("group", [G1, G2, G3], ids=["A1", "A2", "A3"])
+def test_gen_wbar_of_w0_is_the_dense_product_of_sbars(group):
+    datum, n = group.datum, group.n
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+
+    def sbar(i):
+        rows = [[one if a == b and a not in (i - 1, i) else zero for b in range(n)]
+                for a in range(n)]
+        rows[i - 1][i], rows[i][i - 1] = one, -one
+        return LaurentMatrix(rows)
+
+    for word in datum.enumerate_reduced_words(datum.longest_element()):
+        want = _dense_product(n, [sbar(i) for i in word])
+        assert group.gen_wbar(word).rows == want.rows
+    assert group.wbar_w0.rows == want.rows
+
+
+# -- a matrix keeps its inverse ------------------------------------------------
+
+def test_matrix_keeps_its_inverse(monkeypatch):
+    ps = [LaurentSeries({0: 2, 1: 1}), LaurentSeries({1: 3}), LaurentSeries({-1: 1, 0: 5})]
+    g = G2.y_product((1, 2, 1), ps)
+    assert g.inverse() is g.inverse()
+    h = G2.y_product((1, 2, 1), ps)
+    det = LaurentMatrix.det
+    adjugates = []
+    monkeypatch.setattr(LaurentMatrix, "det",
+                        lambda self: adjugates.append(self) or det(self))
+    G2.mu_plus(h)
+    G2.mu_minus(h)
+    assert adjugates == [h]
+
+
+def test_kept_inverse_follows_the_default_precision():
+    # 1/(1 + t) is windowed by the default relative precision, so a new
+    # default rebuilds that inverse; wbar(w0) has det 1 and an exact inverse
+    one_plus_t = LaurentSeries({0: 1, 1: 1})
+    g = LaurentMatrix([[one_plus_t, LaurentSeries.zero()],
+                       [LaurentSeries.zero(), LaurentSeries.one()]])
+    before = default_rel_prec()
+    try:
+        set_default_rel_prec(4)
+        low, exact = g.inverse(), G2.wbar_w0.inverse()
+        set_default_rel_prec(8)
+        high = g.inverse()
+        assert high is g.inverse() and high is not low
+        assert (low[0, 0].cap, high[0, 0].cap) == (4, 8)
+        assert G2.wbar_w0.inverse() is exact
+    finally:
+        set_default_rel_prec(before)
+
+
 # -- pinned-group relations (Eqs 1-5) -----------------------------------------
 
 def test_relation_conjugation_eq1():

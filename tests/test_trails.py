@@ -7,7 +7,7 @@ from mvcrystals.crystal import string_parameters
 from mvcrystals.gallery import enumerate_ls
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import (
-    build_wedge_rep,
+    WedgeRep,
     enumerate_itrails,
     in_string_cone,
     string_cone_inequalities,
@@ -34,21 +34,21 @@ PAPER_A3_ROWS = (
 
 
 def test_wedge_rep_basics():
-    r = build_wedge_rep(2, 1)
+    r = WedgeRep(2, 1)
     assert r.dim == 2
     # E1 maps e2 to e1, F1 maps e1 to e2
     assert r.raising[1] == {1: 0}
     assert r.lowering[1] == {0: 1}
-    assert build_wedge_rep(4, 2).dim == 6
-    r31 = build_wedge_rep(3, 1)
+    assert WedgeRep(4, 2).dim == 6
+    r31 = WedgeRep(3, 1)
     wts = [r31.weight(a) for a in range(3)]
     assert wts == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     with pytest.raises(RootDataError):
-        build_wedge_rep(3, 3)
+        WedgeRep(3, 3)
 
 
 def test_trail_trivial_and_sl2():
-    r = build_wedge_rep(2, 1)
+    r = WedgeRep(2, 1)
     hw = r.highest_weight()
     trails = enumerate_itrails(r, hw, hw, (1,))
     assert len(trails) == 1 and trails[0].exponents == (0,)
@@ -70,7 +70,7 @@ def test_all_d_integral():
     for datum, word in [(A2, WORD_A2), (A3, WORD_A3)]:
         n = datum.rank + 1
         for i in range(1, n):
-            rep = build_wedge_rep(n, i)
+            rep = WedgeRep(n, i)
             hw = rep.highest_weight()
             for a in range(rep.dim):
                 for t in enumerate_itrails(rep, hw, rep.weight(a), word):
