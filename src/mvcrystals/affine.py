@@ -1,4 +1,4 @@
-"""Affine roots, affine Weyl group, exact alcove/face geometry, wall-crossing
+"""Affine roots, affine Weyl group, integer alcove/face geometry, wall-crossing
 sets and the minimal gallery type gamma_lambda.
 
 Conventions.  An affine root is a pair (alpha, n) with wall
@@ -7,17 +7,20 @@ H^-_{alpha,n} = {x : <alpha,x> <= n}.  The affine node has index 0 with
 alpha_0 = (-theta, -1); finite simple reflections keep their 1-based index.
 W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu.
 
-Faces are stored as (mover, type); all geometric predicates reduce to exact
-rational evaluation at the transported qualifying vertices of the model face
-phi_J in the closure of the fundamental alcove, so nothing polyhedral is ever
-solved.  A face lies in a wall iff every qualifying vertex does; it lies
-strictly on one side iff its barycenter does (faces of the arrangement never
-straddle walls).
+Faces are stored as (mover, type); all geometric predicates reduce to
+evaluation at the transported qualifying vertices of the model face phi_J in
+the closure of the fundamental alcove, so nothing polyhedral is ever solved.
+Those vertices 0 and omega_i^vee / m_i lie in (1/D) Z Phi^vee for the datum's
+apartment_scale D, so vertices are kept as integer coordinates in units of
+1/D and every pairing with a root is an integer: a face lies in H_{alpha,n}
+iff all its vertex values equal nD, and otherwise strictly below it iff its
+largest vertex value is at most nD (faces of the arrangement never straddle
+walls).  Only face_sup and face_sample_point divide by D, to return exact
+rationals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,13 +77,14 @@ class AffWeylElt:
         return AffWeylElt(self.translation + self.finite.act_coweight(other.translation),
                           self.finite * other.finite)
 
-    def inverse(self):
-        winv = self.finite.inverse()
-        return AffWeylElt(-winv.act_coweight(self.translation), winv)
-
     def act_point(self, coords):
         moved = self.finite.act_point(coords)
         return tuple(_norm(a + b) for a, b in zip(moved, self.translation.coords))
+
+    def act_scaled(self, coords, scale: int):
+        """The action on a point given as integer coordinates in units of 1/scale."""
+        moved = self.finite.act_point(coords)
+        return tuple(a + scale * b for a, b in zip(moved, self.translation.coords))
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(self.act_point(v.coords))
@@ -136,19 +140,20 @@ def alcove_face(mover: AffWeylElt) -> Face:
 
 
 def _model_vertices(datum: RootDatum, jtype):
-    """Qualifying vertices of closure(phi_J): 0 when 0 is not in J, and
-    omega_i^vee / m_i for finite i not in J (cached on the datum)."""
+    """Qualifying vertices of closure(phi_J) in units of 1/D: 0 when 0 is not
+    in J, and D omega_i^vee / m_i for finite i not in J (cached on the datum)."""
     cached = datum.model_vertex_cache.get(jtype)
     if cached is not None:
         return cached
+    scale = datum.apartment_scale
     verts = []
     if 0 not in jtype:
-        verts.append(tuple(0 for _ in range(datum.rank)))
+        verts.append((0,) * datum.rank)
     for i in range(1, datum.rank + 1):
         if i not in jtype:
-            om = datum.fundamental_coweight(i)
             m = datum.marks[i - 1]
-            verts.append(tuple(_norm(Fraction(a, m)) for a in om.coords))
+            om = datum.fundamental_coweight(i)
+            verts.append(tuple(int(Fraction(a * scale, m)) for a in om.coords))
     if not verts:
         raise RootDataError("jtype must be a proper subset of I^aff")
     verts = datum.model_vertex_cache[jtype] = tuple(verts)
@@ -156,11 +161,12 @@ def _model_vertices(datum: RootDatum, jtype):
 
 
 def face_vertices(datum: RootDatum, face: Face):
-    """The transported qualifying vertices of the face (exact rational points,
-    cached on the datum)."""
+    """The transported qualifying vertices of the face as integer coordinates
+    in units of 1/D, D = datum.apartment_scale (cached on the datum)."""
     verts = datum.face_vertex_cache.get(face)
     if verts is None:
-        verts = tuple(face.mover.act_point(v) for v in _model_vertices(datum, face.jtype))
+        scale = datum.apartment_scale
+        verts = tuple(face.mover.act_scaled(v, scale) for v in _model_vertices(datum, face.jtype))
         datum.face_vertex_cache[face] = verts
     return verts
 
@@ -168,13 +174,18 @@ def face_vertices(datum: RootDatum, face: Face):
 def face_sample_point(datum: RootDatum, face: Face):
     """Barycenter of the transported qualifying vertices; an interior point."""
     verts = face_vertices(datum, face)
-    n = len(verts)
-    return tuple(_norm(Fraction(sum(col), n)) for col in zip(*verts))
+    den = len(verts) * datum.apartment_scale
+    return tuple(_norm(Fraction(sum(col), den)) for col in zip(*verts))
+
+
+def _sup(datum: RootDatum, face: Face, alpha: Root) -> int:
+    """D f_F(alpha): the largest vertex value of alpha, in units of 1/D."""
+    return max(datum.pairing_coords(alpha.coords, v) for v in face_vertices(datum, face))
 
 
 def face_sup(datum: RootDatum, face: Face, alpha: Root):
     """f_F(alpha) = sup_{x in F} <alpha, x>, exact (max over closure vertices)."""
-    return max(datum.pairing_coords(alpha.coords, v) for v in face_vertices(datum, face))
+    return _norm(Fraction(_sup(datum, face, alpha), datum.apartment_scale))
 
 
 def face_level(datum: RootDatum, face: Face, alpha: Root):
@@ -182,12 +193,12 @@ def face_level(datum: RootDatum, face: Face, alpha: Root):
     in no wall of alpha (its vertex values differ or are not integral)."""
     verts = face_vertices(datum, face)
     n = datum.pairing_coords(alpha.coords, verts[0])
-    if not isinstance(n, int):
+    if n % datum.apartment_scale:
         return None
     for v in verts[1:]:
         if datum.pairing_coords(alpha.coords, v) != n:
             return None
-    return n
+    return n // datum.apartment_scale
 
 
 def wall_relation(datum: RootDatum, face: Face, beta: AffineRoot) -> str:
@@ -198,9 +209,10 @@ def wall_relation(datum: RootDatum, face: Face, beta: AffineRoot) -> str:
     strictly on the side of its sample point."""
     if face_level(datum, face, beta.root) == beta.level:
         return IN_WALL
-    if face_sup(datum, face, beta.root) <= beta.level:
+    level = beta.level * datum.apartment_scale
+    if _sup(datum, face, beta.root) <= level:
         return STRICTLY_MINUS
-    if face_sup(datum, face, -beta.root) <= -beta.level:
+    if _sup(datum, face, -beta.root) <= -level:
         return STRICTLY_PLUS
     raise RuntimeError(f"face straddles wall {beta}; not a face of the complex")
 
@@ -213,7 +225,7 @@ def phi_plus_aff(datum: RootDatum, face_small: Face, face_big: Face):
     out = []
     for alpha in datum.positive_roots:
         n = face_level(datum, face_small, alpha)
-        if n is not None and face_sup(datum, face_big, alpha) > n:
+        if n is not None and _sup(datum, face_big, alpha) > n * datum.apartment_scale:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
 
@@ -222,26 +234,22 @@ def phi_plus_aff(datum: RootDatum, face_small: Face, face_big: Face):
 
 def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
     """Number of walls separating A_fund from g(A_fund)."""
-    x0 = datum.fund_alcove_sample
+    # x0 = X0 / S with X0 the sum of A_fund's rank + 1 vertices in units of 1/D
+    scale = datum.apartment_scale * (datum.rank + 1)
+    x0 = datum.fund_alcove_point
     if x0 is None:
-        x0 = datum.fund_alcove_sample = face_sample_point(
-            datum, alcove_face(identity_aff(datum)))
-    x1 = g.act_point(x0)
+        verts = face_vertices(datum, alcove_face(identity_aff(datum)))
+        x0 = datum.fund_alcove_point = tuple(sum(col) for col in zip(*verts))
+    x1 = g.act_scaled(x0, scale)
     total = 0
     for alpha in datum.positive_roots:
         a = datum.pairing_coords(alpha.coords, x0)
         b = datum.pairing_coords(alpha.coords, x1)
         lo, hi = (a, b) if a <= b else (b, a)
-        # integers strictly between lo and hi, floor(lo) + 1 .. ceil(hi) - 1;
+        # integers strictly between lo/S and hi/S, floor + 1 .. ceil - 1;
         # alcove interiors avoid walls
-        total += max(0, math.ceil(hi) - math.floor(lo) - 1)
+        total += max(0, -(-hi // scale) - lo // scale - 1)
     return total
-
-
-def aff_descents_right(datum: RootDatum, g: AffWeylElt):
-    lg = aff_length(datum, g)
-    return tuple(i for i in range(0, datum.rank + 1)
-                 if aff_length(datum, g * simple_affine_reflection(datum, i)) < lg)
 
 
 def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt, _cache=None):
@@ -256,10 +264,11 @@ def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt, _cache=None)
         words = ((),)
     else:
         words = []
-        for i in aff_descents_right(datum, g):
+        for i in range(0, datum.rank + 1):
             shorter = g * simple_affine_reflection(datum, i)
-            for word in enumerate_affine_reduced_words(datum, shorter, _cache):
-                words.append(word + (i,))
+            if aff_length(datum, shorter) < lg:
+                for word in enumerate_affine_reduced_words(datum, shorter, _cache):
+                    words.append(word + (i,))
         words = tuple(sorted(set(words)))
     _cache[key] = words
     return words
@@ -271,10 +280,11 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
     """Fold lam into closure(A_fund) across violated simple affine walls.
 
     Returns (lam_fund, J, g) where J is the type of the folded point and
-    g in W^aff satisfies g(lam_fund) = lam.  Termination is guarded by the
-    initial wall-distance."""
+    g in W^aff satisfies g(lam_fund) = lam.  The folds are involutions, so g
+    is their product in the order they were made.  Termination is guarded by
+    the initial wall-distance."""
     x = tuple(lam.coords)
-    fold = identity_aff(datum)
+    g = identity_aff(datum)
     theta = datum.highest_root
     # bound: each reflection strictly reduces the number of separating walls
     bound = int(2 * sum(abs(datum.pairing(a, lam)) for a in datum.positive_roots)
@@ -289,7 +299,7 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
             if violated:
                 s = simple_affine_reflection(datum, i)
                 x = s.act_point(x)
-                fold = s * fold
+                g = g * s
                 moved = True
                 break
         if not moved:
@@ -302,7 +312,7 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
             jtype.add(i)
     if datum.pairing_coords(theta.coords, x) == 1:
         jtype.add(0)
-    return Coweight(x), frozenset(jtype), fold.inverse()
+    return Coweight(x), frozenset(jtype), g
 
 
 def minimal_word(datum: RootDatum, lam: Coweight):
@@ -311,23 +321,25 @@ def minimal_word(datum: RootDatum, lam: Coweight):
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
     lam_fund, jtype, g = fundamentalize(datum, lam)
+    lg = aff_length(datum, g)
     changed = True
     while changed:
         changed = False
         for j in sorted(jtype):
             cand = g * simple_affine_reflection(datum, j)
-            if aff_length(datum, cand) < aff_length(datum, g):
-                g = cand
+            lc = aff_length(datum, cand)
+            if lc < lg:
+                g, lg = cand, lc
                 changed = True
                 break
     word = []
-    cur = g
-    while aff_length(datum, cur) > 0:
+    while lg > 0:
         for i in range(0, datum.rank + 1):
-            s = simple_affine_reflection(datum, i)
-            if aff_length(datum, s * cur) < aff_length(datum, cur):
+            cand = simple_affine_reflection(datum, i) * g
+            lc = aff_length(datum, cand)
+            if lc < lg:
                 word.append(i)
-                cur = s * cur
+                g, lg = cand, lc
                 break
         else:
             raise RuntimeError("no left descent found; length function broken")
@@ -405,6 +417,6 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         if j >= 1:
             faces.append(gt.fundamental_facet(j))
         for f in faces:
-            if any(face_sup(datum, f, -alpha) > 0 for alpha in datum.simple_roots()):
+            if any(_sup(datum, f, -alpha) > 0 for alpha in datum.simple_roots()):
                 raise RootDataError(f"gallery type face {j} leaves the dominant chamber")
     return gt

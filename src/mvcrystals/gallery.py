@@ -98,6 +98,13 @@ class Gallery:
         return Face(self.prefixes[j - 1], frozenset({self.gtype.word[j - 1]}))
 
     @cached_property
+    def phi_plus_counts(self):
+        """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p, each evaluated once."""
+        datum = self.gtype.datum()
+        return tuple(len(phi_plus_aff(datum, self.facet(j), self.alcove(j)))
+                     for j in range(self.gtype.p + 1))
+
+    @cached_property
     def weight(self) -> Coweight:
         nu = self.prefixes[-1].act_coweight(self.gtype.lam_fund)
         if not nu.is_integral():
@@ -176,12 +183,6 @@ def _recover_tuple(g: Gallery, movers):
     return Gallery(g.gtype, d0_aff.finite, tuple(flips))
 
 
-def _check_shift(g: Gallery, out: Gallery, shift):
-    if out.weight != g.weight + shift:
-        raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
-                           f"{out.weight.coords}, not by {shift.coords}")
-
-
 def fold_window(g: Gallery, i: int):
     """The window (m, j, k) that e_{alpha_i} reflects, or None when it is
     undefined (m = 0): m is the lowest wall level, k the first index >= 1 with
@@ -197,60 +198,54 @@ def fold_window(g: Gallery, i: int):
     return m, max(js), k
 
 
+def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
+    """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, translate the tail
+    by sign * alpha_i^vee, and recover the tuple; the weight must move by it."""
+    datum = g.gtype.datum()
+    alpha = datum.simple_root(i)
+    shift = datum.coroot_of(alpha).scale(sign)
+    refl = affine_reflection(datum, AffineRoot(alpha, level))
+    tail = translation(datum, shift)
+    movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else tail
+              for l in range(g.gtype.p + 1)]
+    out = _recover_tuple(g, movers)
+    if out.weight != g.weight + shift:
+        raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
+                           f"{out.weight.coords}, not by {shift.coords}")
+    return out
+
+
 def root_e(g: Gallery, i: int):
     """Raising root operator e_{alpha_i}; None when undefined (m = 0)."""
     window = fold_window(g, i)
     if window is None:
         return None
     m, j, k = window
-    datum = g.gtype.datum()
-    alpha = datum.simple_root(i)
-    p = g.gtype.p
-    refl = affine_reflection(datum, AffineRoot(alpha, m + 1))
-    shift = translation(datum, datum.coroot_of(alpha))
-    movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else shift
-              for l in range(p + 1)]
-    out = _recover_tuple(g, movers)
-    _check_shift(g, out, datum.coroot_of(alpha))
-    return out
+    return _surgery(g, i, m + 1, j, k, 1)
 
 
 def root_f(g: Gallery, i: int):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>)."""
     datum = g.gtype.datum()
-    alpha = datum.simple_root(i)
     m = min_wall_level(g, i)
-    if m == datum.pairing(alpha, g.weight):
+    if m == datum.pairing(datum.simple_root(i), g.weight):
         return None
     p = g.gtype.p
-    js = [j for j in _facet_levels(g, i, m) if j <= p]
-    j = max(js)
+    j = max(j for j in _facet_levels(g, i, m) if j <= p)
     ks = [l for l in _facet_levels(g, i, m + 1) if j + 1 <= l <= p + 1]
     if not ks:
         raise GalleryError("no wall crossing at level m+1; gallery is disconnected")
-    k = min(ks)
-    refl = affine_reflection(datum, AffineRoot(alpha, m))
-    shift = translation(datum, -datum.coroot_of(alpha))
-    movers = [identity_aff(datum) if l < j else refl if l <= k - 1 else shift
-              for l in range(p + 1)]
-    out = _recover_tuple(g, movers)
-    _check_shift(g, out, -datum.coroot_of(alpha))
-    return out
+    return _surgery(g, i, m, j, min(ks), -1)
 
 
 def is_positively_folded(g: Gallery) -> bool:
-    datum = g.gtype.datum()
-    for j in range(1, g.gtype.p + 1):
-        if g.prefixes[j - 1] == g.prefixes[j]:  # fold: Delta_{j-1} = Delta_j
-            if not phi_plus_aff(datum, g.facet(j), g.alcove(j)):
-                return False
-    return True
+    """Every fold Delta_{j-1} = Delta_j (delta_j = 1) has a nonempty
+    Phi_+^aff(Delta'_j, Delta_j)."""
+    return all(n for n, flip in zip(g.phi_plus_counts[1:], g.flips) if not flip)
 
 
 def dimension(g: Gallery) -> int:
-    datum = g.gtype.datum()
-    return sum(len(phi_plus_aff(datum, g.facet(j), g.alcove(j)))
-               for j in range(0, g.gtype.p + 1))
+    return sum(g.phi_plus_counts)
 
 
 def is_ls(g: Gallery) -> bool:
@@ -302,23 +297,16 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
                     raise GalleryError("LS set is not closed under root_e")
                 if edges.get((up, i)) != node:
                     raise GalleryError("e and f disagree on an edge")
-    eps = {}
-    phi = {}
-    wt = {}
+    eps, phi = {}, {}
     for node in order:
-        wt[node] = node.weight
         for i in range(1, datum.rank + 1):
-            _, e_i, p_i = crystal_maps(node, i)
-            eps[(node, i)] = e_i
-            phi[(node, i)] = p_i
-    f_map = {key: val for key, val in edges.items()}
-    e_map = {(val, i): key_node for (key_node, i), val in edges.items()}
+            _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
     return CrystalGraph(
         datum=datum,
         nodes=tuple(order),
-        wt=wt,
-        f_map=f_map,
-        e_map=e_map,
+        wt={node: node.weight for node in order},
+        f_map=dict(edges),
+        e_map={(val, i): key_node for (key_node, i), val in edges.items()},
         eps=eps,
         phi=phi,
     )

@@ -382,7 +382,9 @@ class LaurentMatrix:
         key = (rows, cols)
         out = self._minors.get(key)
         if out is None:
-            if len(rows) == 1:
+            if not rows:
+                out = LaurentSeries.one()
+            elif len(rows) == 1:
                 out = self.rows[rows[0]][cols[0]]
             else:
                 # expand along the first row, skipping exact zeros

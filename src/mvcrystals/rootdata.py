@@ -10,9 +10,11 @@ fail loudly instead of silently computing nonsense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "Root",
@@ -116,21 +118,18 @@ class Coweight:
 
 def _norm(a):
     """Collapse integral Fractions to int so equal vectors hash equal."""
-    if isinstance(a, Fraction) and a.denominator == 1:
+    if type(a) is Fraction and a.denominator == 1:
         return int(a)
     return a
 
 
 def _matvec(m, v):
-    return tuple(_norm(sum(m[i][j] * v[j] for j in range(len(v)))) for i in range(len(m)))
+    return tuple(_norm(sum(map(mul, row, v))) for row in m)
 
 
 def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _identity(n):
@@ -151,16 +150,6 @@ class WeylElt:
 
     def __mul__(self, other):
         return WeylElt(_matmul(self.cmat, other.cmat), _matmul(self.rmat, other.rmat))
-
-    def inverse(self):
-        # Weyl matrices are integer with integer inverse; invert by exact Gauss.
-        mats = []
-        for m in (self.cmat, self.rmat):
-            inv = tuple(tuple(_norm(x) for x in row) for row in _rat_inverse(m))
-            if not all(isinstance(x, int) for row in inv for x in row):
-                raise RootDataError(f"Weyl matrix {m} has no integer inverse")
-            mats.append(inv)
-        return WeylElt(*mats)
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(_matvec(self.cmat, v.coords))
@@ -198,12 +187,19 @@ class RootDatum:
         self._pairing_rows = {}  # root coords rc -> the row rc.C
         self._reflections = {}
         # Alcove geometry of this datum, filled in by mvcrystals.affine:
-        # model-face vertices by type, transported vertices by Face, and
-        # the barycenter of the fundamental alcove.
+        # model-face vertices by type and transported vertices by Face, in
+        # units of 1/apartment_scale, and an integer point inside A_fund.
         self.model_vertex_cache = {}
         self.face_vertex_cache = {}
-        self.fund_alcove_sample = None
+        self.fund_alcove_point = None
         self._build_roots()
+        cinv = _rat_inverse(self.cartan)
+        self._fund_coweights = tuple(Coweight(tuple(_norm(cinv[j][i]) for j in range(rank)))
+                                     for i in range(rank))
+        # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
+        self.apartment_scale = math.lcm(*(
+            Fraction(a, m).denominator
+            for om, m in zip(self._fund_coweights, self.marks) for a in om.coords))
 
     # -- construction ------------------------------------------------------
 
@@ -278,15 +274,10 @@ class RootDatum:
 
     def fundamental_coweight(self, i) -> Coweight:
         """omega_i^vee with <alpha_j, omega_i^vee> = delta_ij; rational in general."""
-        r = self.rank
-        cinv = _rat_inverse(self.cartan)
-        return Coweight(tuple(_norm(cinv[j][i - 1]) for j in range(r)))
+        return self._fund_coweights[i - 1]
 
     def rho_coweight(self) -> Coweight:
-        v = self.zero_coweight()
-        for i in range(1, self.rank + 1):
-            v = v + self.fundamental_coweight(i)
-        return v.normalized()
+        return sum(self._fund_coweights, self.zero_coweight()).normalized()
 
     # -- pairing and orders --------------------------------------------------
 
@@ -307,7 +298,7 @@ class RootDatum:
             self._pairing_rows[rc] = row
         if len(vc) != self.rank:
             raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank}")
-        return _norm(sum(a * b for a, b in zip(row, vc)))
+        return _norm(sum(map(mul, row, vc)))
 
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,10 @@ from mvcrystals.affine import (
     alcove_face,
     build_gallery_type,
     enumerate_affine_reduced_words,
+    face_level,
     face_sample_point,
+    face_sup,
+    face_vertices,
     fundamentalize,
     identity_aff,
     minimal_word,
@@ -22,6 +27,7 @@ from mvcrystals.affine import (
     translation,
     wall_relation,
 )
+from mvcrystals.gallery import enumerate_ls
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 
 A1 = build_root_datum("A", 1)
@@ -226,3 +232,123 @@ def test_aff_length_translation():
     tau = translation(A2, Coweight((1, 1)))
     assert aff_length(A2, tau) == 4
     assert aff_length(A2, identity_aff(A2)) == 0
+
+
+# -- the rational apartment, kept as the reference for the integer one --------
+
+SUPPORTED = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+             ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
+
+
+def ref_vertices(datum, face):
+    """The transported qualifying vertices as exact rationals: 0 when 0 is
+    not in J, and omega_i^vee / m_i for finite i not in J."""
+    verts = []
+    if 0 not in face.jtype:
+        verts.append((0,) * datum.rank)
+    for i in range(1, datum.rank + 1):
+        if i not in face.jtype:
+            m = datum.marks[i - 1]
+            verts.append(tuple(Fraction(a) / m for a in datum.fundamental_coweight(i).coords))
+    return [face.mover.act_point(v) for v in verts]
+
+
+def ref_face_sup(datum, face, alpha):
+    return max(datum.pairing_coords(alpha.coords, v) for v in ref_vertices(datum, face))
+
+
+def ref_face_level(datum, face, alpha):
+    values = {datum.pairing_coords(alpha.coords, v) for v in ref_vertices(datum, face)}
+    if len(values) == 1 and isinstance(min(values), int):
+        return min(values)
+    return None
+
+
+def ref_phi_plus_aff(datum, face_small, face_big):
+    out = []
+    for alpha in datum.positive_roots:
+        n = ref_face_level(datum, face_small, alpha)
+        if n is not None and ref_face_sup(datum, face_big, alpha) > n:
+            out.append(AffineRoot(alpha, n))
+    return tuple(out)
+
+
+def ref_aff_length(datum, g):
+    verts = ref_vertices(datum, alcove_face(identity_aff(datum)))
+    x0 = tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
+    x1 = g.act_point(x0)
+    total = 0
+    for alpha in datum.positive_roots:
+        lo, hi = sorted((datum.pairing_coords(alpha.coords, x0),
+                         datum.pairing_coords(alpha.coords, x1)))
+        total += max(0, math.ceil(hi) - math.floor(lo) - 1)
+    return total
+
+
+def random_aff(datum, rng, max_len):
+    g = identity_aff(datum)
+    for _ in range(rng.randint(0, max_len)):
+        g = g * simple_affine_reflection(datum, rng.randint(0, datum.rank))
+    return g
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
+def test_every_face_type_is_integral_and_matches_rational_reference(series, rank):
+    # vertex types included: omega_i^vee / m_i pairs non-integrally with
+    # some root whenever m_i > 1, which no LS gallery face below reaches
+    datum = build_root_datum(series, rank)
+    d = datum.apartment_scale
+    roots = datum.positive_roots + tuple(-a for a in datum.positive_roots)
+    rng = random.Random(rank * 31 + ord(series))
+    movers = [identity_aff(datum), random_aff(datum, rng, 8)]
+    for size in range(rank + 1):
+        for jtype in combinations(range(rank + 1), size):
+            for mover in movers:
+                face = Face(mover, frozenset(jtype))
+                verts = face_vertices(datum, face)
+                assert all(type(x) is int for v in verts for x in v)
+                assert [tuple(Fraction(x, d) for x in v) for v in verts] == \
+                    ref_vertices(datum, face)
+                for alpha in roots:
+                    assert face_level(datum, face, alpha) == ref_face_level(datum, face, alpha)
+                    assert face_sup(datum, face, alpha) == ref_face_sup(datum, face, alpha)
+
+
+LS_CASES = [("A", 2, (2, 2)), ("B", 2, (2, 1)), ("C", 3, (1, 1, 1)),
+            ("D", 4, (1, 2, 1, 1)), ("G", 2, (1, 2))]
+
+
+@pytest.mark.parametrize("series,rank,lam", LS_CASES,
+                         ids=[f"{s}{r}-{lam}" for s, r, lam in LS_CASES])
+def test_integer_geometry_matches_rational_reference(series, rank, lam):
+    datum = build_root_datum(series, rank)
+    roots = datum.positive_roots + tuple(-a for a in datum.positive_roots)
+    graph = enumerate_ls(build_gallery_type(datum, Coweight(lam)))
+    for g in graph.nodes:
+        p = g.gtype.p
+        faces = [g.facet(j) for j in range(p + 2)] + [g.alcove(j) for j in range(p + 1)]
+        for face in faces:
+            verts = ref_vertices(datum, face)
+            assert face_sample_point(datum, face) == \
+                tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
+            for alpha in roots:
+                level = ref_face_level(datum, face, alpha)
+                sup = ref_face_sup(datum, face, alpha)
+                assert face_level(datum, face, alpha) == level
+                assert face_sup(datum, face, alpha) == sup
+                for n in range(math.floor(sup) - 2, math.floor(sup) + 2):
+                    want = IN_WALL if level == n else STRICTLY_MINUS if sup <= n \
+                        else STRICTLY_PLUS
+                    assert wall_relation(datum, face, AffineRoot(alpha, n)) == want
+        for j in range(p + 1):
+            assert phi_plus_aff(datum, g.facet(j), g.alcove(j)) == \
+                ref_phi_plus_aff(datum, g.facet(j), g.alcove(j))
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
+def test_aff_length_matches_rational_reference(series, rank):
+    datum = build_root_datum(series, rank)
+    rng = random.Random(1000 + rank * 31 + ord(series))
+    for _ in range(25):
+        g = random_aff(datum, rng, 10)
+        assert aff_length(datum, g) == ref_aff_length(datum, g)

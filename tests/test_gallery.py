@@ -1,9 +1,17 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
-from mvcrystals.affine import AffWeylElt, build_gallery_type, identity_aff, translation
+from mvcrystals import gallery
+from mvcrystals.affine import (
+    AffWeylElt,
+    build_gallery_type,
+    identity_aff,
+    phi_plus_aff,
+    translation,
+)
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
@@ -105,6 +113,55 @@ def test_dimension(a1_type):
     assert dimension(gamma) == len(A1.positive_roots) + 1  # |Phi_+| + p
     assert dimension(gal(a1_type, (1,), False)) == 1
     assert dimension(gal(a1_type, (1,), True)) == 0
+
+
+def ref_positively_folded(g):
+    datum = g.gtype.datum()
+    for j in range(1, g.gtype.p + 1):
+        if g.prefixes[j - 1] == g.prefixes[j]:  # fold: Delta_{j-1} = Delta_j
+            if not phi_plus_aff(datum, g.facet(j), g.alcove(j)):
+                return False
+    return True
+
+
+def ref_dimension(g):
+    datum = g.gtype.datum()
+    return sum(len(phi_plus_aff(datum, g.facet(j), g.alcove(j)))
+               for j in range(0, g.gtype.p + 1))
+
+
+def all_tuples(gtype):
+    """Every tuple (delta_0, delta_1, ..., delta_p) of the type, as fresh galleries."""
+    for delta0 in gtype.datum().weyl_elements():
+        for flips in product((False, True), repeat=gtype.p):
+            yield Gallery(gtype, delta0, flips)
+
+
+FOLD_CASES = [(A1, (2,)), (A2, (1, 1))]
+
+
+@pytest.mark.parametrize("datum,lam", FOLD_CASES, ids=["A1-(2,)", "A2-(1, 1)"])
+def test_fold_list_matches_two_pass_definitions(datum, lam):
+    gtype = build_gallery_type(datum, Coweight(lam))
+    folded = set()
+    for g in all_tuples(gtype):
+        assert is_positively_folded(g) == ref_positively_folded(g)
+        assert dimension(g) == ref_dimension(g)
+        folded.add(is_positively_folded(g))
+    assert folded == {False, True}
+
+
+@pytest.mark.parametrize("datum,lam", FOLD_CASES, ids=["A1-(2,)", "A2-(1, 1)"])
+def test_is_ls_evaluates_each_fold_once(monkeypatch, datum, lam):
+    gtype = build_gallery_type(datum, Coweight(lam))
+    gtype.dim_gamma  # the type's own dimension is computed once per type
+    calls = []
+    monkeypatch.setattr(gallery, "phi_plus_aff",
+                        lambda *args: calls.append(args) or phi_plus_aff(*args))
+    for g in all_tuples(gtype):
+        calls.clear()
+        is_ls(g)
+        assert len(calls) == gtype.p + 1
 
 
 def test_is_ls_exhaustive_a1(a1_type):

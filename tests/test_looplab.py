@@ -176,6 +176,12 @@ def test_gen_wbar_of_w0_is_the_dense_product_of_sbars(group):
 
 # -- a matrix keeps its inverse ------------------------------------------------
 
+def test_one_by_one_inverse_is_exact():
+    # the cofactor of a 1x1 matrix is the empty minor, which is 1
+    inv = LaurentMatrix([[LaurentSeries.from_scalar(2)]]).inverse()
+    assert inv.equals_exact(LaurentMatrix([[LaurentSeries.from_scalar(Fraction(1, 2))]]))
+
+
 def test_matrix_keeps_its_inverse(monkeypatch):
     ps = [LaurentSeries({0: 2, 1: 1}), LaurentSeries({1: 3}), LaurentSeries({-1: 1, 0: 5})]
     g = G2.y_product((1, 2, 1), ps)
