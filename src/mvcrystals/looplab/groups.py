@@ -54,7 +54,7 @@ class LoopGroup:
         for _ in range(3):
             lam = Coweight(tuple(rng.randint(-2, 2) for _ in range(self.datum.rank)))
             for alpha in self.datum.positive_roots:
-                b = Fraction(rng.randint(1, 7))
+                b = rng.randint(1, 7)
                 k = self.datum.pairing(alpha, lam)
                 lhs = self.gen_t(lam) * self.gen_x(alpha, b)
                 rhs = self.gen_x(alpha, LaurentSeries.from_scalar(b).shift(k)) * \

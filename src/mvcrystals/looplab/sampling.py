@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mvcrystals.affine import phi_plus_aff
 from mvcrystals.crystal import string_param_from_c
@@ -78,12 +77,9 @@ def rand_nonzero_int(rng: random.Random, bound=9) -> int:
 
 def random_unit_series(rng: random.Random, extra_terms=2) -> LaurentSeries:
     """A random unit polynomial a_0 + a_1 t + ... with a_0 != 0 (exact)."""
-    coeffs = {0: Fraction(rand_nonzero_int(rng))}
-    for e in range(1, extra_terms + 1):
-        c = rng.randint(-9, 9)
-        if c:
-            coeffs[e] = Fraction(c)
-    return LaurentSeries(coeffs, None)
+    coeffs = {0: rand_nonzero_int(rng)}
+    coeffs.update((e, rng.randint(-9, 9)) for e in range(1, extra_terms + 1))
+    return LaurentSeries(coeffs)
 
 
 def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
@@ -111,7 +107,7 @@ def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> Lauren
     if not is_positively_folded(gallery):
         raise RootDataError("cell sampling requires a positively folded gallery")
     g = group.x_product([
-        group.x_factor(beta.root, Fraction(rand_nonzero_int(rng)), beta.level)
+        group.x_factor(beta.root, rand_nonzero_int(rng), beta.level)
         for j in range(0, gallery.gtype.p + 1)
         for beta in phi_plus_aff(datum, gallery.facet(j), gallery.alcove(j))])
     return g * group.gen_t(gallery.weight)

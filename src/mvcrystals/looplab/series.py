@@ -1,8 +1,11 @@
 """Truncated Laurent series over exact rationals with precision-window
 tracking, and square matrices of them.
 
-Coefficients are ``int`` or ``Fraction``; any other type (a float above all)
-raises TypeError rather than entering as its binary expansion.
+A coefficient is stored as an ``int`` when integral and as a ``Fraction``
+otherwise, so integer data runs on native ints; ``leading`` and
+``coefficient`` return ``Fraction`` either way, safe to divide by and to raise
+to negative powers.  Any other type (a float above all) raises TypeError
+rather than entering as its binary expansion.
 
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
@@ -100,15 +103,14 @@ class LaurentSeries:
 
     def __init__(self, coeffs=None, cap=None):
         cleaned = {}
-        if coeffs:
-            for e, c in coeffs.items():
+        for e, c in (coeffs or {}).items():
+            if type(c) is not int:
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError("series coefficients are int or Fraction, "
                                     f"got {type(c).__name__} {c!r}")
-                if c == 0:
-                    continue
-                if cap is not None and e >= cap:
-                    continue
+                if c.denominator == 1:
+                    c = c.numerator
+            if c and (cap is None or e < cap):
                 cleaned[e] = c
         self.coeffs = cleaned
         self.cap = cap
@@ -121,11 +123,11 @@ class LaurentSeries:
 
     @staticmethod
     def one():
-        return LaurentSeries({0: Fraction(1)}, None)
+        return LaurentSeries({0: 1}, None)
 
     @staticmethod
     def t_power(n, coeff=1):
-        return LaurentSeries({n: Fraction(coeff) if isinstance(coeff, int) else coeff})
+        return LaurentSeries({n: coeff})
 
     @staticmethod
     def from_scalar(a):
@@ -160,12 +162,12 @@ class LaurentSeries:
         return self.cap
 
     def leading(self) -> Fraction:
-        return self.coeffs[self.val()]
+        return Fraction(self.coeffs[self.val()])
 
-    def coefficient(self, e):
+    def coefficient(self, e) -> Fraction:
         if self.cap is not None and e >= self.cap:
             raise PrecisionError(f"coefficient of t^{e} beyond cap {self.cap}")
-        return self.coeffs.get(e, Fraction(0))
+        return Fraction(self.coeffs.get(e, 0))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -230,7 +232,8 @@ class LaurentSeries:
         rem, out = dict(self.coeffs), {}
         while rem and min(rem) - v < stop:
             e = min(rem)
-            q = out[e - v] = rem.pop(e) / lead
+            q = rem.pop(e) / lead  # an integral term goes on as an int
+            q = out[e - v] = q.numerator if q.denominator == 1 else q
             for f, d in other.coeffs.items():
                 if f != v:
                     x = e + f - v
@@ -261,11 +264,8 @@ class LaurentSeries:
         out = {0: r0}
         for e in range(1, rel):
             # coefficient of t^e in out^2 must match self
-            acc = Fraction(0)
-            for k in range(1, e):
-                acc += out.get(k, 0) * out.get(e - k, 0)
-            target = self.coeffs.get(e, Fraction(0)) - acc
-            out[e] = target / (2 * r0)
+            acc = sum(out[k] * out[e - k] for k in range(1, e))
+            out[e] = (self.coeffs.get(e, 0) - acc) / (2 * r0)
         return LaurentSeries(out, rel)
 
     # -- comparisons -------------------------------------------------------------

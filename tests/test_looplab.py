@@ -102,10 +102,32 @@ def test_series_sqrt():
     lambda: LaurentSeries({0: 1, 2: 0.0}),
     lambda: LaurentSeries.t_power(1, 0.5),
     lambda: LaurentSeries.from_scalar(0.1),
-], ids=["init", "init-float-zero", "t_power", "from_scalar"])
+    lambda: LaurentSeries({0: 1, 1: 2}).scale(0.5),
+], ids=["init", "init-float-zero", "t_power", "from_scalar", "scale"])
 def test_series_rejects_float_coefficients(make):
     with pytest.raises(TypeError, match="int or Fraction, got float"):
         make()
+
+
+def test_series_stores_integral_coefficients_as_int():
+    s = LaurentSeries({0: Fraction(4, 2), 1: True, 2: Fraction(1, 2), 3: -3})
+    assert s.coeffs == {0: 2, 1: 1, 2: Fraction(1, 2), 3: -3}
+    assert [type(s.coeffs[e]) for e in range(4)] == [int, int, Fraction, int]
+    for made in (LaurentSeries.one(), LaurentSeries.t_power(3),
+                 LaurentSeries.from_scalar(Fraction(-6, 3))):
+        assert all(type(c) is int for c in made.coeffs.values()), made
+
+
+def test_series_accessors_return_fraction_for_int_storage():
+    # stabwork raises coefficient(0) to negative powers: an int there would
+    # give a float, which the constructor then rejects
+    s = LaurentSeries({-1: 2, 0: 5}, cap=4)
+    assert all(type(c) is int for c in s.coeffs.values())
+    assert type(s.leading()) is Fraction and s.leading() == 2
+    for e in (-1, 0, 3):
+        assert type(s.coefficient(e)) is Fraction
+    assert LaurentSeries({0: 2}).coefficient(0) ** -1 == Fraction(1, 2)
+    assert type(LaurentSeries({0: 2}).coefficient(0) ** -1) is Fraction
 
 
 # -- column-operation products -------------------------------------------------
