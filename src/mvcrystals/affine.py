@@ -91,7 +91,7 @@ class AffWeylElt:
 
     def act_affine_root(self, datum: RootDatum, beta: AffineRoot) -> AffineRoot:
         # w(alpha, n) = (w alpha, n); tau_mu(alpha, n) = (alpha, n + <alpha, mu>)
-        alpha = self.finite.act_root(beta.root)
+        alpha = datum.act_root(self.finite, beta.root)
         return AffineRoot(alpha, beta.level + datum.pairing(alpha, self.translation))
 
     @property
@@ -356,11 +356,11 @@ def minimal_word(datum: RootDatum, lam: Coweight):
 
 @dataclass(frozen=True)
 class GalleryType:
-    """The type gamma_lambda: dominant lam, its folded vertex, a reduced word
-    of w_lambda over I^aff, and the prefix movers s_{i_1}...s_{i_j}."""
+    """The type gamma_lambda in the apartment of datum: dominant lam, its
+    folded vertex, a reduced word of w_lambda over I^aff, and the prefix
+    movers s_{i_1}...s_{i_j}."""
 
-    datum_series: str
-    datum_rank: int
+    datum: RootDatum
     lam: Coweight
     lam_fund: Coweight
     lam_jtype: frozenset
@@ -376,10 +376,6 @@ class GalleryType:
         """dim gamma_lambda, the dimension of the minimal gallery."""
         from mvcrystals.gallery import dimension, minimal_gallery
         return dimension(minimal_gallery(self))
-
-    def datum(self) -> RootDatum:
-        from mvcrystals.rootdata import build_root_datum
-        return build_root_datum(self.datum_series, self.datum_rank)
 
     def fundamental_alcove(self, j) -> Face:
         """Gamma_j = s_{i_1}...s_{i_j}(A_fund)."""
@@ -409,8 +405,7 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         raise RootDataError(f"word {word} does not map lam_fund to {lam}")
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
-    gt = GalleryType(datum.series, datum.rank, lam, lam_fund, lam_jtype,
-                     word, tuple(prefixes))
+    gt = GalleryType(datum, lam, lam_fund, lam_jtype, word, tuple(prefixes))
     # every fundamental face must sit in the closed dominant chamber
     for j in range(gt.p + 1):
         faces = [gt.fundamental_alcove(j)]

@@ -5,7 +5,8 @@ acceptance harness.
 Reports are deterministic for fixed flags and seed (JSON is emitted with
 sorted keys and all randomness is derived from the seed by stable hashing).
 The series precision is --prec if given, else the MVCRYSTALS_PREC environment
-variable, else 32.
+variable, else 32; --prec holds for its own command only, so `main` restores
+the default it found when it returns.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 from mvcrystals.affine import build_gallery_type, minimal_word
 from mvcrystals.crystal import string_parameters
 from mvcrystals.gallery import enumerate_ls
-from mvcrystals.looplab import LoopGroup, lusztig_from_string, sample_ytilde, \
-    set_default_rel_prec
+from mvcrystals.looplab import LoopGroup, default_rel_prec, lusztig_from_string, \
+    sample_ytilde, set_default_rel_prec
 from mvcrystals.rootdata import Coweight, build_root_datum
 from mvcrystals.trails import string_cone_inequalities
 from mvcrystals.verify import run_all
@@ -227,12 +228,15 @@ def main(argv=None):
     from mvcrystals.looplab import GenericityError, PrecisionError
     from mvcrystals.rootdata import RootDataError
 
+    prec = default_rel_prec()
     try:
         return args.func(args)
     except (RootDataError, CrystalError, GalleryError, GenericityError,
             PrecisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_default_rel_prec(prec)
 
 
 if __name__ == "__main__":

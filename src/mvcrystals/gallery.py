@@ -78,7 +78,7 @@ class Gallery:
     @cached_property
     def prefixes(self):
         """P_j = delta_0 delta_1 ... delta_j as affine elements, j = 0..p."""
-        datum = self.gtype.datum()
+        datum = self.gtype.datum
         out = [AffWeylElt(datum.zero_coweight(), self.delta0)]
         for j, flip in enumerate(self.flips):
             out.append(out[-1] * simple_affine_reflection(datum, self.gtype.word[j])
@@ -90,7 +90,7 @@ class Gallery:
 
     def facet(self, j) -> Face:
         """Delta'_j.  j = 0 gives the origin vertex, j = p + 1 the end vertex."""
-        datum = self.gtype.datum()
+        datum = self.gtype.datum
         if j == 0:
             return Face(identity_aff(datum), frozenset(range(1, datum.rank + 1)))
         if j == self.gtype.p + 1:
@@ -100,7 +100,7 @@ class Gallery:
     @cached_property
     def phi_plus_counts(self):
         """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p, each evaluated once."""
-        datum = self.gtype.datum()
+        datum = self.gtype.datum
         return tuple(len(phi_plus_aff(datum, self.facet(j), self.alcove(j)))
                      for j in range(self.gtype.p + 1))
 
@@ -117,14 +117,14 @@ class Gallery:
 
 def minimal_gallery(gtype: GalleryType) -> Gallery:
     """gamma_lambda itself: delta_0 = 1 and every delta_j = s_{i_j}."""
-    return Gallery(gtype, gtype.datum().identity_elt(), (True,) * gtype.p)
+    return Gallery(gtype, gtype.datum.identity_elt(), (True,) * gtype.p)
 
 
 def _levels(g: Gallery, i: int):
     """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None."""
     levels = g._wall_levels.get(i)
     if levels is None:
-        datum = g.gtype.datum()
+        datum = g.gtype.datum
         alpha = datum.simple_root(i)
         levels = g._wall_levels[i] = tuple(face_level(datum, g.facet(j), alpha)
                                            for j in range(g.gtype.p + 2))
@@ -145,7 +145,7 @@ def min_wall_level(g: Gallery, i: int) -> int:
 
 def crystal_maps(g: Gallery, i: int):
     """(wt, eps_i, phi_i) with eps_i = -m and phi_i = <alpha_i, nu> - m."""
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     m = min_wall_level(g, i)
     nu = g.weight
     pair = datum.pairing(datum.simple_root(i), nu)
@@ -164,7 +164,7 @@ def _recover_tuple(g: Gallery, movers):
     delta_l = s_{i_l} iff P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.
     Where g_l = g_{l-1} both tests reduce to the same tests on P, so the old
     delta_l is kept and only the steps where the mover changes are decided."""
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     P = g.prefixes
     d0_aff = movers[0] * P[0]
     if not d0_aff.is_finite:
@@ -201,7 +201,7 @@ def fold_window(g: Gallery, i: int):
 def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
     """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, translate the tail
     by sign * alpha_i^vee, and recover the tuple; the weight must move by it."""
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     alpha = datum.simple_root(i)
     shift = datum.coroot_of(alpha).scale(sign)
     refl = affine_reflection(datum, AffineRoot(alpha, level))
@@ -226,7 +226,7 @@ def root_e(g: Gallery, i: int):
 
 def root_f(g: Gallery, i: int):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>)."""
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     m = min_wall_level(g, i)
     if m == datum.pairing(datum.simple_root(i), g.weight):
         return None
@@ -252,7 +252,7 @@ def is_ls(g: Gallery) -> bool:
     """Positively folded and of maximal dimension for its weight."""
     if not is_positively_folded(g):
         return False
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     defect = datum.height(g.gtype.lam - g.weight)
     return g.gtype.dim_gamma - dimension(g) == defect
 
@@ -264,7 +264,7 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
     root_e; returns a CrystalGraph whose node payloads are the galleries."""
     from mvcrystals.crystal import CrystalGraph
 
-    datum = gtype.datum()
+    datum = gtype.datum
     start = minimal_gallery(gtype)
     seen = {start}
     order = [start]
@@ -315,7 +315,7 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
 # -- serialization -------------------------------------------------------------
 
 def gallery_to_dict(g: Gallery) -> dict:
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     return {
         "lambda": list(g.gtype.lam.coords),
         "word": list(g.gtype.word),

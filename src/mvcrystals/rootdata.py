@@ -138,24 +138,17 @@ def _identity(n):
 
 @dataclass(frozen=True)
 class WeylElt:
-    """Finite Weyl group element; canonical form is its matrix on the coroot basis.
-
-    `cmat` acts on coweight coordinates, `rmat` on root coordinates; both are
-    integer matrices and `rmat` is determined by `cmat` through invariance of
-    the pairing.  Equality and hashing use `cmat` alone.
-    """
+    """Finite Weyl group element: its integer matrix on the simple-coroot
+    basis, acting on coweight coordinates.  Roots act through the datum
+    (`RootDatum.act_root`)."""
 
     cmat: tuple
-    rmat: tuple
 
     def __mul__(self, other):
-        return WeylElt(_matmul(self.cmat, other.cmat), _matmul(self.rmat, other.rmat))
+        return WeylElt(_matmul(self.cmat, other.cmat))
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(_matvec(self.cmat, v.coords))
-
-    def act_root(self, a: Root) -> Root:
-        return Root(_matvec(self.rmat, a.coords))
 
     def act_point(self, coords: tuple) -> tuple:
         return _matvec(self.cmat, coords)
@@ -163,12 +156,6 @@ class WeylElt:
     @property
     def is_identity(self):
         return self.cmat == _identity(len(self.cmat))
-
-    def __hash__(self):
-        return hash(self.cmat)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.cmat == other.cmat
 
 
 class RootDatum:
@@ -193,6 +180,8 @@ class RootDatum:
         self.face_vertex_cache = {}
         self.fund_alcove_point = None
         self._build_roots()
+        self._identity = WeylElt(_identity(rank))
+        self._simple_reflections = tuple(self.reflection(a) for a in self.simple_roots())
         cinv = _rat_inverse(self.cartan)
         self._fund_coweights = tuple(Coweight(tuple(_norm(cinv[j][i]) for j in range(rank)))
                                      for i in range(rank))
@@ -203,33 +192,18 @@ class RootDatum:
 
     # -- construction ------------------------------------------------------
 
-    def _simple_refl_mats(self, i):
-        # 1-based i; s_i on coroot coords and on root coords.
-        r = self.rank
-        i0 = i - 1
-        cmat = [[int(k == j) for j in range(r)] for k in range(r)]
-        rmat = [[int(k == j) for j in range(r)] for k in range(r)]
-        for j in range(r):
-            # s_i(alpha_j^vee) = alpha_j^vee - C[i][j] alpha_i^vee
-            cmat[i0][j] -= self.cartan[i0][j]
-            # s_i(alpha_j) = alpha_j - C[j][i] alpha_i
-            rmat[i0][j] -= self.cartan[j][i0]
-        return tuple(tuple(row) for row in cmat), tuple(tuple(row) for row in rmat)
-
     def _build_roots(self):
-        r = self.rank
-        simples = [(Root(tuple(int(i == j) for j in range(r))),
-                    Coweight(tuple(int(i == j) for j in range(r)))) for i in range(r)]
-        seen = {}
-        frontier = list(simples)
-        for rt, co in simples:
-            seen[rt] = co
+        simples = [(self.simple_root(i), self.simple_coroot(i)) for i in range(1, self.rank + 1)]
+        seen = dict(simples)
+        frontier = simples
         while frontier:
             nxt = []
             for rt, co in frontier:
-                for i in range(1, r + 1):
-                    s = self.simple_reflection(i)
-                    rt2, co2 = s.act_root(rt), s.act_coweight(co)
+                for a, av in simples:
+                    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and
+                    # s_i(x) = x - <alpha_i, x> alpha_i^vee on coroots
+                    rt2 = rt - a.scale(self.pairing(rt, av))
+                    co2 = co - av.scale(self.pairing(a, co))
                     if rt2 not in seen:
                         seen[rt2] = co2
                         nxt.append((rt2, co2))
@@ -242,7 +216,8 @@ class RootDatum:
             raise RootDataError("reflection closure is not symmetric")
         self.positive_roots = tuple(pos)
         self.positive_coroots = tuple(seen[rt] for rt in pos)
-        self._coroot_of = {rt: seen[rt] for rt in seen}
+        self._coroot_of = seen
+        self._root_of = {co: rt for rt, co in seen.items()}
         self.highest_root = pos[-1]
         if not all(self.highest_root.height() > rt.height() or self.highest_root == rt
                    for rt in pos):
@@ -334,33 +309,34 @@ class RootDatum:
 
     # -- Weyl group -----------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def simple_reflection(self, i) -> WeylElt:
         if not 1 <= i <= self.rank:
             raise RootDataError(f"simple reflection index {i} out of range")
-        cmat, rmat = self._simple_refl_mats(i)
-        return WeylElt(cmat, rmat)
+        return self._simple_reflections[i - 1]
 
     def identity_elt(self) -> WeylElt:
-        n = self.rank
-        return WeylElt(_identity(n), _identity(n))
+        return self._identity
 
     def reflection(self, root: Root) -> WeylElt:
-        """s_alpha for an arbitrary root alpha, cached per root: x -> x - <alpha, x>
-        alpha^vee on coweights and beta -> beta - <beta, alpha^vee> alpha on roots."""
+        """s_alpha for an arbitrary root alpha, cached per root:
+        x -> x - <alpha, x> alpha^vee on coweights."""
         s = self._reflections.get(root)
         if s is None:
             n, rc, co = self.rank, root.coords, self.coroot_of(root).coords
             unit = _identity(n)
             on_unit = [self.pairing_coords(rc, e) for e in unit]
-            on_co = [self.pairing_coords(e, co) for e in unit]
             s = self._reflections[root] = WeylElt(
-                tuple(tuple(unit[i][j] - co[i] * on_unit[j] for j in range(n)) for i in range(n)),
-                tuple(tuple(unit[i][j] - rc[i] * on_co[j] for j in range(n)) for i in range(n)))
+                tuple(tuple(unit[i][j] - co[i] * on_unit[j] for j in range(n)) for i in range(n)))
         return s
 
+    def act_root(self, w: WeylElt, root: Root) -> Root:
+        """w(alpha), read off w(alpha^vee), which is the coroot of w(alpha)."""
+        return self._root_of[w.act_coweight(self.coroot_of(root))]
+
     def weyl_length(self, w: WeylElt) -> int:
-        return sum(1 for rt in self.positive_roots if not w.act_root(rt).is_positive)
+        """The number of positive roots w sends negative, counted on their
+        coroots (alpha > 0 iff alpha^vee > 0)."""
+        return sum(1 for co in self.positive_coroots if min(w.act_point(co.coords)) < 0)
 
     def weyl_elements(self):
         """All of W sorted by (length, cmat), BFS from the identity (cached);

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from mvcrystals.affine import build_gallery_type, enumerate_affine_reduced_words, \
     identity_aff, minimal_word, simple_affine_reflection
 from mvcrystals.crystal import (
+    CrystalError,
     character,
     contragredient_node,
     crystal_isomorphic,
@@ -205,7 +206,7 @@ def crit_4_word_independence(graphs):
         for g1, g2 in itertools.combinations(crystals, 2):
             try:
                 crystal_isomorphic(g1, g2)
-            except Exception:
+            except CrystalError:
                 pairs_ok = False
         # self-isomorphism must exist even when the word is unique
         crystal_isomorphic(crystals[0], crystals[0])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mvcrystals.cli import main
+from mvcrystals.looplab import default_rel_prec
 
 
 def run_cli(args, capsys):
@@ -100,21 +101,40 @@ def test_verify_reports_byte_identical(tmp_path, run_python):
 def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
                                                   expected):
     env = {} if env_prec is None else {"MVCRYSTALS_PREC": env_prec}
+    # each command reports the precision it runs at, and the one it leaves
     code = (
         "import sys\n"
         "from mvcrystals import cli\n"
         "from mvcrystals.looplab import default_rel_prec\n"
+        "def reporting(fn):\n"
+        "    def run(*args, **kwargs):\n"
+        "        print('prec', default_rel_prec())\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return run\n"
+        "cli.sample_ytilde = reporting(cli.sample_ytilde)\n"
+        "cli.lusztig_from_string = reporting(cli.lusztig_from_string)\n"
         "for cmd in (['mv-sample', '--rank', '1', '--word', '1', '--c', '1',\n"
         "             '--trials', '1'],\n"
         "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"
         "    assert cli.main(cmd + sys.argv[1:]) == 0\n"
-        "    print('prec', default_rel_prec())\n"
+        "    print('after', default_rel_prec())\n"
     )
     out = run_python(code, args=flags, **env)
     assert out.returncode == 0, out.stderr
     precs = [line.split()[1] for line in out.stdout.splitlines()
              if line.startswith("prec ")]
     assert precs == [expected, expected]
+    afters = [line.split()[1] for line in out.stdout.splitlines()
+              if line.startswith("after ")]
+    assert afters == [env_prec or "32"] * 2
+
+
+def test_prec_flag_does_not_outlive_its_command(capsys):
+    before = default_rel_prec()
+    code, out, _ = run_cli(["trop", "--rank", "1", "--word", "1", "--ctilde=-2",
+                            "--prec", "4"], capsys)
+    assert code == 0 and json.loads(out)["lusztig"] == [2]
+    assert default_rel_prec() == before
 
 
 def test_prec_flag_range_checked(capsys):

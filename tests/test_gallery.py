@@ -116,7 +116,7 @@ def test_dimension(a1_type):
 
 
 def ref_positively_folded(g):
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     for j in range(1, g.gtype.p + 1):
         if g.prefixes[j - 1] == g.prefixes[j]:  # fold: Delta_{j-1} = Delta_j
             if not phi_plus_aff(datum, g.facet(j), g.alcove(j)):
@@ -125,14 +125,14 @@ def ref_positively_folded(g):
 
 
 def ref_dimension(g):
-    datum = g.gtype.datum()
+    datum = g.gtype.datum
     return sum(len(phi_plus_aff(datum, g.facet(j), g.alcove(j)))
                for j in range(0, g.gtype.p + 1))
 
 
 def all_tuples(gtype):
     """Every tuple (delta_0, delta_1, ..., delta_p) of the type, as fresh galleries."""
-    for delta0 in gtype.datum().weyl_elements():
+    for delta0 in gtype.datum.weyl_elements():
         for flips in product((False, True), repeat=gtype.p):
             yield Gallery(gtype, delta0, flips)
 

@@ -249,7 +249,7 @@ def test_relation_conjugation_eq1():
             for i in range(1, datum.rank + 1):
                 b = Fraction(rng.randint(1, 9))
                 lhs = wbar * group.gen_x(datum.simple_root(i), b) * wbar.inverse()
-                alpha = w.act_root(datum.simple_root(i))
+                alpha = datum.act_root(w, datum.simple_root(i))
                 plus = group.gen_x(alpha, b)
                 minus = group.gen_x(alpha, -b)
                 assert lhs.equals_exact(plus) or lhs.equals_exact(minus)

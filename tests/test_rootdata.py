@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from mvcrystals.rootdata import Coweight, Root, RootDataError, build_root_datum
+from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, build_root_datum
 
 
 A1 = build_root_datum("A", 1)
@@ -133,7 +135,7 @@ def test_pairing_invariance():
             for rt in datum.positive_roots:
                 for i in range(1, datum.rank + 1):
                     v = datum.simple_coroot(i)
-                    assert datum.pairing(w.act_root(rt), w.act_coweight(v)) == \
+                    assert datum.pairing(datum.act_root(w, rt), w.act_coweight(v)) == \
                         datum.pairing(rt, v)
 
 
@@ -179,7 +181,7 @@ def test_coroot_matching_b2():
 def test_reflection_of_nonsimple_root():
     theta = A2.highest_root
     s = A2.reflection(theta)
-    assert s.act_root(theta) == -theta
+    assert A2.act_root(s, theta) == -theta
     assert A2.weyl_length(s) == 3  # s_theta = w0 in A2
     assert s * s == A2.identity_elt()
 
@@ -190,3 +192,55 @@ def test_fundamental_coweights_dual_basis():
             for j in range(1, datum.rank + 1):
                 assert datum.pairing(datum.simple_root(j),
                                      datum.fundamental_coweight(i)) == int(i == j)
+
+
+ALL_DATA = [build_root_datum(series, rank) for series, rank in (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2))]
+
+
+def ref_rmat(datum, w):
+    """w on simple-root coordinates: s_i(alpha_j) = alpha_j - C[j][i] alpha_i,
+    multiplied along reduced_word(w)."""
+    r = datum.rank
+    m = [[int(a == b) for b in range(r)] for a in range(r)]
+    for i in datum.reduced_word(w):
+        s = [[int(a == b) - int(a == i - 1) * datum.cartan[b][i - 1] for b in range(r)]
+             for a in range(r)]
+        m = [[sum(m[a][k] * s[k][b] for k in range(r)) for b in range(r)] for a in range(r)]
+    return m
+
+
+@pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
+def test_root_action_and_length_match_the_root_matrix_oracle(datum):
+    depth = {datum.identity_elt(): 0}
+    frontier = [datum.identity_elt()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, datum.rank + 1):
+                w2 = w * datum.simple_reflection(i)
+                if w2 not in depth:
+                    depth[w2] = depth[w] + 1
+                    nxt.append(w2)
+        frontier = nxt
+    assert list(datum.weyl_elements()) == sorted(depth, key=lambda w: (depth[w], w.cmat))
+    roots = datum.positive_roots + tuple(-rt for rt in datum.positive_roots)
+    for w in datum.weyl_elements():
+        m = ref_rmat(datum, w)
+        inverted = 0
+        for rt in roots:
+            image = Root(tuple(sum(a * b for a, b in zip(row, rt.coords)) for row in m))
+            assert datum.act_root(w, rt) == image, (w, rt)
+            inverted += rt.is_positive and not image.is_positive
+        assert datum.weyl_length(w) == inverted == depth[w]
+
+
+def test_a_datum_built_directly_is_freed_once_dropped():
+    datum = RootDatum("B", 2)
+    datum.simple_reflection(1)
+    datum.weyl_elements()
+    ref = weakref.ref(datum)
+    del datum
+    gc.collect()
+    assert ref() is None

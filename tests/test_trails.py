@@ -92,6 +92,24 @@ def test_cone_a3_matches_paper_rows():
         assert in_string_cone(c, rows) == in_string_cone(c, PAPER_A3_ROWS), c
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_cone_of_the_nice_word_is_one_chain_per_block(rank):
+    # Littelmann, "Cones, crystals, and patterns" (1998), section 5: for
+    # i = (1, 2 1, ..., rank ... 1) the cone is c_first >= ... >= c_last >= 0
+    # on every block
+    n = rank * (rank + 1) // 2
+    chains, start = set(), 0
+    for size in range(1, rank + 1):
+        block = range(start, start + size)
+        for a, b in zip(block, block[1:]):
+            chains.add(tuple(int(k == a) - int(k == b) for k in range(n)))
+        chains.add(tuple(int(k == block[-1]) for k in range(n)))
+        start += size
+    word = tuple(i for top in range(1, rank + 1) for i in range(top, 0, -1))
+    rows, _ = string_cone_inequalities(build_root_datum("A", rank), word)
+    assert len(rows) == n and set(rows) == chains
+
+
 def test_in_string_cone_paper_point():
     rows, _ = string_cone_inequalities(A3, WORD_A3)
     assert in_string_cone((0,) * 6, rows)

@@ -3,7 +3,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from mvcrystals import verify
+from mvcrystals.crystal import CrystalError
 from mvcrystals.verify import _A3_PAPER_ROWS, _grid_solutions, run_all
 
 # sha256 of the full verify report: json.dumps(r.to_json_dict(), sort_keys=True)
@@ -80,3 +83,18 @@ def test_each_run_all_enumerates_its_own_graphs(monkeypatch):
     calls.clear()
     assert verify.run_criterion(2).passed  # alone: a cache of its own
     assert len(calls) == suite
+
+
+def test_criterion_4_fails_on_crystal_error_and_propagates_other_errors(monkeypatch):
+    def raising(exc):
+        def fake(g1, g2):
+            if g1 is not g2:  # the self-isomorphism check still succeeds
+                raise exc
+        return fake
+
+    monkeypatch.setattr(verify, "crystal_isomorphic", raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        verify.run_criterion(4)
+    monkeypatch.setattr(verify, "crystal_isomorphic",
+                        raising(CrystalError("weight mismatch")))
+    assert not verify.run_criterion(4).passed
