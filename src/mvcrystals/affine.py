@@ -7,16 +7,16 @@ H^-_{alpha,n} = {x : <alpha,x> <= n}.  The affine node has index 0 with
 alpha_0 = (-theta, -1); finite simple reflections keep their 1-based index.
 W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu.
 
-Faces are stored as (mover, type); all geometric predicates reduce to
-evaluation at the transported qualifying vertices of the model face phi_J in
-the closure of the fundamental alcove, so nothing polyhedral is ever solved.
-Those vertices 0 and omega_i^vee / m_i lie in (1/D) Z Phi^vee for the datum's
-apartment_scale D, so vertices are kept as integer coordinates in units of
-1/D and every pairing with a root is an integer: a face lies in H_{alpha,n}
-iff all its vertex values equal nD, and otherwise strictly below it iff its
-largest vertex value is at most nD (faces of the arrangement never straddle
-walls).  Only face_sup and face_sample_point divide by D, to return exact
-rationals.
+A face is the tuple of its vertices: the face g(phi_J) has the images under
+g of the vertices of A_fund whose index is not in J (face_vertices), and
+every geometric predicate is an evaluation at those vertices, so nothing
+polyhedral is ever solved.  A_fund's vertices 0 and omega_i^vee / m_i lie in
+(1/D) Z Phi^vee for the datum's apartment_scale D, so vertices are integer
+coordinates in units of 1/D and every pairing with a root is an integer: a
+face lies in H_{alpha,n} iff all its vertex values equal nD, and otherwise
+strictly below it iff its largest vertex value is at most nD (faces of the
+arrangement never straddle walls).  Only face_sup divides by D, to return an
+exact rational.  The galleries of mvcrystals.gallery own their faces.
 """
 
 from __future__ import annotations
@@ -25,20 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm
+from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
+    _reduced_words
 
 __all__ = [
     "AffineRoot",
     "AffWeylElt",
-    "Face",
     "GalleryType",
     "simple_affine_reflection",
     "affine_reflection",
     "translation",
     "aff_length",
-    "face_sample_point",
     "face_vertices",
-    "wall_relation",
     "face_level",
     "face_sup",
     "phi_plus_aff",
@@ -46,14 +44,7 @@ __all__ = [
     "minimal_word",
     "build_gallery_type",
     "enumerate_affine_reduced_words",
-    "IN_WALL",
-    "STRICTLY_MINUS",
-    "STRICTLY_PLUS",
 ]
-
-IN_WALL = "in_wall"
-STRICTLY_MINUS = "strictly_minus"
-STRICTLY_PLUS = "strictly_plus"
 
 
 @dataclass(frozen=True)
@@ -126,72 +117,31 @@ def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
 
 # -- faces -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
-    """Face g(phi_J) of the affine Coxeter complex; jtype is a proper subset
-    of {0, 1, ..., rank} given as a frozenset."""
-
-    mover: AffWeylElt
-    jtype: frozenset
-
-
-def alcove_face(mover: AffWeylElt) -> Face:
-    return Face(mover, frozenset())
-
-
-def _model_vertices(datum: RootDatum, jtype):
-    """Qualifying vertices of closure(phi_J) in units of 1/D: 0 when 0 is not
-    in J, and D omega_i^vee / m_i for finite i not in J (cached on the datum)."""
-    cached = datum.model_vertex_cache.get(jtype)
-    if cached is not None:
-        return cached
+def face_vertices(datum: RootDatum, mover: AffWeylElt, jtype=frozenset()):
+    """The vertices of the face mover(phi_J) in units of 1/D,
+    D = datum.apartment_scale: the images of the vertices of A_fund whose
+    index in I^aff is not in J, a proper subset of {0, ..., rank}."""
     scale = datum.apartment_scale
-    verts = []
-    if 0 not in jtype:
-        verts.append((0,) * datum.rank)
-    for i in range(1, datum.rank + 1):
-        if i not in jtype:
-            m = datum.marks[i - 1]
-            om = datum.fundamental_coweight(i)
-            verts.append(tuple(int(Fraction(a * scale, m)) for a in om.coords))
+    verts = tuple(mover.act_scaled(v, scale)
+                  for i, v in enumerate(datum.alcove_vertices) if i not in jtype)
     if not verts:
         raise RootDataError("jtype must be a proper subset of I^aff")
-    verts = datum.model_vertex_cache[jtype] = tuple(verts)
     return verts
 
 
-def face_vertices(datum: RootDatum, face: Face):
-    """The transported qualifying vertices of the face as integer coordinates
-    in units of 1/D, D = datum.apartment_scale (cached on the datum)."""
-    verts = datum.face_vertex_cache.get(face)
-    if verts is None:
-        scale = datum.apartment_scale
-        verts = tuple(face.mover.act_scaled(v, scale) for v in _model_vertices(datum, face.jtype))
-        datum.face_vertex_cache[face] = verts
-    return verts
-
-
-def face_sample_point(datum: RootDatum, face: Face):
-    """Barycenter of the transported qualifying vertices; an interior point."""
-    verts = face_vertices(datum, face)
-    den = len(verts) * datum.apartment_scale
-    return tuple(_norm(Fraction(sum(col), den)) for col in zip(*verts))
-
-
-def _sup(datum: RootDatum, face: Face, alpha: Root) -> int:
+def _sup(datum: RootDatum, verts, alpha: Root) -> int:
     """D f_F(alpha): the largest vertex value of alpha, in units of 1/D."""
-    return max(datum.pairing_coords(alpha.coords, v) for v in face_vertices(datum, face))
+    return max(datum.pairing_coords(alpha.coords, v) for v in verts)
 
 
-def face_sup(datum: RootDatum, face: Face, alpha: Root):
-    """f_F(alpha) = sup_{x in F} <alpha, x>, exact (max over closure vertices)."""
-    return _norm(Fraction(_sup(datum, face, alpha), datum.apartment_scale))
+def face_sup(datum: RootDatum, verts, alpha: Root):
+    """f_F(alpha) = sup_{x in F} <alpha, x>, exact (max over the vertices)."""
+    return _norm(Fraction(_sup(datum, verts, alpha), datum.apartment_scale))
 
 
-def face_level(datum: RootDatum, face: Face, alpha: Root):
-    """The integer n with F inside the wall H_{alpha, n}, or None when F lies
-    in no wall of alpha (its vertex values differ or are not integral)."""
-    verts = face_vertices(datum, face)
+def face_level(datum: RootDatum, verts, alpha: Root):
+    """The integer n with the face inside the wall H_{alpha, n}, or None when
+    it lies in no wall of alpha (its vertex values differ or are not integral)."""
     n = datum.pairing_coords(alpha.coords, verts[0])
     if n % datum.apartment_scale:
         return None
@@ -201,31 +151,16 @@ def face_level(datum: RootDatum, face: Face, alpha: Root):
     return n // datum.apartment_scale
 
 
-def wall_relation(datum: RootDatum, face: Face, beta: AffineRoot) -> str:
-    """One of in_wall / strictly_minus / strictly_plus.
-
-    Faces of the arrangement never straddle walls, so the vertex values decide:
-    all equal to the level means contained; otherwise the open face lies
-    strictly on the side of its sample point."""
-    if face_level(datum, face, beta.root) == beta.level:
-        return IN_WALL
-    level = beta.level * datum.apartment_scale
-    if _sup(datum, face, beta.root) <= level:
-        return STRICTLY_MINUS
-    if _sup(datum, face, -beta.root) <= -level:
-        return STRICTLY_PLUS
-    raise RuntimeError(f"face straddles wall {beta}; not a face of the complex")
-
-
-def phi_plus_aff(datum: RootDatum, face_small: Face, face_big: Face):
-    """Phi_+^aff(F', F): affine roots (alpha, n), alpha positive, with
-    F' inside the wall at level n and F strictly beyond it.
+def phi_plus_aff(datum: RootDatum, small, big):
+    """Phi_+^aff(F', F) for the faces with vertices small and big: affine
+    roots (alpha, n), alpha positive, with F' inside the wall at level n and
+    F strictly beyond it.
 
     F' in closure(F) is the caller's responsibility."""
     out = []
     for alpha in datum.positive_roots:
-        n = face_level(datum, face_small, alpha)
-        if n is not None and _sup(datum, face_big, alpha) > n * datum.apartment_scale:
+        n = face_level(datum, small, alpha)
+        if n is not None and _sup(datum, big, alpha) > n * datum.apartment_scale:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
 
@@ -237,9 +172,6 @@ def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
     # x0 = X0 / S with X0 the sum of A_fund's rank + 1 vertices in units of 1/D
     scale = datum.apartment_scale * (datum.rank + 1)
     x0 = datum.fund_alcove_point
-    if x0 is None:
-        verts = face_vertices(datum, alcove_face(identity_aff(datum)))
-        x0 = datum.fund_alcove_point = tuple(sum(col) for col in zip(*verts))
     x1 = g.act_scaled(x0, scale)
     total = 0
     for alpha in datum.positive_roots:
@@ -252,26 +184,11 @@ def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
     return total
 
 
-def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt, _cache=None):
+def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt):
     """All reduced words of g in the alphabet I^aff (tuples over {0,...,rank})."""
-    if _cache is None:
-        _cache = {}
-    key = (g.translation.coords, g.finite.cmat)
-    if key in _cache:
-        return _cache[key]
-    lg = aff_length(datum, g)
-    if lg == 0:
-        words = ((),)
-    else:
-        words = []
-        for i in range(0, datum.rank + 1):
-            shorter = g * simple_affine_reflection(datum, i)
-            if aff_length(datum, shorter) < lg:
-                for word in enumerate_affine_reduced_words(datum, shorter, _cache):
-                    words.append(word + (i,))
-        words = tuple(sorted(set(words)))
-    _cache[key] = words
-    return words
+    return _reduced_words(g, lambda x: aff_length(datum, x),
+                          ((i, simple_affine_reflection(datum, i))
+                           for i in range(datum.rank + 1)))
 
 
 # -- fundamentalization and the minimal gallery type ---------------------------
@@ -377,21 +294,14 @@ class GalleryType:
         from mvcrystals.gallery import dimension, minimal_gallery
         return dimension(minimal_gallery(self))
 
-    def fundamental_alcove(self, j) -> Face:
-        """Gamma_j = s_{i_1}...s_{i_j}(A_fund)."""
-        return Face(self.prefixes[j], frozenset())
-
-    def fundamental_facet(self, j) -> Face:
-        """Gamma'_j = s_{i_1}...s_{i_{j-1}}(phi_{i_j}), 1 <= j <= p."""
-        return Face(self.prefixes[j - 1], frozenset({self.word[j - 1]}))
-
 
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:
     """Construct gamma_lambda for a dominant lam and a reduced word of w_lambda.
 
     The word defaults to the greedy minimal one; any reduced word of w_lambda
-    is accepted and checked (length, image, minimality, dominance of all
-    fundamental faces)."""
+    is accepted and checked (length, image, minimality, dominance of every
+    alcove Gamma_j; each facet Gamma'_j is spanned by vertices of
+    Gamma_{j-1}, so its dominance follows)."""
     minimal = minimal_word(datum, lam)
     word = minimal if word is None else tuple(word)
     lam_fund, lam_jtype, _ = fundamentalize(datum, lam)
@@ -405,13 +315,8 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         raise RootDataError(f"word {word} does not map lam_fund to {lam}")
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
-    gt = GalleryType(datum, lam, lam_fund, lam_jtype, word, tuple(prefixes))
-    # every fundamental face must sit in the closed dominant chamber
-    for j in range(gt.p + 1):
-        faces = [gt.fundamental_alcove(j)]
-        if j >= 1:
-            faces.append(gt.fundamental_facet(j))
-        for f in faces:
-            if any(_sup(datum, f, -alpha) > 0 for alpha in datum.simple_roots()):
-                raise RootDataError(f"gallery type face {j} leaves the dominant chamber")
-    return gt
+    for j, mover in enumerate(prefixes):
+        verts = face_vertices(datum, mover)
+        if any(_sup(datum, verts, -alpha) > 0 for alpha in datum.simple_roots()):
+            raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
+    return GalleryType(datum, lam, lam_fund, lam_jtype, word, tuple(prefixes))

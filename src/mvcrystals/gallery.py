@@ -2,8 +2,10 @@
 folding, dimension, and the LS-gallery crystal.
 
 A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p};
-its faces are derived: Delta_j = delta_0...delta_j(A_fund),
-Delta'_j = delta_0...delta_{j-1}(phi_{i_j}), Delta'_{p+1} the end vertex.
+its faces are derived as vertex tuples (see mvcrystals.affine):
+Delta_j = delta_0...delta_j(A_fund), Delta'_j = delta_0...delta_{j-1}(phi_{i_j})
+spanned by the vertices of Delta_{j-1} other than vertex i_j, and
+Delta'_{p+1} the end vertex.
 Root operators are implemented exactly as face surgery (reflect a window,
 translate the tail) followed by tuple recovery; the recovery checks that the
 result is again a tuple of the same type, which is a theorem, so a failing
@@ -18,11 +20,11 @@ from functools import cached_property
 from mvcrystals.affine import (
     AffineRoot,
     AffWeylElt,
-    Face,
     GalleryType,
     affine_reflection,
     build_gallery_type,
     face_level,
+    face_vertices,
     identity_aff,
     phi_plus_aff,
     simple_affine_reflection,
@@ -85,17 +87,29 @@ class Gallery:
                        if flip else out[-1])
         return tuple(out)
 
-    def alcove(self, j) -> Face:
-        return Face(self.prefixes[j], frozenset())
-
-    def facet(self, j) -> Face:
-        """Delta'_j.  j = 0 gives the origin vertex, j = p + 1 the end vertex."""
+    @cached_property
+    def alcoves(self):
+        """The vertices of Delta_j, j = 0..p, indexed like A_fund's; a fold
+        (delta_j = 1) repeats Delta_{j-1}."""
         datum = self.gtype.datum
+        out = [face_vertices(datum, self.prefixes[0])]
+        for mover, flip in zip(self.prefixes[1:], self.flips):
+            out.append(face_vertices(datum, mover) if flip else out[-1])
+        return tuple(out)
+
+    def alcove(self, j):
+        return self.alcoves[j]
+
+    def facet(self, j):
+        """The vertices of Delta'_j.  j = 0 gives the origin vertex, j = p + 1
+        the end vertex."""
         if j == 0:
-            return Face(identity_aff(datum), frozenset(range(1, datum.rank + 1)))
+            return self.gtype.datum.alcove_vertices[:1]
         if j == self.gtype.p + 1:
-            return Face(self.prefixes[-1], self.gtype.lam_jtype)
-        return Face(self.prefixes[j - 1], frozenset({self.gtype.word[j - 1]}))
+            return tuple(v for i, v in enumerate(self.alcoves[-1])
+                         if i not in self.gtype.lam_jtype)
+        verts, i = self.alcoves[j - 1], self.gtype.word[j - 1]
+        return verts[:i] + verts[i + 1:]
 
     @cached_property
     def phi_plus_counts(self):

@@ -189,15 +189,13 @@ class LoopGroup:
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
-        <omega_k, lambda> = min valuation over all k-minors of g."""
+        <omega_k, lambda> = min valuation over all k-minors of g, certified
+        by vector_val (PrecisionError when a minor's cap could undercut it)."""
         coords = []
         for k in range(1, self.n):
             subsets = list(combinations(range(self.n), k))
-            minors = [g.minor_det(rows, cols) for cols in subsets for rows in subsets]
-            known = [min(s.coeffs) for s in minors if s.coeffs]
-            if not known:
-                raise PrecisionError("all k-minors indistinguishable from zero")
-            coords.append(min(known))
+            coords.append(vector_val([g.minor_det(rows, cols)
+                                      for cols in subsets for rows in subsets]))
         lam = Coweight(tuple(coords))
         if not self.datum.is_antidominant(lam):
             raise PrecisionError(

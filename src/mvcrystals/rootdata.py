@@ -89,7 +89,7 @@ class Root:
 class Coweight:
     """An element of Lambda x_Z Q in the simple-coroot basis.
 
-    Lattice coweights have integer coordinates; face sample points are
+    Lattice coweights have integer coordinates; fundamental coweights are
     rational.  Coordinates are normalised through `Fraction` only when a
     denominator is present, so lattice vectors hash as plain int tuples.
     """
@@ -170,15 +170,8 @@ class RootDatum:
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
         self._weyl_cache = None
-        self._redword_cache = {}
         self._pairing_rows = {}  # root coords rc -> the row rc.C
         self._reflections = {}
-        # Alcove geometry of this datum, filled in by mvcrystals.affine:
-        # model-face vertices by type and transported vertices by Face, in
-        # units of 1/apartment_scale, and an integer point inside A_fund.
-        self.model_vertex_cache = {}
-        self.face_vertex_cache = {}
-        self.fund_alcove_point = None
         self._build_roots()
         self._identity = WeylElt(_identity(rank))
         self._simple_reflections = tuple(self.reflection(a) for a in self.simple_roots())
@@ -186,9 +179,16 @@ class RootDatum:
         self._fund_coweights = tuple(Coweight(tuple(_norm(cinv[j][i]) for j in range(rank)))
                                      for i in range(rank))
         # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
-        self.apartment_scale = math.lcm(*(
+        scale = self.apartment_scale = math.lcm(*(
             Fraction(a, m).denominator
             for om, m in zip(self._fund_coweights, self.marks) for a in om.coords))
+        # A_fund's vertices in units of 1/D, indexed by I^aff: vertex 0 is the
+        # origin and vertex i is D omega_i^vee / m_i; their sum is D (rank + 1)
+        # times A_fund's barycenter, an integer point inside A_fund
+        self.alcove_vertices = ((0,) * rank,) + tuple(
+            tuple(int(Fraction(a * scale, m)) for a in om.coords)
+            for om, m in zip(self._fund_coweights, self.marks))
+        self.fund_alcove_point = tuple(sum(col) for col in zip(*self.alcove_vertices))
 
     # -- construction ------------------------------------------------------
 
@@ -360,23 +360,8 @@ class RootDatum:
         return self.weyl_elements()[-1]
 
     def enumerate_reduced_words(self, w: WeylElt):
-        """All reduced words of w (tuples of 1-based indices), deduplicated."""
-        key = w.cmat
-        if key in self._redword_cache:
-            return self._redword_cache[key]
-        lw = self.weyl_length(w)
-        if lw == 0:
-            words = ((),)
-        else:
-            words = []
-            for i in range(1, self.rank + 1):
-                w2 = w * self.simple_reflection(i)
-                if self.weyl_length(w2) < lw:
-                    for word in self.enumerate_reduced_words(w2):
-                        words.append(word + (i,))
-            words = tuple(sorted(set(words)))
-        self._redword_cache[key] = words
-        return words
+        """All reduced words of w (tuples of 1-based indices), sorted."""
+        return _reduced_words(w, self.weyl_length, enumerate(self._simple_reflections, 1))
 
     def word_to_element(self, word) -> WeylElt:
         w = self.identity_elt()
@@ -392,16 +377,44 @@ class RootDatum:
             self.word_to_element(word) == self.longest_element()
 
     def reduced_word(self, w: WeylElt):
-        """One reduced word (greedy left descent, deterministic)."""
+        """One reduced word (greedy left descent, smallest letter first)."""
         word = []
-        cur = w
-        while self.weyl_length(cur) > 0:
-            for i in range(1, self.rank + 1):
-                if self.weyl_length(self.simple_reflection(i) * cur) < self.weyl_length(cur):
+        cur, lc = w, self.weyl_length(w)
+        while lc > 0:
+            for i, s in enumerate(self._simple_reflections, 1):
+                cand = s * cur
+                lcand = self.weyl_length(cand)
+                if lcand < lc:
                     word.append(i)
-                    cur = self.simple_reflection(i) * cur
+                    cur, lc = cand, lcand
                     break
         return tuple(word)
+
+
+def _reduced_words(w, length, simple):
+    """All reduced words of w, sorted, in a Coxeter group given by its length
+    function and its simple reflections as (letter, s) pairs; each element's
+    words are memoized for this call only."""
+    simple = tuple(simple)
+    memo = {}
+
+    def words(x, lx):
+        got = memo.get(x)
+        if got is None:
+            if lx == 0:
+                got = ((),)
+            else:
+                found = set()
+                for i, s in simple:
+                    y = x * s
+                    ly = length(y)
+                    if ly < lx:
+                        found.update(word + (i,) for word in words(y, ly))
+                got = tuple(sorted(found))
+            memo[x] = got
+        return got
+
+    return words(w, length(w))
 
 
 def _rat_inverse(m):

@@ -7,16 +7,10 @@ import pytest
 
 from mvcrystals.affine import (
     AffineRoot,
-    Face,
-    IN_WALL,
-    STRICTLY_MINUS,
-    STRICTLY_PLUS,
     aff_length,
-    alcove_face,
     build_gallery_type,
     enumerate_affine_reduced_words,
     face_level,
-    face_sample_point,
     face_sup,
     face_vertices,
     fundamentalize,
@@ -25,9 +19,8 @@ from mvcrystals.affine import (
     phi_plus_aff,
     simple_affine_reflection,
     translation,
-    wall_relation,
 )
-from mvcrystals.gallery import enumerate_ls
+from mvcrystals.gallery import enumerate_ls, minimal_gallery
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 
 A1 = build_root_datum("A", 1)
@@ -37,7 +30,7 @@ B2 = build_root_datum("B", 2)
 
 def vertex_face(datum):
     # phi_I = {0}
-    return Face(identity_aff(datum), frozenset(range(1, datum.rank + 1)))
+    return face_vertices(datum, identity_aff(datum), frozenset(range(1, datum.rank + 1)))
 
 
 def test_aff_act_point_examples():
@@ -92,50 +85,13 @@ def test_simple_affine_reflection_s0():
             assert (s * s).is_identity
 
 
-def test_face_sample_points():
-    f = alcove_face(identity_aff(A1))
-    assert face_sample_point(A1, f) == (Fraction(1, 4),)
-    assert face_sample_point(A1, vertex_face(A1)) == (0,)
-    f0 = Face(identity_aff(A1), frozenset({0}))
-    assert face_sample_point(A1, f0) == (Fraction(1, 2),)
-
-
-def test_wall_relation_examples():
-    alpha = A1.simple_root(1)
-    assert wall_relation(A1, vertex_face(A1), AffineRoot(alpha, 0)) == IN_WALL
-    fund = alcove_face(identity_aff(A1))
-    assert wall_relation(A1, fund, AffineRoot(alpha, 0)) == STRICTLY_PLUS
-    assert wall_relation(A1, fund, AffineRoot(alpha, 1)) == STRICTLY_MINUS
-    a1 = A2.simple_root(1)
-    assert wall_relation(A2, alcove_face(identity_aff(A2)), AffineRoot(a1, 0)) == \
-        STRICTLY_PLUS
-
-
-def test_wall_relation_equivariance():
-    rng = random.Random(3)
-    datum = A2
-    gens = [simple_affine_reflection(datum, i) for i in range(0, 3)]
-    faces = [alcove_face(identity_aff(datum)), vertex_face(datum),
-             Face(identity_aff(datum), frozenset({1})),
-             Face(identity_aff(datum), frozenset({0, 2}))]
-    for _ in range(60):
-        g = identity_aff(datum)
-        for _ in range(rng.randint(0, 4)):
-            g = g * rng.choice(gens)
-        face = rng.choice(faces)
-        beta = AffineRoot(rng.choice(datum.positive_roots), rng.randint(-2, 2))
-        moved = Face(g * face.mover, face.jtype)
-        assert wall_relation(datum, face, beta) == \
-            wall_relation(datum, moved, g.act_affine_root(datum, beta))
-
-
 def test_phi_plus_aff_examples():
     for datum in (A1, A2, B2):
-        got = phi_plus_aff(datum, vertex_face(datum), alcove_face(identity_aff(datum)))
+        got = phi_plus_aff(datum, vertex_face(datum), datum.alcove_vertices)
         assert set(got) == {AffineRoot(rt, 0) for rt in datum.positive_roots}
     # (phi_{0} in A1, A_fund) -> empty: A_fund below H_{alpha,1}
-    f0 = Face(identity_aff(A1), frozenset({0}))
-    assert phi_plus_aff(A1, f0, alcove_face(identity_aff(A1))) == ()
+    f0 = face_vertices(A1, identity_aff(A1), frozenset({0}))
+    assert phi_plus_aff(A1, f0, A1.alcove_vertices) == ()
 
 
 def test_fundamentalize():
@@ -185,8 +141,9 @@ def test_build_gamma_lambda_a1():
     gt = build_gallery_type(A1, lam, word=(0,))
     assert gt.p == 1
     # Gamma_0 = A_fund, Gamma'_1 = phi_{0}, Gamma_1 = s0(A_fund)
-    assert gt.fundamental_alcove(0).mover.is_identity
-    assert gt.fundamental_facet(1).jtype == frozenset({0})
+    gamma = minimal_gallery(gt)
+    assert gamma.alcove(0) == A1.alcove_vertices
+    assert gamma.facet(1) == face_vertices(A1, identity_aff(A1), frozenset({0}))
     assert gt.prefixes[1] == simple_affine_reflection(A1, 0)
     assert gt.prefixes[1].act_coweight(gt.lam_fund) == lam
 
@@ -207,11 +164,11 @@ def test_build_gamma_lambda_rejects_bad_words():
 def test_gamma_lambda_faces_dominant():
     for datum, lam in [(A2, Coweight((1, 1))), (A2, Coweight((2, 1))),
                        (B2, Coweight((1, 1)))]:
-        gt = build_gallery_type(datum, lam)
-        for j in range(1, gt.p + 1):
-            x = face_sample_point(datum, gt.fundamental_facet(j))
+        gamma = minimal_gallery(build_gallery_type(datum, lam))
+        faces = [gamma.facet(j) for j in range(gamma.gtype.p + 2)] + list(gamma.alcoves)
+        for verts in faces:
             for i in range(1, datum.rank + 1):
-                assert datum.pairing_coords(datum.simple_root(i).coords, x) >= 0
+                assert face_sup(datum, verts, -datum.simple_root(i)) <= 0
 
 
 def test_affine_reduced_words_enumeration():
@@ -240,41 +197,45 @@ SUPPORTED = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4
              ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
 
 
-def ref_vertices(datum, face):
-    """The transported qualifying vertices as exact rationals: 0 when 0 is
-    not in J, and omega_i^vee / m_i for finite i not in J."""
+def ref_vertices(datum, mover, jtype=frozenset()):
+    """The vertices of mover(phi_J) as exact rationals: 0 when 0 is not in J,
+    and omega_i^vee / m_i for finite i not in J, transported by mover."""
     verts = []
-    if 0 not in face.jtype:
+    if 0 not in jtype:
         verts.append((0,) * datum.rank)
     for i in range(1, datum.rank + 1):
-        if i not in face.jtype:
+        if i not in jtype:
             m = datum.marks[i - 1]
             verts.append(tuple(Fraction(a) / m for a in datum.fundamental_coweight(i).coords))
-    return [face.mover.act_point(v) for v in verts]
+    return [mover.act_point(v) for v in verts]
 
 
-def ref_face_sup(datum, face, alpha):
-    return max(datum.pairing_coords(alpha.coords, v) for v in ref_vertices(datum, face))
+def ref_face_sup(datum, verts, alpha):
+    return max(datum.pairing_coords(alpha.coords, v) for v in verts)
 
 
-def ref_face_level(datum, face, alpha):
-    values = {datum.pairing_coords(alpha.coords, v) for v in ref_vertices(datum, face)}
+def ref_face_level(datum, verts, alpha):
+    values = {datum.pairing_coords(alpha.coords, v) for v in verts}
     if len(values) == 1 and isinstance(min(values), int):
         return min(values)
     return None
 
 
-def ref_phi_plus_aff(datum, face_small, face_big):
+def ref_phi_plus_aff(datum, small, big):
     out = []
     for alpha in datum.positive_roots:
-        n = ref_face_level(datum, face_small, alpha)
-        if n is not None and ref_face_sup(datum, face_big, alpha) > n:
+        n = ref_face_level(datum, small, alpha)
+        if n is not None and ref_face_sup(datum, big, alpha) > n:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
 
 
+def unscaled(datum, verts):
+    return [tuple(Fraction(x, datum.apartment_scale) for x in v) for v in verts]
+
+
 def ref_aff_length(datum, g):
-    verts = ref_vertices(datum, alcove_face(identity_aff(datum)))
+    verts = ref_vertices(datum, identity_aff(datum))
     x0 = tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
     x1 = g.act_point(x0)
     total = 0
@@ -297,21 +258,23 @@ def test_every_face_type_is_integral_and_matches_rational_reference(series, rank
     # vertex types included: omega_i^vee / m_i pairs non-integrally with
     # some root whenever m_i > 1, which no LS gallery face below reaches
     datum = build_root_datum(series, rank)
-    d = datum.apartment_scale
+    assert unscaled(datum, datum.alcove_vertices) == ref_vertices(datum, identity_aff(datum))
     roots = datum.positive_roots + tuple(-a for a in datum.positive_roots)
     rng = random.Random(rank * 31 + ord(series))
     movers = [identity_aff(datum), random_aff(datum, rng, 8)]
     for size in range(rank + 1):
         for jtype in combinations(range(rank + 1), size):
             for mover in movers:
-                face = Face(mover, frozenset(jtype))
-                verts = face_vertices(datum, face)
+                # a face's vertices are those of its alcove outside J
+                verts = face_vertices(datum, mover, frozenset(jtype))
+                assert verts == tuple(v for i, v in enumerate(face_vertices(datum, mover))
+                                      if i not in jtype)
                 assert all(type(x) is int for v in verts for x in v)
-                assert [tuple(Fraction(x, d) for x in v) for v in verts] == \
-                    ref_vertices(datum, face)
+                ref = ref_vertices(datum, mover, jtype)
+                assert unscaled(datum, verts) == ref
                 for alpha in roots:
-                    assert face_level(datum, face, alpha) == ref_face_level(datum, face, alpha)
-                    assert face_sup(datum, face, alpha) == ref_face_sup(datum, face, alpha)
+                    assert face_level(datum, verts, alpha) == ref_face_level(datum, ref, alpha)
+                    assert face_sup(datum, verts, alpha) == ref_face_sup(datum, ref, alpha)
 
 
 LS_CASES = [("A", 2, (2, 2)), ("B", 2, (2, 1)), ("C", 3, (1, 1, 1)),
@@ -325,24 +288,21 @@ def test_integer_geometry_matches_rational_reference(series, rank, lam):
     roots = datum.positive_roots + tuple(-a for a in datum.positive_roots)
     graph = enumerate_ls(build_gallery_type(datum, Coweight(lam)))
     for g in graph.nodes:
-        p = g.gtype.p
-        faces = [g.facet(j) for j in range(p + 2)] + [g.alcove(j) for j in range(p + 1)]
-        for face in faces:
-            verts = ref_vertices(datum, face)
-            assert face_sample_point(datum, face) == \
-                tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
+        p, word, P = g.gtype.p, g.gtype.word, g.prefixes
+        facets = [ref_vertices(datum, identity_aff(datum), range(1, rank + 1))] + \
+            [ref_vertices(datum, P[j - 1], {word[j - 1]}) for j in range(1, p + 1)] + \
+            [ref_vertices(datum, P[p], g.gtype.lam_jtype)]
+        alcoves = [ref_vertices(datum, P[j]) for j in range(p + 1)]
+        pairs = [(g.facet(j), ref) for j, ref in enumerate(facets)] + \
+            [(g.alcove(j), ref) for j, ref in enumerate(alcoves)]
+        for verts, ref in pairs:
+            assert unscaled(datum, verts) == ref
             for alpha in roots:
-                level = ref_face_level(datum, face, alpha)
-                sup = ref_face_sup(datum, face, alpha)
-                assert face_level(datum, face, alpha) == level
-                assert face_sup(datum, face, alpha) == sup
-                for n in range(math.floor(sup) - 2, math.floor(sup) + 2):
-                    want = IN_WALL if level == n else STRICTLY_MINUS if sup <= n \
-                        else STRICTLY_PLUS
-                    assert wall_relation(datum, face, AffineRoot(alpha, n)) == want
+                assert face_level(datum, verts, alpha) == ref_face_level(datum, ref, alpha)
+                assert face_sup(datum, verts, alpha) == ref_face_sup(datum, ref, alpha)
         for j in range(p + 1):
             assert phi_plus_aff(datum, g.facet(j), g.alcove(j)) == \
-                ref_phi_plus_aff(datum, g.facet(j), g.alcove(j))
+                ref_phi_plus_aff(datum, facets[j], alcoves[j])
 
 
 @pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])

@@ -28,7 +28,7 @@ from mvcrystals.gallery import (
     root_e,
     root_f,
 )
-from mvcrystals.rootdata import Coweight, build_root_datum
+from mvcrystals.rootdata import Coweight, RootDatum, build_root_datum
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -162,6 +162,20 @@ def test_is_ls_evaluates_each_fold_once(monkeypatch, datum, lam):
         calls.clear()
         is_ls(g)
         assert len(calls) == gtype.p + 1
+
+
+def test_enumeration_adds_no_state_to_the_datum():
+    # the galleries own their faces: a larger crystal leaves the datum as it was
+    datum = RootDatum("A", 2)
+
+    def size():
+        return sum(len(v) for v in vars(datum).values()
+                   if isinstance(v, (dict, list, set, tuple)))
+
+    enumerate_ls(build_gallery_type(datum, Coweight((1, 1))))
+    small = size()
+    enumerate_ls(build_gallery_type(datum, Coweight((3, 3))))
+    assert size() == small
 
 
 def test_is_ls_exhaustive_a1(a1_type):

@@ -345,6 +345,14 @@ def test_mu_examples_sl2():
     assert G1.mu_minus(g2) == Coweight((0,))
 
 
+def test_orbit_coweight_certifies_its_minimum():
+    # the entry O(t^-1) may hide a valuation below the known minimum 0
+    one = LaurentSeries.one()
+    g = LaurentMatrix([[one, LaurentSeries({}, cap=-1)], [LaurentSeries.zero(), one]])
+    with pytest.raises(PrecisionError):
+        G1.orbit_coweight(g)
+
+
 def test_orbit_of_generic_o_matrix():
     rng = random.Random(9)
     g = LaurentMatrix.identity(3)

@@ -199,16 +199,30 @@ ALL_DATA = [build_root_datum(series, rank) for series, rank in (
     ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2))]
 
 
-def ref_rmat(datum, w):
-    """w on simple-root coordinates: s_i(alpha_j) = alpha_j - C[j][i] alpha_i,
-    multiplied along reduced_word(w)."""
+def ref_rmat(datum, word):
+    """The element with this word on simple-root coordinates:
+    s_i(alpha_j) = alpha_j - C[j][i] alpha_i, multiplied along the word."""
     r = datum.rank
     m = [[int(a == b) for b in range(r)] for a in range(r)]
-    for i in datum.reduced_word(w):
+    for i in word:
         s = [[int(a == b) - int(a == i - 1) * datum.cartan[b][i - 1] for b in range(r)]
              for a in range(r)]
         m = [[sum(m[a][k] * s[k][b] for k in range(r)) for b in range(r)] for a in range(r)]
     return m
+
+
+def ref_reduced_word(datum, w):
+    """Greedy left descent, smallest letter first, by the descent test
+    l(s_i w) < l(w) iff <alpha_i, w(rho^vee)> < 0."""
+    word = []
+    while True:
+        x = w.act_coweight(datum.rho_coweight())
+        i = next((i for i in range(1, datum.rank + 1)
+                  if datum.pairing(datum.simple_root(i), x) < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        w = datum.simple_reflection(i) * w
 
 
 @pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
@@ -227,7 +241,11 @@ def test_root_action_and_length_match_the_root_matrix_oracle(datum):
     assert list(datum.weyl_elements()) == sorted(depth, key=lambda w: (depth[w], w.cmat))
     roots = datum.positive_roots + tuple(-rt for rt in datum.positive_roots)
     for w in datum.weyl_elements():
-        m = ref_rmat(datum, w)
+        # reduced_word is pinned to the greedy word; the checks below need it
+        # to be a word of w
+        word = datum.reduced_word(w)
+        assert word == ref_reduced_word(datum, w) and len(word) == depth[w]
+        m = ref_rmat(datum, word)
         inverted = 0
         for rt in roots:
             image = Root(tuple(sum(a * b for a, b in zip(row, rt.coords)) for row in m))
