@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
     _reduced_words
@@ -52,9 +53,6 @@ class AffineRoot:
     root: Root
     level: int
 
-    def __neg__(self):
-        return AffineRoot(-self.root, -self.level)
-
 
 @dataclass(frozen=True)
 class AffWeylElt:
@@ -64,9 +62,11 @@ class AffWeylElt:
     finite: WeylElt
 
     def __mul__(self, other):
-        # (mu, w)(nu, v) = (mu + w(nu), wv)
-        return AffWeylElt(self.translation + self.finite.act_coweight(other.translation),
-                          self.finite * other.finite)
+        # (mu, w)(nu, v) = (mu + w(nu), wv); nu = 0 for every s_i with i >= 1
+        mu = self.translation
+        if any(other.translation.coords):
+            mu = mu + self.finite.act_coweight(other.translation)
+        return AffWeylElt(mu, self.finite * other.finite)
 
     def act_point(self, coords):
         moved = self.finite.act_point(coords)
@@ -74,8 +74,8 @@ class AffWeylElt:
 
     def act_scaled(self, coords, scale: int):
         """The action on a point given as integer coordinates in units of 1/scale."""
-        moved = self.finite.act_point(coords)
-        return tuple(a + scale * b for a, b in zip(moved, self.translation.coords))
+        return tuple(sum(map(mul, row, coords)) + scale * b
+                     for row, b in zip(self.finite.cmat, self.translation.coords))
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(self.act_point(v.coords))
@@ -109,10 +109,15 @@ def affine_reflection(datum: RootDatum, beta: AffineRoot) -> AffWeylElt:
 
 
 def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
-    """s_i for i in I^aff; i = 0 is the reflection in H_{theta,1}."""
-    if i == 0:
-        return affine_reflection(datum, AffineRoot(datum.highest_root, 1))
-    return AffWeylElt(datum.zero_coweight(), datum.simple_reflection(i))
+    """s_i for i in I^aff; s_0 = (theta^vee, s_theta) is the reflection in
+    H_{theta,1}.  The rank + 1 of them are built once per datum."""
+    if not 0 <= i <= datum.rank:
+        raise RootDataError(f"affine node {i} out of range for {datum.series}{datum.rank}")
+    if datum.affine_reflections is None:
+        theta, zero = datum.coroot_of(datum.highest_root), datum.zero_coweight()
+        datum.affine_reflections = tuple(AffWeylElt(zero if g else theta, s)
+                                         for g, s in enumerate(datum.generators()))
+    return datum.affine_reflections[i]
 
 
 # -- faces -------------------------------------------------------------------
@@ -131,7 +136,8 @@ def face_vertices(datum: RootDatum, mover: AffWeylElt, jtype=frozenset()):
 
 def _sup(datum: RootDatum, verts, alpha: Root) -> int:
     """D f_F(alpha): the largest vertex value of alpha, in units of 1/D."""
-    return max(datum.pairing_coords(alpha.coords, v) for v in verts)
+    row = datum.pairing_row(alpha.coords)
+    return max(sum(map(mul, row, v)) for v in verts)
 
 
 def face_sup(datum: RootDatum, verts, alpha: Root):
@@ -142,11 +148,12 @@ def face_sup(datum: RootDatum, verts, alpha: Root):
 def face_level(datum: RootDatum, verts, alpha: Root):
     """The integer n with the face inside the wall H_{alpha, n}, or None when
     it lies in no wall of alpha (its vertex values differ or are not integral)."""
-    n = datum.pairing_coords(alpha.coords, verts[0])
+    row = datum.pairing_row(alpha.coords)
+    n = sum(map(mul, row, verts[0]))
     if n % datum.apartment_scale:
         return None
     for v in verts[1:]:
-        if datum.pairing_coords(alpha.coords, v) != n:
+        if sum(map(mul, row, v)) != n:
             return None
     return n // datum.apartment_scale
 
@@ -175,9 +182,8 @@ def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
     x1 = g.act_scaled(x0, scale)
     total = 0
     for alpha in datum.positive_roots:
-        a = datum.pairing_coords(alpha.coords, x0)
-        b = datum.pairing_coords(alpha.coords, x1)
-        lo, hi = (a, b) if a <= b else (b, a)
+        row = datum.pairing_row(alpha.coords)
+        lo, hi = sorted((sum(map(mul, row, x0)), sum(map(mul, row, x1))))
         # integers strictly between lo/S and hi/S, floor + 1 .. ceil - 1;
         # alcove interiors avoid walls
         total += max(0, -(-hi // scale) - lo // scale - 1)
@@ -202,34 +208,25 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
     the initial wall-distance."""
     x = tuple(lam.coords)
     g = identity_aff(datum)
-    theta = datum.highest_root
+    walls = [(1, -1, datum.highest_root)] + [(0, 1, a) for a in datum.simple_roots()]
+
+    def side(i):
+        """x's signed value on the wall of s_i, i in I^aff: negative beyond it."""
+        const, sign, alpha = walls[i]
+        return const + sign * datum.pairing_coords(alpha.coords, x)
+
     # bound: each reflection strictly reduces the number of separating walls
     bound = int(2 * sum(abs(datum.pairing(a, lam)) for a in datum.positive_roots)
                 + 2 * datum.rank + 4)
     for _ in range(bound):
-        moved = False
-        for i in range(0, datum.rank + 1):
-            if i == 0:
-                violated = datum.pairing_coords(theta.coords, x) > 1
-            else:
-                violated = datum.pairing_coords(datum.simple_root(i).coords, x) < 0
-            if violated:
-                s = simple_affine_reflection(datum, i)
-                x = s.act_point(x)
-                g = g * s
-                moved = True
-                break
-        if not moved:
+        i = next((i for i in range(datum.rank + 1) if side(i) < 0), None)
+        if i is None:
             break
+        s = simple_affine_reflection(datum, i)
+        x, g = s.act_point(x), g * s
     else:
         raise RuntimeError("fundamentalize did not terminate within its wall bound")
-    jtype = set()
-    for i in range(1, datum.rank + 1):
-        if datum.pairing_coords(datum.simple_root(i).coords, x) == 0:
-            jtype.add(i)
-    if datum.pairing_coords(theta.coords, x) == 1:
-        jtype.add(0)
-    return Coweight(x), frozenset(jtype), g
+    return Coweight(x), frozenset(i for i in range(datum.rank + 1) if side(i) == 0), g
 
 
 def minimal_word(datum: RootDatum, lam: Coweight):
@@ -238,28 +235,22 @@ def minimal_word(datum: RootDatum, lam: Coweight):
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
     lam_fund, jtype, g = fundamentalize(datum, lam)
-    lg = aff_length(datum, g)
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(jtype):
-            cand = g * simple_affine_reflection(datum, j)
-            lc = aff_length(datum, cand)
-            if lc < lg:
-                g, lg = cand, lc
-                changed = True
-                break
-    word = []
+    refl = [simple_affine_reflection(datum, i) for i in range(datum.rank + 1)]
+
+    def descent(lg, cands):
+        """The first (i, x, l(x)) among the candidates (i, x) with l(x) < lg."""
+        return next(((i, x, lx) for i, x in cands if (lx := aff_length(datum, x)) < lg), None)
+
+    lg, word = aff_length(datum, g), []
+    # right descents in W_J first give the minimal coset representative
+    while step := descent(lg, ((j, g * refl[j]) for j in sorted(jtype))):
+        _, g, lg = step
     while lg > 0:
-        for i in range(0, datum.rank + 1):
-            cand = simple_affine_reflection(datum, i) * g
-            lc = aff_length(datum, cand)
-            if lc < lg:
-                word.append(i)
-                g, lg = cand, lc
-                break
-        else:
+        step = descent(lg, ((i, s * g) for i, s in enumerate(refl)))
+        if step is None:
             raise RuntimeError("no left descent found; length function broken")
+        i, g, lg = step
+        word.append(i)
     word = tuple(word)
     w = identity_aff(datum)
     for i in word:

@@ -10,6 +10,7 @@ model; the two agreeing is an acceptance criterion, not a tautology.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -169,7 +170,9 @@ def character(graph: CrystalGraph) -> Counter:
 # -- Freudenthal on the Langlands-dual side -------------------------------------
 
 def _dual_form(datum: RootDatum):
-    """Symmetric W-invariant form on the coweight space, coroot basis.
+    """Symmetric W-invariant form on the coweight space, coroot basis, as its
+    least integer multiple (the Weyl dimension and Freudenthal read only
+    ratios of its values), and 2 rho^vee, the sum of the positive coroots.
 
     B[i][j] = (alpha_i^vee, alpha_j^vee) with 2 B[j][i] / B[j][j] = C[j][i],
     so the dual system's Cartan pairings come out of the form."""
@@ -188,12 +191,11 @@ def _dual_form(datum: RootDatum):
                         changed = True
     if any(x is None for x in e):
         raise CrystalError("Dynkin diagram not connected")
-    b = [[e[j] * datum.cartan[j][i] for i in range(r)] for j in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if b[i][j] != b[j][i]:
-                raise CrystalError("dual form failed to symmetrize")
-    return b
+    k = math.lcm(*(x.denominator for x in e))
+    b = [[int(e[j] * k) * datum.cartan[j][i] for i in range(r)] for j in range(r)]
+    if any(b[i][j] != b[j][i] for i in range(r) for j in range(r)):
+        raise CrystalError("dual form failed to symmetrize")
+    return b, tuple(map(sum, zip(*(co.coords for co in datum.positive_coroots))))
 
 
 def _form_value(bmat, x, y):
@@ -205,16 +207,15 @@ def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
     """Dimension of the dual-group irreducible with highest weight lam."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
-    bmat = _dual_form(datum)
-    rho = datum.rho_coweight()
-    num = Fraction(1)
-    den = Fraction(1)
+    bmat, two_rho = _dual_form(datum)
+    lam_rho = [2 * a + b for a, b in zip(lam.coords, two_rho)]  # 2 (lam + rho^vee)
+    num = den = 1
     for co in datum.positive_coroots:
-        num *= _form_value(bmat, (lam + rho).coords, co.coords)
-        den *= _form_value(bmat, rho.coords, co.coords)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise CrystalError(f"Weyl dimension of {lam} came out as {d}")
+        num *= _form_value(bmat, lam_rho, co.coords)
+        den *= _form_value(bmat, two_rho, co.coords)
+    d, rem = divmod(num, den)
+    if rem or d <= 0:
+        raise CrystalError(f"Weyl dimension of {lam} came out as {Fraction(num, den)}")
     return int(d)
 
 
@@ -227,8 +228,7 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
         raise RootDataError(f"{lam} is not dominant")
     if not lam.is_integral():
         raise RootDataError(f"{lam} is not in the coroot lattice")
-    bmat = _dual_form(datum)
-    rho = datum.rho_coweight()
+    bmat, two_rho = _dual_form(datum)
     w0 = datum.longest_element()
     box = (lam - w0.act_coweight(lam)).coords
     dominants = []
@@ -247,13 +247,11 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
     def lookup(x: Coweight) -> int:
         return mult.get(datum.dominant_conjugate(x), 0)
 
-    c_lam = _form_value(bmat, (lam + rho).coords, (lam + rho).coords)
     for mu in dominants:
         if mu == lam:
             mult[mu] = 1
             continue
-        c_mu = _form_value(bmat, (mu + rho).coords, (mu + rho).coords)
-        acc = Fraction(0)
+        acc = 0
         for co in datum.positive_coroots:
             k = 1
             while True:
@@ -266,14 +264,16 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
                 if m:
                     acc += m * _form_value(bmat, x.coords, co.coords)
                 k += 1
-        denom = c_lam - c_mu
+        # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho^vee)
+        denom = _form_value(bmat, (lam - mu).coords,
+                            [a + b + c for a, b, c in zip(lam.coords, mu.coords, two_rho)])
         if denom == 0:
             raise CrystalError("Freudenthal denominator vanished")
-        val = 2 * acc / denom
-        if val.denominator != 1 or val < 0:
-            raise CrystalError(f"Freudenthal multiplicity of {mu} came out as {val}")
+        val, rem = divmod(2 * acc, denom)
+        if rem or val < 0:
+            raise CrystalError(f"Freudenthal multiplicity of {mu} came out as {2 * acc}/{denom}")
         if val:
-            mult[mu] = int(val)
+            mult[mu] = val
     out = Counter()
     for mu, m in mult.items():
         orbit = {mu}

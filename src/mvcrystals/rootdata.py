@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 __all__ = [
@@ -33,13 +33,7 @@ class RootDataError(ValueError):
 # Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, 0-based storage.
 def _cartan_matrix(series, rank):
     if series == "A" and 1 <= rank <= 4:
-        c = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            c[i][i] = 2
-            if i + 1 < rank:
-                c[i][i + 1] = -1
-                c[i + 1][i] = -1
-        return c
+        return [[2 if i == j else -int(abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
     if series == "B" and 2 <= rank <= 4:
         c = _cartan_matrix("A", rank)
         # last simple root short: <alpha_{r-1}, alpha_r^vee> = -2
@@ -51,8 +45,7 @@ def _cartan_matrix(series, rank):
         return c
     if series == "D" and rank == 4:
         # node 2 central (1-based), edges 1-2, 2-3, 2-4
-        c = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-        return c
+        return [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     if series == "G" and rank == 2:
         # alpha_1 short, alpha_2 long; theta = 3*alpha_1 + 2*alpha_2
         return [[2, -1], [-3, 2]]
@@ -109,8 +102,7 @@ class Coweight:
         return Coweight(tuple(_norm(k * a) for a in self.coords))
 
     def is_integral(self):
-        return all(isinstance(a, int) or (isinstance(a, Fraction) and a.denominator == 1)
-                   for a in self.coords)
+        return all(type(_norm(a)) is int for a in self.coords)
 
     def normalized(self):
         return Coweight(tuple(_norm(a) for a in self.coords))
@@ -118,44 +110,55 @@ class Coweight:
 
 def _norm(a):
     """Collapse integral Fractions to int so equal vectors hash equal."""
-    if type(a) is Fraction and a.denominator == 1:
-        return int(a)
-    return a
-
-
-def _matvec(m, v):
-    return tuple(_norm(sum(map(mul, row, v))) for row in m)
-
-
-def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return int(a) if type(a) is Fraction and a.denominator == 1 else a
 
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class WeylElt:
-    """Finite Weyl group element: its integer matrix on the simple-coroot
-    basis, acting on coweight coordinates.  Roots act through the datum
-    (`RootDatum.act_root`)."""
+def _reflect(x, row, co):
+    """x - <alpha, x> alpha^vee, alpha given by its pairing row and coroot co."""
+    p = sum(map(mul, row, x))
+    return tuple([a - p * c for a, c in zip(x, co)]) if p else x
 
-    cmat: tuple
+
+class WeylElt:
+    """Finite Weyl group element, built once per datum by
+    `RootDatum.weyl_elements`, so equal elements are the same object.  It
+    keeps its integer matrix on the simple-coroot basis (cmat, acting on
+    coweight coordinates), its index in W, a shortest word (so its length)
+    and its products with the generators s_theta, s_1, ..., s_rank, left and
+    right, indexed like I^aff.  Roots act through `RootDatum.act_root`."""
+
+    __slots__ = ("cmat", "index", "word", "length", "gen", "_left", "_right")
+
+    def __init__(self, cmat, index, word, gen):
+        self.cmat, self.index, self.word, self.length = cmat, index, word, len(word)
+        self.gen = gen  # this element's column in the tables, if it is a generator
+
+    def __hash__(self):
+        return self.index
+
+    def __repr__(self):
+        return f"WeylElt(cmat={self.cmat!r})"
 
     def __mul__(self, other):
-        return WeylElt(_matmul(self.cmat, other.cmat))
+        if other.gen is not None:
+            return self._right[other.gen]
+        if self.gen is not None:
+            return other._left[self.gen]
+        return reduce(lambda w, i: w._right[i], other.word, self)
 
     def act_coweight(self, v: Coweight) -> Coweight:
-        return Coweight(_matvec(self.cmat, v.coords))
+        return Coweight(self.act_point(v.coords))
 
     def act_point(self, coords: tuple) -> tuple:
-        return _matvec(self.cmat, coords)
+        return tuple(_norm(sum(map(mul, row, coords))) for row in self.cmat)
 
     @property
     def is_identity(self):
-        return self.cmat == _identity(len(self.cmat))
+        return not self.length
 
 
 class RootDatum:
@@ -166,15 +169,14 @@ class RootDatum:
     """
 
     def __init__(self, series, rank):
-        self.series = series
-        self.rank = rank
+        self.series, self.rank = series, rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
-        self._weyl_cache = None
+        self._weyl = None  # (W numbered, its generators, each root's reflection)
+        self.affine_reflections = None  # s_0, ..., s_rank, set by mvcrystals.affine
         self._pairing_rows = {}  # root coords rc -> the row rc.C
-        self._reflections = {}
+        self._simple_roots = tuple(Root(row) for row in _identity(rank))
+        self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
         self._build_roots()
-        self._identity = WeylElt(_identity(rank))
-        self._simple_reflections = tuple(self.reflection(a) for a in self.simple_roots())
         cinv = _rat_inverse(self.cartan)
         self._fund_coweights = tuple(Coweight(tuple(_norm(cinv[j][i]) for j in range(rank)))
                                      for i in range(rank))
@@ -193,23 +195,19 @@ class RootDatum:
     # -- construction ------------------------------------------------------
 
     def _build_roots(self):
-        simples = [(self.simple_root(i), self.simple_coroot(i)) for i in range(1, self.rank + 1)]
+        simples = list(zip(self._simple_roots, self._simple_coroots))
         seen = dict(simples)
-        frontier = simples
-        while frontier:
-            nxt = []
-            for rt, co in frontier:
-                for a, av in simples:
-                    # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and
-                    # s_i(x) = x - <alpha_i, x> alpha_i^vee on coroots
-                    rt2 = rt - a.scale(self.pairing(rt, av))
-                    co2 = co - av.scale(self.pairing(a, co))
-                    if rt2 not in seen:
-                        seen[rt2] = co2
-                        nxt.append((rt2, co2))
-                    elif seen[rt2] != co2:
-                        raise RootDataError("root/coroot matching broke")
-            frontier = nxt
+        for rt, co in (todo := list(simples)):  # todo grows until closed
+            for a, av in simples:
+                # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and
+                # s_i(x) = x - <alpha_i, x> alpha_i^vee on coroots
+                rt2 = rt - a.scale(self.pairing(rt, av))
+                co2 = co - av.scale(self.pairing(a, co))
+                if rt2 not in seen:
+                    seen[rt2] = co2
+                    todo.append((rt2, co2))
+                elif seen[rt2] != co2:
+                    raise RootDataError("root/coroot matching broke")
         pos = sorted((rt for rt in seen if rt.is_positive),
                      key=lambda rt: (rt.height(), rt.coords))
         if len(seen) != 2 * len(pos):
@@ -229,17 +227,23 @@ class RootDatum:
 
     # -- basic vectors ------------------------------------------------------
 
+    def _node(self, i, what):
+        """The 0-based position of the finite node i, which must be 1..rank."""
+        if not 1 <= i <= self.rank:
+            raise RootDataError(f"{what} index {i} out of range for {self.series}{self.rank}")
+        return i - 1
+
     def simple_root(self, i) -> Root:
-        return Root(tuple(int(i - 1 == j) for j in range(self.rank)))
+        return self._simple_roots[self._node(i, "simple root")]
 
     def simple_coroot(self, i) -> Coweight:
-        return Coweight(tuple(int(i - 1 == j) for j in range(self.rank)))
+        return self._simple_coroots[self._node(i, "simple coroot")]
 
     def simple_roots(self):
-        return tuple(self.simple_root(i) for i in range(1, self.rank + 1))
+        return self._simple_roots
 
     def simple_coroots(self):
-        return tuple(self.simple_coroot(i) for i in range(1, self.rank + 1))
+        return self._simple_coroots
 
     def zero_coweight(self):
         return Coweight((0,) * self.rank)
@@ -249,7 +253,7 @@ class RootDatum:
 
     def fundamental_coweight(self, i) -> Coweight:
         """omega_i^vee with <alpha_j, omega_i^vee> = delta_ij; rational in general."""
-        return self._fund_coweights[i - 1]
+        return self._fund_coweights[self._node(i, "fundamental coweight")]
 
     def rho_coweight(self) -> Coweight:
         return sum(self._fund_coweights, self.zero_coweight()).normalized()
@@ -263,7 +267,8 @@ class RootDatum:
                             f"({type(root).__name__}, {type(coweight).__name__})")
         return self.pairing_coords(root.coords, coweight.coords)
 
-    def pairing_coords(self, rc, vc):
+    def pairing_row(self, rc):
+        """The row rc.C, so that <root, x> = row . x for root coordinates rc."""
         row = self._pairing_rows.get(rc)
         if row is None:
             if len(rc) != self.rank:
@@ -271,6 +276,10 @@ class RootDatum:
             row = tuple(sum(rc[i] * self.cartan[i][j] for i in range(self.rank))
                         for j in range(self.rank))
             self._pairing_rows[rc] = row
+        return row
+
+    def pairing_coords(self, rc, vc):
+        row = self.pairing_row(rc)
         if len(vc) != self.rank:
             raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank}")
         return _norm(sum(map(mul, row, vc)))
@@ -287,87 +296,100 @@ class RootDatum:
         return d.is_integral() and all(a >= 0 for a in d.coords)
 
     def is_dominant(self, v: Coweight) -> bool:
-        return all(self.pairing(self.simple_root(i), v) >= 0
-                   for i in range(1, self.rank + 1))
+        return all(self.pairing(a, v) >= 0 for a in self._simple_roots)
 
     def is_antidominant(self, v: Coweight) -> bool:
-        return all(self.pairing(self.simple_root(i), v) <= 0
-                   for i in range(1, self.rank + 1))
+        return all(self.pairing(a, v) <= 0 for a in self._simple_roots)
 
     def dominant_conjugate(self, v: Coweight) -> Coweight:
-        x = v
-        guard = 0
-        while not self.is_dominant(x):
-            for i in range(1, self.rank + 1):
-                if self.pairing(self.simple_root(i), x) < 0:
-                    x = self.simple_reflection(i).act_coweight(x)
-                    break
-            guard += 1
-            if guard > 10000:
-                raise RootDataError("dominant conjugate did not terminate")
-        return x
+        """The dominant point of W v, by simple reflections
+        x -> x - <alpha_i, x> alpha_i^vee on coordinates."""
+        x = list(v.coords)
+        for _ in range(10000):
+            i = next((i for i, row in enumerate(self.cartan) if sum(map(mul, row, x)) < 0),
+                     None)
+            if i is None:
+                return Coweight(tuple(_norm(a) for a in x))
+            x[i] -= sum(map(mul, self.cartan[i], x))
+        raise RootDataError("dominant conjugate did not terminate")
 
     # -- Weyl group -----------------------------------------------------------
 
+    def _group(self):
+        if self._weyl is None:
+            self.weyl_elements()
+        return self._weyl
+
+    def generators(self):
+        """(s_theta, s_1, ..., s_rank), indexed like I^aff: the columns of
+        every element's generator tables."""
+        return self._group()[1]
+
     def simple_reflection(self, i) -> WeylElt:
-        if not 1 <= i <= self.rank:
-            raise RootDataError(f"simple reflection index {i} out of range")
-        return self._simple_reflections[i - 1]
+        return self.generators()[self._node(i, "simple reflection") + 1]
 
     def identity_elt(self) -> WeylElt:
-        return self._identity
+        return self._group()[0][0]
 
     def reflection(self, root: Root) -> WeylElt:
-        """s_alpha for an arbitrary root alpha, cached per root:
-        x -> x - <alpha, x> alpha^vee on coweights."""
-        s = self._reflections.get(root)
-        if s is None:
-            n, rc, co = self.rank, root.coords, self.coroot_of(root).coords
-            unit = _identity(n)
-            on_unit = [self.pairing_coords(rc, e) for e in unit]
-            s = self._reflections[root] = WeylElt(
-                tuple(tuple(unit[i][j] - co[i] * on_unit[j] for j in range(n)) for i in range(n)))
-        return s
+        """s_alpha for a root alpha: x -> x - <alpha, x> alpha^vee on coweights."""
+        return self._group()[2][root]
 
     def act_root(self, w: WeylElt, root: Root) -> Root:
         """w(alpha), read off w(alpha^vee), which is the coroot of w(alpha)."""
         return self._root_of[w.act_coweight(self.coroot_of(root))]
 
     def weyl_length(self, w: WeylElt) -> int:
-        """The number of positive roots w sends negative, counted on their
-        coroots (alpha > 0 iff alpha^vee > 0)."""
-        return sum(1 for co in self.positive_coroots if min(w.act_point(co.coords)) < 0)
+        """The number of positive roots w sends negative: its BFS depth."""
+        return w.length
 
     def weyl_elements(self):
-        """All of W sorted by (length, cmat), BFS from the identity (cached);
-        the BFS depth of w is its length."""
-        if self._weyl_cache is None:
-            length = {self.identity_elt(): 0}
-            frontier = [self.identity_elt()]
+        """All of W sorted by (length, cmat), numbered in that order once per
+        datum.  W acts simply transitively on the orbit of the regular point
+        2 rho^vee, so a BFS over that orbit by the simple reflections, whose
+        depth is the length, finds every w with each s_g w; then
+        w s_g = s_i (u s_g) along the BFS edge w = s_i u."""
+        if self._weyl is None:
+            gen_data = [(self.pairing_row(rt.coords), self.coroot_of(rt).coords)
+                        for rt in (self.highest_root,) + self._simple_roots]
+            start = tuple(map(sum, zip(*(co.coords for co in self.positive_coroots))))
+            seen = {start: ((), _identity(self.rank), None)}  # w(start) -> word, cmat, parent
+            left, frontier = {}, [start]
             while frontier:
                 nxt = []
-                for w in frontier:
-                    for i in range(1, self.rank + 1):
-                        w2 = w * self.simple_reflection(i)
-                        if w2 not in length:
-                            length[w2] = length[w] + 1
-                            nxt.append(w2)
+                for x in frontier:
+                    left[x] = [_reflect(x, *data) for data in gen_data]
+                    word, m, _ = seen[x]
+                    for i, y in enumerate(left[x][1:], 1):
+                        if y not in seen:  # s_i m, reflecting each column of m
+                            cols = (_reflect(col, *gen_data[i]) for col in zip(*m))
+                            seen[y] = ((i,) + word, tuple(zip(*cols)), x)
+                            nxt.append(y)
                 frontier = nxt
-            self._weyl_cache = tuple(sorted(length, key=lambda w: (length[w], w.cmat)))
-        return self._weyl_cache
+            order = sorted(seen, key=lambda x: (len(seen[x][0]), seen[x][1]))
+            gen_of = {y: g for g, y in enumerate(left[start])}
+            elt = {x: WeylElt(seen[x][1], k, seen[x][0], gen_of.get(x))
+                   for k, x in enumerate(order)}
+            for x, w in elt.items():
+                w._left = tuple(elt[y] for y in left[x])
+            gens = elt[start]._left
+            for x, w in elt.items():
+                w._right = tuple(u._left[w.word[0]] for u in elt[seen[x][2]]._right) \
+                    if w.length else gens
+            refl = {rt: elt[_reflect(start, self.pairing_row(rt.coords), co.coords)]
+                    for rt, co in self._coroot_of.items()}
+            self._weyl = (tuple(elt.values()), gens, refl)
+        return self._weyl[0]
 
     def longest_element(self) -> WeylElt:
         return self.weyl_elements()[-1]
 
     def enumerate_reduced_words(self, w: WeylElt):
         """All reduced words of w (tuples of 1-based indices), sorted."""
-        return _reduced_words(w, self.weyl_length, enumerate(self._simple_reflections, 1))
+        return _reduced_words(w, self.weyl_length, enumerate(self.generators()[1:], 1))
 
     def word_to_element(self, word) -> WeylElt:
-        w = self.identity_elt()
-        for i in word:
-            w = w * self.simple_reflection(i)
-        return w
+        return reduce(lambda w, i: w * self.simple_reflection(i), word, self.identity_elt())
 
     def is_w0_word(self, word) -> bool:
         """True when word is a reduced word of the longest element w_0."""
@@ -377,17 +399,13 @@ class RootDatum:
             self.word_to_element(word) == self.longest_element()
 
     def reduced_word(self, w: WeylElt):
-        """One reduced word (greedy left descent, smallest letter first)."""
+        """One reduced word (greedy left descent, smallest letter first),
+        with s_i w read off the left table and lengths off the BFS."""
         word = []
-        cur, lc = w, self.weyl_length(w)
-        while lc > 0:
-            for i, s in enumerate(self._simple_reflections, 1):
-                cand = s * cur
-                lcand = self.weyl_length(cand)
-                if lcand < lc:
-                    word.append(i)
-                    cur, lc = cand, lcand
-                    break
+        while w.length:
+            i, w = next((i, s * w) for i, s in enumerate(self.generators()[1:], 1)
+                        if (s * w).length < w.length)
+            word.append(i)
         return tuple(word)
 
 
@@ -399,38 +417,27 @@ def _reduced_words(w, length, simple):
     memo = {}
 
     def words(x, lx):
-        got = memo.get(x)
-        if got is None:
-            if lx == 0:
-                got = ((),)
-            else:
-                found = set()
-                for i, s in simple:
-                    y = x * s
-                    ly = length(y)
-                    if ly < lx:
-                        found.update(word + (i,) for word in words(y, ly))
-                got = tuple(sorted(found))
-            memo[x] = got
-        return got
+        # l(x s) = l(x) - 1 or l(x) + 1
+        if x not in memo:
+            found = {word + (i,) for i, s in simple if length(x * s) < lx
+                     for word in words(x * s, lx - 1)}
+            memo[x] = tuple(sorted(found)) if lx else ((),)
+        return memo[x]
 
     return words(w, length(w))
 
 
 def _rat_inverse(m):
+    """Gauss-Jordan on [m | 1] in Fractions."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [[Fraction(x) for x in row] + list(unit) for row, unit in zip(m, _identity(n))]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[piv], aug[col] = aug[col], [x / aug[piv][col] for x in aug[piv]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -89,6 +91,83 @@ def test_weyl_dimensions_known():
     assert weyl_dimension(B2, Coweight((1, 1))) == 5
     assert weyl_dimension(G2, Coweight((1, 2))) == 7
     assert weyl_dimension(G2, Coweight((2, 3))) == 14
+
+
+def ref_dual_form(datum):
+    """The W-invariant form on coweights as rationals, normalised to
+    (alpha_1^vee, alpha_1^vee) = 2 and propagated along Dynkin edges."""
+    r, c = datum.rank, datum.cartan
+    e = [Fraction(1)] + [None] * (r - 1)
+    while None in e:
+        for i, j in product(range(r), repeat=2):
+            if i != j and c[i][j] and e[i] is not None and e[j] is None:
+                e[j] = e[i] * Fraction(c[i][j], c[j][i])
+    return [[e[j] * c[j][i] for i in range(r)] for j in range(r)]
+
+
+def ref_form(bmat, x, y):
+    return sum(bmat[i][j] * x[i] * y[j] for i in range(len(bmat)) for j in range(len(bmat)))
+
+
+def ref_weyl_dimension(datum, lam):
+    """prod over alpha > 0 of (lam + rho, alpha^vee) / (rho, alpha^vee), rationally."""
+    bmat, rho = ref_dual_form(datum), datum.rho_coweight()
+    num = den = Fraction(1)
+    for co in datum.positive_coroots:
+        num *= ref_form(bmat, (lam + rho).coords, co.coords)
+        den *= ref_form(bmat, rho.coords, co.coords)
+    return num / den
+
+
+def ref_expected_character(datum, lam):
+    """Freudenthal with |lam + rho|^2 - |mu + rho|^2 in rationals, over the
+    dominant weights below lam, spread over their W-orbits."""
+    bmat, rho = ref_dual_form(datum), datum.rho_coweight()
+    box = (lam - datum.longest_element().act_coweight(lam)).coords
+    dominants = sorted((lam - Coweight(d) for d in product(*(range(b + 1) for b in box))
+                        if datum.is_dominant(lam - Coweight(d))),
+                       key=lambda mu: (-sum(mu.coords), mu.coords))
+
+    def norm(x):
+        return ref_form(bmat, (x + rho).coords, (x + rho).coords)
+
+    mult = {lam: 1}
+    for mu in dominants[1:]:
+        acc = Fraction(0)
+        for co in datum.positive_coroots:
+            k = 1
+            while datum.dominance_leq(mu + co.scale(k), lam):
+                x = mu + co.scale(k)
+                acc += mult.get(datum.dominant_conjugate(x), 0) * ref_form(bmat, x.coords,
+                                                                             co.coords)
+                k += 1
+        mult[mu] = 2 * acc / (norm(lam) - norm(mu))
+    return Counter({w.act_coweight(mu): m for mu, m in mult.items() if m
+                    for w in datum.weyl_elements()})
+
+
+ALL_DATA = [build_root_datum(s, r) for s, r in (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2))]
+
+
+@pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
+def test_integer_freudenthal_matches_the_rational_form(datum):
+    # every dominant lam = sum n_i omega_i^vee with sum n_i <= 4 for the Weyl
+    # dimension; for Freudenthal, the coroot-lattice ones of height <= 4 and
+    # those with sum n_i <= 2, which reach past 0 in every rank-4 datum
+    lams = []
+    for n in product(range(5), repeat=datum.rank):
+        if sum(n) > 4:
+            continue
+        lam = sum((datum.fundamental_coweight(i).scale(k) for i, k in enumerate(n, 1)),
+                  datum.zero_coweight()).normalized()
+        assert weyl_dimension(datum, lam) == ref_weyl_dimension(datum, lam), lam
+        if lam.is_integral() and (sum(lam.coords) <= 4 or sum(n) <= 2):
+            lams.append(lam)
+    assert len(lams) > 2
+    for lam in lams:
+        assert expected_character(datum, lam) == ref_expected_character(datum, lam), lam
 
 
 def test_character_matches_oracle_small_suite():

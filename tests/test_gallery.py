@@ -28,7 +28,7 @@ from mvcrystals.gallery import (
     root_e,
     root_f,
 )
-from mvcrystals.rootdata import Coweight, RootDatum, build_root_datum
+from mvcrystals.rootdata import Coweight, RootDatum, WeylElt, build_root_datum
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -165,12 +165,14 @@ def test_is_ls_evaluates_each_fold_once(monkeypatch, datum, lam):
 
 
 def test_enumeration_adds_no_state_to_the_datum():
-    # the galleries own their faces: a larger crystal leaves the datum as it was
+    # the galleries own their faces and W's tables have a fixed size: a larger
+    # crystal leaves the datum and its Weyl group elements as they were
     datum = RootDatum("A", 2)
 
     def size():
-        return sum(len(v) for v in vars(datum).values()
-                   if isinstance(v, (dict, list, set, tuple)))
+        held = list(vars(datum).values()) + [getattr(w, name) for w in datum.weyl_elements()
+                                             for name in WeylElt.__slots__]
+        return sum(len(v) for v in held if isinstance(v, (dict, list, set, tuple)))
 
     enumerate_ls(build_gallery_type(datum, Coweight((1, 1))))
     small = size()

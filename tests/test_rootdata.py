@@ -254,6 +254,49 @@ def test_root_action_and_length_match_the_root_matrix_oracle(datum):
         assert datum.weyl_length(w) == inverted == depth[w]
 
 
+def ref_matmul(a, b):
+    """Plain integer matrix product, the oracle for the generator tables."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def ref_reflection(datum, rt):
+    """x -> x - <alpha, x> alpha^vee as a matrix on coweight coordinates."""
+    co, r = datum.coroot_of(rt).coords, datum.rank
+    units = [Coweight(tuple(int(a == b) for b in range(r))) for a in range(r)]
+    return tuple(tuple(int(a == b) - co[a] * datum.pairing(rt, units[b]) for b in range(r))
+                 for a in range(r))
+
+
+@pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
+def test_generator_tables_and_products_match_the_matrix_oracle(datum):
+    weyl = datum.weyl_elements()
+    assert [w.index for w in weyl] == list(range(len(weyl)))
+    assert list(weyl) == sorted(weyl, key=lambda w: (w.length, w.cmat))
+    gens = datum.generators()
+    assert [g.cmat for g in gens] == [ref_reflection(datum, rt) for rt in
+                                      (datum.highest_root,) + datum.simple_roots()]
+    for w in weyl:
+        for g in gens:
+            assert (w * g).cmat == ref_matmul(w.cmat, g.cmat)
+            assert (g * w).cmat == ref_matmul(g.cmat, w.cmat)
+    pairs = [(w, v) for w in weyl for v in weyl]
+    if datum.rank == 4:
+        pairs = random.Random(f"{datum.series}{datum.rank}").sample(pairs, 3000)
+    for w, v in pairs:
+        assert (w * v).cmat == ref_matmul(w.cmat, v.cmat)
+        assert (w * v) is weyl[(w * v).index]
+
+
+def test_simple_roots_and_coroots_out_of_range_raise():
+    # a cached tuple read at i - 1 would turn i = 0 into the last entry
+    for bad in (A2.simple_root, A2.simple_coroot, A2.simple_reflection,
+                A2.fundamental_coweight):
+        for i in (0, -1, 3, 7):
+            with pytest.raises(RootDataError, match="out of range"):
+                bad(i)
+    assert A2.simple_root(2) == Root((0, 1)) and A2.simple_coroot(1) == Coweight((1, 0))
+
+
 def test_a_datum_built_directly_is_freed_once_dropped():
     datum = RootDatum("B", 2)
     datum.simple_reflection(1)
