@@ -61,11 +61,13 @@ class Gallery:
     flips: tuple  # flips[j] True means delta_{j+1} = s_{i_{j+1}}, else identity
     # color i -> the wall level of each face Delta'_j (see _levels)
     _wall_levels: dict = field(default_factory=dict, init=False, repr=False)
+    _hash: int = field(init=False, repr=False)  # galleries key every crystal dict
 
     def __post_init__(self):
         if len(self.flips) != self.gtype.p:
             raise GalleryError(f"{len(self.flips)} flips for a gallery type of "
                                f"length {self.gtype.p}")
+        object.__setattr__(self, "_hash", hash((self.delta0, self.flips)))
 
     def __eq__(self, other):
         if not isinstance(other, Gallery):
@@ -75,7 +77,7 @@ class Gallery:
         return self.gtype is other.gtype or self.gtype == other.gtype
 
     def __hash__(self):
-        return hash((self.delta0, self.flips))
+        return self._hash
 
     @cached_property
     def prefixes(self):

@@ -23,6 +23,7 @@ from mvcrystals.looplab.series import (
     LaurentSeries,
     LoopGroupError,
     PrecisionError,
+    sum_products,
     vector_val,
 )
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum
@@ -120,7 +121,7 @@ class LoopGroup:
         rows = [[one if a == b else zero for b in range(self.n)] for a in range(self.n)]
         for j, k, p in factors:
             for row in rows:
-                row[k] = row[k] + row[j] * p
+                row[k] = sum_products(((row[k], one, 1), (row[j], p, 1)))
         return LaurentMatrix(rows)
 
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:

@@ -5,7 +5,10 @@ A coefficient is stored as an ``int`` when integral and as a ``Fraction``
 otherwise, so integer data runs on native ints; ``leading`` and
 ``coefficient`` return ``Fraction`` either way, safe to divide by and to raise
 to negative powers.  Any other type (a float above all) raises TypeError
-rather than entering as its binary expansion.
+rather than entering as its binary expansion.  Series arithmetic builds its
+results through the trusted ``LaurentSeries._of``, which skips that check.
+Every product, dot product and minor is one ``sum_products`` call, and its
+loop ``_sum_products`` is the one place coefficients are multiplied.
 
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
@@ -91,39 +94,74 @@ def _rel_window(s, rel_prec):
 
 
 def _min_cap(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _sum_products(terms, cap):
+    """Sum of sign * a * b over (a, b, sign) terms as one coefficient dict
+    below cap: the only place series coefficients are multiplied."""
+    out = {}
+    for a, b, sign in terms:
+        bc = b.coeffs.items()
+        for e1, c1 in a.coeffs.items():
+            if sign < 0:
+                c1 = -c1
+            for e2, c2 in bc:
+                e = e1 + e2
+                if cap is None or e < cap:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
+
+
+def sum_products(terms):
+    """Sum of sign * a * b over (a, b, sign) terms as one series, with the
+    caps and coefficients of the chain of ``*`` and ``+``: a term with an
+    exact-zero factor drops out, and the cap is the least product cap,
+    a.cap + val(b) and b.cap + val(a)."""
+    live, cap = [], None
+    for t in terms:
+        a, b = t[0], t[1]
+        if (a.coeffs or a.cap is not None) and (b.coeffs or b.cap is not None):
+            live.append(t)
+            if a.cap is not None:
+                cap = _min_cap(cap, a.cap + b.val_lower_bound())
+            if b.cap is not None:
+                cap = _min_cap(cap, b.cap + a.val_lower_bound())
+    return LaurentSeries._of(_sum_products(live, cap), cap)
 
 
 class LaurentSeries:
     __slots__ = ("coeffs", "cap")
 
     def __init__(self, coeffs=None, cap=None):
-        cleaned = {}
-        for e, c in (coeffs or {}).items():
-            if type(c) is not int:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError("series coefficients are int or Fraction, "
-                                    f"got {type(c).__name__} {c!r}")
-                if c.denominator == 1:
-                    c = c.numerator
-            if c and (cap is None or e < cap):
-                cleaned[e] = c
-        self.coeffs = cleaned
+        coeffs = coeffs or {}
+        for c in coeffs.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("series coefficients are int or Fraction, "
+                                f"got {type(c).__name__} {c!r}")
+        self.coeffs = LaurentSeries._of(coeffs, cap).coeffs
         self.cap = cap
+
+    @staticmethod
+    def _of(coeffs, cap):
+        """Trusted constructor for coefficients series arithmetic made, so
+        ints and Fractions: zeros and terms at or past cap are dropped and an
+        integral Fraction is stored as an int."""
+        s = object.__new__(LaurentSeries)
+        s.coeffs = {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                    for e, c in coeffs.items() if c and (cap is None or e < cap)}
+        s.cap = cap
+        return s
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero():
-        return LaurentSeries({}, None)
+        return LaurentSeries._of({}, None)
 
     @staticmethod
     def one():
-        return LaurentSeries({0: 1}, None)
+        return LaurentSeries._of({0: 1}, None)
 
     @staticmethod
     def t_power(n, coeff=1):
@@ -172,37 +210,20 @@ class LaurentSeries:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self):
-        return LaurentSeries({e: -c for e, c in self.coeffs.items()}, self.cap)
+        return LaurentSeries._of({e: -c for e, c in self.coeffs.items()}, self.cap)
 
     def __add__(self, other):
         cap = _min_cap(self.cap, other.cap)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentSeries(out, cap)
+        return LaurentSeries._of(out, cap)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_known_zero and self.is_exact:
-            return LaurentSeries.zero()
-        if other.is_known_zero and other.is_exact:
-            return LaurentSeries.zero()
-        cap = None
-        va, vb = self.val_lower_bound(), other.val_lower_bound()
-        if self.cap is not None:
-            cap = _min_cap(cap, self.cap + vb if vb is not None else None)
-        if other.cap is not None:
-            cap = _min_cap(cap, other.cap + va if va is not None else None)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if cap is not None and e >= cap:
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentSeries(out, cap)
+        return sum_products(((self, other, 1),))
 
     def scale(self, a):
         if a == 0:
@@ -210,8 +231,8 @@ class LaurentSeries:
         return LaurentSeries({e: c * a for e, c in self.coeffs.items()}, self.cap)
 
     def shift(self, n):
-        return LaurentSeries({e + n: c for e, c in self.coeffs.items()},
-                             None if self.cap is None else self.cap + n)
+        return LaurentSeries._of({e + n: c for e, c in self.coeffs.items()},
+                                 None if self.cap is None else self.cap + n)
 
     def __truediv__(self, other, rel_prec=None):
         """self / other by long division from the lowest term; the quotient's
@@ -240,7 +261,7 @@ class LaurentSeries:
                     rem[x] = rem.get(x, 0) - q * d
                     if not rem[x]:
                         del rem[x]
-        return LaurentSeries(out, None if exact and not rem else cap)
+        return LaurentSeries._of(out, None if exact and not rem else cap)
 
     def inverse(self, rel_prec=None):
         """Multiplicative inverse: 1 / self, exact for monomials."""
@@ -352,7 +373,8 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         cols = tuple(zip(*other.rows))
-        return LaurentMatrix([[_dot(row, col) for col in cols] for row in self.rows])
+        return LaurentMatrix([[sum_products((a, b, 1) for a, b in zip(row, col))
+                               for col in cols] for row in self.rows])
 
     def det(self) -> LaurentSeries:
         return self.minor_det(range(self.n), range(self.n))
@@ -387,15 +409,11 @@ class LaurentMatrix:
             elif len(rows) == 1:
                 out = self.rows[rows[0]][cols[0]]
             else:
-                # expand along the first row, skipping exact zeros
-                out = LaurentSeries.zero()
+                # expand along the first row into one sum, skipping exact zeros
                 first, rest = self.rows[rows[0]], rows[1:]
-                for k, j in enumerate(cols):
-                    a = first[j]
-                    if a.is_known_zero and a.is_exact:
-                        continue
-                    term = a * self._minor(rest, cols[:k] + cols[k + 1:])
-                    out = out - term if k % 2 else out + term
+                out = sum_products(
+                    (first[j], self._minor(rest, cols[:k] + cols[k + 1:]), -1 if k % 2 else 1)
+                    for k, j in enumerate(cols) if first[j].coeffs or first[j].cap is not None)
             self._minors[key] = out
         return out
 
@@ -415,13 +433,6 @@ class LaurentMatrix:
         return "LaurentMatrix([\n" + "\n".join(
             "  [" + ", ".join(repr(c) for c in row) + "]," for row in self.rows
         ) + "\n])"
-
-
-def _dot(u, v):
-    acc = LaurentSeries.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
 
 
 def vector_val(entries) -> int:

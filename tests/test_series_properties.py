@@ -1,14 +1,17 @@
 """Property tests of the series layer: ring laws and valuations on exact
 Laurent polynomials, the precision-window contract of division, inverse
-and sqrt, and results that do not depend on whether a coefficient was given
-as int or Fraction."""
+and sqrt, results that do not depend on whether a coefficient was given
+as int or Fraction, and the sum-of-products kernel against the chains of
+``+`` and ``*`` it replaces."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvcrystals.looplab import LaurentSeries
+from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup
+from mvcrystals.rootdata import build_root_datum
 
 _COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -148,3 +151,105 @@ def test_int_and_fraction_storage_give_the_same_series(a, b, p):
 @given(_unit_coeffs().map(_twin), st.integers(1, 12))
 def test_sqrt_is_independent_of_coefficient_storage(u, p):
     assert _same_series([x.sqrt(rel_prec=p) for x in u])
+
+
+# -- the sum-of-products kernel against the chains it replaces ---------------
+
+def ref_mul(a, b):
+    """The product as one double loop, cap first: val_lower_bound of the
+    partner added to each windowed factor's cap."""
+    if (a.is_known_zero and a.is_exact) or (b.is_known_zero and b.is_exact):
+        return LaurentSeries.zero()
+    caps = [c.cap + d.val_lower_bound() for c, d in ((a, b), (b, a)) if c.cap is not None]
+    cap = min(caps) if caps else None
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentSeries(out, cap)
+
+
+def ref_minor(m, rows, cols):
+    """Laplace expansion along the first row as a chain of + and *,
+    skipping exact-zero entries."""
+    if not rows:
+        return LaurentSeries.one()
+    if len(rows) == 1:
+        return m[rows[0], cols[0]]
+    out = LaurentSeries.zero()
+    for k, j in enumerate(cols):
+        a = m[rows[0], j]
+        if a.is_known_zero and a.is_exact:
+            continue
+        term = a * ref_minor(m, rows[1:], cols[:k] + cols[k + 1:])
+        out = out - term if k % 2 else out + term
+    return out
+
+
+def ref_dot(u, v):
+    acc = LaurentSeries.zero()
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+def ref_x_product(n, factors):
+    """Column k += column j * p from the identity, as a chain of + and *."""
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+    for j, k, p in factors:
+        for row in rows:
+            row[k] = row[k] + row[j] * p
+    return rows
+
+
+_MIXED = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# exact and windowed entries, exact zeros and windowed zeros among them
+_ENTRY = st.sampled_from([LaurentSeries.zero(), LaurentSeries({}, 0),
+                          LaurentSeries({}, 2)]) | st.builds(
+    LaurentSeries, st.dictionaries(st.integers(-2, 3), _MIXED, max_size=3),
+    st.none() | st.integers(-1, 5))
+
+
+def _matrices(n):
+    return st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n,
+                    max_size=n).map(LaurentMatrix)
+
+
+def _same(got, want):
+    return _stored_canonically(got) and got.coeffs == want.coeffs and got.cap == want.cap
+
+
+@_SETTINGS
+@given(_ENTRY, _ENTRY)
+def test_product_matches_the_double_loop(a, b):
+    assert _same(a * b, ref_mul(a, b))
+
+
+@_SETTINGS
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_matrices(n), _matrices(n))))
+def test_minors_and_products_match_the_chained_sums(mats):
+    a, b = mats
+    n = a.n
+    for size in range(n + 1):
+        for rows in combinations(range(n), size):
+            for cols in combinations(range(n), size):
+                assert _same(a.minor_det(rows, cols), ref_minor(a, rows, cols)), (rows, cols)
+    ab = a * b
+    for i in range(n):
+        for j in range(n):
+            assert _same(ab[i, j], ref_dot(a.rows[i], [r[j] for r in b.rows]))
+
+
+_SL3 = LoopGroup(build_root_datum("A", 2))
+_FACTOR = st.tuples(st.sampled_from([(j, k) for j in range(3) for k in range(3) if j != k]),
+                    _ENTRY).map(lambda f: (*f[0], f[1]))
+
+
+@_SETTINGS
+@given(st.lists(_FACTOR, max_size=5))
+def test_x_product_matches_the_chained_column_operations(factors):
+    got, want = _SL3.x_product(factors), ref_x_product(3, factors)
+    for i in range(3):
+        for j in range(3):
+            assert _same(got[i, j], want[i][j])

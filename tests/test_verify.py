@@ -7,7 +7,7 @@ import pytest
 
 from mvcrystals import verify
 from mvcrystals.crystal import CrystalError
-from mvcrystals.verify import _A3_PAPER_ROWS, _grid_solutions, run_all
+from mvcrystals.verify import _A3_PAPER_ROWS, _grid_solutions, _row_set, run_all
 
 # sha256 of the full verify report: json.dumps(r.to_json_dict(), sort_keys=True)
 # plus a newline for every record of run_all(), in order.  Pins every
@@ -32,6 +32,57 @@ def test_grid_comparison_sees_a_dropped_or_perturbed_row():
     perturbed = list(_A3_PAPER_ROWS)
     perturbed[1] = (0, 1, 0, 0, 0, -2)
     assert _grid_solutions(perturbed) != paper
+
+
+def test_row_sets_are_compared_up_to_positive_scaling():
+    paper = _row_set(_A3_PAPER_ROWS)
+    assert len(paper) == len(_A3_PAPER_ROWS)
+    for k in range(len(_A3_PAPER_ROWS)):
+        scaled = list(_A3_PAPER_ROWS)
+        scaled[k] = tuple(2 * x for x in scaled[k])
+        assert _row_set(scaled) == paper, k
+        dropped = _A3_PAPER_ROWS[:k] + _A3_PAPER_ROWS[k + 1:]
+        assert _row_set(dropped) != paper, k
+    perturbed = list(_A3_PAPER_ROWS)
+    perturbed[1] = (0, 1, 0, 0, 0, -2)
+    assert _row_set(perturbed) != paper
+
+
+def _counting_grid(monkeypatch):
+    calls = []
+
+    def counted(rows, real=verify._grid_solutions):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(verify, "_grid_solutions", counted)
+    return calls
+
+
+def test_criterion_5_skips_the_grid_when_the_row_sets_agree(monkeypatch):
+    calls = _counting_grid(monkeypatch)
+    res = verify.run_criterion(5)
+    assert res.passed and res.details["a3_solution_sets_equal"]
+    assert res.details["a3_grid_points"] == 7 ** 6
+    assert calls == []
+
+
+def test_criterion_5_falls_back_to_the_grid_on_a_redundant_row(monkeypatch):
+    # the sum of two paper rows adds no constraint but changes the row set
+    redundant = tuple(x + y for x, y in zip(_A3_PAPER_ROWS[0], _A3_PAPER_ROWS[1]))
+    rows = list(_A3_PAPER_ROWS) + [redundant]
+    assert _row_set(rows) != _row_set(_A3_PAPER_ROWS)
+
+    def with_redundant_row(datum, word, real=verify.string_cone_inequalities):
+        found = real(datum, word)
+        return (rows, found[1]) if datum.rank == 3 else found
+
+    monkeypatch.setattr(verify, "string_cone_inequalities", with_redundant_row)
+    calls = _counting_grid(monkeypatch)
+    res = verify.run_criterion(5)
+    assert res.details["a3_solution_sets_equal"] is True and res.passed
+    assert res.details["a3_grid_points"] == 7 ** 6
+    assert len(calls) == 2
 
 
 def test_cli_and_criterion_5_run_without_numpy(run_python):
