@@ -10,7 +10,7 @@ from mvcrystals.crystal import (
     validate_axioms,
 )
 from mvcrystals.gallery import enumerate_ls, minimal_gallery
-from mvcrystals.looplab import LoopGroup
+from mvcrystals import precision  # noqa: F401  (a bad MVCRYSTALS_PREC fails here)
 from mvcrystals.rootdata import Coweight, Root, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 
@@ -32,3 +32,10 @@ __all__ = [
     "LoopGroup",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # PEP 562: LoopGroup loads looplab on first use only
+    if name == "LoopGroup":
+        from mvcrystals.looplab import LoopGroup
+        return LoopGroup
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

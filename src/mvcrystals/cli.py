@@ -12,19 +12,30 @@ the default it found when it returns.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 from mvcrystals.affine import build_gallery_type, minimal_word
-from mvcrystals.crystal import string_parameters
-from mvcrystals.gallery import enumerate_ls
-from mvcrystals.looplab import LoopGroup, default_rel_prec, lusztig_from_string, \
-    sample_ytilde, set_default_rel_prec
-from mvcrystals.rootdata import Coweight, build_root_datum
+from mvcrystals.crystal import CrystalError, string_parameters
+from mvcrystals.gallery import GalleryError, enumerate_ls
+from mvcrystals.precision import GenericityError, PrecisionError, default_rel_prec, \
+    set_default_rel_prec
+from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import string_cone_inequalities
-from mvcrystals.verify import run_all
 
 __all__ = ["main"]
+
+_LAZY = {"LoopGroup": "looplab", "lusztig_from_string": "looplab",
+         "sample_ytilde": "looplab", "run_all": "verify"}
+_cli = sys.modules[__name__]  # commands read _LAZY names through __getattr__
+
+
+def __getattr__(name):  # PEP 562: crystal, string and cone load neither package
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"mvcrystals.{_LAZY[name]}"), name)
+
 
 _PREC_HELP = ("relative precision of series divisions, in [1, 256]; "
               "default: MVCRYSTALS_PREC, else 32")
@@ -105,12 +116,10 @@ def cmd_mv_sample(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     datum = _datum(args)
-    group = LoopGroup(datum)
+    group = _cli.LoopGroup(datum)
     word = _word(args.word)
     c = _word(args.c)
-    if args.prec is not None:
-        set_default_rel_prec(args.prec)
-    reports = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
+    reports = _cli.sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
     rows = [{
         "trial": rep.trial,
         "mu_plus": list(rep.mu_plus.coords),
@@ -124,19 +133,17 @@ def cmd_mv_sample(args):
 
 def cmd_trop(args):
     datum = _datum(args)
-    group = LoopGroup(datum)
+    group = _cli.LoopGroup(datum)
     word = _word(args.word)
     c_tilde = _word(args.ctilde)
-    if args.prec is not None:
-        set_default_rel_prec(args.prec)
-    n_vec = lusztig_from_string(group, word, c_tilde)
+    n_vec = _cli.lusztig_from_string(group, word, c_tilde)
     _emit({"word": list(word), "c_tilde": list(c_tilde),
            "lusztig": [int(x) for x in n_vec]}, args.out)
     return 0
 
 
 def cmd_verify(args):
-    results = run_all()
+    results = _cli.run_all()
     failures = 0
     lines = []
     for res in results:
@@ -223,20 +230,19 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    from mvcrystals.crystal import CrystalError
-    from mvcrystals.gallery import GalleryError
-    from mvcrystals.looplab import GenericityError, PrecisionError
-    from mvcrystals.rootdata import RootDataError
-
-    prec = default_rel_prec()
+    prec = getattr(args, "prec", None)
+    restore = None if prec is None else default_rel_prec()
     try:
+        if prec is not None:
+            set_default_rel_prec(prec)
         return args.func(args)
-    except (RootDataError, CrystalError, GalleryError, GenericityError,
-            PrecisionError, ValueError) as exc:
+    except (RootDataError, CrystalError, GalleryError, GenericityError, PrecisionError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        set_default_rel_prec(prec)
+        if restore is not None:
+            set_default_rel_prec(restore)
 
 
 if __name__ == "__main__":

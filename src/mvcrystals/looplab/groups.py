@@ -121,7 +121,8 @@ class LoopGroup:
         rows = [[one if a == b else zero for b in range(self.n)] for a in range(self.n)]
         for j, k, p in factors:
             for row in rows:
-                row[k] = sum_products(((row[k], one, 1), (row[j], p, 1)))
+                if row[j].coeffs or row[j].cap is not None:
+                    row[k] = sum_products(((row[k], one, 1), (row[j], p, 1)))
         return LaurentMatrix(rows)
 
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:
@@ -221,7 +222,7 @@ class LoopGroup:
         n = self.n
         dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
         for k in range(n - 1, -1, -1):
-            _pivot(dets[k], f"Gauss pivot {n - 1 - k}")
+            _pivot(dets[k], f"Gauss pivot {n - 1 - k} of SL_{n}")
         dets.append(LaurentSeries.one())
         zero, one = LaurentSeries.zero(), LaurentSeries.one()
         b = [[zero] * n for _ in range(n)]
@@ -249,7 +250,7 @@ class LoopGroup:
         if not self.datum.is_w0_word(word):
             raise RootDataError(f"{word} is not a reduced word of w_0")
         perm = tuple(range(n, 0, -1))  # one-line of w0
-        cur = g
+        cur, one = g, LaurentSeries.one()
         ps = []
         for step, i in enumerate(word):
             a = perm.index(i) + 1
@@ -268,13 +269,13 @@ class LoopGroup:
             p = num / _pivot(den, f"peel minor of y_{i} at step {step} of {word}")
             ps.append(p)
             res = list(cur.rows)
-            res[i] = tuple(x - p * y for x, y in zip(res[i], res[i - 1]))
+            res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
+                           for x, y in zip(res[i], res[i - 1]))
             cur = LaurentMatrix(res)
             perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
         # the residual must be the identity within precision
-        ident = LaurentMatrix.identity(n)
-        if not cur.agrees_with(ident):
-            raise GenericityError("factorization residual is not the identity")
+        if not cur.agrees_with(LaurentMatrix.identity(n)):
+            raise GenericityError(f"factorization residual of SL_{n} on {word} is not the identity")
         return ps
 
     def factor_z(self, g: LaurentMatrix, word):

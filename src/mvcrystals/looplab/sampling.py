@@ -20,7 +20,6 @@ from mvcrystals.crystal import string_param_from_c
 from mvcrystals.gallery import Gallery, is_positively_folded
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.series import (
-    _MAX_REL_PREC,
     LaurentMatrix,
     LaurentSeries,
     LoopGroupError,
@@ -28,6 +27,7 @@ from mvcrystals.looplab.series import (
     default_rel_prec,
     set_default_rel_prec,
 )
+from mvcrystals.precision import MAX_REL_PREC
 from mvcrystals.rootdata import Coweight, RootDataError
 
 __all__ = [
@@ -198,9 +198,9 @@ def trop_eval(func, m, trials=3):
                 vals = [[s.val() for s in out] for out in outs]
                 break
             except PrecisionError:
-                if prec == _MAX_REL_PREC:
+                if prec == MAX_REL_PREC:
                     raise
-                prec = min(2 * prec, _MAX_REL_PREC)
+                prec = min(2 * prec, MAX_REL_PREC)
     finally:
         set_default_rel_prec(base_prec)
     leads = [[s.leading() for s in out] for out in outs]

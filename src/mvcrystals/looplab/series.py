@@ -10,6 +10,11 @@ results through the trusted ``LaurentSeries._of``, which skips that check.
 Every product, dot product and minor is one ``sum_products`` call, and its
 loop ``_sum_products`` is the one place coefficients are multiplied.
 
+A series is an immutable value, so arithmetic may hand back an operand.
+Exact zeros and units skip ``_sum_products``: a term with an exact-zero
+factor drops out, and a lone term with an exact-one factor is its other
+factor.  Long division by an ``int`` lead divides ``int`` terms in ints.
+
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
 (a Laurent polynomial).  Addition takes the worse cap; multiplication degrades
@@ -17,7 +22,7 @@ caps by the partner's valuation lower bound.  Division is long division from
 the lowest term.  A quotient of exact operands that divides out is exact, and
 so is any quotient by an exact monomial.  Any other quotient is known on
 ``rel`` exponents from val(num) - val(den), fewer if the numerator's own
-window ends sooner; ``rel`` is ``rel_prec`` (else the module default) for an
+window ends sooner; ``rel`` is ``rel_prec`` (else the process default) for an
 exact divisor, and the divisor's own relative window (or ``rel_prec`` if
 smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
 ever reported below the cap; a series whose known window is all zero raises
@@ -26,8 +31,10 @@ ever reported below the cap; a series whose known window is all zero raises
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+
+from mvcrystals.precision import GenericityError, PrecisionError, default_rel_prec, \
+    set_default_rel_prec
 
 __all__ = [
     "LaurentSeries",
@@ -39,48 +46,10 @@ __all__ = [
     "set_default_rel_prec",
 ]
 
-_MAX_REL_PREC = 256
-
-
-class PrecisionError(ArithmeticError):
-    """A valuation was requested but every known coefficient vanishes."""
-
-
-class GenericityError(RuntimeError):
-    """A required pivot/denominator vanished for this particular input."""
-
 
 class LoopGroupError(RuntimeError):
     """An exact identity or invariant a loop-group construction relies on
     failed: an implementation fault, not a bad draw or a precision shortfall."""
-
-
-def _check_rel_prec(n: int, what="relative precision") -> int:
-    if not 1 <= n <= _MAX_REL_PREC:
-        raise ValueError(f"{what} must be in [1, {_MAX_REL_PREC}], got {n}")
-    return n
-
-
-def _rel_prec_from_env() -> int:
-    text = os.environ.get("MVCRYSTALS_PREC", "32")
-    try:
-        n = int(text)
-    except ValueError:
-        raise ValueError(f"MVCRYSTALS_PREC must be an integer in "
-                         f"[1, {_MAX_REL_PREC}], got {text!r}") from None
-    return _check_rel_prec(n, "MVCRYSTALS_PREC")
-
-
-_DEFAULT_REL_PREC = _rel_prec_from_env()
-
-
-def default_rel_prec() -> int:
-    return _DEFAULT_REL_PREC
-
-
-def set_default_rel_prec(n: int):
-    global _DEFAULT_REL_PREC
-    _DEFAULT_REL_PREC = _check_rel_prec(n)
 
 
 def _rel_window(s, rel_prec):
@@ -88,7 +57,7 @@ def _rel_window(s, rel_prec):
     its square root): rel_prec, else the default, for exact s; its own
     relative precision, or rel_prec if smaller, for windowed s."""
     if s.cap is None:
-        return rel_prec if rel_prec is not None else _DEFAULT_REL_PREC
+        return rel_prec if rel_prec is not None else default_rel_prec()
     rel = s.cap - s.val()
     return rel if rel_prec is None else min(rel, rel_prec)
 
@@ -117,7 +86,7 @@ def sum_products(terms):
     """Sum of sign * a * b over (a, b, sign) terms as one series, with the
     caps and coefficients of the chain of ``*`` and ``+``: a term with an
     exact-zero factor drops out, and the cap is the least product cap,
-    a.cap + val(b) and b.cap + val(a)."""
+    a.cap + val(b) and b.cap + val(a) (so a * 1 is a, cap and all)."""
     live, cap = [], None
     for t in terms:
         a, b = t[0], t[1]
@@ -127,6 +96,11 @@ def sum_products(terms):
                 cap = _min_cap(cap, a.cap + b.val_lower_bound())
             if b.cap is not None:
                 cap = _min_cap(cap, b.cap + a.val_lower_bound())
+    if len(live) == 1:
+        a, b, sign = live[0]
+        other = b if a == _ONE else a if b == _ONE else None
+        if other is not None:
+            return other if sign > 0 else -other
     return LaurentSeries._of(_sum_products(live, cap), cap)
 
 
@@ -238,7 +212,7 @@ class LaurentSeries:
         """self / other by long division from the lowest term; the quotient's
         window is set out in the module docstring."""
         v = other.val()
-        lead = Fraction(other.coeffs[v])
+        lead = other.coeffs[v]
         low = self.val_lower_bound()
         if low is None:
             return LaurentSeries.zero()
@@ -253,8 +227,9 @@ class LaurentSeries:
         rem, out = dict(self.coeffs), {}
         while rem and min(rem) - v < stop:
             e = min(rem)
-            q = rem.pop(e) / lead  # an integral term goes on as an int
-            q = out[e - v] = q.numerator if q.denominator == 1 else q
+            c = rem.pop(e)  # in ints when both are ints and lead divides c
+            q = c // lead if type(c) is type(lead) is int and not c % lead else Fraction(c) / lead
+            q = out[e - v] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
             for f, d in other.coeffs.items():
                 if f != v:
                     x = e + f - v
@@ -303,13 +278,8 @@ class LaurentSeries:
     def agrees_with(self, other) -> bool:
         """Equality of all coefficients on the common known window."""
         cap = _min_cap(self.cap, other.cap)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if cap is not None and e >= cap:
-                continue
-            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return False
-        return True
+        return all(self.coeffs.get(e, 0) == other.coeffs.get(e, 0)
+                   for e in self.coeffs.keys() | other.coeffs.keys() if cap is None or e < cap)
 
     def nonneg_val_certified(self) -> bool:
         """True when the series provably has valuation >= 0 (window empty counts
@@ -334,6 +304,9 @@ class LaurentSeries:
             body = " + ".join(parts)
         tail = "" if self.cap is None else f" + O(t^{self.cap})"
         return body + tail
+
+
+_ONE = LaurentSeries.one()
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction:
@@ -383,7 +356,7 @@ class LaurentMatrix:
         """Adjugate over det; exact when the matrix is exact with det a
         monomial.  Built once per matrix, and again only when a windowed
         1/det would take a new default relative precision."""
-        prec = _DEFAULT_REL_PREC
+        prec = default_rel_prec()
         if self._inverse is None or self._inverse[0] not in (None, prec):
             dinv = self.det().inverse()
             n = self.n

@@ -184,3 +184,23 @@ def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
 def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     code, out, err = run_cli(["mv-sample", "--type", "A", "--rank", "2", *flags], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_combinatorial_commands_load_neither_looplab_nor_verify(run_python):
+    code = (
+        "import contextlib, io, sys\n"
+        "from mvcrystals.cli import main\n"
+        "def loaded():\n"
+        "    print([m for m in ('mvcrystals.looplab', 'mvcrystals.verify')\n"
+        "           if m in sys.modules])\n"
+        "for cmd in (['crystal', '--lambda', '1,1'],\n"
+        "            ['string', '--lambda', '1,1', '--word', '1,2,1'],\n"
+        "            ['cone', '--word', '1,2,1'],\n"
+        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(cmd) == 0\n"
+        "    loaded()\n"
+    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]"] * 3 + ["['mvcrystals.looplab']"]

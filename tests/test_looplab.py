@@ -610,6 +610,22 @@ def test_factor_y_exactly_singular_input_is_not_generic():
         G2.factor_y(g, (1, 2, 1))
 
 
+def test_gauss_pivot_exactly_zero_names_the_group():
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    g = LaurentMatrix([[zero, one], [one, zero]])
+    with pytest.raises(GenericityError, match=r"^Gauss pivot 0 of SL_2 is exactly zero$"):
+        G1.gauss_decompose(g)
+
+
+def test_factor_y_residual_names_the_group_and_the_word():
+    # t^alpha^vee is not lower unitriangular: the peel leaves it in place
+    g = LaurentMatrix([[LaurentSeries.t_power(1), LaurentSeries.zero()],
+                       [LaurentSeries.zero(), LaurentSeries.t_power(-1)]])
+    with pytest.raises(GenericityError, match=r"^factorization residual of SL_2 on "
+                                              r"\(1,\) is not the identity$"):
+        G1.factor_y(g, (1,))
+
+
 def test_gauss_pivot_below_precision_raises_precision_error():
     # a pivot known to vanish below t^8 may still be nonzero: escalate
     one, zero = LaurentSeries.one(), LaurentSeries.zero()

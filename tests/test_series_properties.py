@@ -1,8 +1,8 @@
 """Property tests of the series layer: ring laws and valuations on exact
 Laurent polynomials, the precision-window contract of division, inverse
 and sqrt, results that do not depend on whether a coefficient was given
-as int or Fraction, and the sum-of-products kernel against the chains of
-``+`` and ``*`` it replaces."""
+as int or Fraction, and the sum-of-products kernel, with its exact-zero and
+exact-unit shortcuts, against the chains of ``+`` and ``*`` it replaces."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup
+from mvcrystals.looplab.series import sum_products
 from mvcrystals.rootdata import build_root_datum
 
 _COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -22,8 +23,19 @@ def _polynomials(min_exp=-4, max_exp=4, min_size=0):
                            min_size=min_size, max_size=5).map(LaurentSeries)
 
 
-_POLY = _polynomials()
-_NONZERO = _polynomials(min_size=1).filter(lambda s: not s.is_known_zero)
+def _unit_lead(low, sign, tail):
+    """sign t^low + terms above it: a polynomial with a +-1 leading term."""
+    return LaurentSeries({low: sign, **{low + e: c for e, c in tail.items()}})
+
+
+# exact units, monomials with an int lead and polynomials with a +-1 lead:
+# the operands that sum_products and long division take shortcuts on
+_SHORTCUTS = st.sampled_from([LaurentSeries.one(), -LaurentSeries.one()]) | st.builds(
+    LaurentSeries.t_power, st.integers(-3, 3), st.sampled_from([1, -1, 2, -3])) | st.builds(
+    _unit_lead, st.integers(-3, 3), st.sampled_from([1, -1]),
+    st.dictionaries(st.integers(1, 4), _COEFF, max_size=3))
+_POLY = _polynomials() | _SHORTCUTS
+_NONZERO = _polynomials(min_size=1).filter(lambda s: not s.is_known_zero) | _SHORTCUTS
 
 
 def _unit_coeffs():
@@ -72,6 +84,12 @@ def test_inverse_window_agrees_with_four_times_the_precision(a, p, window):
     assert (a * coarse).agrees_with(LaurentSeries.one())
 
 
+def _stored_canonically(s):
+    """Every stored coefficient is an int, or a Fraction with a denominator."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in s.coeffs.values())
+
+
 def _windowed(a, window):
     """a known only on `window` exponents from its lowest term (None: exact)."""
     if window is None:
@@ -93,6 +111,7 @@ def test_exact_quotient_of_a_product_is_exact(a, b, p):
 def test_division_agrees_with_multiplying_by_the_inverse(a, b, p, wa, wb):
     a, b = _windowed(a, wa), _windowed(b, wb)
     q, ref = a.__truediv__(b, rel_prec=p), a * b.inverse(rel_prec=p)
+    assert _stored_canonically(q) and _stored_canonically(ref)
     assert q.agrees_with(ref)
     assert (q * b).agrees_with(a)
     # the quotient's window is never smaller
@@ -113,12 +132,6 @@ def _twin(coeffs):
     return (LaurentSeries({e: c.numerator if c.denominator == 1 else c
                            for e, c in coeffs.items()}),
             LaurentSeries({e: Fraction(c) for e, c in coeffs.items()}))
-
-
-def _stored_canonically(s):
-    """Every stored coefficient is an int, or a Fraction with a denominator."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in s.coeffs.values())
 
 
 def _same_series(results):
@@ -194,19 +207,24 @@ def ref_dot(u, v):
 
 
 def ref_x_product(n, factors):
-    """Column k += column j * p from the identity, as a chain of + and *."""
+    """Column k += column j * p from the identity, as a chain of + and
+    ref_mul on every row, exact-zero entries included."""
     one, zero = LaurentSeries.one(), LaurentSeries.zero()
     rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
     for j, k, p in factors:
         for row in rows:
-            row[k] = row[k] + row[j] * p
+            row[k] = row[k] + ref_mul(row[j], p)
     return rows
+
+
+def ref_neg(a):
+    return LaurentSeries({e: -c for e, c in a.coeffs.items()}, a.cap)
 
 
 _MIXED = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # exact and windowed entries, exact zeros and windowed zeros among them
 _ENTRY = st.sampled_from([LaurentSeries.zero(), LaurentSeries({}, 0),
-                          LaurentSeries({}, 2)]) | st.builds(
+                          LaurentSeries({}, 2)]) | _SHORTCUTS | st.builds(
     LaurentSeries, st.dictionaries(st.integers(-2, 3), _MIXED, max_size=3),
     st.none() | st.integers(-1, 5))
 
@@ -224,6 +242,35 @@ def _same(got, want):
 @given(_ENTRY, _ENTRY)
 def test_product_matches_the_double_loop(a, b):
     assert _same(a * b, ref_mul(a, b))
+
+
+@_SETTINGS
+@given(_ENTRY, st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.booleans())
+def test_a_lone_unit_term_matches_the_double_loop(a, unit, sign, unit_first):
+    u = LaurentSeries.from_scalar(unit)
+    got = sum_products(((u, a, sign) if unit_first else (a, u, sign),))
+    want = ref_mul(u, a)
+    assert _same(got, want if sign > 0 else ref_neg(want))
+
+
+@_SETTINGS
+@given(_ENTRY, _ENTRY, _ENTRY)
+def test_peel_row_update_matches_the_chained_difference(x, p, y):
+    # factor_y's "row i+1 -= p * row i", entry by entry
+    got = sum_products(((x, LaurentSeries.one(), 1), (p, y, -1)))
+    assert _same(got, x + ref_neg(ref_mul(p, y)))
+
+
+def test_int_over_int_lead_with_a_remainder_gives_fractions():
+    # (1 + t) / (2 + t) = 1/2 + t/4 - t^2/8 + t^3/16 - ...
+    q = LaurentSeries({0: 1, 1: 1}).__truediv__(LaurentSeries({0: 2, 1: 1}), rel_prec=6)
+    assert q.cap == 6
+    assert q.coeffs == {0: Fraction(1, 2), **{k: Fraction((-1) ** (k + 1), 2 ** (k + 1))
+                                              for k in range(1, 6)}}
+    assert all(type(c) is Fraction for c in q.coeffs.values())
+    # a lead that divides every term keeps the quotient in ints
+    q = LaurentSeries({0: -6, 1: 4, 2: 2}) / LaurentSeries({0: -2, 1: 2})
+    assert q.cap is None and q.coeffs == {0: 3, 1: 1} and _stored_canonically(q)
 
 
 @_SETTINGS

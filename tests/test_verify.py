@@ -109,6 +109,23 @@ def test_src_has_no_assert_statements():
     assert not found, found
 
 
+def test_committed_bench_records_parse_and_hold_no_ops_lists():
+    # the per-operation lists stay in perfbench/out/; a record keeps the metrics
+    def ops_lists(node):
+        if isinstance(node, dict):
+            return ("ops" in node) + sum(ops_lists(v) for v in node.values())
+        if isinstance(node, list):
+            return sum(ops_lists(v) for v in node)
+        return 0
+
+    records = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["runs"], path.name
+        assert ops_lists(record) == 0, path.name
+
+
 def test_run_all_report_digest():
     results = run_all()
     assert all(r.passed for r in results), [r.cid for r in results if not r.passed]
