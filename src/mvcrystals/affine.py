@@ -15,14 +15,13 @@ polyhedral is ever solved.  A_fund's vertices 0 and omega_i^vee / m_i lie in
 coordinates in units of 1/D and every pairing with a root is an integer: a
 face lies in H_{alpha,n} iff all its vertex values equal nD, and otherwise
 strictly below it iff its largest vertex value is at most nD (faces of the
-arrangement never straddle walls).  Only face_sup divides by D, to return an
-exact rational.  The galleries of mvcrystals.gallery own their faces.
+arrangement never straddle walls).  The galleries of mvcrystals.gallery own
+their faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -39,7 +38,6 @@ __all__ = [
     "aff_length",
     "face_vertices",
     "face_level",
-    "face_sup",
     "phi_plus_aff",
     "fundamentalize",
     "minimal_word",
@@ -138,11 +136,6 @@ def _sup(datum: RootDatum, verts, alpha: Root) -> int:
     """D f_F(alpha): the largest vertex value of alpha, in units of 1/D."""
     row = datum.pairing_row(alpha.coords)
     return max(sum(map(mul, row, v)) for v in verts)
-
-
-def face_sup(datum: RootDatum, verts, alpha: Root):
-    """f_F(alpha) = sup_{x in F} <alpha, x>, exact (max over the vertices)."""
-    return _norm(Fraction(_sup(datum, verts, alpha), datum.apartment_scale))
 
 
 def face_level(datum: RootDatum, verts, alpha: Root):
@@ -265,15 +258,14 @@ def minimal_word(datum: RootDatum, lam: Coweight):
 @dataclass(frozen=True)
 class GalleryType:
     """The type gamma_lambda in the apartment of datum: dominant lam, its
-    folded vertex, a reduced word of w_lambda over I^aff, and the prefix
-    movers s_{i_1}...s_{i_j}."""
+    folded vertex and its type, and a reduced word of w_lambda over I^aff.
+    Each gallery of the type builds its own prefix movers."""
 
     datum: RootDatum
     lam: Coweight
     lam_fund: Coweight
     lam_jtype: frozenset
     word: tuple
-    prefixes: tuple  # AffWeylElt, length p + 1 (prefixes[0] = identity)
 
     @property
     def p(self):
@@ -310,4 +302,4 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
         verts = face_vertices(datum, mover)
         if any(_sup(datum, verts, -alpha) > 0 for alpha in datum.simple_roots()):
             raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
-    return GalleryType(datum, lam, lam_fund, lam_jtype, word, tuple(prefixes))
+    return GalleryType(datum, lam, lam_fund, lam_jtype, word)

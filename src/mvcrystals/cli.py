@@ -217,7 +217,6 @@ def build_parser():
     p.set_defaults(func=cmd_trop)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", default="desk", choices=["desk"])
     p.add_argument("--json", default=None, help="write one JSON object per "
                    "criterion to this file")
     p.add_argument("--full", action="store_true",

@@ -355,8 +355,7 @@ def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
     return string_param_from_c(datum, word, c)
 
 
-def stable_string(datum: RootDatum, lambdas, selector, word,
-                  graph_factory=None) -> StringParam:
+def stable_string(datum: RootDatum, lambdas, selector, word) -> StringParam:
     """String of a B(-infinity) element realized as a stabilized string inside
     a growing tower of B(lambda).
 
@@ -364,16 +363,12 @@ def stable_string(datum: RootDatum, lambdas, selector, word,
     element is not visible in that crystal yet; levels are matched through
     lowest-weight-based strings, so stabilization means two consecutive levels
     report the same parameter."""
-    if graph_factory is None:
-        from mvcrystals.affine import build_gallery_type
-        from mvcrystals.gallery import enumerate_ls
-
-        def graph_factory(lam):
-            return enumerate_ls(build_gallery_type(datum, lam))
+    from mvcrystals.affine import build_gallery_type
+    from mvcrystals.gallery import enumerate_ls
 
     prev = None
     for lam in lambdas:
-        graph = graph_factory(lam)
+        graph = enumerate_ls(build_gallery_type(datum, lam))
         node = selector(graph)
         if node is None:
             # the element is not visible at this level yet; keep growing

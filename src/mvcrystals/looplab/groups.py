@@ -128,10 +128,6 @@ class LoopGroup:
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:
         return self.x_product((self.x_factor(alpha, p),))
 
-    def gen_x_affine(self, alpha: Root, level: int, a) -> LaurentMatrix:
-        """x_{alpha,n}(a) = x_alpha(a t^n)."""
-        return self.x_product((self.x_factor(alpha, a, level),))
-
     def gen_y(self, i: int, p) -> LaurentMatrix:
         return self.gen_x(-self.datum.simple_root(i), p)
 

@@ -2,9 +2,8 @@
 tracking, and square matrices of them.
 
 A coefficient is stored as an ``int`` when integral and as a ``Fraction``
-otherwise, so integer data runs on native ints; ``leading`` and
-``coefficient`` return ``Fraction`` either way, safe to divide by and to raise
-to negative powers.  Any other type (a float above all) raises TypeError
+otherwise, so integer data runs on native ints; ``leading`` returns
+``Fraction`` either way.  Any other type (a float above all) raises TypeError
 rather than entering as its binary expansion.  Series arithmetic builds its
 results through the trusted ``LaurentSeries._of``, which skips that check.
 Every product, dot product and minor is one ``sum_products`` call, and its
@@ -50,16 +49,6 @@ __all__ = [
 class LoopGroupError(RuntimeError):
     """An exact identity or invariant a loop-group construction relies on
     failed: an implementation fault, not a bad draw or a precision shortfall."""
-
-
-def _rel_window(s, rel_prec):
-    """Relative precision of a windowed operation on s (a division by s, or
-    its square root): rel_prec, else the default, for exact s; its own
-    relative precision, or rel_prec if smaller, for windowed s."""
-    if s.cap is None:
-        return rel_prec if rel_prec is not None else default_rel_prec()
-    rel = s.cap - s.val()
-    return rel if rel_prec is None else min(rel, rel_prec)
 
 
 def _min_cap(a, b):
@@ -176,11 +165,6 @@ class LaurentSeries:
     def leading(self) -> Fraction:
         return Fraction(self.coeffs[self.val()])
 
-    def coefficient(self, e) -> Fraction:
-        if self.cap is not None and e >= self.cap:
-            raise PrecisionError(f"coefficient of t^{e} beyond cap {self.cap}")
-        return Fraction(self.coeffs.get(e, 0))
-
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self):
@@ -199,11 +183,6 @@ class LaurentSeries:
     def __mul__(self, other):
         return sum_products(((self, other, 1),))
 
-    def scale(self, a):
-        if a == 0:
-            return LaurentSeries({}, self.cap)
-        return LaurentSeries({e: c * a for e, c in self.coeffs.items()}, self.cap)
-
     def shift(self, n):
         return LaurentSeries._of({e + n: c for e, c in self.coeffs.items()},
                                  None if self.cap is None else self.cap + n)
@@ -218,7 +197,11 @@ class LaurentSeries:
             return LaurentSeries.zero()
         cap = None if self.cap is None else self.cap - v
         if other.cap is not None or len(other.coeffs) > 1:
-            cap = _min_cap(cap, low - v + _rel_window(other, rel_prec))
+            if other.cap is None:
+                rel = rel_prec if rel_prec is not None else default_rel_prec()
+            else:
+                rel = other.cap - v if rel_prec is None else min(other.cap - v, rel_prec)
+            cap = _min_cap(cap, low - v + rel)
         exact = self.cap is None and other.cap is None
         stop = cap
         if exact:  # far enough to reach a polynomial quotient's top term
@@ -249,20 +232,6 @@ class LaurentSeries:
         for _ in range(n):
             out = out * self
         return out
-
-    def sqrt(self, rel_prec=None):
-        """Square root of a series with constant term a nonzero rational square
-        (used with 1 + t O); windowed like a division by self."""
-        if self.val() != 0:
-            raise GenericityError("sqrt implemented for unit series only")
-        r0 = _fraction_sqrt(self.coeffs[0])
-        rel = _rel_window(self, rel_prec)
-        out = {0: r0}
-        for e in range(1, rel):
-            # coefficient of t^e in out^2 must match self
-            acc = sum(out[k] * out[e - k] for k in range(1, e))
-            out[e] = (self.coeffs.get(e, 0) - acc) / (2 * r0)
-        return LaurentSeries(out, rel)
 
     # -- comparisons -------------------------------------------------------------
 
@@ -307,18 +276,6 @@ class LaurentSeries:
 
 
 _ONE = LaurentSeries.one()
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    from math import isqrt
-
-    if q <= 0:
-        raise GenericityError("sqrt of a nonpositive leading coefficient")
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise GenericityError(f"{q} is not a rational square")
-    return Fraction(rn, rd)
 
 
 class LaurentMatrix:

@@ -22,7 +22,6 @@ __all__ = [
     "enumerate_itrails",
     "string_cone_inequalities",
     "in_string_cone",
-    "zero_d_trail_exists",
 ]
 
 
@@ -208,26 +207,3 @@ def string_cone_inequalities(datum: RootDatum, word):
 
 def in_string_cone(c, rows) -> bool:
     return all(sum(r * x for r, x in zip(row, c)) >= 0 for row in rows)
-
-
-def zero_d_trail_exists(datum: RootDatum, word, i) -> bool:
-    """The trail (omega_i, s_{i_1} omega_i, ..., w0 omega_i) with all d_j = 0."""
-    n = datum.rank + 1
-    rep = WedgeRep(n, i)
-    gamma = rep.highest_weight()
-    delta = rep.permuted_weight(_w0_perm(n), gamma)
-    trails = enumerate_itrails(rep, gamma, delta, word)
-    # reconstruct the expected weight chain
-    wt = gamma
-    chain = [wt]
-    perm = tuple(range(1, n + 1))
-    for j in word:
-        perm = _compose(_si_perm(n, j), perm)
-        chain.append(rep.permuted_weight(tuple(perm), gamma))
-    target = tuple(chain)
-    for t in trails:
-        if t.weights == target:
-            if any(t.d):
-                raise RootDataError("reflection chain trail has d != 0")
-            return True
-    return False

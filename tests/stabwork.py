@@ -11,6 +11,12 @@ final object is the coset identity
     A K C E F [t^nu]  =  A x_{-alpha,-m-1}(h) B [t^nu]
 
 checked by exact arithmetic at random parameters.
+
+The rewriting needs three things the library does not: the square root of a
+unit series, the exact sup of a root over a face, and a coefficient reader
+that returns ``Fraction`` (the torus push raises a coefficient to negative
+powers, and an ``int`` there would give a float).  They live here, with the
+tests that cover them.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
-from mvcrystals.affine import face_sup, phi_plus_aff
+from mvcrystals.affine import phi_plus_aff
 from mvcrystals.gallery import Gallery, fold_window, root_e
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.sampling import rand_nonzero_int
@@ -29,10 +36,53 @@ from mvcrystals.looplab.series import (
     LaurentSeries,
     LoopGroupError,
     PrecisionError,
+    default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, Root
 
-__all__ = ["prop_inclusion_coset_check"]
+
+def coefficient(s: LaurentSeries, e) -> Fraction:
+    """The coefficient of t^e in s, as a Fraction; unknown at or past the cap."""
+    if s.cap is not None and e >= s.cap:
+        raise PrecisionError(f"coefficient of t^{e} beyond cap {s.cap}")
+    return Fraction(s.coeffs.get(e, 0))
+
+
+def sqrt(s: LaurentSeries, rel_prec=None) -> LaurentSeries:
+    """Square root of a series with constant term a nonzero rational square
+    (used with 1 + t O), windowed like a division by s: known on rel_prec
+    exponents (else the default) for exact s, and on s's own window, or
+    rel_prec if smaller, for windowed s."""
+    if s.val() != 0:
+        raise GenericityError("sqrt implemented for unit series only")
+    r0 = _fraction_sqrt(s.coeffs[0])
+    if s.cap is None:
+        rel = rel_prec if rel_prec is not None else default_rel_prec()
+    else:
+        rel = s.cap if rel_prec is None else min(s.cap, rel_prec)
+    out = {0: r0}
+    for e in range(1, rel):
+        # coefficient of t^e in out^2 must match s
+        acc = sum(out[k] * out[e - k] for k in range(1, e))
+        out[e] = (s.coeffs.get(e, 0) - acc) / (2 * r0)
+    return LaurentSeries(out, rel)
+
+
+def _fraction_sqrt(q) -> Fraction:
+    if q <= 0:
+        raise GenericityError("sqrt of a nonpositive leading coefficient")
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise GenericityError(f"{q} is not a rational square")
+    return Fraction(rn, rd)
+
+
+def face_sup(datum, verts, alpha: Root) -> Fraction:
+    """f_F(alpha) = sup_{x in F} <alpha, x>, exact: the largest value of alpha
+    at the face's vertices, which are in units of 1/D."""
+    row = datum.pairing_row(alpha.coords)
+    return Fraction(max(sum(map(mul, row, v)) for v in verts), datum.apartment_scale)
 
 
 def _in_stab_plus(group: LoopGroup, mat: LaurentMatrix, face) -> bool:
@@ -100,9 +150,9 @@ class _Rewriter:
             # strictly higher entries, so one pass extracts the coordinates
             for beta, _ in sorted(slot, key=lambda bc: bc[0].root.height()):
                 j0, k0 = self.group.root_pair(beta.root)
-                coeff = m[j0 - 1, k0 - 1].coefficient(beta.level)
+                coeff = coefficient(m[j0 - 1, k0 - 1], beta.level)
                 new_slot.append((beta, coeff))
-                m = self.group.gen_x_affine(beta.root, beta.level, -coeff) * m
+                m = self.group.gen_x(beta.root, LaurentSeries.t_power(beta.level, -coeff)) * m
             if not _in_stab_plus(self.group, m, self.gallery.alcove(l)):
                 raise LoopGroupError("absorb: remainder left Stab_+ of the alcove")
             out.append(new_slot)
@@ -115,7 +165,7 @@ class _Rewriter:
 
     def push_torus(self, p_series: LaurentSeries, mu: Coweight, tail, idx):
         """p^mu * prod(tail) [t^nu] = prod(tail') [t^nu] for a unit series p."""
-        a0 = p_series.coefficient(0)
+        a0 = coefficient(p_series, 0)
         if a0 == 0:
             raise LoopGroupError("torus push needs a unit series")
         out = []
@@ -137,7 +187,7 @@ class _Rewriter:
                 pk = p_series ** k_pair
                 scalar = a0 ** k_pair
                 new_slot.append((beta, coeff * scalar))
-                rem = (pk - LaurentSeries.from_scalar(scalar)).scale(coeff)
+                rem = (pk - LaurentSeries.from_scalar(scalar)) * LaurentSeries.from_scalar(coeff)
                 if rem.coeffs:
                     residue = self.group.gen_x(beta.root, rem.shift(beta.level))
             out.append(new_slot)
@@ -162,7 +212,7 @@ class _Rewriter:
             return []
         slot = tail[0]
         l = idx
-        xneg = group.gen_x_affine(-alpha, -m_level, Fraction(1, 1) / c_scalar)
+        xneg = group.gen_x(-alpha, LaurentSeries.t_power(-m_level, Fraction(1, 1) / c_scalar))
         if not slot:
             return [[]] + self.push_negative(c_scalar, alpha, m_level, tail[1:], idx + 1)
         if len(slot) != 1:
@@ -184,7 +234,7 @@ class _Rewriter:
             # x(1/c) v = p^{-alpha^vee} v x(1/c) p^{-alpha^vee},
             # p = sqrt(1 + t^{n-m} b/c)
             b_over_c = Fraction(coeff, 1) / c_scalar
-            p = (LaurentSeries.one() + LaurentSeries.t_power(n - m_level, b_over_c)).sqrt()
+            p = sqrt(LaurentSeries.one() + LaurentSeries.t_power(n - m_level, b_over_c))
             mu = -datum.coroot_of(alpha)
             torus = group.gen_torus(mu, p)
             lhs = xneg * vmat
@@ -201,9 +251,9 @@ class _Rewriter:
         new_coeff = b * c_scalar / (b + c_scalar)
         unit = Fraction(1) + Fraction(b, 1) / c_scalar
         lhs = xneg * vmat
-        rhs = group.gen_x_affine(alpha, m_level, new_coeff) * \
+        rhs = group.gen_x(alpha, LaurentSeries.t_power(m_level, new_coeff)) * \
             group.gen_torus(-datum.coroot_of(alpha), LaurentSeries.from_scalar(unit)) * \
-            group.gen_x_affine(-alpha, -m_level, Fraction(1, 1) / (b + c_scalar))
+            group.gen_x(-alpha, LaurentSeries.t_power(-m_level, Fraction(1, 1) / (b + c_scalar)))
         if not lhs.agrees_with(rhs):
             raise LoopGroupError("Eq-(3) fold-slot rewrite failed")
         inner = self.push_negative(b + c_scalar, alpha, m_level, tail[1:], idx + 1)
@@ -258,7 +308,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     lhs = group.x_product(a_f + [x_h] + _factors(group, b_tail)) * tnu
 
     rw = _Rewriter(group, gallery)
-    u0 = group.gen_x_affine(alpha, m + 1, Fraction(1, 1) / h)
+    u0 = group.gen_x(alpha, LaurentSeries.t_power(m + 1, Fraction(1, 1) / h))
     tail1 = rw.absorb(u0, b_tail, j)
     k_f = [x_h, group.x_factor(alpha, -Fraction(1, 1) / h, m + 1)]
     c_f = _factors(group, tail1[: k - j])
@@ -286,7 +336,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     sbar = group.gen_sbar(i)
     t_shift = group.gen_t(co.scale(m + 1))
     k_closed = group.gen_torus(-co, LaurentSeries.from_scalar(-h)) * \
-        group.gen_x_affine(alpha, m + 1, h) * t_shift * sbar
+        group.gen_x(alpha, LaurentSeries.t_power(m + 1, h)) * t_shift * sbar
     if not group.x_product(k_f).agrees_with(k_closed):
         return False
     if a_k is not None:

@@ -11,7 +11,6 @@ from mvcrystals.affine import (
     build_gallery_type,
     enumerate_affine_reduced_words,
     face_level,
-    face_sup,
     face_vertices,
     fundamentalize,
     identity_aff,
@@ -22,6 +21,7 @@ from mvcrystals.affine import (
 )
 from mvcrystals.gallery import enumerate_ls, minimal_gallery
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
+from stabwork import face_sup
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -144,8 +144,8 @@ def test_build_gamma_lambda_a1():
     gamma = minimal_gallery(gt)
     assert gamma.alcove(0) == A1.alcove_vertices
     assert gamma.facet(1) == face_vertices(A1, identity_aff(A1), frozenset({0}))
-    assert gt.prefixes[1] == simple_affine_reflection(A1, 0)
-    assert gt.prefixes[1].act_coweight(gt.lam_fund) == lam
+    assert gamma.prefixes[1] == simple_affine_reflection(A1, 0)
+    assert gamma.prefixes[1].act_coweight(gt.lam_fund) == lam
 
 
 def test_build_gamma_lambda_rejects_bad_words():

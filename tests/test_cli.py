@@ -84,8 +84,7 @@ def test_verify_reports_byte_identical(tmp_path, run_python):
     # re-enumerates every crystal instead of reading the first one's
     f1, f2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     for f in (f1, f2):
-        out = run_python(_MAIN, args=["verify", "--suite", "desk", "--json", str(f),
-                                      "--full"])
+        out = run_python(_MAIN, args=["verify", "--json", str(f), "--full"])
         assert out.returncode == 0, out.stderr
     assert f1.read_bytes() == f2.read_bytes()
     lines = f1.read_text().strip().split("\n")

@@ -33,6 +33,7 @@ from mvcrystals.looplab.sampling import (
     string_to_lusztig_map,
 )
 from mvcrystals.rootdata import Coweight, build_root_datum
+from stabwork import coefficient, sqrt
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -57,10 +58,10 @@ def test_series_geometric_inverse():
     one_minus_t = LaurentSeries({0: 1, 1: -1})
     inv = one_minus_t.inverse()
     assert inv.cap is not None
-    assert all(inv.coefficient(e) == 1 for e in range(0, inv.cap))
+    assert all(coefficient(inv, e) == 1 for e in range(0, inv.cap))
     prod = one_minus_t * inv
     assert prod.val() == 0 and prod.leading() == 1
-    assert all(prod.coefficient(e) == 0 for e in range(1, prod.cap))
+    assert all(coefficient(prod, e) == 0 for e in range(1, prod.cap))
 
 
 def test_series_inverse_of_integer_coefficients_stays_rational():
@@ -93,7 +94,7 @@ def test_series_sqrt():
     rng = random.Random(1)
     for _ in range(20):
         u = LaurentSeries({0: 1, 1: rng.randint(-5, 5), 2: rng.randint(-5, 5)})
-        r = u.sqrt()
+        r = sqrt(u)
         assert (r * r).agrees_with(u)
 
 
@@ -102,8 +103,7 @@ def test_series_sqrt():
     lambda: LaurentSeries({0: 1, 2: 0.0}),
     lambda: LaurentSeries.t_power(1, 0.5),
     lambda: LaurentSeries.from_scalar(0.1),
-    lambda: LaurentSeries({0: 1, 1: 2}).scale(0.5),
-], ids=["init", "init-float-zero", "t_power", "from_scalar", "scale"])
+], ids=["init", "init-float-zero", "t_power", "from_scalar"])
 def test_series_rejects_float_coefficients(make):
     with pytest.raises(TypeError, match="int or Fraction, got float"):
         make()
@@ -119,15 +119,15 @@ def test_series_stores_integral_coefficients_as_int():
 
 
 def test_series_accessors_return_fraction_for_int_storage():
-    # stabwork raises coefficient(0) to negative powers: an int there would
-    # give a float, which the constructor then rejects
+    # the inclusion-proof rewriter raises coefficient(s, 0) to negative
+    # powers: an int there would give a float, which the constructor rejects
     s = LaurentSeries({-1: 2, 0: 5}, cap=4)
     assert all(type(c) is int for c in s.coeffs.values())
     assert type(s.leading()) is Fraction and s.leading() == 2
     for e in (-1, 0, 3):
-        assert type(s.coefficient(e)) is Fraction
-    assert LaurentSeries({0: 2}).coefficient(0) ** -1 == Fraction(1, 2)
-    assert type(LaurentSeries({0: 2}).coefficient(0) ** -1) is Fraction
+        assert type(coefficient(s, e)) is Fraction
+    assert coefficient(LaurentSeries({0: 2}), 0) ** -1 == Fraction(1, 2)
+    assert type(coefficient(LaurentSeries({0: 2}), 0) ** -1) is Fraction
 
 
 # -- column-operation products -------------------------------------------------
@@ -159,8 +159,8 @@ def _seeded_factors(rng, n, windowed):
             j, k = rng.sample(range(n), 2)
         p = random_unit_series(rng)
         if windowed and rng.random() < 0.7:
-            p = (LaurentSeries.one() + LaurentSeries.t_power(1, rng.randint(-4, 4))).sqrt(
-                rel_prec=rng.randint(1, 6)) * p
+            p = sqrt(LaurentSeries.one() + LaurentSeries.t_power(1, rng.randint(-4, 4)),
+                     rel_prec=rng.randint(1, 6)) * p
         factors.append((j, k, p.shift(rng.randint(-2, 2))))
     return factors
 

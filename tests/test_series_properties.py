@@ -5,6 +5,7 @@ as int or Fraction, and the sum-of-products kernel, with its exact-zero and
 exact-unit shortcuts, against the chains of ``+`` and ``*`` it replaces."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup
 from mvcrystals.looplab.series import sum_products
 from mvcrystals.rootdata import build_root_datum
+from stabwork import sqrt
 
 _COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -121,7 +123,7 @@ def test_division_agrees_with_multiplying_by_the_inverse(a, b, p, wa, wb):
 @_SETTINGS
 @given(_unit_with_square_constant(), st.integers(1, 12))
 def test_sqrt_window_agrees_with_four_times_the_precision(a, p):
-    coarse, fine = a.sqrt(rel_prec=p), a.sqrt(rel_prec=4 * p)
+    coarse, fine = sqrt(a, rel_prec=p), sqrt(a, rel_prec=4 * p)
     assert coarse.agrees_with(fine)
     assert (coarse * coarse).agrees_with(a)
 
@@ -163,7 +165,7 @@ def test_int_and_fraction_storage_give_the_same_series(a, b, p):
 @_SETTINGS
 @given(_unit_coeffs().map(_twin), st.integers(1, 12))
 def test_sqrt_is_independent_of_coefficient_storage(u, p):
-    assert _same_series([x.sqrt(rel_prec=p) for x in u])
+    assert _same_series([sqrt(x, rel_prec=p) for x in u])
 
 
 # -- the sum-of-products kernel against the chains it replaces ---------------
@@ -288,7 +290,13 @@ def test_minors_and_products_match_the_chained_sums(mats):
             assert _same(ab[i, j], ref_dot(a.rows[i], [r[j] for r in b.rows]))
 
 
-_SL3 = LoopGroup(build_root_datum("A", 2))
+@cache
+def _sl3():
+    """Built on first use: a series fault that trips the group's pinning
+    self-check then fails this one test, not the whole file's collection."""
+    return LoopGroup(build_root_datum("A", 2))
+
+
 _FACTOR = st.tuples(st.sampled_from([(j, k) for j in range(3) for k in range(3) if j != k]),
                     _ENTRY).map(lambda f: (*f[0], f[1]))
 
@@ -296,7 +304,7 @@ _FACTOR = st.tuples(st.sampled_from([(j, k) for j in range(3) for k in range(3) 
 @_SETTINGS
 @given(st.lists(_FACTOR, max_size=5))
 def test_x_product_matches_the_chained_column_operations(factors):
-    got, want = _SL3.x_product(factors), ref_x_product(3, factors)
+    got, want = _sl3().x_product(factors), ref_x_product(3, factors)
     for i in range(3):
         for j in range(3):
             assert _same(got[i, j], want[i][j])

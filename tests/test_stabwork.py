@@ -3,8 +3,8 @@ import pytest
 from mvcrystals.affine import build_gallery_type
 from mvcrystals.gallery import enumerate_ls, root_e
 from mvcrystals.looplab import LoopGroup
-from mvcrystals.looplab.stabwork import prop_inclusion_coset_check
 from mvcrystals.rootdata import Coweight, build_root_datum
+from stabwork import prop_inclusion_coset_check
 
 A2 = build_root_datum("A", 2)
 G2 = LoopGroup(A2)

@@ -11,7 +11,6 @@ from mvcrystals.trails import (
     enumerate_itrails,
     in_string_cone,
     string_cone_inequalities,
-    zero_d_trail_exists,
 )
 
 A2 = build_root_datum("A", 2)
@@ -57,6 +56,23 @@ def test_trail_trivial_and_sl2():
     assert len(trails) == 1
     assert trails[0].exponents == (1,)
     assert trails[0].d == (0,)
+
+
+def zero_d_trail_exists(datum, word, i) -> bool:
+    """The trail (omega_i, s_{i_1} omega_i, ..., w0 omega_i) with all d_j = 0."""
+    rep = WedgeRep(datum.rank + 1, i)
+    gamma = rep.highest_weight()
+    # each step of the chain swaps the epsilon coordinates j and j + 1
+    chain = [gamma]
+    for j in word:
+        wt = list(chain[-1])
+        wt[j - 1], wt[j] = wt[j], wt[j - 1]
+        chain.append(tuple(wt))
+    for t in enumerate_itrails(rep, gamma, gamma[::-1], word):
+        if t.weights == tuple(chain):
+            assert not any(t.d), ("reflection chain trail has d != 0", word, i, t.d)
+            return True
+    return False
 
 
 def test_zero_d_trail_exists_both_words():
