@@ -16,7 +16,7 @@ import importlib
 import json
 import sys
 
-from mvcrystals.affine import build_gallery_type, minimal_word
+from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import CrystalError, string_parameters
 from mvcrystals.gallery import GalleryError, enumerate_ls
 from mvcrystals.precision import GenericityError, PrecisionError, default_rel_prec, \
@@ -70,10 +70,11 @@ def cmd_crystal(args):
     datum = _datum(args)
     lam = _coweight(args.lam, datum)
     word = _word(args.word) if args.word else None
-    graph = enumerate_ls(build_gallery_type(datum, lam, word=word))
+    gtype = build_gallery_type(datum, lam, word=word)
+    graph = enumerate_ls(gtype)
     data = graph.to_dict()
     data["lambda"] = list(lam.coords)
-    data["word"] = list(word) if word else list(minimal_word(datum, lam))
+    data["word"] = list(gtype.word)
     _emit(data, args.out)
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -207,28 +207,23 @@ class LoopGroup:
 
     # -- factorizations --------------------------------------------------------------
 
-    def gauss_decompose(self, g: LaurentMatrix):
-        """g = b u with b upper triangular and u lower unitriangular.
+    def gauss_decompose(self, g: LaurentMatrix) -> LaurentMatrix:
+        """The lower unitriangular u in g = b u, b upper triangular.
 
-        Both factors are ratios of minors of g (Berenstein-Fomin-Zelevinsky,
-        Adv. Math. 1996).  With D_k the minor on rows and columns k..n-1
-        (0-based, D_n = 1), b_kj = Delta(rows {k} + {j+1..n-1}, cols j..n-1)
-        / D_{j+1} for k <= j, and u_kj = Delta(rows k..n-1, cols {j} +
-        {k+1..n-1}) / D_k for j < k.  It exists iff every D_k is a unit."""
+        u is a ratio of minors of g (Berenstein-Fomin-Zelevinsky, Adv. Math.
+        1996).  With D_k the minor on rows and columns k..n-1 (0-based),
+        u_kj = Delta(rows k..n-1, cols {j} + {k+1..n-1}) / D_k for j < k.  The
+        factorization exists iff every D_k is a unit."""
         n = self.n
         dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
         for k in range(n - 1, -1, -1):
             _pivot(dets[k], f"Gauss pivot {n - 1 - k} of SL_{n}")
-        dets.append(LaurentSeries.one())
         zero, one = LaurentSeries.zero(), LaurentSeries.one()
-        b = [[zero] * n for _ in range(n)]
         u = [[one if k == j else zero for j in range(n)] for k in range(n)]
-        for j in range(n):
-            for k in range(j + 1):
-                b[k][j] = g.minor_det((k, *range(j + 1, n)), range(j, n)) / dets[j + 1]
-            for k in range(j + 1, n):
+        for k in range(1, n):
+            for j in range(k):
                 u[k][j] = g.minor_det(range(k, n), (j, *range(k + 1, n))) / dets[k]
-        return LaurentMatrix(b), LaurentMatrix(u)
+        return LaurentMatrix(u)
 
     def factor_y(self, g: LaurentMatrix, word):
         """Factor a generic lower unitriangular g as y_{i_1}(p_1)...y_{i_N}(p_N).
@@ -278,14 +273,12 @@ class LoopGroup:
         """Parameters q with z_word(q) = g for lower unitriangular g: the lower
         Gauss factor of g wbar(w0), y-factored."""
         # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
-        _, u = self.gauss_decompose(g * self.wbar_w0)
-        return self.factor_y(u, word)
+        return self.factor_y(self.gauss_decompose(g * self.wbar_w0), word)
 
     def z_of(self, word, qs) -> LaurentMatrix:
         """z_word(q) = lower Gauss factor of y_word(q) wbar(w0)^{-1}."""
         y = self.y_product(word, qs)
-        _, u = self.gauss_decompose(y * self.wbar_w0.inverse())
-        return u
+        return self.gauss_decompose(y * self.wbar_w0.inverse())
 
 
 def _pivot(s: LaurentSeries, what) -> LaurentSeries:

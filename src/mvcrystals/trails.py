@@ -5,8 +5,11 @@ Matrix realization is type A only: V(omega_k) = Lambda^k C^n with basis the
 sorted k-subsets of {1..n}.  On sorted subsets the raising operator E_i
 replaces i+1 by i and the lowering operator F_i replaces i by i+1; a single
 index swaps in place, so the convention is sign-free.  Weights are recorded
-in epsilon coordinates as integer n-tuples of fixed total k, which avoids the
-center quotient altogether.
+in epsilon coordinates as integer n-tuples of fixed total k (the 0/1
+indicator of the subset), which avoids the center quotient altogether.
+
+Every weight space is a line and E_i^2 = 0, so an i-trail is a walk on
+k-subsets in which each letter applies its E_i once or not at all.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class WedgeRep:
         self.basis = tuple(combinations(range(1, n + 1), k))
         self.index = {s: a for a, s in enumerate(self.basis)}
         self.dim = len(self.basis)
-        # sparse maps: raising[i][col] = row  (coefficient always 1)
+        # index maps: raising[i][col] = row  (coefficient always 1)
         self.raising = {i: {} for i in range(1, n)}
         self.lowering = {i: {} for i in range(1, n)}
         for a, s in enumerate(self.basis):
@@ -59,12 +62,10 @@ class WedgeRep:
 
     def _check_commutation(self):
         # [E_i, F_j] = delta_ij <wt, alpha_i^vee> on every basis vector
-        for i in range(1, self.n):
-            for j in range(1, self.n):
+        for i, e in self.raising.items():
+            for j, f in self.lowering.items():
                 for a in range(self.dim):
-                    ef = self._apply_single(self.raising[i], self._single(a, self.lowering[j]))
-                    fe = self._apply_single(self.lowering[j], self._single(a, self.raising[i]))
-                    diff = ef.get(a, 0) - fe.get(a, 0)
+                    diff = (e.get(f.get(a)) == a) - (f.get(e.get(a)) == a)
                     if i == j:
                         wt = self.weight(a)
                         if diff != wt[i - 1] - wt[i]:
@@ -73,116 +74,51 @@ class WedgeRep:
                     elif diff != 0:
                         raise RootDataError(f"[E_{i},F_{j}] has a diagonal entry")
 
-    @staticmethod
-    def _single(a, op):
-        return {op[a]: 1} if a in op else {}
-
-    @staticmethod
-    def _apply_single(op, vec):
-        out = {}
-        for a, coeff in vec.items():
-            if a in op:
-                out[op[a]] = out.get(op[a], 0) + coeff
-        return out
-
     def weight(self, a) -> tuple:
         """Weight of basis vector a in epsilon coordinates (0/1 vector)."""
         s = self.basis[a]
         return tuple(int(j in s) for j in range(1, self.n + 1))
 
-    def weight_vectors(self, wt: tuple):
-        return tuple(a for a in range(self.dim) if self.weight(a) == wt)
-
-    def apply_e(self, i, vec: dict) -> dict:
-        return self._apply_single(self.raising[i], vec)
-
     def highest_weight(self) -> tuple:
         return tuple([1] * self.k + [0] * (self.n - self.k))
 
-    def permuted_weight(self, perm, wt: tuple) -> tuple:
-        """w(wt) for a permutation of {1..n} given as a value tuple."""
-        out = [0] * self.n
-        for j in range(1, self.n + 1):
-            out[perm[j - 1] - 1] = wt[j - 1]
-        return tuple(out)
-
-
-def _alpha_eps(n, i):
-    """Simple root alpha_i = e_i - e_{i+1} in epsilon coordinates."""
-    v = [0] * n
-    v[i - 1], v[i] = 1, -1
-    return tuple(v)
-
 
 def enumerate_itrails(rep: WedgeRep, gamma: tuple, delta: tuple, word):
-    """All i-trails from gamma to delta in the wedge rep.
+    """All i-trails from gamma to delta in the wedge rep, by exponents.
 
-    Depth-first over exponent vectors, applied from the right end of the word;
-    a branch dies as soon as the partial operator product annihilates V_delta
-    or the weight chain leaves the weight set of the rep."""
-    n, N = rep.n, len(word)
-    weight_set = {rep.weight(a) for a in range(rep.dim)}
-    start_cols = rep.weight_vectors(delta)
-    if not start_cols or gamma not in weight_set:
+    Walk one basis index from delta's subset, reading the word from the
+    right: each letter either skips (n_j = 0) or applies E_{i_j} (n_j = 1).
+    The walks that end at gamma's subset are the trails."""
+    n, word = rep.n, tuple(word)
+    if not all(1 <= i < n for i in word):
+        raise RootDataError(f"word {word} has a letter outside 1..{n - 1}")
+    start = rep.index.get(tuple(j for j, x in enumerate(delta, 1) if x))
+    if start is None or rep.weight(start) != delta:
         return []
-    # vectors: image of each V_delta basis vector under the partial product
-    init = [{a: 1} for a in start_cols]
+    walks = [((), start)]
+    for i in reversed(word):
+        up, nxt = rep.raising[i], []
+        for exps, a in walks:
+            nxt.append(((0,) + exps, a))
+            if a in up:
+                nxt.append(((1,) + exps, up[a]))
+        walks = nxt
     trails = []
-
-    def rec(j, wt, vecs, exps):
-        # vecs = E_{i_{j+1}}^{n_{j+1}} ... E_{i_N}^{n_N} restricted to V_delta
-        if j == 0:
-            if wt == gamma and any(v for v in vecs):
-                weights = [gamma]
-                w = gamma
-                for step, i in enumerate(word):
-                    w = tuple(x - exps[step] * y for x, y in zip(w, _alpha_eps(n, i)))
-                    weights.append(w)
-                if weights[-1] != delta:
-                    raise RootDataError(f"trail of {word} ends at {weights[-1]}, not {delta}")
-                d = []
-                for step, i in enumerate(word):
-                    tot = tuple(x + y for x, y in zip(weights[step], weights[step + 1]))
-                    num = tot[i - 1] - tot[i]
-                    if num % 2:
-                        raise RootDataError("d_j failed to be an integer")
-                    d.append(num // 2)
-                trails.append(ITrail(tuple(word), tuple(weights), tuple(exps),
-                                     tuple(d)))
-            return
-        i = word[j - 1]
-        cur_wt = wt
-        cur_vecs = vecs
-        nj = 0
-        while True:
-            if cur_wt in weight_set and any(cur_vecs):
-                rec(j - 1, cur_wt, cur_vecs, (nj,) + exps)
-            nxt = [rep.apply_e(i, v) for v in cur_vecs]
-            if not any(nxt):
-                break
-            cur_vecs = nxt
-            cur_wt = tuple(x + y for x, y in zip(cur_wt, _alpha_eps(n, i)))
-            nj += 1
-        return
-
-    rec(N, delta, init, ())
-    trails.sort(key=lambda t: t.exponents)
+    for exps in sorted(exps for exps, end in walks if rep.weight(end) == gamma):
+        weights, d = [gamma], []
+        for i, m in zip(word, exps):
+            w = list(weights[-1])
+            w[i - 1] -= m
+            w[i] += m
+            num = weights[-1][i - 1] + w[i - 1] - weights[-1][i] - w[i]
+            if num % 2:
+                raise RootDataError("d_j failed to be an integer")
+            d.append(num // 2)
+            weights.append(tuple(w))
+        if weights[-1] != delta:
+            raise RootDataError(f"trail of {word} ends at {weights[-1]}, not {delta}")
+        trails.append(ITrail(word, tuple(weights), exps, tuple(d)))
     return trails
-
-
-def _w0_perm(n):
-    return tuple(range(n, 0, -1))
-
-
-def _si_perm(n, i):
-    p = list(range(1, n + 1))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
-def _compose(p, q):
-    # (p q)(j) = p(q(j))
-    return tuple(p[q[j] - 1] for j in range(len(p)))
 
 
 def string_cone_inequalities(datum: RootDatum, word):
@@ -197,13 +133,12 @@ def string_cone_inequalities(datum: RootDatum, word):
     for i in range(1, n):
         rep = WedgeRep(n, i)
         gamma = rep.highest_weight()
-        target_perm = _compose(_w0_perm(n), _si_perm(n, i))
-        delta = rep.permuted_weight(target_perm, gamma)
-        for trail in enumerate_itrails(rep, gamma, delta, word):
-            raw.append(trail.d)
-    dedup = tuple(sorted(set(raw)))
-    return dedup, tuple(raw)
+        # s_i swaps the epsilon coordinates i and i+1; w0 reverses them all
+        wt = list(gamma)
+        wt[i - 1], wt[i] = wt[i], wt[i - 1]
+        raw.extend(t.d for t in enumerate_itrails(rep, gamma, tuple(wt[::-1]), word))
+    return tuple(sorted(set(raw))), tuple(raw)
 
 
 def in_string_cone(c, rows) -> bool:
-    return all(sum(r * x for r, x in zip(row, c)) >= 0 for row in rows)
+    return all(sum(r * x for r, x in zip(row, c, strict=True)) >= 0 for row in rows)

@@ -165,3 +165,18 @@ def test_cone_tightness_a2_desk_scale():
         for node in graph.nodes:
             achieved.add(string_parameters(graph, node, WORD_A2).c)
     assert wanted <= achieved
+
+
+def test_itrail_letter_out_of_range_names_word_and_range():
+    with pytest.raises(RootDataError, match=r"^word \(3,\) has a letter outside 1\.\.2$"):
+        enumerate_itrails(WedgeRep(3, 1), (1, 0, 0), (0, 0, 1), (3,))
+    with pytest.raises(RootDataError, match="outside 1..2"):
+        enumerate_itrails(WedgeRep(3, 1), (1, 0, 0), (0, 0, 1), (1, 0))
+
+
+def test_in_string_cone_rejects_a_string_of_the_wrong_length():
+    rows, _ = string_cone_inequalities(A2, WORD_A2)
+    with pytest.raises(ValueError):
+        in_string_cone((0, 0), rows)
+    with pytest.raises(ValueError):
+        in_string_cone((0, 0, 0, 0), rows)
