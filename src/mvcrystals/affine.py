@@ -52,23 +52,32 @@ class AffineRoot:
     level: int
 
 
-@dataclass(frozen=True)
 class AffWeylElt:
-    """Element (translation, finite part) of W^aff acting by x |-> w(x) + mu."""
+    """Element (translation, finite part) of W^aff acting by x |-> w(x) + mu;
+    mu lies in Z Phi^vee, so its coordinates are integers."""
 
-    translation: Coweight
-    finite: WeylElt
+    __slots__ = ("translation", "finite")
+
+    def __init__(self, translation: Coweight, finite: WeylElt):
+        self.translation, self.finite = translation, finite
+
+    def __eq__(self, other):
+        return isinstance(other, AffWeylElt) and self.finite is other.finite \
+            and self.translation.coords == other.translation.coords
+
+    def __hash__(self):
+        return hash((self.translation.coords, self.finite.index))
 
     def __mul__(self, other):
         # (mu, w)(nu, v) = (mu + w(nu), wv); nu = 0 for every s_i with i >= 1
-        mu = self.translation
-        if any(other.translation.coords):
-            mu = mu + self.finite.act_coweight(other.translation)
+        mu, nu = self.translation, other.translation.coords
+        if any(nu):
+            mu = Coweight(tuple([a + sum(map(mul, row, nu))
+                                 for a, row in zip(mu.coords, self.finite.cmat)]))
         return AffWeylElt(mu, self.finite * other.finite)
 
     def act_point(self, coords):
-        moved = self.finite.act_point(coords)
-        return tuple(_norm(a + b) for a, b in zip(moved, self.translation.coords))
+        return tuple(map(_norm, self.act_scaled(coords, 1)))
 
     def act_scaled(self, coords, scale: int):
         """The action on a point given as integer coordinates in units of 1/scale."""
@@ -244,15 +253,21 @@ def minimal_word(datum: RootDatum, lam: Coweight):
             raise RuntimeError("no left descent found; length function broken")
         i, g, lg = step
         word.append(i)
-    word = tuple(word)
-    w = identity_aff(datum)
+    _check_word(datum, tuple(word), lam_fund, lam)
+    return tuple(word)
+
+
+def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
+    """The prefixes of word over I^aff; the word must be reduced and map
+    lam_fund to lam."""
+    prefixes = [identity_aff(datum)]
     for i in word:
-        w = w * simple_affine_reflection(datum, i)
-    if aff_length(datum, w) != len(word):
-        raise RootDataError(f"greedy word {word} for {lam} is not reduced")
-    if w.act_coweight(lam_fund) != lam:
-        raise RootDataError(f"greedy word {word} does not map lam_fund to {lam}")
-    return word
+        prefixes.append(prefixes[-1] * simple_affine_reflection(datum, i))
+    if aff_length(datum, prefixes[-1]) != len(word):
+        raise RootDataError(f"word {word} for {lam} is not reduced")
+    if prefixes[-1].act_coweight(lam_fund) != lam:
+        raise RootDataError(f"word {word} does not map lam_fund to {lam}")
+    return prefixes
 
 
 @dataclass(frozen=True)
@@ -288,14 +303,7 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     minimal = minimal_word(datum, lam)
     word = minimal if word is None else tuple(word)
     lam_fund, lam_jtype, _ = fundamentalize(datum, lam)
-    prefixes = [identity_aff(datum)]
-    for i in word:
-        prefixes.append(prefixes[-1] * simple_affine_reflection(datum, i))
-    w = prefixes[-1]
-    if aff_length(datum, w) != len(word):
-        raise RootDataError(f"word {word} is not reduced")
-    if w.act_coweight(lam_fund) != lam:
-        raise RootDataError(f"word {word} does not map lam_fund to {lam}")
+    prefixes = _check_word(datum, word, lam_fund, lam)
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
     for j, mover in enumerate(prefixes):

@@ -52,23 +52,27 @@ def _cartan_matrix(series, rank):
     raise RootDataError(f"unsupported series/rank: {series}{rank}")
 
 
+class _Vector:
+    """Coordinate arithmetic of roots and coweights; results keep the type."""
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coords))
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def scale(self, k):
+        return type(self)(tuple(_norm(k * a) for a in self.coords))
+
+
 @dataclass(frozen=True)
-class Root:
+class Root(_Vector):
     """A root, as integer coordinates in the simple-root basis."""
 
     coords: tuple
-
-    def __neg__(self):
-        return Root(tuple(-a for a in self.coords))
-
-    def __add__(self, other):
-        return Root(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Root(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, k):
-        return Root(tuple(k * a for a in self.coords))
 
     @property
     def is_positive(self):
@@ -79,7 +83,7 @@ class Root:
 
 
 @dataclass(frozen=True)
-class Coweight:
+class Coweight(_Vector):
     """An element of Lambda x_Z Q in the simple-coroot basis.
 
     Lattice coweights have integer coordinates; fundamental coweights are
@@ -88,18 +92,6 @@ class Coweight:
     """
 
     coords: tuple
-
-    def __neg__(self):
-        return Coweight(tuple(-a for a in self.coords))
-
-    def __add__(self, other):
-        return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, k):
-        return Coweight(tuple(_norm(k * a) for a in self.coords))
 
     def is_integral(self):
         return all(type(_norm(a)) is int for a in self.coords)

@@ -114,6 +114,14 @@ def _graph(graphs, datum, lam, word=None):
     return graphs[key]
 
 
+def _group(graphs, datum):
+    """The LoopGroup of datum, built (and self-checked) once per graph cache."""
+    key = (datum.series, datum.rank)
+    if key not in graphs:
+        graphs[key] = LoopGroup(datum)
+    return graphs[key]
+
+
 # -- criteria -----------------------------------------------------------------
 
 
@@ -289,7 +297,7 @@ def crit_5_string_cone(graphs):
 
 def crit_6_counterexample(graphs):
     a3 = build_root_datum("A", 3)
-    group = LoopGroup(a3)
+    group = _group(graphs, a3)
     word = (2, 1, 3, 2, 1, 3)
     g = counterexample_matrix(group)  # checks exact equality with the display
     ps = group.factor_y(g, word)
@@ -324,7 +332,7 @@ def crit_7_ytilde_sampling(graphs):
     ok = True
     details = []
     for datum, word in cases:
-        group = LoopGroup(datum)
+        group = _group(graphs, datum)
         rows, _ = string_cone_inequalities(datum, word)
         rng = random.Random(repr((_SEED, "crit7", datum.rank)))
         n = len(word)
@@ -358,7 +366,7 @@ def crit_7_ytilde_sampling(graphs):
 
 def crit_8_cell_sampling(graphs):
     a2 = build_root_datum("A", 2)
-    group = LoopGroup(a2)
+    group = _group(graphs, a2)
     lam = Coweight((1, 1))
     graph = _graph(graphs, a2, lam)
     ok = len(graph.nodes) == 8
@@ -378,7 +386,7 @@ def crit_8_cell_sampling(graphs):
 
 def crit_9_crystal_op(graphs):
     a2 = build_root_datum("A", 2)
-    group = LoopGroup(a2)
+    group = _group(graphs, a2)
     lam = Coweight((1, 1))
     graph = _graph(graphs, a2, lam)
     ok = True
@@ -406,7 +414,7 @@ def crit_9_crystal_op(graphs):
 
 def crit_10_rank_one(graphs):
     a1 = build_root_datum("A", 1)
-    group = LoopGroup(a1)
+    group = _group(graphs, a1)
     # hand-derived instance
     u = group.gen_x(-a1.simple_root(1), LaurentSeries.t_power(-1))
     v = group.gen_x(a1.simple_root(1), LaurentSeries.t_power(1)) * \
@@ -431,7 +439,7 @@ def crit_10_rank_one(graphs):
 
 def crit_11_tropical_transition(graphs):
     a2 = build_root_datum("A", 2)
-    group = LoopGroup(a2)
+    group = _group(graphs, a2)
     lam = Coweight((1, 1))
     graph = _graph(graphs, a2, lam)
     ok = True
@@ -455,7 +463,7 @@ def crit_12_factorization_roundtrip(graphs):
     details = {}
     for series, rank, word in (("A", 2, (1, 2, 1)), ("A", 3, (2, 1, 3, 2, 1, 3))):
         datum = build_root_datum(series, rank)
-        group = LoopGroup(datum)
+        group = _group(graphs, datum)
         rng = random.Random(repr((_SEED, "crit12", rank)))
         good = 0
         for _ in range(_ROUNDTRIPS):
@@ -471,8 +479,8 @@ def crit_12_factorization_roundtrip(graphs):
     return ok, details
 
 
-# Every criterion takes the run's graph cache, a dict that _graph fills; the
-# criteria that enumerate no LS crystal leave it alone.
+# Every criterion takes the run's graph cache, a dict that _graph fills with
+# LS crystals and _group with loop groups.
 CRITERIA = [
     (1, "crystal axioms on the LS suites", crit_1_axioms),
     (2, "character identity vs Freudenthal", crit_2_characters),
@@ -497,8 +505,8 @@ _RUN_GRAPHS = contextvars.ContextVar("run_graphs")
 
 
 def run_criterion(cid: int) -> CriterionResult:
-    """Run one criterion.  Inside run_all() it shares the run's LS crystals;
-    called alone it enumerates its own."""
+    """Run one criterion.  Inside run_all() it shares the run's LS crystals
+    and loop groups; called alone it builds its own."""
     graphs = _RUN_GRAPHS.get({})
     for num, name, fn in CRITERIA:
         if num == cid:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 from itertools import product
@@ -19,6 +20,7 @@ from mvcrystals.gallery import (
     crystal_maps,
     dimension,
     enumerate_ls,
+    fold_window,
     gallery_from_dict,
     gallery_to_dict,
     is_ls,
@@ -259,21 +261,21 @@ def test_serialization_roundtrip(a2_theta_type):
 
 def test_recover_tuple_keeps_the_tuple_under_identity_movers(a2_theta_type):
     for g in enumerate_ls(a2_theta_type).nodes:
-        assert _recover_tuple(g, [identity_aff(A2)] * (g.gtype.p + 1)) == g
+        assert _recover_tuple(g, [identity_aff(A2)] * (g.gtype.p + 1), 1) == g
 
 
 def test_recover_tuple_rejects_translation_on_delta0(a1_type):
     gamma = minimal_gallery(a1_type)
     shift = translation(A1, A1.simple_coroot(1))
     with pytest.raises(GalleryError, match="delta_0 has a translation"):
-        _recover_tuple(gamma, [shift, shift])
+        _recover_tuple(gamma, [shift, shift], 1)
 
 
 def test_recover_tuple_rejects_step_outside_w_il(a1_type):
     gamma = minimal_gallery(a1_type)
     shift = translation(A1, A1.simple_coroot(1))
     with pytest.raises(GalleryError, match=r"delta_1 is not in W_\{i_1\}"):
-        _recover_tuple(gamma, [identity_aff(A1), shift])
+        _recover_tuple(gamma, [identity_aff(A1), shift], 1)
     # a finite reflection applied from the middle of a longer gallery
     gtype = build_gallery_type(A2, Coweight((2, 2)))
     assert gtype.p == 5
@@ -281,7 +283,7 @@ def test_recover_tuple_rejects_step_outside_w_il(a1_type):
     s1 = AffWeylElt(A2.zero_coweight(), A2.simple_reflection(1))
     movers = [identity_aff(A2)] * 2 + [s1] * 4
     with pytest.raises(GalleryError, match=r"delta_2 is not in W_\{i_2\}"):
-        _recover_tuple(gamma, movers)
+        _recover_tuple(gamma, movers, 1)
 
 
 # sha256 of json.dumps(enumerate_ls(build_gallery_type(...)).to_dict(), sort_keys=True):
@@ -320,3 +322,96 @@ def test_flip_count_checked_under_python_O(run_python):
     out = run_python(code, "-O")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: 2 flips")
+
+
+# -- error context: every root-operator error names the datum, the gallery as
+# gallery_from_dict reads it, and the colour; each fault is monkeypatched in
+
+def assert_names(exc_info, g, i):
+    """The message ends in "(<datum> gallery <dict>, colour <i>)", and the
+    dict rebuilds g."""
+    datum = g.gtype.datum
+    text = str(exc_info.value)
+    assert text.endswith(f"({datum.series}{datum.rank} gallery {gallery_to_dict(g)}, colour {i})")
+    data = ast.literal_eval(text[text.rindex(" gallery ") + 9:text.rindex(", colour")])
+    assert gallery_from_dict(datum, data) == g
+
+
+def test_lowest_wall_level_error_names_the_gallery(monkeypatch, a1_type):
+    gamma, real = minimal_gallery(a1_type), gallery._levels
+    monkeypatch.setattr(gallery, "_levels",
+                        lambda g, i: tuple(n if n is None else n + 5 for n in real(g, i)))
+    with pytest.raises(GalleryError, match="lowest wall level 5 > 0") as exc:
+        min_wall_level(gamma, 1)
+    assert_names(exc, gamma, 1)
+
+
+def test_translated_delta0_error_names_the_gallery(monkeypatch, a1_type):
+    gamma = minimal_gallery(a1_type)
+    monkeypatch.setattr(gallery, "affine_reflection",
+                        lambda datum, beta: translation(datum, datum.coroot_of(beta.root)))
+    with pytest.raises(GalleryError, match="delta_0 has a translation part") as exc:
+        root_f(gamma, 1)
+    assert_names(exc, gamma, 1)
+
+
+def test_step_outside_w_il_error_names_the_gallery(monkeypatch, a1_type):
+    gamma = minimal_gallery(a1_type)
+    monkeypatch.setattr(gallery, "affine_reflection", lambda datum, beta: identity_aff(datum))
+    with pytest.raises(GalleryError, match=r"delta_1 is not in W_\{i_1\}") as exc:
+        root_f(gamma, 1)
+    assert_names(exc, gamma, 1)
+
+
+def test_weight_error_names_the_gallery(monkeypatch, a1_type):
+    gamma = minimal_gallery(a1_type)
+    monkeypatch.setattr(gallery, "_recover_tuple", lambda g, movers, i: g)
+    with pytest.raises(GalleryError, match="moved the weight") as exc:
+        root_f(gamma, 1)
+    assert_names(exc, gamma, 1)
+
+
+def test_missing_fold_point_error_names_the_gallery(monkeypatch, a1_type):
+    g, real = gal(a1_type, (1,), False), gallery._levels
+    assert fold_window(g, 1) == (-1, 0, 1)
+    monkeypatch.setattr(gallery, "_levels", lambda g, i: (None,) + real(g, i)[1:])
+    with pytest.raises(GalleryError, match="no fold point at level m\\+1") as exc:
+        root_e(g, 1)
+    assert_names(exc, g, 1)
+
+
+def test_missing_wall_crossing_error_names_the_gallery(monkeypatch, a1_type):
+    gamma, real = minimal_gallery(a1_type), gallery._levels
+    monkeypatch.setattr(gallery, "_levels",
+                        lambda g, i: tuple(None if n == 1 else n for n in real(g, i)))
+    with pytest.raises(GalleryError, match="no wall crossing at level m\\+1") as exc:
+        root_f(gamma, 1)
+    assert_names(exc, gamma, 1)
+
+
+def test_leaving_the_ls_set_error_names_the_gallery(monkeypatch, a1_type):
+    monkeypatch.setattr(gallery, "is_ls", lambda g: False)
+    with pytest.raises(GalleryError, match="root_f left the LS set") as exc:
+        enumerate_ls(a1_type)
+    assert_names(exc, minimal_gallery(a1_type), 1)
+
+
+def test_node_cap_error_names_the_gallery(a2_theta_type):
+    with pytest.raises(GalleryError, match="more than 2 LS nodes") as exc:
+        enumerate_ls(a2_theta_type, node_cap=2)
+    assert_names(exc, minimal_gallery(a2_theta_type), 2)
+
+
+def test_e_closure_error_names_the_gallery(monkeypatch, a1_type):
+    monkeypatch.setattr(gallery, "root_e",
+                        lambda g, i: Gallery(g.gtype, g.delta0, (False,) * g.gtype.p))
+    with pytest.raises(GalleryError, match="not closed under root_e") as exc:
+        enumerate_ls(a1_type)
+    assert_names(exc, minimal_gallery(a1_type), 1)
+
+
+def test_e_f_disagreement_error_names_the_gallery(monkeypatch, a1_type):
+    monkeypatch.setattr(gallery, "root_e", lambda g, i: g)
+    with pytest.raises(GalleryError, match="e and f disagree") as exc:
+        enumerate_ls(a1_type)
+    assert_names(exc, minimal_gallery(a1_type), 1)

@@ -153,6 +153,25 @@ def test_each_run_all_enumerates_its_own_graphs(monkeypatch):
     assert len(calls) == suite
 
 
+def test_each_run_all_builds_one_loop_group_per_rank(monkeypatch):
+    built = []
+
+    def counted(datum, real=verify.LoopGroup):
+        built.append(f"{datum.series}{datum.rank}")
+        return real(datum)
+
+    monkeypatch.setattr(verify, "LoopGroup", counted)
+    # A3 in criteria 6 and 12, A1 in 10, A2 in 12
+    monkeypatch.setattr(verify, "CRITERIA", [c for c in verify.CRITERIA if c[0] in (6, 10, 12)])
+    for _ in range(2):
+        built.clear()
+        assert all(r.passed for r in run_all())
+        assert sorted(built) == ["A1", "A2", "A3"]
+    built.clear()
+    assert verify.run_criterion(12).passed  # alone: groups of its own
+    assert sorted(built) == ["A2", "A3"]
+
+
 def test_criterion_4_fails_on_crystal_error_and_propagates_other_errors(monkeypatch):
     def raising(exc):
         def fake(g1, g2):
