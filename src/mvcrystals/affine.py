@@ -22,7 +22,6 @@ their faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
@@ -286,11 +285,12 @@ class GalleryType:
     def p(self):
         return len(self.word)
 
-    @cached_property
+    @property
     def dim_gamma(self) -> int:
-        """dim gamma_lambda, the dimension of the minimal gallery."""
-        from mvcrystals.gallery import dimension, minimal_gallery
-        return dimension(minimal_gallery(self))
+        """dim gamma_lambda = |Phi_+| + p: every alcove of the type is
+        dominant (build_gallery_type), so each of its p wall crossings is
+        positive."""
+        return len(self.datum.positive_roots) + len(self.word)
 
 
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:

@@ -6,36 +6,25 @@ Reports are deterministic for fixed flags and seed (JSON is emitted with
 sorted keys and all randomness is derived from the seed by stable hashing).
 The series precision is --prec if given, else the MVCRYSTALS_PREC environment
 variable, else 32; --prec holds for its own command only, so `main` restores
-the default it found when it returns.
+the default it found when it returns.  crystal, string and cone load
+neither looplab nor verify: the commands that need them import them when run.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
 from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import CrystalError, string_parameters
-from mvcrystals.gallery import GalleryError, enumerate_ls
+from mvcrystals.gallery import GalleryError, crystal_to_dict, enumerate_ls
 from mvcrystals.precision import GenericityError, PrecisionError, default_rel_prec, \
     set_default_rel_prec
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import string_cone_inequalities
 
 __all__ = ["main"]
-
-_LAZY = {"LoopGroup": "looplab", "lusztig_from_string": "looplab",
-         "sample_ytilde": "looplab", "run_all": "verify"}
-_cli = sys.modules[__name__]  # commands read _LAZY names through __getattr__
-
-
-def __getattr__(name):  # PEP 562: crystal, string and cone load neither package
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"mvcrystals.{_LAZY[name]}"), name)
-
 
 _PREC_HELP = ("relative precision of series divisions, in [1, 256]; "
               "default: MVCRYSTALS_PREC, else 32")
@@ -72,7 +61,7 @@ def cmd_crystal(args):
     word = _word(args.word) if args.word else None
     gtype = build_gallery_type(datum, lam, word=word)
     graph = enumerate_ls(gtype)
-    data = graph.to_dict()
+    data = crystal_to_dict(graph)
     data["lambda"] = list(lam.coords)
     data["word"] = list(gtype.word)
     _emit(data, args.out)
@@ -114,13 +103,15 @@ def cmd_cone(args):
 
 
 def cmd_mv_sample(args):
+    from mvcrystals.looplab import LoopGroup, sample_ytilde
+
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     datum = _datum(args)
-    group = _cli.LoopGroup(datum)
+    group = LoopGroup(datum)
     word = _word(args.word)
     c = _word(args.c)
-    reports = _cli.sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
+    reports = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
     rows = [{
         "trial": rep.trial,
         "mu_plus": list(rep.mu_plus.coords),
@@ -133,18 +124,22 @@ def cmd_mv_sample(args):
 
 
 def cmd_trop(args):
+    from mvcrystals.looplab import LoopGroup, lusztig_from_string
+
     datum = _datum(args)
-    group = _cli.LoopGroup(datum)
+    group = LoopGroup(datum)
     word = _word(args.word)
     c_tilde = _word(args.ctilde)
-    n_vec = _cli.lusztig_from_string(group, word, c_tilde)
+    n_vec = lusztig_from_string(group, word, c_tilde)
     _emit({"word": list(word), "c_tilde": list(c_tilde),
            "lusztig": [int(x) for x in n_vec]}, args.out)
     return 0
 
 
 def cmd_verify(args):
-    results = _cli.run_all()
+    from mvcrystals.verify import run_all
+
+    results = run_all()
     failures = 0
     lines = []
     for res in results:

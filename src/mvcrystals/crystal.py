@@ -28,7 +28,6 @@ __all__ = [
     "string_parameters",
     "string_param_from_c",
     "string_param_from_c_tilde",
-    "stable_string",
     "crystal_isomorphic",
     "contragredient_node",
 ]
@@ -89,21 +88,13 @@ class CrystalGraph:
         return self._end("lowest", self.f, "sink")
 
     def to_dict(self):
-        """Structured export: nodes with weight/dim/eps/phi, colored edges."""
-        from mvcrystals.gallery import Gallery, dimension, gallery_to_dict
-
-        nodes = []
-        for b in self.nodes:
-            rec = {
-                "id": self.node_id(b),
-                "weight": list(self.wt[b].coords),
-                "eps": [self.eps[(b, i)] for i in self.colors],
-                "phi": [self.phi[(b, i)] for i in self.colors],
-            }
-            if isinstance(b, Gallery):
-                rec["tuple"] = gallery_to_dict(b)["deltas"]
-                rec["dim"] = dimension(b)
-            nodes.append(rec)
+        """Structured export: nodes with weight/eps/phi, colored edges."""
+        nodes = [{
+            "id": self.node_id(b),
+            "weight": list(self.wt[b].coords),
+            "eps": [self.eps[(b, i)] for i in self.colors],
+            "phi": [self.phi[(b, i)] for i in self.colors],
+        } for b in self.nodes]
         edges = [
             {"from": self.node_id(b), "to": self.node_id(c), "color": i}
             for (b, i), c in sorted(self.f_map.items(),
@@ -353,32 +344,6 @@ def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
     if cur != graph.lowest_node():
         raise CrystalError("string descent did not reach the lowest-weight node")
     return string_param_from_c(datum, word, c)
-
-
-def stable_string(datum: RootDatum, lambdas, selector, word) -> StringParam:
-    """String of a B(-infinity) element realized as a stabilized string inside
-    a growing tower of B(lambda).
-
-    `selector(graph)` picks the node at each level, returning None when the
-    element is not visible in that crystal yet; levels are matched through
-    lowest-weight-based strings, so stabilization means two consecutive levels
-    report the same parameter."""
-    from mvcrystals.affine import build_gallery_type
-    from mvcrystals.gallery import enumerate_ls
-
-    prev = None
-    for lam in lambdas:
-        graph = enumerate_ls(build_gallery_type(datum, lam))
-        node = selector(graph)
-        if node is None:
-            # the element is not visible at this level yet; keep growing
-            prev = None
-            continue
-        cur = string_parameters(graph, node, word)
-        if prev is not None and prev.c == cur.c:
-            return cur
-        prev = cur
-    raise CrystalError("string parameter did not stabilize within the tower")
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -35,6 +35,7 @@ from mvcrystals.affine import (
     simple_affine_reflection,
     translation,
 )
+from mvcrystals.crystal import CrystalError, CrystalGraph, StringParam, string_parameters
 from mvcrystals.rootdata import Coweight, RootDatum, WeylElt
 
 __all__ = [
@@ -49,7 +50,9 @@ __all__ = [
     "dimension",
     "is_ls",
     "enumerate_ls",
+    "stable_string",
     "GalleryError",
+    "crystal_to_dict",
     "gallery_to_dict",
     "gallery_from_dict",
 ]
@@ -298,11 +301,10 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
     """Closure of {gamma_lambda} under the defined root_f operators.
 
     Asserts every generated gallery is LS and that the set is closed under
-    root_e; returns a CrystalGraph whose node payloads are the galleries."""
-    from mvcrystals.crystal import CrystalGraph
-
+    root_e; returns a CrystalGraph whose node payloads are the galleries.
+    Every edge ends at the node object itself, not at an equal copy."""
     datum, start = gtype.datum, minimal_gallery(gtype)
-    seen, order, edges, frontier = {start}, [start], {}, [start]
+    seen, order, edges, frontier = {start: start}, [start], {}, [start]
     while frontier:
         nxt = []
         for node in frontier:
@@ -310,14 +312,15 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
                 child = root_f(node, i)
                 if child is None:
                     continue
-                edges[(node, i)] = child
-                if child not in seen:
+                known = seen.get(child)
+                if known is None:
                     if not is_ls(child):
                         raise GalleryError(f"root_f left the LS set ({_where(node, i)})")
-                    seen.add(child)
+                    known = seen[child] = child
                     nxt.append(child)
                     if len(seen) > node_cap:
                         raise GalleryError(f"more than {node_cap} LS nodes ({_where(node, i)})")
+                edges[(node, i)] = known
         nxt.sort(key=Gallery.sort_key)
         order.extend(nxt)
         frontier = nxt
@@ -335,8 +338,31 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
         for i in range(1, datum.rank + 1):
             _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
     return CrystalGraph(datum=datum, nodes=tuple(order), wt={node: node.weight for node in order},
-                        f_map=dict(edges), eps=eps, phi=phi,
+                        f_map=edges, eps=eps, phi=phi,
                         e_map={(val, i): key_node for (key_node, i), val in edges.items()})
+
+
+def stable_string(datum: RootDatum, lambdas, selector, word) -> StringParam:
+    """String of a B(-infinity) element realized as a stabilized string inside
+    a growing tower of B(lambda).
+
+    `selector(graph)` picks the node at each level, returning None when the
+    element is not visible in that crystal yet; levels are matched through
+    lowest-weight-based strings, so stabilization means two consecutive levels
+    report the same parameter."""
+    prev = None
+    for lam in lambdas:
+        graph = enumerate_ls(build_gallery_type(datum, lam))
+        node = selector(graph)
+        if node is None:
+            # the element is not visible at this level yet; keep growing
+            prev = None
+            continue
+        cur = string_parameters(graph, node, word)
+        if prev is not None and prev.c == cur.c:
+            return cur
+        prev = cur
+    raise CrystalError("string parameter did not stabilize within the tower")
 
 
 # -- serialization -------------------------------------------------------------
@@ -352,3 +378,13 @@ def gallery_from_dict(datum: RootDatum, data: dict) -> Gallery:
     delta0 = datum.word_to_element(tuple(data["deltas"][0]))
     flips = tuple(bool(b) for b in data["deltas"][1:])
     return Gallery(gtype, delta0, flips)
+
+
+def crystal_to_dict(graph: CrystalGraph) -> dict:
+    """graph.to_dict() with each gallery node's tuple (delta_0's reduced word,
+    then the flips) and dimension."""
+    data = graph.to_dict()
+    for rec, g in zip(data["nodes"], graph.nodes):
+        rec["tuple"] = gallery_to_dict(g)["deltas"]
+        rec["dim"] = dimension(g)
+    return data

@@ -24,12 +24,14 @@ from mvcrystals.crystal import (
     contragredient_node,
     crystal_isomorphic,
     expected_character,
+    string_param_from_c_tilde,
     string_parameters,
     validate_axioms,
 )
-from mvcrystals.gallery import dimension, enumerate_ls, minimal_gallery, root_e
-from mvcrystals.gallery import crystal_maps, min_wall_level
+from mvcrystals.gallery import crystal_maps, dimension, enumerate_ls, min_wall_level, \
+    minimal_gallery, root_e
 from mvcrystals.looplab import (
+    LaurentMatrix,
     LaurentSeries,
     LoopGroup,
     cell_point,
@@ -42,7 +44,6 @@ from mvcrystals.looplab import (
     sample_ytilde,
 )
 from mvcrystals.looplab.sampling import random_unit_series
-from mvcrystals.crystal import string_param_from_c_tilde
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 
@@ -419,8 +420,6 @@ def crit_10_rank_one(graphs):
     u = group.gen_x(-a1.simple_root(1), LaurentSeries.t_power(-1))
     v = group.gen_x(a1.simple_root(1), LaurentSeries.t_power(1)) * \
         group.gen_t(Coweight((1,)))
-    from mvcrystals.looplab.series import LaurentMatrix
-
     expected = LaurentMatrix([
         [LaurentSeries.t_power(1), LaurentSeries.one()],
         [-LaurentSeries.one(), LaurentSeries.zero()],

@@ -104,14 +104,15 @@ def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
     code = (
         "import sys\n"
         "from mvcrystals import cli\n"
+        "from mvcrystals import looplab\n"
         "from mvcrystals.looplab import default_rel_prec\n"
         "def reporting(fn):\n"
         "    def run(*args, **kwargs):\n"
         "        print('prec', default_rel_prec())\n"
         "        return fn(*args, **kwargs)\n"
         "    return run\n"
-        "cli.sample_ytilde = reporting(cli.sample_ytilde)\n"
-        "cli.lusztig_from_string = reporting(cli.lusztig_from_string)\n"
+        "looplab.sample_ytilde = reporting(looplab.sample_ytilde)\n"
+        "looplab.lusztig_from_string = reporting(looplab.lusztig_from_string)\n"
         "for cmd in (['mv-sample', '--rank', '1', '--word', '1', '--c', '1',\n"
         "             '--trials', '1'],\n"
         "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"

@@ -13,8 +13,7 @@ from mvcrystals.affine import (
     simple_affine_reflection,
     translation,
 )
-from mvcrystals.crystal import stable_string
-from mvcrystals.gallery import GalleryError, enumerate_ls
+from mvcrystals.gallery import GalleryError, enumerate_ls, stable_string
 from mvcrystals.looplab import GenericityError, LaurentSeries, LoopGroup
 from mvcrystals.looplab.series import set_default_rel_prec, vector_val, PrecisionError
 from mvcrystals.rootdata import Coweight, build_root_datum

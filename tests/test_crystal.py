@@ -12,14 +12,13 @@ from mvcrystals.crystal import (
     contragredient_node,
     crystal_isomorphic,
     expected_character,
-    stable_string,
     string_param_from_c,
     string_param_from_c_tilde,
     string_parameters,
     validate_axioms,
     weyl_dimension,
 )
-from mvcrystals.gallery import enumerate_ls
+from mvcrystals.gallery import enumerate_ls, stable_string
 from mvcrystals.rootdata import Coweight, build_root_datum
 
 A1 = build_root_datum("A", 1)

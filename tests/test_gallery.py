@@ -18,6 +18,7 @@ from mvcrystals.gallery import (
     GalleryError,
     _recover_tuple,
     crystal_maps,
+    crystal_to_dict,
     dimension,
     enumerate_ls,
     fold_window,
@@ -156,7 +157,7 @@ def test_fold_list_matches_two_pass_definitions(datum, lam):
 @pytest.mark.parametrize("datum,lam", FOLD_CASES, ids=["A1-(2,)", "A2-(1, 1)"])
 def test_is_ls_evaluates_each_fold_once(monkeypatch, datum, lam):
     gtype = build_gallery_type(datum, Coweight(lam))
-    gtype.dim_gamma  # the type's own dimension is computed once per type
+    # dim_gamma is the closed form |Phi_+| + p and evaluates no face
     calls = []
     monkeypatch.setattr(gallery, "phi_plus_aff",
                         lambda *args: calls.append(args) or phi_plus_aff(*args))
@@ -286,7 +287,7 @@ def test_recover_tuple_rejects_step_outside_w_il(a1_type):
         _recover_tuple(gamma, movers, 1)
 
 
-# sha256 of json.dumps(enumerate_ls(build_gallery_type(...)).to_dict(), sort_keys=True):
+# sha256 of json.dumps(crystal_to_dict(enumerate_ls(build_gallery_type(...))), sort_keys=True):
 # pins node order, edges, eps/phi and dim of the exported crystal byte for byte.
 GOLDEN_CRYSTALS = [
     ("A", 2, (3, 5), "1b96868f2449f26939a2b250700ae15920a0deeb585618391f96c4a9d4a09ce3"),
@@ -302,7 +303,7 @@ GOLDEN_CRYSTALS = [
 def test_crystal_export_golden(series, rank, lam, digest):
     datum = build_root_datum(series, rank)
     graph = enumerate_ls(build_gallery_type(datum, Coweight(lam)))
-    text = json.dumps(graph.to_dict(), sort_keys=True)
+    text = json.dumps(crystal_to_dict(graph), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -6,13 +6,16 @@ and weight tripwires must still fire on inherited galleries."""
 import pytest
 
 from mvcrystals import gallery, verify
-from mvcrystals.affine import build_gallery_type
+from mvcrystals.affine import build_gallery_type, enumerate_affine_reduced_words, \
+    identity_aff, minimal_word, simple_affine_reflection
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
     _levels,
+    dimension,
     enumerate_ls,
     fold_window,
+    minimal_gallery,
     root_e,
     root_f,
 )
@@ -39,6 +42,35 @@ def gallery_types():
         yield build_gallery_type(build_root_datum(series, rank), Coweight(lam))
     for datum, lam in verify._suite_entries():
         yield build_gallery_type(datum, lam)
+
+
+def word_types():
+    """Every reduced word of w_lambda that criterion 4 enumerates."""
+    a2 = build_root_datum("A", 2)
+    for coords in ((1, 1), (2, 2)):
+        w = identity_aff(a2)
+        for i in minimal_word(a2, Coweight(coords)):
+            w = w * simple_affine_reflection(a2, i)
+        for word in enumerate_affine_reduced_words(a2, w):
+            yield build_gallery_type(a2, Coweight(coords), word=word)
+
+
+def test_closed_form_dimension_is_the_minimal_gallerys():
+    # dim gamma_lambda = |Phi_+| + p, against an evaluation of gamma_lambda
+    checked = 0
+    for gtype in (*gallery_types(), *word_types()):
+        assert gtype.dim_gamma == dimension(minimal_gallery(gtype)), gtype
+        checked += 1
+    assert checked > len(CRYSTAL_LAMBDAS) + 2
+
+
+def test_edges_end_at_the_node_objects():
+    # an f-edge into a node met before stores that node, not an equal copy
+    for gtype in gallery_types():
+        graph = enumerate_ls(gtype)
+        nodes = {id(node) for node in graph.nodes}
+        assert all(id(c) in nodes for c in graph.f_map.values())
+        assert all(id(b) in nodes and id(c) in nodes for (b, _), c in graph.e_map.items())
 
 
 def test_inherited_geometry_equals_fresh_geometry(monkeypatch):

@@ -1,0 +1,103 @@
+"""The import layers of src/mvcrystals.  Every import between its modules
+points down the order
+
+    precision, rootdata -> trails, crystal, affine -> gallery -> looplab
+    -> verify -> cli
+
+so no module depends on one above it and no import cycle is held together by
+an import inside a function.  The only function-level imports are the lazy
+ones: the CLI commands that need looplab or verify, and the package's
+__getattr__, which loads LoopGroup on first use."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvcrystals"
+
+# the second part of a module's name -> its layer; looplab's modules share one,
+# and the package itself ("") stands above everything it re-exports
+LAYER = {"precision": 0, "rootdata": 0, "trails": 1, "crystal": 1, "affine": 1,
+         "gallery": 2, "looplab": 3, "verify": 4, "cli": 5, "": 5}
+LAZY = {("mvcrystals.cli", "cmd_mv_sample"), ("mvcrystals.cli", "cmd_trop"),
+        ("mvcrystals.cli", "cmd_verify"), ("mvcrystals", "__getattr__")}
+
+
+def modules():
+    """Module name -> parsed source, for every .py file of the package."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = ast.parse(path.read_text(), str(path))
+    return out
+
+
+def imports(tree, known):
+    """(outermost enclosing function or None, module) for every mvcrystals
+    module the tree imports; `from pkg import name` imports pkg.name when
+    that is a module, else pkg."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, func or child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                assert child.level == 0, f"relative import at line {child.lineno}"
+                names = [f"{child.module}.{a.name}" if f"{child.module}.{a.name}" in known
+                         else child.module for a in child.names]
+            elif isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            else:
+                visit(child, func)
+                continue
+            found.extend((func, name) for name in names if name.split(".")[0] == "mvcrystals")
+
+    visit(tree, None)
+    return found
+
+
+def layer(module):
+    return LAYER[(module.split(".") + [""])[1]]
+
+
+def import_graph():
+    """Module name -> its imports of mvcrystals modules."""
+    mods = modules()
+    return {name: imports(tree, mods) for name, tree in mods.items()}
+
+
+def test_imports_point_down_the_layers():
+    graph = import_graph()
+    upward = [f"{src} imports {dst}" for src, edges in graph.items() for _, dst in edges
+              if layer(dst) > layer(src)]
+    assert upward == []
+
+
+def test_only_the_lazy_places_import_inside_a_function():
+    graph = import_graph()
+    inside = [f"{src}.{func} imports {dst} inside a function"
+              for src, edges in graph.items() for func, dst in edges
+              if func is not None and (src, func) not in LAZY]
+    assert inside == []
+
+
+def test_no_import_cycle():
+    graph = import_graph()
+    state = {}  # module -> "open" while on the path, "done" after
+
+    def walk(name, path):
+        state[name] = "open"
+        for _, dst in graph[name]:
+            if state.get(dst) == "open":
+                cycle = path[path.index(dst):] + [dst]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if dst not in state:
+                walk(dst, path + [dst])
+        state[name] = "done"
+
+    for name in graph:
+        if name not in state:
+            walk(name, [name])
