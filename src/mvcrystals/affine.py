@@ -21,7 +21,6 @@ their faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
@@ -45,10 +44,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AffineRoot:
-    root: Root
-    level: int
+    """The affine root (root, level), whose wall is H_{root, level}."""
+
+    __slots__ = ("root", "level")
+
+    def __init__(self, root: Root, level: int):
+        self.root, self.level = root, level
+
+    def __eq__(self, other):
+        if type(other) is not AffineRoot:
+            return NotImplemented
+        return self.root == other.root and self.level == other.level
+
+    def __hash__(self):
+        return hash((self.root, self.level))
+
+    def __repr__(self):
+        return f"AffineRoot(root={self.root!r}, level={self.level!r})"
 
 
 class AffWeylElt:
@@ -85,11 +98,6 @@ class AffWeylElt:
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(self.act_point(v.coords))
-
-    def act_affine_root(self, datum: RootDatum, beta: AffineRoot) -> AffineRoot:
-        # w(alpha, n) = (w alpha, n); tau_mu(alpha, n) = (alpha, n + <alpha, mu>)
-        alpha = datum.act_root(self.finite, beta.root)
-        return AffineRoot(alpha, beta.level + datum.pairing(alpha, self.translation))
 
     @property
     def is_identity(self):
@@ -269,17 +277,28 @@ def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
     return prefixes
 
 
-@dataclass(frozen=True)
 class GalleryType:
     """The type gamma_lambda in the apartment of datum: dominant lam, its
     folded vertex and its type, and a reduced word of w_lambda over I^aff.
     Each gallery of the type builds its own prefix movers."""
 
-    datum: RootDatum
-    lam: Coweight
-    lam_fund: Coweight
-    lam_jtype: frozenset
-    word: tuple
+    __slots__ = ("datum", "lam", "lam_fund", "lam_jtype", "word")
+
+    def __init__(self, datum: RootDatum, lam: Coweight, lam_fund: Coweight,
+                 lam_jtype: frozenset, word: tuple):
+        self.datum, self.lam, self.lam_fund = datum, lam, lam_fund
+        self.lam_jtype, self.word = lam_jtype, word
+
+    def _fields(self):
+        return (self.datum, self.lam, self.lam_fund, self.lam_jtype, self.word)
+
+    def __eq__(self, other):
+        if type(other) is not GalleryType:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def p(self):

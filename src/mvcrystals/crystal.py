@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mvcrystals.rootdata import Coweight, RootDataError, RootDatum
@@ -37,7 +36,6 @@ class CrystalError(RuntimeError):
     pass
 
 
-@dataclass
 class CrystalGraph:
     """Finite colored graph with weight, eps and phi data per node.
 
@@ -45,20 +43,16 @@ class CrystalGraph:
     when defined, similarly `e_map`; the maps must be mutually inverse.
     """
 
-    datum: RootDatum
-    nodes: tuple
-    wt: dict
-    f_map: dict
-    e_map: dict
-    eps: dict
-    phi: dict
-    _index: dict = field(default_factory=dict, repr=False)
-    # found once per graph: "highest"/"lowest" -> node, and checked w_0 words
-    _ends: dict = field(default_factory=dict, init=False, repr=False)
-    _w0_words: set = field(default_factory=set, init=False, repr=False)
+    __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi",
+                 "_index", "_ends", "_w0_words")
 
-    def __post_init__(self):
-        self._index = {node: k for k, node in enumerate(self.nodes)}
+    def __init__(self, datum: RootDatum, nodes: tuple, wt: dict, f_map: dict, e_map: dict,
+                 eps: dict, phi: dict):
+        self.datum, self.nodes, self.wt = datum, nodes, wt
+        self.f_map, self.e_map, self.eps, self.phi = f_map, e_map, eps, phi
+        self._index = {node: k for k, node in enumerate(nodes)}
+        # found once per graph: "highest"/"lowest" -> node, and checked w_0 words
+        self._ends, self._w0_words = {}, set()
 
     @property
     def colors(self):
@@ -289,14 +283,14 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
 
 # -- string parametrization ------------------------------------------------------
 
-@dataclass(frozen=True)
 class StringParam:
     """String parameter c along a reduced word of w_0, with its modified form
     c~_j = -c_j - sum_{k>j} c_k <alpha_{i_j}, alpha_{i_k}^vee>."""
 
-    word: tuple
-    c: tuple
-    c_tilde: tuple
+    __slots__ = ("word", "c", "c_tilde")
+
+    def __init__(self, word: tuple, c: tuple, c_tilde: tuple):
+        self.word, self.c, self.c_tilde = word, c, c_tilde
 
 
 def _c_to_tilde(datum: RootDatum, word, c):

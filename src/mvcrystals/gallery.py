@@ -18,7 +18,6 @@ are rebuilt from the recovered tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
@@ -62,21 +61,19 @@ class GalleryError(RuntimeError):
     """Type preservation or enumeration guard failure."""
 
 
-@dataclass(frozen=True, eq=False)
 class Gallery:
-    gtype: GalleryType
-    delta0: WeylElt
-    flips: tuple  # flips[j] True means delta_{j+1} = s_{i_{j+1}}, else identity
-    # color i -> the wall level of each face Delta'_j (see _levels)
-    _wall_levels: dict = field(default_factory=dict, init=False, repr=False)
-    _hash: int = field(init=False, repr=False)  # galleries key every crystal dict
-    # (parent, j, k, shift) of the root operator that made this gallery
-    _parent: tuple = field(default=None, init=False, repr=False)
+    # no __slots__: the cached properties below live in the instance __dict__
 
-    def __post_init__(self):
-        if len(self.flips) != self.gtype.p:
-            raise GalleryError(f"{len(self.flips)} flips for a type of length {self.gtype.p}")
-        object.__setattr__(self, "_hash", hash((self.delta0, self.flips)))
+    def __init__(self, gtype: GalleryType, delta0: WeylElt, flips: tuple):
+        if len(flips) != gtype.p:
+            raise GalleryError(f"{len(flips)} flips for a type of length {gtype.p}")
+        # flips[j] True means delta_{j+1} = s_{i_{j+1}}, else identity
+        self.gtype, self.delta0, self.flips = gtype, delta0, flips
+        # color i -> the wall level of each face Delta'_j (see _levels)
+        self._wall_levels = {}
+        self._hash = hash((delta0, flips))  # galleries key every crystal dict
+        # (parent, j, k, shift) of the root operator that made this gallery
+        self._parent = None
 
     def __eq__(self, other):
         if not isinstance(other, Gallery):
@@ -257,7 +254,7 @@ def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
     if out.weight != g.weight + shift:
         raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
                            f"{out.weight.coords}, not by {shift.coords} ({_where(g, i)})")
-    object.__setattr__(out, "_parent", (g, j, k, shift))
+    out._parent = (g, j, k, shift)
     return out
 
 

@@ -13,7 +13,6 @@ relative precision by doubling up to 256.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from mvcrystals.affine import phi_plus_aff
 from mvcrystals.crystal import string_param_from_c
@@ -48,14 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SampleReport:
     """One trial: the stratum pair and orbit parameter of a sampled point."""
 
-    trial: int
-    mu_plus: Coweight
-    mu_minus: Coweight
-    orbit: Coweight | None
+    __slots__ = ("trial", "mu_plus", "mu_minus", "orbit")
+
+    def __init__(self, trial: int, mu_plus: Coweight, mu_minus: Coweight,
+                 orbit: Coweight | None):
+        self.trial, self.mu_plus, self.mu_minus, self.orbit = trial, mu_plus, mu_minus, orbit
 
 
 def _report(group: LoopGroup, trial, g, orbit=True) -> SampleReport:

@@ -11,7 +11,6 @@ fail loudly instead of silently computing nonsense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
@@ -53,7 +52,24 @@ def _cartan_matrix(series, rank):
 
 
 class _Vector:
-    """Coordinate arithmetic of roots and coweights; results keep the type."""
+    """Coordinate arithmetic of roots and coweights; results keep the type.
+    A root never equals a coweight, even with the same coordinates."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        self.coords = coords
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coords={self.coords!r})"
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coords))
@@ -68,11 +84,10 @@ class _Vector:
         return type(self)(tuple(_norm(k * a) for a in self.coords))
 
 
-@dataclass(frozen=True)
 class Root(_Vector):
     """A root, as integer coordinates in the simple-root basis."""
 
-    coords: tuple
+    __slots__ = ()
 
     @property
     def is_positive(self):
@@ -82,7 +97,6 @@ class Root(_Vector):
         return sum(self.coords)
 
 
-@dataclass(frozen=True)
 class Coweight(_Vector):
     """An element of Lambda x_Z Q in the simple-coroot basis.
 
@@ -91,7 +105,7 @@ class Coweight(_Vector):
     denominator is present, so lattice vectors hash as plain int tuples.
     """
 
-    coords: tuple
+    __slots__ = ()
 
     def is_integral(self):
         return all(type(_norm(a)) is int for a in self.coords)
@@ -246,9 +260,6 @@ class RootDatum:
     def fundamental_coweight(self, i) -> Coweight:
         """omega_i^vee with <alpha_j, omega_i^vee> = delta_ij; rational in general."""
         return self._fund_coweights[self._node(i, "fundamental coweight")]
-
-    def rho_coweight(self) -> Coweight:
-        return sum(self._fund_coweights, self.zero_coweight()).normalized()
 
     # -- pairing and orders --------------------------------------------------
 

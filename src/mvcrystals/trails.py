@@ -14,7 +14,6 @@ k-subsets in which each letter applies its E_i once or not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from mvcrystals.rootdata import RootDataError, RootDatum
@@ -28,12 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ITrail:
-    word: tuple
-    weights: tuple      # epsilon-coordinate tuples, length N + 1
-    exponents: tuple    # n_j >= 0 with gamma_{j-1} - gamma_j = n_j alpha_{i_j}
-    d: tuple            # d_j = <gamma_{j-1} + gamma_j, alpha_{i_j}^vee> / 2
+    """An i-trail along word: its weights (epsilon-coordinate tuples, length
+    N + 1), its exponents n_j >= 0 with gamma_{j-1} - gamma_j = n_j alpha_{i_j},
+    and d_j = <gamma_{j-1} + gamma_j, alpha_{i_j}^vee> / 2."""
+
+    __slots__ = ("word", "weights", "exponents", "d")
+
+    def __init__(self, word: tuple, weights: tuple, exponents: tuple, d: tuple):
+        self.word, self.weights, self.exponents, self.d = word, weights, exponents, d
 
 
 class WedgeRep:

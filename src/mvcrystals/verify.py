@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from mvcrystals.affine import build_gallery_type, enumerate_affine_reduced_words, \
     identity_aff, minimal_word, simple_affine_reflection
@@ -50,13 +49,13 @@ from mvcrystals.trails import in_string_cone, string_cone_inequalities
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
 
 
-@dataclass
 class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    seconds: float
-    details: dict = field(default_factory=dict)
+    __slots__ = ("cid", "name", "passed", "seconds", "details")
+
+    def __init__(self, cid: int, name: str, passed: bool, seconds: float,
+                 details: dict | None = None):
+        self.cid, self.name, self.passed, self.seconds = cid, name, passed, seconds
+        self.details = {} if details is None else details
 
     def to_json_dict(self):
         # timing stays out of the record so reports are byte-identical runs

@@ -20,6 +20,7 @@ from mvcrystals.crystal import (
 )
 from mvcrystals.gallery import enumerate_ls, stable_string
 from mvcrystals.rootdata import Coweight, build_root_datum
+from reference import rho_coweight
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -110,7 +111,7 @@ def ref_form(bmat, x, y):
 
 def ref_weyl_dimension(datum, lam):
     """prod over alpha > 0 of (lam + rho, alpha^vee) / (rho, alpha^vee), rationally."""
-    bmat, rho = ref_dual_form(datum), datum.rho_coweight()
+    bmat, rho = ref_dual_form(datum), rho_coweight(datum)
     num = den = Fraction(1)
     for co in datum.positive_coroots:
         num *= ref_form(bmat, (lam + rho).coords, co.coords)
@@ -121,7 +122,7 @@ def ref_weyl_dimension(datum, lam):
 def ref_expected_character(datum, lam):
     """Freudenthal with |lam + rho|^2 - |mu + rho|^2 in rationals, over the
     dominant weights below lam, spread over their W-orbits."""
-    bmat, rho = ref_dual_form(datum), datum.rho_coweight()
+    bmat, rho = ref_dual_form(datum), rho_coweight(datum)
     box = (lam - datum.longest_element().act_coweight(lam)).coords
     dominants = sorted((lam - Coweight(d) for d in product(*(range(b + 1) for b in box))
                         if datum.is_dominant(lam - Coweight(d))),
