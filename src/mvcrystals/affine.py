@@ -100,10 +100,6 @@ class AffWeylElt:
         return Coweight(self.act_point(v.coords))
 
     @property
-    def is_identity(self):
-        return self.finite.is_identity and not any(self.translation.coords)
-
-    @property
     def is_finite(self):
         return not any(self.translation.coords)
 
@@ -136,16 +132,12 @@ def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
 
 # -- faces -------------------------------------------------------------------
 
-def face_vertices(datum: RootDatum, mover: AffWeylElt, jtype=frozenset()):
-    """The vertices of the face mover(phi_J) in units of 1/D,
-    D = datum.apartment_scale: the images of the vertices of A_fund whose
-    index in I^aff is not in J, a proper subset of {0, ..., rank}."""
+def face_vertices(datum: RootDatum, mover: AffWeylElt):
+    """The vertices of the alcove mover(A_fund) in units of 1/D,
+    D = datum.apartment_scale, indexed like I^aff: the face mover(phi_J) has
+    those whose index is not in J."""
     scale = datum.apartment_scale
-    verts = tuple(mover.act_scaled(v, scale)
-                  for i, v in enumerate(datum.alcove_vertices) if i not in jtype)
-    if not verts:
-        raise RootDataError("jtype must be a proper subset of I^aff")
-    return verts
+    return tuple(mover.act_scaled(v, scale) for v in datum.alcove_vertices)
 
 
 def _sup(datum: RootDatum, verts, alpha: Root) -> int:

@@ -4,30 +4,28 @@ acceptance harness.
 
 Reports are deterministic for fixed flags and seed (JSON is emitted with
 sorted keys and all randomness is derived from the seed by stable hashing).
-The series precision is --prec if given, else the MVCRYSTALS_PREC environment
-variable, else 32; --prec holds for its own command only, so `main` restores
-the default it found when it returns.  crystal, string and cone load
-neither looplab nor verify: the commands that need them import them when run.
+Each command runs in its own copy of the context, so a precision it sets ends
+with it.  Only trop takes --prec: its series precision is --prec if given,
+else the MVCRYSTALS_PREC environment variable, else 32, an int in [1, 256].
+crystal, string and cone load neither looplab nor verify: the commands that
+need them import them when run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import sys
 
 from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import CrystalError, string_parameters
 from mvcrystals.gallery import GalleryError, crystal_to_dict, enumerate_ls
-from mvcrystals.precision import GenericityError, PrecisionError, default_rel_prec, \
-    set_default_rel_prec
+from mvcrystals.precision import GenericityError, PrecisionError, set_default_rel_prec
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import string_cone_inequalities
 
 __all__ = ["main"]
-
-_PREC_HELP = ("relative precision of series divisions, in [1, 256]; "
-              "default: MVCRYSTALS_PREC, else 32")
 
 
 def _datum(args):
@@ -126,6 +124,8 @@ def cmd_mv_sample(args):
 def cmd_trop(args):
     from mvcrystals.looplab import LoopGroup, lusztig_from_string
 
+    if args.prec is not None:
+        set_default_rel_prec(args.prec)
     datum = _datum(args)
     group = LoopGroup(datum)
     word = _word(args.word)
@@ -202,14 +202,15 @@ def build_parser():
     p.add_argument("--c", required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--prec", type=int, default=None, help=_PREC_HELP)
     p.set_defaults(func=cmd_mv_sample)
 
     p = sub.add_parser("trop", help="string -> Lusztig tropical transition")
     add_datum_flags(p)
     p.add_argument("--word", required=True)
     p.add_argument("--ctilde", required=True)
-    p.add_argument("--prec", type=int, default=None, help=_PREC_HELP)
+    p.add_argument("--prec", type=int, default=None,
+                   help="relative precision of series divisions, in [1, 256]; "
+                        "default: MVCRYSTALS_PREC, else 32")
     p.set_defaults(func=cmd_trop)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -223,21 +224,13 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    prec = getattr(args, "prec", None)
-    restore = None if prec is None else default_rel_prec()
+    args = build_parser().parse_args(argv)
     try:
-        if prec is not None:
-            set_default_rel_prec(prec)
-        return args.func(args)
+        return contextvars.copy_context().run(args.func, args)
     except (RootDataError, CrystalError, GalleryError, GenericityError, PrecisionError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if restore is not None:
-            set_default_rel_prec(restore)
 
 
 if __name__ == "__main__":

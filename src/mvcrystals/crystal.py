@@ -10,9 +10,9 @@ model; the two agreeing is an acceptance criterion, not a tautology.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from mvcrystals.rootdata import Coweight, RootDataError, RootDatum
 
@@ -155,32 +155,13 @@ def character(graph: CrystalGraph) -> Counter:
 # -- Freudenthal on the Langlands-dual side -------------------------------------
 
 def _dual_form(datum: RootDatum):
-    """Symmetric W-invariant form on the coweight space, coroot basis, as its
-    least integer multiple (the Weyl dimension and Freudenthal read only
-    ratios of its values), and 2 rho^vee, the sum of the positive coroots.
-
-    B[i][j] = (alpha_i^vee, alpha_j^vee) with 2 B[j][i] / B[j][j] = C[j][i],
-    so the dual system's Cartan pairings come out of the form."""
-    r = datum.rank
-    e = [None] * r
-    e[0] = Fraction(1)
-    # propagate along Dynkin edges: e_j C[j][i] = e_i C[i][j]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r):
-            for j in range(r):
-                if i != j and datum.cartan[i][j] != 0:
-                    if e[i] is not None and e[j] is None:
-                        e[j] = e[i] * Fraction(datum.cartan[i][j], datum.cartan[j][i])
-                        changed = True
-    if any(x is None for x in e):
-        raise CrystalError("Dynkin diagram not connected")
-    k = math.lcm(*(x.denominator for x in e))
-    b = [[int(e[j] * k) * datum.cartan[j][i] for i in range(r)] for j in range(r)]
-    if any(b[i][j] != b[j][i] for i in range(r) for j in range(r)):
-        raise CrystalError("dual form failed to symmetrize")
-    return b, tuple(map(sum, zip(*(co.coords for co in datum.positive_coroots))))
+    """The W-invariant form B(x, y) = sum over alpha > 0 of <alpha, x> <alpha, y>
+    on the coweight space, as its integer matrix on the coroot basis.  On an
+    irreducible system every invariant form is a multiple of it, and
+    Freudenthal reads only ratios of its values."""
+    rows = [datum.pairing_row(rt.coords) for rt in datum.positive_roots]
+    return [[sum(row[i] * row[j] for row in rows) for j in range(datum.rank)]
+            for i in range(datum.rank)]
 
 
 def _form_value(bmat, x, y):
@@ -189,15 +170,17 @@ def _form_value(bmat, x, y):
 
 
 def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
-    """Dimension of the dual-group irreducible with highest weight lam."""
+    """Dimension of the dual-group irreducible with highest weight lam: the
+    product over alpha > 0 of <alpha, lam + rho^vee> / <alpha, rho^vee>."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
-    bmat, two_rho = _dual_form(datum)
+    two_rho = datum.two_rho_vee
     lam_rho = [2 * a + b for a, b in zip(lam.coords, two_rho)]  # 2 (lam + rho^vee)
     num = den = 1
-    for co in datum.positive_coroots:
-        num *= _form_value(bmat, lam_rho, co.coords)
-        den *= _form_value(bmat, two_rho, co.coords)
+    for rt in datum.positive_roots:
+        row = datum.pairing_row(rt.coords)
+        num *= sum(map(mul, row, lam_rho))
+        den *= sum(map(mul, row, two_rho))
     d, rem = divmod(num, den)
     if rem or d <= 0:
         raise CrystalError(f"Weyl dimension of {lam} came out as {Fraction(num, den)}")
@@ -213,7 +196,7 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
         raise RootDataError(f"{lam} is not dominant")
     if not lam.is_integral():
         raise RootDataError(f"{lam} is not in the coroot lattice")
-    bmat, two_rho = _dual_form(datum)
+    bmat, two_rho = _dual_form(datum), datum.two_rho_vee
     w0 = datum.longest_element()
     box = (lam - w0.act_coweight(lam)).coords
     dominants = []

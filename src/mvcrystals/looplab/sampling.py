@@ -67,18 +67,17 @@ def _report(group: LoopGroup, trial, g, orbit=True) -> SampleReport:
     )
 
 
-def rand_nonzero_int(rng: random.Random, bound=9) -> int:
+def rand_nonzero_int(rng: random.Random) -> int:
     x = 0
     while x == 0:
-        x = rng.randint(-bound, bound)
+        x = rng.randint(-9, 9)
     return x
 
 
-def random_unit_series(rng: random.Random, extra_terms=2) -> LaurentSeries:
-    """A random unit polynomial a_0 + a_1 t + ... with a_0 != 0 (exact)."""
-    coeffs = {0: rand_nonzero_int(rng)}
-    coeffs.update((e, rng.randint(-9, 9)) for e in range(1, extra_terms + 1))
-    return LaurentSeries(coeffs)
+def random_unit_series(rng: random.Random) -> LaurentSeries:
+    """A random unit polynomial a_0 + a_1 t + a_2 t^2 with a_0 != 0 (exact)."""
+    return LaurentSeries({0: rand_nonzero_int(rng), 1: rng.randint(-9, 9),
+                          2: rng.randint(-9, 9)})
 
 
 def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):

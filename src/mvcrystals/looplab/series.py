@@ -21,7 +21,7 @@ caps by the partner's valuation lower bound.  Division is long division from
 the lowest term.  A quotient of exact operands that divides out is exact, and
 so is any quotient by an exact monomial.  Any other quotient is known on
 ``rel`` exponents from val(num) - val(den), fewer if the numerator's own
-window ends sooner; ``rel`` is ``rel_prec`` (else the process default) for an
+window ends sooner; ``rel`` is ``rel_prec`` (else the context's default) for an
 exact divisor, and the divisor's own relative window (or ``rel_prec`` if
 smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
 ever reported below the cap; a series whose known window is all zero raises
@@ -280,7 +280,7 @@ _ONE = LaurentSeries.one()
 
 class LaurentMatrix:
     """A square matrix of series; it never changes, so it keeps its minors
-    and its inverse."""
+    and its exact inverse."""
 
     __slots__ = ("n", "rows", "_minors", "_inverse")
 
@@ -310,21 +310,23 @@ class LaurentMatrix:
         return self.minor_det(range(self.n), range(self.n))
 
     def inverse(self):
-        """Adjugate over det; exact when the matrix is exact with det a
-        monomial.  Built once per matrix, and again only when a windowed
-        1/det would take a new default relative precision."""
-        prec = default_rel_prec()
-        if self._inverse is None or self._inverse[0] not in (None, prec):
-            dinv = self.det().inverse()
-            n = self.n
-            idx = tuple(range(n))
-            cof = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
-                    cof[j][i] = (-c if (i + j) % 2 else c) * dinv
-            self._inverse = (None if dinv.is_exact else prec, LaurentMatrix(cof))
-        return self._inverse[1]
+        """Adjugate over det.  Kept when 1/det is exact (det an exact
+        monomial); otherwise 1/det is windowed by the precision in force, so
+        the inverse is rebuilt on each call."""
+        if self._inverse is not None:
+            return self._inverse
+        dinv = self.det().inverse()
+        n = self.n
+        idx = tuple(range(n))
+        cof = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+                cof[j][i] = (-c if (i + j) % 2 else c) * dinv
+        inv = LaurentMatrix(cof)
+        if dinv.is_exact:
+            self._inverse = inv
+        return inv
 
     def minor_det(self, rows, cols) -> LaurentSeries:
         """The minor on these rows and columns, in the order given."""

@@ -1,8 +1,13 @@
-"""The relative precision of series divisions, in [1, 256], its default
+"""The relative precision of series divisions, an int in [1, 256], its default
 (MVCRYSTALS_PREC, else 32, checked when mvcrystals is imported) and the two
-errors of a division on its input, all without loading looplab."""
+errors of a division on its input, all without loading looplab.
+
+The precision is a context variable: a setting holds in the context it is
+made in, so code run in a copied context (each CLI command) cannot leak one.
+"""
 
 import os
+from contextvars import ContextVar
 
 MAX_REL_PREC = 256
 
@@ -16,8 +21,9 @@ class GenericityError(RuntimeError):
 
 
 def check_rel_prec(n: int, what="relative precision") -> int:
-    if not 1 <= n <= MAX_REL_PREC:
-        raise ValueError(f"{what} must be in [1, {MAX_REL_PREC}], got {n}")
+    if type(n) is not int or not 1 <= n <= MAX_REL_PREC:
+        raise ValueError(f"{what} must be in [1, {MAX_REL_PREC}] and of type int, "
+                         f"got {n!r}")
     return n
 
 
@@ -31,13 +37,12 @@ def _rel_prec_from_env() -> int:
     return check_rel_prec(n, "MVCRYSTALS_PREC")
 
 
-_DEFAULT_REL_PREC = _rel_prec_from_env()
+_REL_PREC = ContextVar("mvcrystals_rel_prec", default=_rel_prec_from_env())
 
 
 def default_rel_prec() -> int:
-    return _DEFAULT_REL_PREC
+    return _REL_PREC.get()
 
 
 def set_default_rel_prec(n: int):
-    global _DEFAULT_REL_PREC
-    _DEFAULT_REL_PREC = check_rel_prec(n)
+    _REL_PREC.set(check_rel_prec(n))

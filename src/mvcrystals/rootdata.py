@@ -135,7 +135,7 @@ class WeylElt:
     keeps its integer matrix on the simple-coroot basis (cmat, acting on
     coweight coordinates), its index in W, a shortest word (so its length)
     and its products with the generators s_theta, s_1, ..., s_rank, left and
-    right, indexed like I^aff.  Roots act through `RootDatum.act_root`."""
+    right, indexed like I^aff."""
 
     __slots__ = ("cmat", "index", "word", "length", "gen", "_left", "_right")
 
@@ -161,10 +161,6 @@ class WeylElt:
 
     def act_point(self, coords: tuple) -> tuple:
         return tuple(_norm(sum(map(mul, row, coords))) for row in self.cmat)
-
-    @property
-    def is_identity(self):
-        return not self.length
 
 
 class RootDatum:
@@ -220,8 +216,9 @@ class RootDatum:
             raise RootDataError("reflection closure is not symmetric")
         self.positive_roots = tuple(pos)
         self.positive_coroots = tuple(seen[rt] for rt in pos)
+        # 2 rho^vee, the sum of the positive coroots, in coroot coordinates
+        self.two_rho_vee = tuple(map(sum, zip(*(co.coords for co in self.positive_coroots))))
         self._coroot_of = seen
-        self._root_of = {co: rt for rt, co in seen.items()}
         self.highest_root = pos[-1]
         if not all(self.highest_root.height() > rt.height() or self.highest_root == rt
                    for rt in pos):
@@ -338,10 +335,6 @@ class RootDatum:
         """s_alpha for a root alpha: x -> x - <alpha, x> alpha^vee on coweights."""
         return self._group()[2][root]
 
-    def act_root(self, w: WeylElt, root: Root) -> Root:
-        """w(alpha), read off w(alpha^vee), which is the coroot of w(alpha)."""
-        return self._root_of[w.act_coweight(self.coroot_of(root))]
-
     def weyl_length(self, w: WeylElt) -> int:
         """The number of positive roots w sends negative: its BFS depth."""
         return w.length
@@ -355,7 +348,7 @@ class RootDatum:
         if self._weyl is None:
             gen_data = [(self.pairing_row(rt.coords), self.coroot_of(rt).coords)
                         for rt in (self.highest_root,) + self._simple_roots]
-            start = tuple(map(sum, zip(*(co.coords for co in self.positive_coroots))))
+            start = self.two_rho_vee
             seen = {start: ((), _identity(self.rank), None)}  # w(start) -> word, cmat, parent
             left, frontier = {}, [start]
             while frontier:

@@ -29,7 +29,6 @@ from operator import mul
 from mvcrystals.affine import phi_plus_aff
 from mvcrystals.gallery import Gallery, fold_window, root_e
 from mvcrystals.looplab.groups import LoopGroup
-from mvcrystals.looplab.sampling import rand_nonzero_int
 from mvcrystals.looplab.series import (
     GenericityError,
     LaurentMatrix,
@@ -39,6 +38,14 @@ from mvcrystals.looplab.series import (
     default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, Root
+
+
+def _rand_nonzero(rng: random.Random, bound: int) -> Fraction:
+    """A uniform nonzero integer in [-bound, bound], as a Fraction."""
+    x = 0
+    while x == 0:
+        x = rng.randint(-bound, bound)
+    return Fraction(x)
 
 
 def coefficient(s: LaurentSeries, e) -> Fraction:
@@ -282,7 +289,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     gaps = [phi_plus_aff(datum, gallery.facet(l), gallery.alcove(l))
             for l in range(p + 1)]
     for _ in range(20):
-        coeffs = [[(beta, Fraction(rand_nonzero_int(rng, 6))) for beta in gaps[l]]
+        coeffs = [[(beta, _rand_nonzero(rng, 6)) for beta in gaps[l]]
                   for l in range(p + 1)]
         fold_slots = [l for l in range(1, p + 1)
                       if [b.root for b, _ in coeffs[l]] == [alpha]
@@ -299,7 +306,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     else:
         raise GenericityError("could not draw coefficients with nonzero partial sums")
     if h is None:
-        h = Fraction(rand_nonzero_int(rng, 6))
+        h = _rand_nonzero(rng, 6)
 
     a_f = _factors(group, coeffs[:j])
     b_tail = coeffs[j:]

@@ -54,7 +54,7 @@ def test_cone_command(capsys):
 
 def test_mv_sample_deterministic(capsys):
     args = ["mv-sample", "--type", "A", "--rank", "2", "--word", "1,2,1",
-            "--c", "1,1,0", "--trials", "4", "--seed", "7", "--prec", "32"]
+            "--c", "1,1,0", "--trials", "4", "--seed", "7"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
@@ -100,7 +100,8 @@ def test_verify_reports_byte_identical(tmp_path, run_python):
 def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
                                                   expected):
     env = {} if env_prec is None else {"MVCRYSTALS_PREC": env_prec}
-    # each command reports the precision it runs at, and the one it leaves
+    # each command reports the precision it runs at, and the one it leaves;
+    # only trop takes the flag
     code = (
         "import sys\n"
         "from mvcrystals import cli\n"
@@ -115,15 +116,15 @@ def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
         "looplab.lusztig_from_string = reporting(looplab.lusztig_from_string)\n"
         "for cmd in (['mv-sample', '--rank', '1', '--word', '1', '--c', '1',\n"
         "             '--trials', '1'],\n"
-        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"
-        "    assert cli.main(cmd + sys.argv[1:]) == 0\n"
+        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2'] + sys.argv[1:]):\n"
+        "    assert cli.main(cmd) == 0\n"
         "    print('after', default_rel_prec())\n"
     )
     out = run_python(code, args=flags, **env)
     assert out.returncode == 0, out.stderr
     precs = [line.split()[1] for line in out.stdout.splitlines()
              if line.startswith("prec ")]
-    assert precs == [expected, expected]
+    assert precs == [env_prec or "32", expected]
     afters = [line.split()[1] for line in out.stdout.splitlines()
               if line.startswith("after ")]
     assert afters == [env_prec or "32"] * 2
@@ -135,6 +136,14 @@ def test_prec_flag_does_not_outlive_its_command(capsys):
                             "--prec", "4"], capsys)
     assert code == 0 and json.loads(out)["lusztig"] == [2]
     assert default_rel_prec() == before
+
+
+def test_mv_sample_takes_no_prec_flag(capsys):
+    # every sampled matrix is exact, so a precision would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["mv-sample", "--rank", "1", "--word", "1", "--c", "1", "--prec", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prec 4" in capsys.readouterr().err
 
 
 def test_prec_flag_range_checked(capsys):

@@ -2,10 +2,14 @@
 and the crystal strings to the cone machinery."""
 
 import random
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mvcrystals import cli
 from mvcrystals.affine import (
     AffineRoot,
     build_gallery_type,
@@ -15,7 +19,8 @@ from mvcrystals.affine import (
 )
 from mvcrystals.gallery import GalleryError, enumerate_ls, stable_string
 from mvcrystals.looplab import GenericityError, LaurentSeries, LoopGroup
-from mvcrystals.looplab.series import set_default_rel_prec, vector_val, PrecisionError
+from mvcrystals.looplab.series import default_rel_prec, set_default_rel_prec, vector_val, \
+    PrecisionError
 from mvcrystals.rootdata import Coweight, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 from reference import act_affine_root
@@ -75,11 +80,13 @@ def test_enumeration_node_cap_guardrail():
 
 
 def test_precision_setting_bounds():
-    with pytest.raises(ValueError):
-        set_default_rel_prec(0)
-    with pytest.raises(ValueError):
-        set_default_rel_prec(10**6)
-    set_default_rel_prec(32)
+    # only an int in [1, 256] is a precision: 2.5 would window a quotient at
+    # O(t^2.5), and True and 32.0 compare equal to ints in range
+    before = default_rel_prec()
+    for bad in (0, 10**6, 2.5, 32.0, True):
+        with pytest.raises(ValueError):
+            set_default_rel_prec(bad)
+    assert default_rel_prec() == before
 
 
 def test_vector_val_uncertified():
@@ -131,13 +138,24 @@ def test_gallery_character_beyond_required_suites(series, rank, coords):
     assert character(graph) == expected_character(datum, lam)
 
 
+def readme_block(heading, lang):
+    """The first fenced block of this language under this README heading."""
+    text = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+    return re.search(rf"## {heading}\n\n```{lang}\n(.*?)```", text, re.DOTALL).group(1)
+
+
 def test_readme_quickstart_block():
     # keep the README's library example honest
-    import re
-    from pathlib import Path
-
-    text = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
-    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", text,
-                      re.DOTALL).group(1)
     namespace = {}
-    exec(compile(block, "README.md", "exec"), namespace)
+    exec(compile(readme_block("Library quickstart", "python"), "README.md", "exec"),
+         namespace)
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    # keep the README's CLI examples honest: each runs and exits 0
+    commands = [shlex.split(line) for line in readme_block("CLI examples", "sh").splitlines()
+                if line.startswith("mvcrystals ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)

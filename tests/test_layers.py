@@ -101,3 +101,13 @@ def test_no_import_cycle():
     for name in graph:
         if name not in state:
             walk(name, [name])
+
+
+def test_no_global_or_assert_statement():
+    # no mutable module state set through `global`, and no check that
+    # `python -O` could strip
+    mods = modules()
+    found = [f"{name}:{node.lineno} {type(node).__name__.lower()}"
+             for name, tree in mods.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Global, ast.Assert))]
+    assert "mvcrystals.precision" in mods and found == []
