@@ -233,6 +233,13 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
 def minimal_word(datum: RootDatum, lam: Coweight):
     """A reduced word (over I^aff) of w_lambda, the minimal-length element
     with w(lam_fund) = lam; greedy minimal-coset-representative descent."""
+    lam_fund, _, word = _descend(datum, lam)
+    _check_word(datum, word, lam_fund, lam)
+    return word
+
+
+def _descend(datum: RootDatum, lam: Coweight):
+    """(lam_fund, its type J, the greedy word of w_lambda), the word unchecked."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
     lam_fund, jtype, g = fundamentalize(datum, lam)
@@ -252,8 +259,7 @@ def minimal_word(datum: RootDatum, lam: Coweight):
             raise RuntimeError("no left descent found; length function broken")
         i, g, lg = step
         word.append(i)
-    _check_word(datum, tuple(word), lam_fund, lam)
-    return tuple(word)
+    return lam_fund, jtype, tuple(word)
 
 
 def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
@@ -305,20 +311,21 @@ class GalleryType:
 
 
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:
-    """Construct gamma_lambda for a dominant lam and a reduced word of w_lambda.
+    """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
     The word defaults to the greedy minimal one; any reduced word of w_lambda
     is accepted and checked (length, image, minimality, dominance of every
     alcove Gamma_j; each facet Gamma'_j is spanned by vertices of
     Gamma_{j-1}, so its dominance follows)."""
-    minimal = minimal_word(datum, lam)
+    if not lam.is_integral():
+        raise RootDataError(f"{lam} is not in the coroot lattice")
+    lam_fund, lam_jtype, minimal = _descend(datum, lam)
     word = minimal if word is None else tuple(word)
-    lam_fund, lam_jtype, _ = fundamentalize(datum, lam)
     prefixes = _check_word(datum, word, lam_fund, lam)
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
     for j, mover in enumerate(prefixes):
         verts = face_vertices(datum, mover)
-        if any(_sup(datum, verts, -alpha) > 0 for alpha in datum.simple_roots()):
+        if any(sum(map(mul, row, v)) < 0 for v in verts for row in datum.cartan):
             raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
     return GalleryType(datum, lam, lam_fund, lam_jtype, word)

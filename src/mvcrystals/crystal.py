@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from itertools import product
+from operator import add, le, mul, sub
 
-from mvcrystals.rootdata import Coweight, RootDataError, RootDatum
+from mvcrystals.rootdata import Coweight, RootDataError, RootDatum, _sreflect
 
 __all__ = [
     "CrystalGraph",
@@ -174,6 +175,8 @@ def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
     product over alpha > 0 of <alpha, lam + rho^vee> / <alpha, rho^vee>."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
+    if any(type(datum.pairing(a, lam)) is not int for a in datum.simple_roots()):
+        raise RootDataError(f"{lam} is not in the coweight lattice")
     two_rho = datum.two_rho_vee
     lam_rho = [2 * a + b for a, b in zip(lam.coords, two_rho)]  # 2 (lam + rho^vee)
     num = den = 1
@@ -191,72 +194,57 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
     """Weight multiplicities of the dual-group module L(lam), by Freudenthal.
 
     Independent of the gallery model; cross-checked internally against the
-    Weyl dimension formula."""
+    Weyl dimension formula.  Weights are integer coordinate tuples until the
+    result is built."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
     if not lam.is_integral():
         raise RootDataError(f"{lam} is not in the coroot lattice")
-    bmat, two_rho = _dual_form(datum), datum.two_rho_vee
-    w0 = datum.longest_element()
-    box = (lam - w0.act_coweight(lam)).coords
-    dominants = []
-    def rec(prefix):
-        if len(prefix) == datum.rank:
-            mu = lam - Coweight(tuple(prefix))
-            if datum.is_dominant(mu):
-                dominants.append(mu)
-            return
-        for n in range(box[len(prefix)] + 1):
-            rec(prefix + [n])
-    rec([])
-    dominants.sort(key=lambda mu: (-sum(mu.coords), mu.coords))
-    mult = {}
-
-    def lookup(x: Coweight) -> int:
-        return mult.get(datum.dominant_conjugate(x), 0)
-
-    for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
+    lc, cartan, two_rho = lam.coords, datum.cartan, datum.two_rho_vee
+    bmat = _dual_form(datum)
+    # mu = lam - n is dominant iff C n <= C lam row by row, and every weight
+    # has lam - w0 lam >= n >= 0
+    lam_pair = [sum(map(mul, row, lc)) for row in cartan]
+    box = map(sub, lc, datum.longest_element().act_point(lc))
+    dominants = sorted((tuple(map(sub, lc, n)) for n in product(*(range(b + 1) for b in box))
+                        if all(sum(map(mul, row, n)) <= p for row, p in zip(cartan, lam_pair))),
+                       key=lambda mu: (-sum(mu), mu))
+    # (alpha^vee, B alpha^vee) per positive coroot
+    coroots = [(co.coords, [sum(map(mul, brow, co.coords)) for brow in bmat])
+               for co in datum.positive_coroots]
+    mult = {lc: 1}
+    for mu in dominants[1:]:  # dominants[0] is lam
         acc = 0
-        for co in datum.positive_coroots:
-            k = 1
-            while True:
-                x = mu + co.scale(k)
-                # weights of L(lam) all satisfy x <= lam, and the condition is
-                # monotone in k since coroot coordinates are nonnegative
-                if not datum.dominance_leq(x, lam):
-                    break
-                m = lookup(x)
+        for co, bco in coroots:
+            x = tuple(map(add, mu, co))
+            # weights of L(lam) all satisfy x <= lam, and the condition is
+            # monotone along the string since coroot coordinates are nonnegative
+            while all(map(le, x, lc)):
+                m = mult.get(datum.dominant_conjugate(Coweight(x)).coords, 0)
                 if m:
-                    acc += m * _form_value(bmat, x.coords, co.coords)
-                k += 1
+                    acc += m * sum(map(mul, x, bco))
+                x = tuple(map(add, x, co))
         # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho^vee)
-        denom = _form_value(bmat, (lam - mu).coords,
-                            [a + b + c for a, b, c in zip(lam.coords, mu.coords, two_rho)])
+        denom = _form_value(bmat, tuple(map(sub, lc, mu)),
+                            [a + b + c for a, b, c in zip(lc, mu, two_rho)])
         if denom == 0:
             raise CrystalError("Freudenthal denominator vanished")
         val, rem = divmod(2 * acc, denom)
         if rem or val < 0:
-            raise CrystalError(f"Freudenthal multiplicity of {mu} came out as {2 * acc}/{denom}")
+            raise CrystalError(f"Freudenthal multiplicity of {Coweight(mu)} came out as "
+                               f"{2 * acc}/{denom}")
         if val:
             mult[mu] = val
     out = Counter()
     for mu, m in mult.items():
         orbit = {mu}
-        frontier = [mu]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(1, datum.rank + 1):
-                    y = datum.simple_reflection(i).act_coweight(x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        for x in (frontier := [mu]):  # frontier grows until the orbit closes
+            for i, row in enumerate(cartan):
+                if (y := _sreflect(x, i, row)) not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
         for x in orbit:
-            out[x] = m
+            out[Coweight(x)] = m
     if sum(out.values()) != weyl_dimension(datum, lam):
         raise CrystalError("Freudenthal total disagrees with the Weyl dimension formula")
     if out[lam] != 1:

@@ -123,6 +123,12 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _sreflect(x, i, row):
+    """x - <row, x> e_i: a simple reflection s_i moves only coordinate i, by
+    row i of C on coweight coordinates and by column i on root coordinates."""
+    return x[:i] + (x[i] - sum(map(mul, row, x)),) + x[i + 1:]
+
+
 def _reflect(x, row, co):
     """x - <alpha, x> alpha^vee, alpha given by its pairing row and coroot co."""
     p = sum(map(mul, row, x))
@@ -179,9 +185,12 @@ class RootDatum:
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
         self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
         self._build_roots()
-        cinv = _rat_inverse(self.cartan)
-        self._fund_coweights = tuple(Coweight(tuple(_norm(cinv[j][i]) for j in range(rank)))
-                                     for i in range(rank))
+        # omega_i^vee is column i of C^-1: its coordinate j is the (i, j)
+        # cofactor of C over det C
+        det = _det(self.cartan)
+        self._fund_coweights = tuple(Coweight(tuple(
+            _norm(Fraction((-1) ** (i + j) * _det(_minor(self.cartan, i, j)), det))
+            for j in range(rank))) for i in range(rank))
         # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
         scale = self.apartment_scale = math.lcm(*(
             Fraction(a, m).denominator
@@ -197,36 +206,33 @@ class RootDatum:
     # -- construction ------------------------------------------------------
 
     def _build_roots(self):
-        simples = list(zip(self._simple_roots, self._simple_coroots))
-        seen = dict(simples)
-        for rt, co in (todo := list(simples)):  # todo grows until closed
-            for a, av in simples:
-                # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and
-                # s_i(x) = x - <alpha_i, x> alpha_i^vee on coroots
-                rt2 = rt - a.scale(self.pairing(rt, av))
-                co2 = co - av.scale(self.pairing(a, co))
+        # s_i moves only coordinate i: of a root by <beta, alpha_i^vee> (column
+        # i of C), of a coroot by <alpha_i, x> (row i of C)
+        simple = tuple(zip(self.cartan, zip(*self.cartan)))
+        seen = {e: e for e in _identity(self.rank)}  # root coords -> coroot coords
+        for rt in (todo := list(seen)):  # todo grows until closed
+            co = seen[rt]
+            for i, (row, col) in enumerate(simple):
+                rt2, co2 = _sreflect(rt, i, col), _sreflect(co, i, row)
                 if rt2 not in seen:
                     seen[rt2] = co2
-                    todo.append((rt2, co2))
+                    todo.append(rt2)
                 elif seen[rt2] != co2:
                     raise RootDataError("root/coroot matching broke")
-        pos = sorted((rt for rt in seen if rt.is_positive),
-                     key=lambda rt: (rt.height(), rt.coords))
+        pos = sorted((rt for rt in seen if all(a >= 0 for a in rt) and any(rt)),
+                     key=lambda rt: (sum(rt), rt))
         if len(seen) != 2 * len(pos):
             raise RootDataError("reflection closure is not symmetric")
-        self.positive_roots = tuple(pos)
-        self.positive_coroots = tuple(seen[rt] for rt in pos)
-        # 2 rho^vee, the sum of the positive coroots, in coroot coordinates
-        self.two_rho_vee = tuple(map(sum, zip(*(co.coords for co in self.positive_coroots))))
-        self._coroot_of = seen
-        self.highest_root = pos[-1]
-        if not all(self.highest_root.height() > rt.height() or self.highest_root == rt
-                   for rt in pos):
+        if len(pos) > 1 and sum(pos[-2]) == sum(pos[-1]):
             raise RootDataError("highest root not unique by height")
-        self.marks = self.highest_root.coords
-        if not all(self.pairing(self.highest_root, cov) >= 0
-                   for cov in self.simple_coroots()):
+        if any(sum(map(mul, col, pos[-1])) < 0 for _, col in simple):
             raise RootDataError("highest root is not dominant")
+        self._coroot_of = {Root(rt): Coweight(co) for rt, co in seen.items()}
+        self.positive_roots = tuple(Root(rt) for rt in pos)
+        self.positive_coroots = tuple(Coweight(seen[rt]) for rt in pos)
+        # 2 rho^vee, the sum of the positive coroots, in coroot coordinates
+        self.two_rho_vee = tuple(map(sum, zip(*(seen[rt] for rt in pos))))
+        self.highest_root, self.marks = self.positive_roots[-1], pos[-1]
 
     # -- basic vectors ------------------------------------------------------
 
@@ -244,9 +250,6 @@ class RootDatum:
 
     def simple_roots(self):
         return self._simple_roots
-
-    def simple_coroots(self):
-        return self._simple_coroots
 
     def zero_coweight(self):
         return Coweight((0,) * self.rank)
@@ -346,20 +349,20 @@ class RootDatum:
         depth is the length, finds every w with each s_g w; then
         w s_g = s_i (u s_g) along the BFS edge w = s_i u."""
         if self._weyl is None:
-            gen_data = [(self.pairing_row(rt.coords), self.coroot_of(rt).coords)
-                        for rt in (self.highest_root,) + self._simple_roots]
+            theta = self.pairing_row(self.marks), self._coroot_of[self.highest_root].coords
             start = self.two_rho_vee
             seen = {start: ((), _identity(self.rank), None)}  # w(start) -> word, cmat, parent
             left, frontier = {}, [start]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    left[x] = [_reflect(x, *data) for data in gen_data]
                     word, m, _ = seen[x]
-                    for i, y in enumerate(left[x][1:], 1):
-                        if y not in seen:  # s_i m, reflecting each column of m
-                            cols = (_reflect(col, *gen_data[i]) for col in zip(*m))
-                            seen[y] = ((i,) + word, tuple(zip(*cols)), x)
+                    left[x] = [_reflect(x, *theta)]
+                    for i, row in enumerate(self.cartan):
+                        left[x].append(y := _sreflect(x, i, row))
+                        if y not in seen:  # s_i m differs from m in row i only
+                            mi = tuple([a - sum(map(mul, row, c)) for a, c in zip(m[i], zip(*m))])
+                            seen[y] = ((i + 1,) + word, m[:i] + (mi,) + m[i + 1:], x)
                             nxt.append(y)
                 frontier = nxt
             order = sorted(seen, key=lambda x: (len(seen[x][0]), seen[x][1]))
@@ -367,10 +370,10 @@ class RootDatum:
             elt = {x: WeylElt(seen[x][1], k, seen[x][0], gen_of.get(x))
                    for k, x in enumerate(order)}
             for x, w in elt.items():
-                w._left = tuple(elt[y] for y in left[x])
+                w._left = tuple(map(elt.__getitem__, left[x]))
             gens = elt[start]._left
             for x, w in elt.items():
-                w._right = tuple(u._left[w.word[0]] for u in elt[seen[x][2]]._right) \
+                w._right = tuple([u._left[w.word[0]] for u in elt[seen[x][2]]._right]) \
                     if w.length else gens
             refl = {rt: elt[_reflect(start, self.pairing_row(rt.coords), co.coords)]
                     for rt, co in self._coroot_of.items()}
@@ -423,17 +426,14 @@ def _reduced_words(w, length, simple):
     return words(w, length(w))
 
 
-def _rat_inverse(m):
-    """Gauss-Jordan on [m | 1] in Fractions."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + list(unit) for row, unit in zip(m, _identity(n))]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[piv], aug[col] = aug[col], [x / aug[piv][col] for x in aug[piv]]
-        for r in range(n):
-            if r != col:
-                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _minor(m, i, j):
+    return [r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i]
+
+
+def _det(m):
+    """Integer determinant by expansion along the first row (rank <= 4)."""
+    return sum((-1) ** j * a * _det(_minor(m, 0, j)) for j, a in enumerate(m[0]) if a) \
+        if m else 1
 
 
 @lru_cache(maxsize=None)

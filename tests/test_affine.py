@@ -167,6 +167,13 @@ def test_build_gamma_lambda_rejects_bad_words():
         build_gallery_type(A2, lam2, word=longer)
 
 
+def test_build_gamma_lambda_rejects_lambda_off_the_coroot_lattice():
+    # both are dominant; their LS galleries would end at non-integral weights
+    for lam in (Coweight((Fraction(1, 2), 1)), A2.fundamental_coweight(1)):
+        with pytest.raises(RootDataError, match="is not in the coroot lattice"):
+            build_gallery_type(A2, lam)
+
+
 def test_gamma_lambda_faces_dominant():
     for datum, lam in [(A2, Coweight((1, 1))), (A2, Coweight((2, 1))),
                        (B2, Coweight((1, 1)))]:

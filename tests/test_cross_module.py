@@ -10,13 +10,7 @@ from pathlib import Path
 import pytest
 
 from mvcrystals import cli
-from mvcrystals.affine import (
-    AffineRoot,
-    build_gallery_type,
-    identity_aff,
-    simple_affine_reflection,
-    translation,
-)
+from mvcrystals.affine import AffineRoot, build_gallery_type
 from mvcrystals.gallery import GalleryError, enumerate_ls, stable_string
 from mvcrystals.looplab import GenericityError, LaurentSeries, LoopGroup
 from mvcrystals.looplab.series import default_rel_prec, set_default_rel_prec, vector_val, \

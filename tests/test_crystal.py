@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from mvcrystals.crystal import (
     weyl_dimension,
 )
 from mvcrystals.gallery import enumerate_ls, stable_string
-from mvcrystals.rootdata import Coweight, build_root_datum
+from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from reference import rho_coweight
 
 A1 = build_root_datum("A", 1)
@@ -91,6 +92,17 @@ def test_weyl_dimensions_known():
     assert weyl_dimension(B2, Coweight((1, 1))) == 5
     assert weyl_dimension(G2, Coweight((1, 2))) == 7
     assert weyl_dimension(G2, Coweight((2, 3))) == 14
+
+
+def test_weyl_dimension_needs_a_coweight_lattice_point():
+    # <alpha_2, (1/2, 1)> = 3/2: the product formula would give 35/8
+    lam = Coweight((Fraction(1, 2), 1))
+    with pytest.raises(RootDataError, match=re.escape(f"{lam} is not in the coweight lattice")):
+        weyl_dimension(A2, lam)
+    # omega_1^vee is off the coroot lattice but on the coweight lattice
+    omega = A2.fundamental_coweight(1)
+    assert omega.coords == (Fraction(2, 3), Fraction(1, 3))
+    assert weyl_dimension(A2, omega) == 3
 
 
 def ref_dual_form(datum):

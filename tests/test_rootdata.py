@@ -15,14 +15,24 @@ B2 = build_root_datum("B", 2)
 G2 = build_root_datum("G", 2)
 
 
+# |Phi_+| and the highest root of every datum the crystals benchmark builds,
+# from the Bourbaki plates in this module's numbering: B_n's last simple root
+# is short, C_n's is long, D4's node 2 is central and G2's alpha_1 is short
+PLATES = {
+    ("A", 2): (3, (1, 1)), ("A", 3): (6, (1, 1, 1)), ("A", 4): (10, (1, 1, 1, 1)),
+    ("B", 2): (4, (1, 2)), ("B", 3): (9, (1, 2, 2)), ("B", 4): (16, (1, 2, 2, 2)),
+    ("C", 2): (4, (2, 1)), ("C", 3): (9, (2, 2, 1)), ("C", 4): (16, (2, 2, 2, 1)),
+    ("D", 4): (12, (1, 2, 1, 1)), ("G", 2): (6, (3, 2)),
+}
+
+
 def test_positive_root_counts():
-    # frozen from the reflection-closure construction
-    assert len(A2.positive_roots) == 3
-    assert len(A3.positive_roots) == 6
-    assert len(B2.positive_roots) == 4
-    assert len(G2.positive_roots) == 6
-    assert len(build_root_datum("C", 3).positive_roots) == 9
-    assert len(build_root_datum("D", 4).positive_roots) == 12
+    for (series, rank), (count, theta) in PLATES.items():
+        datum = build_root_datum(series, rank)
+        assert len(datum.positive_roots) == count, (series, rank)
+        assert datum.highest_root.coords == theta, (series, rank)
+        for rt in datum.positive_roots + tuple(-rt for rt in datum.positive_roots):
+            assert datum.pairing(rt, datum.coroot_of(rt)) == 2, (series, rank, rt)
 
 
 def test_a2_positive_roots_explicit():
