@@ -239,25 +239,32 @@ def minimal_word(datum: RootDatum, lam: Coweight):
 
 
 def _descend(datum: RootDatum, lam: Coweight):
-    """(lam_fund, its type J, the greedy word of w_lambda), the word unchecked."""
+    """(lam_fund, its type J, the greedy word of w_lambda), the word unchecked.
+    l(s_i x) < l(x) iff a_i < 0 at the alcove point of x (its wall separates)."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
     lam_fund, jtype, g = fundamentalize(datum, lam)
     refl = [simple_affine_reflection(datum, i) for i in range(datum.rank + 1)]
+    scale = datum.apartment_scale * (datum.rank + 1)
+    x0, theta = datum.fund_alcove_point, datum.pairing_row(datum.highest_root.coords)
+    # a_i = const + row . x in units of 1/scale: a_0 = 1 - theta, a_i = alpha_i
+    walls = [(scale, tuple(-c for c in theta))] + [(0, row) for row in datum.cartan]
 
-    def descent(lg, cands):
-        """The first (i, x, l(x)) among the candidates (i, x) with l(x) < lg."""
-        return next(((i, x, lx) for i, x in cands if (lx := aff_length(datum, x)) < lg), None)
+    def descent(nodes, x):  # the first i among nodes with a_i(x) < 0
+        return next((i for i in nodes if walls[i][0] + sum(map(mul, walls[i][1], x)) < 0), None)
 
     lg, word = aff_length(datum, g), []
-    # right descents in W_J first give the minimal coset representative
-    while step := descent(lg, ((j, g * refl[j]) for j in sorted(jtype))):
-        _, g, lg = step
+    # right descents in W_J first give the minimal coset rep; g s_j < g iff s_j g^-1 < g^-1
+    y = datum.word_to_element(g.finite.word[::-1]).act_point(  # g^-1(x0)
+        tuple(a - scale * b for a, b in zip(x0, g.translation.coords)))
+    while lg > 0 and (j := descent(sorted(jtype), y)) is not None:
+        g, y, lg = g * refl[j], refl[j].act_scaled(y, scale), lg - 1
+    x = g.act_scaled(x0, scale)
     while lg > 0:
-        step = descent(lg, ((i, s * g) for i, s in enumerate(refl)))
-        if step is None:
+        i = descent(range(datum.rank + 1), x)
+        if i is None:
             raise RuntimeError("no left descent found; length function broken")
-        i, g, lg = step
+        x, lg = refl[i].act_scaled(x, scale), lg - 1
         word.append(i)
     return lam_fund, jtype, tuple(word)
 

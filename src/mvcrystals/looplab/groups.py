@@ -117,13 +117,12 @@ class LoopGroup:
         multiplication by x_{eps_j - eps_k}(p) = 1 + p E_jk is "column k +=
         p * column j", so a word of N root-subgroup elements costs N column
         operations from the identity and no dense product."""
-        one, zero = LaurentSeries.one(), LaurentSeries.zero()
-        rows = [[one if a == b else zero for b in range(self.n)] for a in range(self.n)]
+        rows, one = [list(r) for r in LaurentMatrix.identity(self.n).rows], LaurentSeries.one()
         for j, k, p in factors:
             for row in rows:
                 if row[j].coeffs or row[j].cap is not None:
                     row[k] = sum_products(((row[k], one, 1), (row[j], p, 1)))
-        return LaurentMatrix(rows)
+        return LaurentMatrix._of(tuple(map(tuple, rows)))
 
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:
         return self.x_product((self.x_factor(alpha, p),))
@@ -218,12 +217,11 @@ class LoopGroup:
         dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
         for k in range(n - 1, -1, -1):
             _pivot(dets[k], f"Gauss pivot {n - 1 - k} of SL_{n}")
-        zero, one = LaurentSeries.zero(), LaurentSeries.one()
-        u = [[one if k == j else zero for j in range(n)] for k in range(n)]
+        u = [list(row) for row in LaurentMatrix.identity(n).rows]
         for k in range(1, n):
             for j in range(k):
                 u[k][j] = g.minor_det(range(k, n), (j, *range(k + 1, n))) / dets[k]
-        return LaurentMatrix(u)
+        return LaurentMatrix._of(tuple(map(tuple, u)))
 
     def factor_y(self, g: LaurentMatrix, word):
         """Factor a generic lower unitriangular g as y_{i_1}(p_1)...y_{i_N}(p_N).
@@ -262,7 +260,7 @@ class LoopGroup:
             res = list(cur.rows)
             res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
                            for x, y in zip(res[i], res[i - 1]))
-            cur = LaurentMatrix(res)
+            cur = LaurentMatrix._of(tuple(res))
             perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
         # the residual must be the identity within precision
         if not cur.agrees_with(LaurentMatrix.identity(n)):

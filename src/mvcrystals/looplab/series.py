@@ -4,15 +4,17 @@ tracking, and square matrices of them.
 A coefficient is stored as an ``int`` when integral and as a ``Fraction``
 otherwise, so integer data runs on native ints; ``leading`` returns
 ``Fraction`` either way.  Any other type (a float above all) raises TypeError
-rather than entering as its binary expansion.  Series arithmetic builds its
-results through the trusted ``LaurentSeries._of``, which skips that check.
-Every product, dot product and minor is one ``sum_products`` call, and its
-loop ``_sum_products`` is the one place coefficients are multiplied.
+rather than entering as its binary expansion.  Arithmetic builds results with
+the trusted ``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip that
+check and the matrix copy and shape check.  Every product, dot product and
+minor is one ``sum_products`` call, and its loop ``_sum_products`` is the one
+place coefficients are multiplied.
 
-A series is an immutable value, so arithmetic may hand back an operand.
-Exact zeros and units skip ``_sum_products``: a term with an exact-zero
-factor drops out, and a lone term with an exact-one factor is its other
-factor.  Long division by an ``int`` lead divides ``int`` terms in ints.
+A series is an immutable value, so arithmetic may hand back an operand, and
+``zero()`` and ``one()`` are shared constants.  A term with an exact-zero
+factor drops out (no live term gives the shared zero), and a lone term with a
+factor of cap None and coefficients {0: 1} is its other factor.  Long
+division by an ``int`` lead divides ``int`` terms in ints.
 
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
@@ -85,9 +87,12 @@ def sum_products(terms):
                 cap = _min_cap(cap, a.cap + b.val_lower_bound())
             if b.cap is not None:
                 cap = _min_cap(cap, b.cap + a.val_lower_bound())
+    if not live:
+        return _ZERO
     if len(live) == 1:
         a, b, sign = live[0]
-        other = b if a == _ONE else a if b == _ONE else None
+        other = b if a.cap is None and a.coeffs == _ONE.coeffs else \
+            a if b.cap is None and b.coeffs == _ONE.coeffs else None
         if other is not None:
             return other if sign > 0 else -other
     return LaurentSeries._of(_sum_products(live, cap), cap)
@@ -120,11 +125,11 @@ class LaurentSeries:
 
     @staticmethod
     def zero():
-        return LaurentSeries._of({}, None)
+        return _ZERO
 
     @staticmethod
     def one():
-        return LaurentSeries._of({0: 1}, None)
+        return _ONE
 
     @staticmethod
     def t_power(n, coeff=1):
@@ -275,7 +280,8 @@ class LaurentSeries:
         return body + tail
 
 
-_ONE = LaurentSeries.one()
+_ZERO = LaurentSeries._of({}, None)
+_ONE = LaurentSeries._of({0: 1}, None)
 
 
 class LaurentMatrix:
@@ -285,17 +291,22 @@ class LaurentMatrix:
     __slots__ = ("n", "rows", "_minors", "_inverse")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.n = len(self.rows)
-        if not all(len(r) == self.n for r in self.rows):
+        rows = tuple(tuple(r) for r in rows)
+        if not all(len(r) == len(rows) for r in rows):
             raise ValueError("a LaurentMatrix needs a square array of series")
-        self._minors = {}
-        self._inverse = None
+        self.rows, self.n, self._minors, self._inverse = rows, len(rows), {}, None
+
+    @staticmethod
+    def _of(rows):
+        """Trusted constructor for a square tuple of row tuples: no copy, no check."""
+        m = object.__new__(LaurentMatrix)
+        m.rows, m.n, m._minors, m._inverse = rows, len(rows), {}, None
+        return m
 
     @staticmethod
     def identity(n):
-        return LaurentMatrix([[LaurentSeries.one() if i == j else LaurentSeries.zero()
-                               for j in range(n)] for i in range(n)])
+        return LaurentMatrix._of(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                                       for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -303,8 +314,8 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         cols = tuple(zip(*other.rows))
-        return LaurentMatrix([[sum_products((a, b, 1) for a, b in zip(row, col))
-                               for col in cols] for row in self.rows])
+        return LaurentMatrix._of(tuple(tuple(sum_products([(a, b, 1) for a, b in zip(row, col)])
+                                             for col in cols) for row in self.rows))
 
     def det(self) -> LaurentSeries:
         return self.minor_det(range(self.n), range(self.n))
@@ -316,14 +327,13 @@ class LaurentMatrix:
         if self._inverse is not None:
             return self._inverse
         dinv = self.det().inverse()
-        n = self.n
-        idx = tuple(range(n))
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
+        idx = tuple(range(self.n))
+        cof = [[None] * self.n for _ in idx]
+        for i in idx:
+            for j in idx:
                 c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
-                cof[j][i] = (-c if (i + j) % 2 else c) * dinv
-        inv = LaurentMatrix(cof)
+                cof[j][i] = sum_products(((c, dinv, -1 if (i + j) % 2 else 1),))
+        inv = LaurentMatrix._of(tuple(map(tuple, cof)))
         if dinv.is_exact:
             self._inverse = inv
         return inv
@@ -337,15 +347,18 @@ class LaurentMatrix:
         out = self._minors.get(key)
         if out is None:
             if not rows:
-                out = LaurentSeries.one()
+                out = _ONE
             elif len(rows) == 1:
                 out = self.rows[rows[0]][cols[0]]
             else:
-                # expand along the first row into one sum, skipping exact zeros
-                first, rest = self.rows[rows[0]], rows[1:]
-                out = sum_products(
-                    (first[j], self._minor(rest, cols[:k] + cols[k + 1:]), -1 if k % 2 else 1)
-                    for k, j in enumerate(cols) if first[j].coeffs or first[j].cap is not None)
+                # expand along the first row, without exact-zero entries or sub-minors
+                first, rest, terms = self.rows[rows[0]], rows[1:], []
+                for k, j in enumerate(cols):
+                    if first[j].coeffs or first[j].cap is not None:
+                        m = self._minor(rest, cols[:k] + cols[k + 1:])
+                        if m.coeffs or m.cap is not None:
+                            terms.append((first[j], m, -1 if k % 2 else 1))
+                out = sum_products(terms)
             self._minors[key] = out
         return out
 

@@ -93,9 +93,6 @@ class Root(_Vector):
     def is_positive(self):
         return all(a >= 0 for a in self.coords) and any(a > 0 for a in self.coords)
 
-    def height(self):
-        return sum(self.coords)
-
 
 class Coweight(_Vector):
     """An element of Lambda x_Z Q in the simple-coroot basis.

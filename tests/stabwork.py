@@ -155,7 +155,7 @@ class _Rewriter:
             new_slot = []
             # strip gap roots by increasing height: a strip only pollutes
             # strictly higher entries, so one pass extracts the coordinates
-            for beta, _ in sorted(slot, key=lambda bc: bc[0].root.height()):
+            for beta, _ in sorted(slot, key=lambda bc: sum(bc[0].root.coords)):
                 j0, k0 = self.group.root_pair(beta.root)
                 coeff = coefficient(m[j0 - 1, k0 - 1], beta.level)
                 new_slot.append((beta, coeff))

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from mvcrystals import affine
 from mvcrystals.affine import (
     AffineRoot,
+    AffWeylElt,
     aff_length,
     build_gallery_type,
     enumerate_affine_reduced_words,
@@ -134,6 +136,47 @@ def test_minimal_word_length_matches_dimension_count():
         ht = datum.height(lam - w0.act_coweight(lam))
         nzero = sum(1 for rt in datum.positive_roots if datum.pairing(rt, lam) == 0)
         assert len(datum.positive_roots) + p == ht + nzero
+
+
+def ref_greedy_word(datum, lam):
+    """The greedy word of w_lambda by the length rule: a candidate is a
+    descent when its aff_length is smaller."""
+    _, jtype, g = affine.fundamentalize(datum, lam)
+    refl = [simple_affine_reflection(datum, i) for i in range(datum.rank + 1)]
+    lg, word = aff_length(datum, g), []
+    while (j := next((j for j in sorted(jtype)
+                      if aff_length(datum, g * refl[j]) < lg), None)) is not None:
+        g, lg = g * refl[j], lg - 1
+    while lg > 0:
+        i = next(i for i in range(datum.rank + 1) if aff_length(datum, refl[i] * g) < lg)
+        g, lg = refl[i] * g, lg - 1
+        word.append(i)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("series, rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)])
+def test_greedy_word_matches_the_length_rule(series, rank, monkeypatch):
+    datum = build_root_datum(series, rank)
+    lams = [lam for lam in map(Coweight, product(range(3), repeat=rank))
+            if datum.is_dominant(lam)]
+    words = {lam: ref_greedy_word(datum, lam) for lam in lams}
+    for lam, want in words.items():
+        assert minimal_word(datum, lam) == want, lam
+    # a coroot-lattice lam folds to 0, whose type J is every finite node, so
+    # g w has the coset of g for each finite w: folds handed back as g w make
+    # the descent take right descents in W_J and end on the same word
+    fold = affine.fundamentalize
+    for w in (datum.longest_element(), *datum.generators()[1:]):
+        def fold_then_w(d, lam, tail=AffWeylElt(datum.zero_coweight(), w)):
+            lam_fund, jtype, g = fold(d, lam)
+            assert jtype == frozenset(range(1, rank + 1))
+            return lam_fund, jtype, g * tail
+        monkeypatch.setattr(affine, "fundamentalize", fold_then_w)
+        for lam, want in words.items():
+            assert minimal_word(datum, lam) == want, (lam, w.word)
+        assert words == {lam: ref_greedy_word(datum, lam) for lam in lams}
 
 
 def test_build_gamma_lambda_trivial():

@@ -308,3 +308,73 @@ def test_x_product_matches_the_chained_column_operations(factors):
     for i in range(3):
         for j in range(3):
             assert _same(got[i, j], want[i][j])
+
+
+# -- the kernel's shortcuts: no live term, a computed unit, zero sub-minors ----
+
+def _chained_sum(terms):
+    """sum sign * a * b as a chain of + over ref_mul products."""
+    out = LaurentSeries.zero()
+    for a, b, sign in terms:
+        out = out + (ref_mul(a, b) if sign > 0 else ref_neg(ref_mul(a, b)))
+    return out
+
+
+_SIGN = st.sampled_from([1, -1])
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(_ENTRY, _SIGN, st.booleans()), max_size=4))
+def test_terms_with_an_exact_zero_factor_sum_to_the_exact_zero(parts):
+    zero = LaurentSeries.zero()
+    terms = [(zero, e, sign) if left else (e, zero, sign) for e, sign, left in parts]
+    got = sum_products(terms)
+    assert _same(got, _chained_sum(terms))
+    assert got.coeffs == {} and got.cap is None
+
+
+@_SETTINGS
+@given(_ENTRY, st.integers(-3, 3), _COEFF.filter(bool), st.none() | st.integers(1, 4),
+       _SIGN, _SIGN, st.booleans())
+def test_a_lone_computed_unit_term_matches_the_double_loop(a, e, c, window, unit_sign, sign,
+                                                           unit_first):
+    # 1 made by arithmetic, so not the shared constant: t^e c / t^e c exactly,
+    # or (1 + c t) / (1 + c t) known below t^window, which reads 1 but is no unit
+    t = LaurentSeries.t_power(e, c) if window is None else LaurentSeries({0: 1, 1: c})
+    u = t * t.inverse(rel_prec=window)
+    u = u if unit_sign > 0 else -u
+    assert u is not LaurentSeries.one() and u.coeffs == {0: unit_sign} and u.cap == window
+    term = (u, a, sign) if unit_first else (a, u, sign)
+    assert _same(sum_products((term,)), _chained_sum((term,)))
+
+
+def _with_a_repeated_exact_row(n):
+    """n x n matrices, n >= 2, whose last two rows are one exact row twice,
+    exact zeros common among the entries: every minor on both rows is an
+    exact zero, so every minor containing them has exact-zero sub-minors."""
+    entry = st.just(LaurentSeries.zero()) | _ENTRY
+    exact = st.just(LaurentSeries.zero()) | _SHORTCUTS | _polynomials(-2, 3)
+    return st.tuples(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n - 2,
+                              max_size=n - 2),
+                     st.lists(exact, min_size=n, max_size=n)).map(
+        lambda rr: LaurentMatrix(rr[0] + [rr[1], rr[1]]))
+
+
+@_SETTINGS
+@given(st.integers(2, 4).flatmap(_with_a_repeated_exact_row))
+def test_minors_with_exact_zero_entries_and_sub_minors_match_the_chained_sums(m):
+    n = m.n
+    for size in range(n + 1):
+        for rows in combinations(range(n), size):
+            for cols in combinations(range(n), size):
+                assert _same(m.minor_det(rows, cols), ref_minor(m, rows, cols)), (rows, cols)
+    det = m.det()
+    assert det.coeffs == {} and det.cap is None
+
+
+def test_the_shared_constants_are_unchanged_by_a_criterion_run():
+    from mvcrystals.verify import run_criterion
+
+    assert run_criterion(7).passed
+    for s, coeffs in ((LaurentSeries.zero(), {}), (LaurentSeries.one(), {0: 1})):
+        assert s.coeffs == coeffs and s.cap is None
