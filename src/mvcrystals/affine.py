@@ -249,19 +249,11 @@ def _descend(datum: RootDatum, lam: Coweight):
     x0, theta = datum.fund_alcove_point, datum.pairing_row(datum.highest_root.coords)
     # a_i = const + row . x in units of 1/scale: a_0 = 1 - theta, a_i = alpha_i
     walls = [(scale, tuple(-c for c in theta))] + [(0, row) for row in datum.cartan]
-
-    def descent(nodes, x):  # the first i among nodes with a_i(x) < 0
-        return next((i for i in nodes if walls[i][0] + sum(map(mul, walls[i][1], x)) < 0), None)
-
-    lg, word = aff_length(datum, g), []
-    # right descents in W_J first give the minimal coset rep; g s_j < g iff s_j g^-1 < g^-1
-    y = datum.word_to_element(g.finite.word[::-1]).act_point(  # g^-1(x0)
-        tuple(a - scale * b for a, b in zip(x0, g.translation.coords)))
-    while lg > 0 and (j := descent(sorted(jtype), y)) is not None:
-        g, y, lg = g * refl[j], refl[j].act_scaled(y, scale), lg - 1
-    x = g.act_scaled(x0, scale)
-    while lg > 0:
-        i = descent(range(datum.rank + 1), x)
+    # g is already the minimal representative of g W_J: each fold crosses one
+    # wall that separates lam from A_fund, so it has no right descent in W_J
+    lg, word, x = aff_length(datum, g), [], g.act_scaled(x0, scale)
+    while lg > 0:  # the first i with a_i(x) < 0
+        i = next((i for i, (c, row) in enumerate(walls) if c + sum(map(mul, row, x)) < 0), None)
         if i is None:
             raise RuntimeError("no left descent found; length function broken")
         x, lg = refl[i].act_scaled(x, scale), lg - 1

@@ -1,14 +1,17 @@
 """SL_n loop-group matrices: pinned generators, Kamnitzer valuation formulas
 for the mu_+/mu_-/orbit parameters, Gauss decomposition and y-factorization.
 
-Every product of root-subgroup elements (x_beta, y_i, sbar_i, wbar, the
-y-products of Y~_{i,c}, cell products) is ``LoopGroup.x_product``: one column
-operation per factor.  Dense products remain where two general matrices meet.
+Every product of root-subgroup elements (x_beta, y_i, sbar_i, wbar, t^nu, the
+y-products of Y~_{i,c}, cell points) is ``LoopGroup.x_product``: one column
+operation per factor, and it inverts by its factors.  Dense products remain
+where two general matrices meet.
 
 The matrix realization is type A only; all other types reach the loop group
 purely through the combinatorial modules.  Fundamental-representation data is
-the wedge power Lambda^k C^n, whose extremal vectors read off the valuation
-formulas: for [g] in S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}).
+the wedge power Lambda^k C^n.  Every valuation formula is one routine over the
+minors of g^{-1} on column sets S, val(Lambda^{|S|} g^{-1} e_S): for [g] in
+S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}), on the first or
+last k columns; the orbit takes all S of one size.
 """
 
 from __future__ import annotations
@@ -111,18 +114,11 @@ class LoopGroup:
         j, k = self.root_pair(alpha)
         return j - 1, k - 1, p.shift(level)
 
-    def x_product(self, factors) -> LaurentMatrix:
-        """prod x_{eps_j - eps_k}(p) over factors (j, k, p) in order, with j, k
-        0-based matrix positions (eps_0, ..., eps_{n-1}).  Right
-        multiplication by x_{eps_j - eps_k}(p) = 1 + p E_jk is "column k +=
-        p * column j", so a word of N root-subgroup elements costs N column
-        operations from the identity and no dense product."""
-        rows, one = [list(r) for r in LaurentMatrix.identity(self.n).rows], LaurentSeries.one()
-        for j, k, p in factors:
-            for row in rows:
-                if row[j].coeffs or row[j].cap is not None:
-                    row[k] = sum_products(((row[k], one, 1), (row[j], p, 1)))
-        return LaurentMatrix._of(tuple(map(tuple, rows)))
+    def x_product(self, factors, torus: Coweight | None = None) -> LaurentMatrix:
+        """t^torus prod x_{eps_j - eps_k}(p) over factors (j, k, p) in order, with
+        j, k 0-based: column operations from t^torus (or 1), no dense product."""
+        d = (0,) * self.n if torus is None else self.coweight_diag(torus)
+        return LaurentMatrix._factored(d, factors)
 
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:
         return self.x_product((self.x_factor(alpha, p),))
@@ -131,10 +127,7 @@ class LoopGroup:
         return self.gen_x(-self.datum.simple_root(i), p)
 
     def gen_t(self, v: Coweight) -> LaurentMatrix:
-        d = self.coweight_diag(v)
-        rows = [[LaurentSeries.t_power(d[a]) if a == b else LaurentSeries.zero()
-                 for b in range(self.n)] for a in range(self.n)]
-        return LaurentMatrix(rows)
+        return self.x_product((), v)
 
     def gen_torus(self, v: Coweight, a: LaurentSeries) -> LaurentMatrix:
         """a^v for a unit series a: diagonal with entries a^{d_j}."""
@@ -161,39 +154,29 @@ class LoopGroup:
 
     def y_product(self, word, ps) -> LaurentMatrix:
         """y_{i_1}(p_1) ... y_{i_N}(p_N); y_i(p) = x_{eps_{i+1} - eps_i}(p)."""
+        word, ps = tuple(word), tuple(ps)
+        if len(ps) != len(word) or not all(1 <= i < self.n for i in word):
+            raise RootDataError(f"y-product on word {word}: need letters in 1..{self.n - 1} and "
+                                f"one parameter per letter; the word has {len(word)} letters, "
+                                f"ps has {len(ps)} entries")
         return self.x_product((i, i - 1, p) for i, p in zip(word, ps))
 
     # -- valuation formulas ----------------------------------------------------------
 
-    def _extremal_vals(self, g: LaurentMatrix, top: bool):
-        """val(g^{-1} v) for v = e_1 ^ ... ^ e_k (top) or e_{k+1} ^ ... ^ e_n,
-        k = 1..n-1; the components are the minors of g^{-1} on those columns."""
-        ginv = g.inverse()
-        n = self.n
-        vals = []
-        for k in range(1, n):
-            cols = tuple(range(k)) if top else tuple(range(k, n))
-            vals.append(vector_val([ginv.minor_det(rows, cols)
-                                    for rows in combinations(range(n), len(cols))]))
-        return vals
-
     def mu_plus(self, g: LaurentMatrix) -> Coweight:
         """The stratum parameter of [g] in the S^+ decomposition."""
-        return Coweight(tuple(-v for v in self._extremal_vals(g, top=True)))
+        return -Coweight(_inverse_vals(g, [(range(k),) for k in range(1, self.n)]))
 
     def mu_minus(self, g: LaurentMatrix) -> Coweight:
-        return Coweight(tuple(self._extremal_vals(g, top=False)))
+        return Coweight(_inverse_vals(g, [(range(k, self.n),) for k in range(1, self.n)]))
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
-        <omega_k, lambda> = min valuation over all k-minors of g, certified
-        by vector_val (PrecisionError when a minor's cap could undercut it)."""
-        coords = []
-        for k in range(1, self.n):
-            subsets = list(combinations(range(self.n), k))
-            coords.append(vector_val([g.minor_det(rows, cols)
-                                      for cols in subsets for rows in subsets]))
-        lam = Coweight(tuple(coords))
+        <omega_k, lambda> = min valuation over all k-minors of g.  By Jacobi
+        with det g = 1 these are +- the (n-k)-minors of g^{-1}, so the orbit
+        reads the inverse and minor cache that mu_plus and mu_minus read."""
+        lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
+                                         for k in range(1, self.n)]))
         if not self.datum.is_antidominant(lam):
             raise PrecisionError(
                 f"orbit parameter {lam.coords} is not antidominant; "
@@ -277,6 +260,14 @@ class LoopGroup:
         """z_word(q) = lower Gauss factor of y_word(q) wbar(w0)^{-1}."""
         y = self.y_product(word, qs)
         return self.gauss_decompose(y * self.wbar_w0.inverse())
+
+
+def _inverse_vals(g: LaurentMatrix, families) -> tuple:
+    """For each family of column sets S, min over S of val(Lambda^{|S|} g^{-1} e_S):
+    one vector_val over the minors of g.inverse() on the columns S, all row sets."""
+    ginv = g.inverse()
+    return tuple(vector_val([ginv.minor_det(rows, cols) for cols in family for rows in
+                             combinations(range(g.n), len(cols))]) for family in families)
 
 
 def _pivot(s: LaurentSeries, what) -> LaurentSeries:

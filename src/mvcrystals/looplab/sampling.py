@@ -100,15 +100,15 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
 
 def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> LaurentMatrix:
     """One random point of pi(C(delta)): the ordered product of x_beta(a) over
-    the positive wall-crossing sets, applied to [t^nu] (a drawn nonzero)."""
-    datum = group.datum
+    the positive wall-crossing sets, applied to [t^nu] (a drawn nonzero), as
+    t^nu times the factors moved past it: x_beta(a t^k) t^nu = t^nu x_beta(a t^{k - <beta, nu>})."""
+    datum, nu = group.datum, gallery.weight
     if not is_positively_folded(gallery):
         raise RootDataError("cell sampling requires a positively folded gallery")
-    g = group.x_product([
-        group.x_factor(beta.root, rand_nonzero_int(rng), beta.level)
+    return group.x_product([
+        group.x_factor(beta.root, rand_nonzero_int(rng), beta.level - datum.pairing(beta.root, nu))
         for j in range(0, gallery.gtype.p + 1)
-        for beta in phi_plus_aff(datum, gallery.facet(j), gallery.alcove(j))])
-    return g * group.gen_t(gallery.weight)
+        for beta in phi_plus_aff(datum, gallery.facet(j), gallery.alcove(j))], nu)
 
 
 def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7):

@@ -27,7 +27,8 @@ window ends sooner; ``rel`` is ``rel_prec`` (else the context's default) for an
 exact divisor, and the divisor's own relative window (or ``rel_prec`` if
 smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
 ever reported below the cap; a series whose known window is all zero raises
-:class:`PrecisionError` instead of guessing.
+:class:`PrecisionError` instead of guessing.  A matrix of root-subgroup
+factors inverts by them, with no determinant (see ``LaurentMatrix``).
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ class LaurentSeries:
         return sum_products(((self, other, 1),))
 
     def shift(self, n):
+        if not n:
+            return self
         return LaurentSeries._of({e + n: c for e, c in self.coeffs.items()},
                                  None if self.cap is None else self.cap + n)
 
@@ -286,27 +289,43 @@ _ONE = LaurentSeries._of({0: 1}, None)
 
 class LaurentMatrix:
     """A square matrix of series; it never changes, so it keeps its minors
-    and its exact inverse."""
+    and its exact inverse.  A ``_factored`` matrix t^d x_{j_1 k_1}(p_1) ...
+    x_{j_N k_N}(p_N) inverts by its factors, with no determinant:
+    t^-d x_{j_N k_N}(-p_N t^{d_j - d_k}) ... x_{j_1 k_1}(-p_1 t^{d_j - d_k}).
+    Any other matrix inverts by its adjugate."""
 
-    __slots__ = ("n", "rows", "_minors", "_inverse")
+    __slots__ = ("n", "rows", "_minors", "_inverse", "_word")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         if not all(len(r) == len(rows) for r in rows):
             raise ValueError("a LaurentMatrix needs a square array of series")
-        self.rows, self.n, self._minors, self._inverse = rows, len(rows), {}, None
+        self.rows, self.n, self._minors, self._inverse, self._word = rows, len(rows), {}, None, None
 
     @staticmethod
-    def _of(rows):
+    def _of(rows, word=None):
         """Trusted constructor for a square tuple of row tuples: no copy, no check."""
         m = object.__new__(LaurentMatrix)
-        m.rows, m.n, m._minors, m._inverse = rows, len(rows), {}, None
+        m.rows, m.n, m._minors, m._inverse, m._word = rows, len(rows), {}, None, word
         return m
 
     @staticmethod
+    def _factored(d, factors):
+        """t^d x_{j_1 k_1}(p_1) ... for factors (j, k, p), 0-based, with t^d =
+        diag(t^{d_0}, ...): x_{jk}(p) = 1 + p E_jk on the right is "column k
+        += p * column j", so N factors cost N column operations."""
+        factors = tuple(factors)
+        rows = [[(LaurentSeries.t_power(e) if e else _ONE) if a == b else _ZERO
+                 for b in range(len(d))] for a, e in enumerate(d)]
+        for j, k, p in factors:
+            for row in rows:
+                if row[j].coeffs or row[j].cap is not None:
+                    row[k] = sum_products(((row[k], _ONE, 1), (row[j], p, 1)))
+        return LaurentMatrix._of(tuple(map(tuple, rows)), (d, factors))
+
+    @staticmethod
     def identity(n):
-        return LaurentMatrix._of(tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                                       for i in range(n)))
+        return LaurentMatrix._factored((0,) * n, ())
 
     def __getitem__(self, ij):
         i, j = ij
@@ -321,10 +340,15 @@ class LaurentMatrix:
         return self.minor_det(range(self.n), range(self.n))
 
     def inverse(self):
-        """Adjugate over det.  Kept when 1/det is exact (det an exact
-        monomial); otherwise 1/det is windowed by the precision in force, so
-        the inverse is rebuilt on each call."""
+        """Reversed factors (see the class), or adjugate over det.  Kept unless
+        1/det is windowed by the precision in force (det not an exact
+        monomial); then it is rebuilt on each call."""
         if self._inverse is not None:
+            return self._inverse
+        if self._word is not None:
+            d, factors = self._word
+            self._inverse = LaurentMatrix._factored(tuple(-e for e in d), [
+                (j, k, -p.shift(d[j] - d[k])) for j, k, p in reversed(factors)])
             return self._inverse
         dinv = self.det().inverse()
         idx = tuple(range(self.n))

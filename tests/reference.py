@@ -1,8 +1,11 @@
-"""Root-datum and affine Weyl group formulas that only the tests use."""
+"""Root-datum, affine Weyl group and loop-group formulas that only the tests use."""
 
 from functools import lru_cache
+from itertools import combinations
 
 from mvcrystals.affine import AffineRoot
+from mvcrystals.looplab.series import LaurentMatrix, vector_val
+from mvcrystals.rootdata import Coweight
 
 
 def rho_coweight(datum):
@@ -27,3 +30,12 @@ def act_affine_root(g, datum, beta):
     # w(alpha, n) = (w alpha, n); tau_mu(alpha, n) = (alpha, n + <alpha, mu>)
     alpha = act_root(datum, g.finite, beta.root)
     return AffineRoot(alpha, beta.level + datum.pairing(alpha, g.translation))
+
+
+def orbit_from_minors_of_g(g):
+    """The G(O)-orbit coweight of [g] read off g itself: <omega_k, lambda> is
+    the least valuation over all k-minors of g, on a copy with no kept minors."""
+    g, n = LaurentMatrix(g.rows), g.n
+    return Coweight(tuple(
+        vector_val([g.minor_det(rows, cols) for cols in combinations(range(n), k)
+                    for rows in combinations(range(n), k)]) for k in range(1, n)))

@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mvcrystals.affine import build_gallery_type
+from mvcrystals import verify
+from mvcrystals.affine import build_gallery_type, phi_plus_aff
 from mvcrystals.crystal import contragredient_node, string_parameters
 from mvcrystals.gallery import crystal_maps, enumerate_ls, min_wall_level, root_e
 from mvcrystals.looplab import (
@@ -32,8 +33,8 @@ from mvcrystals.looplab.sampling import (
     random_unit_series,
     string_to_lusztig_map,
 )
-from mvcrystals.rootdata import Coweight, build_root_datum
-from reference import act_root
+from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
+from reference import act_root, orbit_from_minors_of_g
 from stabwork import coefficient, sqrt
 
 A1 = build_root_datum("A", 1)
@@ -206,17 +207,76 @@ def test_one_by_one_inverse_is_exact():
 
 
 def test_matrix_keeps_its_inverse(monkeypatch):
+    # an x_product inverts by its own factors, with no determinant; a dense
+    # product builds one adjugate (one det) and keeps it
     ps = [LaurentSeries({0: 2, 1: 1}), LaurentSeries({1: 3}), LaurentSeries({-1: 1, 0: 5})]
-    g = G2.y_product((1, 2, 1), ps)
-    assert g.inverse() is g.inverse()
-    h = G2.y_product((1, 2, 1), ps)
     det = LaurentMatrix.det
     adjugates = []
     monkeypatch.setattr(LaurentMatrix, "det",
                         lambda self: adjugates.append(self) or det(self))
-    G2.mu_plus(h)
-    G2.mu_minus(h)
+    g = G2.y_product((1, 2, 1), ps)
+    ginv = g.inverse()
+    assert g.inverse() is ginv
+    assert (g * ginv).equals_exact(LaurentMatrix.identity(3))
+    assert ginv.inverse().equals_exact(g)
+    G2.mu_plus(g), G2.mu_minus(g), G2.orbit_coweight(g)
+    assert adjugates == []
+    h = G2.gen_y(2, LaurentSeries({-1: 4})) * g
+    G2.mu_plus(h), G2.mu_minus(h), G2.orbit_coweight(h)
+    assert h.inverse() is h.inverse()
     assert adjugates == [h]
+
+
+def _adjugate_inverse(g):
+    """g's inverse by adjugate over det: a copy of g keeps no factors."""
+    return LaurentMatrix(g.rows).inverse()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_factored_inverse_is_the_adjugate_on_y_products(rank):
+    datum = build_root_datum("A", rank)
+    group = LoopGroup(datum)
+    word = datum.reduced_word(datum.longest_element())
+    rng = random.Random(f"factored-inverse-{rank}")
+    for _ in range(4):
+        g = group.y_product(word, [random_unit_series(rng).shift(rng.randint(-2, 2))
+                                   for _ in word])
+        assert g.inverse().equals_exact(_adjugate_inverse(g)), word
+
+
+@pytest.mark.parametrize("datum, lam", [(A2, (1, 1)), (A2, (2, 2)), (A3, (1, 1, 1))],
+                         ids=["A2-11", "A2-22", "A3-111"])
+def test_factored_inverse_is_the_adjugate_on_cell_points(datum, lam):
+    # cell_point is t^nu times the factors moved past it; it equals the
+    # dense product (factors) * t^nu, and inverts like its adjugate
+    group = LoopGroup(datum)
+    for k, node in enumerate(enumerate_ls(build_gallery_type(datum, Coweight(lam))).nodes):
+        g = cell_point(group, node, random.Random(k))
+        rng = random.Random(k)
+        dense = group.x_product([
+            group.x_factor(beta.root, sampling.rand_nonzero_int(rng), beta.level)
+            for j in range(node.gtype.p + 1)
+            for beta in phi_plus_aff(datum, node.facet(j), node.alcove(j))]) * \
+            group.gen_t(node.weight)
+        assert g.equals_exact(dense), node.weight
+        assert g.inverse().equals_exact(_adjugate_inverse(g)), node.weight
+
+
+@pytest.mark.parametrize("crit", [verify.crit_7_ytilde_sampling, verify.crit_8_cell_sampling])
+def test_orbit_coweight_reads_the_minors_of_g(crit, monkeypatch):
+    # on every criterion 7/8 draw, the orbit read off the (n-k)-minors of
+    # g^{-1} equals the one read off the k-minors of g
+    orbit, points = LoopGroup.orbit_coweight, []
+
+    def checked(group, g):
+        points.append(g)
+        got = orbit(group, g)
+        assert got == orbit_from_minors_of_g(g), (g, got)
+        return got
+
+    monkeypatch.setattr(LoopGroup, "orbit_coweight", checked)
+    assert crit({})[0]
+    assert len(points) == (2 * 30 if crit is verify.crit_7_ytilde_sampling else 8) * 5
 
 
 def test_kept_inverse_follows_the_default_precision():
@@ -544,6 +604,16 @@ def test_minor_det_matches_leibniz(n):
                 want = _leibniz(g, rows, cols)
                 assert g.minor_det(rows, cols).equals_exact(want), (rows, cols)
                 assert g.minor_det(tuple(rows), cols).equals_exact(want)
+
+
+@pytest.mark.parametrize("word, nps", [((1, 2, 1), 2), ((0, 1), 2), ((1, 3), 2)],
+                         ids=["short-ps", "letter-0", "letter-n"])
+def test_y_product_checks_its_word(word, nps):
+    with pytest.raises(RootDataError) as err:
+        G2.y_product(word, [LaurentSeries.one()] * nps)
+    assert str(err.value) == (
+        f"y-product on word {word}: need letters in 1..2 and one parameter per letter; "
+        f"the word has {len(word)} letters, ps has {nps} entries")
 
 
 def test_factor_y_of_an_exact_y_product_is_exact():
