@@ -201,14 +201,13 @@ def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt):
 # -- fundamentalization and the minimal gallery type ---------------------------
 
 def fundamentalize(datum: RootDatum, lam: Coweight):
-    """Fold lam into closure(A_fund) across violated simple affine walls.
-
-    Returns (lam_fund, J, g) where J is the type of the folded point and
-    g in W^aff satisfies g(lam_fund) = lam.  The folds are involutions, so g
-    is their product in the order they were made.  Termination is guarded by
-    the initial wall-distance."""
-    x = tuple(lam.coords)
-    g = identity_aff(datum)
+    """Fold lam into closure(A_fund) across violated simple affine walls,
+    the smallest index first: (lam_fund, J, word) with J the type of the
+    folded point and word the folds' indices over I^aff in order, so s_word
+    maps lam_fund to lam.  Each fold crosses a wall separating the point
+    from A_fund, so s_word is w_lambda (reduced, minimal in s_word W_J) and
+    each letter is its smallest left descent: word is the greedy word."""
+    x, word = tuple(lam.coords), []
     walls = [(1, -1, datum.highest_root)] + [(0, 1, a) for a in datum.simple_roots()]
 
     def side(i):
@@ -223,42 +222,21 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
         i = next((i for i in range(datum.rank + 1) if side(i) < 0), None)
         if i is None:
             break
-        s = simple_affine_reflection(datum, i)
-        x, g = s.act_point(x), g * s
+        x = simple_affine_reflection(datum, i).act_point(x)
+        word.append(i)
     else:
         raise RuntimeError("fundamentalize did not terminate within its wall bound")
-    return Coweight(x), frozenset(i for i in range(datum.rank + 1) if side(i) == 0), g
+    return Coweight(x), frozenset(i for i in range(datum.rank + 1) if side(i) == 0), tuple(word)
 
 
 def minimal_word(datum: RootDatum, lam: Coweight):
-    """A reduced word (over I^aff) of w_lambda, the minimal-length element
-    with w(lam_fund) = lam; greedy minimal-coset-representative descent."""
-    lam_fund, _, word = _descend(datum, lam)
-    _check_word(datum, word, lam_fund, lam)
-    return word
-
-
-def _descend(datum: RootDatum, lam: Coweight):
-    """(lam_fund, its type J, the greedy word of w_lambda), the word unchecked.
-    l(s_i x) < l(x) iff a_i < 0 at the alcove point of x (its wall separates)."""
+    """fundamentalize's fold word of a dominant lam, checked: the greedy reduced
+    word over I^aff of w_lambda, the shortest w with w(lam_fund) = lam."""
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
-    lam_fund, jtype, g = fundamentalize(datum, lam)
-    refl = [simple_affine_reflection(datum, i) for i in range(datum.rank + 1)]
-    scale = datum.apartment_scale * (datum.rank + 1)
-    x0, theta = datum.fund_alcove_point, datum.pairing_row(datum.highest_root.coords)
-    # a_i = const + row . x in units of 1/scale: a_0 = 1 - theta, a_i = alpha_i
-    walls = [(scale, tuple(-c for c in theta))] + [(0, row) for row in datum.cartan]
-    # g is already the minimal representative of g W_J: each fold crosses one
-    # wall that separates lam from A_fund, so it has no right descent in W_J
-    lg, word, x = aff_length(datum, g), [], g.act_scaled(x0, scale)
-    while lg > 0:  # the first i with a_i(x) < 0
-        i = next((i for i, (c, row) in enumerate(walls) if c + sum(map(mul, row, x)) < 0), None)
-        if i is None:
-            raise RuntimeError("no left descent found; length function broken")
-        x, lg = refl[i].act_scaled(x, scale), lg - 1
-        word.append(i)
-    return lam_fund, jtype, tuple(word)
+    lam_fund, _, word = fundamentalize(datum, lam)
+    _check_word(datum, word, lam_fund, lam)
+    return word
 
 
 def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
@@ -312,13 +290,15 @@ class GalleryType:
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:
     """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
-    The word defaults to the greedy minimal one; any reduced word of w_lambda
-    is accepted and checked (length, image, minimality, dominance of every
-    alcove Gamma_j; each facet Gamma'_j is spanned by vertices of
-    Gamma_{j-1}, so its dominance follows)."""
+    The word defaults to w_lambda's greedy word, fundamentalize's folds; any
+    reduced word of w_lambda is accepted and checked (length, image,
+    minimality, dominance of every alcove Gamma_j; each facet Gamma'_j is
+    spanned by vertices of Gamma_{j-1}, so its dominance follows)."""
     if not lam.is_integral():
         raise RootDataError(f"{lam} is not in the coroot lattice")
-    lam_fund, lam_jtype, minimal = _descend(datum, lam)
+    if not datum.is_dominant(lam):
+        raise RootDataError(f"{lam} is not dominant")
+    lam_fund, lam_jtype, minimal = fundamentalize(datum, lam)
     word = minimal if word is None else tuple(word)
     prefixes = _check_word(datum, word, lam_fund, lam)
     if len(word) != len(minimal):

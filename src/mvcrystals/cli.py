@@ -228,7 +228,7 @@ def main(argv=None):
     try:
         return contextvars.copy_context().run(args.func, args)
     except (RootDataError, CrystalError, GalleryError, GenericityError, PrecisionError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

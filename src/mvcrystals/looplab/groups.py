@@ -84,11 +84,14 @@ class LoopGroup:
     # -- coordinates ---------------------------------------------------------
 
     def coweight_diag(self, v: Coweight):
-        """Coroot coordinates -> diagonal exponents: d_j = c_j - c_{j-1} with
+        """Coroot coordinates -> int diagonal exponents: d_j = c_j - c_{j-1} with
         c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
         c = v.coords
         if len(c) != self.n - 1:
             raise RootDataError(f"{c} has {len(c)} coroot coordinates, not {self.n - 1}")
+        if not v.is_integral():
+            raise RootDataError(f"{v} is not in the coroot lattice")
+        c = tuple(map(int, c))
         return (c[0],) + tuple(c[j] - c[j - 1] for j in range(1, self.n - 1)) + (-c[-1],)
 
     def root_pair(self, alpha: Root):

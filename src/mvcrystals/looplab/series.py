@@ -4,9 +4,10 @@ tracking, and square matrices of them.
 A coefficient is stored as an ``int`` when integral and as a ``Fraction``
 otherwise, so integer data runs on native ints; ``leading`` returns
 ``Fraction`` either way.  Any other type (a float above all) raises TypeError
-rather than entering as its binary expansion.  Arithmetic builds results with
-the trusted ``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip that
-check and the matrix copy and shape check.  Every product, dot product and
+rather than entering as its binary expansion, and so does an exponent that is
+not an ``int``.  Arithmetic builds results with the trusted
+``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip those checks and
+the matrix copy and shape check.  Every product, dot product and
 minor is one ``sum_products`` call, and its loop ``_sum_products`` is the one
 place coefficients are multiplied.
 
@@ -104,7 +105,9 @@ class LaurentSeries:
 
     def __init__(self, coeffs=None, cap=None):
         coeffs = coeffs or {}
-        for c in coeffs.values():
+        for e, c in coeffs.items():
+            if not isinstance(e, int):
+                raise TypeError(f"series exponents are int, got {type(e).__name__} {e!r}")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("series coefficients are int or Fraction, "
                                 f"got {type(c).__name__} {c!r}")

@@ -70,6 +70,19 @@ def test_trop_command(capsys):
     assert json.loads(out)["lusztig"] == [2]
 
 
+def test_unwritable_output_is_an_error_not_a_failed_criterion(tmp_path, capsys, monkeypatch):
+    # status 1 from verify means a criterion failed; a path that cannot be
+    # written is an input error, status 2, whichever command it is
+    from mvcrystals import verify
+    monkeypatch.setattr(verify, "run_all", lambda: [])
+    missing = tmp_path / "missing"
+    for argv in (["cone", "--word", "1,2,1", "--out", str(missing / "cone.json")],
+                 ["verify", "--json", str(missing / "report.jsonl")]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: [Errno 2] No such file or directory") and "missing" in err
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["crystal", "--type", "Z", "--rank", "2", "--lambda", "1,1"])

@@ -100,14 +100,17 @@ def test_series_sqrt():
         assert (r * r).agrees_with(u)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: LaurentSeries({0: 0.1}),
-    lambda: LaurentSeries({0: 1, 2: 0.0}),
-    lambda: LaurentSeries.t_power(1, 0.5),
-    lambda: LaurentSeries.from_scalar(0.1),
-], ids=["init", "init-float-zero", "t_power", "from_scalar"])
-def test_series_rejects_float_coefficients(make):
-    with pytest.raises(TypeError, match="int or Fraction, got float"):
+@pytest.mark.parametrize("make, message", [
+    (lambda: LaurentSeries({0: 0.1}), "int or Fraction, got float"),
+    (lambda: LaurentSeries({0: 1, 2: 0.0}), "int or Fraction, got float"),
+    (lambda: LaurentSeries.t_power(1, 0.5), "int or Fraction, got float"),
+    (lambda: LaurentSeries.from_scalar(0.1), "int or Fraction, got float"),
+    (lambda: LaurentSeries.t_power(Fraction(1, 2)), "exponents are int, got Fraction"),
+    (lambda: LaurentSeries({0.5: 1}), "exponents are int, got float"),
+], ids=["init", "init-float-zero", "t_power", "from_scalar", "t_power-exponent",
+        "init-exponent"])
+def test_series_rejects_float_coefficients(make, message):
+    with pytest.raises(TypeError, match=message):
         make()
 
 
@@ -384,6 +387,20 @@ def test_gen_t_sl2():
     g = G1.gen_t(Coweight((1,)))
     assert g[0, 0].equals_exact(LaurentSeries.t_power(1))
     assert g[1, 1].equals_exact(LaurentSeries.t_power(-1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda nu: G2.gen_t(nu),
+    lambda nu: G2.x_product([G2.x_factor(A2.simple_root(1), 1)], torus=nu),
+], ids=["gen_t", "x_product"])
+def test_torus_rejects_nu_off_the_coroot_lattice(make):
+    # omega_1^vee = (2/3, 1/3) would give diag(t^{2/3}, t^{-1/3}, t^{-1/3})
+    with pytest.raises(RootDataError, match="is not in the coroot lattice"):
+        make(A2.fundamental_coweight(1))
+    g = make(Coweight((Fraction(2), 1)))
+    assert [(e, type(e)) for j in range(3) for e in g[j, j].coeffs] == \
+        [(2, int), (-1, int), (-1, int)]
+    assert G2.mu_plus(g) == Coweight((2, 1))
 
 
 # -- valuation formulas -----------------------------------------------------------
