@@ -62,10 +62,10 @@ def cmd_crystal(args):
     data = crystal_to_dict(graph)
     data["lambda"] = list(lam.coords)
     data["word"] = list(gtype.word)
-    _emit(data, args.out)
-    if args.dot:
+    if args.dot:  # before the report, so a failed write leaves no report behind
         with open(args.dot, "w") as fh:
             fh.write(graph.to_dot() + "\n")
+    _emit(data, args.out)
     return 0
 
 

@@ -1,25 +1,30 @@
 """Combinatorial galleries of a fixed minimal type, root operators, positive
 folding, dimension, and the LS-gallery crystal.
 
-A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p};
-its faces are derived as vertex tuples (see mvcrystals.affine):
-Delta_j = delta_0...delta_j(A_fund), Delta'_j = delta_0...delta_{j-1}(phi_{i_j})
-spanned by the vertices of Delta_{j-1} other than vertex i_j, and
-Delta'_{p+1} the end vertex.
+A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p}
+with prefixes P_j = delta_0...delta_j; its faces are vertex tuples (see
+mvcrystals.affine): Delta_j = P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j})
+spanned by the vertices of Delta_{j-1} other than vertex i_j, Delta'_0 = {0}
+and Delta'_{p+1} the end vertex.
+Each facet Delta'_j (1 <= j <= p) lies in one wall, the image under
+P_{j-1} = (mu, w) of A_fund's wall i = i_j, with root beta' = w(alpha_i), or
+-w(theta) for i = 0, and Delta_{j-1} on the side where beta' is positive.  So
+W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
+(reversed for i = 0), the wall is one of alpha_c iff w s_i = s_c w, at level
+<alpha_c, mu> - sign(beta') [i = 0], and Phi_+^aff(Delta'_j, Delta_j) is its
+one root iff (beta' > 0) != (delta_j = s_{i_j}).  Only Delta'_0, which lies in
+a wall of every root, is evaluated at vertices.
 Root operators are implemented exactly as face surgery (reflect a window,
 translate the tail) followed by tuple recovery; the recovery checks that the
 result is again a tuple of the same type, which is a theorem, so a failing
 check is an implementation bug and raises GalleryError, which names the
-datum, the gallery and the colour.  A child of a root operator reads its
-alcoves, |Phi_+^aff| counts and wall levels off its parent outside the
-window and evaluates only the window (_table); its prefixes, so its weight,
-are rebuilt from the recovered tuple.
+datum, the gallery and the colour.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add
+from operator import mul
 
 from mvcrystals.affine import (
     AffineRoot,
@@ -27,7 +32,6 @@ from mvcrystals.affine import (
     GalleryType,
     affine_reflection,
     build_gallery_type,
-    face_level,
     face_vertices,
     identity_aff,
     phi_plus_aff,
@@ -72,8 +76,6 @@ class Gallery:
         # color i -> the wall level of each face Delta'_j (see _levels)
         self._wall_levels = {}
         self._hash = hash((delta0, flips))  # galleries key every crystal dict
-        # (parent, j, k, shift) of the root operator that made this gallery
-        self._parent = None
 
     def __eq__(self, other):
         if not isinstance(other, Gallery):
@@ -95,14 +97,9 @@ class Gallery:
 
     @cached_property
     def alcoves(self):
-        """The vertices of Delta_j, j = 0..p, indexed like A_fund's; a fold
-        (delta_j = 1) repeats Delta_{j-1}."""
-        datum, P, flips = self.gtype.datum, self.prefixes, self.flips
-        step = self._parent and [datum.apartment_scale * a for a in self._parent[3].coords]
-        return _table(self, vars, "alcoves", self.gtype.p + 1,
-                      lambda l, out: (face_vertices(datum, P[l]) if l == 0 or flips[l - 1]
-                                      else out[-1]),
-                      lambda verts: tuple(tuple(map(add, v, step)) for v in verts))
+        """The vertices of Delta_j, j = 0..p, indexed like A_fund's."""
+        datum = self.gtype.datum
+        return tuple(face_vertices(datum, P) for P in self.prefixes)
 
     def alcove(self, j):
         return self.alcoves[j]
@@ -118,13 +115,37 @@ class Gallery:
         return verts[:i] + verts[i + 1:]
 
     @cached_property
-    def phi_plus_counts(self):
-        """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p, each evaluated once;
-        translating both faces keeps it."""
+    def _walls(self):
+        """(beta' > 0, c, n) for each facet Delta'_j, j = 1..p, read off
+        P_{j-1} = (mu, w) and W's tables (see the module docstring): the facet
+        lies in H_{alpha_c, n}, or in no wall of a simple root when c = 0."""
+        cartan, out = self.gtype.datum.cartan, []
+        for P, i in zip(self.prefixes, self.gtype.word):
+            w = P.finite
+            ws, lefts = w._right[i], w._left
+            up = (ws.length > w.length) == (i > 0)
+            if ws in lefts[1:]:  # w s_i w^-1 = s_c
+                c = lefts.index(ws, 1)
+                n = sum(map(mul, cartan[c - 1], P.translation.coords))
+                out.append((up, c, n if i else n - (1 if up else -1)))
+            else:
+                out.append((up, 0, None))
+        return tuple(out)
+
+    @cached_property
+    def _origin_count(self):
+        """|Phi_+^aff(Delta'_0, Delta_0)|, evaluated at the vertices: Delta'_0 =
+        {0} lies in a wall of every root.  A root operator's child with its
+        parent's delta_0 copies it (_surgery)."""
         datum = self.gtype.datum
-        return _table(self, vars, "phi_plus_counts", self.gtype.p + 1,
-                      lambda j, _: len(phi_plus_aff(datum, self.facet(j), self.alcove(j))),
-                      lambda n: n)
+        return len(phi_plus_aff(datum, self.facet(0), face_vertices(datum, self.prefixes[0])))
+
+    @cached_property
+    def phi_plus_counts(self):
+        """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p: for j >= 1 the facet's
+        one wall root when Delta_j lies beyond it."""
+        return (self._origin_count,) + tuple(
+            int(up != flip) for (up, _, _), flip in zip(self._walls, self.flips))
 
     @cached_property
     def weight(self) -> Coweight:
@@ -142,37 +163,14 @@ def minimal_gallery(gtype: GalleryType) -> Gallery:
     return Gallery(gtype, gtype.datum.identity_elt(), (True,) * gtype.p)
 
 
-def _table(g: Gallery, tables, key, n, fresh, moved, lo=0):
-    """The n entries of g's per-face table key, tables(h) holding h's.  Entry
-    l is fresh(l, entries before l) in the window j + lo..k-1 of the surgery
-    (parent, j, k, shift) that made g; below it the parent's entries are
-    kept, from k on they are moved by the tail shift.  Without a parent, or
-    if the parent has not computed the table, the window is 0..n-1."""
-    old = g._parent and tables(g._parent[0]).get(key)
-    if old is None:
-        old, j, k = (), 0, n
-    else:
-        j, k = g._parent[1] + lo, g._parent[2]
-    out = list(old[:j])
-    for l in range(j, k):
-        out.append(fresh(l, out))
-    out += map(moved, old[k:])
-    return tuple(out)
-
-
 def _levels(g: Gallery, i: int):
-    """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None.
-    A child's Delta'_j is its parent's up to the window start, which lies in
-    the reflecting wall."""
+    """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None:
+    0 for Delta'_0 = {0}, the facets' walls, and <alpha_i, nu> for the end
+    vertex, which is nu because lam_fund = 0 on the coroot lattice."""
     levels = g._wall_levels.get(i)
     if levels is None:
-        datum = g.gtype.datum
-        alpha = datum.simple_root(i)
-        step = g._parent and datum.pairing(alpha, g._parent[3])
-        levels = g._wall_levels[i] = _table(
-            g, lambda h: h._wall_levels, i, g.gtype.p + 2,
-            lambda j, _: face_level(datum, g.facet(j), alpha),
-            lambda n: n if n is None else n + step, lo=1)
+        end = sum(map(mul, g.gtype.datum.cartan[i - 1], g.weight.coords))
+        levels = g._wall_levels[i] = (0, *[n if c == i else None for _, c, n in g._walls], end)
     return levels
 
 
@@ -185,7 +183,7 @@ def _where(g: Gallery, i: int) -> str:
 
 def min_wall_level(g: Gallery, i: int) -> int:
     """Smallest integer m such that H_{alpha_i, m} contains some face Delta'_j
-    (see face_level); Delta'_0 = {0} forces m <= 0."""
+    (see _levels); Delta'_0 = {0} forces m <= 0."""
     best = min(n for n in _levels(g, i) if n is not None)
     if best > 0:
         raise GalleryError(f"lowest wall level {best} > 0 although Delta'_0 = {{0}} "
@@ -242,8 +240,7 @@ def fold_window(g: Gallery, i: int):
 
 def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
     """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, translate the tail
-    by sign * alpha_i^vee, and recover the tuple; the weight must move by it.
-    The child keeps (g, j, k, shift) to inherit g's geometry (see _table)."""
+    by sign * alpha_i^vee, and recover the tuple; the weight must move by it."""
     datum = g.gtype.datum
     alpha = datum.simple_root(i)
     shift = datum.coroot_of(alpha).scale(sign)
@@ -254,7 +251,8 @@ def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
     if out.weight != g.weight + shift:
         raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
                            f"{out.weight.coords}, not by {shift.coords} ({_where(g, i)})")
-    out._parent = (g, j, k, shift)
+    if out.delta0 is g.delta0:
+        out._origin_count = g._origin_count
     return out
 
 

@@ -104,6 +104,8 @@ class LaurentSeries:
     __slots__ = ("coeffs", "cap")
 
     def __init__(self, coeffs=None, cap=None):
+        if cap is not None and type(cap) is not int:
+            raise TypeError(f"series caps are int or None, got {type(cap).__name__} {cap!r}")
         coeffs = coeffs or {}
         for e, c in coeffs.items():
             if not isinstance(e, int):

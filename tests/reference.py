@@ -3,7 +3,7 @@
 from functools import lru_cache
 from itertools import combinations
 
-from mvcrystals.affine import AffineRoot
+from mvcrystals.affine import AffineRoot, face_level, phi_plus_aff
 from mvcrystals.looplab.series import LaurentMatrix, vector_val
 from mvcrystals.rootdata import Coweight
 
@@ -30,6 +30,16 @@ def act_affine_root(g, datum, beta):
     # w(alpha, n) = (w alpha, n); tau_mu(alpha, n) = (alpha, n + <alpha, mu>)
     alpha = act_root(datum, g.finite, beta.root)
     return AffineRoot(alpha, beta.level + datum.pairing(alpha, g.translation))
+
+
+def face_walls(g):
+    """A gallery's wall levels and |Phi_+^aff| counts evaluated at the vertices
+    of its faces: ({c: (the level of Delta'_j in a wall of alpha_c, else None,
+    for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p))."""
+    datum, p = g.gtype.datum, g.gtype.p
+    levels = {c: tuple(face_level(datum, g.facet(j), datum.simple_root(c)) for j in range(p + 2))
+              for c in range(1, datum.rank + 1)}
+    return levels, tuple(len(phi_plus_aff(datum, g.facet(j), g.alcove(j))) for j in range(p + 1))
 
 
 def orbit_from_minors_of_g(g):

@@ -26,6 +26,13 @@ def test_crystal_a1(tmp_path, capsys):
     assert "digraph" in dot_file.read_text()
 
 
+def test_crystal_unwritable_dot_prints_no_report(tmp_path, capsys):
+    code, out, err = run_cli(["crystal", "--type", "A", "--rank", "1", "--lambda", "1",
+                              "--dot", str(tmp_path / "missing" / "g.dot")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "g.dot" in err
+
+
 def test_crystal_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

@@ -16,6 +16,7 @@ from mvcrystals.affine import (
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
+    _levels,
     _recover_tuple,
     crystal_maps,
     crystal_to_dict,
@@ -32,9 +33,12 @@ from mvcrystals.gallery import (
     root_f,
 )
 from mvcrystals.rootdata import Coweight, RootDatum, WeylElt, build_root_datum
+from reference import face_walls
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
+B2 = build_root_datum("B", 2)
+G2 = build_root_datum("G", 2)
 
 
 @pytest.fixture(scope="module")
@@ -154,17 +158,18 @@ def test_fold_list_matches_two_pass_definitions(datum, lam):
     assert folded == {False, True}
 
 
-@pytest.mark.parametrize("datum,lam", FOLD_CASES, ids=["A1-(2,)", "A2-(1, 1)"])
-def test_is_ls_evaluates_each_fold_once(monkeypatch, datum, lam):
+@pytest.mark.parametrize("datum,lam", FOLD_CASES + [(B2, (2, 2)), (G2, (2, 3))],
+                         ids=["A1-(2,)", "A2-(1, 1)", "B2-(2, 2)", "G2-(2, 3)"])
+def test_wall_rule_matches_the_faces_on_every_tuple(datum, lam):
+    # the walls read off W's tables against the vertex evaluation, on every
+    # tuple of the type; B2 and G2 bring marks > 1 and every letter
     gtype = build_gallery_type(datum, Coweight(lam))
-    # dim_gamma is the closed form |Phi_+| + p and evaluates no face
-    calls = []
-    monkeypatch.setattr(gallery, "phi_plus_aff",
-                        lambda *args: calls.append(args) or phi_plus_aff(*args))
+    assert 0 in gtype.word
     for g in all_tuples(gtype):
-        calls.clear()
-        is_ls(g)
-        assert len(calls) == gtype.p + 1
+        levels, counts = face_walls(g)
+        assert g.phi_plus_counts == counts, g.sort_key()
+        for c, want in levels.items():
+            assert _levels(g, c) == want, (g.sort_key(), c)
 
 
 def test_enumeration_adds_no_state_to_the_datum():

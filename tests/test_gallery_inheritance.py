@@ -1,7 +1,8 @@
-"""A root operator's child reads its alcoves, |Phi_+^aff| counts and wall
-levels off its parent outside the reflected window.  They must equal what a
-gallery built from the same tuple evaluates from scratch, and the recovery
-and weight tripwires must still fire on inherited galleries."""
+"""Galleries made by root operators, over the crystals benchmark's lambdas,
+the verify suite's and every reduced word of criterion 4: their walls, read
+off W's tables, must equal the evaluation at their faces' vertices, and the
+recovery and weight tripwires must still fire on galleries two or more root
+operators away from gamma_lambda."""
 
 import pytest
 
@@ -20,6 +21,7 @@ from mvcrystals.gallery import (
     root_f,
 )
 from mvcrystals.rootdata import Coweight, build_root_datum
+from reference import face_walls
 
 # the lambdas of the crystals benchmark workload
 CRYSTAL_LAMBDAS = (
@@ -73,40 +75,30 @@ def test_edges_end_at_the_node_objects():
         assert all(id(b) in nodes and id(c) in nodes for (b, _), c in graph.e_map.items())
 
 
-def test_inherited_geometry_equals_fresh_geometry(monkeypatch):
-    calls = []
-    real = gallery.face_vertices
-    monkeypatch.setattr(gallery, "face_vertices", lambda *args: calls.append(args) or real(*args))
-    enumerated = fresh_calls = 0
-    for gtype in gallery_types():
-        calls.clear()
-        nodes = enumerate_ls(gtype).nodes
-        enumerated += len(calls)
-        # every node but gamma_lambda was made by root_f from its parent
-        assert [node._parent is None for node in nodes] == [True] + [False] * (len(nodes) - 1)
-        calls.clear()
-        for node in nodes:
-            fresh = Gallery(gtype, node.delta0, node.flips)
-            assert node.alcoves == fresh.alcoves
-            assert node.phi_plus_counts == fresh.phi_plus_counts
-            assert sorted(node._wall_levels) == list(range(1, gtype.datum.rank + 1))
-            for i, levels in node._wall_levels.items():
-                assert levels == _levels(fresh, i), (node, i)
-        fresh_calls += len(calls)
-    # the whole enumeration, discarded galleries included, evaluates fewer
-    # alcoves than the nodes alone would from scratch
-    assert 3 * enumerated < 2 * fresh_calls
+def test_wall_rule_matches_the_faces_on_every_node():
+    checked = 0
+    for gtype in (*gallery_types(), *word_types()):
+        for node in enumerate_ls(gtype).nodes:
+            levels, counts = face_walls(node)
+            assert node.phi_plus_counts == counts, node
+            for c, want in levels.items():
+                assert _levels(node, c) == want, (node, c)
+            checked += 1
+    assert checked > 600
 
 
-def inherited_nodes(series, rank, lam):
-    """The nodes of B(lam) whose parent was made by a root operator too."""
-    nodes = enumerate_ls(build_gallery_type(build_root_datum(series, rank), Coweight(lam))).nodes
-    return [node for node in nodes if node._parent and node._parent[0]._parent]
+def deep_nodes(series, rank, lam):
+    """The nodes of B(lam) whose first parent in the enumeration is not
+    gamma_lambda: neither gamma_lambda nor one of its f-children."""
+    graph = enumerate_ls(build_gallery_type(build_root_datum(series, rank), Coweight(lam)))
+    start = graph.nodes[0]
+    near = {start} | {graph.f_map[key] for key in graph.f_map if key[0] is start}
+    return [node for node in graph.nodes if node not in near]
 
 
 def test_recovery_tripwire_fires_on_inherited_galleries(monkeypatch):
     # a tail translated by 2 alpha_i^vee leaves W_{i_k} at the window's end
-    calls = [(node, i) for node in inherited_nodes("A", 2, (3, 5)) for i in (1, 2)
+    calls = [(node, i) for node in deep_nodes("A", 2, (3, 5)) for i in (1, 2)
              if (window := fold_window(node, i)) is not None and window[2] <= node.gtype.p]
     assert len(calls) > 10
     real = gallery.translation
@@ -119,7 +111,7 @@ def test_recovery_tripwire_fires_on_inherited_galleries(monkeypatch):
 def test_weight_tripwire_checks_the_recovered_tuple(monkeypatch):
     # the child's weight comes from its recovered tuple, not from the movers:
     # a recovery that toggles the last step is caught by the weight alone
-    calls = [(node, i) for node in inherited_nodes("G", 2, (2, 3)) for i in (1, 2)
+    calls = [(node, i) for node in deep_nodes("G", 2, (2, 3)) for i in (1, 2)
              if root_f(node, i) is not None]
     assert len(calls) > 10
     real = gallery._recover_tuple

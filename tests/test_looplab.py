@@ -107,8 +107,10 @@ def test_series_sqrt():
     (lambda: LaurentSeries.from_scalar(0.1), "int or Fraction, got float"),
     (lambda: LaurentSeries.t_power(Fraction(1, 2)), "exponents are int, got Fraction"),
     (lambda: LaurentSeries({0.5: 1}), "exponents are int, got float"),
+    (lambda: LaurentSeries({0: 1, 1: 2}, cap=1.5), "caps are int or None, got float"),
+    (lambda: LaurentSeries({0: 1}, cap=True), "caps are int or None, got bool"),
 ], ids=["init", "init-float-zero", "t_power", "from_scalar", "t_power-exponent",
-        "init-exponent"])
+        "init-exponent", "init-cap-float", "init-cap-bool"])
 def test_series_rejects_float_coefficients(make, message):
     with pytest.raises(TypeError, match=message):
         make()

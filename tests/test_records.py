@@ -70,7 +70,7 @@ def test_vector_repr_names_the_coordinates():
 
 def test_gallery_hashes_its_tuple():
     g = Gallery(*RECORDS[Gallery][1])
-    assert g == minimal_gallery(GTYPE) and g._parent is None
+    assert g == minimal_gallery(GTYPE)
     assert hash(g) == hash((g.delta0, g.flips))
 
 
