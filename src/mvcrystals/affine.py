@@ -253,19 +253,17 @@ def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
 
 
 class GalleryType:
-    """The type gamma_lambda in the apartment of datum: dominant lam, its
-    folded vertex and its type, and a reduced word of w_lambda over I^aff.
-    Each gallery of the type builds its own prefix movers."""
+    """The type gamma_lambda in the apartment of datum: dominant lam in Z Phi^vee,
+    which folds to lam_fund = 0 of type J = {1..rank}, and a reduced word of
+    w_lambda over I^aff.  Each gallery of the type builds its own prefix movers."""
 
-    __slots__ = ("datum", "lam", "lam_fund", "lam_jtype", "word")
+    __slots__ = ("datum", "lam", "word")
 
-    def __init__(self, datum: RootDatum, lam: Coweight, lam_fund: Coweight,
-                 lam_jtype: frozenset, word: tuple):
-        self.datum, self.lam, self.lam_fund = datum, lam, lam_fund
-        self.lam_jtype, self.word = lam_jtype, word
+    def __init__(self, datum: RootDatum, lam: Coweight, word: tuple):
+        self.datum, self.lam, self.word = datum, lam, word
 
     def _fields(self):
-        return (self.datum, self.lam, self.lam_fund, self.lam_jtype, self.word)
+        return (self.datum, self.lam, self.word)
 
     def __eq__(self, other):
         if type(other) is not GalleryType:
@@ -291,20 +289,20 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
     The word defaults to w_lambda's greedy word, fundamentalize's folds; any
-    reduced word of w_lambda is accepted and checked (length, image,
+    reduced word of w_lambda is accepted and checked (length, image of 0,
     minimality, dominance of every alcove Gamma_j; each facet Gamma'_j is
     spanned by vertices of Gamma_{j-1}, so its dominance follows)."""
-    if not lam.is_integral():
+    if not lam.is_integral():  # so lam folds to lam_fund = 0, of type {1..rank}
         raise RootDataError(f"{lam} is not in the coroot lattice")
     if not datum.is_dominant(lam):
         raise RootDataError(f"{lam} is not dominant")
-    lam_fund, lam_jtype, minimal = fundamentalize(datum, lam)
+    minimal = fundamentalize(datum, lam)[2]
     word = minimal if word is None else tuple(word)
-    prefixes = _check_word(datum, word, lam_fund, lam)
+    prefixes = _check_word(datum, word, datum.zero_coweight(), lam)
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
     for j, mover in enumerate(prefixes):
         verts = face_vertices(datum, mover)
         if any(sum(map(mul, row, v)) < 0 for v in verts for row in datum.cartan):
             raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
-    return GalleryType(datum, lam, lam_fund, lam_jtype, word)
+    return GalleryType(datum, lam, word)

@@ -41,7 +41,7 @@ def _coweight(text, datum=None) -> Coweight:
 
 
 def _word(text):
-    return tuple(int(x) for x in text.split(","))
+    return tuple(int(x) for x in text.split(",")) if text else ()
 
 
 def _emit(data, out_path):
@@ -56,7 +56,7 @@ def _emit(data, out_path):
 def cmd_crystal(args):
     datum = _datum(args)
     lam = _coweight(args.lam, datum)
-    word = _word(args.word) if args.word else None
+    word = None if args.word is None else _word(args.word)
     gtype = build_gallery_type(datum, lam, word=word)
     graph = enumerate_ls(gtype)
     data = crystal_to_dict(graph)

@@ -5,7 +5,7 @@ A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p}
 with prefixes P_j = delta_0...delta_j; its faces are vertex tuples (see
 mvcrystals.affine): Delta_j = P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j})
 spanned by the vertices of Delta_{j-1} other than vertex i_j, Delta'_0 = {0}
-and Delta'_{p+1} the end vertex.
+and Delta'_{p+1} the end vertex nu = P_p(0), vertex 0 of Delta_p.
 Each facet Delta'_j (1 <= j <= p) lies in one wall, the image under
 P_{j-1} = (mu, w) of A_fund's wall i = i_j, with root beta' = w(alpha_i), or
 -w(theta) for i = 0, and Delta_{j-1} on the side where beta' is positive.  So
@@ -13,7 +13,8 @@ W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
 (reversed for i = 0), the wall is one of alpha_c iff w s_i = s_c w, at level
 <alpha_c, mu> - sign(beta') [i = 0], and Phi_+^aff(Delta'_j, Delta_j) is its
 one root iff (beta' > 0) != (delta_j = s_{i_j}).  Only Delta'_0, which lies in
-a wall of every root, is evaluated at vertices.
+a wall of every root, is evaluated at vertices.  The same pass over the
+prefixes gives every colour c the levels of Delta'_0..Delta'_{p+1} (_levels).
 Root operators are implemented exactly as face surgery (reflect a window,
 translate the tail) followed by tuple recovery; the recovery checks that the
 result is again a tuple of the same type, which is a theorem, so a failing
@@ -73,8 +74,6 @@ class Gallery:
             raise GalleryError(f"{len(flips)} flips for a type of length {gtype.p}")
         # flips[j] True means delta_{j+1} = s_{i_{j+1}}, else identity
         self.gtype, self.delta0, self.flips = gtype, delta0, flips
-        # color i -> the wall level of each face Delta'_j (see _levels)
-        self._wall_levels = {}
         self._hash = hash((delta0, flips))  # galleries key every crystal dict
 
     def __eq__(self, other):
@@ -110,27 +109,27 @@ class Gallery:
         if j == 0:
             return self.gtype.datum.alcove_vertices[:1]
         if j == self.gtype.p + 1:
-            return tuple(v for i, v in enumerate(self.alcoves[-1]) if i not in self.gtype.lam_jtype)
+            return self.alcoves[-1][:1]
         verts, i = self.alcoves[j - 1], self.gtype.word[j - 1]
         return verts[:i] + verts[i + 1:]
 
     @cached_property
     def _walls(self):
-        """(beta' > 0, c, n) for each facet Delta'_j, j = 1..p, read off
-        P_{j-1} = (mu, w) and W's tables (see the module docstring): the facet
-        lies in H_{alpha_c, n}, or in no wall of a simple root when c = 0."""
-        cartan, out = self.gtype.datum.cartan, []
-        for P, i in zip(self.prefixes, self.gtype.word):
+        """(ups, levels) off P_{j-1} = (mu, w) and W's tables (module docstring):
+        ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p, and
+        levels[c - 1] is _levels(self, c)."""
+        cartan, nu, ups = self.gtype.datum.cartan, self.weight.coords, []
+        levels = [[0] + [None] * self.gtype.p + [sum(map(mul, row, nu))] for row in cartan]
+        for j, (P, i) in enumerate(zip(self.prefixes, self.gtype.word), 1):
             w = P.finite
             ws, lefts = w._right[i], w._left
             up = (ws.length > w.length) == (i > 0)
+            ups.append(up)
             if ws in lefts[1:]:  # w s_i w^-1 = s_c
                 c = lefts.index(ws, 1)
                 n = sum(map(mul, cartan[c - 1], P.translation.coords))
-                out.append((up, c, n if i else n - (1 if up else -1)))
-            else:
-                out.append((up, 0, None))
-        return tuple(out)
+                levels[c - 1][j] = n if i else n - (1 if up else -1)
+        return tuple(ups), tuple(map(tuple, levels))
 
     @cached_property
     def _origin_count(self):
@@ -145,14 +144,12 @@ class Gallery:
         """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p: for j >= 1 the facet's
         one wall root when Delta_j lies beyond it."""
         return (self._origin_count,) + tuple(
-            int(up != flip) for (up, _, _), flip in zip(self._walls, self.flips))
+            int(up != flip) for up, flip in zip(self._walls[0], self.flips))
 
     @cached_property
     def weight(self) -> Coweight:
-        nu = self.prefixes[-1].act_coweight(self.gtype.lam_fund)
-        if not nu.is_integral():
-            raise GalleryError(f"gallery weight {nu.coords} is not integral")
-        return nu
+        """nu = P_p(0), the translation part of P_p."""
+        return self.prefixes[-1].translation
 
     def sort_key(self):
         return (self.delta0.cmat, self.flips)
@@ -164,14 +161,10 @@ def minimal_gallery(gtype: GalleryType) -> Gallery:
 
 
 def _levels(g: Gallery, i: int):
-    """For each j, the integer n with Delta'_j inside H_{alpha_i, n}, else None:
-    0 for Delta'_0 = {0}, the facets' walls, and <alpha_i, nu> for the end
-    vertex, which is nu because lam_fund = 0 on the coroot lattice."""
-    levels = g._wall_levels.get(i)
-    if levels is None:
-        end = sum(map(mul, g.gtype.datum.cartan[i - 1], g.weight.coords))
-        levels = g._wall_levels[i] = (0, *[n if c == i else None for _, c, n in g._walls], end)
-    return levels
+    """For each j = 0..p+1, the integer n with Delta'_j inside H_{alpha_i, n},
+    else None: 0 for Delta'_0 = {0}, the facets' walls, and <alpha_i, nu> for
+    the end vertex nu."""
+    return g._walls[1][i - 1]
 
 
 def _where(g: Gallery, i: int) -> str:
@@ -184,17 +177,13 @@ def _where(g: Gallery, i: int) -> str:
 def min_wall_level(g: Gallery, i: int) -> int:
     """Smallest integer m such that H_{alpha_i, m} contains some face Delta'_j
     (see _levels); Delta'_0 = {0} forces m <= 0."""
-    best = min(n for n in _levels(g, i) if n is not None)
-    if best > 0:
-        raise GalleryError(f"lowest wall level {best} > 0 although Delta'_0 = {{0}} "
-                           f"({_where(g, i)})")
-    return best
+    return min(n for n in _levels(g, i) if n is not None)
 
 
 def crystal_maps(g: Gallery, i: int):
     """(wt, eps_i, phi_i) with eps_i = -m and phi_i = <alpha_i, nu> - m."""
-    datum, m, nu = g.gtype.datum, min_wall_level(g, i), g.weight
-    return nu, -m, datum.pairing(datum.simple_root(i), nu) - m
+    m = min_wall_level(g, i)
+    return g.weight, -m, _levels(g, i)[-1] - m
 
 
 def _recover_tuple(g: Gallery, movers, i: int):
@@ -264,11 +253,10 @@ def root_e(g: Gallery, i: int):
 
 def root_f(g: Gallery, i: int):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>)."""
-    datum = g.gtype.datum
-    m = min_wall_level(g, i)
-    if m == datum.pairing(datum.simple_root(i), g.weight):
+    m, levels = min_wall_level(g, i), _levels(g, i)
+    if m == levels[-1]:
         return None
-    p, levels = g.gtype.p, _levels(g, i)
+    p = g.gtype.p
     j = max(j for j in range(p + 1) if levels[j] == m)
     k = next((k for k in range(j + 1, p + 2) if levels[k] == m + 1), None)
     if k is None:

@@ -108,7 +108,7 @@ class LaurentSeries:
             raise TypeError(f"series caps are int or None, got {type(cap).__name__} {cap!r}")
         coeffs = coeffs or {}
         for e, c in coeffs.items():
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError(f"series exponents are int, got {type(e).__name__} {e!r}")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("series coefficients are int or Fraction, "

@@ -3,7 +3,7 @@
 from functools import lru_cache
 from itertools import combinations
 
-from mvcrystals.affine import AffineRoot, face_level, phi_plus_aff
+from mvcrystals.affine import AffineRoot, face_level, face_vertices, fundamentalize, phi_plus_aff
 from mvcrystals.looplab.series import LaurentMatrix, vector_val
 from mvcrystals.rootdata import Coweight
 
@@ -35,9 +35,14 @@ def act_affine_root(g, datum, beta):
 def face_walls(g):
     """A gallery's wall levels and |Phi_+^aff| counts evaluated at the vertices
     of its faces: ({c: (the level of Delta'_j in a wall of alpha_c, else None,
-    for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p))."""
+    for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p)).  The end
+    vertex Delta'_{p+1} is the face of P_p's alcove whose type is the J that
+    fundamentalize gives lambda."""
     datum, p = g.gtype.datum, g.gtype.p
-    levels = {c: tuple(face_level(datum, g.facet(j), datum.simple_root(c)) for j in range(p + 2))
+    end_type = fundamentalize(datum, g.gtype.lam)[1]
+    end = tuple(v for k, v in enumerate(face_vertices(datum, g.prefixes[p])) if k not in end_type)
+    faces = [g.facet(j) for j in range(p + 1)] + [end]
+    levels = {c: tuple(face_level(datum, f, datum.simple_root(c)) for f in faces)
               for c in range(1, datum.rank + 1)}
     return levels, tuple(len(phi_plus_aff(datum, g.facet(j), g.alcove(j))) for j in range(p + 1))
 

@@ -179,8 +179,10 @@ def test_greedy_word_matches_the_length_rule(series, rank):
 @pytest.mark.parametrize("series, rank", ALL_DATA)
 def test_fold_word_is_the_minimal_element_for_any_lambda(series, rank):
     # non-dominant and rational lam too: the product g of the fold word is
-    # reduced, maps lam_fund to lam, and no s_j with j in J shortens it; the
-    # box narrows above rank 2 to keep the 12 cases near a quarter second
+    # reduced, maps lam_fund to lam, and no s_j with j in J shortens it; a lam
+    # in the coroot lattice folds to 0, of type {1..rank}, which is what lets
+    # a gallery type drop both; the box narrows above rank 2 to keep the 12
+    # cases near a quarter second
     datum = build_root_datum(series, rank)
     box = range(-2, 3) if rank <= 2 else range(-1, 2)
     lams = list(map(Coweight, product(box, repeat=rank)))
@@ -194,12 +196,15 @@ def test_fold_word_is_the_minimal_element_for_any_lambda(series, rank):
         lg = aff_length(datum, g)
         assert lg == len(word) and g.act_coweight(lam_fund) == lam, lam
         assert all(aff_length(datum, g * refl[j]) > lg for j in jtype), (lam, jtype)
+        if lam.is_integral():
+            assert lam_fund == datum.zero_coweight(), lam
+            assert jtype == frozenset(range(1, rank + 1)), lam
 
 
 def test_build_gamma_lambda_trivial():
     gt = build_gallery_type(A2, A2.zero_coweight())
     assert gt.p == 0
-    assert gt.lam_fund == A2.zero_coweight()
+    assert minimal_gallery(gt).weight == A2.zero_coweight()
 
 
 def test_build_gamma_lambda_a1():
@@ -211,7 +216,7 @@ def test_build_gamma_lambda_a1():
     assert gamma.alcove(0) == A1.alcove_vertices
     assert gamma.facet(1) == face(A1, identity_aff(A1), frozenset({0}))
     assert gamma.prefixes[1] == simple_affine_reflection(A1, 0)
-    assert gamma.prefixes[1].act_coweight(gt.lam_fund) == lam
+    assert gamma.prefixes[1].act_coweight(A1.zero_coweight()) == lam
 
 
 def test_build_gamma_lambda_rejects_bad_words():
@@ -355,11 +360,13 @@ def test_integer_geometry_matches_rational_reference(series, rank, lam):
     datum = build_root_datum(series, rank)
     roots = datum.positive_roots + tuple(-a for a in datum.positive_roots)
     graph = enumerate_ls(build_gallery_type(datum, Coweight(lam)))
+    # the end vertex's type J comes from the fold, not from the gallery
+    end_type = fundamentalize(datum, Coweight(lam))[1]
     for g in graph.nodes:
         p, word, P = g.gtype.p, g.gtype.word, g.prefixes
         facets = [ref_vertices(datum, identity_aff(datum), range(1, rank + 1))] + \
             [ref_vertices(datum, P[j - 1], {word[j - 1]}) for j in range(1, p + 1)] + \
-            [ref_vertices(datum, P[p], g.gtype.lam_jtype)]
+            [ref_vertices(datum, P[p], end_type)]
         alcoves = [ref_vertices(datum, P[j]) for j in range(p + 1)]
         pairs = [(g.facet(j), ref) for j, ref in enumerate(facets)] + \
             [(g.alcove(j), ref) for j, ref in enumerate(alcoves)]

@@ -41,6 +41,17 @@ def test_crystal_deterministic(tmp_path, capsys):
     assert f1.read_text() == f2.read_text()
 
 
+def test_crystal_takes_the_empty_word(capsys):
+    # --word '' is the empty word, not the default one: it fails where w_lambda
+    # is not 1, naming the word, and gives B(0), one node, at lambda = 0
+    code, out, err = run_cli(["crystal", "--lambda", "1,1", "--word", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: word () ")
+    code, out, _ = run_cli(["crystal", "--lambda", "0,0", "--word", ""], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["word"] == [] and len(data["nodes"]) == 1
+
+
 def test_string_command(capsys):
     code, out, _ = run_cli(["string", "--type", "A", "--rank", "2",
                             "--lambda", "1,1", "--word", "1,2,1"], capsys)

@@ -343,15 +343,6 @@ def assert_names(exc_info, g, i):
     assert gallery_from_dict(datum, data) == g
 
 
-def test_lowest_wall_level_error_names_the_gallery(monkeypatch, a1_type):
-    gamma, real = minimal_gallery(a1_type), gallery._levels
-    monkeypatch.setattr(gallery, "_levels",
-                        lambda g, i: tuple(n if n is None else n + 5 for n in real(g, i)))
-    with pytest.raises(GalleryError, match="lowest wall level 5 > 0") as exc:
-        min_wall_level(gamma, 1)
-    assert_names(exc, gamma, 1)
-
-
 def test_translated_delta0_error_names_the_gallery(monkeypatch, a1_type):
     gamma = minimal_gallery(a1_type)
     monkeypatch.setattr(gallery, "affine_reflection",

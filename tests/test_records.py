@@ -14,15 +14,14 @@ from mvcrystals.verify import CriterionResult
 
 A2 = build_root_datum("A", 2)
 GTYPE = build_gallery_type(A2, Coweight((1, 1)))
-LAM, LAM_FUND = GTYPE.lam, GTYPE.lam_fund
+LAM = GTYPE.lam
 
 # class -> (field names in declared order, field values)
 RECORDS = {
     Root: (("coords",), ((1, -1),)),
     Coweight: (("coords",), ((1, 1),)),
     AffineRoot: (("root", "level"), (Root((1, 1)), 2)),
-    GalleryType: (("datum", "lam", "lam_fund", "lam_jtype", "word"),
-                  (A2, LAM, LAM_FUND, GTYPE.lam_jtype, GTYPE.word)),
+    GalleryType: (("datum", "lam", "word"), (A2, LAM, GTYPE.word)),
     Gallery: (("gtype", "delta0", "flips"),
               (GTYPE, A2.identity_elt(), (True,) * GTYPE.p)),
     CrystalGraph: (("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi"),
