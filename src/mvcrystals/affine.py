@@ -5,7 +5,8 @@ Conventions.  An affine root is a pair (alpha, n) with wall
 H_{alpha,n} = {x : <alpha,x> = n} and closed half-space
 H^-_{alpha,n} = {x : <alpha,x> <= n}.  The affine node has index 0 with
 alpha_0 = (-theta, -1); finite simple reflections keep their 1-based index.
-W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu.
+W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu; an element is the plain
+pair (mu, w) of an integer tuple and a finite element (AffWeylElt).
 
 A face is the tuple of its vertices: the face g(phi_J) has the images under
 g of the vertices of A_fund whose index is not in J (face_vertices), and
@@ -31,7 +32,6 @@ __all__ = [
     "AffWeylElt",
     "GalleryType",
     "simple_affine_reflection",
-    "affine_reflection",
     "translation",
     "aff_length",
     "face_vertices",
@@ -65,28 +65,31 @@ class AffineRoot:
 
 
 class AffWeylElt:
-    """Element (translation, finite part) of W^aff acting by x |-> w(x) + mu;
-    mu lies in Z Phi^vee, so its coordinates are integers."""
+    """Element (mu, w) of W^aff acting by x |-> w(x) + mu: the finite part w
+    and the translation mu, a tuple of integers since mu lies in Z Phi^vee."""
 
-    __slots__ = ("translation", "finite")
+    __slots__ = ("mu", "finite")
 
-    def __init__(self, translation: Coweight, finite: WeylElt):
-        self.translation, self.finite = translation, finite
+    def __init__(self, mu: tuple, finite: WeylElt):
+        self.mu, self.finite = mu, finite
 
     def __eq__(self, other):
         return isinstance(other, AffWeylElt) and self.finite is other.finite \
-            and self.translation.coords == other.translation.coords
+            and self.mu == other.mu
 
     def __hash__(self):
-        return hash((self.translation.coords, self.finite.index))
+        return hash((self.mu, self.finite.index))
 
     def __mul__(self, other):
         # (mu, w)(nu, v) = (mu + w(nu), wv); nu = 0 for every s_i with i >= 1
-        mu, nu = self.translation, other.translation.coords
+        mu, nu = self.mu, other.mu
         if any(nu):
-            mu = Coweight(tuple([a + sum(map(mul, row, nu))
-                                 for a, row in zip(mu.coords, self.finite.cmat)]))
+            mu = tuple([a + sum(map(mul, row, nu)) for a, row in zip(mu, self.finite.cmat)])
         return AffWeylElt(mu, self.finite * other.finite)
+
+    @property
+    def translation(self) -> Coweight:
+        return Coweight(self.mu)
 
     def act_point(self, coords):
         return tuple(map(_norm, self.act_scaled(coords, 1)))
@@ -94,28 +97,18 @@ class AffWeylElt:
     def act_scaled(self, coords, scale: int):
         """The action on a point given as integer coordinates in units of 1/scale."""
         return tuple(sum(map(mul, row, coords)) + scale * b
-                     for row, b in zip(self.finite.cmat, self.translation.coords))
+                     for row, b in zip(self.finite.cmat, self.mu))
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(self.act_point(v.coords))
 
-    @property
-    def is_finite(self):
-        return not any(self.translation.coords)
-
 
 def identity_aff(datum: RootDatum) -> AffWeylElt:
-    return AffWeylElt(datum.zero_coweight(), datum.identity_elt())
+    return AffWeylElt((0,) * datum.rank, datum.identity_elt())
 
 
 def translation(datum: RootDatum, mu: Coweight) -> AffWeylElt:
-    return AffWeylElt(mu, datum.identity_elt())
-
-
-def affine_reflection(datum: RootDatum, beta: AffineRoot) -> AffWeylElt:
-    """s_{alpha,n}: x |-> x - (<alpha,x> - n) alpha^vee = s_alpha(x) + n alpha^vee."""
-    co = datum.coroot_of(beta.root)
-    return AffWeylElt(co.scale(beta.level), datum.reflection(beta.root))
+    return AffWeylElt(mu.coords, datum.identity_elt())
 
 
 def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
@@ -124,7 +117,7 @@ def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
     if not 0 <= i <= datum.rank:
         raise RootDataError(f"affine node {i} out of range for {datum.series}{datum.rank}")
     if datum.affine_reflections is None:
-        theta, zero = datum.coroot_of(datum.highest_root), datum.zero_coweight()
+        theta, zero = datum.coroot_of(datum.highest_root).coords, (0,) * datum.rank
         datum.affine_reflections = tuple(AffWeylElt(zero if g else theta, s)
                                          for g, s in enumerate(datum.generators()))
     return datum.affine_reflections[i]
@@ -140,35 +133,32 @@ def face_vertices(datum: RootDatum, mover: AffWeylElt):
     return tuple(mover.act_scaled(v, scale) for v in datum.alcove_vertices)
 
 
-def _sup(datum: RootDatum, verts, alpha: Root) -> int:
-    """D f_F(alpha): the largest vertex value of alpha, in units of 1/D."""
-    row = datum.pairing_row(alpha.coords)
-    return max(sum(map(mul, row, v)) for v in verts)
+def _wall(row, verts, scale: int):
+    """The integer n with the vertices inside H_{alpha, n}, alpha given by its
+    pairing row, or None when their values differ or are not integral."""
+    n = sum(map(mul, row, verts[0]))
+    if n % scale or any(sum(map(mul, row, v)) != n for v in verts[1:]):
+        return None
+    return n // scale
 
 
 def face_level(datum: RootDatum, verts, alpha: Root):
     """The integer n with the face inside the wall H_{alpha, n}, or None when
     it lies in no wall of alpha (its vertex values differ or are not integral)."""
-    row = datum.pairing_row(alpha.coords)
-    n = sum(map(mul, row, verts[0]))
-    if n % datum.apartment_scale:
-        return None
-    for v in verts[1:]:
-        if sum(map(mul, row, v)) != n:
-            return None
-    return n // datum.apartment_scale
+    return _wall(datum.pairing_row(alpha.coords), verts, datum.apartment_scale)
 
 
 def phi_plus_aff(datum: RootDatum, small, big):
     """Phi_+^aff(F', F) for the faces with vertices small and big: affine
     roots (alpha, n), alpha positive, with F' inside the wall at level n and
-    F strictly beyond it.
+    F strictly beyond it (some vertex of F above nD), one pairing row per root.
 
     F' in closure(F) is the caller's responsibility."""
-    out = []
+    out, scale = [], datum.apartment_scale
     for alpha in datum.positive_roots:
-        n = face_level(datum, small, alpha)
-        if n is not None and _sup(datum, big, alpha) > n * datum.apartment_scale:
+        row = datum.pairing_row(alpha.coords)
+        n = _wall(row, small, scale)
+        if n is not None and max(sum(map(mul, row, v)) for v in big) > n * scale:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
 

@@ -109,10 +109,31 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
+def _string_lengths(steps: dict, i, nodes):
+    """How often steps (e_map or f_map) applies along colour i from each node
+    before it is undefined, each string walked once; None for every node of a
+    walk that runs into a cycle."""
+    out = {}
+    for b in nodes:
+        path = []
+        while b is not None and b not in out:
+            out[b] = None  # meeting b again on this walk means a cycle
+            path.append(b)
+            b = steps.get((b, i))
+        n = -1 if b is None else out[b]  # the count of the step past path[-1]
+        for b in reversed(path):
+            n = out[b] = None if n is None else n + 1
+    return out
+
+
 def validate_axioms(graph: CrystalGraph):
-    """Check Kashiwara's axioms on every node and color; returns violations."""
+    """Check Kashiwara's axioms on every node and color; returns violations.
+    Normality compares eps/phi with the e-/f-string lengths, found by one
+    walk of each string (_string_lengths), so a cyclic string is a violation."""
     datum = graph.datum
     bad = []
+    lengths = {i: (_string_lengths(graph.e_map, i, graph.nodes),
+                   _string_lengths(graph.f_map, i, graph.nodes)) for i in graph.colors}
     for b in graph.nodes:
         for i in graph.colors:
             eps_b = graph.eps[(b, i)]
@@ -133,18 +154,9 @@ def validate_axioms(graph: CrystalGraph):
                     bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {graph.node_id(b)}")
                 if graph.e(down, i) != b:
                     bad.append(f"e_{i} f_{i} != id at {graph.node_id(b)}")
-            # normality: eps/phi are the string lengths
-            n, cur = 0, b
-            while graph.e(cur, i) is not None:
-                cur = graph.e(cur, i)
-                n += 1
-            if n != eps_b:
+            if lengths[i][0][b] != eps_b:
                 bad.append(f"eps_{i} != e-string length at {graph.node_id(b)}")
-            n, cur = 0, b
-            while graph.f(cur, i) is not None:
-                cur = graph.f(cur, i)
-                n += 1
-            if n != phi_b:
+            if lengths[i][1][b] != phi_b:
                 bad.append(f"phi_{i} != f-string length at {graph.node_id(b)}")
     return bad
 

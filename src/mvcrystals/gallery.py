@@ -15,29 +15,26 @@ W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
 one root iff (beta' > 0) != (delta_j = s_{i_j}).  Only Delta'_0, which lies in
 a wall of every root, is evaluated at vertices.  The same pass over the
 prefixes gives every colour c the levels of Delta'_0..Delta'_{p+1} (_levels).
-Root operators are implemented exactly as face surgery (reflect a window,
-translate the tail) followed by tuple recovery; the recovery checks that the
-result is again a tuple of the same type, which is a theorem, so a failing
-check is an implementation bug and raises GalleryError, which names the
-datum, the gallery and the colour.
+Root operators are implemented exactly as face surgery (reflect a window
+(j, k), translate the tail) followed by tuple recovery, which decides only the
+steps where the mover changes: delta_0 when j = 0, delta_j and delta_k.  The
+recovery checks that the result is again a tuple of the same type, which is a
+theorem, so a failing check is an implementation bug and raises GalleryError,
+which names the datum, the gallery and the colour.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 
 from mvcrystals.affine import (
-    AffineRoot,
     AffWeylElt,
     GalleryType,
-    affine_reflection,
     build_gallery_type,
     face_vertices,
-    identity_aff,
     phi_plus_aff,
     simple_affine_reflection,
-    translation,
 )
 from mvcrystals.crystal import CrystalError, CrystalGraph, StringParam, string_parameters
 from mvcrystals.rootdata import Coweight, RootDatum, WeylElt
@@ -87,11 +84,19 @@ class Gallery:
 
     @cached_property
     def prefixes(self):
-        """P_j = delta_0 delta_1 ... delta_j as affine elements, j = 0..p."""
+        """P_j = delta_0 delta_1 ... delta_j as affine elements (mu, w), j = 0..p:
+        P s_i = (mu, w s_i) with w s_i read off w's table, and for the affine
+        letter P s_0 = (mu + w(theta^vee), w s_theta)."""
         datum = self.gtype.datum
-        out = [AffWeylElt(datum.zero_coweight(), self.delta0)]
+        theta = simple_affine_reflection(datum, 0).mu
+        out = [P := AffWeylElt((0,) * datum.rank, self.delta0)]
         for i, flip in zip(self.gtype.word, self.flips):
-            out.append(out[-1] * simple_affine_reflection(datum, i) if flip else out[-1])
+            if flip:
+                mu, w = P.mu, P.finite
+                if not i:
+                    mu = tuple([a + sum(map(mul, row, theta)) for a, row in zip(mu, w.cmat)])
+                P = AffWeylElt(mu, w._right[i])
+            out.append(P)
         return tuple(out)
 
     @cached_property
@@ -104,22 +109,20 @@ class Gallery:
         return self.alcoves[j]
 
     def facet(self, j):
-        """The vertices of Delta'_j.  j = 0 gives the origin vertex, j = p + 1
-        the end vertex."""
+        """The vertices of Delta'_j, j = 0..p; j = 0 gives the origin vertex."""
         if j == 0:
             return self.gtype.datum.alcove_vertices[:1]
-        if j == self.gtype.p + 1:
-            return self.alcoves[-1][:1]
         verts, i = self.alcoves[j - 1], self.gtype.word[j - 1]
         return verts[:i] + verts[i + 1:]
 
     @cached_property
     def _walls(self):
-        """(ups, levels) off P_{j-1} = (mu, w) and W's tables (module docstring):
-        ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p, and
-        levels[c - 1] is _levels(self, c)."""
-        cartan, nu, ups = self.gtype.datum.cartan, self.weight.coords, []
+        """(ups, levels, lows) off P_{j-1} = (mu, w) and W's tables (module
+        docstring): ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p,
+        levels[c - 1] is _levels(self, c) and lows[c - 1] its least level."""
+        cartan, nu, ups = self.gtype.datum.cartan, self.prefixes[-1].mu, []
         levels = [[0] + [None] * self.gtype.p + [sum(map(mul, row, nu))] for row in cartan]
+        lows = [min(0, row[-1]) for row in levels]
         for j, (P, i) in enumerate(zip(self.prefixes, self.gtype.word), 1):
             w = P.finite
             ws, lefts = w._right[i], w._left
@@ -127,9 +130,10 @@ class Gallery:
             ups.append(up)
             if ws in lefts[1:]:  # w s_i w^-1 = s_c
                 c = lefts.index(ws, 1)
-                n = sum(map(mul, cartan[c - 1], P.translation.coords))
-                levels[c - 1][j] = n if i else n - (1 if up else -1)
-        return tuple(ups), tuple(map(tuple, levels))
+                n = sum(map(mul, cartan[c - 1], P.mu))
+                n = levels[c - 1][j] = n if i else n - (1 if up else -1)
+                lows[c - 1] = min(lows[c - 1], n)
+        return tuple(ups), tuple(map(tuple, levels)), tuple(lows)
 
     @cached_property
     def _origin_count(self):
@@ -176,8 +180,8 @@ def _where(g: Gallery, i: int) -> str:
 
 def min_wall_level(g: Gallery, i: int) -> int:
     """Smallest integer m such that H_{alpha_i, m} contains some face Delta'_j
-    (see _levels); Delta'_0 = {0} forces m <= 0."""
-    return min(n for n in _levels(g, i) if n is not None)
+    (see _levels), kept by Gallery._walls; Delta'_0 = {0} forces m <= 0."""
+    return g._walls[2][i - 1]
 
 
 def crystal_maps(g: Gallery, i: int):
@@ -186,29 +190,30 @@ def crystal_maps(g: Gallery, i: int):
     return g.weight, -m, _levels(g, i)[-1] - m
 
 
-def _recover_tuple(g: Gallery, movers, i: int):
-    """Tuple recovery from per-alcove movers g_l (type preservation tripwires).
-
-    The new prefixes are P'_l = g_l P_l; delta_l = 1 iff P'_l = P'_{l-1} and
-    delta_l = s_{i_l} iff P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.
-    Where g_l = g_{l-1} both tests reduce to the same tests on P, so the old
-    delta_l is kept and only the steps where the mover changes are decided."""
-    datum, P = g.gtype.datum, g.prefixes
-    d0_aff = movers[0] * P[0]
-    if not d0_aff.is_finite:
-        raise GalleryError(f"recovered delta_0 has a translation part ({_where(g, i)})")
-    flips = list(g.flips)
-    for l in range(1, g.gtype.p + 1):
-        if movers[l] == movers[l - 1]:
+def _recover_tuple(g: Gallery, i: int, j: int, k: int, refl: AffWeylElt, tail: AffWeylElt):
+    """Tuple recovery (type preservation tripwires) from the new prefixes
+    P'_l = P_l for l < j, refl P_l for j <= l < k and tail P_l for l >= k:
+    delta_l = 1 iff P'_l = P'_{l-1} and delta_l = s_{i_l} iff
+    P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.  Where the mover is the
+    same at l - 1 and l both tests reduce to the same tests on P, so only
+    delta_0 (when j = 0), delta_j and delta_k are decided."""
+    P, flips, delta0 = g.prefixes, list(g.flips), g.delta0
+    if j == 0:
+        d0_aff = refl * P[0]
+        if any(d0_aff.mu):
+            raise GalleryError(f"recovered delta_0 has a translation part ({_where(g, i)})")
+        delta0 = d0_aff.finite
+    for l, before, after in ((j, None, refl), (k, refl, tail)):
+        if not 1 <= l <= g.gtype.p:
             continue
-        prev, cur = movers[l - 1] * P[l - 1], movers[l] * P[l]
+        prev, cur = P[l - 1] if before is None else before * P[l - 1], after * P[l]
         if cur == prev:
             flips[l - 1] = False
-        elif cur == prev * simple_affine_reflection(datum, g.gtype.word[l - 1]):
+        elif cur == prev * simple_affine_reflection(g.gtype.datum, g.gtype.word[l - 1]):
             flips[l - 1] = True
         else:
             raise GalleryError(f"recovered delta_{l} is not in W_{{i_{l}}} ({_where(g, i)})")
-    return Gallery(g.gtype, d0_aff.finite, tuple(flips))
+    return Gallery(g.gtype, delta0, tuple(flips))
 
 
 def fold_window(g: Gallery, i: int):
@@ -228,18 +233,18 @@ def fold_window(g: Gallery, i: int):
 
 
 def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
-    """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, translate the tail
-    by sign * alpha_i^vee, and recover the tuple; the weight must move by it."""
+    """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, (level alpha_i^vee, s_i),
+    translate the tail by sign * alpha_i^vee, and recover the tuple; the weight
+    read off the recovered tuple's prefixes must move by sign * alpha_i^vee."""
     datum = g.gtype.datum
-    alpha = datum.simple_root(i)
-    shift = datum.coroot_of(alpha).scale(sign)
-    refl = affine_reflection(datum, AffineRoot(alpha, level))
-    tail = translation(datum, shift)
-    movers = [identity_aff(datum)] * j + [refl] * (k - j) + [tail] * (g.gtype.p + 1 - k)
-    out = _recover_tuple(g, movers, i)
-    if out.weight != g.weight + shift:
-        raise GalleryError(f"root operator moved the weight {g.weight.coords} to "
-                           f"{out.weight.coords}, not by {shift.coords} ({_where(g, i)})")
+    co = datum.simple_coroot(i).coords
+    refl = AffWeylElt(tuple([level * a for a in co]), datum.simple_reflection(i))
+    tail = AffWeylElt(tuple([sign * a for a in co]), datum.identity_elt())
+    out = _recover_tuple(g, i, j, k, refl, tail)
+    nu, new = g.prefixes[-1].mu, out.prefixes[-1].mu
+    if new != tuple(map(add, nu, tail.mu)):
+        raise GalleryError(f"root operator moved the weight {nu} to {new}, "
+                           f"not by {tail.mu} ({_where(g, i)})")
     if out.delta0 is g.delta0:
         out._origin_count = g._origin_count
     return out

@@ -250,13 +250,11 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     return n_vec
 
 
-def morier_genoud_check(group: LoopGroup, word, c_tilde_node, c_tilde_flip,
-                        lam: Coweight) -> bool:
+def morier_genoud_check(group: LoopGroup, word, c_tilde_node, d, lam: Coweight) -> bool:
     """d_j = <alpha_{i_j}, -w0 lam> + c~_j where d is the Lusztig parameter of
-    the contragredient twin (computed tropically from its string)."""
+    the contragredient twin (lusztig_from_string of its string)."""
     datum = group.datum
     w0lam = datum.longest_element().act_coweight(lam)
-    d = lusztig_from_string(group, word, c_tilde_flip)
     for j, i in enumerate(word):
         shift = datum.pairing(datum.simple_root(i), -w0lam)
         if d[j] != shift + c_tilde_node[j]:

@@ -28,7 +28,8 @@ window ends sooner; ``rel`` is ``rel_prec`` (else the context's default) for an
 exact divisor, and the divisor's own relative window (or ``rel_prec`` if
 smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
 ever reported below the cap; a series whose known window is all zero raises
-:class:`PrecisionError` instead of guessing.  A matrix of root-subgroup
+:class:`PrecisionError` instead of guessing, and dividing by the exact zero
+raises ZeroDivisionError.  A matrix of root-subgroup
 factors inverts by them, with no determinant (see ``LaurentMatrix``).
 """
 
@@ -203,6 +204,8 @@ class LaurentSeries:
     def __truediv__(self, other, rel_prec=None):
         """self / other by long division from the lowest term; the quotient's
         window is set out in the module docstring."""
+        if not other.coeffs and other.cap is None:  # no precision makes it a unit
+            raise ZeroDivisionError("division by the exact zero series")
         v = other.val()
         lead = other.coeffs[v]
         low = self.val_lower_bound()

@@ -443,13 +443,14 @@ def crit_11_tropical_transition(graphs):
     ok = True
     rows = []
     for word in ((1, 2, 1), (2, 1, 2)):
+        # each node's string and Lusztig datum once; the twin reads its own
+        c_tilde = {node: string_parameters(graph, node, word).c_tilde for node in graph.nodes}
+        lusztig = {node: lusztig_from_string(group, word, c) for node, c in c_tilde.items()}
         for node in graph.nodes:
-            sp = string_parameters(graph, node, word)
-            n_vec = lusztig_from_string(group, word, sp.c_tilde)
+            n_vec = lusztig[node]
             nonneg = all(x >= 0 for x in n_vec)
             flip = contragredient_node(graph, node, graph)
-            spf = string_parameters(graph, flip, word)
-            mg = morier_genoud_check(group, word, sp.c_tilde, spf.c_tilde, lam)
+            mg = morier_genoud_check(group, word, c_tilde[node], lusztig[flip], lam)
             rows.append({"word": list(word), "node": graph.node_id(node),
                          "n": n_vec, "nonneg": nonneg, "morier_genoud": mg})
             ok = ok and nonneg and mg

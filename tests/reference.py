@@ -32,16 +32,24 @@ def act_affine_root(g, datum, beta):
     return AffineRoot(alpha, beta.level + datum.pairing(alpha, g.translation))
 
 
+def facet(g, j):
+    """The vertices of a gallery's Delta'_j for j = 0..p+1.  The end vertex
+    Delta'_{p+1} is the face of P_p's alcove whose type is the J that
+    fundamentalize gives lambda."""
+    if j <= g.gtype.p:
+        return g.facet(j)
+    datum = g.gtype.datum
+    end_type = fundamentalize(datum, g.gtype.lam)[1]
+    return tuple(v for k, v in enumerate(face_vertices(datum, g.prefixes[-1]))
+                 if k not in end_type)
+
+
 def face_walls(g):
     """A gallery's wall levels and |Phi_+^aff| counts evaluated at the vertices
     of its faces: ({c: (the level of Delta'_j in a wall of alpha_c, else None,
-    for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p)).  The end
-    vertex Delta'_{p+1} is the face of P_p's alcove whose type is the J that
-    fundamentalize gives lambda."""
+    for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p))."""
     datum, p = g.gtype.datum, g.gtype.p
-    end_type = fundamentalize(datum, g.gtype.lam)[1]
-    end = tuple(v for k, v in enumerate(face_vertices(datum, g.prefixes[p])) if k not in end_type)
-    faces = [g.facet(j) for j in range(p + 1)] + [end]
+    faces = [facet(g, j) for j in range(p + 2)]
     levels = {c: tuple(face_level(datum, f, datum.simple_root(c)) for f in faces)
               for c in range(1, datum.rank + 1)}
     return levels, tuple(len(phi_plus_aff(datum, g.facet(j), g.alcove(j))) for j in range(p + 1))

@@ -38,6 +38,7 @@ from mvcrystals.looplab.series import (
     default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, Root
+from reference import facet
 
 
 def _rand_nonzero(rng: random.Random, bound: int) -> Fraction:
@@ -141,7 +142,7 @@ class _Rewriter:
 
     def absorb(self, u: LaurentMatrix, tail, idx):
         """u * prod(tail) [t^nu] = prod(tail') [t^nu] for u in Stab_+(Delta'_idx)."""
-        if not _in_stab_plus(self.group, u, self.gallery.facet(idx)):
+        if not _in_stab_plus(self.group, u, facet(self.gallery, idx)):
             raise LoopGroupError(
                 "absorb precondition failed: u not in Stab_+ of the facet")
         out = []

@@ -8,6 +8,8 @@ import pytest
 from mvcrystals import affine
 from mvcrystals.affine import (
     AffineRoot,
+    AffWeylElt,
+    GalleryType,
     aff_length,
     build_gallery_type,
     enumerate_affine_reduced_words,
@@ -20,9 +22,9 @@ from mvcrystals.affine import (
     simple_affine_reflection,
     translation,
 )
-from mvcrystals.gallery import enumerate_ls, minimal_gallery
+from mvcrystals.gallery import Gallery, enumerate_ls, minimal_gallery
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
-from reference import act_affine_root, rho_coweight
+from reference import act_affine_root, facet, rho_coweight
 from stabwork import face_sup
 
 A1 = build_root_datum("A", 1)
@@ -243,7 +245,7 @@ def test_gamma_lambda_faces_dominant():
     for datum, lam in [(A2, Coweight((1, 1))), (A2, Coweight((2, 1))),
                        (B2, Coweight((1, 1)))]:
         gamma = minimal_gallery(build_gallery_type(datum, lam))
-        faces = [gamma.facet(j) for j in range(gamma.gtype.p + 2)] + list(gamma.alcoves)
+        faces = [facet(gamma, j) for j in range(gamma.gtype.p + 2)] + list(gamma.alcoves)
         for verts in faces:
             for i in range(1, datum.rank + 1):
                 assert face_sup(datum, verts, -datum.simple_root(i)) <= 0
@@ -329,6 +331,60 @@ def random_aff(datum, rng, max_len):
     return g
 
 
+def ref_generator(datum, i):
+    """s_i, i in I^aff, as (translation, matrix on coweight coordinates):
+    x |-> x - <alpha, x> alpha^vee, plus theta^vee for i = 0 (alpha = theta)."""
+    alpha = datum.highest_root if i == 0 else datum.simple_root(i)
+    row, co, n = datum.pairing_row(alpha.coords), datum.coroot_of(alpha).coords, datum.rank
+    mat = tuple(tuple(int(r == c) - co[r] * row[c] for c in range(n)) for r in range(n))
+    return (Coweight(co) if i == 0 else datum.zero_coweight()), mat
+
+
+def ref_product(g, h):
+    """(mu, A)(nu, B) = (mu + A nu, AB) on Coweights and nested tuples."""
+    (mu, a), (nu, b) = g, h
+    a_nu = Coweight(tuple(sum(x * y for x, y in zip(r, nu.coords)) for r in a))
+    return mu + a_nu, tuple(tuple(sum(r[k] * b[k][c] for k in range(len(b)))
+                                  for c in range(len(b))) for r in a)
+
+
+def as_ref(g):
+    return g.translation, g.finite.cmat
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
+def test_products_and_prefixes_match_the_matrix_reference(series, rank):
+    # AffWeylElt keeps (mu, w) with w a table element; the reference keeps
+    # (Coweight, integer matrix) and multiplies matrices
+    datum = build_root_datum(series, rank)
+    rng = random.Random(2000 + rank * 31 + ord(series))
+    zero = datum.zero_coweight()
+    pool = []
+    for _ in range(15):
+        word = tuple(rng.randint(0, rank) for _ in range(rng.randint(0, 12)))
+        g, ref = identity_aff(datum), (zero, datum.identity_elt().cmat)
+        for i in word:
+            g, ref = g * simple_affine_reflection(datum, i), ref_product(ref, ref_generator(datum, i))
+        assert as_ref(g) == ref, word
+        pool.append(g)
+        delta0 = rng.choice(datum.weyl_elements())
+        flips = tuple(rng.random() < 0.5 for _ in word)
+        ref = (zero, delta0.cmat)
+        refs = [ref]
+        for i, flip in zip(word, flips):
+            if flip:
+                ref = ref_product(ref, ref_generator(datum, i))
+            refs.append(ref)
+        prefixes = Gallery(GalleryType(datum, zero, word), delta0, flips).prefixes
+        assert [as_ref(P) for P in prefixes] == refs, (word, flips)
+    for g, h in zip(pool, pool[1:]):
+        gh, (mu, mat) = g * h, ref_product(as_ref(g), as_ref(h))
+        assert as_ref(gh) == (mu, mat)
+        # equality and hashing read the plain pair
+        twin = AffWeylElt(mu.coords, gh.finite)
+        assert gh == twin and hash(gh) == hash(twin)
+
+
 @pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
 def test_every_face_type_is_integral_and_matches_rational_reference(series, rank):
     # vertex types included: omega_i^vee / m_i pairs non-integrally with
@@ -368,7 +424,7 @@ def test_integer_geometry_matches_rational_reference(series, rank, lam):
             [ref_vertices(datum, P[j - 1], {word[j - 1]}) for j in range(1, p + 1)] + \
             [ref_vertices(datum, P[p], end_type)]
         alcoves = [ref_vertices(datum, P[j]) for j in range(p + 1)]
-        pairs = [(g.facet(j), ref) for j, ref in enumerate(facets)] + \
+        pairs = [(facet(g, j), ref) for j, ref in enumerate(facets)] + \
             [(g.alcove(j), ref) for j, ref in enumerate(alcoves)]
         for verts, ref in pairs:
             assert unscaled(datum, verts) == ref

@@ -34,7 +34,7 @@ def test_affine_conjugation_matches_symbolic_action():
     for _ in range(40):
         lam = Coweight((rng.randint(-2, 2), rng.randint(-2, 2)))
         w = rng.choice(A2.weyl_elements())
-        g_aff = AffWeylElt(lam, w)
+        g_aff = AffWeylElt(lam.coords, w)
         mat = G2.gen_t(lam) * G2.gen_wbar(A2.reduced_word(w))
         beta = AffineRoot(rng.choice(roots), rng.randint(-2, 2))
         a = Fraction(rng.randint(1, 7))

@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import (
     CrystalError,
+    CrystalGraph,
     character,
     contragredient_node,
     crystal_isomorphic,
@@ -63,6 +65,30 @@ def test_validate_axioms_negative_control(a1_graph):
     node = a1_graph.nodes[1]
     broken.eps[(node, 1)] = a1_graph.eps[(node, 1)] + 1
     assert validate_axioms(broken) != []
+
+
+def test_validate_axioms_reports_a_cyclic_string():
+    # f_1(a) = b and f_1(b) = a: the strings never end, so no eps/phi can
+    # match their lengths; a walk that followed them would never return
+    a, b = "a", "b"
+    av = A1.simple_coroot(1)
+    graph = CrystalGraph(datum=A1, nodes=(a, b), wt={a: av, b: -av},
+                         f_map={(a, 1): b, (b, 1): a}, e_map={(b, 1): a, (a, 1): b},
+                         eps={(a, 1): 0, (b, 1): 2}, phi={(a, 1): 2, (b, 1): 0})
+
+    def hung(signum, frame):
+        raise TimeoutError("validate_axioms did not return on a cyclic string")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        bad = validate_axioms(graph)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for node in (0, 1):
+        assert f"eps_1 != e-string length at {node}" in bad
+        assert f"phi_1 != f-string length at {node}" in bad
 
 
 def test_character_examples(a1_graph, theta_graph):

@@ -1,7 +1,7 @@
 import ast
 import hashlib
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -170,6 +170,7 @@ def test_wall_rule_matches_the_faces_on_every_tuple(datum, lam):
         assert g.phi_plus_counts == counts, g.sort_key()
         for c, want in levels.items():
             assert _levels(g, c) == want, (g.sort_key(), c)
+            assert min_wall_level(g, c) == min(n for n in want if n is not None)
 
 
 def test_enumeration_adds_no_state_to_the_datum():
@@ -266,30 +267,36 @@ def test_serialization_roundtrip(a2_theta_type):
 
 
 def test_recover_tuple_keeps_the_tuple_under_identity_movers(a2_theta_type):
+    one = identity_aff(A2)
     for g in enumerate_ls(a2_theta_type).nodes:
-        assert _recover_tuple(g, [identity_aff(A2)] * (g.gtype.p + 1), 1) == g
+        p = g.gtype.p
+        for j, k in combinations(range(p + 2), 2):  # every window 0 <= j < k <= p + 1
+            assert _recover_tuple(g, 1, j, k, one, one) == g
 
 
 def test_recover_tuple_rejects_translation_on_delta0(a1_type):
+    # the window starts at Delta_0 and its mover translates
     gamma = minimal_gallery(a1_type)
     shift = translation(A1, A1.simple_coroot(1))
     with pytest.raises(GalleryError, match="delta_0 has a translation"):
-        _recover_tuple(gamma, [shift, shift], 1)
+        _recover_tuple(gamma, 1, 0, 2, shift, shift)
 
 
 def test_recover_tuple_rejects_step_outside_w_il(a1_type):
     gamma = minimal_gallery(a1_type)
     shift = translation(A1, A1.simple_coroot(1))
     with pytest.raises(GalleryError, match=r"delta_1 is not in W_\{i_1\}"):
-        _recover_tuple(gamma, [identity_aff(A1), shift], 1)
+        _recover_tuple(gamma, 1, 1, 2, shift, shift)
     # a finite reflection applied from the middle of a longer gallery
     gtype = build_gallery_type(A2, Coweight((2, 2)))
     assert gtype.p == 5
     gamma = minimal_gallery(gtype)
-    s1 = AffWeylElt(A2.zero_coweight(), A2.simple_reflection(1))
-    movers = [identity_aff(A2)] * 2 + [s1] * 4
+    s1 = AffWeylElt((0, 0), A2.simple_reflection(1))
     with pytest.raises(GalleryError, match=r"delta_2 is not in W_\{i_2\}"):
-        _recover_tuple(gamma, movers, 1)
+        _recover_tuple(gamma, 1, 2, 6, s1, identity_aff(A2))
+    # the tail's mover leaves W_{i_k} at the window's end k = 4
+    with pytest.raises(GalleryError, match=r"delta_4 is not in W_\{i_4\}"):
+        _recover_tuple(gamma, 1, 2, 4, identity_aff(A2), s1)
 
 
 # sha256 of json.dumps(crystal_to_dict(enumerate_ls(build_gallery_type(...))), sort_keys=True):
@@ -343,18 +350,27 @@ def assert_names(exc_info, g, i):
     assert gallery_from_dict(datum, data) == g
 
 
+def recovering_with(monkeypatch, refl):
+    """Plant a fault in the surgery: _recover_tuple gets refl(g, i) in place
+    of the window's reflection."""
+    real = gallery._recover_tuple
+    monkeypatch.setattr(gallery, "_recover_tuple",
+                        lambda g, i, j, k, _, tail: real(g, i, j, k, refl(g, i), tail))
+
+
 def test_translated_delta0_error_names_the_gallery(monkeypatch, a1_type):
+    # the window's reflection replaced by the translation by alpha_i^vee
     gamma = minimal_gallery(a1_type)
-    monkeypatch.setattr(gallery, "affine_reflection",
-                        lambda datum, beta: translation(datum, datum.coroot_of(beta.root)))
+    recovering_with(monkeypatch, lambda g, i: translation(A1, A1.simple_coroot(i)))
     with pytest.raises(GalleryError, match="delta_0 has a translation part") as exc:
         root_f(gamma, 1)
     assert_names(exc, gamma, 1)
 
 
 def test_step_outside_w_il_error_names_the_gallery(monkeypatch, a1_type):
+    # the window's reflection replaced by the identity
     gamma = minimal_gallery(a1_type)
-    monkeypatch.setattr(gallery, "affine_reflection", lambda datum, beta: identity_aff(datum))
+    recovering_with(monkeypatch, lambda g, i: identity_aff(A1))
     with pytest.raises(GalleryError, match=r"delta_1 is not in W_\{i_1\}") as exc:
         root_f(gamma, 1)
     assert_names(exc, gamma, 1)
@@ -362,7 +378,7 @@ def test_step_outside_w_il_error_names_the_gallery(monkeypatch, a1_type):
 
 def test_weight_error_names_the_gallery(monkeypatch, a1_type):
     gamma = minimal_gallery(a1_type)
-    monkeypatch.setattr(gallery, "_recover_tuple", lambda g, movers, i: g)
+    monkeypatch.setattr(gallery, "_recover_tuple", lambda g, i, j, k, refl, tail: g)
     with pytest.raises(GalleryError, match="moved the weight") as exc:
         root_f(gamma, 1)
     assert_names(exc, gamma, 1)

@@ -7,8 +7,8 @@ operators away from gamma_lambda."""
 import pytest
 
 from mvcrystals import gallery, verify
-from mvcrystals.affine import build_gallery_type, enumerate_affine_reduced_words, \
-    identity_aff, minimal_word, simple_affine_reflection
+from mvcrystals.affine import AffWeylElt, build_gallery_type, \
+    enumerate_affine_reduced_words, identity_aff, minimal_word, simple_affine_reflection
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
@@ -16,6 +16,7 @@ from mvcrystals.gallery import (
     dimension,
     enumerate_ls,
     fold_window,
+    min_wall_level,
     minimal_gallery,
     root_e,
     root_f,
@@ -83,6 +84,7 @@ def test_wall_rule_matches_the_faces_on_every_node():
             assert node.phi_plus_counts == counts, node
             for c, want in levels.items():
                 assert _levels(node, c) == want, (node, c)
+                assert min_wall_level(node, c) == min(n for n in want if n is not None)
             checked += 1
     assert checked > 600
 
@@ -101,8 +103,12 @@ def test_recovery_tripwire_fires_on_inherited_galleries(monkeypatch):
     calls = [(node, i) for node in deep_nodes("A", 2, (3, 5)) for i in (1, 2)
              if (window := fold_window(node, i)) is not None and window[2] <= node.gtype.p]
     assert len(calls) > 10
-    real = gallery.translation
-    monkeypatch.setattr(gallery, "translation", lambda datum, mu: real(datum, mu.scale(2)))
+    real = gallery._recover_tuple
+
+    def doubled_tail(g, i, j, k, refl, tail):
+        return real(g, i, j, k, refl, AffWeylElt(tuple(2 * a for a in tail.mu), tail.finite))
+
+    monkeypatch.setattr(gallery, "_recover_tuple", doubled_tail)
     for node, i in calls:
         with pytest.raises(GalleryError, match=r"is not in W_\{i_"):
             root_e(node, i)
@@ -116,8 +122,8 @@ def test_weight_tripwire_checks_the_recovered_tuple(monkeypatch):
     assert len(calls) > 10
     real = gallery._recover_tuple
 
-    def last_step_toggled(g, movers, i):
-        out = real(g, movers, i)
+    def last_step_toggled(g, i, j, k, refl, tail):
+        out = real(g, i, j, k, refl, tail)
         return Gallery(out.gtype, out.delta0, out.flips[:-1] + (not out.flips[-1],))
 
     monkeypatch.setattr(gallery, "_recover_tuple", last_step_toggled)

@@ -56,6 +56,15 @@ def test_series_val():
         LaurentSeries({}, cap=5).val()
 
 
+def test_division_by_the_exact_zero_is_a_zero_division():
+    # not a precision shortfall: no precision makes the exact zero a unit
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    singular = LaurentMatrix([[one, one], [one, one]])
+    for divide in (lambda: LaurentSeries({1: 3}) / zero, zero.inverse, singular.inverse):
+        with pytest.raises(ZeroDivisionError, match="exact zero"):
+            divide()
+
+
 def test_series_geometric_inverse():
     one_minus_t = LaurentSeries({0: 1, 1: -1})
     inv = one_minus_t.inverse()
@@ -864,13 +873,13 @@ def test_lusztig_from_string_sl2():
 def test_lusztig_nonneg_and_morier_genoud(theta_graph):
     lam = Coweight((1, 1))
     for word in ((1, 2, 1), (2, 1, 2)):
+        c_tilde = {node: string_parameters(theta_graph, node, word).c_tilde
+                   for node in theta_graph.nodes}
+        lusztig = {node: lusztig_from_string(G2, word, c) for node, c in c_tilde.items()}
         for node in theta_graph.nodes:
-            sp = string_parameters(theta_graph, node, word)
-            n_vec = lusztig_from_string(G2, word, sp.c_tilde)
-            assert all(n >= 0 for n in n_vec)
+            assert all(n >= 0 for n in lusztig[node])
             flip = contragredient_node(theta_graph, node, theta_graph)
-            spf = string_parameters(theta_graph, flip, word)
-            assert morier_genoud_check(G2, word, sp.c_tilde, spf.c_tilde, lam)
+            assert morier_genoud_check(G2, word, c_tilde[node], lusztig[flip], lam)
 
 
 def test_cross_word_string_transition(theta_graph):
@@ -1033,6 +1042,20 @@ def test_trop_eval_precision_shortfall_at_256_propagates(prec_log):
         trop_eval(never, [0])
     assert prec_log == [2, 4, 8, 16, 32, 64, 128, 256, 2]
     assert default_rel_prec() == 2
+
+
+def test_trop_eval_makes_one_attempt_on_a_division_by_the_exact_zero(prec_log):
+    # the exact zero is exact at every precision, so escalating cannot help
+    attempts = []
+
+    def divides_by_zero(ps):
+        attempts.append(default_rel_prec())
+        return [ps[0] / LaurentSeries.zero()]
+
+    with pytest.raises(ZeroDivisionError, match="exact zero"):
+        trop_eval(divides_by_zero, [0])
+    assert attempts == [2]
+    assert prec_log == [2, 2]
 
 
 def test_trop_eval_restores_precision_when_func_raises(prec_log):
