@@ -1,5 +1,5 @@
-"""Affine roots, affine Weyl group, integer alcove/face geometry, wall-crossing
-sets and the minimal gallery type gamma_lambda.
+"""Affine roots, affine Weyl group, lengths, the wall-crossing sets of a
+vertex and the minimal gallery type gamma_lambda.
 
 Conventions.  An affine root is a pair (alpha, n) with wall
 H_{alpha,n} = {x : <alpha,x> = n} and closed half-space
@@ -8,16 +8,20 @@ alpha_0 = (-theta, -1); finite simple reflections keep their 1-based index.
 W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu; an element is the plain
 pair (mu, w) of an integer tuple and a finite element (AffWeylElt).
 
-A face is the tuple of its vertices: the face g(phi_J) has the images under
-g of the vertices of A_fund whose index is not in J (face_vertices), and
-every geometric predicate is an evaluation at those vertices, so nothing
-polyhedral is ever solved.  A_fund's vertices 0 and omega_i^vee / m_i lie in
-(1/D) Z Phi^vee for the datum's apartment_scale D, so vertices are integer
-coordinates in units of 1/D and every pairing with a root is an integer: a
-face lies in H_{alpha,n} iff all its vertex values equal nD, and otherwise
-strictly below it iff its largest vertex value is at most nD (faces of the
-arrangement never straddle walls).  The galleries of mvcrystals.gallery own
-their faces.
+Lengths and dominance read the pair (mu, w) alone: alpha > 0 takes the values
+(k, k + 1) on (mu, w)(A_fund), k = <alpha, mu> - [w^-1 alpha < 0], so |k|
+walls of alpha separate it from A_fund (aff_length, Iwahori-Matsumoto) and
+it is dominant iff k >= 0 for every simple alpha (_dominant).
+
+Only phi_plus_aff evaluates at vertices, and mvcrystals.gallery calls it at
+a gallery's origin face Delta'_0 = {0} alone.  A face is the tuple of its
+vertices: the face g(phi_J) has the images under g of the vertices of A_fund
+whose index is not in J (face_vertices).  A_fund's vertices 0 and
+omega_i^vee / m_i lie in (1/D) Z Phi^vee for the datum's apartment_scale D,
+so vertices are integer coordinates in units of 1/D and every pairing with a
+root is an integer: a face lies in H_{alpha,n} iff all its vertex values
+equal nD, and otherwise strictly below it iff its largest vertex value is at
+most nD (faces of the arrangement never straddle walls).
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ __all__ = [
     "AffWeylElt",
     "GalleryType",
     "simple_affine_reflection",
-    "translation",
     "aff_length",
     "face_vertices",
-    "face_level",
     "phi_plus_aff",
     "fundamentalize",
     "minimal_word",
@@ -92,11 +94,7 @@ class AffWeylElt:
         return Coweight(self.mu)
 
     def act_point(self, coords):
-        return tuple(map(_norm, self.act_scaled(coords, 1)))
-
-    def act_scaled(self, coords, scale: int):
-        """The action on a point given as integer coordinates in units of 1/scale."""
-        return tuple(sum(map(mul, row, coords)) + scale * b
+        return tuple(_norm(sum(map(mul, row, coords)) + b)
                      for row, b in zip(self.finite.cmat, self.mu))
 
     def act_coweight(self, v: Coweight) -> Coweight:
@@ -105,10 +103,6 @@ class AffWeylElt:
 
 def identity_aff(datum: RootDatum) -> AffWeylElt:
     return AffWeylElt((0,) * datum.rank, datum.identity_elt())
-
-
-def translation(datum: RootDatum, mu: Coweight) -> AffWeylElt:
-    return AffWeylElt(mu.coords, datum.identity_elt())
 
 
 def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
@@ -129,23 +123,9 @@ def face_vertices(datum: RootDatum, mover: AffWeylElt):
     """The vertices of the alcove mover(A_fund) in units of 1/D,
     D = datum.apartment_scale, indexed like I^aff: the face mover(phi_J) has
     those whose index is not in J."""
-    scale = datum.apartment_scale
-    return tuple(mover.act_scaled(v, scale) for v in datum.alcove_vertices)
-
-
-def _wall(row, verts, scale: int):
-    """The integer n with the vertices inside H_{alpha, n}, alpha given by its
-    pairing row, or None when their values differ or are not integral."""
-    n = sum(map(mul, row, verts[0]))
-    if n % scale or any(sum(map(mul, row, v)) != n for v in verts[1:]):
-        return None
-    return n // scale
-
-
-def face_level(datum: RootDatum, verts, alpha: Root):
-    """The integer n with the face inside the wall H_{alpha, n}, or None when
-    it lies in no wall of alpha (its vertex values differ or are not integral)."""
-    return _wall(datum.pairing_row(alpha.coords), verts, datum.apartment_scale)
+    scale, cmat = datum.apartment_scale, mover.finite.cmat
+    return tuple(tuple(sum(map(mul, row, v)) + scale * b for row, b in zip(cmat, mover.mu))
+                 for v in datum.alcove_vertices)
 
 
 def phi_plus_aff(datum: RootDatum, small, big):
@@ -157,28 +137,21 @@ def phi_plus_aff(datum: RootDatum, small, big):
     out, scale = [], datum.apartment_scale
     for alpha in datum.positive_roots:
         row = datum.pairing_row(alpha.coords)
-        n = _wall(row, small, scale)
-        if n is not None and max(sum(map(mul, row, v)) for v in big) > n * scale:
-            out.append(AffineRoot(alpha, n))
+        values = {sum(map(mul, row, v)) for v in small}  # one value nD: F' in H_{alpha, n}
+        n = min(values)
+        if len(values) == 1 and n % scale == 0 and max(sum(map(mul, row, v)) for v in big) > n:
+            out.append(AffineRoot(alpha, n // scale))
     return tuple(out)
 
 
 # -- lengths and reduced words -----------------------------------------------
 
 def aff_length(datum: RootDatum, g: AffWeylElt) -> int:
-    """Number of walls separating A_fund from g(A_fund)."""
-    # x0 = X0 / S with X0 the sum of A_fund's rank + 1 vertices in units of 1/D
-    scale = datum.apartment_scale * (datum.rank + 1)
-    x0 = datum.fund_alcove_point
-    x1 = g.act_scaled(x0, scale)
-    total = 0
-    for alpha in datum.positive_roots:
-        row = datum.pairing_row(alpha.coords)
-        lo, hi = sorted((sum(map(mul, row, x0)), sum(map(mul, row, x1))))
-        # integers strictly between lo/S and hi/S, floor + 1 .. ceil - 1;
-        # alcove interiors avoid walls
-        total += max(0, -(-hi // scale) - lo // scale - 1)
-    return total
+    """Number of walls separating A_fund from (mu, w)(A_fund): the sum over alpha > 0
+    of |<alpha, mu> - [w^-1 alpha < 0]|, where w^-1 alpha < 0 iff <alpha, w(2 rho^vee)> < 0."""
+    rho = g.finite.act_point(datum.two_rho_vee)
+    rows = (datum.pairing_row(alpha.coords) for alpha in datum.positive_roots)
+    return sum(abs(sum(map(mul, row, g.mu)) - (sum(map(mul, row, rho)) < 0)) for row in rows)
 
 
 def enumerate_affine_reduced_words(datum: RootDatum, g: AffWeylElt):
@@ -242,6 +215,14 @@ def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
     return prefixes
 
 
+def _dominant(datum: RootDatum, g: AffWeylElt) -> bool:
+    """g(A_fund) = (mu, w)(A_fund) is dominant iff <alpha_i, mu> >= [w^-1 alpha_i < 0]
+    for every i (module docstring), and w^-1 alpha_i < 0 iff l(s_i w) < l(w)."""
+    w = g.finite
+    return all(sum(map(mul, row, g.mu)) >= (w._left[i].length < w.length)
+               for i, row in enumerate(datum.cartan, 1))
+
+
 class GalleryType:
     """The type gamma_lambda in the apartment of datum: dominant lam in Z Phi^vee,
     which folds to lam_fund = 0 of type J = {1..rank}, and a reduced word of
@@ -291,8 +272,7 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     prefixes = _check_word(datum, word, datum.zero_coweight(), lam)
     if len(word) != len(minimal):
         raise RootDataError(f"word {word} is not minimal for {lam}")
-    for j, mover in enumerate(prefixes):
-        verts = face_vertices(datum, mover)
-        if any(sum(map(mul, row, v)) < 0 for v in verts for row in datum.cartan):
+    for j, P in enumerate(prefixes):
+        if not _dominant(datum, P):
             raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
     return GalleryType(datum, lam, word)

@@ -2,19 +2,17 @@
 folding, dimension, and the LS-gallery crystal.
 
 A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p}
-with prefixes P_j = delta_0...delta_j; its faces are vertex tuples (see
-mvcrystals.affine): Delta_j = P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j})
-spanned by the vertices of Delta_{j-1} other than vertex i_j, Delta'_0 = {0}
-and Delta'_{p+1} the end vertex nu = P_p(0), vertex 0 of Delta_p.
-Each facet Delta'_j (1 <= j <= p) lies in one wall, the image under
-P_{j-1} = (mu, w) of A_fund's wall i = i_j, with root beta' = w(alpha_i), or
--w(theta) for i = 0, and Delta_{j-1} on the side where beta' is positive.  So
-W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
-(reversed for i = 0), the wall is one of alpha_c iff w s_i = s_c w, at level
-<alpha_c, mu> - sign(beta') [i = 0], and Phi_+^aff(Delta'_j, Delta_j) is its
-one root iff (beta' > 0) != (delta_j = s_{i_j}).  Only Delta'_0, which lies in
-a wall of every root, is evaluated at vertices.  The same pass over the
-prefixes gives every colour c the levels of Delta'_0..Delta'_{p+1} (_levels).
+with prefixes P_j = delta_0...delta_j and faces (none stored) Delta_j =
+P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j}), Delta'_0 = {0} and Delta'_{p+1} =
+nu = P_p(0).  The facet Delta'_j, 1 <= j <= p, lies in P_{j-1} = (mu, w) of
+A_fund's wall i = i_j: its root is beta' = w(alpha_i), or -w(theta) for i = 0,
+at level <beta', mu> - [i = 0], and Delta_{j-1} is on the side where beta' > 0.
+So W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
+(reversed for i = 0), the wall is one of alpha_c iff w s_i = s_c w, and
+Phi_+^aff(Delta'_j, Delta_j) is the positive one of +-beta' iff (beta' > 0) !=
+(delta_j = s_{i_j}), else empty (Gallery.phi_plus).  Only Delta'_0, in a wall
+of every root, is evaluated at vertices (mvcrystals.affine.phi_plus_aff).  The
+same pass gives every colour c the levels of Delta'_0..Delta'_{p+1} (_levels).
 Root operators are implemented exactly as face surgery (reflect a window
 (j, k), translate the tail) followed by tuple recovery, which decides only the
 steps where the mover changes: delta_0 when j = 0, delta_j and delta_k.  The
@@ -29,6 +27,7 @@ from functools import cached_property
 from operator import add, mul
 
 from mvcrystals.affine import (
+    AffineRoot,
     AffWeylElt,
     GalleryType,
     build_gallery_type,
@@ -100,22 +99,6 @@ class Gallery:
         return tuple(out)
 
     @cached_property
-    def alcoves(self):
-        """The vertices of Delta_j, j = 0..p, indexed like A_fund's."""
-        datum = self.gtype.datum
-        return tuple(face_vertices(datum, P) for P in self.prefixes)
-
-    def alcove(self, j):
-        return self.alcoves[j]
-
-    def facet(self, j):
-        """The vertices of Delta'_j, j = 0..p; j = 0 gives the origin vertex."""
-        if j == 0:
-            return self.gtype.datum.alcove_vertices[:1]
-        verts, i = self.alcoves[j - 1], self.gtype.word[j - 1]
-        return verts[:i] + verts[i + 1:]
-
-    @cached_property
     def _walls(self):
         """(ups, levels, lows) off P_{j-1} = (mu, w) and W's tables (module
         docstring): ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p,
@@ -136,18 +119,36 @@ class Gallery:
         return tuple(ups), tuple(map(tuple, levels)), tuple(lows)
 
     @cached_property
-    def _origin_count(self):
-        """|Phi_+^aff(Delta'_0, Delta_0)|, evaluated at the vertices: Delta'_0 =
+    def _origin_roots(self):
+        """Phi_+^aff(Delta'_0, Delta_0), evaluated at the vertices: Delta'_0 =
         {0} lies in a wall of every root.  A root operator's child with its
         parent's delta_0 copies it (_surgery)."""
-        datum = self.gtype.datum
-        return len(phi_plus_aff(datum, self.facet(0), face_vertices(datum, self.prefixes[0])))
+        verts = face_vertices(self.gtype.datum, self.prefixes[0])  # vertex 0 is delta_0(0) = 0
+        return phi_plus_aff(self.gtype.datum, verts[:1], verts)
+
+    @cached_property
+    def phi_plus(self):
+        """Phi_+^aff(Delta'_j, Delta_j), j = 0..p, in phi_plus_aff's order:
+        _origin_roots, then the wall root alpha = +-beta' of Delta'_j when Delta_j
+        lies beyond it (module docstring), by its coroot +-w(alpha_i^vee) or
+        -+w(theta^vee), at level <alpha, mu> -+ [i = 0]."""
+        datum, out = self.gtype.datum, [self._origin_roots] + [()] * self.gtype.p
+        theta = simple_affine_reflection(datum, 0).mu
+        for j, (P, i, up) in enumerate(zip(self.prefixes, self.gtype.word, self._walls[0]), 1):
+            if up != self.flips[j - 1]:
+                sign = 1 if up else -1
+                co = tuple([sign * row[i - 1] if i else -sign * sum(map(mul, row, theta))
+                            for row in P.finite.cmat])
+                alpha = datum.positive_roots[datum.positive_coroots.index(Coweight(co))]
+                n = sum(map(mul, datum.pairing_row(alpha.coords), P.mu)) - (0 if i else sign)
+                out[j] = (AffineRoot(alpha, n),)
+        return tuple(out)
 
     @cached_property
     def phi_plus_counts(self):
-        """|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p: for j >= 1 the facet's
-        one wall root when Delta_j lies beyond it."""
-        return (self._origin_count,) + tuple(
+        """The sizes of phi_plus without building its roots: for j >= 1, one
+        root iff Delta_j lies beyond the facet's wall."""
+        return (len(self._origin_roots),) + tuple(
             int(up != flip) for up, flip in zip(self._walls[0], self.flips))
 
     @cached_property
@@ -246,7 +247,7 @@ def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
         raise GalleryError(f"root operator moved the weight {nu} to {new}, "
                            f"not by {tail.mu} ({_where(g, i)})")
     if out.delta0 is g.delta0:
-        out._origin_count = g._origin_count
+        out._origin_roots = g._origin_roots
     return out
 
 

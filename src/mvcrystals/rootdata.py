@@ -176,7 +176,7 @@ class RootDatum:
     def __init__(self, series, rank):
         self.series, self.rank = series, rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
-        self._weyl = None  # (W numbered, its generators, each root's reflection)
+        self._weyl = None  # (W numbered, its generators)
         self.affine_reflections = None  # s_0, ..., s_rank, set by mvcrystals.affine
         self._pairing_rows = {}  # root coords rc -> the row rc.C
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
@@ -193,12 +193,10 @@ class RootDatum:
             Fraction(a, m).denominator
             for om, m in zip(self._fund_coweights, self.marks) for a in om.coords))
         # A_fund's vertices in units of 1/D, indexed by I^aff: vertex 0 is the
-        # origin and vertex i is D omega_i^vee / m_i; their sum is D (rank + 1)
-        # times A_fund's barycenter, an integer point inside A_fund
+        # origin and vertex i is D omega_i^vee / m_i
         self.alcove_vertices = ((0,) * rank,) + tuple(
             tuple(int(Fraction(a * scale, m)) for a in om.coords)
             for om, m in zip(self._fund_coweights, self.marks))
-        self.fund_alcove_point = tuple(sum(col) for col in zip(*self.alcove_vertices))
 
     # -- construction ------------------------------------------------------
 
@@ -278,20 +276,27 @@ class RootDatum:
             self._pairing_rows[rc] = row
         return row
 
+    def _of_rank(self, vc):
+        """vc, checked to number rank (coordinate arithmetic zips, so truncates)."""
+        if len(vc) != self.rank:
+            raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank} "
+                                f"for {self.series}{self.rank}")
+        return vc
+
     def pairing_coords(self, rc, vc):
         row = self.pairing_row(rc)
-        if len(vc) != self.rank:
-            raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank}")
-        return _norm(sum(map(mul, row, vc)))
+        return _norm(sum(map(mul, row, self._of_rank(vc))))
 
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice")
-        return int(sum(x.coords))
+        return int(sum(self._of_rank(x.coords)))
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""
+        for v in (mu, lam):
+            self._of_rank(v.coords)
         d = lam - mu
         return d.is_integral() and all(a >= 0 for a in d.coords)
 
@@ -304,7 +309,7 @@ class RootDatum:
     def dominant_conjugate(self, v: Coweight) -> Coweight:
         """The dominant point of W v, by simple reflections
         x -> x - <alpha_i, x> alpha_i^vee on coordinates."""
-        x = list(v.coords)
+        x = list(self._of_rank(v.coords))
         for _ in range(10000):
             i = next((i for i, row in enumerate(self.cartan) if sum(map(mul, row, x)) < 0),
                      None)
@@ -330,10 +335,6 @@ class RootDatum:
 
     def identity_elt(self) -> WeylElt:
         return self._group()[0][0]
-
-    def reflection(self, root: Root) -> WeylElt:
-        """s_alpha for a root alpha: x -> x - <alpha, x> alpha^vee on coweights."""
-        return self._group()[2][root]
 
     def weyl_length(self, w: WeylElt) -> int:
         """The number of positive roots w sends negative: its BFS depth."""
@@ -372,9 +373,7 @@ class RootDatum:
             for x, w in elt.items():
                 w._right = tuple([u._left[w.word[0]] for u in elt[seen[x][2]]._right]) \
                     if w.length else gens
-            refl = {rt: elt[_reflect(start, self.pairing_row(rt.coords), co.coords)]
-                    for rt, co in self._coroot_of.items()}
-            self._weyl = (tuple(elt.values()), gens, refl)
+            self._weyl = (tuple(elt.values()), gens)
         return self._weyl[0]
 
     def longest_element(self) -> WeylElt:

@@ -1,9 +1,12 @@
-"""Root-datum, affine Weyl group and loop-group formulas that only the tests use."""
+"""Root-datum, affine Weyl group and loop-group formulas that only the tests use,
+and the apartment's faces evaluated at their vertices: the reference that the
+library's closed forms on W's tables are checked against."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from mvcrystals.affine import AffineRoot, face_level, face_vertices, fundamentalize, phi_plus_aff
+from mvcrystals.affine import AffineRoot, AffWeylElt, face_vertices, fundamentalize, phi_plus_aff
 from mvcrystals.looplab.series import LaurentMatrix, vector_val
 from mvcrystals.rootdata import Coweight
 
@@ -25,6 +28,11 @@ def act_root(datum, w, root):
     return _root_of(datum)[w.act_coweight(datum.coroot_of(root))]
 
 
+def translation(datum, mu):
+    """t_mu = (mu, 1) in W^aff."""
+    return AffWeylElt(mu.coords, datum.identity_elt())
+
+
 def act_affine_root(g, datum, beta):
     """The affine Weyl group element g applied to the affine root beta."""
     # w(alpha, n) = (w alpha, n); tau_mu(alpha, n) = (alpha, n + <alpha, mu>)
@@ -32,16 +40,45 @@ def act_affine_root(g, datum, beta):
     return AffineRoot(alpha, beta.level + datum.pairing(alpha, g.translation))
 
 
+def alcove(g, j):
+    """The vertices of a gallery's Delta_j = P_j(A_fund), j = 0..p, in units of
+    1/D and indexed like A_fund's."""
+    return face_vertices(g.gtype.datum, g.prefixes[j])
+
+
 def facet(g, j):
-    """The vertices of a gallery's Delta'_j for j = 0..p+1.  The end vertex
-    Delta'_{p+1} is the face of P_p's alcove whose type is the J that
+    """The vertices of a gallery's Delta'_j for j = 0..p+1: the origin for
+    j = 0, Delta_{j-1} less its vertex i_j for 1 <= j <= p, and the end vertex
+    Delta'_{p+1}, the face of P_p's alcove whose type is the J that
     fundamentalize gives lambda."""
-    if j <= g.gtype.p:
-        return g.facet(j)
-    datum = g.gtype.datum
+    datum, p = g.gtype.datum, g.gtype.p
+    if j == 0:
+        return datum.alcove_vertices[:1]
+    if j <= p:
+        verts, i = alcove(g, j - 1), g.gtype.word[j - 1]
+        return verts[:i] + verts[i + 1:]
     end_type = fundamentalize(datum, g.gtype.lam)[1]
-    return tuple(v for k, v in enumerate(face_vertices(datum, g.prefixes[-1]))
-                 if k not in end_type)
+    return tuple(v for k, v in enumerate(alcove(g, p)) if k not in end_type)
+
+
+def unscaled(datum, verts):
+    """Vertices in units of 1/D as exact rationals."""
+    return [tuple(Fraction(x, datum.apartment_scale) for x in v) for v in verts]
+
+
+def ref_face_level(datum, verts, alpha):
+    """The integer n with the face of the rational vertices verts inside the
+    wall H_{alpha, n}, or None when it lies in no wall of alpha."""
+    values = {datum.pairing_coords(alpha.coords, v) for v in verts}
+    if len(values) == 1 and isinstance(min(values), int):
+        return min(values)
+    return None
+
+
+def ref_phi_plus(g):
+    """Phi_+^aff(Delta'_j, Delta_j) for j = 0..p, evaluated at the vertices."""
+    datum = g.gtype.datum
+    return tuple(phi_plus_aff(datum, facet(g, j), alcove(g, j)) for j in range(g.gtype.p + 1))
 
 
 def face_walls(g):
@@ -49,10 +86,10 @@ def face_walls(g):
     of its faces: ({c: (the level of Delta'_j in a wall of alpha_c, else None,
     for j = 0..p+1)}, (|Phi_+^aff(Delta'_j, Delta_j)| for j = 0..p))."""
     datum, p = g.gtype.datum, g.gtype.p
-    faces = [facet(g, j) for j in range(p + 2)]
-    levels = {c: tuple(face_level(datum, f, datum.simple_root(c)) for f in faces)
+    faces = [unscaled(datum, facet(g, j)) for j in range(p + 2)]
+    levels = {c: tuple(ref_face_level(datum, f, datum.simple_root(c)) for f in faces)
               for c in range(1, datum.rank + 1)}
-    return levels, tuple(len(phi_plus_aff(datum, g.facet(j), g.alcove(j))) for j in range(p + 1))
+    return levels, tuple(map(len, ref_phi_plus(g)))
 
 
 def orbit_from_minors_of_g(g):

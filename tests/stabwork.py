@@ -26,7 +26,6 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from mvcrystals.affine import phi_plus_aff
 from mvcrystals.gallery import Gallery, fold_window, root_e
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.series import (
@@ -38,7 +37,7 @@ from mvcrystals.looplab.series import (
     default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, Root
-from reference import facet
+from reference import alcove, facet, ref_phi_plus
 
 
 def _rand_nonzero(rng: random.Random, bound: int) -> Fraction:
@@ -161,7 +160,7 @@ class _Rewriter:
                 coeff = coefficient(m[j0 - 1, k0 - 1], beta.level)
                 new_slot.append((beta, coeff))
                 m = self.group.gen_x(beta.root, LaurentSeries.t_power(beta.level, -coeff)) * m
-            if not _in_stab_plus(self.group, m, self.gallery.alcove(l)):
+            if not _in_stab_plus(self.group, m, alcove(self.gallery, l)):
                 raise LoopGroupError("absorb: remainder left Stab_+ of the alcove")
             out.append(new_slot)
             cur = m
@@ -200,7 +199,7 @@ class _Rewriter:
                     residue = self.group.gen_x(beta.root, rem.shift(beta.level))
             out.append(new_slot)
             if residue is not None:
-                if not _in_stab_plus(self.group, residue, self.gallery.alcove(l)):
+                if not _in_stab_plus(self.group, residue, alcove(self.gallery, l)):
                     raise LoopGroupError("torus push residue left Stab_+")
                 rest = self.absorb(residue, tail[i + 1:], l + 1)
                 tail = tail[: i + 1] + rest
@@ -231,7 +230,7 @@ class _Rewriter:
         if zeta != alpha:
             # commutator case: u = x(-1/c) v^{-1} x(1/c) v lands in Stab_+(Delta_l)
             u = xneg.inverse() * vmat.inverse() * xneg * vmat
-            if not _in_stab_plus(group, u, self.gallery.alcove(l)):
+            if not _in_stab_plus(group, u, alcove(self.gallery, l)):
                 raise LoopGroupError("commutator left Stab_+ (Chevalley case)")
             absorbed = self.absorb(u, tail[1:], idx + 1)
             rest = self.push_negative(c_scalar, alpha, m_level, absorbed, idx + 1)
@@ -287,8 +286,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     p = gallery.gtype.p
 
     rng = random.Random(repr((seed, "prop511", gallery.delta0.cmat, gallery.flips, i)))
-    gaps = [phi_plus_aff(datum, gallery.facet(l), gallery.alcove(l))
-            for l in range(p + 1)]
+    gaps = ref_phi_plus(gallery)
     for _ in range(20):
         coeffs = [[(beta, _rand_nonzero(rng, 6)) for beta in gaps[l]]
                   for l in range(p + 1)]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -13,18 +14,17 @@ from mvcrystals.affine import (
     aff_length,
     build_gallery_type,
     enumerate_affine_reduced_words,
-    face_level,
     face_vertices,
     fundamentalize,
     identity_aff,
     minimal_word,
     phi_plus_aff,
     simple_affine_reflection,
-    translation,
 )
 from mvcrystals.gallery import Gallery, enumerate_ls, minimal_gallery
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
-from reference import act_affine_root, facet, rho_coweight
+from reference import act_affine_root, alcove, facet, ref_face_level, rho_coweight, \
+    translation, unscaled
 from stabwork import face_sup
 
 A1 = build_root_datum("A", 1)
@@ -215,8 +215,8 @@ def test_build_gamma_lambda_a1():
     assert gt.p == 1
     # Gamma_0 = A_fund, Gamma'_1 = phi_{0}, Gamma_1 = s0(A_fund)
     gamma = minimal_gallery(gt)
-    assert gamma.alcove(0) == A1.alcove_vertices
-    assert gamma.facet(1) == face(A1, identity_aff(A1), frozenset({0}))
+    assert alcove(gamma, 0) == A1.alcove_vertices
+    assert facet(gamma, 1) == face(A1, identity_aff(A1), frozenset({0}))
     assert gamma.prefixes[1] == simple_affine_reflection(A1, 0)
     assert gamma.prefixes[1].act_coweight(A1.zero_coweight()) == lam
 
@@ -245,7 +245,8 @@ def test_gamma_lambda_faces_dominant():
     for datum, lam in [(A2, Coweight((1, 1))), (A2, Coweight((2, 1))),
                        (B2, Coweight((1, 1)))]:
         gamma = minimal_gallery(build_gallery_type(datum, lam))
-        faces = [facet(gamma, j) for j in range(gamma.gtype.p + 2)] + list(gamma.alcoves)
+        p = gamma.gtype.p
+        faces = [facet(gamma, j) for j in range(p + 2)] + [alcove(gamma, j) for j in range(p + 1)]
         for verts in faces:
             for i in range(1, datum.rank + 1):
                 assert face_sup(datum, verts, -datum.simple_root(i)) <= 0
@@ -292,13 +293,6 @@ def ref_face_sup(datum, verts, alpha):
     return max(datum.pairing_coords(alpha.coords, v) for v in verts)
 
 
-def ref_face_level(datum, verts, alpha):
-    values = {datum.pairing_coords(alpha.coords, v) for v in verts}
-    if len(values) == 1 and isinstance(min(values), int):
-        return min(values)
-    return None
-
-
 def ref_phi_plus_aff(datum, small, big):
     out = []
     for alpha in datum.positive_roots:
@@ -306,10 +300,6 @@ def ref_phi_plus_aff(datum, small, big):
         if n is not None and ref_face_sup(datum, big, alpha) > n:
             out.append(AffineRoot(alpha, n))
     return tuple(out)
-
-
-def unscaled(datum, verts):
-    return [tuple(Fraction(x, datum.apartment_scale) for x in v) for v in verts]
 
 
 def ref_aff_length(datum, g):
@@ -402,8 +392,10 @@ def test_every_face_type_is_integral_and_matches_rational_reference(series, rank
                 ref = ref_vertices(datum, mover, jtype)
                 assert unscaled(datum, verts) == ref
                 for alpha in roots:
-                    assert face_level(datum, verts, alpha) == ref_face_level(datum, ref, alpha)
                     assert face_sup(datum, verts, alpha) == ref_face_sup(datum, ref, alpha)
+                # phi_plus_aff's integer wall test, on a face of every type
+                assert phi_plus_aff(datum, verts, face_vertices(datum, mover)) == \
+                    ref_phi_plus_aff(datum, ref, ref_vertices(datum, mover))
 
 
 LS_CASES = [("A", 2, (2, 2)), ("B", 2, (2, 1)), ("C", 3, (1, 1, 1)),
@@ -425,15 +417,15 @@ def test_integer_geometry_matches_rational_reference(series, rank, lam):
             [ref_vertices(datum, P[p], end_type)]
         alcoves = [ref_vertices(datum, P[j]) for j in range(p + 1)]
         pairs = [(facet(g, j), ref) for j, ref in enumerate(facets)] + \
-            [(g.alcove(j), ref) for j, ref in enumerate(alcoves)]
+            [(alcove(g, j), ref) for j, ref in enumerate(alcoves)]
         for verts, ref in pairs:
             assert unscaled(datum, verts) == ref
             for alpha in roots:
-                assert face_level(datum, verts, alpha) == ref_face_level(datum, ref, alpha)
                 assert face_sup(datum, verts, alpha) == ref_face_sup(datum, ref, alpha)
         for j in range(p + 1):
-            assert phi_plus_aff(datum, g.facet(j), g.alcove(j)) == \
-                ref_phi_plus_aff(datum, facets[j], alcoves[j])
+            want = ref_phi_plus_aff(datum, facets[j], alcoves[j])
+            assert phi_plus_aff(datum, facet(g, j), alcove(g, j)) == want
+            assert g.phi_plus[j] == want, (g, j)  # read off W's tables
 
 
 @pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
@@ -443,3 +435,23 @@ def test_aff_length_matches_rational_reference(series, rank):
     for _ in range(25):
         g = random_aff(datum, rng, 10)
         assert aff_length(datum, g) == ref_aff_length(datum, g)
+
+
+def vertex_dominant(datum, g):
+    """g(A_fund) is dominant: every simple root is >= 0 at its vertices."""
+    return all(sum(map(mul, row, v)) >= 0 for v in face_vertices(datum, g) for row in datum.cartan)
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])
+def test_closed_form_length_and_dominance_match_the_vertices(series, rank):
+    # aff_length is Iwahori-Matsumoto's sum and _dominant reads W's length
+    # table; both against evaluations at A_fund's barycenter and vertices
+    datum = build_root_datum(series, rank)
+    rng = random.Random(3000 + rank * 31 + ord(series))
+    dominant = 0
+    for _ in range(300):
+        g = random_aff(datum, rng, 25)
+        assert aff_length(datum, g) == ref_aff_length(datum, g), g.mu
+        assert affine._dominant(datum, g) == vertex_dominant(datum, g), g.mu
+        dominant += vertex_dominant(datum, g)
+    assert 10 < dominant < 290

@@ -6,13 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from mvcrystals import gallery
-from mvcrystals.affine import (
-    AffWeylElt,
-    build_gallery_type,
-    identity_aff,
-    phi_plus_aff,
-    translation,
-)
+from mvcrystals.affine import AffWeylElt, build_gallery_type, identity_aff
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
@@ -33,7 +27,7 @@ from mvcrystals.gallery import (
     root_f,
 )
 from mvcrystals.rootdata import Coweight, RootDatum, WeylElt, build_root_datum
-from reference import face_walls
+from reference import face_walls, ref_phi_plus, translation
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -123,18 +117,16 @@ def test_dimension(a1_type):
 
 
 def ref_positively_folded(g):
-    datum = g.gtype.datum
+    gaps = ref_phi_plus(g)
     for j in range(1, g.gtype.p + 1):
         if g.prefixes[j - 1] == g.prefixes[j]:  # fold: Delta_{j-1} = Delta_j
-            if not phi_plus_aff(datum, g.facet(j), g.alcove(j)):
+            if not gaps[j]:
                 return False
     return True
 
 
 def ref_dimension(g):
-    datum = g.gtype.datum
-    return sum(len(phi_plus_aff(datum, g.facet(j), g.alcove(j)))
-               for j in range(0, g.gtype.p + 1))
+    return sum(map(len, ref_phi_plus(g)))
 
 
 def all_tuples(gtype):

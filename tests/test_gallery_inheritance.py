@@ -22,7 +22,7 @@ from mvcrystals.gallery import (
     root_f,
 )
 from mvcrystals.rootdata import Coweight, build_root_datum
-from reference import face_walls
+from reference import face_walls, ref_phi_plus
 
 # the lambdas of the crystals benchmark workload
 CRYSTAL_LAMBDAS = (
@@ -87,6 +87,19 @@ def test_wall_rule_matches_the_faces_on_every_node():
                 assert min_wall_level(node, c) == min(n for n in want if n is not None)
             checked += 1
     assert checked > 600
+
+
+def test_phi_plus_is_the_vertex_evaluation_on_every_crystals_node():
+    # Gallery.phi_plus reads each facet's wall root off W's tables; the same
+    # roots in the same order as at the faces' vertices mean cell_point
+    # draws its factors as it did from the vertices
+    checked = 0
+    for series, rank, lam in CRYSTAL_LAMBDAS:
+        gtype = build_gallery_type(build_root_datum(series, rank), Coweight(lam))
+        for node in enumerate_ls(gtype).nodes:
+            assert node.phi_plus == ref_phi_plus(node), node
+            checked += 1
+    assert checked == 385  # the traced crystals pass's ls_nodes
 
 
 def deep_nodes(series, rank, lam):

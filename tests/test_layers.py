@@ -111,3 +111,42 @@ def test_no_global_or_assert_statement():
              for name, tree in mods.items() for node in ast.walk(tree)
              if isinstance(node, (ast.Global, ast.Assert))]
     assert "mvcrystals.precision" in mods and found == []
+
+
+# the vertex evaluations of the apartment; outside affine, src/ reads every
+# face off W's tables except the gallery's origin face Delta'_0
+VERTEX_CALLS = {"face_vertices", "phi_plus_aff"}
+VERTEX_CALLERS = {("mvcrystals.gallery", "Gallery._origin_roots")}
+
+
+def calls_by_scope(tree, names):
+    """(enclosing class and function path, name) for every call of one of
+    names, by bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name in names:
+                    found.append((".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_vertex_geometry_is_evaluated_only_in_affine_and_at_the_origin_face():
+    mods = modules()
+    found = [(name, scope, call) for name, tree in mods.items()
+             for scope, call in calls_by_scope(tree, VERTEX_CALLS)]
+    outside = [f"{name}.{scope} calls {call}" for name, scope, call in found
+               if name != "mvcrystals.affine" and (name, scope) not in VERTEX_CALLERS]
+    assert outside == []
+    # the guard sees the one allowed caller, so a rename cannot empty it
+    assert {(name, scope) for name, scope, _ in found} >= VERTEX_CALLERS

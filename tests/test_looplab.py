@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mvcrystals import verify
-from mvcrystals.affine import build_gallery_type, phi_plus_aff
+from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import contragredient_node, string_parameters
 from mvcrystals.gallery import crystal_maps, enumerate_ls, min_wall_level, root_e
 from mvcrystals.looplab import (
@@ -34,7 +34,7 @@ from mvcrystals.looplab.sampling import (
     string_to_lusztig_map,
 )
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
-from reference import act_root, orbit_from_minors_of_g
+from reference import act_root, orbit_from_minors_of_g, ref_phi_plus
 from stabwork import coefficient, sqrt
 
 A1 = build_root_datum("A", 1)
@@ -272,8 +272,7 @@ def test_factored_inverse_is_the_adjugate_on_cell_points(datum, lam):
         rng = random.Random(k)
         dense = group.x_product([
             group.x_factor(beta.root, sampling.rand_nonzero_int(rng), beta.level)
-            for j in range(node.gtype.p + 1)
-            for beta in phi_plus_aff(datum, node.facet(j), node.alcove(j))]) * \
+            for step in ref_phi_plus(node) for beta in step]) * \
             group.gen_t(node.weight)
         assert g.equals_exact(dense), node.weight
         assert g.inverse().equals_exact(_adjugate_inverse(g)), node.weight

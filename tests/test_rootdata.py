@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -191,7 +192,7 @@ def test_coroot_matching_b2():
 
 def test_reflection_of_nonsimple_root():
     theta = A2.highest_root
-    s = A2.reflection(theta)
+    s = A2.generators()[0]  # s_theta
     assert act_root(A2, s, theta) == -theta
     assert A2.weyl_length(s) == 3  # s_theta = w0 in A2
     assert s * s == A2.identity_elt()
@@ -306,6 +307,33 @@ def test_simple_roots_and_coroots_out_of_range_raise():
             with pytest.raises(RootDataError, match="out of range"):
                 bad(i)
     assert A2.simple_root(2) == Root((0, 1)) and A2.simple_coroot(1) == Coweight((1, 0))
+
+
+def wrong_rank(coords):
+    """The error A2 raises for coweight coordinates of another rank."""
+    return re.escape(f"coweight coordinates {coords} do not have rank 2 for A2")
+
+
+def test_dominance_leq_rejects_a_coweight_of_the_wrong_rank():
+    # lam - mu zips the coordinates, so (2, 3) - (1,) read as (1,) >= 0
+    with pytest.raises(RootDataError, match=wrong_rank((1,))):
+        A2.dominance_leq(Coweight((1,)), Coweight((2, 3)))
+    with pytest.raises(RootDataError, match=wrong_rank((1, 1, 1))):
+        A2.dominance_leq(Coweight((0, 0)), Coweight((1, 1, 1)))
+
+
+def test_height_rejects_a_coweight_of_the_wrong_rank():
+    # the sum of (1, 2, 3) read as a height of 6
+    for coords in ((1, 2, 3), (1,)):
+        with pytest.raises(RootDataError, match=wrong_rank(coords)):
+            A2.height(Coweight(coords))
+
+
+def test_dominant_conjugate_rejects_a_coweight_of_the_wrong_rank():
+    # (1,) ran into an IndexError and (1, 0, -1) came back with 3 coordinates
+    for coords in ((1,), (1, 0, -1)):
+        with pytest.raises(RootDataError, match=wrong_rank(coords)):
+            A2.dominant_conjugate(Coweight(coords))
 
 
 def test_a_datum_built_directly_is_freed_once_dropped():
