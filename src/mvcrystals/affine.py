@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import mul
 
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
-    _reduced_words
+    _of_len, _reduced_words
 
 __all__ = [
     "AffineRoot",
@@ -94,6 +94,7 @@ class AffWeylElt:
         return Coweight(self.mu)
 
     def act_point(self, coords):
+        coords = _of_len(coords, len(self.mu))
         return tuple(_norm(sum(map(mul, row, coords)) + b)
                      for row, b in zip(self.finite.cmat, self.mu))
 

@@ -196,6 +196,8 @@ class LaurentSeries:
         return sum_products(((self, other, 1),))
 
     def shift(self, n):
+        if type(n) is not int:
+            raise TypeError(f"series exponents are int, got {type(n).__name__} {n!r}")
         if not n:
             return self
         return LaurentSeries._of({e + n: c for e, c in self.coeffs.items()},

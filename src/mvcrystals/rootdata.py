@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from operator import add, mul, sub
 
 __all__ = [
     "Root",
@@ -75,10 +75,10 @@ class _Vector:
         return type(self)(tuple(-a for a in self.coords))
 
     def __add__(self, other):
-        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return type(self)(tuple(map(add, self.coords, _of_len(other.coords, len(self.coords)))))
 
     def __sub__(self, other):
-        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return type(self)(tuple(map(sub, self.coords, _of_len(other.coords, len(self.coords)))))
 
     def scale(self, k):
         return type(self)(tuple(_norm(k * a) for a in self.coords))
@@ -109,6 +109,14 @@ class Coweight(_Vector):
 
     def normalized(self):
         return Coweight(tuple(_norm(a) for a in self.coords))
+
+
+def _of_len(coords, n):
+    """coords, checked to number n: coordinate arithmetic zips, so it would
+    truncate or pad a vector of another rank."""
+    if len(coords) != n:
+        raise RootDataError(f"coordinates {coords} do not have rank {n}")
+    return coords
 
 
 def _norm(a):
@@ -163,6 +171,7 @@ class WeylElt:
         return Coweight(self.act_point(v.coords))
 
     def act_point(self, coords: tuple) -> tuple:
+        coords = _of_len(coords, len(self.cmat))
         return tuple(_norm(sum(map(mul, row, coords))) for row in self.cmat)
 
 

@@ -1,25 +1,22 @@
 """i-trails in the fundamental (wedge power) representations of SL_n, the
 d_j statistics, and string cone inequalities with membership testing.
 
-Matrix realization is type A only: V(omega_k) = Lambda^k C^n with basis the
-sorted k-subsets of {1..n}.  On sorted subsets the raising operator E_i
-replaces i+1 by i and the lowering operator F_i replaces i by i+1; a single
-index swaps in place, so the convention is sign-free.  Weights are recorded
-in epsilon coordinates as integer n-tuples of fixed total k (the 0/1
-indicator of the subset), which avoids the center quotient altogether.
+Matrix realization is type A only: V(omega_k) = Lambda^k C^n.  Every weight
+space is a line, spanned by the wedge of the basis vectors a weight marks, so
+the walk runs on the weights themselves, in epsilon coordinates: the 0/1
+n-tuples of total k, which avoids the center quotient altogether.  The
+raising operator E_i moves the 1 at position i+1 to an empty position i; a
+single index moves in place, so the convention is sign-free.
 
-Every weight space is a line and E_i^2 = 0, so an i-trail is a walk on
-k-subsets in which each letter applies its E_i once or not at all.
+E_i^2 = 0, so an i-trail is a walk on these weights in which each letter
+applies its E_i once or not at all.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from mvcrystals.rootdata import RootDataError, RootDatum
 
 __all__ = [
-    "WedgeRep",
     "ITrail",
     "enumerate_itrails",
     "string_cone_inequalities",
@@ -38,75 +35,29 @@ class ITrail:
         self.word, self.weights, self.exponents, self.d = word, weights, exponents, d
 
 
-class WedgeRep:
-    """Lambda^k C^n with exact integer raising/lowering operators."""
+def enumerate_itrails(gamma: tuple, delta: tuple, word):
+    """All i-trails from gamma to delta in Lambda^k C^n, n = len(gamma) and
+    k = sum(gamma), by exponents.
 
-    def __init__(self, n, k):
-        if not 1 <= k <= n - 1:
-            raise RootDataError(f"wedge power k={k} out of range for n={n}")
-        self.n = n
-        self.k = k
-        self.basis = tuple(combinations(range(1, n + 1), k))
-        self.index = {s: a for a, s in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        # index maps: raising[i][col] = row  (coefficient always 1)
-        self.raising = {i: {} for i in range(1, n)}
-        self.lowering = {i: {} for i in range(1, n)}
-        for a, s in enumerate(self.basis):
-            for i in range(1, n):
-                if i + 1 in s and i not in s:
-                    t = tuple(sorted(set(s) - {i + 1} | {i}))
-                    self.raising[i][a] = self.index[t]
-                if i in s and i + 1 not in s:
-                    t = tuple(sorted(set(s) - {i} | {i + 1}))
-                    self.lowering[i][a] = self.index[t]
-        self._check_commutation()
-
-    def _check_commutation(self):
-        # [E_i, F_j] = delta_ij <wt, alpha_i^vee> on every basis vector
-        for i, e in self.raising.items():
-            for j, f in self.lowering.items():
-                for a in range(self.dim):
-                    diff = (e.get(f.get(a)) == a) - (f.get(e.get(a)) == a)
-                    if i == j:
-                        wt = self.weight(a)
-                        if diff != wt[i - 1] - wt[i]:
-                            raise RootDataError("[E_i,F_i] broke")
-                    # off-diagonal commutator has no diagonal matrix entry
-                    elif diff != 0:
-                        raise RootDataError(f"[E_{i},F_{j}] has a diagonal entry")
-
-    def weight(self, a) -> tuple:
-        """Weight of basis vector a in epsilon coordinates (0/1 vector)."""
-        s = self.basis[a]
-        return tuple(int(j in s) for j in range(1, self.n + 1))
-
-    def highest_weight(self) -> tuple:
-        return tuple([1] * self.k + [0] * (self.n - self.k))
-
-
-def enumerate_itrails(rep: WedgeRep, gamma: tuple, delta: tuple, word):
-    """All i-trails from gamma to delta in the wedge rep, by exponents.
-
-    Walk one basis index from delta's subset, reading the word from the
-    right: each letter either skips (n_j = 0) or applies E_{i_j} (n_j = 1).
-    The walks that end at gamma's subset are the trails."""
-    n, word = rep.n, tuple(word)
+    Walk one weight from delta, reading the word from the right: each letter
+    either skips (n_j = 0) or applies E_{i_j} (n_j = 1).  The walks that end
+    at gamma are the trails."""
+    gamma, delta, word = tuple(gamma), tuple(delta), tuple(word)
+    n = len(gamma)
     if not all(1 <= i < n for i in word):
         raise RootDataError(f"word {word} has a letter outside 1..{n - 1}")
-    start = rep.index.get(tuple(j for j, x in enumerate(delta, 1) if x))
-    if start is None or rep.weight(start) != delta:
+    if len(delta) != n or sum(delta) != sum(gamma) or not set(delta) <= {0, 1}:
         return []
-    walks = [((), start)]
+    walks = [((), delta)]
     for i in reversed(word):
-        up, nxt = rep.raising[i], []
-        for exps, a in walks:
-            nxt.append(((0,) + exps, a))
-            if a in up:
-                nxt.append(((1,) + exps, up[a]))
+        nxt = []
+        for exps, w in walks:
+            nxt.append(((0,) + exps, w))
+            if w[i] and not w[i - 1]:
+                nxt.append(((1,) + exps, w[:i - 1] + (1, 0) + w[i + 1:]))
         walks = nxt
     trails = []
-    for exps in sorted(exps for exps, end in walks if rep.weight(end) == gamma):
+    for exps in sorted(exps for exps, end in walks if end == gamma):
         weights, d = [gamma], []
         for i, m in zip(word, exps):
             w = list(weights[-1])
@@ -133,12 +84,11 @@ def string_cone_inequalities(datum: RootDatum, word):
         raise RootDataError(f"{word} is not a reduced word of w_0")
     raw = []
     for i in range(1, n):
-        rep = WedgeRep(n, i)
-        gamma = rep.highest_weight()
+        gamma = (1,) * i + (0,) * (n - i)
         # s_i swaps the epsilon coordinates i and i+1; w0 reverses them all
         wt = list(gamma)
         wt[i - 1], wt[i] = wt[i], wt[i - 1]
-        raw.extend(t.d for t in enumerate_itrails(rep, gamma, tuple(wt[::-1]), word))
+        raw.extend(t.d for t in enumerate_itrails(gamma, tuple(wt[::-1]), word))
     return tuple(sorted(set(raw))), tuple(raw)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -455,3 +456,12 @@ def test_closed_form_length_and_dominance_match_the_vertices(series, rank):
         assert affine._dominant(datum, g) == vertex_dominant(datum, g), g.mu
         dominant += vertex_dominant(datum, g)
     assert 10 < dominant < 290
+
+
+def test_affine_action_rejects_coordinates_of_another_rank():
+    # identity_aff(A2) read (1, 2, 3) as (1, 2)
+    for coords in ((1,), (1, 2, 3)):
+        for x in (identity_aff(A2), simple_affine_reflection(A2, 0)):
+            with pytest.raises(RootDataError, match=re.escape(f"coordinates {coords} do not "
+                                                              "have rank 2")):
+                x.act_coweight(Coweight(coords))

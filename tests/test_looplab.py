@@ -120,9 +120,12 @@ def test_series_sqrt():
     (lambda: LaurentSeries({0: 1}, cap=True), "caps are int or None, got bool"),
     (lambda: LaurentSeries({True: 3}), "exponents are int, got bool"),
     (lambda: LaurentSeries.t_power(True), "exponents are int, got bool"),
+    (lambda: LaurentSeries.t_power(1).shift(0.5), "exponents are int, got float"),
+    (lambda: LaurentSeries.t_power(1).shift(Fraction(1, 2)), "exponents are int, got Fraction"),
+    (lambda: LaurentSeries.t_power(1).shift(True), "exponents are int, got bool"),
 ], ids=["init", "init-float-zero", "t_power", "from_scalar", "t_power-exponent",
         "init-exponent", "init-cap-float", "init-cap-bool", "init-exponent-bool",
-        "t_power-exponent-bool"])
+        "t_power-exponent-bool", "shift-float", "shift-fraction", "shift-bool"])
 def test_series_rejects_float_coefficients(make, message):
     with pytest.raises(TypeError, match=message):
         make()

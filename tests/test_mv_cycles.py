@@ -1,12 +1,14 @@
-"""The paper's main statement in identity form: the cell of each LS gallery
-and Y~ of its string have the same closure, after a translation.
+"""The paper's main statement in identity and operator form: the cell of each
+LS gallery and Y~ of its string have the same closure, after a translation.
 
 Gaussent and Littelmann (Duke Math. J. 127, 2005): the cell C(delta) of an LS
 gallery delta is dense in the MV cycle of delta.  The paper: Y~_{i,c} is dense
 in the MV cycle of the crystal element with string parameter c along the
 reduced word i of w_0, and the Gaussent-Littelmann bijection is a crystal
 isomorphism.  Together: t^{-w_0 lambda} C(delta) and Y~_{i, string(delta)}
-have one closure.
+have one closure.  In operator form: the crystal operator e_i on cycles is
+left multiplication by y_i(p) with val p = -1 + eps_i(delta), so y_i(p) C(delta)
+and C(e_i delta) have one closure.
 
 An MV cycle is determined by its Berenstein-Zelevinsky datum (Kamnitzer, Ann.
 of Math. 171, 2010), which in type A is D_S = val(Lambda^{|S|} g^{-1} e_S) at a
@@ -49,25 +51,34 @@ def generic_bz(n, points):
     return tuple(map(min, zip(*(_inverse_vals(g, family) for g in points))))
 
 
-def cycles(series, rank, lam, word):
-    """The crystal of lam, and for each node delta the generic BZ datum of
-    t^{-w_0 lam} C(delta) and of Y~_{word, string(delta)}."""
+def setting(series, rank, lam):
+    """The group, the crystal of lam and the translation t^{-w_0 lam}."""
     datum, lam = build_root_datum(series, rank), Coweight(lam)
     group = LoopGroup(datum)
     graph = enumerate_ls(build_gallery_type(datum, lam))
-    shift = group.gen_t(-datum.longest_element().act_coweight(lam))
-    cell, ytilde = {}, {}
+    return group, graph, group.gen_t(-datum.longest_element().act_coweight(lam))
+
+
+def cell_cycles(group, graph, shift):
+    """For each node delta, the generic BZ datum of t^{-w_0 lam} C(delta)."""
+    return {node: generic_bz(group.n, [
+        shift * cell_point(group, node, random.Random(repr(("cell", k, t))))
+        for t in range(POINTS)]) for k, node in enumerate(graph.nodes)}
+
+
+def cycles(series, rank, lam, word):
+    """The crystal of lam, and for each node delta the generic BZ datum of
+    t^{-w_0 lam} C(delta) and of Y~_{word, string(delta)}."""
+    group, graph, shift = setting(series, rank, lam)
+    ytilde = {}
     for k, node in enumerate(graph.nodes):
-        cell[node] = generic_bz(group.n, [
-            shift * cell_point(group, node, random.Random(repr(("cell", k, t))))
-            for t in range(POINTS)])
         c = string_parameters(graph, node, word).c
-        c_tilde = string_param_from_c(datum, word, c).c_tilde
+        c_tilde = string_param_from_c(group.datum, word, c).c_tilde
         rngs = [random.Random(repr(("ytilde", k, t))) for t in range(POINTS)]
         ytilde[node] = generic_bz(group.n, [
             group.y_product(word, [random_unit_series(rng).shift(ct) for ct in c_tilde])
             for rng in rngs])
-    return graph, cell, ytilde
+    return graph, cell_cycles(group, graph, shift), ytilde
 
 
 @pytest.mark.parametrize("series, rank, lam, word", CASES,
@@ -95,3 +106,31 @@ def test_a_reversed_cell_product_is_caught_here_and_missed_by_criteria_7_to_9(mo
         assert crit({})[0], crit.__name__
     graph, cell, ytilde = cycles("A", 2, (2, 2), (1, 2, 1))
     assert sum(cell[n] != ytilde[n] for n in graph.nodes) > 10
+
+
+OP_CASES = [("A", 2, (1, 1)), ("A", 2, (2, 2)), ("A", 2, (2, 1)),
+            ("A", 3, (1, 1, 1)), ("A", 3, (1, 2, 1))]
+
+
+@pytest.mark.parametrize("series, rank, lam", OP_CASES,
+                         ids=[f"{s}{r}-{lam}" for s, r, lam in OP_CASES])
+def test_y_i_of_valuation_eps_minus_one_moves_each_cell_onto_the_cell_of_e_i(series, rank, lam):
+    # the paper's crystal operator on cycles: for val p = -1 + eps_i(delta),
+    # y_i(p) C(delta) is dense in the cycle of e_i delta.  Control: with val p
+    # one higher, no pair matches
+    group, graph, shift = setting(series, rank, lam)
+    cell = cell_cycles(group, graph, shift)
+    pairs = [(k, node, i) for k, node in enumerate(graph.nodes) for i in graph.colors
+             if graph.e(node, i) is not None]
+    assert pairs
+    for lift, want in ((0, len(pairs)), (1, 0)):
+        matched = 0
+        for k, node, i in pairs:
+            val = -1 + graph.eps[(node, i)] + lift
+            points = []
+            for t in range(POINTS):
+                rng = random.Random(repr(("op", k, i, t)))
+                g = cell_point(group, node, rng)
+                points.append(shift * group.gen_y(i, random_unit_series(rng).shift(val)) * g)
+            matched += generic_bz(group.n, points) == cell[graph.e(node, i)]
+        assert matched == want, (lift, matched, len(pairs))

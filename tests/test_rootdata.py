@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 import re
 import weakref
@@ -334,6 +335,26 @@ def test_dominant_conjugate_rejects_a_coweight_of_the_wrong_rank():
     for coords in ((1,), (1, 0, -1)):
         with pytest.raises(RootDataError, match=wrong_rank(coords)):
             A2.dominant_conjugate(Coweight(coords))
+
+
+def test_coordinate_arithmetic_rejects_another_rank():
+    # zipped coordinates read (2, 3) - (1,) as (1,)
+    for coords in ((1,), (1, 2, 3)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(RootDataError, match=re.escape(f"coordinates {coords} do not "
+                                                              "have rank 2")):
+                op(Coweight((2, 3)), Coweight(coords))
+    with pytest.raises(RootDataError, match=re.escape("coordinates (1,) do not have rank 2")):
+        Root((1, 0)) - Root((1,))
+
+
+def test_weyl_action_rejects_coordinates_of_another_rank():
+    # the identity read (1,) as (1, 0)
+    for coords in ((1,), (1, 2, 3)):
+        for w in (A2.identity_elt(), A2.longest_element()):
+            with pytest.raises(RootDataError, match=re.escape(f"coordinates {coords} do not "
+                                                              "have rank 2")):
+                w.act_coweight(Coweight(coords))
 
 
 def test_a_datum_built_directly_is_freed_once_dropped():

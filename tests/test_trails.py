@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -7,7 +8,6 @@ from mvcrystals.crystal import string_parameters
 from mvcrystals.gallery import enumerate_ls
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import (
-    WedgeRep,
     enumerate_itrails,
     in_string_cone,
     string_cone_inequalities,
@@ -32,27 +32,43 @@ PAPER_A3_ROWS = (
 )
 
 
-def test_wedge_rep_basics():
-    r = WedgeRep(2, 1)
-    assert r.dim == 2
-    # E1 maps e2 to e1, F1 maps e1 to e2
-    assert r.raising[1] == {1: 0}
-    assert r.lowering[1] == {0: 1}
-    assert WedgeRep(4, 2).dim == 6
-    r31 = WedgeRep(3, 1)
-    wts = [r31.weight(a) for a in range(3)]
-    assert wts == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    with pytest.raises(RootDataError):
-        WedgeRep(3, 3)
+def weights(n, k):
+    """The weights of Lambda^k C^n: the 0/1 n-tuples of total k."""
+    return [tuple(int(j in s) for j in range(n)) for s in itertools.combinations(range(n), k)]
+
+
+def raising_matrix(n, k, i):
+    """E_i on Lambda^k C^n in the weight basis, read off one-letter walks:
+    E_i e_delta = e_gamma iff the word (i,) has a trail gamma -> delta with
+    exponent 1."""
+    wts = weights(n, k)
+    return [[int(any(t.exponents == (1,) for t in enumerate_itrails(g, d, (i,))))
+             for d in wts] for g in wts]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_raising_rule_satisfies_the_sl_n_commutation_relations(n):
+    # [E_i, F_j] = delta_ij diag(<wt, alpha_i^vee>) with F_i = E_i^T, on every
+    # Lambda^k C^n that string_cone_inequalities reaches (type A, rank <= 4)
+    for k in range(1, n):
+        wts = weights(n, k)
+        e = {i: raising_matrix(n, k, i) for i in range(1, n)}
+        span = range(len(wts))
+        for i in e:
+            for j in e:
+                comm = [[sum(e[i][a][c] * e[j][b][c] - e[j][c][a] * e[i][c][b] for c in span)
+                         for b in span] for a in span]
+                want = [[int(a == b and i == j) * (wts[a][i - 1] - wts[a][i]) for b in span]
+                        for a in span]
+                assert comm == want, (n, k, i, j)
 
 
 def test_trail_trivial_and_sl2():
-    r = WedgeRep(2, 1)
-    hw = r.highest_weight()
-    trails = enumerate_itrails(r, hw, hw, (1,))
+    hw = (1, 0)
+    trails = enumerate_itrails(hw, hw, (1,))
     assert len(trails) == 1 and trails[0].exponents == (0,)
     low = (0, 1)
-    trails = enumerate_itrails(r, hw, low, (1,))
+    trails = enumerate_itrails(hw, low, (1,))
     assert len(trails) == 1
     assert trails[0].exponents == (1,)
     assert trails[0].d == (0,)
@@ -60,15 +76,14 @@ def test_trail_trivial_and_sl2():
 
 def zero_d_trail_exists(datum, word, i) -> bool:
     """The trail (omega_i, s_{i_1} omega_i, ..., w0 omega_i) with all d_j = 0."""
-    rep = WedgeRep(datum.rank + 1, i)
-    gamma = rep.highest_weight()
+    gamma = (1,) * i + (0,) * (datum.rank + 1 - i)
     # each step of the chain swaps the epsilon coordinates j and j + 1
     chain = [gamma]
     for j in word:
         wt = list(chain[-1])
         wt[j - 1], wt[j] = wt[j], wt[j - 1]
         chain.append(tuple(wt))
-    for t in enumerate_itrails(rep, gamma, gamma[::-1], word):
+    for t in enumerate_itrails(gamma, gamma[::-1], word):
         if t.weights == tuple(chain):
             assert not any(t.d), ("reflection chain trail has d != 0", word, i, t.d)
             return True
@@ -86,10 +101,9 @@ def test_all_d_integral():
     for datum, word in [(A2, WORD_A2), (A3, WORD_A3)]:
         n = datum.rank + 1
         for i in range(1, n):
-            rep = WedgeRep(n, i)
-            hw = rep.highest_weight()
-            for a in range(rep.dim):
-                for t in enumerate_itrails(rep, hw, rep.weight(a), word):
+            hw = (1,) * i + (0,) * (n - i)
+            for wt in weights(n, i):
+                for t in enumerate_itrails(hw, wt, word):
                     assert all(isinstance(d, int) for d in t.d)
 
 
@@ -169,9 +183,15 @@ def test_cone_tightness_a2_desk_scale():
 
 def test_itrail_letter_out_of_range_names_word_and_range():
     with pytest.raises(RootDataError, match=r"^word \(3,\) has a letter outside 1\.\.2$"):
-        enumerate_itrails(WedgeRep(3, 1), (1, 0, 0), (0, 0, 1), (3,))
+        enumerate_itrails((1, 0, 0), (0, 0, 1), (3,))
     with pytest.raises(RootDataError, match="outside 1..2"):
-        enumerate_itrails(WedgeRep(3, 1), (1, 0, 0), (0, 0, 1), (1, 0))
+        enumerate_itrails((1, 0, 0), (0, 0, 1), (1, 0))
+
+
+def test_no_trail_to_a_weight_outside_the_module():
+    # delta must be a 0/1 vector of gamma's length and total
+    for delta in [(0, 0, 1, 0), (0, 1), (1, 1, 0), (2, -1, 0), (0, 0, 0)]:
+        assert enumerate_itrails((1, 0, 0), delta, (2, 1)) == [], delta
 
 
 def test_in_string_cone_rejects_a_string_of_the_wrong_length():
@@ -180,3 +200,78 @@ def test_in_string_cone_rejects_a_string_of_the_wrong_length():
         in_string_cone((0, 0), rows)
     with pytest.raises(ValueError):
         in_string_cone((0, 0, 0, 0), rows)
+
+
+def kostant(datum, beta):
+    """Kostant's partition function: the ways to write beta (simple-root
+    coordinates) as a sum of positive roots."""
+    roots = [r.coords for r in datum.positive_roots]
+
+    def count(b, k):  # sums of roots[k:]
+        if not any(b):
+            return 1
+        total = 0
+        while k < len(roots) and min(b) >= 0:
+            total += count(b, k + 1)
+            b = tuple(x - y for x, y in zip(b, roots[k]))
+        return total
+    return count(tuple(beta), 0)
+
+
+def cone_counts(datum, word, rows, height):
+    """{beta: #c in Z^N_{>=0} inside rows with sum_j c_j alpha_{i_j} = beta},
+    over the beta of height 1..height, by a bounded recursion from the last
+    letter (the height of beta is sum_j c_j)."""
+    counts = collections.Counter()
+
+    def grow(j, tail, left):
+        if j < 0:
+            c = tuple(tail)
+            if any(c) and in_string_cone(c, rows):
+                beta = [0] * datum.rank
+                for i, x in zip(word, c):
+                    beta[i - 1] += x
+                counts[tuple(beta)] += 1
+            return
+        for x in range(left + 1):
+            grow(j - 1, [x] + tail, left - x)
+
+    grow(len(word) - 1, [], height)
+    return counts
+
+
+def kostant_mismatches(datum, word, rows, height):
+    got = cone_counts(datum, word, rows, height)
+    betas = [b for b in itertools.product(range(height + 1), repeat=datum.rank)
+             if 1 <= sum(b) <= height]
+    return [b for b in betas if got[b] != kostant(datum, b)], len(betas)
+
+
+KOSTANT_CASES = [("A", 2, (1, 2, 1), 6), ("A", 2, (2, 1, 2), 6),
+                 ("A", 3, (1, 2, 1, 3, 2, 1), 4), ("A", 3, (2, 1, 3, 2, 1, 3), 4),
+                 ("A", 3, (3, 2, 1, 2, 3, 2), 4), ("A", 4, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 3)]
+
+
+@pytest.mark.parametrize("series, rank, word, height", KOSTANT_CASES,
+                         ids=[f"{s}{r}-{''.join(map(str, w))}" for s, r, w, _ in KOSTANT_CASES])
+def test_string_cone_points_of_each_weight_number_kostants_partition_function(series, rank,
+                                                                              word, height):
+    # the string cone is the string set of B(infinity) (Littelmann, Transform.
+    # Groups 3, 1998; Berenstein-Zelevinsky, Invent. Math. 143, 2001), and
+    # dim U(n+)_beta is Kostant's P(beta)
+    datum = build_root_datum(series, rank)
+    rows, _ = string_cone_inequalities(datum, word)
+    bad, checked = kostant_mismatches(datum, word, rows, height)
+    assert checked > 20 and bad == []
+
+
+def test_dropping_a_cone_row_breaks_the_kostant_count():
+    # control: the count sees every row that is not a bare c_j >= 0, which
+    # the enumeration imposes by itself
+    rows, _ = string_cone_inequalities(A3, WORD_A3)
+    bare = {tuple(int(k == j) for k in range(6)) for j in range(6)}
+    kept = [r for r in rows if r not in bare]
+    assert len(kept) == 4
+    for row in kept:
+        bad, _ = kostant_mismatches(A3, WORD_A3, [r for r in rows if r != row], 4)
+        assert bad, row
