@@ -12,6 +12,10 @@ the wedge power Lambda^k C^n.  Every valuation formula is one routine over the
 minors of g^{-1} on column sets S, val(Lambda^{|S|} g^{-1} e_S): for [g] in
 S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}), on the first or
 last k columns; the orbit takes all S of one size.
+
+The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
+q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
+(factor_z: the Chamber Ansatz of Berenstein-Fomin-Zelevinsky, Adv. Math. 122, 1996).
 """
 
 from __future__ import annotations
@@ -202,7 +206,7 @@ class LoopGroup:
         n = self.n
         dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
         for k in range(n - 1, -1, -1):
-            _pivot(dets[k], f"Gauss pivot {n - 1 - k} of SL_{n}")
+            _pivot(dets[k], lambda: f"Gauss pivot {n - 1 - k} of SL_{n}")
         u = [list(row) for row in LaurentMatrix.identity(n).rows]
         for k in range(1, n):
             for j in range(k):
@@ -241,7 +245,7 @@ class LoopGroup:
             num = cur.minor_det(rows[m:], range(m, b))
             rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
             den = cur.minor_det(rows[m:], range(m, b))
-            p = num / _pivot(den, f"peel minor of y_{i} at step {step} of {word}")
+            p = num / _pivot(den, lambda: f"peel minor of y_{i} at step {step} of {word}")
             ps.append(p)
             res = list(cur.rows)
             res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
@@ -254,10 +258,31 @@ class LoopGroup:
         return ps
 
     def factor_z(self, g: LaurentMatrix, word):
-        """Parameters q with z_word(q) = g for lower unitriangular g: the lower
-        Gauss factor of g wbar(w0), y-factored."""
-        # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
-        return self.factor_y(self.gauss_decompose(g * self.wbar_w0), word)
+        """q with z_word(q) = g for lower unitriangular g by the Chamber Ansatz
+        (Berenstein-Fomin-Zelevinsky, Adv. Math. 122, 1996, sec. 1): with
+        i*_k = n - i_k, u_N = 1, u_{k-1} = u_k s_{i*_k} (one-line permutations)
+        and Delta_{u omega_j}(g) the minor on rows u({1..j}) and columns 1..j
+        (1 for j = 0, n), q_k = -Delta_{u_k omega_{i*-1}} Delta_{u_k omega_{i*+1}}
+        / (Delta_{u_{k-1} omega_{i*}} Delta_{u_k omega_{i*}}) at i* = i*_k.  A g
+        off N_- or an exactly zero denominator raises GenericityError."""
+        n, word, one, rows = self.n, tuple(word), LaurentSeries.one(), g.rows
+        if not self.datum.is_w0_word(word):
+            raise RootDataError(f"{word} is not a reduced word of w_0")
+        if not all(rows[a][b].agrees_with(one) if a == b else rows[a][b].is_known_zero
+                   for a in range(n) for b in range(a, n)):
+            raise GenericityError(f"factor_z input of SL_{n} on {word} is not lower unitriangular")
+
+        def minor(u, j):  # Delta_{u omega_j}(g), u 0-based
+            return g.minor_det(sorted(u[:j]), range(j)) if 0 < j < n else one
+        u, qs = tuple(range(n - 1, -1, -1)), []  # u_0 = w0: u_N = 1 and word is w0's
+        for k, i in enumerate(word, 1):
+            s, prev = n - i, u
+            u = u[:s - 1] + (u[s], u[s - 1]) + u[s + 1:]  # u_k = u_{k-1} s_{i*}
+            den = [_pivot(minor(v, s), lambda: f"chamber minor on rows "
+                          f"{sorted(r + 1 for r in v[:s])} at step {k} of SL_{n} on {word}")
+                   for v in (prev, u)]
+            qs.append(-(minor(u, s - 1) * minor(u, s + 1)) / (den[0] * den[1]))
+        return qs
 
     def z_of(self, word, qs) -> LaurentMatrix:
         """z_word(q) = lower Gauss factor of y_word(q) wbar(w0)^{-1}."""
@@ -274,9 +299,9 @@ def _inverse_vals(g: LaurentMatrix, families) -> tuple:
 
 
 def _pivot(s: LaurentSeries, what) -> LaurentSeries:
-    """s, checked as a divisor.  An exactly zero pivot means the input is not
-    generic; dividing by a pivot whose known window is zero raises
-    PrecisionError, so callers that escalate precision (trop_eval) do."""
+    """s, checked as a divisor that what() names on failure.  An exactly zero
+    pivot means the input is not generic; dividing by a pivot whose known window
+    is zero raises PrecisionError, so callers that escalate precision do."""
     if s.is_known_zero and s.is_exact:
-        raise GenericityError(f"{what} is exactly zero")
+        raise GenericityError(f"{what()} is exactly zero")
     return s

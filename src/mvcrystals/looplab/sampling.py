@@ -4,10 +4,12 @@ counterexample.
 
 Sampling draws small integer coefficients from seeded generators, so every
 generator matrix is an exact Laurent polynomial; inexactness enters only
-through divisions in the Gauss/factorization steps, where the precision
-window is tracked.  Tropical evaluation draws nothing (see trop_eval).  A
-valuation or pivot indistinguishable from zero (PrecisionError) escalates the
-relative precision by doubling up to 256.
+through divisions, where the precision window is tracked: factor_z's Chamber
+Ansatz quotients of exact minors (so their valuations are exact), z_of's
+Gauss factor, and factor_y's peel of that windowed factor.  Tropical
+evaluation draws nothing (see trop_eval).  A valuation or pivot
+indistinguishable from zero (PrecisionError) escalates the relative
+precision by doubling up to 256.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Root-datum, affine Weyl group and loop-group formulas that only the tests use,
-and the apartment's faces evaluated at their vertices: the reference that the
-library's closed forms on W's tables are checked against."""
+"""Root-datum, affine Weyl group and loop-group formulas that only the tests use:
+the apartment's faces evaluated at their vertices, which the library's closed
+forms on W's tables are checked against, and the Gauss-plus-peel string ->
+Lusztig parameters, which factor_z's Chamber Ansatz is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -99,3 +100,10 @@ def orbit_from_minors_of_g(g):
     return Coweight(tuple(
         vector_val([g.minor_det(rows, cols) for cols in combinations(range(n), k)
                     for rows in combinations(range(n), k)]) for k in range(1, n)))
+
+
+def ref_factor_z(group, g, word):
+    """q with z_word(q) = g for lower unitriangular g: the lower Gauss factor of
+    g wbar(w0), y-factored by the peel."""
+    # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
+    return group.factor_y(group.gauss_decompose(g * group.wbar_w0), word)

@@ -34,7 +34,7 @@ from mvcrystals.looplab.sampling import (
     string_to_lusztig_map,
 )
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
-from reference import act_root, orbit_from_minors_of_g, ref_phi_plus
+from reference import act_root, orbit_from_minors_of_g, ref_factor_z, ref_phi_plus
 from stabwork import coefficient, sqrt
 
 A1 = build_root_datum("A", 1)
@@ -43,6 +43,7 @@ A3 = build_root_datum("A", 3)
 G1 = LoopGroup(A1)
 G2 = LoopGroup(A2)
 G3 = LoopGroup(A3)
+G4 = LoopGroup(build_root_datum("A", 4))
 
 
 # -- series ----------------------------------------------------------------
@@ -563,8 +564,9 @@ def _crout_gauss(g):
 
 
 def _gauss_inputs_of_trop(monkeypatch, group, cases):
-    """The matrices lusztig_from_string hands to gauss_decompose, in both
-    directions (g wbar(w0) and y wbar(w0)^{-1}), for each (word, c~)."""
+    """The matrices lusztig_from_string hands to gauss_decompose, for each
+    (word, c~): z_of's y wbar(w0)^{-1} in the inverse direction (factor_z
+    takes no Gauss factor)."""
     seen = []
     original = LoopGroup.gauss_decompose
 
@@ -590,9 +592,13 @@ def _assert_gauss_matches_crout(group, g):
 
 
 def test_gauss_matches_crout_reference_on_criterion_11(theta_graph, monkeypatch):
-    inputs = _gauss_inputs_of_trop(monkeypatch, G2, _criterion_11_strings(theta_graph))
-    # three evaluations per direction per string
-    assert len(inputs) == 16 * 2 * 3
+    strings = _criterion_11_strings(theta_graph)
+    inputs = _gauss_inputs_of_trop(monkeypatch, G2, strings)
+    # three evaluations of the inverse map per string
+    assert len(inputs) == 16 * 1 * 3
+    # and the reference's forward matrices y(p) wbar(w0), p_j = k t^{c~_j}
+    inputs += [G2.y_product(word, [LaurentSeries.t_power(c, k) for c in c_tilde]) * G2.wbar_w0
+               for word, c_tilde in strings for k in (1, 2, 3)]
     for g in inputs:
         _assert_gauss_matches_crout(G2, g)
 
@@ -658,6 +664,76 @@ def test_factor_y_of_an_exact_y_product_is_exact():
             ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
             qs = group.factor_y(group.y_product(word, ps), word)
             assert all(q.equals_exact(p) for p, q in zip(ps, qs)), (word, ps, qs)
+
+
+def _factor_z_cases():
+    """Every reduced word of w_0 in A1-A3 and a seeded 20 of A4's 768."""
+    cases = []
+    for rank in (1, 2, 3, 4):
+        datum = build_root_datum("A", rank)
+        words = datum.enumerate_reduced_words(datum.longest_element())
+        if rank == 4:
+            words = random.Random("factor-z-a4").sample(sorted(words), 20)
+        cases += [(rank, word) for word in words]
+    assert len(cases) == 1 + 2 + 16 + 20
+    return cases
+
+
+def _ref_factor_z_vals(group, g, word):
+    """ref_factor_z's parameters and valuations at relative precision 16, or
+    at 32 where the peel's nested divisions leave a window of 16 all zero."""
+    for prec in (16, 32):
+        set_default_rel_prec(prec)
+        try:
+            ref = ref_factor_z(group, g, word)
+            return ref, [q.val() for q in ref]
+        except PrecisionError:
+            if prec == 32:
+                raise
+
+
+@pytest.mark.parametrize("rank, word", _factor_z_cases(), ids=str)
+def test_factor_z_matches_the_gauss_and_peel_reference(rank, word):
+    # the Chamber Ansatz against the Gauss factor of g wbar(w0), peeled, on
+    # monomials k t^m as trop_eval draws them and on unit series t^m (a + b t +
+    # c t^2): equal valuations, and coefficients equal on the common window
+    group = {1: G1, 2: G2, 3: G3, 4: G4}[rank]
+    rng = random.Random(repr(("factor-z", word)))
+    before = default_rel_prec()
+    try:
+        for ps in ([LaurentSeries.t_power(rng.randint(-3, 3), rng.randint(1, 3)) for _ in word],
+                   [random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word]):
+            set_default_rel_prec(16)
+            g = group.y_product(word, ps)
+            got = group.factor_z(g, word)
+            ref, vals = _ref_factor_z_vals(group, g, word)
+            assert [q.val() for q in got] == vals, (word, ps)
+            assert all(q.agrees_with(r) for q, r in zip(got, ref)), (word, ps)
+    finally:
+        set_default_rel_prec(before)
+
+
+@pytest.mark.parametrize("b", [G2.gen_x(A2.simple_root(1), LaurentSeries.t_power(1)),
+                               G2.gen_t(Coweight((1, -1)))], ids=["x_alpha1(t)", "t^(1,-1)"])
+def test_factor_z_rejects_a_matrix_off_n_minus(b):
+    # the Gauss-plus-peel path reads b g as g for upper triangular b; the
+    # chamber minors would not, so factor_z refuses b g
+    t = LaurentSeries.t_power
+    g = G2.y_product((1, 2, 1), (t(1), t(2), t(1)))
+    assert [q.val() for q in ref_factor_z(G2, b * g, (1, 2, 1))] == [-2, -1, -2]
+    with pytest.raises(GenericityError, match=r"^factor_z input of SL_3 on \(1, 2, 1\) "
+                                              r"is not lower unitriangular$"):
+        G2.factor_z(b * g, (1, 2, 1))
+
+
+def test_factor_z_names_a_vanishing_chamber_minor():
+    # y_1(1) y_2(0) y_1(1) = y_1(2): the chamber minors on rows {2, 3} x
+    # columns {1, 2} (step 1) and on rows {3} x column {1} (step 2) are 0
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    g = G2.y_product((1, 2, 1), (one, zero, one))
+    with pytest.raises(GenericityError, match=r"^chamber minor on rows \[2, 3\] at step 1 "
+                                              r"of SL_3 on \(1, 2, 1\) is exactly zero$"):
+        G2.factor_z(g, (1, 2, 1))
 
 
 def test_gauss_lower_already():
@@ -1071,11 +1147,18 @@ def test_trop_eval_restores_precision_when_func_raises(prec_log):
 
 
 def test_trop_eval_escalates_on_the_a3_reproducer(prec_log):
-    # at relative precision 2 no pivot vanishes in the window; at 1 one
-    # does, so the string -> Lusztig map runs at 1 and then at 2
+    # the chamber minors of an exact input are exact, so the string -> Lusztig
+    # map needs one attempt at relative precision 1
     set_default_rel_prec(1)
-    f = string_to_lusztig_map(G3, (2, 1, 3, 2, 1, 3))
-    assert trop_eval(f, [-1, -1, 0, 0, -2, 1]) == [1, -1, 3, -1, 0, 2]
+    word = (2, 1, 3, 2, 1, 3)
+    assert trop_eval(string_to_lusztig_map(G3, word), [-1, -1, 0, 0, -2, 1]) == \
+        [1, -1, 3, -1, 0, 2]
+    assert prec_log == [1, 1]
+    # the inverse map peels z_of's Gauss factor: at 1 a peel divisor's window
+    # is zero, at 2 it is not, so it runs at 1 and then at 2
+    prec_log.clear()
+    assert trop_eval(lusztig_to_string_map(G3, word), [1, -1, 3, -1, 0, 2]) == \
+        [-1, -1, 0, 0, -2, 1]
     assert prec_log == [1, 2, 1]
 
 
