@@ -10,7 +10,6 @@ from mvcrystals.crystal import (
     validate_axioms,
 )
 from mvcrystals.gallery import enumerate_ls, minimal_gallery
-from mvcrystals import precision  # noqa: F401  (a bad MVCRYSTALS_PREC fails here)
 from mvcrystals.rootdata import Coweight, Root, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 

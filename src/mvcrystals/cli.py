@@ -4,24 +4,21 @@ acceptance harness.
 
 Reports are deterministic for fixed flags and seed (JSON is emitted with
 sorted keys and all randomness is derived from the seed by stable hashing).
-Each command runs in its own copy of the context, so a precision it sets ends
-with it.  Only trop takes --prec: its series precision is --prec if given,
-else the MVCRYSTALS_PREC environment variable, else 32, an int in [1, 256].
-crystal, string and cone load neither looplab nor verify: the commands that
-need them import them when run.
+No command takes a precision: trop_eval certifies trop's answer whatever
+precision it starts at.  crystal, string and cone load neither looplab nor
+verify: the commands that need them import them when run.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import sys
 
 from mvcrystals.affine import build_gallery_type
 from mvcrystals.crystal import CrystalError, string_parameters
 from mvcrystals.gallery import GalleryError, crystal_to_dict, enumerate_ls
-from mvcrystals.precision import GenericityError, PrecisionError, set_default_rel_prec
+from mvcrystals.precision import GenericityError, PrecisionError
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import string_cone_inequalities
 
@@ -124,8 +121,6 @@ def cmd_mv_sample(args):
 def cmd_trop(args):
     from mvcrystals.looplab import LoopGroup, lusztig_from_string
 
-    if args.prec is not None:
-        set_default_rel_prec(args.prec)
     datum = _datum(args)
     group = LoopGroup(datum)
     word = _word(args.word)
@@ -208,9 +203,6 @@ def build_parser():
     add_datum_flags(p)
     p.add_argument("--word", required=True)
     p.add_argument("--ctilde", required=True)
-    p.add_argument("--prec", type=int, default=None,
-                   help="relative precision of series divisions, in [1, 256]; "
-                        "default: MVCRYSTALS_PREC, else 32")
     p.set_defaults(func=cmd_trop)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -226,7 +218,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return contextvars.copy_context().run(args.func, args)
+        return args.func(args)
     except (RootDataError, CrystalError, GalleryError, GenericityError, PrecisionError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

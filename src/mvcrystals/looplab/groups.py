@@ -184,14 +184,14 @@ class LoopGroup:
         reads the inverse and minor cache that mu_plus and mu_minus read."""
         lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
                                          for k in range(1, self.n)]))
-        if not self.datum.is_antidominant(lam):
-            raise PrecisionError(
-                f"orbit parameter {lam.coords} is not antidominant; "
-                "precision too low or matrix not in the group")
+        if not self.datum.is_antidominant(lam):  # every valuation read is certified
+            raise ValueError(f"orbit parameter {lam.coords} is not antidominant: "
+                             f"the matrix is not in SL_{self.n}(K)")
         return lam
 
     def coset_equal(self, u: LaurentMatrix, v: LaurentMatrix) -> bool:
-        """[u] = [v] in G(K)/G(O): u^{-1} v has all entries of valuation >= 0."""
+        """[u] = [v] in G(K)/G(O): u^{-1} v has all entries of valuation >= 0.
+        An entry known only as O(t^m) with m < 0 raises PrecisionError."""
         return (u.inverse() * v).all_entries_val_nonneg()
 
     # -- factorizations --------------------------------------------------------------
@@ -223,7 +223,8 @@ class LoopGroup:
         p = Delta_R / Delta_{R'} (Berenstein-Zelevinsky, Total positivity in
         Schubert varieties, 1997).  Peeling y_i(p) off the left is
         "row i+1 -= p * row i".  The full residual is checked to be trivial
-        at the end."""
+        at the end; it compares known windows only, so a parameter whose
+        known window is all zero raises PrecisionError when it is peeled."""
         n = self.n
         word = tuple(word)
         if not self.datum.is_w0_word(word):
@@ -246,6 +247,9 @@ class LoopGroup:
             rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
             den = cur.minor_det(rows[m:], range(m, b))
             p = num / _pivot(den, lambda: f"peel minor of y_{i} at step {step} of {word}")
+            if p.is_known_zero and not p.is_exact:
+                raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
+                                     f"is O(t^{p.cap})")
             ps.append(p)
             res = list(cur.rows)
             res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))

@@ -235,7 +235,10 @@ def lusztig_to_string_map(group: LoopGroup, word):
 
 def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     """n = f^trop(c~) for f = z^{-1} o y, with the inverse direction
-    g^trop(n) = c~ verified; returns the Lusztig parameter vector.
+    g^trop(n) = c~ verified; returns the Lusztig parameter vector.  f = g is
+    one involution F = y^{-1} o T o y (T(h) the lower Gauss factor of h
+    wbar(w0)^{-1}), so the check computes F(F(c~)) = c~ by the second
+    algorithm, Gauss factor plus peel, where f reads the chamber minors.
     ``seed`` is ignored; the benchmark's tropical workload still passes it."""
     word, c_tilde = tuple(word), tuple(c_tilde)
     if not group.datum.is_w0_word(word) or len(c_tilde) != len(word):

@@ -269,11 +269,13 @@ class LaurentSeries:
                    for e in self.coeffs.keys() | other.coeffs.keys() if cap is None or e < cap)
 
     def nonneg_val_certified(self) -> bool:
-        """True when the series provably has valuation >= 0 (window empty counts
-        only if the cap is >= 0 or the series is exactly zero)."""
+        """Whether the series has valuation >= 0.  An empty window below a
+        negative cap cannot tell, so it raises PrecisionError."""
         if self.coeffs:
             return min(self.coeffs) >= 0
-        return self.cap is None or self.cap >= 0
+        if self.cap is not None and self.cap < 0:
+            raise PrecisionError(f"cannot tell whether O(t^{self.cap}) has valuation >= 0")
+        return True
 
     def __repr__(self):
         if not self.coeffs:

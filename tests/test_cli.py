@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mvcrystals.cli import main
-from mvcrystals.looplab import default_rel_prec
+from mvcrystals.looplab import default_rel_prec, sampling, set_default_rel_prec
 
 
 def run_cli(args, capsys):
@@ -123,18 +123,12 @@ def test_verify_reports_byte_identical(tmp_path, run_python):
     assert all(json.loads(line)["passed"] for line in lines)
 
 
-@pytest.mark.parametrize("env_prec,flags,expected", [
-    (None, [], "32"),
-    ("8", [], "8"),
-    ("8", ["--prec", "16"], "16"),
-])
-def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
-                                                  expected):
+@pytest.mark.parametrize("env_prec", [None, "1"])
+def test_commands_run_at_the_default_precision(run_python, env_prec):
+    # no flag or environment variable sets the precision: each command runs
+    # at 32 and leaves 32
     env = {} if env_prec is None else {"MVCRYSTALS_PREC": env_prec}
-    # each command reports the precision it runs at, and the one it leaves;
-    # only trop takes the flag
     code = (
-        "import sys\n"
         "from mvcrystals import cli\n"
         "from mvcrystals import looplab\n"
         "from mvcrystals.looplab import default_rel_prec\n"
@@ -147,53 +141,52 @@ def test_prec_flag_then_environment_then_default(run_python, env_prec, flags,
         "looplab.lusztig_from_string = reporting(looplab.lusztig_from_string)\n"
         "for cmd in (['mv-sample', '--rank', '1', '--word', '1', '--c', '1',\n"
         "             '--trials', '1'],\n"
-        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2'] + sys.argv[1:]):\n"
+        "            ['trop', '--rank', '1', '--word', '1', '--ctilde=-2']):\n"
         "    assert cli.main(cmd) == 0\n"
         "    print('after', default_rel_prec())\n"
     )
-    out = run_python(code, args=flags, **env)
+    out = run_python(code, **env)
     assert out.returncode == 0, out.stderr
     precs = [line.split()[1] for line in out.stdout.splitlines()
-             if line.startswith("prec ")]
-    assert precs == [env_prec or "32", expected]
-    afters = [line.split()[1] for line in out.stdout.splitlines()
-              if line.startswith("after ")]
-    assert afters == [env_prec or "32"] * 2
+             if line.split()[0] in ("prec", "after")]
+    assert precs == ["32"] * 4
 
 
-def test_prec_flag_does_not_outlive_its_command(capsys):
-    before = default_rel_prec()
-    code, out, _ = run_cli(["trop", "--rank", "1", "--word", "1", "--ctilde=-2",
-                            "--prec", "4"], capsys)
-    assert code == 0 and json.loads(out)["lusztig"] == [2]
-    assert default_rel_prec() == before
-
-
-def test_mv_sample_takes_no_prec_flag(capsys):
-    # every sampled matrix is exact, so a precision would change nothing
+@pytest.mark.parametrize("command", [
+    ["mv-sample", "--rank", "1", "--word", "1", "--c", "1"],
+    ["trop", "--rank", "1", "--word", "1", "--ctilde=-2"],
+], ids=lambda argv: argv[0])
+def test_no_command_takes_a_prec_flag(capsys, command):
+    # sampled matrices are exact, and trop_eval certifies trop's answer at any
+    # starting precision, so a precision flag would change no answer
     with pytest.raises(SystemExit) as exc:
-        main(["mv-sample", "--rank", "1", "--word", "1", "--c", "1", "--prec", "4"])
+        main(command + ["--prec", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --prec 4" in capsys.readouterr().err
 
 
-def test_prec_flag_range_checked(capsys):
-    code, _, err = run_cli(["trop", "--rank", "1", "--word", "1", "--ctilde=-2",
-                            "--prec", "0"], capsys)
-    assert code == 2
-    assert "relative precision must be in [1, 256]" in err
-
-
-def test_trop_escalates_precision_when_a_pivot_vanishes(run_python):
-    # at relative precision 1 a Gauss or peel pivot of this A3 map is
-    # indistinguishable from zero, so trop_eval doubles the precision to 2 in
-    # both directions; at 4 every pivot is resolved and nothing escalates
-    for prec in ("4", "1"):
-        out = run_python(_MAIN, args=["trop", "--type", "A", "--rank", "3",
-                                      "--word", "2,1,3,2,1,3",
-                                      "--ctilde=-1,-1,0,0,-2,1", "--prec", prec])
-        assert out.returncode == 0, (prec, out.stderr)
-        assert json.loads(out.stdout)["lusztig"] == [1, -1, 3, -1, 0, 2]
+def test_trop_escalates_precision_when_a_pivot_vanishes(capsys, monkeypatch):
+    # at relative precision 1 a peel pivot of this A3 map's inverse direction
+    # is indistinguishable from zero, so trop_eval doubles the precision to 2;
+    # the answer is the one at the default precision, which trop_eval restores
+    log = []
+    monkeypatch.setattr(sampling, "set_default_rel_prec",
+                        lambda n: (log.append(n), set_default_rel_prec(n)))
+    argv = ["trop", "--type", "A", "--rank", "3", "--word", "2,1,3,2,1,3",
+            "--ctilde=-1,-1,0,0,-2,1"]
+    before = default_rel_prec()
+    try:
+        for prec in (before, 1):
+            set_default_rel_prec(prec)
+            log.clear()
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, (prec, err)
+            assert json.loads(out)["lusztig"] == [1, -1, 3, -1, 0, 2]
+            assert default_rel_prec() == prec
+    finally:
+        set_default_rel_prec(before)
+    # forward map: one attempt at 1; inverse map: at 1, then at 2
+    assert log == [1, 1, 1, 2, 1]
 
 
 @pytest.mark.parametrize("word,ctilde", [

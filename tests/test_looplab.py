@@ -448,6 +448,32 @@ def test_orbit_coweight_certifies_its_minimum():
         G1.orbit_coweight(g)
 
 
+def test_orbit_coweight_rejects_a_matrix_off_sl_n():
+    # t^-5 I_3 has determinant t^-15: every valuation read is certified, so
+    # a parameter that is not antidominant is no precision shortfall
+    t5, zero = LaurentSeries.t_power(-5), LaurentSeries.zero()
+    g = LaurentMatrix([[t5, zero, zero], [zero, t5, zero], [zero, zero, t5]])
+    with pytest.raises(ValueError, match=r"^orbit parameter \(10, 5\) is not antidominant: "
+                                         r"the matrix is not in SL_3\(K\)$"):
+        G2.orbit_coweight(g)
+
+
+def test_coset_equal_cannot_decide_an_empty_negative_window():
+    # at relative precision 2, criterion 10's cosets meet entries known only
+    # as O(t^-1): neither in G(O) nor out of it, so no False answer
+    one = LaurentSeries.one()
+    g = LaurentMatrix([[one, LaurentSeries({}, cap=-1)], [LaurentSeries.zero(), one]])
+    with pytest.raises(PrecisionError, match=r"O\(t\^-1\)"):
+        G1.coset_equal(LaurentMatrix.identity(2), g)
+    before = default_rel_prec()
+    try:
+        set_default_rel_prec(2)
+        with pytest.raises(PrecisionError):
+            verify.run_criterion(10)
+    finally:
+        set_default_rel_prec(before)
+
+
 def test_orbit_of_generic_o_matrix():
     rng = random.Random(9)
     g = LaurentMatrix.identity(3)
@@ -713,6 +739,30 @@ def test_factor_z_matches_the_gauss_and_peel_reference(rank, word):
         set_default_rel_prec(before)
 
 
+def test_factor_y_rejects_a_peeled_parameter_with_an_empty_window():
+    # at relative precision 16 the nested divisions of Gauss plus peel leave
+    # the last parameter of this A4 word known only as O(t^-3); the residual
+    # check compares known windows only, so the peel itself must refuse it
+    word = (1, 3, 2, 3, 1, 4, 3, 2, 1, 3)
+    rng = random.Random(repr(("factor-z", word)))
+    # the unit-series input of the reference comparison, drawn after its monomials
+    [LaurentSeries.t_power(rng.randint(-3, 3), rng.randint(1, 3)) for _ in word]
+    ps = [random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word]
+    before = default_rel_prec()
+    try:
+        set_default_rel_prec(16)
+        g = G4.y_product(word, ps)
+        with pytest.raises(PrecisionError, match=r"^peeled parameter of y_3 at step 9 of "
+                                                 r"\(1, 3, 2, 3, 1, 4, 3, 2, 1, 3\) "
+                                                 r"is O\(t\^-3\)$"):
+            ref_factor_z(G4, g, word)
+        set_default_rel_prec(32)
+        assert [q.val() for q in ref_factor_z(G4, g, word)] == \
+            [q.val() for q in G4.factor_z(g, word)]
+    finally:
+        set_default_rel_prec(before)
+
+
 @pytest.mark.parametrize("b", [G2.gen_x(A2.simple_root(1), LaurentSeries.t_power(1)),
                                G2.gen_t(Coweight((1, -1)))], ids=["x_alpha1(t)", "t^(1,-1)"])
 def test_factor_z_rejects_a_matrix_off_n_minus(b):
@@ -941,6 +991,27 @@ def test_trop_mutually_inverse_random_vectors():
         fw = trop_eval(f, m)
         back = trop_eval(g, fw)
         assert back == m
+
+
+@pytest.mark.parametrize("rank, word", [(rank, word) for rank in (2, 3) for word in
+                                        build_root_datum("A", rank).enumerate_reduced_words(
+                                            build_root_datum("A", rank).longest_element())],
+                         ids=str)
+def test_the_two_evaluators_are_one_map(rank, word):
+    # with T(g) the lower Gauss factor of g wbar(w0)^-1, factor_z = y^-1 o T
+    # (the Chamber Ansatz) and wbar(w0)^2 is a central sign, so
+    # lusztig_to_string_map = y^-1 o T o y = string_to_lusztig_map: the
+    # chamber minors and Gauss plus peel compute one involution
+    group = {2: G2, 3: G3}[rank]
+    rng = random.Random(repr(("one-map", word)))
+    inputs = [[LaurentSeries.t_power(rng.randint(-3, 3), rng.randint(1, 3)) for _ in word]]
+    if rank == 2:
+        inputs.append([random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word])
+    for ps in inputs:
+        chamber = string_to_lusztig_map(group, word)(ps)
+        peeled = lusztig_to_string_map(group, word)(ps)
+        assert [q.val() for q in chamber] == [q.val() for q in peeled], (word, ps)
+        assert all(q.agrees_with(r) for q, r in zip(chamber, peeled)), (word, ps)
 
 
 def test_lusztig_from_string_sl2():
@@ -1220,19 +1291,12 @@ def test_counterexample_checked_under_python_O(run_python):
     assert out.stdout.startswith("raised: counterexample product drifted")
 
 
-@pytest.mark.parametrize("value", ["abc", "12.5", "0", "257", "300"])
-def test_bad_prec_environment_rejected_at_import(run_python, value):
-    out = run_python("import mvcrystals", MVCRYSTALS_PREC=value)
-    assert out.returncode != 0
-    last = out.stderr.strip().splitlines()[-1]
-    assert last.startswith("ValueError: MVCRYSTALS_PREC must be")
-    assert last.endswith(f"got {value if value.isdigit() else repr(value)}")
-
-
-@pytest.mark.parametrize("value", ["1", "256"])
-def test_prec_environment_range_ends_accepted(run_python, value):
+@pytest.mark.parametrize("value", ["abc", "12.5", "0", "257", "300", "1", "256"])
+def test_import_ignores_a_prec_environment(run_python, value):
+    # no environment variable sets the precision: it is 32 until
+    # set_default_rel_prec sets another
     code = ("from mvcrystals.looplab import default_rel_prec\n"
             "print(default_rel_prec())\n")
     out = run_python(code, MVCRYSTALS_PREC=value)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == value
+    assert out.stdout.strip() == "32"
