@@ -9,9 +9,11 @@ where two general matrices meet.
 The matrix realization is type A only; all other types reach the loop group
 purely through the combinatorial modules.  Fundamental-representation data is
 the wedge power Lambda^k C^n.  Every valuation formula is one routine over the
-minors of g^{-1} on column sets S, val(Lambda^{|S|} g^{-1} e_S): for [g] in
+k-minors of g^{-1} on column sets S, val(Lambda^k g^{-1} e_S): for [g] in
 S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}), on the first or
-last k columns; the orbit takes all S of one size.
+last k columns; the orbit takes all S of one size.  With 2k > n the routine
+reads them off g's (n-k)-minors by Jacobi's identity, so in SL_3 every
+valuation read is an entry of g or of g^{-1}.
 
 The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
 q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
@@ -179,9 +181,10 @@ class LoopGroup:
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
-        <omega_k, lambda> = min valuation over all k-minors of g.  By Jacobi
-        with det g = 1 these are +- the (n-k)-minors of g^{-1}, so the orbit
-        reads the inverse and minor cache that mu_plus and mu_minus read."""
+        <omega_k, lambda> = min valuation over all k-minors of g, which by
+        Jacobi are +- det g times the (n-k)-minors of g^{-1}: the routine of
+        mu_plus and mu_minus, which reads g's k-minors for 2k < n and
+        g^{-1}'s (n-k)-minors otherwise."""
         lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
                                          for k in range(1, self.n)]))
         if not self.datum.is_antidominant(lam):  # every valuation read is certified
@@ -222,15 +225,23 @@ class LoopGroup:
         and fixes Delta_{R'}; Delta_R vanishes on the cell of s_i w, so
         p = Delta_R / Delta_{R'} (Berenstein-Zelevinsky, Total positivity in
         Schubert varieties, 1997).  Peeling y_i(p) off the left is
-        "row i+1 -= p * row i".  The full residual is checked to be trivial
-        at the end; it compares known windows only, so a parameter whose
-        known window is all zero raises PrecisionError when it is peeled."""
+        "row i+1 -= p * row i", which changes row i+1 left of column i+1 only
+        when g is exactly zero above the diagonal; a g that is not raises
+        GenericityError.  The residual's entries on and below the diagonal
+        are checked against 1 and 0 at the end; that compares known windows
+        only, so a parameter whose known window is all zero raises
+        PrecisionError when it is peeled."""
         n = self.n
         word = tuple(word)
         if not self.datum.is_w0_word(word):
             raise RootDataError(f"{word} is not a reduced word of w_0")
+        res = list(g.rows)  # the residual, one row rewritten per step
+        if not all(res[a][b].is_known_zero and res[a][b].is_exact
+                   for a in range(n) for b in range(a + 1, n)):
+            raise GenericityError(f"factor_y input of SL_{n} on {word} is not exactly zero "
+                                  f"above the diagonal")
         perm = tuple(range(n, 0, -1))  # one-line of w0
-        cur, one = g, LaurentSeries.one()
+        one = LaurentSeries.one()
         ps = []
         for step, i in enumerate(word):
             a = perm.index(i) + 1
@@ -243,6 +254,7 @@ class LoopGroup:
             m = 0
             while rows[m] == m:
                 m += 1
+            cur = LaurentMatrix._of(tuple(res))
             num = cur.minor_det(rows[m:], range(m, b))
             rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
             den = cur.minor_det(rows[m:], range(m, b))
@@ -251,13 +263,12 @@ class LoopGroup:
                 raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
                                      f"is O(t^{p.cap})")
             ps.append(p)
-            res = list(cur.rows)
             res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
-                           for x, y in zip(res[i], res[i - 1]))
-            cur = LaurentMatrix._of(tuple(res))
+                           for x, y in zip(res[i][:i], res[i - 1])) + res[i][i:]
             perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
         # the residual must be the identity within precision
-        if not cur.agrees_with(LaurentMatrix.identity(n)):
+        if not all(res[a][b].agrees_with(one) if a == b else res[a][b].is_known_zero
+                   for a in range(n) for b in range(a + 1)):
             raise GenericityError(f"factorization residual of SL_{n} on {word} is not the identity")
         return ps
 
@@ -295,11 +306,27 @@ class LoopGroup:
 
 
 def _inverse_vals(g: LaurentMatrix, families) -> tuple:
-    """For each family of column sets S, min over S of val(Lambda^{|S|} g^{-1} e_S):
-    one vector_val over the minors of g.inverse() on the columns S, all row sets."""
-    ginv = g.inverse()
-    return tuple(vector_val([ginv.minor_det(rows, cols) for cols in family for rows in
-                             combinations(range(g.n), len(cols))]) for family in families)
+    """For each family of column sets S of one size k, min over S of
+    val(Lambda^k g^{-1} e_S), the least valuation of the k-minors of g^{-1} on
+    the columns S.  With 2k > n they are read off g by Jacobi's identity,
+    val Delta_{R,S}(g^{-1}) = val Delta_{S^c,R^c}(g) - val det g; the others
+    are minors of g.inverse().  A singular g raises ValueError."""
+    n, every = g.n, range(g.n)
+    det = g.minor_det(every, every)
+    if det.is_known_zero and det.is_exact:
+        raise ValueError(f"the matrix is singular (det = 0): it is not in SL_{n}(K)")
+    vals = []
+    for family in map(tuple, families):
+        k = len(family[0])
+        if 2 * k > n:
+            vals.append(vector_val([g.minor_det([r for r in every if r not in cols], rows)
+                                    for cols in family
+                                    for rows in combinations(every, n - k)]) - det.val())
+        else:
+            ginv = g.inverse()
+            vals.append(vector_val([ginv.minor_det(rows, cols) for cols in family
+                                    for rows in combinations(every, k)]))
+    return tuple(vals)
 
 
 def _pivot(s: LaurentSeries, what) -> LaurentSeries:

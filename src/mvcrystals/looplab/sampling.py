@@ -81,9 +81,10 @@ def random_unit_series(rng: random.Random) -> LaurentSeries:
                           2: rng.randint(-9, 9)})
 
 
-def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
+def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7, orbit=True):
     """Sample points of Y~_{word,c}: products y_{i_j}(p_j) with
-    val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit) per trial."""
+    val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit) per trial; with
+    orbit=False the orbit is not computed and reads None."""
     datum = group.datum
     word, c = tuple(word), tuple(c)
     if not all(1 <= i <= datum.rank for i in word) or len(c) != len(word):
@@ -95,7 +96,7 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     for trial in range(trials):
         rng = random.Random(repr((seed, "ytilde", tuple(word), tuple(c), trial)))
         ps = [random_unit_series(rng).shift(ct) for ct in sp.c_tilde]
-        reports.append(_report(group, trial, group.y_product(word, ps)))
+        reports.append(_report(group, trial, group.y_product(word, ps), orbit))
     return reports
 
 
@@ -113,11 +114,14 @@ def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> Lauren
         for step in gallery.phi_plus for beta in step], nu)
 
 
-def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7):
+def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7, orbit=True):
+    """Sample points of the cell of gallery (cell_point), reporting
+    (mu_plus, mu_minus, orbit) per trial; with orbit=False the orbit is not
+    computed and reads None."""
     reports = []
     for trial in range(trials):
         rng = random.Random(repr((seed, "cell", gallery.delta0.cmat, gallery.flips, trial)))
-        reports.append(_report(group, trial, cell_point(group, gallery, rng)))
+        reports.append(_report(group, trial, cell_point(group, gallery, rng), orbit))
     return reports
 
 

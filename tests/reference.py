@@ -1,15 +1,26 @@
 """Root-datum, affine Weyl group and loop-group formulas that only the tests use:
 the apartment's faces evaluated at their vertices, which the library's closed
-forms on W's tables are checked against, and the Gauss-plus-peel string ->
-Lusztig parameters, which factor_z's Chamber Ansatz is checked against."""
+forms on W's tables are checked against; the Gauss-plus-peel string ->
+Lusztig parameters, which factor_z's Chamber Ansatz is checked against; the
+valuations read off every minor of g^{-1}, which the library's Jacobi reading
+is checked against; and the peel that rebuilds the whole residual each step,
+which factor_y's one-row peel is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from mvcrystals.affine import AffineRoot, AffWeylElt, face_vertices, fundamentalize, phi_plus_aff
-from mvcrystals.looplab.series import LaurentMatrix, vector_val
-from mvcrystals.rootdata import Coweight
+from mvcrystals.looplab.groups import _pivot
+from mvcrystals.looplab.series import (
+    GenericityError,
+    LaurentMatrix,
+    LaurentSeries,
+    PrecisionError,
+    sum_products,
+    vector_val,
+)
+from mvcrystals.rootdata import Coweight, RootDataError
 
 
 def rho_coweight(datum):
@@ -107,3 +118,49 @@ def ref_factor_z(group, g, word):
     g wbar(w0), y-factored by the peel."""
     # g in B^+ y(q) wbar^{-1}  <=>  y(q) = lower Gauss factor of g wbar
     return group.factor_y(group.gauss_decompose(g * group.wbar_w0), word)
+
+
+def ref_inverse_vals(g, families):
+    """For each family of column sets S, min over S of val(Lambda^{|S|} g^{-1} e_S):
+    one vector_val over the minors of g.inverse() on the columns S, all row sets."""
+    ginv = g.inverse()
+    return tuple(vector_val([ginv.minor_det(rows, cols) for cols in family for rows in
+                             combinations(range(g.n), len(cols))]) for family in families)
+
+
+def ref_factor_y(group, g, word):
+    """y_word(p) = g for generic lower unitriangular g by the peel of
+    LoopGroup.factor_y, rewriting every entry of row i+1 into a new matrix on
+    each step and comparing the residual with the identity matrix at the end."""
+    n = group.n
+    word = tuple(word)
+    if not group.datum.is_w0_word(word):
+        raise RootDataError(f"{word} is not a reduced word of w_0")
+    perm = tuple(range(n, 0, -1))  # one-line of w0
+    cur, one = g, LaurentSeries.one()
+    ps = []
+    for step, i in enumerate(word):
+        a = perm.index(i) + 1
+        b = perm.index(i + 1) + 1
+        if a < b:
+            raise RootDataError("word does not stay reduced along the peel")
+        rows = sorted(x - 1 for x in perm[:b])  # R, 0-based
+        m = 0
+        while rows[m] == m:
+            m += 1
+        num = cur.minor_det(rows[m:], range(m, b))
+        rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
+        den = cur.minor_det(rows[m:], range(m, b))
+        p = num / _pivot(den, lambda: f"peel minor of y_{i} at step {step} of {word}")
+        if p.is_known_zero and not p.is_exact:
+            raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
+                                 f"is O(t^{p.cap})")
+        ps.append(p)
+        res = list(cur.rows)
+        res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
+                       for x, y in zip(res[i], res[i - 1]))
+        cur = LaurentMatrix._of(tuple(res))
+        perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
+    if not cur.agrees_with(LaurentMatrix.identity(n)):
+        raise GenericityError(f"factorization residual of SL_{n} on {word} is not the identity")
+    return ps

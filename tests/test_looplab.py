@@ -27,14 +27,21 @@ from mvcrystals.looplab import (
     set_default_rel_prec,
     trop_eval,
 )
-from mvcrystals.looplab import sampling
+from mvcrystals.looplab import groups, sampling
 from mvcrystals.looplab.sampling import (
     lusztig_to_string_map,
     random_unit_series,
     string_to_lusztig_map,
 )
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
-from reference import act_root, orbit_from_minors_of_g, ref_factor_z, ref_phi_plus
+from reference import (
+    act_root,
+    orbit_from_minors_of_g,
+    ref_factor_y,
+    ref_factor_z,
+    ref_inverse_vals,
+    ref_phi_plus,
+)
 from stabwork import coefficient, sqrt
 
 A1 = build_root_datum("A", 1)
@@ -282,21 +289,36 @@ def test_factored_inverse_is_the_adjugate_on_cell_points(datum, lam):
         assert g.inverse().equals_exact(_adjugate_inverse(g)), node.weight
 
 
+def _sampled_points(crit, monkeypatch):
+    """(group, g) for every point criterion crit samples: each matrix it hands
+    sampling._report, in order."""
+    report, points = sampling._report, []
+
+    def capture(group, trial, g, orbit=True):
+        points.append((group, g))
+        return report(group, trial, g, orbit)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_report", capture)
+        assert crit({})[0]
+    return points
+
+
 @pytest.mark.parametrize("crit", [verify.crit_7_ytilde_sampling, verify.crit_8_cell_sampling])
 def test_orbit_coweight_reads_the_minors_of_g(crit, monkeypatch):
-    # on every criterion 7/8 draw, the orbit read off the (n-k)-minors of
-    # g^{-1} equals the one read off the k-minors of g
-    orbit, points = LoopGroup.orbit_coweight, []
-
-    def checked(group, g):
-        points.append(g)
-        got = orbit(group, g)
-        assert got == orbit_from_minors_of_g(g), (g, got)
-        return got
-
-    monkeypatch.setattr(LoopGroup, "orbit_coweight", checked)
-    assert crit({})[0]
-    assert len(points) == (2 * 30 if crit is verify.crit_7_ytilde_sampling else 8) * 5
+    # on every criterion 7/8 draw, the orbit read by the valuation routine
+    # equals the one read off the k-minors of g alone; criterion 8 reads the
+    # orbit of each of its 40 draws, criterion 7 of none of its 300
+    orbit, read = LoopGroup.orbit_coweight, []
+    monkeypatch.setattr(LoopGroup, "orbit_coweight",
+                        lambda group, g: read.append(g) or orbit(group, g))
+    points = _sampled_points(crit, monkeypatch)
+    if crit is verify.crit_7_ytilde_sampling:
+        assert (len(points), len(read)) == (2 * 30 * 5, 0)
+    else:
+        assert [g for _, g in points] == read and len(read) == 8 * 5
+    for group, g in points:
+        assert orbit(group, g) == orbit_from_minors_of_g(g), g
 
 
 def test_kept_inverse_follows_the_default_precision():
@@ -456,6 +478,80 @@ def test_orbit_coweight_rejects_a_matrix_off_sl_n():
     with pytest.raises(ValueError, match=r"^orbit parameter \(10, 5\) is not antidominant: "
                                          r"the matrix is not in SL_3\(K\)$"):
         G2.orbit_coweight(g)
+
+
+def _valuations_by_both_routes(group, g, monkeypatch):
+    """(mu_plus, mu_minus, orbit_coweight) of g by the library's valuation
+    routine and by ref_inverse_vals, which reads every minor off g.inverse();
+    an error is kept as (class, message)."""
+    def outcomes():
+        out = []
+        for f in (group.mu_plus, group.mu_minus, group.orbit_coweight):
+            try:
+                out.append(f(g))
+            except (ValueError, PrecisionError) as e:
+                out.append((type(e), str(e)))
+        return out
+
+    got = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_inverse_vals", ref_inverse_vals)
+        return got, outcomes()
+
+
+@pytest.mark.parametrize("crit", [verify.crit_7_ytilde_sampling, verify.crit_8_cell_sampling,
+                                  verify.crit_9_crystal_op])
+def test_valuations_match_the_inverse_minor_reference_on_criterion_draws(crit, monkeypatch):
+    # criterion 9's draws are crystal_op_sample's dense products y_i(p) g on
+    # its cell points, and the cell points of the raised galleries
+    points = _sampled_points(crit, monkeypatch)
+    assert len(points) == {"crit_7_ytilde_sampling": 300, "crit_8_cell_sampling": 40,
+                           "crit_9_crystal_op": 80}[crit.__name__]
+    for group, g in points:
+        got, ref = _valuations_by_both_routes(group, g, monkeypatch)
+        assert got == ref, g
+
+
+def test_valuations_match_the_inverse_minor_reference_on_a4_y_products(monkeypatch):
+    word = G4.datum.reduced_word(G4.datum.longest_element())
+    rng = random.Random("valuations-a4")
+    for _ in range(4):
+        g = G4.y_product(word, [random_unit_series(rng).shift(rng.randint(-2, 2))
+                                for _ in word])
+        got, ref = _valuations_by_both_routes(G4, g, monkeypatch)
+        assert got == ref, g
+
+
+def test_valuations_match_the_inverse_minor_reference_off_sl_n(monkeypatch):
+    # det t^-15: the large minors of g^{-1} read off g need its valuation
+    t5, zero = LaurentSeries.t_power(-5), LaurentSeries.zero()
+    g = LaurentMatrix([[t5, zero, zero], [zero, t5, zero], [zero, zero, t5]])
+    got, ref = _valuations_by_both_routes(G2, g, monkeypatch)
+    assert got == ref
+    assert got == [Coweight((-5, -10)), Coweight((10, 5)),
+                   (ValueError, "orbit parameter (10, 5) is not antidominant: "
+                                "the matrix is not in SL_3(K)")]
+
+
+def test_valuations_match_the_inverse_minor_reference_on_a_windowed_entry(monkeypatch):
+    # the entry O(t^-2) may hide a valuation below the known minimum 0 of
+    # column 1 of g^{-1} and of the entries of g
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    g = LaurentMatrix([[one, zero, zero], [zero, one, zero],
+                       [LaurentSeries({}, cap=-2), zero, one]])
+    got, ref = _valuations_by_both_routes(G2, g, monkeypatch)
+    assert got == ref
+    assert got[0][0] is PrecisionError and got[2][0] is PrecisionError
+
+
+def test_a_singular_matrix_is_named_singular():
+    # two equal rows: det g is the exact zero, no precision makes g invertible
+    one, zero, t = LaurentSeries.one(), LaurentSeries.zero(), LaurentSeries.t_power(1)
+    g = LaurentMatrix([[one, t, zero], [one, t, zero], [zero, one, one]])
+    for f in (G2.mu_plus, G2.mu_minus, G2.orbit_coweight):
+        with pytest.raises(ValueError, match=r"^the matrix is singular \(det = 0\): "
+                                             r"it is not in SL_3\(K\)$"):
+            f(g)
 
 
 def test_coset_equal_cannot_decide_an_empty_negative_window():
@@ -761,6 +857,70 @@ def test_factor_y_rejects_a_peeled_parameter_with_an_empty_window():
             [q.val() for q in G4.factor_z(g, word)]
     finally:
         set_default_rel_prec(before)
+
+
+def _peel_by_both_routes(group, g, word):
+    """factor_y and ref_factor_y of g, a parameter list or the error class."""
+    def outcome(peel):
+        try:
+            return peel(g, word)
+        except (GenericityError, PrecisionError) as e:
+            return type(e)
+
+    return outcome(group.factor_y), outcome(lambda h, w: ref_factor_y(group, h, w))
+
+
+@pytest.mark.parametrize("group", [G2, G3], ids=["A2", "A3"])
+def test_factor_y_matches_the_whole_residual_peel(group):
+    # every reduced word of w_0, on the exact y-products of criterion 12's
+    # unit series and on the windowed Gauss factors z_of makes of monomials
+    # at relative precision 1 and 32: equal parameters, coefficients and caps
+    datum = group.datum
+    rng = random.Random(repr((verify._SEED, "crit12", datum.rank)))
+    outcomes = []
+    before = default_rel_prec()
+    try:
+        for word in sorted(datum.enumerate_reduced_words(datum.longest_element())):
+            ps = [random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word]
+            outcomes.append(_peel_by_both_routes(group, group.y_product(word, ps), word))
+            mono = random.Random(repr(("peel", word)))
+            qs = [LaurentSeries.t_power(mono.randint(-3, 3), mono.randint(1, 3)) for _ in word]
+            for prec in (1, 32):
+                set_default_rel_prec(prec)
+                outcomes.append(_peel_by_both_routes(group, group.z_of(word, qs), word))
+    finally:
+        set_default_rel_prec(before)
+    assert all(got == ref for got, ref in outcomes), outcomes
+    # at precision 1 some peeled windows run out, on both routes
+    assert {2: 0, 3: 5}[datum.rank] == sum(got is PrecisionError for got, _ in outcomes)
+
+
+def test_factor_y_and_the_whole_residual_peel_refuse_the_a4_reproducer():
+    # the input of test_factor_y_rejects_a_peeled_parameter_with_an_empty_window
+    word = (1, 3, 2, 3, 1, 4, 3, 2, 1, 3)
+    rng = random.Random(repr(("factor-z", word)))
+    [LaurentSeries.t_power(rng.randint(-3, 3), rng.randint(1, 3)) for _ in word]
+    ps = [random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word]
+    before = default_rel_prec()
+    try:
+        set_default_rel_prec(16)
+        u = G4.gauss_decompose(G4.y_product(word, ps) * G4.wbar_w0)
+        assert _peel_by_both_routes(G4, u, word) == (PrecisionError, PrecisionError)
+    finally:
+        set_default_rel_prec(before)
+
+
+@pytest.mark.parametrize("entry", [LaurentSeries.t_power(1), LaurentSeries({}, cap=5)],
+                         ids=["t", "O(t^5)"])
+def test_factor_y_rejects_a_matrix_not_exactly_zero_above_the_diagonal(entry):
+    # the peel rewrites row i+1 left of column i+1 only, which is all of
+    # "row i+1 -= p * row i" only when row i is exactly zero right of column i
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    g = LaurentMatrix([[one, entry, zero], [LaurentSeries.t_power(-1), one, zero],
+                       [zero, one, one]])
+    with pytest.raises(GenericityError, match=r"^factor_y input of SL_3 on \(1, 2, 1\) is "
+                                              r"not exactly zero above the diagonal$"):
+        G2.factor_y(g, (1, 2, 1))
 
 
 @pytest.mark.parametrize("b", [G2.gen_x(A2.simple_root(1), LaurentSeries.t_power(1)),
