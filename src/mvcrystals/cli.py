@@ -100,8 +100,6 @@ def cmd_cone(args):
 def cmd_mv_sample(args):
     from mvcrystals.looplab import LoopGroup, sample_ytilde
 
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     datum = _datum(args)
     group = LoopGroup(datum)
     word = _word(args.word)
@@ -193,7 +191,7 @@ def build_parser():
 
     p = sub.add_parser("mv-sample", help="sample Y~_{word,c} valuations")
     add_datum_flags(p)
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help="reduced word of w_0, 1-based")
     p.add_argument("--c", required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)

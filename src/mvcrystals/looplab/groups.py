@@ -2,18 +2,18 @@
 for the mu_+/mu_-/orbit parameters, Gauss decomposition and y-factorization.
 
 Every product of root-subgroup elements (x_beta, y_i, sbar_i, wbar, t^nu, the
-y-products of Y~_{i,c}, cell points) is ``LoopGroup.x_product``: one column
-operation per factor, and it inverts by its factors.  Dense products remain
-where two general matrices meet.
+y-products of Y~_{i,c}, cell points, rank-one cosets) is ``LoopGroup.x_product``:
+one column operation per factor, and it inverts by its factors.  Dense products
+remain where two general matrices meet (coset_equal's u^{-1} v, z_of's
+y wbar(w0)^{-1}, crystal_op_sample's y_i(p) g, the self-check); none is inverted.
 
 The matrix realization is type A only; all other types reach the loop group
 purely through the combinatorial modules.  Fundamental-representation data is
 the wedge power Lambda^k C^n.  Every valuation formula is one routine over the
 k-minors of g^{-1} on column sets S, val(Lambda^k g^{-1} e_S): for [g] in
 S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}), on the first or
-last k columns; the orbit takes all S of one size.  With 2k > n the routine
-reads them off g's (n-k)-minors by Jacobi's identity, so in SL_3 every
-valuation read is an entry of g or of g^{-1}.
+last k columns; the orbit takes all S of one size.  With 2k > n, or g not a
+word, the routine reads them off g's (n-k)-minors by Jacobi's identity.
 
 The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
 q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
@@ -183,8 +183,8 @@ class LoopGroup:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
         <omega_k, lambda> = min valuation over all k-minors of g, which by
         Jacobi are +- det g times the (n-k)-minors of g^{-1}: the routine of
-        mu_plus and mu_minus, which reads g's k-minors for 2k < n and
-        g^{-1}'s (n-k)-minors otherwise."""
+        mu_plus and mu_minus, which reads g's k-minors for 2k < n or g not a
+        word, and the factored g^{-1}'s (n-k)-minors otherwise."""
         lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
                                          for k in range(1, self.n)]))
         if not self.datum.is_antidominant(lam):  # every valuation read is certified
@@ -193,8 +193,9 @@ class LoopGroup:
         return lam
 
     def coset_equal(self, u: LaurentMatrix, v: LaurentMatrix) -> bool:
-        """[u] = [v] in G(K)/G(O): u^{-1} v has all entries of valuation >= 0.
-        An entry known only as O(t^m) with m < 0 raises PrecisionError."""
+        """[u] = [v] in G(K)/G(O) for a word u (an x_product): u^{-1} v, a dense
+        product never inverted, has all entries of valuation >= 0.  An entry
+        known only as O(t^m) with m < 0 raises PrecisionError."""
         return (u.inverse() * v).all_entries_val_nonneg()
 
     # -- factorizations --------------------------------------------------------------
@@ -308,9 +309,10 @@ class LoopGroup:
 def _inverse_vals(g: LaurentMatrix, families) -> tuple:
     """For each family of column sets S of one size k, min over S of
     val(Lambda^k g^{-1} e_S), the least valuation of the k-minors of g^{-1} on
-    the columns S.  With 2k > n they are read off g by Jacobi's identity,
-    val Delta_{R,S}(g^{-1}) = val Delta_{S^c,R^c}(g) - val det g; the others
-    are minors of g.inverse().  A singular g raises ValueError."""
+    the columns S.  With 2k > n, or for a dense g, which is never inverted,
+    they are read off g by Jacobi's identity, val Delta_{R,S}(g^{-1}) =
+    val Delta_{S^c,R^c}(g) - val det g; the others are minors of a word's
+    factored g.inverse().  A singular g raises ValueError."""
     n, every = g.n, range(g.n)
     det = g.minor_det(every, every)
     if det.is_known_zero and det.is_exact:
@@ -318,7 +320,7 @@ def _inverse_vals(g: LaurentMatrix, families) -> tuple:
     vals = []
     for family in map(tuple, families):
         k = len(family[0])
-        if 2 * k > n:
+        if g._word is None or 2 * k > n:
             vals.append(vector_val([g.minor_det([r for r in every if r not in cols], rows)
                                     for cols in family
                                     for rows in combinations(every, n - k)]) - det.val())

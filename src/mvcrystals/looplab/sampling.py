@@ -81,19 +81,27 @@ def random_unit_series(rng: random.Random) -> LaurentSeries:
                           2: rng.randint(-9, 9)})
 
 
+def _trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return range(trials)
+
+
 def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7, orbit=True):
-    """Sample points of Y~_{word,c}: products y_{i_j}(p_j) with
-    val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit) per trial; with
-    orbit=False the orbit is not computed and reads None."""
+    """Sample points of Y~_{word,c} for a reduced word of w_0: products
+    y_{i_j}(p_j) with val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit)
+    per trial; with orbit=False the orbit is not computed and reads None."""
     datum = group.datum
     word, c = tuple(word), tuple(c)
     if not all(1 <= i <= datum.rank for i in word) or len(c) != len(word):
         raise RootDataError(
             f"c = {c} on word {word}: need letters in 1..{datum.rank} and one c entry "
             f"per letter; the word has {len(word)} letters, c has {len(c)} entries")
+    if not datum.is_w0_word(word):
+        raise RootDataError(f"{word} is not a reduced word of w_0")
     sp = string_param_from_c(datum, word, c)
     reports = []
-    for trial in range(trials):
+    for trial in _trials(trials):
         rng = random.Random(repr((seed, "ytilde", tuple(word), tuple(c), trial)))
         ps = [random_unit_series(rng).shift(ct) for ct in sp.c_tilde]
         reports.append(_report(group, trial, group.y_product(word, ps), orbit))
@@ -119,7 +127,7 @@ def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7, orbit=True
     (mu_plus, mu_minus, orbit) per trial; with orbit=False the orbit is not
     computed and reads None."""
     reports = []
-    for trial in range(trials):
+    for trial in _trials(trials):
         rng = random.Random(repr((seed, "cell", gallery.delta0.cmat, gallery.flips, trial)))
         reports.append(_report(group, trial, cell_point(group, gallery, rng), orbit))
     return reports
@@ -139,7 +147,9 @@ def crystal_op_sample(group: LoopGroup, points, i, k, eps, seed=7):
 def rank_one_identity_check(group: LoopGroup, nu_c: int, n_steps: int,
                             q: LaurentSeries) -> bool:
     """[x_{-alpha}(q^{-1} t^{-<alpha,lam+nu>/2}) t^nu] = [x_alpha(q t^{...}) t^lam]
-    in SL_2, where lam = nu + n alpha^vee and q is a unit series."""
+    in SL_2, where lam = nu + n alpha^vee and q is a unit series.  Both sides
+    are words, x_beta(p) t^mu = t^mu x_beta(p t^{-<beta, mu>}) as in cell_point,
+    so coset_equal's u^{-1} v is the one dense product, and it is never inverted."""
     datum = group.datum
     if datum.rank != 1:
         raise RootDataError("rank-one identity lives in SL_2")
@@ -149,8 +159,8 @@ def rank_one_identity_check(group: LoopGroup, nu_c: int, n_steps: int,
     half = datum.pairing(alpha, lam + nu) // 2
     if n_steps == 0:
         return group.coset_equal(group.gen_t(nu), group.gen_t(lam))
-    u = group.gen_x(-alpha, q.inverse().shift(-half)) * group.gen_t(nu)
-    v = group.gen_x(alpha, q.shift(half)) * group.gen_t(lam)
+    u = group.x_product([group.x_factor(-alpha, q.inverse(), datum.pairing(alpha, nu) - half)], nu)
+    v = group.x_product([group.x_factor(alpha, q, half - datum.pairing(alpha, lam))], lam)
     return group.coset_equal(u, v)
 
 
@@ -190,13 +200,13 @@ def trop_eval(func, m, trials=3):
     and all k, or valuations that differ between the k raise LoopGroupError.
     A valuation or pivot indistinguishable from zero (PrecisionError) doubles
     the working relative precision, up to 256."""
+    ks = [k + 1 for k in _trials(trials)]
     base_prec = prec = default_rel_prec()
     try:
         while True:
             set_default_rel_prec(prec)
             try:
-                outs = [func([LaurentSeries.t_power(mj, k) for mj in m])
-                        for k in range(1, trials + 1)]
+                outs = [func([LaurentSeries.t_power(mj, k) for mj in m]) for k in ks]
                 if any(s.is_known_zero and s.is_exact for out in outs for s in out):
                     raise LoopGroupError(f"an output is exactly zero at m = {list(m)}")
                 vals = [[s.val() for s in out] for out in outs]

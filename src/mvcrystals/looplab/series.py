@@ -24,13 +24,14 @@ caps by the partner's valuation lower bound.  Division is long division from
 the lowest term.  A quotient of exact operands that divides out is exact, and
 so is any quotient by an exact monomial.  Any other quotient is known on
 ``rel`` exponents from val(num) - val(den), fewer if the numerator's own
-window ends sooner; ``rel`` is ``rel_prec`` (else the context's default) for an
-exact divisor, and the divisor's own relative window (or ``rel_prec`` if
-smaller) for a windowed one.  ``inverse`` is 1 / self.  Valuations are only
-ever reported below the cap; a series whose known window is all zero raises
-:class:`PrecisionError` instead of guessing, and dividing by the exact zero
-raises ZeroDivisionError.  A matrix of root-subgroup
-factors inverts by them, with no determinant (see ``LaurentMatrix``).
+window ends sooner; ``rel`` is the context's relative precision
+(``set_default_rel_prec``) for an exact divisor, and the divisor's own
+relative window for a windowed one.  ``inverse`` is 1 / self.  Valuations are
+only ever reported below the cap; a series whose known window is all zero
+raises :class:`PrecisionError` instead of guessing, and dividing by the exact
+zero raises ZeroDivisionError.  Only a word of root-subgroup factors inverts,
+by them (see ``LaurentMatrix``); the dense products left (coset_equal's u^{-1} v,
+z_of's y wbar(w0)^{-1}, crystal_op_sample's y_i(p) g, the self-check) never do.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class LaurentSeries:
         return LaurentSeries._of({e + n: c for e, c in self.coeffs.items()},
                                  None if self.cap is None else self.cap + n)
 
-    def __truediv__(self, other, rel_prec=None):
+    def __truediv__(self, other):
         """self / other by long division from the lowest term; the quotient's
         window is set out in the module docstring."""
         if not other.coeffs and other.cap is None:  # no precision makes it a unit
@@ -215,10 +216,7 @@ class LaurentSeries:
             return LaurentSeries.zero()
         cap = None if self.cap is None else self.cap - v
         if other.cap is not None or len(other.coeffs) > 1:
-            if other.cap is None:
-                rel = rel_prec if rel_prec is not None else default_rel_prec()
-            else:
-                rel = other.cap - v if rel_prec is None else min(other.cap - v, rel_prec)
+            rel = default_rel_prec() if other.cap is None else other.cap - v
             cap = _min_cap(cap, low - v + rel)
         exact = self.cap is None and other.cap is None
         stop = cap
@@ -239,9 +237,9 @@ class LaurentSeries:
                         del rem[x]
         return LaurentSeries._of(out, None if exact and not rem else cap)
 
-    def inverse(self, rel_prec=None):
+    def inverse(self):
         """Multiplicative inverse: 1 / self, exact for monomials."""
-        return LaurentSeries.one().__truediv__(self, rel_prec)
+        return _ONE / self
 
     def __pow__(self, n):
         if n < 0:
@@ -301,10 +299,10 @@ _ONE = LaurentSeries._of({0: 1}, None)
 
 class LaurentMatrix:
     """A square matrix of series; it never changes, so it keeps its minors
-    and its exact inverse.  A ``_factored`` matrix t^d x_{j_1 k_1}(p_1) ...
-    x_{j_N k_N}(p_N) inverts by its factors, with no determinant:
+    and its inverse.  Only a ``_factored`` word t^d x_{j_1 k_1}(p_1) ...
+    x_{j_N k_N}(p_N) inverts, by its factors, with no determinant:
     t^-d x_{j_N k_N}(-p_N t^{d_j - d_k}) ... x_{j_1 k_1}(-p_1 t^{d_j - d_k}).
-    Any other matrix inverts by its adjugate."""
+    A dense matrix (``LaurentMatrix(rows)``, a ``*`` product) never does."""
 
     __slots__ = ("n", "rows", "_minors", "_inverse", "_word")
 
@@ -352,27 +350,16 @@ class LaurentMatrix:
         return self.minor_det(range(self.n), range(self.n))
 
     def inverse(self):
-        """Reversed factors (see the class), or adjugate over det.  Kept unless
-        1/det is windowed by the precision in force (det not an exact
-        monomial); then it is rebuilt on each call."""
-        if self._inverse is not None:
-            return self._inverse
-        if self._word is not None:
+        """The reversed factors of a root-subgroup word (see the class), kept.
+        Any other matrix raises ValueError."""
+        if self._inverse is None:
+            if self._word is None:
+                raise ValueError(f"only a root-subgroup word inverts, by its factors: "
+                                 f"{self!r} is not one")
             d, factors = self._word
             self._inverse = LaurentMatrix._factored(tuple(-e for e in d), [
                 (j, k, -p.shift(d[j] - d[k])) for j, k, p in reversed(factors)])
-            return self._inverse
-        dinv = self.det().inverse()
-        idx = tuple(range(self.n))
-        cof = [[None] * self.n for _ in idx]
-        for i in idx:
-            for j in idx:
-                c = self.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
-                cof[j][i] = sum_products(((c, dinv, -1 if (i + j) % 2 else 1),))
-        inv = LaurentMatrix._of(tuple(map(tuple, cof)))
-        if dinv.is_exact:
-            self._inverse = inv
-        return inv
+        return self._inverse
 
     def minor_det(self, rows, cols) -> LaurentSeries:
         """The minor on these rows and columns, in the order given."""

@@ -3,8 +3,10 @@ the apartment's faces evaluated at their vertices, which the library's closed
 forms on W's tables are checked against; the Gauss-plus-peel string ->
 Lusztig parameters, which factor_z's Chamber Ansatz is checked against; the
 valuations read off every minor of g^{-1}, which the library's Jacobi reading
-is checked against; and the peel that rebuilds the whole residual each step,
-which factor_y's one-row peel is checked against."""
+is checked against; the adjugate inverse of a matrix that is not a
+root-subgroup word, which the library never inverts; and the peel that
+rebuilds the whole residual each step, which factor_y's one-row peel is
+checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -120,10 +122,27 @@ def ref_factor_z(group, g, word):
     return group.factor_y(group.gauss_decompose(g * group.wbar_w0), word)
 
 
+def ref_adjugate_inverse(g):
+    """g^{-1} as the adjugate over det g, for any invertible g.  1/det is
+    windowed by the precision in force unless det g is an exact monomial, so
+    the result follows the precision of each call; nothing is kept, and each
+    call builds it anew."""
+    dinv = g.det().inverse()
+    idx = tuple(range(g.n))
+    cof = [[None] * g.n for _ in idx]
+    for i in idx:
+        for j in idx:
+            c = g.minor_det(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+            cof[j][i] = sum_products(((c, dinv, -1 if (i + j) % 2 else 1),))
+    return LaurentMatrix._of(tuple(map(tuple, cof)))
+
+
 def ref_inverse_vals(g, families):
     """For each family of column sets S, min over S of val(Lambda^{|S|} g^{-1} e_S):
-    one vector_val over the minors of g.inverse() on the columns S, all row sets."""
-    ginv = g.inverse()
+    one vector_val over the minors of g^{-1} on the columns S, all row sets,
+    with g^{-1} a root-subgroup word's g.inverse() and any other matrix's
+    adjugate."""
+    ginv = g.inverse() if g._word is not None else ref_adjugate_inverse(g)
     return tuple(vector_val([ginv.minor_det(rows, cols) for cols in family for rows in
                              combinations(range(g.n), len(cols))]) for family in families)
 

@@ -37,7 +37,7 @@ from mvcrystals.looplab.series import (
     default_rel_prec,
 )
 from mvcrystals.rootdata import Coweight, Root
-from reference import alcove, facet, ref_phi_plus
+from reference import alcove, facet, ref_adjugate_inverse, ref_phi_plus
 
 
 def _rand_nonzero(rng: random.Random, bound: int) -> Fraction:
@@ -121,6 +121,13 @@ def _factors(group: LoopGroup, tail):
 
 def _tail_matrix(group: LoopGroup, tail):
     return group.x_product(_factors(group, tail))
+
+
+def _word_times_t(group: LoopGroup, factors, nu: Coweight):
+    """x_product(factors) t^nu as the word t^nu x_jk(p t^{d_k - d_j}) ...:
+    each factor moved past t^nu = diag(t^{d_0}, ...)."""
+    d = group.coweight_diag(nu)
+    return group.x_product([(j, k, p.shift(d[k] - d[j])) for j, k, p in factors], nu)
 
 
 def _fixes_end(group: LoopGroup, mat: LaurentMatrix, nu: Coweight) -> bool:
@@ -311,7 +318,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     b_tail = coeffs[j:]
     x_h = group.x_factor(-alpha, h, -m - 1)
     tnu = group.gen_t(gallery.weight)
-    lhs = group.x_product(a_f + [x_h] + _factors(group, b_tail)) * tnu
+    lhs = _word_times_t(group, a_f + [x_h] + _factors(group, b_tail), gallery.weight)
 
     rw = _Rewriter(group, gallery)
     u0 = group.gen_x(alpha, LaurentSeries.t_power(m + 1, Fraction(1, 1) / h))
@@ -346,7 +353,7 @@ def prop_inclusion_coset_check(group: LoopGroup, gallery: Gallery, i: int,
     if not group.x_product(k_f).agrees_with(k_closed):
         return False
     if a_k is not None:
-        e_closed = (t_shift * sbar).inverse() * \
+        e_closed = ref_adjugate_inverse(t_shift * sbar) * \
             group.gen_torus(-co, LaurentSeries.from_scalar(-a_k)) * group.gen_t(co)
         if not group.x_product(e_f).agrees_with(e_closed):
             return False

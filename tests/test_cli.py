@@ -212,8 +212,10 @@ def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
      "c = (1, 0, 1) on word (1, 5, 1): need letters in 1..2 and one c entry per letter; "
      "the word has 3 letters, c has 3 entries"),
     (["--word", "1,2,1", "--c", "1,0,1", "--trials", "-3"],
-     "--trials must be at least 1, got -3"),
-], ids=["short-c", "bad-letter", "negative-trials"])
+     "trials must be at least 1, got -3"),
+    (["--word", "1,2", "--c", "1,0"], "(1, 2) is not a reduced word of w_0"),
+    (["--word", "1,1,1", "--c", "1,0,1"], "(1, 1, 1) is not a reduced word of w_0"),
+], ids=["short-c", "bad-letter", "negative-trials", "short-word", "unreduced-word"])
 def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     code, out, err = run_cli(["mv-sample", "--type", "A", "--rank", "2", *flags], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")

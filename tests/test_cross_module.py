@@ -35,10 +35,11 @@ def test_affine_conjugation_matches_symbolic_action():
         lam = Coweight((rng.randint(-2, 2), rng.randint(-2, 2)))
         w = rng.choice(A2.weyl_elements())
         g_aff = AffWeylElt(lam.coords, w)
-        mat = G2.gen_t(lam) * G2.gen_wbar(A2.reduced_word(w))
+        t, wbar = G2.gen_t(lam), G2.gen_wbar(A2.reduced_word(w))
         beta = AffineRoot(rng.choice(roots), rng.randint(-2, 2))
         a = Fraction(rng.randint(1, 7))
-        lhs = mat * G2.gen_x(beta.root, LaurentSeries.t_power(beta.level, a)) * mat.inverse()
+        lhs = t * wbar * G2.gen_x(beta.root, LaurentSeries.t_power(beta.level, a)) * \
+            wbar.inverse() * t.inverse()
         img = act_affine_root(g_aff, A2, beta)
         plus = G2.gen_x(img.root, LaurentSeries.t_power(img.level, a))
         minus = G2.gen_x(img.root, LaurentSeries.t_power(img.level, -a))

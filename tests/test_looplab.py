@@ -1,4 +1,6 @@
 import random
+import re
+from contextvars import copy_context
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -37,6 +39,7 @@ from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from reference import (
     act_root,
     orbit_from_minors_of_g,
+    ref_adjugate_inverse,
     ref_factor_y,
     ref_factor_z,
     ref_inverse_vals,
@@ -65,10 +68,12 @@ def test_series_val():
 
 
 def test_division_by_the_exact_zero_is_a_zero_division():
-    # not a precision shortfall: no precision makes the exact zero a unit
+    # not a precision shortfall: no precision makes the exact zero a unit,
+    # nor the adjugate of a singular matrix
     one, zero = LaurentSeries.one(), LaurentSeries.zero()
     singular = LaurentMatrix([[one, one], [one, one]])
-    for divide in (lambda: LaurentSeries({1: 3}) / zero, zero.inverse, singular.inverse):
+    for divide in (lambda: LaurentSeries({1: 3}) / zero, zero.inverse,
+                   lambda: ref_adjugate_inverse(singular)):
         with pytest.raises(ZeroDivisionError, match="exact zero"):
             divide()
 
@@ -86,7 +91,11 @@ def test_series_geometric_inverse():
 def test_series_inverse_of_integer_coefficients_stays_rational():
     # integer coefficients must not pass through float division
     s = LaurentSeries({0: 3, 1: 1})
-    inv = s.inverse(rel_prec=3)
+
+    def at_prec_3():
+        set_default_rel_prec(3)
+        return s.inverse()
+    inv = copy_context().run(at_prec_3)
     assert inv.coeffs == {0: Fraction(1, 3), 1: Fraction(-1, 9), 2: Fraction(1, 27)}
     assert (s * inv).agrees_with(LaurentSeries.one())
 
@@ -226,17 +235,19 @@ def test_gen_wbar_of_w0_is_the_dense_product_of_sbars(group):
     assert group.wbar_w0.rows == want.rows
 
 
-# -- a matrix keeps its inverse ------------------------------------------------
+# -- a word keeps its inverse; no other matrix is inverted -----------------------
 
 def test_one_by_one_inverse_is_exact():
     # the cofactor of a 1x1 matrix is the empty minor, which is 1
-    inv = LaurentMatrix([[LaurentSeries.from_scalar(2)]]).inverse()
+    inv = ref_adjugate_inverse(LaurentMatrix([[LaurentSeries.from_scalar(2)]]))
     assert inv.equals_exact(LaurentMatrix([[LaurentSeries.from_scalar(Fraction(1, 2))]]))
 
 
 def test_matrix_keeps_its_inverse(monkeypatch):
-    # an x_product inverts by its own factors, with no determinant; a dense
-    # product builds one adjugate (one det) and keeps it
+    # an x_product inverts by its own factors, with no determinant, and keeps
+    # that inverse; a dense product is not inverted at all, and its
+    # valuations are read off its own minors (ref_adjugate_inverse is the one
+    # det() caller of these, so the count is of adjugates built)
     ps = [LaurentSeries({0: 2, 1: 1}), LaurentSeries({1: 3}), LaurentSeries({-1: 1, 0: 5})]
     det = LaurentMatrix.det
     adjugates = []
@@ -248,16 +259,27 @@ def test_matrix_keeps_its_inverse(monkeypatch):
     assert (g * ginv).equals_exact(LaurentMatrix.identity(3))
     assert ginv.inverse().equals_exact(g)
     G2.mu_plus(g), G2.mu_minus(g), G2.orbit_coweight(g)
-    assert adjugates == []
     h = G2.gen_y(2, LaurentSeries({-1: 4})) * g
     G2.mu_plus(h), G2.mu_minus(h), G2.orbit_coweight(h)
-    assert h.inverse() is h.inverse()
+    assert adjugates == []
+    with pytest.raises(ValueError, match="only a root-subgroup word inverts"):
+        h.inverse()
+    assert ref_adjugate_inverse(h).equals_exact(ginv * G2.gen_y(2, LaurentSeries({-1: -4})))
     assert adjugates == [h]
 
 
-def _adjugate_inverse(g):
-    """g's inverse by adjugate over det: a copy of g keeps no factors."""
-    return LaurentMatrix(g.rows).inverse()
+def test_a_matrix_that_is_not_a_word_does_not_invert():
+    # LaurentMatrix(rows) keeps no factors, even when its rows are a word's
+    one, zero = LaurentSeries.one(), LaurentSeries.zero()
+    rows = [[one, zero], [LaurentSeries.t_power(-1), one]]
+    for g in (LaurentMatrix(rows), G1.gen_t(Coweight((1,))) * G1.gen_y(1, 1),
+              G1.gauss_decompose(G1.gen_y(1, 2) * G1.wbar_w0)):
+        with pytest.raises(ValueError, match=r"^only a root-subgroup word inverts, by its "
+                                             r"factors: LaurentMatrix\(\["):
+            g.inverse()
+    assert G1.gen_y(1, LaurentSeries.t_power(-1)).rows == LaurentMatrix(rows).rows
+    with pytest.raises(ValueError, match="only a root-subgroup word inverts"):
+        G1.coset_equal(LaurentMatrix(rows), G1.gen_t(Coweight((1,))))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -269,7 +291,7 @@ def test_factored_inverse_is_the_adjugate_on_y_products(rank):
     for _ in range(4):
         g = group.y_product(word, [random_unit_series(rng).shift(rng.randint(-2, 2))
                                    for _ in word])
-        assert g.inverse().equals_exact(_adjugate_inverse(g)), word
+        assert g.inverse().equals_exact(ref_adjugate_inverse(g)), word
 
 
 @pytest.mark.parametrize("datum, lam", [(A2, (1, 1)), (A2, (2, 2)), (A3, (1, 1, 1))],
@@ -286,7 +308,7 @@ def test_factored_inverse_is_the_adjugate_on_cell_points(datum, lam):
             for step in ref_phi_plus(node) for beta in step]) * \
             group.gen_t(node.weight)
         assert g.equals_exact(dense), node.weight
-        assert g.inverse().equals_exact(_adjugate_inverse(g)), node.weight
+        assert g.inverse().equals_exact(ref_adjugate_inverse(g)), node.weight
 
 
 def _sampled_points(crit, monkeypatch):
@@ -322,22 +344,19 @@ def test_orbit_coweight_reads_the_minors_of_g(crit, monkeypatch):
 
 
 def test_kept_inverse_follows_the_default_precision():
-    # 1/(1 + t) is windowed by the default relative precision, so that
-    # inverse is rebuilt at the precision of each call; wbar(w0) has det 1
-    # and keeps its exact inverse
+    # 1/(1 + t) is windowed by the default relative precision, so the
+    # reference adjugate follows the precision of each call; wbar(w0) is a
+    # word, and its exact inverse is kept across precisions
     one_plus_t = LaurentSeries({0: 1, 1: 1})
     g = LaurentMatrix([[one_plus_t, LaurentSeries.zero()],
                        [LaurentSeries.zero(), LaurentSeries.one()]])
-    before = default_rel_prec()
-    try:
-        set_default_rel_prec(4)
-        low, exact = g.inverse(), G2.wbar_w0.inverse()
-        set_default_rel_prec(8)
-        high = g.inverse()
-        assert (low[0, 0].cap, high[0, 0].cap) == (4, 8)
-        assert G2.wbar_w0.inverse() is exact
-    finally:
-        set_default_rel_prec(before)
+
+    def at_prec(p):
+        set_default_rel_prec(p)
+        return ref_adjugate_inverse(g), G2.wbar_w0.inverse()
+    (low, exact), (high, again) = copy_context().run(at_prec, 4), copy_context().run(at_prec, 8)
+    assert (low[0, 0].cap, high[0, 0].cap) == (4, 8)
+    assert again is exact and all(s.is_exact for row in exact.rows for s in row)
 
 
 # -- pinned-group relations (Eqs 1-5) -----------------------------------------
@@ -507,6 +526,9 @@ def test_valuations_match_the_inverse_minor_reference_on_criterion_draws(crit, m
     points = _sampled_points(crit, monkeypatch)
     assert len(points) == {"crit_7_ytilde_sampling": 300, "crit_8_cell_sampling": 40,
                            "crit_9_crystal_op": 80}[crit.__name__]
+    # the 40 dense products are read by Jacobi alone, the words also by their inverse
+    assert sum(g._word is None for _, g in points) == \
+        (40 if crit is verify.crit_9_crystal_op else 0)
     for group, g in points:
         got, ref = _valuations_by_both_routes(group, g, monkeypatch)
         assert got == ref, g
@@ -603,10 +625,9 @@ def test_singleton_intersection_shadow():
     rng = random.Random(11)
     lam = Coweight((1, -1))
     for _ in range(5):
-        h = LaurentMatrix.identity(3)
-        for i in (1, 2):
-            h = h * G2.gen_x(A2.simple_root(i), LaurentSeries({0: rng.randint(1, 4)}))
-        g = G2.gen_t(lam) * h
+        # t^lam x_1(a) x_2(b), the word coset_equal inverts
+        g = G2.x_product([G2.x_factor(A2.simple_root(i), rng.randint(1, 4)) for i in (1, 2)],
+                         lam)
         if G2.mu_plus(g) == lam and G2.mu_minus(g) == lam:
             assert G2.coset_equal(g, G2.gen_t(lam))
 
@@ -623,6 +644,43 @@ def test_rank_one_identity_hand_instance():
     ])
     assert prod.equals_exact(expected)
     assert rank_one_identity_check(G1, 0, 1, LaurentSeries.one())
+
+
+def test_rank_one_words_are_the_dense_products_on_criterion_10(monkeypatch):
+    # rank_one_identity_check builds u and v as words t^mu x_beta(...); on
+    # criterion 10's 50 draws they equal the dense products x_beta(...) t^mu
+    # entry by entry (values and caps), and the adjugate of dense u gives
+    # the same coset answer
+    draws, cosets = [], []
+    check, coset_equal = verify.rank_one_identity_check, LoopGroup.coset_equal
+    monkeypatch.setattr(verify, "rank_one_identity_check",
+                        lambda group, *args: draws.append(args) or check(group, *args))
+    monkeypatch.setattr(LoopGroup, "coset_equal",
+                        lambda group, u, v: cosets.append((u, v)) or coset_equal(group, u, v))
+    assert verify.crit_10_rank_one({})[0]
+    assert len(draws) == len(cosets) == 50
+    alpha = A1.simple_root(1)
+    for (nu_c, n, q), (u, v) in zip(draws, cosets):
+        nu, lam = Coweight((nu_c,)), Coweight((nu_c + n,))
+        half = A1.pairing(alpha, lam + nu) // 2
+        if n:
+            dense_u = G1.gen_x(-alpha, q.inverse().shift(-half)) * G1.gen_t(nu)
+            dense_v = G1.gen_x(alpha, q.shift(half)) * G1.gen_t(lam)
+        else:
+            dense_u, dense_v = G1.gen_t(nu), G1.gen_t(lam)
+        assert u.rows == dense_u.rows and v.rows == dense_v.rows, (nu_c, n, q)
+        assert (ref_adjugate_inverse(dense_u) * dense_v).all_entries_val_nonneg()
+    assert sum(n > 0 for _, n, _ in draws) > 30
+
+
+def test_run_all_inverts_words_only(monkeypatch):
+    # every LaurentMatrix.inverse call of the acceptance suite is on a
+    # root-subgroup word, which inverts by its reversed factors
+    inverse, is_word = LaurentMatrix.inverse, []
+    monkeypatch.setattr(LaurentMatrix, "inverse",
+                        lambda g: is_word.append(g._word is not None) or inverse(g))
+    assert all(r.passed for r in verify.run_all())
+    assert is_word and all(is_word)
 
 
 def test_rank_one_identity_random():
@@ -650,7 +708,7 @@ def test_gauss_decompose_roundtrip():
             ps = [random_unit_series(rng).shift(rng.randint(-2, 2)) for _ in word]
             g = group.y_product(word, ps) * group.wbar_w0
             u = group.gauss_decompose(g)
-            b = g * u.inverse()
+            b = g * ref_adjugate_inverse(u)
             assert (b * u).agrees_with(g)
             # b upper triangular, u lower unitriangular
             n = group.n
@@ -1056,6 +1114,25 @@ def test_sample_ytilde_zero():
     for rep in sample_ytilde(G2, (1, 2, 1), (0, 0, 0), trials=3):
         assert rep.mu_plus == Coweight((0, 0))
         assert rep.mu_minus == Coweight((0, 0))
+
+
+@pytest.mark.parametrize("word,c", [((1, 2), (1, 0)), ((1, 1, 1), (1, 0, 1))],
+                         ids=["short", "not-reduced"])
+def test_sample_ytilde_needs_a_reduced_word_of_w0(word, c):
+    # Y~_{i,c} is defined only when i is a reduced word of w_0
+    with pytest.raises(RootDataError, match=rf"^{re.escape(str(word))} is not a reduced "
+                                            r"word of w_0$"):
+        sample_ytilde(G2, word, c)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_samplers_and_trop_eval_need_one_trial(theta_graph, trials):
+    message = f"^trials must be at least 1, got {trials}$"
+    for run in (lambda: sample_ytilde(G2, (1, 2, 1), (1, 0, 1), trials=trials),
+                lambda: sample_cell(G2, theta_graph.nodes[0], trials=trials),
+                lambda: trop_eval(lambda ps: ps, [0, 1], trials=trials)):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_sample_ytilde_in_cone():

@@ -4,6 +4,7 @@ and sqrt, results that do not depend on whether a coefficient was given
 as int or Fraction, and the sum-of-products kernel, with its exact-zero and
 exact-unit shortcuts, against the chains of ``+`` and ``*`` it replaces."""
 
+from contextvars import copy_context
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -11,7 +12,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup
+from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup, set_default_rel_prec
 from mvcrystals.looplab.series import sum_products
 from mvcrystals.rootdata import build_root_datum
 from stabwork import sqrt
@@ -55,6 +56,16 @@ def _unit_with_square_constant():
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
+def at_prec(p, f, *args):
+    """f(*args) at the context precision p (None: the default), set in a
+    copied context so the caller's precision is untouched."""
+    def run():
+        if p is not None:
+            set_default_rel_prec(p)
+        return f(*args)
+    return copy_context().run(run)
+
+
 @_SETTINGS
 @given(_POLY, _POLY, _POLY)
 def test_ring_laws_on_exact_polynomials(a, b, c):
@@ -79,9 +90,13 @@ def test_valuation_is_additive(a, b):
 @_SETTINGS
 @given(_NONZERO, st.integers(1, 12), st.none() | st.integers(1, 16))
 def test_inverse_window_agrees_with_four_times_the_precision(a, p, window):
-    if window is not None:  # the same polynomial known only below val + window
+    # a windowed divisor sets the window itself: the finer inverse is then of
+    # the same polynomial known only below val + 4 * window, not val + window
+    fine_a = a
+    if window is not None:
+        fine_a = LaurentSeries(a.coeffs, a.val() + 4 * window)
         a = LaurentSeries(a.coeffs, a.val() + window)
-    coarse, fine = a.inverse(rel_prec=p), a.inverse(rel_prec=4 * p)
+    coarse, fine = at_prec(p, a.inverse), at_prec(4 * p, fine_a.inverse)
     assert coarse.agrees_with(fine)
     assert (a * coarse).agrees_with(LaurentSeries.one())
 
@@ -103,7 +118,7 @@ def _windowed(a, window):
 @given(_POLY, _NONZERO, st.none() | st.integers(1, 4))
 def test_exact_quotient_of_a_product_is_exact(a, b, p):
     # exact even when the quotient reaches past the relative precision p
-    q = (a * b).__truediv__(b, rel_prec=p)
+    q = at_prec(p, (a * b).__truediv__, b)
     assert q.cap is None and q.equals_exact(a)
 
 
@@ -112,7 +127,7 @@ def test_exact_quotient_of_a_product_is_exact(a, b, p):
        st.none() | st.integers(1, 8), st.none() | st.integers(1, 8))
 def test_division_agrees_with_multiplying_by_the_inverse(a, b, p, wa, wb):
     a, b = _windowed(a, wa), _windowed(b, wb)
-    q, ref = a.__truediv__(b, rel_prec=p), a * b.inverse(rel_prec=p)
+    q, ref = at_prec(p, a.__truediv__, b), a * at_prec(p, b.inverse)
     assert _stored_canonically(q) and _stored_canonically(ref)
     assert q.agrees_with(ref)
     assert (q * b).agrees_with(a)
@@ -154,8 +169,8 @@ def test_int_and_fraction_storage_give_the_same_series(a, b, p):
         lambda x, y: x + y,
         lambda x, y: x - y,
         lambda x, y: x * y,
-        lambda x, y: x.__truediv__(y, rel_prec=p),
-        lambda x, y: y.inverse(rel_prec=p),
+        lambda x, y: at_prec(p, x.__truediv__, y),
+        lambda x, y: at_prec(p, y.inverse),
     ]
     assert _same_series(a) and _same_series(b)
     for op in ops:
@@ -265,7 +280,7 @@ def test_peel_row_update_matches_the_chained_difference(x, p, y):
 
 def test_int_over_int_lead_with_a_remainder_gives_fractions():
     # (1 + t) / (2 + t) = 1/2 + t/4 - t^2/8 + t^3/16 - ...
-    q = LaurentSeries({0: 1, 1: 1}).__truediv__(LaurentSeries({0: 2, 1: 1}), rel_prec=6)
+    q = at_prec(6, LaurentSeries({0: 1, 1: 1}).__truediv__, LaurentSeries({0: 2, 1: 1}))
     assert q.cap == 6
     assert q.coeffs == {0: Fraction(1, 2), **{k: Fraction((-1) ** (k + 1), 2 ** (k + 1))
                                               for k in range(1, 6)}}
@@ -341,7 +356,7 @@ def test_a_lone_computed_unit_term_matches_the_double_loop(a, e, c, window, unit
     # 1 made by arithmetic, so not the shared constant: t^e c / t^e c exactly,
     # or (1 + c t) / (1 + c t) known below t^window, which reads 1 but is no unit
     t = LaurentSeries.t_power(e, c) if window is None else LaurentSeries({0: 1, 1: c})
-    u = t * t.inverse(rel_prec=window)
+    u = t * at_prec(window, t.inverse)
     u = u if unit_sign > 0 else -u
     assert u is not LaurentSeries.one() and u.coeffs == {0: unit_sign} and u.cap == window
     term = (u, a, sign) if unit_first else (a, u, sign)
