@@ -110,7 +110,7 @@ def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
     """s_i for i in I^aff; s_0 = (theta^vee, s_theta) is the reflection in
     H_{theta,1}.  The rank + 1 of them are built once per datum."""
     if not 0 <= i <= datum.rank:
-        raise RootDataError(f"affine node {i} out of range for {datum.series}{datum.rank}")
+        raise RootDataError(f"affine node {i} out of range for {datum}")
     if datum.affine_reflections is None:
         theta, zero = datum.coroot_of(datum.highest_root).coords, (0,) * datum.rank
         datum.affine_reflections = tuple(AffWeylElt(zero if g else theta, s)
@@ -197,7 +197,7 @@ def minimal_word(datum: RootDatum, lam: Coweight):
     """fundamentalize's fold word of a dominant lam, checked: the greedy reduced
     word over I^aff of w_lambda, the shortest w with w(lam_fund) = lam."""
     if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant")
+        raise RootDataError(f"{lam} is not dominant for {datum}")
     lam_fund, _, word = fundamentalize(datum, lam)
     _check_word(datum, word, lam_fund, lam)
     return word
@@ -265,9 +265,9 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     minimality, dominance of every alcove Gamma_j; each facet Gamma'_j is
     spanned by vertices of Gamma_{j-1}, so its dominance follows)."""
     if not lam.is_integral():  # so lam folds to lam_fund = 0, of type {1..rank}
-        raise RootDataError(f"{lam} is not in the coroot lattice")
+        raise RootDataError(f"{lam} is not in the coroot lattice of {datum}")
     if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant")
+        raise RootDataError(f"{lam} is not dominant for {datum}")
     minimal = fundamentalize(datum, lam)[2]
     word = minimal if word is None else tuple(word)
     prefixes = _check_word(datum, word, datum.zero_coweight(), lam)

@@ -29,11 +29,10 @@ def _datum(args):
     return build_root_datum(args.type, args.rank)
 
 
-def _coweight(text, datum=None) -> Coweight:
+def _coweight(text, datum) -> Coweight:
     coords = tuple(int(x) for x in text.split(","))
-    if datum is not None and len(coords) != datum.rank:
-        raise ValueError(
-            f"expected {datum.rank} coroot coordinates, got {len(coords)}")
+    if len(coords) != datum.rank:
+        raise ValueError(f"expected {datum.rank} coroot coordinates for {datum}, got {len(coords)}")
     return Coweight(coords)
 
 
@@ -166,7 +165,8 @@ def build_parser():
 
     def add_datum_flags(p):
         p.add_argument("--type", default="A", choices=list("ABCDG"))
-        p.add_argument("--rank", type=int, default=2)
+        p.add_argument("--rank", type=int, default=2, help="A 1-6, B and C 2-6, D 4-6, G 2; "
+                       "the W table of B6 or C6 takes a few seconds")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("crystal", help="enumerate B(lambda) as LS galleries")

@@ -186,9 +186,9 @@ def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
     """Dimension of the dual-group irreducible with highest weight lam: the
     product over alpha > 0 of <alpha, lam + rho^vee> / <alpha, rho^vee>."""
     if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant")
+        raise RootDataError(f"{lam} is not dominant for {datum}")
     if any(type(datum.pairing(a, lam)) is not int for a in datum.simple_roots()):
-        raise RootDataError(f"{lam} is not in the coweight lattice")
+        raise RootDataError(f"{lam} is not in the coweight lattice of {datum}")
     two_rho = datum.two_rho_vee
     lam_rho = [2 * a + b for a, b in zip(lam.coords, two_rho)]  # 2 (lam + rho^vee)
     num = den = 1
@@ -209,9 +209,9 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
     Weyl dimension formula.  Weights are integer coordinate tuples until the
     result is built."""
     if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant")
+        raise RootDataError(f"{lam} is not dominant for {datum}")
     if not lam.is_integral():
-        raise RootDataError(f"{lam} is not in the coroot lattice")
+        raise RootDataError(f"{lam} is not in the coroot lattice of {datum}")
     lc, cartan, two_rho = lam.coords, datum.cartan, datum.two_rho_vee
     bmat = _dual_form(datum)
     # mu = lam - n is dominant iff C n <= C lam row by row, and every weight

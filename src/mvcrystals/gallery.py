@@ -175,8 +175,7 @@ def _levels(g: Gallery, i: int):
 def _where(g: Gallery, i: int) -> str:
     """An error's context: the datum, g as gallery_from_dict reads it (lambda,
     the type's word, delta_0's reduced word and the flips) and the colour."""
-    datum = g.gtype.datum
-    return f"{datum.series}{datum.rank} gallery {gallery_to_dict(g)}, colour {i}"
+    return f"{g.gtype.datum} gallery {gallery_to_dict(g)}, colour {i}"
 
 
 def min_wall_level(g: Gallery, i: int) -> int:

@@ -29,26 +29,27 @@ class RootDataError(ValueError):
     """Unsupported series/rank or malformed lattice data."""
 
 
-# Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, 0-based storage.
+# Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, 0-based, from the Dynkin diagram in
+# Bourbaki's numbering.  W is numbered whole on first use: |W(B6)| = 46,080 takes seconds.
+MAX_RANK = 6
+
+
 def _cartan_matrix(series, rank):
-    if series == "A" and 1 <= rank <= 4:
-        return [[2 if i == j else -int(abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
-    if series == "B" and 2 <= rank <= 4:
-        c = _cartan_matrix("A", rank)
-        # last simple root short: <alpha_{r-1}, alpha_r^vee> = -2
-        c[rank - 2][rank - 1] = -2
-        return c
-    if series == "C" and 2 <= rank <= 4:
-        c = _cartan_matrix("A", rank)
-        c[rank - 1][rank - 2] = -2
-        return c
-    if series == "D" and rank == 4:
-        # node 2 central (1-based), edges 1-2, 2-3, 2-4
-        return [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-    if series == "G" and rank == 2:
-        # alpha_1 short, alpha_2 long; theta = 3*alpha_1 + 2*alpha_2
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 4}  # B1 = C1 = A1 and D3 = A3
+    if series == "G" and rank == 2:  # alpha_1 short, alpha_2 long
         return [[2, -1], [-3, 2]]
-    raise RootDataError(f"unsupported series/rank: {series}{rank}")
+    if not lowest.get(series, MAX_RANK + 1) <= rank <= MAX_RANK:
+        built = ", ".join(f"{s}{r}-{s}{MAX_RANK}" for s, r in lowest.items())
+        raise RootDataError(f"unsupported series/rank: {series}{rank}; built are {built} and G2")
+    c = [[2 if i == j else -int(abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
+    if series == "B":  # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2
+        c[rank - 2][rank - 1] = -2
+    elif series == "C":  # alpha_n long
+        c[rank - 1][rank - 2] = -2
+    elif series == "D":  # the fork: nodes n-1 and n both hang on n-2
+        c[rank - 2][rank - 1] = c[rank - 1][rank - 2] = 0
+        c[rank - 3][rank - 1] = c[rank - 1][rank - 3] = -1
+    return c
 
 
 class _Vector:
@@ -70,6 +71,9 @@ class _Vector:
 
     def __repr__(self):
         return f"{type(self).__name__}(coords={self.coords!r})"
+
+    def __str__(self):
+        return f"({', '.join(map(str, self.coords))})"
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coords))
@@ -191,12 +195,15 @@ class RootDatum:
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
         self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
         self._build_roots()
-        # omega_i^vee is column i of C^-1: its coordinate j is the (i, j)
-        # cofactor of C over det C
-        det = _det(self.cartan)
-        self._fund_coweights = tuple(Coweight(tuple(
-            _norm(Fraction((-1) ** (i + j) * _det(_minor(self.cartan, i, j)), det))
-            for j in range(rank))) for i in range(rank))
+        # omega_i^vee is column i of C^-1: Gauss-Jordan on [C | 1] over Q needs
+        # no row swaps, as every leading principal minor of C is positive
+        m = [[Fraction(a) for a in row + e] for row, e in zip(self.cartan, _identity(rank))]
+        for k in range(rank):
+            m[k] = [a / m[k][k] for a in m[k]]
+            for i in range(rank):
+                if i != k and (f := m[i][k]):
+                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        self._fund_coweights = tuple(Coweight(tuple(map(_norm, col))) for col in [*zip(*m)][rank:])
         # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
         scale = self.apartment_scale = math.lcm(*(
             Fraction(a, m).denominator
@@ -206,6 +213,9 @@ class RootDatum:
         self.alcove_vertices = ((0,) * rank,) + tuple(
             tuple(int(Fraction(a * scale, m)) for a in om.coords)
             for om, m in zip(self._fund_coweights, self.marks))
+
+    def __str__(self):
+        return f"{self.series}{self.rank}"
 
     # -- construction ------------------------------------------------------
 
@@ -243,7 +253,7 @@ class RootDatum:
     def _node(self, i, what):
         """The 0-based position of the finite node i, which must be 1..rank."""
         if not 1 <= i <= self.rank:
-            raise RootDataError(f"{what} index {i} out of range for {self.series}{self.rank}")
+            raise RootDataError(f"{what} index {i} out of range for {self}")
         return i - 1
 
     def simple_root(self, i) -> Root:
@@ -288,8 +298,8 @@ class RootDatum:
     def _of_rank(self, vc):
         """vc, checked to number rank (coordinate arithmetic zips, so truncates)."""
         if len(vc) != self.rank:
-            raise RootDataError(f"coweight coordinates {vc} do not have rank {self.rank} "
-                                f"for {self.series}{self.rank}")
+            raise RootDataError(
+                f"coweight coordinates {vc} do not have rank {self.rank} for {self}")
         return vc
 
     def pairing_coords(self, rc, vc):
@@ -299,7 +309,7 @@ class RootDatum:
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
         if not x.is_integral():
-            raise RootDataError(f"{x} is not in the coroot lattice")
+            raise RootDataError(f"{x} is not in the coroot lattice of {self}")
         return int(sum(self._of_rank(x.coords)))
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
@@ -431,17 +441,7 @@ def _reduced_words(w, length, simple):
     return words(w, length(w))
 
 
-def _minor(m, i, j):
-    return [r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i]
-
-
-def _det(m):
-    """Integer determinant by expansion along the first row (rank <= 4)."""
-    return sum((-1) ** j * a * _det(_minor(m, 0, j)) for j, a in enumerate(m[0]) if a) \
-        if m else 1
-
-
 @lru_cache(maxsize=None)
 def build_root_datum(series: str, rank: int) -> RootDatum:
-    """Build the root datum for the given series letter and rank (<= 4)."""
+    """Build the root datum for the given series letter and rank: A-D up to MAX_RANK, or G2."""
     return RootDatum(series, rank)

@@ -221,6 +221,23 @@ def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_BUILT = "built are A1-A6, B2-B6, C2-C6, D4-D6 and G2"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["crystal", "--type", "D", "--rank", "3", "--lambda", "1,1,1"],
+     f"unsupported series/rank: D3; {_BUILT}"),
+    (["crystal", "--type", "A", "--rank", "7", "--lambda", "1,1,1,1,1,1,1"],
+     f"unsupported series/rank: A7; {_BUILT}"),
+    (["string", "--type", "G", "--rank", "2", "--lambda", "1,0", "--word", "1,2,1,2,1,2"],
+     "(1, 0) is not dominant for G2"),
+    (["crystal", "--type", "D", "--rank", "5", "--lambda", "1,1"],
+     "expected 5 coroot coordinates for D5, got 2"),
+], ids=["D3", "A7", "G2-not-dominant", "D5-short-lambda"])
+def test_refusals_name_the_datum(capsys, argv, message):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_combinatorial_commands_load_neither_looplab_nor_verify(run_python):
     code = (
         "import contextlib, io, sys\n"

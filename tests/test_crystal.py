@@ -123,7 +123,8 @@ def test_weyl_dimensions_known():
 def test_weyl_dimension_needs_a_coweight_lattice_point():
     # <alpha_2, (1/2, 1)> = 3/2: the product formula would give 35/8
     lam = Coweight((Fraction(1, 2), 1))
-    with pytest.raises(RootDataError, match=re.escape(f"{lam} is not in the coweight lattice")):
+    with pytest.raises(RootDataError, match=re.escape("(1/2, 1) is not in the coweight lattice "
+                                                      "of A2")):
         weyl_dimension(A2, lam)
     # omega_1^vee is off the coroot lattice but on the coweight lattice
     omega = A2.fundamental_coweight(1)
@@ -214,6 +215,19 @@ def test_character_matches_oracle_small_suite():
     for datum, coords in cases:
         graph = ls_graph(datum, coords)
         assert character(graph) == expected_character(datum, Coweight(coords))
+
+
+@pytest.mark.parametrize("series", "ABCD", ids=lambda s: f"{s}5")
+def test_theta_vee_crystals_of_rank_5(series):
+    # data the Dynkin-diagram builder added: the dual groups' adjoint module
+    # in A5 and D5, Sp10's Lambda^2_0 in B5 and SO11's vector module in C5
+    datum = build_root_datum(series, 5)
+    lam = datum.coroot_of(datum.highest_root)
+    graph = ls_graph(datum, lam.coords)
+    dim = {"A": 35, "B": 44, "C": 11, "D": 45}[series]
+    assert len(graph.nodes) == weyl_dimension(datum, lam) == dim
+    assert validate_axioms(graph) == []
+    assert character(graph) == expected_character(datum, lam)
 
 
 def test_string_parameters_examples(a1_graph):

@@ -1143,6 +1143,28 @@ def test_sample_ytilde_in_cone():
         assert rep.mu_plus == lam
 
 
+def test_sample_ytilde_in_cone_a5_along_the_nice_word():
+    # criterion 7's statement past the old rank-4 cap: on the word
+    # (1, 2 1, ..., 5 4 3 2 1) the cone is one chain per block (Littelmann),
+    # so block-wise nonincreasing strings lie in it
+    from mvcrystals.trails import in_string_cone, string_cone_inequalities
+
+    a5 = build_root_datum("A", 5)
+    group = LoopGroup(a5)
+    word = tuple(i for top in range(1, 6) for i in range(top, 0, -1))
+    rows, _ = string_cone_inequalities(a5, word)
+    rng = random.Random(5)
+    for _ in range(6):
+        c = tuple(x for size in range(1, 6)
+                  for x in sorted((rng.randint(0, 2) for _ in range(size)), reverse=True))
+        assert in_string_cone(c, rows), c
+        lam = a5.zero_coweight()
+        for i, cj in zip(word, c):
+            lam = lam + a5.simple_coroot(i).scale(cj)
+        for rep in sample_ytilde(group, word, c, trials=2, orbit=False):
+            assert rep.mu_minus == a5.zero_coweight() and rep.mu_plus == lam, c
+
+
 def test_sample_ytilde_out_of_cone():
     c = (0, 0, 1)
     lam = Coweight((1, 0))

@@ -1,4 +1,5 @@
 import gc
+import math
 import operator
 import random
 import re
@@ -17,19 +18,35 @@ B2 = build_root_datum("B", 2)
 G2 = build_root_datum("G", 2)
 
 
-# |Phi_+| and the highest root of every datum the crystals benchmark builds,
-# from the Bourbaki plates in this module's numbering: B_n's last simple root
-# is short, C_n's is long, D4's node 2 is central and G2's alpha_1 is short
-PLATES = {
-    ("A", 2): (3, (1, 1)), ("A", 3): (6, (1, 1, 1)), ("A", 4): (10, (1, 1, 1, 1)),
-    ("B", 2): (4, (1, 2)), ("B", 3): (9, (1, 2, 2)), ("B", 4): (16, (1, 2, 2, 2)),
-    ("C", 2): (4, (2, 1)), ("C", 3): (9, (2, 2, 1)), ("C", 4): (16, (2, 2, 2, 1)),
-    ("D", 4): (12, (1, 2, 1, 1)), ("G", 2): (6, (3, 2)),
-}
+# every datum build_root_datum builds
+BUILT = [("A", n) for n in range(1, 7)] + [(s, n) for s in "BC" for n in range(2, 7)] + \
+    [("D", n) for n in range(4, 7)] + [("G", 2)]
+
+
+def plate(series, n):
+    """|Phi_+| and the highest root's coordinates, from the Bourbaki plates in
+    this module's numbering (Bourbaki's): B_n's last simple root is short,
+    C_n's is long, D_n's nodes n-1 and n hang on n-2 and G2's alpha_1 is short."""
+    return {
+        "A": (n * (n + 1) // 2, (1,) * n),
+        "B": (n * n, (1,) + (2,) * (n - 1)),
+        "C": (n * n, (2,) * (n - 1) + (1,)),
+        "D": (n * (n - 1), (1,) + (2,) * (n - 3) + (1, 1)),
+        "G": (6, (3, 2)),
+    }[series]
+
+
+def weyl_order(series, n):
+    """|W| from the plates: (n+1)!, 2^n n!, 2^(n-1) n! and 12."""
+    return {"A": math.factorial(n + 1), "B": 2 ** n * math.factorial(n),
+            "C": 2 ** n * math.factorial(n), "D": 2 ** (n - 1) * math.factorial(n),
+            "G": 12}[series]
 
 
 def test_positive_root_counts():
-    for (series, rank), (count, theta) in PLATES.items():
+    # the root closure against the plates; no W table is built
+    for series, rank in BUILT:
+        count, theta = plate(series, rank)
         datum = build_root_datum(series, rank)
         assert len(datum.positive_roots) == count, (series, rank)
         assert datum.highest_root.coords == theta, (series, rank)
@@ -52,23 +69,58 @@ def test_g2_marks():
     assert G2.marks == (3, 2)
 
 
+# the Cartan matrices of the per-series table the Dynkin-diagram builder
+# replaced, pinned for the 12 data it built
+TABLED = {
+    ("A", 1): ((2,),),
+    ("A", 2): ((2, -1), (-1, 2)),
+    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    ("A", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    ("B", 2): ((2, -2), (-1, 2)),
+    ("B", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    ("B", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+    ("C", 2): ((2, -1), (-2, 2)),
+    ("C", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("C", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
+    ("D", 4): ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    ("G", 2): ((2, -1), (-3, 2)),
+}
+
+
+def test_the_tabled_data_keep_their_cartan_matrices():
+    for (series, rank), cartan in TABLED.items():
+        assert build_root_datum(series, rank).cartan == cartan, (series, rank)
+
+
 def test_unsupported_series():
-    with pytest.raises(RootDataError):
-        build_root_datum("E", 6)
-    with pytest.raises(RootDataError):
-        build_root_datum("A", 5)
-    with pytest.raises(RootDataError):
-        build_root_datum("D", 3)
+    # B1 = C1 = A1 and D3 = A3 are refused, as are ranks past MAX_RANK = 6
+    built = "A1-A6, B2-B6, C2-C6, D4-D6 and G2"
+    for series, rank in (("A", 0), ("A", 7), ("B", 1), ("D", 3), ("E", 6), ("G", 3)):
+        with pytest.raises(RootDataError, match=re.escape(
+                f"unsupported series/rank: {series}{rank}; built are {built}")):
+            build_root_datum(series, rank)
+    assert build_root_datum("A", 5).rank == build_root_datum("D", 5).rank == 5
+
+
+# B6, C6 and D6 (46,080, 46,080 and 23,040 elements) take seconds
+ORDERED = [d for d in BUILT if d[1] <= 5] + [("A", 6)]
+
+
+@pytest.mark.parametrize("series,rank", ORDERED, ids=[f"{s}{r}" for s, r in ORDERED])
+def test_weyl_group_order(series, rank):
+    assert len(build_root_datum(series, rank).weyl_elements()) == weyl_order(series, rank)
 
 
 def test_cartan_shape_invariants():
-    for datum in (A1, A2, A3, B2, G2):
+    for series, rank in BUILT:
+        datum = build_root_datum(series, rank)
         r = datum.rank
         for i in range(r):
             assert datum.cartan[i][i] == 2
             for j in range(r):
                 if i != j:
                     assert datum.cartan[i][j] <= 0
+                    assert (datum.cartan[i][j] == 0) == (datum.cartan[j][i] == 0)
         assert len(datum.positive_roots) == len(datum.positive_coroots)
 
 
@@ -160,7 +212,8 @@ def test_height_and_dominance():
     a1, a2 = A2.simple_coroot(1), A2.simple_coroot(2)
     assert not A2.dominance_leq(a1, a2)
     assert not A2.dominance_leq(a2, a1)
-    with pytest.raises(RootDataError):
+    with pytest.raises(RootDataError, match=re.escape("(2/3, 1/3) is not in the coroot lattice "
+                                                      "of A2")):
         A2.height(A2.fundamental_coweight(1))
 
 
@@ -207,9 +260,7 @@ def test_fundamental_coweights_dual_basis():
                                      datum.fundamental_coweight(i)) == int(i == j)
 
 
-ALL_DATA = [build_root_datum(series, rank) for series, rank in (
-    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2))]
+TABLED_DATA = [build_root_datum(series, rank) for series, rank in TABLED]
 
 
 def ref_rmat(datum, word):
@@ -238,7 +289,7 @@ def ref_reduced_word(datum, w):
         w = datum.simple_reflection(i) * w
 
 
-@pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
+@pytest.mark.parametrize("datum", TABLED_DATA, ids=lambda d: f"{d.series}{d.rank}")
 def test_root_action_and_length_match_the_root_matrix_oracle(datum):
     depth = {datum.identity_elt(): 0}
     frontier = [datum.identity_elt()]
@@ -280,7 +331,7 @@ def ref_reflection(datum, rt):
                  for a in range(r))
 
 
-@pytest.mark.parametrize("datum", ALL_DATA, ids=lambda d: f"{d.series}{d.rank}")
+@pytest.mark.parametrize("datum", TABLED_DATA, ids=lambda d: f"{d.series}{d.rank}")
 def test_generator_tables_and_products_match_the_matrix_oracle(datum):
     weyl = datum.weyl_elements()
     assert [w.index for w in weyl] == list(range(len(weyl)))

@@ -49,7 +49,7 @@ def raising_matrix(n, k, i):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_raising_rule_satisfies_the_sl_n_commutation_relations(n):
     # [E_i, F_j] = delta_ij diag(<wt, alpha_i^vee>) with F_i = E_i^T, on every
-    # Lambda^k C^n that string_cone_inequalities reaches (type A, rank <= 4)
+    # Lambda^k C^n with n <= 5
     for k in range(1, n):
         wts = weights(n, k)
         e = {i: raising_matrix(n, k, i) for i in range(1, n)}
@@ -122,7 +122,7 @@ def test_cone_a3_matches_paper_rows():
         assert in_string_cone(c, rows) == in_string_cone(c, PAPER_A3_ROWS), c
 
 
-@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
 def test_cone_of_the_nice_word_is_one_chain_per_block(rank):
     # Littelmann, "Cones, crystals, and patterns" (1998), section 5: for
     # i = (1, 2 1, ..., rank ... 1) the cone is c_first >= ... >= c_last >= 0
