@@ -241,7 +241,7 @@ class LoopGroup:
                    for a in range(n) for b in range(a + 1, n)):
             raise GenericityError(f"factor_y input of SL_{n} on {word} is not exactly zero "
                                   f"above the diagonal")
-        perm = tuple(range(n, 0, -1))  # one-line of w0
+        perm = list(range(n, 0, -1))  # one-line of w0, swapped in place each step
         one = LaurentSeries.one()
         ps = []
         for step, i in enumerate(word):
@@ -264,9 +264,9 @@ class LoopGroup:
                 raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
                                      f"is O(t^{p.cap})")
             ps.append(p)
-            res[i] = tuple(sum_products(((x, one, 1), (p, y, -1)))
+            res[i] = tuple(sum_products(((p, y, -1),), x)
                            for x, y in zip(res[i][:i], res[i - 1])) + res[i][i:]
-            perm = tuple(i + 1 if x == i else i if x == i + 1 else x for x in perm)
+            perm[a - 1], perm[b - 1] = i + 1, i
         # the residual must be the identity within precision
         if not all(res[a][b].agrees_with(one) if a == b else res[a][b].is_known_zero
                    for a in range(n) for b in range(a + 1)):

@@ -7,8 +7,9 @@ otherwise, so integer data runs on native ints; ``leading`` returns
 rather than entering as its binary expansion, and so does an exponent that is
 not an ``int``.  Arithmetic builds results with the trusted
 ``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip those checks and
-the matrix copy and shape check.  Every product, dot product and
-minor is one ``sum_products`` call, and its loop ``_sum_products`` is the one
+the matrix copy and shape check.  Every product, dot product, minor and
+elementary step x + p y (x its base addend) is one ``sum_products`` call, and
+its loop ``_sum_products``, with the factor of fewer terms outside, is the one
 place coefficients are multiplied.
 
 A series is an immutable value, so arithmetic may hand back an operand, and
@@ -20,18 +21,19 @@ division by an ``int`` lead divides ``int`` terms in ints.
 A series knows its coefficients on exponents below ``cap``; exponents at or
 above the cap are unknown.  ``cap = None`` means the series is known exactly
 (a Laurent polynomial).  Addition takes the worse cap; multiplication degrades
-caps by the partner's valuation lower bound.  Division is long division from
-the lowest term.  A quotient of exact operands that divides out is exact, and
-so is any quotient by an exact monomial.  Any other quotient is known on
-``rel`` exponents from val(num) - val(den), fewer if the numerator's own
-window ends sooner; ``rel`` is the context's relative precision
-(``set_default_rel_prec``) for an exact divisor, and the divisor's own
-relative window for a windowed one.  ``inverse`` is 1 / self.  Valuations are
-only ever reported below the cap; a series whose known window is all zero
-raises :class:`PrecisionError` instead of guessing, and dividing by the exact
-zero raises ZeroDivisionError.  Only a word of root-subgroup factors inverts,
-by them (see ``LaurentMatrix``); the dense products left (coset_equal's u^{-1} v,
-z_of's y wbar(w0)^{-1}, crystal_op_sample's y_i(p) g, the self-check) never do.
+caps by the partner's valuation lower bound.  Division is long division, one
+upward walk over the exponents, as the remainder's lowest term only moves
+up.  A quotient of exact operands that divides out is exact, and so is any
+quotient by an exact monomial.  Any other quotient is known on ``rel``
+exponents from val(num) - val(den), fewer if the numerator's own window ends
+sooner; ``rel`` is the context's relative precision (``set_default_rel_prec``)
+for an exact divisor, and the divisor's own relative window for a windowed one.
+``inverse`` is 1 / self.  Valuations are only ever reported below the cap; a
+series whose known window is all zero raises :class:`PrecisionError` instead
+of guessing, and dividing by the exact zero raises ZeroDivisionError.  Only a
+word of root-subgroup factors inverts, by them (see ``LaurentMatrix``); the
+dense products left (coset_equal's u^{-1} v, z_of's y wbar(w0)^{-1},
+crystal_op_sample's y_i(p) g, the self-check) never do.
 """
 
 from __future__ import annotations
@@ -61,11 +63,13 @@ def _min_cap(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
-def _sum_products(terms, cap):
-    """Sum of sign * a * b over (a, b, sign) terms as one coefficient dict
-    below cap: the only place series coefficients are multiplied."""
-    out = {}
+def _sum_products(terms, cap, base):
+    """base + sum of sign * a * b over (a, b, sign) terms as a dict below cap, with
+    the factor of fewer terms outside: the only place coefficients are multiplied."""
+    out = {} if base is None else dict(base.coeffs)
     for a, b, sign in terms:
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
         bc = b.coeffs.items()
         for e1, c1 in a.coeffs.items():
             if sign < 0:
@@ -77,12 +81,14 @@ def _sum_products(terms, cap):
     return out
 
 
-def sum_products(terms):
-    """Sum of sign * a * b over (a, b, sign) terms as one series, with the
-    caps and coefficients of the chain of ``*`` and ``+``: a term with an
-    exact-zero factor drops out, and the cap is the least product cap,
-    a.cap + val(b) and b.cap + val(a) (so a * 1 is a, cap and all)."""
-    live, cap = [], None
+def sum_products(terms, base=None):
+    """base + the sum of sign * a * b over (a, b, sign) terms as one series, with
+    the caps and coefficients of the chain of ``*`` and ``+``: a term with an
+    exact-zero factor drops out, and the cap is the least of base.cap and the
+    product caps, a.cap + val(b) and b.cap + val(a) (so a * 1 is a, cap and all)."""
+    if base is not None and not base.coeffs and base.cap is None:
+        base = None  # the exact zero adds nothing
+    live, cap = [], None if base is None else base.cap
     for t in terms:
         a, b = t[0], t[1]
         if (a.coeffs or a.cap is not None) and (b.coeffs or b.cap is not None):
@@ -92,14 +98,14 @@ def sum_products(terms):
             if b.cap is not None:
                 cap = _min_cap(cap, b.cap + a.val_lower_bound())
     if not live:
-        return _ZERO
-    if len(live) == 1:
+        return _ZERO if base is None else base
+    if base is None and len(live) == 1:
         a, b, sign = live[0]
         other = b if a.cap is None and a.coeffs == _ONE.coeffs else \
             a if b.cap is None and b.coeffs == _ONE.coeffs else None
         if other is not None:
             return other if sign > 0 else -other
-    return LaurentSeries._of(_sum_products(live, cap), cap)
+    return LaurentSeries._of(_sum_products(live, cap, base), cap)
 
 
 class LaurentSeries:
@@ -223,18 +229,21 @@ class LaurentSeries:
         if exact:  # far enough to reach a polynomial quotient's top term
             whole = max(self.coeffs) - max(other.coeffs) + 1
             stop = whole if cap is None else max(cap, whole)
-        rem, out = dict(self.coeffs), {}
-        while rem and min(rem) - v < stop:
-            e = min(rem)
-            c = rem.pop(e)  # in ints when both are ints and lead divides c
-            q = c // lead if type(c) is type(lead) is int and not c % lead else Fraction(c) / lead
-            q = out[e - v] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
-            for f, d in other.coeffs.items():
-                if f != v:
-                    x = e + f - v
-                    rem[x] = rem.get(x, 0) - q * d
-                    if not rem[x]:
-                        del rem[x]
+        # the remainder's lowest term only moves up, so walk e upward once
+        rem, out, e = dict(self.coeffs), {}, low
+        while rem and e - v < stop:
+            c = rem.pop(e, 0)  # in ints when both are ints and lead divides c
+            if c:
+                q = c // lead if type(c) is type(lead) is int and not c % lead else \
+                    Fraction(c, lead)
+                q = out[e - v] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+                for f, d in other.coeffs.items():
+                    if f != v:
+                        x = e + f - v
+                        rem[x] = rem.get(x, 0) - q * d
+                        if not rem[x]:
+                            del rem[x]
+            e += 1
         return LaurentSeries._of(out, None if exact and not rem else cap)
 
     def inverse(self):
@@ -298,9 +307,10 @@ _ONE = LaurentSeries._of({0: 1}, None)
 
 
 class LaurentMatrix:
-    """A square matrix of series; it never changes, so it keeps its minors
-    and its inverse.  Only a ``_factored`` word t^d x_{j_1 k_1}(p_1) ...
-    x_{j_N k_N}(p_N) inverts, by its factors, with no determinant:
+    """A square matrix of series; it never changes, so it keeps its inverse
+    and its minors (a 1x1 minor is its entry, read without the cache).  Only
+    a ``_factored`` word t^d x_{j_1 k_1}(p_1) ... x_{j_N k_N}(p_N) inverts, by
+    its factors, with no determinant:
     t^-d x_{j_N k_N}(-p_N t^{d_j - d_k}) ... x_{j_1 k_1}(-p_1 t^{d_j - d_k}).
     A dense matrix (``LaurentMatrix(rows)``, a ``*`` product) never does."""
 
@@ -330,7 +340,7 @@ class LaurentMatrix:
         for j, k, p in factors:
             for row in rows:
                 if row[j].coeffs or row[j].cap is not None:
-                    row[k] = sum_products(((row[k], _ONE, 1), (row[j], p, 1)))
+                    row[k] = sum_products(((row[j], p, 1),), row[k])
         return LaurentMatrix._of(tuple(map(tuple, rows)), (d, factors))
 
     @staticmethod
@@ -366,13 +376,13 @@ class LaurentMatrix:
         return self._minor(tuple(rows), tuple(cols))
 
     def _minor(self, rows, cols):
+        if len(rows) == 1:  # an entry, read without the cache
+            return self.rows[rows[0]][cols[0]]
         key = (rows, cols)
         out = self._minors.get(key)
         if out is None:
             if not rows:
                 out = _ONE
-            elif len(rows) == 1:
-                out = self.rows[rows[0]][cols[0]]
             else:
                 # expand along the first row, without exact-zero entries or sub-minors
                 first, rest, terms = self.rows[rows[0]], rows[1:], []

@@ -115,11 +115,13 @@ class Coweight(_Vector):
         return Coweight(tuple(_norm(a) for a in self.coords))
 
 
-def _of_len(coords, n):
+def _of_len(coords, n, datum=None, kind=""):
     """coords, checked to number n: coordinate arithmetic zips, so it would
-    truncate or pad a vector of another rank."""
+    truncate or pad a vector of another rank.  The one length check; a datum
+    checking its own rank names itself and the kind of coordinates."""
     if len(coords) != n:
-        raise RootDataError(f"coordinates {coords} do not have rank {n}")
+        raise RootDataError(f"{kind}coordinates {coords} do not have rank {n}"
+                            + ("" if datum is None else f" for {datum}"))
     return coords
 
 
@@ -288,19 +290,15 @@ class RootDatum:
         """The row rc.C, so that <root, x> = row . x for root coordinates rc."""
         row = self._pairing_rows.get(rc)
         if row is None:
-            if len(rc) != self.rank:
-                raise RootDataError(f"root coordinates {rc} do not have rank {self.rank}")
+            self._of_rank(rc, "root ")
             row = tuple(sum(rc[i] * self.cartan[i][j] for i in range(self.rank))
                         for j in range(self.rank))
             self._pairing_rows[rc] = row
         return row
 
-    def _of_rank(self, vc):
+    def _of_rank(self, vc, kind="coweight "):
         """vc, checked to number rank (coordinate arithmetic zips, so truncates)."""
-        if len(vc) != self.rank:
-            raise RootDataError(
-                f"coweight coordinates {vc} do not have rank {self.rank} for {self}")
-        return vc
+        return _of_len(vc, self.rank, self, kind)
 
     def pairing_coords(self, rc, vc):
         row = self.pairing_row(rc)

@@ -3,10 +3,11 @@ the apartment's faces evaluated at their vertices, which the library's closed
 forms on W's tables are checked against; the Gauss-plus-peel string ->
 Lusztig parameters, which factor_z's Chamber Ansatz is checked against; the
 valuations read off every minor of g^{-1}, which the library's Jacobi reading
-is checked against; the adjugate inverse of a matrix that is not a
-root-subgroup word, which the library never inverts; and the peel that
-rebuilds the whole residual each step, which factor_y's one-row peel is
-checked against."""
+is checked against; long division that searches the remainder for its lowest
+term at every step, which the series' one upward walk is checked against; the
+adjugate inverse of a matrix that is not a root-subgroup word, which the
+library never inverts; and the peel that rebuilds the whole residual each
+step, which factor_y's one-row peel is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,8 @@ from mvcrystals.looplab.series import (
     LaurentMatrix,
     LaurentSeries,
     PrecisionError,
+    _min_cap,
+    default_rel_prec,
     sum_products,
     vector_val,
 )
@@ -183,3 +186,37 @@ def ref_factor_y(group, g, word):
     if not cur.agrees_with(LaurentMatrix.identity(n)):
         raise GenericityError(f"factorization residual of SL_{n} on {word} is not the identity")
     return ps
+
+
+def ref_long_division(a, b):
+    """a / b with the window of ``LaurentSeries.__truediv__``, by long division
+    that looks for the remainder's lowest term again, min(rem), at every step."""
+    if not b.coeffs and b.cap is None:
+        raise ZeroDivisionError("division by the exact zero series")
+    v = b.val()
+    lead = b.coeffs[v]
+    low = a.val_lower_bound()
+    if low is None:
+        return LaurentSeries.zero()
+    cap = None if a.cap is None else a.cap - v
+    if b.cap is not None or len(b.coeffs) > 1:
+        rel = default_rel_prec() if b.cap is None else b.cap - v
+        cap = _min_cap(cap, low - v + rel)
+    exact = a.cap is None and b.cap is None
+    stop = cap
+    if exact:
+        whole = max(a.coeffs) - max(b.coeffs) + 1
+        stop = whole if cap is None else max(cap, whole)
+    rem, out = dict(a.coeffs), {}
+    while rem and min(rem) - v < stop:
+        e = min(rem)
+        c = rem.pop(e)
+        q = c // lead if type(c) is type(lead) is int and not c % lead else Fraction(c) / lead
+        q = out[e - v] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+        for f, d in b.coeffs.items():
+            if f != v:
+                x = e + f - v
+                rem[x] = rem.get(x, 0) - q * d
+                if not rem[x]:
+                    del rem[x]
+    return LaurentSeries._of(out, None if exact and not rem else cap)

@@ -21,6 +21,12 @@ generic value, with equality off a proper closed subset.  The least D_S over
 a few seeded points is therefore the generic value unless every point falls
 in that subset.  With these seeds, one point per side leaves 3 of the 100
 nodes unmatched, and two or three points match them all.
+
+The paper relates the varieties of Lusztig's parametrization to MV cycles.
+Kamnitzer (loc. cit.): the Lusztig datum of b along a reduced word of w_0 is
+the list of edge lengths of b's MV polytope along that word's path, so one
+cell datum per node gives the tropical map's Lusztig datum of its string
+along every word (edge_lengths states the formula and its conventions).
 """
 
 import random
@@ -35,7 +41,7 @@ from mvcrystals.crystal import string_param_from_c, string_parameters
 from mvcrystals.gallery import Gallery, enumerate_ls
 from mvcrystals.looplab import LoopGroup
 from mvcrystals.looplab.groups import _inverse_vals
-from mvcrystals.looplab.sampling import cell_point, random_unit_series
+from mvcrystals.looplab.sampling import cell_point, lusztig_from_string, random_unit_series
 from mvcrystals.rootdata import Coweight, build_root_datum
 
 POINTS = 3  # seeded points per side; the least value is the generic one
@@ -93,14 +99,19 @@ def test_the_cell_of_each_gallery_has_the_cycle_of_ytilde_of_its_string(series, 
     assert twins and all(cell[a] != ytilde[b] and cell[b] != ytilde[a] for a, b in twins)
 
 
-def test_a_reversed_cell_product_is_caught_here_and_missed_by_criteria_7_to_9(monkeypatch):
-    # planted fault: cell_point multiplies the steps' root subgroups last step
-    # first.  Its points are still t^nu times U^+(K), so mu_+ stays the weight
-    # and criteria 7-9 pass; the cycle itself has moved
+def reverse_cell_products(monkeypatch):
+    """Planted fault: cell_point multiplies the steps' root subgroups last
+    step first."""
     real = Gallery.phi_plus.func
     reversed_steps = cached_property(lambda g: real(g)[::-1])
     reversed_steps.__set_name__(Gallery, "phi_plus")
     monkeypatch.setattr(Gallery, "phi_plus", reversed_steps)
+
+
+def test_a_reversed_cell_product_is_caught_here_and_missed_by_criteria_7_to_9(monkeypatch):
+    # the reversed cell points are still t^nu times U^+(K), so mu_+ stays the
+    # weight and criteria 7-9 pass; the cycle itself has moved
+    reverse_cell_products(monkeypatch)
     for crit in (verify.crit_7_ytilde_sampling, verify.crit_8_cell_sampling,
                  verify.crit_9_crystal_op):
         assert crit({})[0], crit.__name__
@@ -134,3 +145,68 @@ def test_y_i_of_valuation_eps_minus_one_moves_each_cell_onto_the_cell_of_e_i(ser
                 points.append(shift * group.gen_y(i, random_unit_series(rng).shift(val)) * g)
             matched += generic_bz(group.n, points) == cell[graph.e(node, i)]
         assert matched == want, (lift, matched, len(pairs))
+
+
+def edge_lengths(datum, bz, word):
+    """Kamnitzer's edge lengths (Ann. of Math. 171, 2010) of the MV polytope
+    with BZ datum bz, listed in generic_bz's order, along the reduced word
+    (i_1, ..., i_N) of w_0.  With w_k = s_{i_1} ... s_{i_k} in one-line
+    notation (0-based), M_{w omega_j} = D_{w({1..j})} and M = 0 for j in
+    {0, n}, the k-th length is
+    n_k = -(M_{w_{k-1} omega_i} + M_{w_k omega_i} + sum_{j != i} a_{ji} M_{w_k omega_j})
+    at i = i_k, a_{ji} = <alpha_j, alpha_i^vee> (datum.cartan, symmetric in
+    type A).  Kamnitzer: this list is the Lusztig datum along the word of the
+    crystal element of the polytope."""
+    n = datum.rank + 1
+    bz = dict(zip((S for k in range(1, n) for S in combinations(range(n), k)), bz))
+
+    def m(w, j):
+        return bz[tuple(sorted(w[:j]))] if 0 < j < n else 0
+    w, lengths = tuple(range(n)), []
+    for i in word:
+        prev, w = w, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+        lengths.append(-(m(prev, i) + m(w, i) + sum(datum.cartan[j - 1][i - 1] * m(w, j)
+                                                    for j in range(1, n) if j != i)))
+    return lengths
+
+
+LUSZTIG_CASES = [("A", 2, (1, 1)), ("A", 2, (2, 1)), ("A", 2, (2, 2)), ("A", 3, (1, 1, 1))]
+
+
+def lusztig_data(group, graph, words):
+    """lusztig_from_string of each node's string, for each word."""
+    return {word: {node: lusztig_from_string(group, word,
+                                             string_parameters(graph, node, word).c_tilde)
+                   for node in graph.nodes} for word in words}
+
+
+@pytest.mark.parametrize("series, rank, lam", LUSZTIG_CASES,
+                         ids=[f"{s}{r}-{lam}" for s, r, lam in LUSZTIG_CASES])
+def test_lusztig_data_are_the_edge_lengths_of_each_cell(series, rank, lam):
+    # one cell datum per node gives its Lusztig datum along every reduced word
+    # of w_0 (both words in A2, all 16 in A3)
+    group, graph, shift = setting(series, rank, lam)
+    datum = group.datum
+    cell = cell_cycles(group, graph, shift)
+    words = datum.enumerate_reduced_words(datum.longest_element())
+    twins = [(a, b) for a, b in combinations(graph.nodes, 2) if a.weight == b.weight]
+    for word, lusztig in lusztig_data(group, graph, words).items():
+        assert [graph.node_id(v) for v in graph.nodes
+                if edge_lengths(datum, cell[v], word) != lusztig[v]] == [], word
+        # control: a same-weight twin's cell gives another datum
+        assert all(edge_lengths(datum, cell[b], word) != lusztig[a] and
+                   edge_lengths(datum, cell[a], word) != lusztig[b] for a, b in twins), word
+    assert twins or lam == (2, 1)  # 3 omega_1 has no repeated weight
+
+
+def test_a_reversed_cell_product_breaks_the_edge_lengths(monkeypatch):
+    # the reversed cell product moves the cells, so their edge lengths miss
+    # the Lusztig data (26 of 54 pairs)
+    group, graph, shift = setting("A", 2, (2, 2))
+    words = group.datum.enumerate_reduced_words(group.datum.longest_element())
+    lusztig = lusztig_data(group, graph, words)
+    reverse_cell_products(monkeypatch)
+    cell = cell_cycles(group, graph, shift)
+    missed = sum(edge_lengths(group.datum, cell[v], word) != lusztig[word][v]
+                 for word in words for v in graph.nodes)
+    assert missed > 10, missed

@@ -363,7 +363,7 @@ def test_simple_roots_and_coroots_out_of_range_raise():
 
 def wrong_rank(coords):
     """The error A2 raises for coweight coordinates of another rank."""
-    return re.escape(f"coweight coordinates {coords} do not have rank 2 for A2")
+    return "^" + re.escape(f"coweight coordinates {coords} do not have rank 2 for A2") + "$"
 
 
 def test_dominance_leq_rejects_a_coweight_of_the_wrong_rank():
@@ -388,23 +388,36 @@ def test_dominant_conjugate_rejects_a_coweight_of_the_wrong_rank():
             A2.dominant_conjugate(Coweight(coords))
 
 
+def no_datum(coords):
+    """The error of coordinate arithmetic, which has no datum to name."""
+    return "^" + re.escape(f"coordinates {coords} do not have rank 2") + "$"
+
+
 def test_coordinate_arithmetic_rejects_another_rank():
     # zipped coordinates read (2, 3) - (1,) as (1,)
     for coords in ((1,), (1, 2, 3)):
         for op in (operator.add, operator.sub):
-            with pytest.raises(RootDataError, match=re.escape(f"coordinates {coords} do not "
-                                                              "have rank 2")):
+            with pytest.raises(RootDataError, match=no_datum(coords)):
                 op(Coweight((2, 3)), Coweight(coords))
-    with pytest.raises(RootDataError, match=re.escape("coordinates (1,) do not have rank 2")):
+    with pytest.raises(RootDataError, match=no_datum((1,))):
         Root((1, 0)) - Root((1,))
+
+
+def test_pairing_rejects_root_coordinates_of_the_wrong_rank():
+    # the one length check names the datum and the kind of coordinates
+    for coords in ((1,), (1, 0, 0)):
+        want = "^" + re.escape(f"root coordinates {coords} do not have rank 2 for A2") + "$"
+        with pytest.raises(RootDataError, match=want):
+            A2.pairing_row(coords)
+        with pytest.raises(RootDataError, match=want):
+            A2.pairing_coords(coords, (1, 0))
 
 
 def test_weyl_action_rejects_coordinates_of_another_rank():
     # the identity read (1,) as (1, 0)
     for coords in ((1,), (1, 2, 3)):
         for w in (A2.identity_elt(), A2.longest_element()):
-            with pytest.raises(RootDataError, match=re.escape(f"coordinates {coords} do not "
-                                                              "have rank 2")):
+            with pytest.raises(RootDataError, match=no_datum(coords)):
                 w.act_coweight(Coweight(coords))
 
 

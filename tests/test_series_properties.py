@@ -1,20 +1,23 @@
 """Property tests of the series layer: ring laws and valuations on exact
 Laurent polynomials, the precision-window contract of division, inverse
 and sqrt, results that do not depend on whether a coefficient was given
-as int or Fraction, and the sum-of-products kernel, with its exact-zero and
-exact-unit shortcuts, against the chains of ``+`` and ``*`` it replaces."""
+as int or Fraction, the sum-of-products kernel, with its base addend and its
+exact-zero and exact-unit shortcuts, against the chains of ``+`` and ``*`` it
+replaces, and the one upward walk of long division against the search for
+the remainder's lowest term at every step."""
 
 from contextvars import copy_context
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup, set_default_rel_prec
 from mvcrystals.looplab.series import sum_products
 from mvcrystals.rootdata import build_root_datum
+from reference import ref_long_division
 from stabwork import sqrt
 
 _COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -273,9 +276,45 @@ def test_a_lone_unit_term_matches_the_double_loop(a, unit, sign, unit_first):
 @_SETTINGS
 @given(_ENTRY, _ENTRY, _ENTRY)
 def test_peel_row_update_matches_the_chained_difference(x, p, y):
-    # factor_y's "row i+1 -= p * row i", entry by entry
-    got = sum_products(((x, LaurentSeries.one(), 1), (p, y, -1)))
+    # factor_y's "row i+1 -= p * row i", entry by entry, x the base addend
+    got = sum_products(((p, y, -1),), x)
     assert _same(got, x + ref_neg(ref_mul(p, y)))
+
+
+@_SETTINGS
+@given(_ENTRY, st.lists(st.tuples(_ENTRY, _ENTRY, st.sampled_from([1, -1])), max_size=3))
+@example(LaurentSeries({0: 1}, 2), [(LaurentSeries({0: 1, 3: 1}), LaurentSeries.t_power(1), 1)])
+def test_a_base_addend_is_a_leading_term_times_one(base, terms):
+    # the same coefficients, cap and int/Fraction storage as (base, 1, +1)
+    # leading the terms, and as the chain of + and * (a windowed base's cap binds)
+    got = sum_products(terms, base)
+    assert _same(got, sum_products(((base, LaurentSeries.one(), 1), *terms)))
+    assert _same(got, _chained_sum(((base, LaurentSeries.one(), 1), *terms)))
+
+
+# exact, windowed, monomial and +-1-lead divisors, monomials with a
+# Fraction lead among them
+_DIVISOR = _NONZERO | st.builds(LaurentSeries.t_power, st.integers(-3, 3), _COEFF.filter(bool))
+
+
+@_SETTINGS
+@given(_ENTRY | _POLY, _DIVISOR, st.none() | st.integers(1, 8), st.integers(1, 64))
+def test_the_exponent_walk_matches_the_lowest_term_search(a, b, wb, p):
+    b = _windowed(b, wb)
+    assert _same(at_prec(p, a.__truediv__, b), at_prec(p, ref_long_division, a, b))
+
+
+def test_the_exponent_walk_steps_over_gaps_and_stops_at_the_window():
+    # 1 / (1 - t^3) = 1 + t^3 + t^6 + ...: the remainder skips two exponents
+    # each step, and the window ends at t^7 or t^9
+    one, d = LaurentSeries.one(), LaurentSeries({0: 1, 3: -1})
+    for p, coeffs in ((7, {0: 1, 3: 1, 6: 1}), (9, {0: 1, 3: 1, 6: 1})):
+        q = at_prec(p, one.__truediv__, d)
+        assert q.coeffs == coeffs and q.cap == p
+        assert _same(q, at_prec(p, ref_long_division, one, d))
+    # a gapped numerator over an exact monomial: one pass, exact
+    q = LaurentSeries({-2: 4, 3: 6}) / LaurentSeries.t_power(1, 2)
+    assert q.cap is None and q.coeffs == {-3: 2, 2: 3}
 
 
 def test_int_over_int_lead_with_a_remainder_gives_fractions():
@@ -361,6 +400,18 @@ def test_a_lone_computed_unit_term_matches_the_double_loop(a, e, c, window, unit
     assert u is not LaurentSeries.one() and u.coeffs == {0: unit_sign} and u.cap == window
     term = (u, a, sign) if unit_first else (a, u, sign)
     assert _same(sum_products((term,)), _chained_sum((term,)))
+
+
+def test_a_1x1_minor_is_its_entry_and_is_not_kept():
+    m = LaurentMatrix([[LaurentSeries({0: 1, 1: 2}), LaurentSeries.t_power(1)],
+                       [LaurentSeries.zero(), LaurentSeries({}, 3)]])
+    for i in range(2):
+        for j in range(2):
+            assert m.minor_det([i], [j]) is m.rows[i][j]
+    assert m._minors == {}
+    # the Laplace terms of a larger minor read entries too: only it is kept
+    m.det()
+    assert list(m._minors) == [((0, 1), (0, 1))]
 
 
 def _with_a_repeated_exact_row(n):
