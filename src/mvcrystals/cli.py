@@ -103,13 +103,13 @@ def cmd_mv_sample(args):
     group = LoopGroup(datum)
     word = _word(args.word)
     c = _word(args.c)
-    reports = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
+    points = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
     rows = [{
-        "trial": rep.trial,
-        "mu_plus": list(rep.mu_plus.coords),
-        "mu_minus": list(rep.mu_minus.coords),
-        "orbit": list(rep.orbit.coords),
-    } for rep in reports]
+        "trial": trial,
+        "mu_plus": list(group.mu_plus(g).coords),
+        "mu_minus": list(group.mu_minus(g).coords),
+        "orbit": list(group.orbit_coweight(g).coords),
+    } for trial, g in enumerate(points)]
     _emit({"word": list(word), "c": list(c), "seed": args.seed,
            "trials": args.trials, "reports": rows}, args.out)
     return 0

@@ -216,20 +216,25 @@ def _recover_tuple(g: Gallery, i: int, j: int, k: int, refl: AffWeylElt, tail: A
     return Gallery(g.gtype, delta0, tuple(flips))
 
 
-def fold_window(g: Gallery, i: int):
-    """The window (m, j, k) that e_{alpha_i} reflects, or None when it is
-    undefined (m = 0): m is the lowest wall level, k the first index >= 1 with
-    Delta'_k in H_{alpha_i, m}, and j the last index before k with Delta'_j
-    in H_{alpha_i, m+1}."""
+def _window(g: Gallery, i: int, levels):
+    """(m, j, k) on the level list levels (_levels or its reverse), or None
+    when its first entry is at the lowest wall level m: k is the first index
+    >= 1 at level m, and j the last index before k at level m+1."""
     m = min_wall_level(g, i)
-    if m == 0:
+    if levels[0] == m:
         return None
-    levels = _levels(g, i)
     k = levels.index(m, 1)
     j = next((j for j in range(k - 1, -1, -1) if levels[j] == m + 1), None)
     if j is None:
-        raise GalleryError(f"no fold point at level m+1; gallery is disconnected ({_where(g, i)})")
+        raise GalleryError(f"no face at level m+1 = {m + 1} bounds the window at level "
+                           f"m = {m}; gallery is disconnected ({_where(g, i)})")
     return m, j, k
+
+
+def fold_window(g: Gallery, i: int):
+    """The window (m, j, k) that e_{alpha_i} reflects (_window on _levels), or
+    None when it is undefined (m = 0)."""
+    return _window(g, i, _levels(g, i))
 
 
 def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
@@ -257,16 +262,14 @@ def root_e(g: Gallery, i: int):
 
 
 def root_f(g: Gallery, i: int):
-    """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>)."""
-    m, levels = min_wall_level(g, i), _levels(g, i)
-    if m == levels[-1]:
+    """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>).
+    Its window is e's on the reversed levels, with l read as p + 1 - l."""
+    window = _window(g, i, _levels(g, i)[::-1])
+    if window is None:
         return None
-    p = g.gtype.p
-    j = max(j for j in range(p + 1) if levels[j] == m)
-    k = next((k for k in range(j + 1, p + 2) if levels[k] == m + 1), None)
-    if k is None:
-        raise GalleryError(f"no wall crossing at level m+1: disconnected gallery ({_where(g, i)})")
-    return _surgery(g, i, m, j, k, -1)
+    m, j, k = window
+    end = g.gtype.p + 1
+    return _surgery(g, i, m, end - k, end - j, -1)
 
 
 def is_positively_folded(g: Gallery) -> bool:

@@ -3,7 +3,6 @@ valuation formulas, Y~/cell sampling and tropicalized transition maps."""
 
 from mvcrystals.looplab.groups import LoopGroup
 from mvcrystals.looplab.sampling import (
-    SampleReport,
     cell_point,
     counterexample_matrix,
     crystal_op_sample,
@@ -33,7 +32,6 @@ __all__ = [
     "LoopGroupError",
     "default_rel_prec",
     "set_default_rel_prec",
-    "SampleReport",
     "sample_ytilde",
     "sample_cell",
     "cell_point",

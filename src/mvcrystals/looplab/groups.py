@@ -172,11 +172,19 @@ class LoopGroup:
 
     # -- valuation formulas ----------------------------------------------------------
 
+    def _check_size(self, *gs):
+        """Every matrix a LoopGroup method takes is n x n."""
+        for g in gs:
+            if g.n != self.n:
+                raise ValueError(f"a {g.n}x{g.n} matrix is not in SL_{self.n}(K)")
+
     def mu_plus(self, g: LaurentMatrix) -> Coweight:
         """The stratum parameter of [g] in the S^+ decomposition."""
+        self._check_size(g)
         return -Coweight(_inverse_vals(g, [(range(k),) for k in range(1, self.n)]))
 
     def mu_minus(self, g: LaurentMatrix) -> Coweight:
+        self._check_size(g)
         return Coweight(_inverse_vals(g, [(range(k, self.n),) for k in range(1, self.n)]))
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
@@ -185,6 +193,7 @@ class LoopGroup:
         Jacobi are +- det g times the (n-k)-minors of g^{-1}: the routine of
         mu_plus and mu_minus, which reads g's k-minors for 2k < n or g not a
         word, and the factored g^{-1}'s (n-k)-minors otherwise."""
+        self._check_size(g)
         lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
                                          for k in range(1, self.n)]))
         if not self.datum.is_antidominant(lam):  # every valuation read is certified
@@ -196,6 +205,7 @@ class LoopGroup:
         """[u] = [v] in G(K)/G(O) for a word u (an x_product): u^{-1} v, a dense
         product never inverted, has all entries of valuation >= 0.  An entry
         known only as O(t^m) with m < 0 raises PrecisionError."""
+        self._check_size(u, v)
         return (u.inverse() * v).all_entries_val_nonneg()
 
     # -- factorizations --------------------------------------------------------------
@@ -207,6 +217,7 @@ class LoopGroup:
         1996).  With D_k the minor on rows and columns k..n-1 (0-based),
         u_kj = Delta(rows k..n-1, cols {j} + {k+1..n-1}) / D_k for j < k.  The
         factorization exists iff every D_k is a unit."""
+        self._check_size(g)
         n = self.n
         dets = [g.minor_det(range(k, n), range(k, n)) for k in range(n)]
         for k in range(n - 1, -1, -1):
@@ -232,6 +243,7 @@ class LoopGroup:
         are checked against 1 and 0 at the end; that compares known windows
         only, so a parameter whose known window is all zero raises
         PrecisionError when it is peeled."""
+        self._check_size(g)
         n = self.n
         word = tuple(word)
         if not self.datum.is_w0_word(word):
@@ -281,6 +293,7 @@ class LoopGroup:
         (1 for j = 0, n), q_k = -Delta_{u_k omega_{i*-1}} Delta_{u_k omega_{i*+1}}
         / (Delta_{u_{k-1} omega_{i*}} Delta_{u_k omega_{i*}}) at i* = i*_k.  A g
         off N_- or an exactly zero denominator raises GenericityError."""
+        self._check_size(g)
         n, word, one, rows = self.n, tuple(word), LaurentSeries.one(), g.rows
         if not self.datum.is_w0_word(word):
             raise RootDataError(f"{word} is not a reduced word of w_0")

@@ -1,5 +1,6 @@
-"""Valuation sampling and tropical evaluation: the subsets Y~_{i,c}, gallery
-cells, crystal-operator compatibility, tropical transition maps, and the SL_4
+"""Sampling and tropical evaluation: points of the subsets Y~_{i,c}, of
+gallery cells and of their crystal-operator images (the callers read the
+valuations they check), tropical transition maps, and the SL_4
 counterexample.
 
 Sampling draws small integer coefficients from seeded generators, so every
@@ -31,7 +32,6 @@ from mvcrystals.precision import MAX_REL_PREC
 from mvcrystals.rootdata import Coweight, RootDataError
 
 __all__ = [
-    "SampleReport",
     "rand_nonzero_int",
     "random_unit_series",
     "sample_ytilde",
@@ -46,26 +46,6 @@ __all__ = [
     "string_to_lusztig_map",
     "lusztig_to_string_map",
 ]
-
-
-class SampleReport:
-    """One trial: the stratum pair and orbit parameter of a sampled point."""
-
-    __slots__ = ("trial", "mu_plus", "mu_minus", "orbit")
-
-    def __init__(self, trial: int, mu_plus: Coweight, mu_minus: Coweight,
-                 orbit: Coweight | None):
-        self.trial, self.mu_plus, self.mu_minus, self.orbit = trial, mu_plus, mu_minus, orbit
-
-
-def _report(group: LoopGroup, trial, g, orbit=True) -> SampleReport:
-    """The stratum pair of [g], and its orbit parameter unless orbit=False."""
-    return SampleReport(
-        trial=trial,
-        mu_plus=group.mu_plus(g),
-        mu_minus=group.mu_minus(g),
-        orbit=group.orbit_coweight(g) if orbit else None,
-    )
 
 
 def rand_nonzero_int(rng: random.Random) -> int:
@@ -87,10 +67,9 @@ def _trials(trials):
     return range(trials)
 
 
-def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7, orbit=True):
-    """Sample points of Y~_{word,c} for a reduced word of w_0: products
-    y_{i_j}(p_j) with val(p_j) = c~_j, reporting (mu_plus, mu_minus, orbit)
-    per trial; with orbit=False the orbit is not computed and reads None."""
+def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
+    """Sample points of Y~_{word,c} for a reduced word of w_0: the products
+    y_{i_j}(p_j) with val(p_j) = c~_j, one per trial in trial order."""
     datum = group.datum
     word, c = tuple(word), tuple(c)
     if not all(1 <= i <= datum.rank for i in word) or len(c) != len(word):
@@ -100,12 +79,12 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7, orbit=True):
     if not datum.is_w0_word(word):
         raise RootDataError(f"{word} is not a reduced word of w_0")
     sp = string_param_from_c(datum, word, c)
-    reports = []
+    points = []
     for trial in _trials(trials):
         rng = random.Random(repr((seed, "ytilde", tuple(word), tuple(c), trial)))
         ps = [random_unit_series(rng).shift(ct) for ct in sp.c_tilde]
-        reports.append(_report(group, trial, group.y_product(word, ps), orbit))
-    return reports
+        points.append(group.y_product(word, ps))
+    return points
 
 
 def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> LaurentMatrix:
@@ -122,26 +101,25 @@ def cell_point(group: LoopGroup, gallery: Gallery, rng: random.Random) -> Lauren
         for step in gallery.phi_plus for beta in step], nu)
 
 
-def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7, orbit=True):
-    """Sample points of the cell of gallery (cell_point), reporting
-    (mu_plus, mu_minus, orbit) per trial; with orbit=False the orbit is not
-    computed and reads None."""
-    reports = []
+def sample_cell(group: LoopGroup, gallery: Gallery, trials=5, seed=7):
+    """Sample points of the cell of gallery (cell_point), one per trial in
+    trial order."""
+    points = []
     for trial in _trials(trials):
         rng = random.Random(repr((seed, "cell", gallery.delta0.cmat, gallery.flips, trial)))
-        reports.append(_report(group, trial, cell_point(group, gallery, rng), orbit))
-    return reports
+        points.append(cell_point(group, gallery, rng))
+    return points
 
 
 def crystal_op_sample(group: LoopGroup, points, i, k, eps, seed=7):
-    """Left-multiply sampled points by y_i(p) with val(p) = -k + eps and
-    report the new stratum data (Prop. on e_i^k acting on cycles)."""
-    reports = []
+    """The points y_i(p) g for the sampled points g, in order, with
+    val(p) = -k + eps (Prop. on e_i^k acting on cycles)."""
+    moved = []
     for trial, g in enumerate(points):
         rng = random.Random(repr((seed, "crysop", i, k, trial)))
         p = random_unit_series(rng).shift(-k + eps)
-        reports.append(_report(group, trial, group.gen_y(i, p) * g, orbit=False))
-    return reports
+        moved.append(group.gen_y(i, p) * g)
+    return moved
 
 
 def rank_one_identity_check(group: LoopGroup, nu_c: int, n_steps: int,

@@ -320,6 +320,8 @@ class LaurentMatrix:
         rows = tuple(tuple(r) for r in rows)
         if not all(len(r) == len(rows) for r in rows):
             raise ValueError("a LaurentMatrix needs a square array of series")
+        if not all(isinstance(s, LaurentSeries) for r in rows for s in r):
+            raise TypeError("a LaurentMatrix needs entries of type LaurentSeries")
         self.rows, self.n, self._minors, self._inverse, self._word = rows, len(rows), {}, None, None
 
     @staticmethod
@@ -352,6 +354,9 @@ class LaurentMatrix:
         return self.rows[i][j]
 
     def __mul__(self, other):
+        if other.n != self.n:
+            raise ValueError(f"cannot multiply a {self.n}x{self.n} matrix by a "
+                             f"{other.n}x{other.n} one")
         cols = tuple(zip(*other.rows))
         return LaurentMatrix._of(tuple(tuple(sum_products([(a, b, 1) for a, b in zip(row, col)])
                                              for col in cols) for row in self.rows))

@@ -347,14 +347,15 @@ def crit_7_ytilde_sampling(graphs):
                 outside.append(c)
         for c in inside:
             lam = _coroot_sum(datum, word, c)
-            for rep in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED, orbit=False):
-                if rep.mu_minus != datum.zero_coweight() or rep.mu_plus != lam:
+            for g in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED):
+                mu_plus, mu_minus = group.mu_plus(g), group.mu_minus(g)
+                if mu_minus != datum.zero_coweight() or mu_plus != lam:
                     ok = False
         for c in outside:
             lam = _coroot_sum(datum, word, c)
-            for rep in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED, orbit=False):
-                if not (datum.dominance_leq(lam, rep.mu_plus)
-                        and rep.mu_plus != lam):
+            for g in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED):
+                mu_plus = group.mu_plus(g)
+                if not (datum.dominance_leq(lam, mu_plus) and mu_plus != lam):
                     ok = False
         details.append({
             "datum": f"{datum.series}{datum.rank}",
@@ -372,12 +373,11 @@ def crit_8_cell_sampling(graphs):
     ok = len(graph.nodes) == 8
     rows = []
     for node in graph.nodes:
-        reports = sample_cell(group, node, trials=_TRIALS, seed=_SEED)
-        node_ok = all(
-            rep.mu_plus == node.weight
-            and a2.dominance_leq(a2.dominant_conjugate(rep.orbit), lam)
-            for rep in reports
-        )
+        strata = [(group.mu_plus(g), group.orbit_coweight(g))
+                  for g in sample_cell(group, node, trials=_TRIALS, seed=_SEED)]
+        node_ok = all(mu_plus == node.weight
+                      and a2.dominance_leq(a2.dominant_conjugate(orbit), lam)
+                      for mu_plus, orbit in strata)
         rows.append({"node": graph.node_id(node),
                      "weight": list(node.weight.coords), "ok": node_ok})
         ok = ok and node_ok
@@ -402,10 +402,9 @@ def crit_9_crystal_op(graphs):
             comb = 2 * phi == a2.pairing(a2.simple_root(i), nu - rho)
             rng = random.Random(repr((_SEED, "crit9", graph.node_id(node), i)))
             pts = [cell_point(group, node, rng) for _ in range(_TRIALS)]
-            moved = crystal_op_sample(group, pts, i, 1, eps, seed=_SEED)
-            target = sample_cell(group, up, trials=_TRIALS, seed=_SEED, orbit=False)
-            samp = all(rep.mu_plus == up.weight for rep in moved) and \
-                {r.mu_plus for r in moved} == {r.mu_plus for r in target}
+            moved = {group.mu_plus(g) for g in crystal_op_sample(group, pts, i, 1, eps, _SEED)}
+            target = {group.mu_plus(g) for g in sample_cell(group, up, _TRIALS, _SEED)}
+            samp = moved == {up.weight} == target
             rows.append({"node": graph.node_id(node), "i": i,
                          "combinatorial": comb, "sampled": samp})
             ok = ok and comb and samp

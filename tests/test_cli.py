@@ -1,4 +1,7 @@
+import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,19 @@ def test_mv_sample_deterministic(capsys):
     data = json.loads(out1)
     assert all(r["mu_plus"] == [1, 1] for r in data["reports"])
     assert all(r["mu_minus"] == [0, 0] for r in data["reports"])
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("argv", runpy.run_path(str(_PERFBENCH / "inputs.py"))["CLI_COMMANDS"],
+                         ids=" ".join)
+def test_recorded_cli_output(capsys, argv):
+    # the stdout of each benchmark command is pinned by its recorded sha256
+    digest = json.loads((_PERFBENCH / "recorded.json").read_text())["cli_sha256"][" ".join(argv)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_trop_command(capsys):

@@ -380,7 +380,8 @@ def test_missing_fold_point_error_names_the_gallery(monkeypatch, a1_type):
     g, real = gal(a1_type, (1,), False), gallery._levels
     assert fold_window(g, 1) == (-1, 0, 1)
     monkeypatch.setattr(gallery, "_levels", lambda g, i: (None,) + real(g, i)[1:])
-    with pytest.raises(GalleryError, match="no fold point at level m\\+1") as exc:
+    with pytest.raises(GalleryError, match=r"^no face at level m\+1 = 0 bounds the window "
+                                           r"at level m = -1; gallery is disconnected") as exc:
         root_e(g, 1)
     assert_names(exc, g, 1)
 
@@ -389,7 +390,9 @@ def test_missing_wall_crossing_error_names_the_gallery(monkeypatch, a1_type):
     gamma, real = minimal_gallery(a1_type), gallery._levels
     monkeypatch.setattr(gallery, "_levels",
                         lambda g, i: tuple(None if n == 1 else n for n in real(g, i)))
-    with pytest.raises(GalleryError, match="no wall crossing at level m\\+1") as exc:
+    # f's window is e's on the reversed levels, so the two share one message
+    with pytest.raises(GalleryError, match=r"^no face at level m\+1 = 1 bounds the window "
+                                           r"at level m = 0; gallery is disconnected") as exc:
         root_f(gamma, 1)
     assert_names(exc, gamma, 1)
 

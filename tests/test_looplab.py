@@ -312,16 +312,20 @@ def test_factored_inverse_is_the_adjugate_on_cell_points(datum, lam):
 
 
 def _sampled_points(crit, monkeypatch):
-    """(group, g) for every point criterion crit samples: each matrix it hands
-    sampling._report, in order."""
-    report, points = sampling._report, []
+    """(group, g) for every point criterion crit samples: each matrix its
+    samplers return, in order."""
+    points = []
 
-    def capture(group, trial, g, orbit=True):
-        points.append((group, g))
-        return report(group, trial, g, orbit)
+    def capture(sampler):
+        def run(group, *args, **kwargs):
+            out = sampler(group, *args, **kwargs)
+            points.extend((group, g) for g in out)
+            return out
+        return run
 
     with monkeypatch.context() as m:
-        m.setattr(sampling, "_report", capture)
+        for name in ("sample_ytilde", "sample_cell", "crystal_op_sample"):
+            m.setattr(verify, name, capture(getattr(verify, name)))
         assert crit({})[0]
     return points
 
@@ -574,6 +578,36 @@ def test_a_singular_matrix_is_named_singular():
         with pytest.raises(ValueError, match=r"^the matrix is singular \(det = 0\): "
                                              r"it is not in SL_3\(K\)$"):
             f(g)
+
+
+_ONE_BY_ONE = LaurentMatrix([[LaurentSeries.one()]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: G2.coset_equal(G2.gen_t(Coweight((1, 1))), g),
+    lambda g: G2.coset_equal(g, G2.gen_t(Coweight((1, 1)))),
+    G2.mu_plus, G2.mu_minus, G2.orbit_coweight, G2.gauss_decompose,
+    lambda g: G2.factor_y(g, (1, 2, 1)),
+    lambda g: G2.factor_z(g, (1, 2, 1)),
+], ids=["coset_equal-v", "coset_equal-u", "mu_plus", "mu_minus", "orbit_coweight",
+        "gauss_decompose", "factor_y", "factor_z"])
+def test_a_matrix_of_another_size_is_not_in_sl_n(call):
+    # a 1x1 matrix was answered False by coset_equal, and misread by mu_plus
+    # (a negative rank) and factor_y (an index out of range)
+    with pytest.raises(ValueError, match=r"^a 1x1 matrix is not in SL_3\(K\)$"):
+        call(_ONE_BY_ONE)
+
+
+def test_factors_of_different_sizes_do_not_multiply():
+    # the product zipped the rows of one with the columns of the other
+    with pytest.raises(ValueError, match=r"^cannot multiply a 3x3 matrix by a 1x1 one$"):
+        G2.gen_t(Coweight((1, 1))) * _ONE_BY_ONE
+
+
+def test_a_matrix_of_non_series_entries_is_refused():
+    # it was built, and failed later on an entry's missing series attribute
+    with pytest.raises(TypeError, match="^a LaurentMatrix needs entries of type LaurentSeries$"):
+        LaurentMatrix([[1, 0], [0, 1]])
 
 
 def test_coset_equal_cannot_decide_an_empty_negative_window():
@@ -1111,9 +1145,9 @@ def test_counterexample_valuation_pattern():
 # -- sampling ---------------------------------------------------------------------------
 
 def test_sample_ytilde_zero():
-    for rep in sample_ytilde(G2, (1, 2, 1), (0, 0, 0), trials=3):
-        assert rep.mu_plus == Coweight((0, 0))
-        assert rep.mu_minus == Coweight((0, 0))
+    for g in sample_ytilde(G2, (1, 2, 1), (0, 0, 0), trials=3):
+        assert G2.mu_plus(g) == Coweight((0, 0))
+        assert G2.mu_minus(g) == Coweight((0, 0))
 
 
 @pytest.mark.parametrize("word,c", [((1, 2), (1, 0)), ((1, 1, 1), (1, 0, 1))],
@@ -1138,9 +1172,9 @@ def test_samplers_and_trop_eval_need_one_trial(theta_graph, trials):
 def test_sample_ytilde_in_cone():
     c = (1, 1, 0)
     lam = Coweight((1, 1))
-    for rep in sample_ytilde(G2, (1, 2, 1), c, trials=5):
-        assert rep.mu_minus == Coweight((0, 0))
-        assert rep.mu_plus == lam
+    for g in sample_ytilde(G2, (1, 2, 1), c, trials=5):
+        assert G2.mu_minus(g) == Coweight((0, 0))
+        assert G2.mu_plus(g) == lam
 
 
 def test_sample_ytilde_in_cone_a5_along_the_nice_word():
@@ -1161,15 +1195,15 @@ def test_sample_ytilde_in_cone_a5_along_the_nice_word():
         lam = a5.zero_coweight()
         for i, cj in zip(word, c):
             lam = lam + a5.simple_coroot(i).scale(cj)
-        for rep in sample_ytilde(group, word, c, trials=2, orbit=False):
-            assert rep.mu_minus == a5.zero_coweight() and rep.mu_plus == lam, c
+        for g in sample_ytilde(group, word, c, trials=2):
+            assert group.mu_minus(g) == a5.zero_coweight() and group.mu_plus(g) == lam, c
 
 
 def test_sample_ytilde_out_of_cone():
     c = (0, 0, 1)
     lam = Coweight((1, 0))
-    for rep in sample_ytilde(G2, (1, 2, 1), c, trials=5):
-        assert A2.dominance_leq(lam, rep.mu_plus) and rep.mu_plus != lam
+    for g in sample_ytilde(G2, (1, 2, 1), c, trials=5):
+        assert A2.dominance_leq(lam, G2.mu_plus(g)) and G2.mu_plus(g) != lam
 
 
 @pytest.fixture(scope="module")
@@ -1180,9 +1214,9 @@ def theta_graph():
 def test_sample_cell_strata(theta_graph):
     lam = Coweight((1, 1))
     for node in theta_graph.nodes:
-        for rep in sample_cell(G2, node, trials=3):
-            assert rep.mu_plus == node.weight
-            assert A2.dominance_leq(A2.dominant_conjugate(rep.orbit), lam)
+        for g in sample_cell(G2, node, trials=3):
+            assert G2.mu_plus(g) == node.weight
+            assert A2.dominance_leq(A2.dominant_conjugate(G2.orbit_coweight(g)), lam)
 
 
 def test_prop58_sampled_retraction(theta_graph):
@@ -1207,9 +1241,9 @@ def test_crystal_op_stabilize_k0(theta_graph):
         for i in (1, 2):
             _, eps, _ = crystal_maps(node, i)
             x = cell_point(G2, node, rng)
-            moved = crystal_op_sample(G2, [x], i, 0, eps)
-            assert moved[0].mu_plus == G2.mu_plus(x)
-            assert moved[0].mu_minus == G2.mu_minus(x)
+            [moved] = crystal_op_sample(G2, [x], i, 0, eps)
+            assert G2.mu_plus(moved) == G2.mu_plus(x)
+            assert G2.mu_minus(moved) == G2.mu_minus(x)
 
 
 def test_crystal_op_sample_matches_target(theta_graph):
@@ -1221,11 +1255,10 @@ def test_crystal_op_sample_matches_target(theta_graph):
                 continue
             _, eps, _ = crystal_maps(node, i)
             pts = [cell_point(G2, node, rng) for _ in range(2)]
-            for rep, base in zip(crystal_op_sample(G2, pts, i, 1, eps),
-                                 sample_cell(G2, up, trials=2)):
-                assert rep.mu_plus == up.weight == base.mu_plus
-                assert rep.mu_minus == base.mu_minus == Coweight((0, 0)) or \
-                    rep.mu_minus == base.mu_minus
+            for g, base in zip(crystal_op_sample(G2, pts, i, 1, eps),
+                               sample_cell(G2, up, trials=2)):
+                assert G2.mu_plus(g) == up.weight == G2.mu_plus(base)
+                assert G2.mu_minus(g) == G2.mu_minus(base)
 
 
 # -- tropical maps -----------------------------------------------------------------------
@@ -1495,11 +1528,11 @@ def test_trop_eval_escalates_on_the_a3_reproducer(prec_log):
 def test_mu_plus_dominates_mu_minus_on_samples(theta_graph):
     # Prop on nonempty intersections: every sampled point has mu+ >= mu-
     for node in list(theta_graph.nodes)[:4]:
-        for rep in sample_cell(G2, node, trials=2):
-            assert A2.dominance_leq(rep.mu_minus, rep.mu_plus)
+        for g in sample_cell(G2, node, trials=2):
+            assert A2.dominance_leq(G2.mu_minus(g), G2.mu_plus(g))
     for c in ((1, 1, 0), (0, 0, 1), (2, 1, 1)):
-        for rep in sample_ytilde(G2, (1, 2, 1), c, trials=2):
-            assert A2.dominance_leq(rep.mu_minus, rep.mu_plus)
+        for g in sample_ytilde(G2, (1, 2, 1), c, trials=2):
+            assert A2.dominance_leq(G2.mu_minus(g), G2.mu_plus(g))
 
 
 def test_orbit_of_antidominant_torus_point():

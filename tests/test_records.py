@@ -7,7 +7,6 @@ import pytest
 from mvcrystals.affine import AffineRoot, GalleryType, build_gallery_type
 from mvcrystals.crystal import CrystalGraph, StringParam
 from mvcrystals.gallery import Gallery, minimal_gallery
-from mvcrystals.looplab.sampling import SampleReport
 from mvcrystals.rootdata import Coweight, Root, build_root_datum
 from mvcrystals.trails import ITrail
 from mvcrystals.verify import CriterionResult
@@ -29,7 +28,6 @@ RECORDS = {
     StringParam: (("word", "c", "c_tilde"), ((1, 2, 1), (0, 1, 0), (1, -1, 0))),
     ITrail: (("word", "weights", "exponents", "d"),
              ((1,), ((1, 0), (0, 1)), (1,), (0,))),
-    SampleReport: (("trial", "mu_plus", "mu_minus", "orbit"), (3, LAM, -LAM, None)),
     CriterionResult: (("cid", "name", "passed", "seconds", "details"),
                       (5, "name", True, 0.5, {"k": 1})),
 }
@@ -77,8 +75,6 @@ def test_keyword_construction():
     names, values = RECORDS[CrystalGraph]
     graph = CrystalGraph(**dict(zip(names, values)))
     assert graph.node_id("b") == 0 and graph.highest_node() == "b"
-    rep = SampleReport(trial=0, mu_plus=LAM, mu_minus=-LAM, orbit=None)
-    assert (rep.trial, rep.mu_plus, rep.mu_minus, rep.orbit) == (0, LAM, -LAM, None)
     first = CriterionResult(cid=1, name="one", passed=True, seconds=0.0)
     second = CriterionResult(cid=2, name="two", passed=False, seconds=0.0)
     assert first.details == {} and first.details is not second.details
