@@ -92,6 +92,8 @@ class LoopGroup:
     def coweight_diag(self, v: Coweight):
         """Coroot coordinates -> int diagonal exponents: d_j = c_j - c_{j-1} with
         c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
+        if not isinstance(v, Coweight):
+            raise RootDataError(f"{v!r} is not a Coweight: a torus element t^v needs one")
         c = v.coords
         if len(c) != self.n - 1:
             raise RootDataError(f"{c} has {len(c)} coroot coordinates, not {self.n - 1}")
@@ -125,8 +127,14 @@ class LoopGroup:
 
     def x_product(self, factors, torus: Coweight | None = None) -> LaurentMatrix:
         """t^torus prod x_{eps_j - eps_k}(p) over factors (j, k, p) in order, with
-        j, k 0-based: column operations from t^torus (or 1), no dense product."""
-        d = (0,) * self.n if torus is None else self.coweight_diag(torus)
+        j, k 0-based: column operations from t^torus (or 1), no dense product.
+        A factor with j = k or an index outside 0..n-1 raises ValueError."""
+        factors, n = tuple(factors), self.n
+        for j, k, p in factors:
+            if j == k or not (0 <= j < n and 0 <= k < n):
+                raise ValueError(f"factor {(j, k, p)} is no root subgroup of SL_{n}: "
+                                 f"it needs j != k in 0..{n - 1}")
+        d = (0,) * n if torus is None else self.coweight_diag(torus)
         return LaurentMatrix._factored(d, factors)
 
     def gen_x(self, alpha: Root, p) -> LaurentMatrix:

@@ -39,39 +39,29 @@ def enumerate_itrails(gamma: tuple, delta: tuple, word):
     """All i-trails from gamma to delta in Lambda^k C^n, n = len(gamma) and
     k = sum(gamma), by exponents.
 
-    Walk one weight from delta, reading the word from the right: each letter
-    either skips (n_j = 0) or applies E_{i_j} (n_j = 1).  The walks that end
-    at gamma are the trails."""
+    Walk from delta, reading the word from the right: each letter skips (n_j = 0)
+    or applies E_{i_j} (n_j = 1), and the walk prepends the weight it reaches; the
+    walks that reach gamma are the trails.  With gamma_{j-1} - gamma_j = n_j alpha_{i_j}
+    and <alpha_i, alpha_i^vee> = 2, d_j = <gamma_{j-1} + gamma_j, alpha_{i_j}^vee> / 2
+    = <gamma_{j-1}, alpha_{i_j}^vee> - n_j = gamma_{j-1}[i_j - 1] - gamma_{j-1}[i_j] - n_j."""
     gamma, delta, word = tuple(gamma), tuple(delta), tuple(word)
     n = len(gamma)
     if not all(1 <= i < n for i in word):
         raise RootDataError(f"word {word} has a letter outside 1..{n - 1}")
     if len(delta) != n or sum(delta) != sum(gamma) or not set(delta) <= {0, 1}:
         return []
-    walks = [((), delta)]
+    walks = [((), (delta,))]  # (exponents, weights), both read from the right
     for i in reversed(word):
         nxt = []
-        for exps, w in walks:
-            nxt.append(((0,) + exps, w))
+        for exps, wts in walks:
+            w = wts[0]
+            nxt.append(((0,) + exps, (w,) + wts))
             if w[i] and not w[i - 1]:
-                nxt.append(((1,) + exps, w[:i - 1] + (1, 0) + w[i + 1:]))
+                nxt.append(((1,) + exps, (w[:i - 1] + (1, 0) + w[i + 1:],) + wts))
         walks = nxt
-    trails = []
-    for exps in sorted(exps for exps, end in walks if end == gamma):
-        weights, d = [gamma], []
-        for i, m in zip(word, exps):
-            w = list(weights[-1])
-            w[i - 1] -= m
-            w[i] += m
-            num = weights[-1][i - 1] + w[i - 1] - weights[-1][i] - w[i]
-            if num % 2:
-                raise RootDataError("d_j failed to be an integer")
-            d.append(num // 2)
-            weights.append(tuple(w))
-        if weights[-1] != delta:
-            raise RootDataError(f"trail of {word} ends at {weights[-1]}, not {delta}")
-        trails.append(ITrail(word, tuple(weights), exps, tuple(d)))
-    return trails
+    return [ITrail(word, wts, exps,
+                   tuple(w[i - 1] - w[i] - m for i, w, m in zip(word, wts, exps)))
+            for exps, wts in sorted(walk for walk in walks if walk[1][0] == gamma)]  # by exponents
 
 
 def string_cone_inequalities(datum: RootDatum, word):

@@ -103,9 +103,11 @@ def test_string_cone_matches_dense_reference(rank, word):
     assert got == reference_cone(rank + 1, word)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_every_weight_pair_matches_dense_reference(k):
-    n, word = 4, (2, 1, 3, 2, 1, 3)
+@pytest.mark.parametrize("n, k, word", [
+    *(pytest.param(4, k, (2, 1, 3, 2, 1, 3), id=str(k)) for k in (1, 2, 3)),
+    *(pytest.param(5, k, (3, 1, 4, 2, 1, 3, 4, 2, 3, 1), id=f"A4-{k}") for k in (1, 2, 3, 4)),
+])
+def test_every_weight_pair_matches_dense_reference(n, k, word):
     ref = reference_trails(n, k, word)
     wts, _ = _dense_raising(n, k)
     assert sum(map(len, ref.values())) > len(wts)  # more than the empty walks

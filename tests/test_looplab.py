@@ -347,6 +347,23 @@ def test_orbit_coweight_reads_the_minors_of_g(crit, monkeypatch):
         assert orbit(group, g) == orbit_from_minors_of_g(g), g
 
 
+def test_every_criterion_8_cell_point_lies_in_the_orbit_of_lambda(monkeypatch):
+    # the cell's statement: a cell point of an LS gallery of type lambda lies
+    # in the G(O)-orbit of t^lambda; criterion 8 checks only that the orbit's
+    # dominant conjugate is at most lambda.  Its lambda = (1, 1) is fixed by
+    # the diagram automorphism, so reading the k-minors for the (n-k)-minors
+    # changes no orbit there; the cells of (2, 1), drawn as criterion 8
+    # draws, join its 40 points
+    crit8 = _sampled_points(verify.crit_8_cell_sampling, monkeypatch)
+    assert len(crit8) == 8 * 5
+    lam = Coweight((2, 1))
+    cells = [g for node in enumerate_ls(build_gallery_type(A2, lam)).nodes
+             for g in sample_cell(G2, node, trials=5, seed=7)]
+    for want, points in ((Coweight((1, 1)), [g for _, g in crit8]), (lam, cells)):
+        for g in points:
+            assert A2.dominant_conjugate(G2.orbit_coweight(g)) == want, g
+
+
 def test_kept_inverse_follows_the_default_precision():
     # 1/(1 + t) is windowed by the default relative precision, so the
     # reference adjugate follows the precision of each call; wbar(w0) is a
@@ -463,6 +480,19 @@ def test_torus_rejects_nu_off_the_coroot_lattice(make):
     assert [(e, type(e)) for j in range(3) for e in g[j, j].coeffs] == \
         [(2, int), (-1, int), (-1, int)]
     assert G2.mu_plus(g) == Coweight((2, 1))
+
+
+@pytest.mark.parametrize("jk", [(0, 0), (1, 3), (-1, 0)], ids=["j=k", "past-n", "negative"])
+def test_x_product_refuses_a_factor_that_is_no_root_subgroup(jk):
+    # (0, 0, 1) would build diag(2, 1, 1), and its factored inverse diag(0, 1, 1)
+    bad = (*jk, LaurentSeries.one())
+    with pytest.raises(ValueError, match=re.escape(f"factor {bad} is no root subgroup of SL_3")):
+        G2.x_product([G2.x_factor(A2.simple_root(1), 1), bad])
+
+
+def test_torus_needs_a_coweight():
+    with pytest.raises(RootDataError, match=re.escape("(1, 1) is not a Coweight")):
+        G2.gen_t((1, 1))
 
 
 # -- valuation formulas -----------------------------------------------------------
