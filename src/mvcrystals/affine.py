@@ -6,7 +6,8 @@ H_{alpha,n} = {x : <alpha,x> = n} and closed half-space
 H^-_{alpha,n} = {x : <alpha,x> <= n}.  The affine node has index 0 with
 alpha_0 = (-theta, -1); finite simple reflections keep their 1-based index.
 W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu; an element is the plain
-pair (mu, w) of an integer tuple and a finite element (AffWeylElt).
+pair (mu, w) of an integer tuple and a finite element (AffWeylElt).  A step
+P s_i over I^aff is one table lookup (affine_step); nothing is stored on a datum.
 
 Lengths and dominance read the pair (mu, w) alone: alpha > 0 takes the values
 (k, k + 1) on (mu, w)(A_fund), k = <alpha, mu> - [w^-1 alpha < 0], so |k|
@@ -35,6 +36,7 @@ __all__ = [
     "AffineRoot",
     "AffWeylElt",
     "GalleryType",
+    "affine_step",
     "simple_affine_reflection",
     "aff_length",
     "face_vertices",
@@ -106,16 +108,19 @@ def identity_aff(datum: RootDatum) -> AffWeylElt:
     return AffWeylElt((0,) * datum.rank, datum.identity_elt())
 
 
-def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
-    """s_i for i in I^aff; s_0 = (theta^vee, s_theta) is the reflection in
-    H_{theta,1}.  The rank + 1 of them are built once per datum."""
+def affine_step(datum: RootDatum, P: AffWeylElt, i: int) -> AffWeylElt:
+    """P s_i for i in I^aff: w s_i off w's table, and mu + w(theta^vee) for s_0."""
     if not 0 <= i <= datum.rank:
         raise RootDataError(f"affine node {i} out of range for {datum}")
-    if datum.affine_reflections is None:
-        theta, zero = datum.coroot_of(datum.highest_root).coords, (0,) * datum.rank
-        datum.affine_reflections = tuple(AffWeylElt(zero if g else theta, s)
-                                         for g, s in enumerate(datum.generators()))
-    return datum.affine_reflections[i]
+    mu, w = P.mu, P.finite
+    if not i:
+        mu = tuple([a + sum(map(mul, row, datum.theta_vee)) for a, row in zip(mu, w.cmat)])
+    return AffWeylElt(mu, w._right[i])
+
+
+def simple_affine_reflection(datum: RootDatum, i: int) -> AffWeylElt:
+    """s_i for i in I^aff (s_0 reflects in H_{theta,1}): the step from the identity."""
+    return affine_step(datum, identity_aff(datum), i)
 
 
 # -- faces -------------------------------------------------------------------
@@ -208,7 +213,7 @@ def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
     lam_fund to lam."""
     prefixes = [identity_aff(datum)]
     for i in word:
-        prefixes.append(prefixes[-1] * simple_affine_reflection(datum, i))
+        prefixes.append(affine_step(datum, prefixes[-1], i))
     if aff_length(datum, prefixes[-1]) != len(word):
         raise RootDataError(f"word {word} for {lam} is not reduced")
     if prefixes[-1].act_coweight(lam_fund) != lam:

@@ -44,16 +44,14 @@ class CrystalGraph:
     when defined, similarly `e_map`; the maps must be mutually inverse.
     """
 
-    __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi",
-                 "_index", "_ends", "_w0_words")
+    __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi", "_index", "_ends")
 
     def __init__(self, datum: RootDatum, nodes: tuple, wt: dict, f_map: dict, e_map: dict,
                  eps: dict, phi: dict):
         self.datum, self.nodes, self.wt = datum, nodes, wt
         self.f_map, self.e_map, self.eps, self.phi = f_map, e_map, eps, phi
         self._index = {node: k for k, node in enumerate(nodes)}
-        # found once per graph: "highest"/"lowest" -> node, and checked w_0 words
-        self._ends, self._w0_words = {}, set()
+        self._ends = {}  # found once per graph: "highest"/"lowest" -> node
 
     @property
     def colors(self):
@@ -304,15 +302,13 @@ def string_param_from_c_tilde(datum: RootDatum, word, c_tilde) -> StringParam:
 
 
 def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
-    """Successive maximal f-strings along the word; must land on the lowest node."""
-    datum = graph.datum
-    word = tuple(word)
-    if word not in graph._w0_words:
-        if not datum.is_w0_word(word):
-            raise CrystalError(f"{word} is not a reduced word of w_0")
-        graph._w0_words.add(word)
-    cur = node
-    c = []
+    """Successive maximal f-strings along a reduced word of w_0; must land on
+    the lowest node."""
+    try:
+        word = graph.datum.w0_word(word)
+    except RootDataError as err:
+        raise CrystalError(str(err)) from None
+    cur, c = node, []
     for i in word:
         n = graph.phi[(cur, i)]
         c.append(n)
@@ -320,7 +316,7 @@ def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
             cur = graph.f(cur, i)
     if cur != graph.lowest_node():
         raise CrystalError("string descent did not reach the lowest-weight node")
-    return string_param_from_c(datum, word, c)
+    return string_param_from_c(graph.datum, word, c)
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -2,23 +2,24 @@
 folding, dimension, and the LS-gallery crystal.
 
 A gallery is the tuple (delta_0, ..., delta_p) in W x W_{i_1} x ... x W_{i_p}
-with prefixes P_j = delta_0...delta_j and faces (none stored) Delta_j =
-P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j}), Delta'_0 = {0} and Delta'_{p+1} =
-nu = P_p(0).  The facet Delta'_j, 1 <= j <= p, lies in P_{j-1} = (mu, w) of
-A_fund's wall i = i_j: its root is beta' = w(alpha_i), or -w(theta) for i = 0,
-at level <beta', mu> - [i = 0], and Delta_{j-1} is on the side where beta' > 0.
-So W's tables give the wall (Gallery._walls): beta' > 0 iff l(w s_i) > l(w)
-(reversed for i = 0), the wall is one of alpha_c iff w s_i = s_c w, and
-Phi_+^aff(Delta'_j, Delta_j) is the positive one of +-beta' iff (beta' > 0) !=
-(delta_j = s_{i_j}), else empty (Gallery.phi_plus).  Only Delta'_0, in a wall
-of every root, is evaluated at vertices (mvcrystals.affine.phi_plus_aff).  The
-same pass gives every colour c the levels of Delta'_0..Delta'_{p+1} (_levels).
-Root operators are implemented exactly as face surgery (reflect a window
-(j, k), translate the tail) followed by tuple recovery, which decides only the
-steps where the mover changes: delta_0 when j = 0, delta_j and delta_k.  The
-recovery checks that the result is again a tuple of the same type, which is a
-theorem, so a failing check is an implementation bug and raises GalleryError,
-which names the datum, the gallery and the colour.
+with prefixes P_j = delta_0...delta_j (each step P s_i is affine_step) and
+faces (none stored) Delta_j = P_j(A_fund), Delta'_j = P_{j-1}(phi_{i_j}),
+Delta'_0 = {0} and Delta'_{p+1} = nu = P_p(0).  The facet Delta'_j, 1 <= j <=
+p, lies in P_{j-1} = (mu, w) of A_fund's wall i = i_j: its root is beta' =
+w(alpha_i), or -w(theta) for i = 0, at level <beta', mu> - [i = 0], and
+Delta_{j-1} is on the side where beta' > 0.  So W's tables give the wall
+(Gallery._walls): beta' > 0 iff l(w s_i) > l(w) (reversed for i = 0), the wall
+is one of alpha_c iff w s_i = s_c w, and Phi_+^aff(Delta'_j, Delta_j) is the
+positive one of +-beta' iff (beta' > 0) != (delta_j = s_{i_j}), else empty
+(Gallery.phi_plus).  Only Delta'_0, in a wall of every root, is evaluated at
+vertices (mvcrystals.affine.phi_plus_aff).  The same pass gives every colour c
+the levels of Delta'_0..Delta'_{p+1} (_levels).  Root operators are implemented
+exactly as face surgery (reflect a window (j, k), translate the tail) followed
+by tuple recovery, which decides only the steps where the mover changes:
+delta_0 when j = 0, delta_j and delta_k, the last two by comparing with
+affine_step.  The recovery checks that the result is again a tuple of the same
+type, which is a theorem, so a failing check is an implementation bug and
+raises GalleryError, which names the datum, the gallery and the colour.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from mvcrystals.affine import (
     AffineRoot,
     AffWeylElt,
     GalleryType,
+    affine_step,
     build_gallery_type,
     face_vertices,
     phi_plus_aff,
-    simple_affine_reflection,
 )
 from mvcrystals.crystal import CrystalError, CrystalGraph, StringParam, string_parameters
 from mvcrystals.rootdata import Coweight, RootDatum, WeylElt
@@ -83,19 +84,12 @@ class Gallery:
 
     @cached_property
     def prefixes(self):
-        """P_j = delta_0 delta_1 ... delta_j as affine elements (mu, w), j = 0..p:
-        P s_i = (mu, w s_i) with w s_i read off w's table, and for the affine
-        letter P s_0 = (mu + w(theta^vee), w s_theta)."""
+        """P_j = delta_0 delta_1 ... delta_j as affine elements (mu, w), j = 0..p,
+        one affine_step per flip."""
         datum = self.gtype.datum
-        theta = simple_affine_reflection(datum, 0).mu
         out = [P := AffWeylElt((0,) * datum.rank, self.delta0)]
         for i, flip in zip(self.gtype.word, self.flips):
-            if flip:
-                mu, w = P.mu, P.finite
-                if not i:
-                    mu = tuple([a + sum(map(mul, row, theta)) for a, row in zip(mu, w.cmat)])
-                P = AffWeylElt(mu, w._right[i])
-            out.append(P)
+            out.append(P := affine_step(datum, P, i) if flip else P)
         return tuple(out)
 
     @cached_property
@@ -133,11 +127,10 @@ class Gallery:
         lies beyond it (module docstring), by its coroot +-w(alpha_i^vee) or
         -+w(theta^vee), at level <alpha, mu> -+ [i = 0]."""
         datum, out = self.gtype.datum, [self._origin_roots] + [()] * self.gtype.p
-        theta = simple_affine_reflection(datum, 0).mu
         for j, (P, i, up) in enumerate(zip(self.prefixes, self.gtype.word, self._walls[0]), 1):
             if up != self.flips[j - 1]:
                 sign = 1 if up else -1
-                co = tuple([sign * row[i - 1] if i else -sign * sum(map(mul, row, theta))
+                co = tuple([sign * row[i - 1] if i else -sign * sum(map(mul, row, datum.theta_vee))
                             for row in P.finite.cmat])
                 alpha = datum.positive_roots[datum.positive_coroots.index(Coweight(co))]
                 n = sum(map(mul, datum.pairing_row(alpha.coords), P.mu)) - (0 if i else sign)
@@ -209,7 +202,7 @@ def _recover_tuple(g: Gallery, i: int, j: int, k: int, refl: AffWeylElt, tail: A
         prev, cur = P[l - 1] if before is None else before * P[l - 1], after * P[l]
         if cur == prev:
             flips[l - 1] = False
-        elif cur == prev * simple_affine_reflection(g.gtype.datum, g.gtype.word[l - 1]):
+        elif cur == affine_step(g.gtype.datum, prev, g.gtype.word[l - 1]):
             flips[l - 1] = True
         else:
             raise GalleryError(f"recovered delta_{l} is not in W_{{i_{l}}} ({_where(g, i)})")
@@ -364,11 +357,12 @@ def gallery_to_dict(g: Gallery) -> dict:
 
 
 def gallery_from_dict(datum: RootDatum, data: dict) -> Gallery:
-    lam = Coweight(tuple(data["lambda"]))
-    gtype = build_gallery_type(datum, lam, word=tuple(data["word"]))
-    delta0 = datum.word_to_element(tuple(data["deltas"][0]))
-    flips = tuple(bool(b) for b in data["deltas"][1:])
-    return Gallery(gtype, delta0, flips)
+    gtype = build_gallery_type(datum, Coweight(tuple(data["lambda"])), word=tuple(data["word"]))
+    delta0 = datum.word_to_element(data["deltas"][0])
+    for j, b in enumerate(data["deltas"][1:], 1):
+        if type(b) is not int or b not in (0, 1):
+            raise GalleryError(f"deltas[{j}] = {b!r} is not a flip: delta_{j} is 0 or 1")
+    return Gallery(gtype, delta0, tuple(b == 1 for b in data["deltas"][1:]))
 
 
 def crystal_to_dict(graph: CrystalGraph) -> dict:

@@ -252,10 +252,7 @@ class LoopGroup:
         only, so a parameter whose known window is all zero raises
         PrecisionError when it is peeled."""
         self._check_size(g)
-        n = self.n
-        word = tuple(word)
-        if not self.datum.is_w0_word(word):
-            raise RootDataError(f"{word} is not a reduced word of w_0")
+        n, word = self.n, self.datum.w0_word(word)
         res = list(g.rows)  # the residual, one row rewritten per step
         if not all(res[a][b].is_known_zero and res[a][b].is_exact
                    for a in range(n) for b in range(a + 1, n)):
@@ -302,9 +299,7 @@ class LoopGroup:
         / (Delta_{u_{k-1} omega_{i*}} Delta_{u_k omega_{i*}}) at i* = i*_k.  A g
         off N_- or an exactly zero denominator raises GenericityError."""
         self._check_size(g)
-        n, word, one, rows = self.n, tuple(word), LaurentSeries.one(), g.rows
-        if not self.datum.is_w0_word(word):
-            raise RootDataError(f"{word} is not a reduced word of w_0")
+        n, word, one, rows = self.n, self.datum.w0_word(word), LaurentSeries.one(), g.rows
         if not all(rows[a][b].agrees_with(one) if a == b else rows[a][b].is_known_zero
                    for a in range(n) for b in range(a, n)):
             raise GenericityError(f"factor_z input of SL_{n} on {word} is not lower unitriangular")

@@ -71,13 +71,10 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     """Sample points of Y~_{word,c} for a reduced word of w_0: the products
     y_{i_j}(p_j) with val(p_j) = c~_j, one per trial in trial order."""
     datum = group.datum
-    word, c = tuple(word), tuple(c)
-    if not all(1 <= i <= datum.rank for i in word) or len(c) != len(word):
-        raise RootDataError(
-            f"c = {c} on word {word}: need letters in 1..{datum.rank} and one c entry "
-            f"per letter; the word has {len(word)} letters, c has {len(c)} entries")
-    if not datum.is_w0_word(word):
-        raise RootDataError(f"{word} is not a reduced word of w_0")
+    word, c = datum.w0_word(word), tuple(c)
+    if len(c) != len(word):
+        raise RootDataError(f"c = {c} on word {word}: need one c entry per letter; "
+                            f"the word has {len(word)} letters, c has {len(c)} entries")
     sp = string_param_from_c(datum, word, c)
     points = []
     for trial in _trials(trials):
@@ -232,12 +229,10 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     wbar(w0)^{-1}), so the check computes F(F(c~)) = c~ by the second
     algorithm, Gauss factor plus peel, where f reads the chamber minors.
     ``seed`` is ignored; the benchmark's tropical workload still passes it."""
-    word, c_tilde = tuple(word), tuple(c_tilde)
-    if not group.datum.is_w0_word(word) or len(c_tilde) != len(word):
-        raise RootDataError(
-            f"c~ = {c_tilde} on word {word}: need a reduced word of w_0 "
-            f"({len(group.datum.positive_roots)} letters) and one c~ entry per letter; "
-            f"the word has {len(word)} letters, c~ has {len(c_tilde)} entries")
+    word, c_tilde = group.datum.w0_word(word), tuple(c_tilde)
+    if len(c_tilde) != len(word):
+        raise RootDataError(f"c~ = {c_tilde} on word {word}: need one c~ entry per letter; "
+                            f"the word has {len(word)} letters, c~ has {len(c_tilde)} entries")
     n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
     back = trop_eval(lusztig_to_string_map(group, word), n_vec)
     if tuple(back) != c_tilde:

@@ -4,15 +4,15 @@ Everything is integer or `fractions.Fraction` arithmetic; there is no floating
 point anywhere.  Simple roots are indexed 1..rank (the affine node, used in
 :mod:`mvcrystals.affine`, gets index 0).  Roots are stored by their integer
 coordinates in the simple-root basis, coweights by their coordinates in the
-simple-coroot basis; the two carry distinct types so that mismatched pairings
-fail loudly instead of silently computing nonsense.
+simple-coroot basis; arithmetic, pairings and orders that mix the two types
+raise TypeError.  The datum answers every Weyl-word question from its tables.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import add, mul, sub
 
 __all__ = [
@@ -78,10 +78,14 @@ class _Vector:
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coords))
 
-    def __add__(self, other):
+    def __add__(self, other):  # another type: NotImplemented, so TypeError names both
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(tuple(map(add, self.coords, _of_len(other.coords, len(self.coords)))))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(tuple(map(sub, self.coords, _of_len(other.coords, len(self.coords)))))
 
     def scale(self, k):
@@ -125,6 +129,13 @@ def _of_len(coords, n, datum=None, kind=""):
     return coords
 
 
+def _typed(what, args, types):
+    """The TypeError of a datum method handed a vector of the wrong type."""
+    if not all(map(isinstance, args, types)):
+        names = (", ".join(t.__name__ for t in ts) for ts in (types, map(type, args)))
+        raise TypeError("{} takes ({}); got ({})".format(what, *names))
+
+
 def _norm(a):
     """Collapse integral Fractions to int so equal vectors hash equal."""
     return int(a) if type(a) is Fraction and a.denominator == 1 else a
@@ -140,6 +151,13 @@ def _sreflect(x, i, row):
     return x[:i] + (x[i] - sum(map(mul, row, x)),) + x[i + 1:]
 
 
+def _walk(w, word):
+    """w s_{i_1} ... s_{i_l} for letters in 1..rank: one table lookup per letter."""
+    for i in word:
+        w = w._right[i]
+    return w
+
+
 def _reflect(x, row, co):
     """x - <alpha, x> alpha^vee, alpha given by its pairing row and coroot co."""
     p = sum(map(mul, row, x))
@@ -150,9 +168,9 @@ class WeylElt:
     """Finite Weyl group element, built once per datum by
     `RootDatum.weyl_elements`, so equal elements are the same object.  It
     keeps its integer matrix on the simple-coroot basis (cmat, acting on
-    coweight coordinates), its index in W, a shortest word (so its length)
-    and its products with the generators s_theta, s_1, ..., s_rank, left and
-    right, indexed like I^aff."""
+    coweight coordinates), its index in W, its greedy reduced word (smallest
+    left descent first; so its length) and its products with the generators
+    s_theta, s_1, ..., s_rank, left and right, indexed like I^aff."""
 
     __slots__ = ("cmat", "index", "word", "length", "gen", "_left", "_right")
 
@@ -171,7 +189,7 @@ class WeylElt:
             return self._right[other.gen]
         if self.gen is not None:
             return other._left[self.gen]
-        return reduce(lambda w, i: w._right[i], other.word, self)
+        return _walk(self, other.word)
 
     def act_coweight(self, v: Coweight) -> Coweight:
         return Coweight(self.act_point(v.coords))
@@ -192,7 +210,6 @@ class RootDatum:
         self.series, self.rank = series, rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
         self._weyl = None  # (W numbered, its generators)
-        self.affine_reflections = None  # s_0, ..., s_rank, set by mvcrystals.affine
         self._pairing_rows = {}  # root coords rc -> the row rc.C
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
         self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
@@ -249,6 +266,7 @@ class RootDatum:
         # 2 rho^vee, the sum of the positive coroots, in coroot coordinates
         self.two_rho_vee = tuple(map(sum, zip(*(seen[rt] for rt in pos))))
         self.highest_root, self.marks = self.positive_roots[-1], pos[-1]
+        self.theta_vee = seen[pos[-1]]  # the coroot of the highest root
 
     # -- basic vectors ------------------------------------------------------
 
@@ -281,9 +299,7 @@ class RootDatum:
 
     def pairing(self, root, coweight):
         """<root, coweight>, exact."""
-        if not isinstance(root, Root) or not isinstance(coweight, Coweight):
-            raise TypeError("pairing takes (Root, Coweight); got "
-                            f"({type(root).__name__}, {type(coweight).__name__})")
+        _typed("pairing", (root, coweight), (Root, Coweight))
         return self.pairing_coords(root.coords, coweight.coords)
 
     def pairing_row(self, rc):
@@ -306,15 +322,15 @@ class RootDatum:
 
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
+        _typed("height", (x,), (Coweight,))
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")
         return int(sum(self._of_rank(x.coords)))
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""
-        for v in (mu, lam):
-            self._of_rank(v.coords)
-        d = lam - mu
+        _typed("dominance_leq", (mu, lam), (Coweight, Coweight))
+        d = Coweight(tuple(map(sub, self._of_rank(lam.coords), self._of_rank(mu.coords))))
         return d.is_integral() and all(a >= 0 for a in d.coords)
 
     def is_dominant(self, v: Coweight) -> bool:
@@ -362,20 +378,23 @@ class RootDatum:
         datum.  W acts simply transitively on the orbit of the regular point
         2 rho^vee, so a BFS over that orbit by the simple reflections, whose
         depth is the length, finds every w with each s_g w; then
-        w s_g = s_i (u s_g) along the BFS edge w = s_i u."""
+        w s_g = s_i (u s_g) along the BFS edge w = s_i u.  Each depth is
+        reached by the smallest letter first, so w's edge is its smallest
+        left descent s_i and its word, i then u's, is the greedy reduced word."""
         if self._weyl is None:
-            theta = self.pairing_row(self.marks), self._coroot_of[self.highest_root].coords
+            theta = self.pairing_row(self.marks), self.theta_vee
             start = self.two_rho_vee
             seen = {start: ((), _identity(self.rank), None)}  # w(start) -> word, cmat, parent
             left, frontier = {}, [start]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    word, m, _ = seen[x]
-                    left[x] = [_reflect(x, *theta)]
-                    for i, row in enumerate(self.cartan):
-                        left[x].append(y := _sreflect(x, i, row))
-                        if y not in seen:  # s_i m differs from m in row i only
+                    left[x] = [_reflect(x, *theta)] + [_sreflect(x, i, row)
+                                                       for i, row in enumerate(self.cartan)]
+                for i, row in enumerate(self.cartan):  # smallest letter first over the frontier
+                    for x in frontier:
+                        if (y := left[x][i + 1]) not in seen:  # s_i m: m with row i changed
+                            word, m, _ = seen[x]
                             mi = tuple([a - sum(map(mul, row, c)) for a, c in zip(m[i], zip(*m))])
                             seen[y] = ((i + 1,) + word, m[:i] + (mi,) + m[i + 1:], x)
                             nxt.append(y)
@@ -401,24 +420,25 @@ class RootDatum:
         return _reduced_words(w, self.weyl_length, enumerate(self.generators()[1:], 1))
 
     def word_to_element(self, word) -> WeylElt:
-        return reduce(lambda w, i: w * self.simple_reflection(i), word, self.identity_elt())
+        return _walk(self.identity_elt(), [self._node(i, "simple reflection") + 1 for i in word])
 
     def is_w0_word(self, word) -> bool:
-        """True when word is a reduced word of the longest element w_0."""
-        word = tuple(word)
-        return len(word) == len(self.positive_roots) and \
-            all(1 <= i <= self.rank for i in word) and \
-            self.word_to_element(word) == self.longest_element()
+        """True when word is a reduced word of the longest element w_0: it has
+        |Phi_+| letters in 1..rank and walks to that length, which only w_0 has."""
+        word, n = tuple(word), len(self.positive_roots)
+        return len(word) == n and 1 <= min(word) and max(word) <= self.rank and \
+            _walk(self.identity_elt(), word).length == n
+
+    def w0_word(self, word) -> tuple:
+        """word as a tuple, refused unless it is a reduced word of w_0."""
+        if not self.is_w0_word(word := tuple(word)):
+            raise RootDataError(f"{word} is not a reduced word of w_0 for {self} "
+                                f"({len(self.positive_roots)} letters in 1..{self.rank})")
+        return word
 
     def reduced_word(self, w: WeylElt):
-        """One reduced word (greedy left descent, smallest letter first),
-        with s_i w read off the left table and lengths off the BFS."""
-        word = []
-        while w.length:
-            i, w = next((i, s * w) for i, s in enumerate(self.generators()[1:], 1)
-                        if (s * w).length < w.length)
-            word.append(i)
-        return tuple(word)
+        """w's greedy reduced word (smallest left descent first), kept by the BFS."""
+        return w.word
 
 
 def _reduced_words(w, length, simple):

@@ -69,10 +69,7 @@ def string_cone_inequalities(datum: RootDatum, word):
     V(omega_i), for every i; returns (deduplicated rows, raw rows)."""
     if datum.series != "A":
         raise RootDataError("string cone via i-trails is implemented for type A only")
-    n = datum.rank + 1
-    if not datum.is_w0_word(word):
-        raise RootDataError(f"{word} is not a reduced word of w_0")
-    raw = []
+    n, word, raw = datum.rank + 1, datum.w0_word(word), []
     for i in range(1, n):
         gamma = (1,) * i + (0,) * (n - i)
         # s_i swaps the epsilon coordinates i and i+1; w0 reverses them all

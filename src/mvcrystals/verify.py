@@ -14,9 +14,10 @@ import itertools
 import math
 import random
 import time
+from functools import partial, reduce
 
-from mvcrystals.affine import build_gallery_type, enumerate_affine_reduced_words, \
-    identity_aff, minimal_word, simple_affine_reflection
+from mvcrystals.affine import affine_step, build_gallery_type, \
+    enumerate_affine_reduced_words, identity_aff, minimal_word
 from mvcrystals.crystal import (
     CrystalError,
     character,
@@ -205,10 +206,7 @@ def crit_4_word_independence(graphs):
     ok = True
     for coords in ((1, 1), (2, 2)):
         lam = Coweight(coords)
-        word0 = minimal_word(a2, lam)
-        w = identity_aff(a2)
-        for i in word0:
-            w = w * simple_affine_reflection(a2, i)
+        w = reduce(partial(affine_step, a2), minimal_word(a2, lam), identity_aff(a2))
         words = enumerate_affine_reduced_words(a2, w)
         crystals = [_graph(graphs, a2, lam, word=word) for word in words]
         pairs_ok = True
@@ -290,7 +288,7 @@ def crit_5_string_cone(graphs):
         "a3_inequality_rows": len(rows),
         "a2_soundness": sound,
         "a2_tightness": tight,
-        # i-trail cones need the wedge modules, which exist for type A only
+        # i-trails walk the weights of Lambda^k C^n, so the cones are type A only
         "cone_checks_not_run": ["B2", "G2"],
     }
 

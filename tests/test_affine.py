@@ -13,6 +13,7 @@ from mvcrystals.affine import (
     AffWeylElt,
     GalleryType,
     aff_length,
+    affine_step,
     build_gallery_type,
     enumerate_affine_reduced_words,
     face_vertices,
@@ -374,6 +375,27 @@ def test_products_and_prefixes_match_the_matrix_reference(series, rank):
         # equality and hashing read the plain pair
         twin = AffWeylElt(mu.coords, gh.finite)
         assert gh == twin and hash(gh) == hash(twin)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_affine_step_is_the_product_with_the_simple_affine_reflection(series, rank):
+    # P s_i read off w's table (and w(theta^vee) for letter 0) equals the
+    # general product and the matrix reference, along seeded prefixes
+    datum = build_root_datum(series, rank)
+    rng = random.Random(4200 + ord(series))
+    for i in range(rank + 1):
+        assert as_ref(simple_affine_reflection(datum, i)) == ref_generator(datum, i)
+    for _ in range(20):
+        P = AffWeylElt((0,) * rank, rng.choice(datum.weyl_elements()))
+        for _ in range(rng.randint(1, 12)):
+            i = rng.randint(0, rank)
+            step = affine_step(datum, P, i)
+            assert step == P * simple_affine_reflection(datum, i)
+            assert as_ref(step) == ref_product(as_ref(P), ref_generator(datum, i))
+            P = step
+    for i in (-1, rank + 1):
+        with pytest.raises(RootDataError, match=f"^affine node {i} out of range for {datum}$"):
+            affine_step(datum, P, i)
 
 
 @pytest.mark.parametrize("series,rank", SUPPORTED, ids=[f"{s}{r}" for s, r in SUPPORTED])

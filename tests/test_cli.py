@@ -215,22 +215,24 @@ def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
                               f"--ctilde={ctilde}"], capsys)
     assert code == 2 and out == ""
     w, c = (tuple(int(x) for x in text.split(",")) for text in (word, ctilde))
-    assert err.startswith(f"error: c~ = {c} on word {w}: need a reduced word of w_0 "
-                          "(3 letters)")
-    assert f"the word has {len(w)} letters, c~ has {len(c)} entries" in err
+    message = f"{w} is not a reduced word of w_0 for A2 (3 letters in 1..2)" if len(w) != 3 \
+        else f"c~ = {c} on word {w}: need one c~ entry per letter; " \
+             f"the word has {len(w)} letters, c~ has {len(c)} entries"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags,message", [
     (["--word", "1,2,1", "--c", "1,0"],
-     "c = (1, 0) on word (1, 2, 1): need letters in 1..2 and one c entry per letter; "
+     "c = (1, 0) on word (1, 2, 1): need one c entry per letter; "
      "the word has 3 letters, c has 2 entries"),
     (["--word", "1,5,1", "--c", "1,0,1"],
-     "c = (1, 0, 1) on word (1, 5, 1): need letters in 1..2 and one c entry per letter; "
-     "the word has 3 letters, c has 3 entries"),
+     "(1, 5, 1) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),
     (["--word", "1,2,1", "--c", "1,0,1", "--trials", "-3"],
      "trials must be at least 1, got -3"),
-    (["--word", "1,2", "--c", "1,0"], "(1, 2) is not a reduced word of w_0"),
-    (["--word", "1,1,1", "--c", "1,0,1"], "(1, 1, 1) is not a reduced word of w_0"),
+    (["--word", "1,2", "--c", "1,0"],
+     "(1, 2) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),
+    (["--word", "1,1,1", "--c", "1,0,1"],
+     "(1, 1, 1) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),
 ], ids=["short-c", "bad-letter", "negative-trials", "short-word", "unreduced-word"])
 def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     code, out, err = run_cli(["mv-sample", "--type", "A", "--rank", "2", *flags], capsys)

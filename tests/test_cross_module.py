@@ -11,11 +11,13 @@ import pytest
 
 from mvcrystals import cli
 from mvcrystals.affine import AffineRoot, build_gallery_type
+from mvcrystals.crystal import CrystalError, string_parameters
 from mvcrystals.gallery import GalleryError, enumerate_ls, stable_string
-from mvcrystals.looplab import GenericityError, LaurentSeries, LoopGroup
+from mvcrystals.looplab import GenericityError, LaurentMatrix, LaurentSeries, LoopGroup, \
+    lusztig_from_string, sample_ytilde
 from mvcrystals.looplab.series import default_rel_prec, set_default_rel_prec, vector_val, \
     PrecisionError
-from mvcrystals.rootdata import Coweight, build_root_datum
+from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 from reference import act_affine_root
 from stabwork import sqrt
@@ -45,6 +47,30 @@ def test_affine_conjugation_matches_symbolic_action():
         minus = G2.gen_x(img.root, LaurentSeries.t_power(img.level, -a))
         assert lhs.equals_exact(plus) or lhs.equals_exact(minus), \
             (lam.coords, beta, img)
+
+
+THETA = enumerate_ls(build_gallery_type(A2, Coweight((1, 1))))
+ONE = LaurentMatrix.identity(3)
+# every entry point that takes a reduced word of w_0, as (name, call, error class)
+W0_ENTRY_POINTS = [
+    ("string_cone_inequalities", lambda w: string_cone_inequalities(A2, w), RootDataError),
+    ("sample_ytilde", lambda w: sample_ytilde(G2, w, (0,) * len(w)), RootDataError),
+    ("lusztig_from_string", lambda w: lusztig_from_string(G2, w, (0,) * len(w)), RootDataError),
+    ("factor_y", lambda w: G2.factor_y(ONE, w), RootDataError),
+    ("factor_z", lambda w: G2.factor_z(ONE, w), RootDataError),
+    ("string_parameters", lambda w: string_parameters(THETA, THETA.nodes[0], w), CrystalError),
+]
+
+
+@pytest.mark.parametrize("word", [(1, 2), (1, 0, 1), (1, 3, 1), (1, 1, 2)],
+                         ids=["too-short", "letter-0", "letter-rank+1", "not-reduced"])
+@pytest.mark.parametrize("call,error", [p[1:] for p in W0_ENTRY_POINTS],
+                         ids=[p[0] for p in W0_ENTRY_POINTS])
+def test_every_w0_entry_point_refuses_a_bad_word_with_one_message(call, error, word):
+    # one check on the datum decides, and its one message names the datum
+    message = f"{word} is not a reduced word of w_0 for A2 (3 letters in 1..2)"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(word)
 
 
 def test_stable_string_lies_in_cone():

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -256,6 +257,15 @@ def test_serialization_roundtrip(a2_theta_type):
         data = gallery_to_dict(g)
         back = gallery_from_dict(A2, data)
         assert back == g
+
+
+@pytest.mark.parametrize("entry", [7, "x", None, True, 1.0])
+def test_gallery_from_dict_reads_only_0_and_1_as_flips(a2_theta_type, entry):
+    data = gallery_to_dict(minimal_gallery(a2_theta_type))
+    data["deltas"][1] = entry
+    with pytest.raises(GalleryError, match=rf"^deltas\[1\] = {re.escape(repr(entry))} is not "
+                                           r"a flip: delta_1 is 0 or 1$"):
+        gallery_from_dict(A2, data)
 
 
 def test_recover_tuple_keeps_the_tuple_under_identity_movers(a2_theta_type):

@@ -150,3 +150,55 @@ def test_vertex_geometry_is_evaluated_only_in_affine_and_at_the_origin_face():
     assert outside == []
     # the guard sees the one allowed caller, so a rename cannot empty it
     assert {(name, scope) for name, scope, _ in found} >= VERTEX_CALLERS
+
+
+def datum_writes(tree):
+    """Line and target of every write to an attribute of a datum: an
+    assignment or deletion on `X.attr` or an item of it, or `setattr(X, ...)`,
+    where X is a name containing "datum", a `.datum` attribute, or a name the
+    module binds to `build_root_datum(...)`."""
+    built = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+             and node.value.func.id == "build_root_datum"
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_datum(x):
+        return isinstance(x, ast.Name) and ("datum" in x.id or x.id in built) or \
+            isinstance(x, ast.Attribute) and x.attr == "datum"
+
+    found = []
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                node.func.id in ("setattr", "delattr") and node.args:
+            targets = [ast.Attribute(value=node.args[0], attr="?")]
+        for t in targets:
+            attr = t
+            while isinstance(attr, ast.Subscript):
+                attr = attr.value
+            if isinstance(attr, ast.Attribute) and is_datum(attr.value):
+                found.append(f"{node.lineno}: {ast.unparse(t)}")
+    return found
+
+
+def test_only_rootdata_writes_onto_a_datum():
+    # a datum is shared by every caller of build_root_datum, so what it
+    # stores is the datum's own: no other module keeps state on it
+    found = [f"{name}:{line}" for name, tree in modules().items()
+             if name != "mvcrystals.rootdata" for line in datum_writes(tree)]
+    assert found == []
+
+
+def test_the_datum_write_guard_sees_a_planted_write():
+    planted = ast.parse(
+        "def f(datum, g):\n"
+        "    datum.x = 1\n"
+        "    g.gtype.datum.memo[1] = 2\n"
+        "    g.gtype.datum.cache = {}\n"
+        "    a2 = build_root_datum('A', 2)\n"
+        "    a2.count += 1\n"
+        "    setattr(datum, 'y', 2)\n"
+        "    g.x = 3\n")
+    assert datum_writes(planted) == ["2: datum.x", "3: g.gtype.datum.memo[1]",
+                                     "4: g.gtype.datum.cache", "6: a2.count", "7: datum.?"]

@@ -1185,7 +1185,7 @@ def test_sample_ytilde_zero():
 def test_sample_ytilde_needs_a_reduced_word_of_w0(word, c):
     # Y~_{i,c} is defined only when i is a reduced word of w_0
     with pytest.raises(RootDataError, match=rf"^{re.escape(str(word))} is not a reduced "
-                                            r"word of w_0$"):
+                                            r"word of w_0 for A2 \(3 letters in 1\.\.2\)$"):
         sample_ytilde(G2, word, c)
 
 

@@ -138,6 +138,27 @@ def test_pairing_type_discipline():
         A2.pairing(A2.simple_coroot(1), A2.simple_coroot(2))
 
 
+def test_a_root_and_a_coweight_do_not_add():
+    with pytest.raises(TypeError, match="'Root' and 'Coweight'"):
+        Root((1, 0)) + Coweight((0, 1))
+
+
+def test_a_root_is_not_subtracted_from_a_coweight():
+    with pytest.raises(TypeError, match="'Coweight' and 'Root'"):
+        Coweight((1, 0)) - Root((0, 1))
+
+
+def test_dominance_leq_refuses_a_root():
+    with pytest.raises(TypeError, match=r"^dominance_leq takes \(Coweight, Coweight\); "
+                                        r"got \(Root, Coweight\)$"):
+        A2.dominance_leq(Root((1, 0)), Coweight((1, 1)))
+
+
+def test_height_refuses_a_root():
+    with pytest.raises(TypeError, match=r"^height takes \(Coweight\); got \(Root\)$"):
+        A2.height(Root((1, 1)))
+
+
 def test_weyl_act_examples():
     s1 = A2.simple_reflection(1)
     assert s1.act_coweight(A2.simple_coroot(1)) == -A2.simple_coroot(1)
