@@ -9,10 +9,13 @@ W^aff = Z Phi^vee x| W acts by x |-> w(x) + mu; an element is the plain
 pair (mu, w) of an integer tuple and a finite element (AffWeylElt).  A step
 P s_i over I^aff is one table lookup (affine_step); nothing is stored on a datum.
 
-Lengths and dominance read the pair (mu, w) alone: alpha > 0 takes the values
-(k, k + 1) on (mu, w)(A_fund), k = <alpha, mu> - [w^-1 alpha < 0], so |k|
-walls of alpha separate it from A_fund (aff_length, Iwahori-Matsumoto) and
-it is dominant iff k >= 0 for every simple alpha (_dominant).
+Lengths read the pair (mu, w) alone: alpha > 0 takes the values (k, k + 1)
+on (mu, w)(A_fund), k = <alpha, mu> - [w^-1 alpha < 0], so |k| walls of alpha
+separate it from A_fund (aff_length, Iwahori-Matsumoto).  Every alcove of a
+gallery type is dominant, so nothing tests it: a reduced word of w_lambda,
+minimal in t_lambda W, walks a minimal gallery from A_fund to the alcove at
+dominant lambda nearest A_fund, and such a gallery crosses only walls that
+separate its two dominant ends, so no wall of the chamber.
 
 Only phi_plus_aff evaluates at vertices, and mvcrystals.gallery calls it at
 a gallery's origin face Delta'_0 = {0} alone.  A face is the tuple of its
@@ -201,32 +204,22 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
 def minimal_word(datum: RootDatum, lam: Coweight):
     """fundamentalize's fold word of a dominant lam, checked: the greedy reduced
     word over I^aff of w_lambda, the shortest w with w(lam_fund) = lam."""
-    if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant for {datum}")
-    lam_fund, _, word = fundamentalize(datum, lam)
+    lam_fund, _, word = fundamentalize(datum, datum.dominant_coweight(lam))
     _check_word(datum, word, lam_fund, lam)
     return word
 
 
 def _check_word(datum: RootDatum, word, lam_fund: Coweight, lam: Coweight):
-    """The prefixes of word over I^aff; the word must be reduced and map
-    lam_fund to lam."""
-    prefixes = [identity_aff(datum)]
+    """Refuse word over I^aff unless it is reduced and maps lam_fund, the point
+    lam folds to, to lam."""
+    g = identity_aff(datum)
     for i in word:
-        prefixes.append(affine_step(datum, prefixes[-1], i))
-    if aff_length(datum, prefixes[-1]) != len(word):
-        raise RootDataError(f"word {word} for {lam} is not reduced")
-    if prefixes[-1].act_coweight(lam_fund) != lam:
-        raise RootDataError(f"word {word} does not map lam_fund to {lam}")
-    return prefixes
-
-
-def _dominant(datum: RootDatum, g: AffWeylElt) -> bool:
-    """g(A_fund) = (mu, w)(A_fund) is dominant iff <alpha_i, mu> >= [w^-1 alpha_i < 0]
-    for every i (module docstring), and w^-1 alpha_i < 0 iff l(s_i w) < l(w)."""
-    w = g.finite
-    return all(sum(map(mul, row, g.mu)) >= (w._left[i].length < w.length)
-               for i, row in enumerate(datum.cartan, 1))
+        g = affine_step(datum, g, i)
+    if aff_length(datum, g) != len(word):
+        raise RootDataError(f"word {word} for lambda = {lam} on {datum} is not reduced")
+    if (end := g.act_coweight(lam_fund)) != lam:
+        raise RootDataError(f"word {word} for lambda = {lam} on {datum} maps {lam_fund} "
+                            f"to {end}, not to lambda")
 
 
 class GalleryType:
@@ -257,7 +250,7 @@ class GalleryType:
     @property
     def dim_gamma(self) -> int:
         """dim gamma_lambda = |Phi_+| + p: every alcove of the type is
-        dominant (build_gallery_type), so each of its p wall crossings is
+        dominant (module docstring), so each of its p wall crossings is
         positive."""
         return len(self.datum.positive_roots) + len(self.word)
 
@@ -266,19 +259,14 @@ def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryTyp
     """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
     The word defaults to w_lambda's greedy word, fundamentalize's folds; any
-    reduced word of w_lambda is accepted and checked (length, image of 0,
-    minimality, dominance of every alcove Gamma_j; each facet Gamma'_j is
-    spanned by vertices of Gamma_{j-1}, so its dominance follows)."""
-    if not lam.is_integral():  # so lam folds to lam_fund = 0, of type {1..rank}
-        raise RootDataError(f"{lam} is not in the coroot lattice of {datum}")
-    if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant for {datum}")
+    reduced word of w_lambda is accepted and checked: it is reduced, maps 0
+    to lam and has l(w_lambda) letters, so it is a reduced word of the minimal
+    element of t_lambda W, whose alcoves are all dominant (module docstring)."""
+    datum.dominant_coweight(datum.lattice_coweight(lam))  # lam folds to 0, of type {1..rank}
     minimal = fundamentalize(datum, lam)[2]
     word = minimal if word is None else tuple(word)
-    prefixes = _check_word(datum, word, datum.zero_coweight(), lam)
+    _check_word(datum, word, datum.zero_coweight(), lam)
     if len(word) != len(minimal):
-        raise RootDataError(f"word {word} is not minimal for {lam}")
-    for j, P in enumerate(prefixes):
-        if not _dominant(datum, P):
-            raise RootDataError(f"gallery type alcove {j} leaves the dominant chamber")
+        raise RootDataError(f"word {word} for lambda = {lam} on {datum} is not minimal: "
+                            f"w_lambda has {len(minimal)} letters")
     return GalleryType(datum, lam, word)

@@ -25,19 +25,12 @@ from mvcrystals.trails import string_cone_inequalities
 __all__ = ["main"]
 
 
-def _datum(args):
-    return build_root_datum(args.type, args.rank)
-
-
-def _coweight(text, datum) -> Coweight:
-    coords = tuple(int(x) for x in text.split(","))
-    if len(coords) != datum.rank:
-        raise ValueError(f"expected {datum.rank} coroot coordinates for {datum}, got {len(coords)}")
-    return Coweight(coords)
-
-
-def _word(text):
-    return tuple(int(x) for x in text.split(",")) if text else ()
+def _ints(text, flag) -> tuple:
+    """The comma-separated integers of flag's text; the datum checks how many."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a comma-separated list of integers") from None
 
 
 def _emit(data, out_path):
@@ -50,9 +43,9 @@ def _emit(data, out_path):
 
 
 def cmd_crystal(args):
-    datum = _datum(args)
-    lam = _coweight(args.lam, datum)
-    word = None if args.word is None else _word(args.word)
+    datum = build_root_datum(args.type, args.rank)
+    lam = Coweight(_ints(args.lam, "--lambda"))
+    word = None if args.word is None else _ints(args.word, "--word")
     gtype = build_gallery_type(datum, lam, word=word)
     graph = enumerate_ls(gtype)
     data = crystal_to_dict(graph)
@@ -66,9 +59,9 @@ def cmd_crystal(args):
 
 
 def cmd_string(args):
-    datum = _datum(args)
-    lam = _coweight(args.lam, datum)
-    word = _word(args.word)
+    datum = build_root_datum(args.type, args.rank)
+    lam = Coweight(_ints(args.lam, "--lambda"))
+    word = _ints(args.word, "--word")
     graph = enumerate_ls(build_gallery_type(datum, lam))
     rows = []
     for node in graph.nodes:
@@ -85,8 +78,8 @@ def cmd_string(args):
 
 
 def cmd_cone(args):
-    datum = _datum(args)
-    word = _word(args.word)
+    datum = build_root_datum(args.type, args.rank)
+    word = _ints(args.word, "--word")
     rows, raw = string_cone_inequalities(datum, word)
     _emit({
         "word": list(word),
@@ -99,10 +92,10 @@ def cmd_cone(args):
 def cmd_mv_sample(args):
     from mvcrystals.looplab import LoopGroup, sample_ytilde
 
-    datum = _datum(args)
+    datum = build_root_datum(args.type, args.rank)
     group = LoopGroup(datum)
-    word = _word(args.word)
-    c = _word(args.c)
+    word = _ints(args.word, "--word")
+    c = _ints(args.c, "--c")
     points = sample_ytilde(group, word, c, trials=args.trials, seed=args.seed)
     rows = [{
         "trial": trial,
@@ -118,10 +111,10 @@ def cmd_mv_sample(args):
 def cmd_trop(args):
     from mvcrystals.looplab import LoopGroup, lusztig_from_string
 
-    datum = _datum(args)
+    datum = build_root_datum(args.type, args.rank)
     group = LoopGroup(datum)
-    word = _word(args.word)
-    c_tilde = _word(args.ctilde)
+    word = _ints(args.word, "--word")
+    c_tilde = _ints(args.ctilde, "--ctilde")
     n_vec = lusztig_from_string(group, word, c_tilde)
     _emit({"word": list(word), "c_tilde": list(c_tilde),
            "lusztig": [int(x) for x in n_vec]}, args.out)

@@ -183,8 +183,7 @@ def _form_value(bmat, x, y):
 def weyl_dimension(datum: RootDatum, lam: Coweight) -> int:
     """Dimension of the dual-group irreducible with highest weight lam: the
     product over alpha > 0 of <alpha, lam + rho^vee> / <alpha, rho^vee>."""
-    if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant for {datum}")
+    datum.dominant_coweight(lam)
     if any(type(datum.pairing(a, lam)) is not int for a in datum.simple_roots()):
         raise RootDataError(f"{lam} is not in the coweight lattice of {datum}")
     two_rho = datum.two_rho_vee
@@ -206,10 +205,7 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
     Independent of the gallery model; cross-checked internally against the
     Weyl dimension formula.  Weights are integer coordinate tuples until the
     result is built."""
-    if not datum.is_dominant(lam):
-        raise RootDataError(f"{lam} is not dominant for {datum}")
-    if not lam.is_integral():
-        raise RootDataError(f"{lam} is not in the coroot lattice of {datum}")
+    datum.lattice_coweight(datum.dominant_coweight(lam))
     lc, cartan, two_rho = lam.coords, datum.cartan, datum.two_rho_vee
     bmat = _dual_form(datum)
     # mu = lam - n is dominant iff C n <= C lam row by row, and every weight

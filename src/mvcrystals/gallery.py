@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 
+NODE_CAP = 10**6  # enumerate_ls refuses a crystal with more LS nodes
+
+
 class GalleryError(RuntimeError):
     """Type preservation or enumeration guard failure."""
 
@@ -281,7 +284,7 @@ def is_ls(g: Gallery) -> bool:
         g.gtype.dim_gamma - dimension(g) == g.gtype.datum.height(g.gtype.lam - g.weight)
 
 
-def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
+def enumerate_ls(gtype: GalleryType):
     """Closure of {gamma_lambda} under the defined root_f operators.
 
     Asserts every generated gallery is LS and that the set is closed under
@@ -302,8 +305,8 @@ def enumerate_ls(gtype: GalleryType, node_cap: int = 10**6):
                         raise GalleryError(f"root_f left the LS set ({_where(node, i)})")
                     known = seen[child] = child
                     nxt.append(child)
-                    if len(seen) > node_cap:
-                        raise GalleryError(f"more than {node_cap} LS nodes ({_where(node, i)})")
+                    if len(seen) > NODE_CAP:
+                        raise GalleryError(f"more than {NODE_CAP} LS nodes ({_where(node, i)})")
                 edges[(node, i)] = known
         nxt.sort(key=Gallery.sort_key)
         order.extend(nxt)
@@ -357,12 +360,20 @@ def gallery_to_dict(g: Gallery) -> dict:
 
 
 def gallery_from_dict(datum: RootDatum, data: dict) -> Gallery:
+    """The gallery of a gallery_to_dict record; a missing or malformed entry
+    raises GalleryError naming it."""
+    if missing := [key for key in ("lambda", "word", "deltas") if key not in data]:
+        raise GalleryError(f"gallery record has no {missing[0]!r} entry")
     gtype = build_gallery_type(datum, Coweight(tuple(data["lambda"])), word=tuple(data["word"]))
-    delta0 = datum.word_to_element(data["deltas"][0])
-    for j, b in enumerate(data["deltas"][1:], 1):
+    if not isinstance(deltas := data["deltas"], (list, tuple)) or not deltas:
+        raise GalleryError(f"deltas = {deltas!r} has no delta_0: deltas[0] is its reduced word")
+    if not isinstance(deltas[0], (list, tuple)) or any(type(i) is not int for i in deltas[0]):
+        raise GalleryError(f"deltas[0] = {deltas[0]!r} is not a word: delta_0 is a list of "
+                           f"letters in 1..{datum.rank}")
+    for j, b in enumerate(deltas[1:], 1):
         if type(b) is not int or b not in (0, 1):
             raise GalleryError(f"deltas[{j}] = {b!r} is not a flip: delta_{j} is 0 or 1")
-    return Gallery(gtype, delta0, tuple(b == 1 for b in data["deltas"][1:]))
+    return Gallery(gtype, datum.word_to_element(deltas[0]), tuple(b == 1 for b in deltas[1:]))
 
 
 def crystal_to_dict(graph: CrystalGraph) -> dict:

@@ -94,12 +94,7 @@ class LoopGroup:
         c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
         if not isinstance(v, Coweight):
             raise RootDataError(f"{v!r} is not a Coweight: a torus element t^v needs one")
-        c = v.coords
-        if len(c) != self.n - 1:
-            raise RootDataError(f"{c} has {len(c)} coroot coordinates, not {self.n - 1}")
-        if not v.is_integral():
-            raise RootDataError(f"{v} is not in the coroot lattice")
-        c = tuple(map(int, c))
+        c = tuple(map(int, self.datum.lattice_coweight(v).coords))
         return (c[0],) + tuple(c[j] - c[j - 1] for j in range(1, self.n - 1)) + (-c[-1],)
 
     def root_pair(self, alpha: Root):
@@ -128,12 +123,16 @@ class LoopGroup:
     def x_product(self, factors, torus: Coweight | None = None) -> LaurentMatrix:
         """t^torus prod x_{eps_j - eps_k}(p) over factors (j, k, p) in order, with
         j, k 0-based: column operations from t^torus (or 1), no dense product.
-        A factor with j = k or an index outside 0..n-1 raises ValueError."""
+        A factor with j = k or an index outside 0..n-1 raises ValueError, and
+        one whose p is not a LaurentSeries raises TypeError."""
         factors, n = tuple(factors), self.n
         for j, k, p in factors:
             if j == k or not (0 <= j < n and 0 <= k < n):
                 raise ValueError(f"factor {(j, k, p)} is no root subgroup of SL_{n}: "
                                  f"it needs j != k in 0..{n - 1}")
+            if not isinstance(p, LaurentSeries):
+                raise TypeError(f"factor {(j, k, p)} of SL_{n} has a parameter of type "
+                                f"{type(p).__name__}: it needs a LaurentSeries")
         d = (0,) * n if torus is None else self.coweight_diag(torus)
         return LaurentMatrix._factored(d, factors)
 
@@ -169,14 +168,21 @@ class LoopGroup:
     def wbar_w0(self) -> LaurentMatrix:
         return self.gen_wbar(self.datum.reduced_word(self.datum.longest_element()))
 
+    def per_letter(self, word, values, name) -> tuple:
+        """values as a tuple, refused unless it has one entry per letter of word."""
+        if len(values := tuple(values)) != len(word):
+            raise RootDataError(f"{name} = {values} on word {word} for {self.datum}: need one "
+                                f"{name} entry per letter; the word has {len(word)} letters, "
+                                f"{name} has {len(values)} entries")
+        return values
+
     def y_product(self, word, ps) -> LaurentMatrix:
         """y_{i_1}(p_1) ... y_{i_N}(p_N); y_i(p) = x_{eps_{i+1} - eps_i}(p)."""
-        word, ps = tuple(word), tuple(ps)
-        if len(ps) != len(word) or not all(1 <= i < self.n for i in word):
-            raise RootDataError(f"y-product on word {word}: need letters in 1..{self.n - 1} and "
-                                f"one parameter per letter; the word has {len(word)} letters, "
-                                f"ps has {len(ps)} entries")
-        return self.x_product((i, i - 1, p) for i, p in zip(word, ps))
+        word = tuple(word)
+        if not all(1 <= i < self.n for i in word):
+            raise RootDataError(f"y-product on word {word}: need letters in 1..{self.n - 1} "
+                                f"for {self.datum}")
+        return self.x_product((i, i - 1, p) for i, p in zip(word, self.per_letter(word, ps, "ps")))
 
     # -- valuation formulas ----------------------------------------------------------
 
@@ -262,10 +268,8 @@ class LoopGroup:
         one = LaurentSeries.one()
         ps = []
         for step, i in enumerate(word):
-            a = perm.index(i) + 1
+            a = perm.index(i) + 1  # i + 1 stands left of i: the word is w0's
             b = perm.index(i + 1) + 1
-            if a < b:
-                raise RootDataError("word does not stay reduced along the peel")
             rows = sorted(x - 1 for x in perm[:b])  # R, 0-based
             # rows 1..m of a lower unitriangular matrix add an identity block
             # on columns 1..m; R is not {1..b}, so m < b

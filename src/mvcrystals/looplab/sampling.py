@@ -71,10 +71,8 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     """Sample points of Y~_{word,c} for a reduced word of w_0: the products
     y_{i_j}(p_j) with val(p_j) = c~_j, one per trial in trial order."""
     datum = group.datum
-    word, c = datum.w0_word(word), tuple(c)
-    if len(c) != len(word):
-        raise RootDataError(f"c = {c} on word {word}: need one c entry per letter; "
-                            f"the word has {len(word)} letters, c has {len(c)} entries")
+    word = datum.w0_word(word)
+    c = group.per_letter(word, c, "c")
     sp = string_param_from_c(datum, word, c)
     points = []
     for trial in _trials(trials):
@@ -229,10 +227,8 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     wbar(w0)^{-1}), so the check computes F(F(c~)) = c~ by the second
     algorithm, Gauss factor plus peel, where f reads the chamber minors.
     ``seed`` is ignored; the benchmark's tropical workload still passes it."""
-    word, c_tilde = group.datum.w0_word(word), tuple(c_tilde)
-    if len(c_tilde) != len(word):
-        raise RootDataError(f"c~ = {c_tilde} on word {word}: need one c~ entry per letter; "
-                            f"the word has {len(word)} letters, c~ has {len(c_tilde)} entries")
+    word = group.datum.w0_word(word)
+    c_tilde = group.per_letter(word, c_tilde, "c~")
     n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
     back = trop_eval(lusztig_to_string_map(group, word), n_vec)
     if tuple(back) != c_tilde:

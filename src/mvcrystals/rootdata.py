@@ -320,12 +320,23 @@ class RootDatum:
         row = self.pairing_row(rc)
         return _norm(sum(map(mul, row, self._of_rank(vc))))
 
+    def lattice_coweight(self, x: Coweight) -> Coweight:
+        """x, refused unless its coordinates number the rank and it lies in Z Phi^vee."""
+        self._of_rank(x.coords)
+        if not x.is_integral():
+            raise RootDataError(f"{x} is not in the coroot lattice of {self}")
+        return x
+
+    def dominant_coweight(self, lam: Coweight) -> Coweight:
+        """lam, refused unless it is dominant (its coordinates number the rank)."""
+        if not self.is_dominant(lam):
+            raise RootDataError(f"{lam} is not dominant for {self}")
+        return lam
+
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
         _typed("height", (x,), (Coweight,))
-        if not x.is_integral():
-            raise RootDataError(f"{x} is not in the coroot lattice of {self}")
-        return int(sum(self._of_rank(x.coords)))
+        return int(sum(self.lattice_coweight(x).coords))
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""

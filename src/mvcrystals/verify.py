@@ -44,7 +44,7 @@ from mvcrystals.looplab import (
     sample_ytilde,
 )
 from mvcrystals.looplab.sampling import random_unit_series
-from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
+from mvcrystals.rootdata import Coweight, build_root_datum
 from mvcrystals.trails import in_string_cone, string_cone_inequalities
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
@@ -69,21 +69,10 @@ class CriterionResult:
 
 
 def _dominant_lattice_coweights(datum, max_height):
-    """All dominant coroot-lattice points of height <= max_height, nonzero."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == datum.rank:
-            v = Coweight(tuple(prefix))
-            if sum(prefix) > 0 and datum.is_dominant(v):
-                out.append(v)
-            return
-        for n in range(0, max_height - sum(prefix) + 1):
-            rec(prefix + [n])
-
-    rec([])
-    out.sort(key=lambda v: (datum.height(v), v.coords))
-    return out
+    """All dominant coroot-lattice points of height <= max_height, nonzero, by height."""
+    box = map(Coweight, itertools.product(range(max_height + 1), repeat=datum.rank))
+    return sorted((v for v in box if 0 < sum(v.coords) <= max_height and datum.is_dominant(v)),
+                  key=lambda v: (datum.height(v), v.coords))
 
 
 def _suite_entries():
@@ -96,10 +85,7 @@ def _suite_entries():
     g2 = build_root_datum("G", 2)
     # fundamental coweights of G2 are both in the coroot lattice
     for i in (1, 2):
-        om = g2.fundamental_coweight(i).normalized()
-        if not om.is_integral():
-            raise RootDataError(f"G2 fundamental coweight {om} is not integral")
-        entries.append((g2, om))
+        entries.append((g2, g2.lattice_coweight(g2.fundamental_coweight(i).normalized())))
     return entries
 
 

@@ -216,14 +216,14 @@ def test_trop_rejects_a_word_or_ctilde_that_do_not_fit(capsys, word, ctilde):
     assert code == 2 and out == ""
     w, c = (tuple(int(x) for x in text.split(",")) for text in (word, ctilde))
     message = f"{w} is not a reduced word of w_0 for A2 (3 letters in 1..2)" if len(w) != 3 \
-        else f"c~ = {c} on word {w}: need one c~ entry per letter; " \
+        else f"c~ = {c} on word {w} for A2: need one c~ entry per letter; " \
              f"the word has {len(w)} letters, c~ has {len(c)} entries"
     assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags,message", [
     (["--word", "1,2,1", "--c", "1,0"],
-     "c = (1, 0) on word (1, 2, 1): need one c entry per letter; "
+     "c = (1, 0) on word (1, 2, 1) for A2: need one c entry per letter; "
      "the word has 3 letters, c has 2 entries"),
     (["--word", "1,5,1", "--c", "1,0,1"],
      "(1, 5, 1) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),
@@ -239,6 +239,20 @@ def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,flag,text", [
+    (["crystal", "--lambda", "1/2,1"], "--lambda", "1/2,1"),
+    (["crystal", "--lambda", "1,1", "--word", "0,x"], "--word", "0,x"),
+    (["string", "--lambda", "1,1", "--word", "1 2 1"], "--word", "1 2 1"),
+    (["mv-sample", "--word", "1,2,1", "--c", "1,,0"], "--c", "1,,0"),
+    (["trop", "--word", "1,2,1", "--ctilde=-1,0.5,0"], "--ctilde", "-1,0.5,0"),
+], ids=["lambda", "crystal-word", "string-word", "c", "ctilde"])
+def test_integer_lists_name_their_flag(capsys, argv, flag, text):
+    # int() named only the literal: invalid literal for int() with base 10: '1/2'
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {text!r} is not a comma-separated list of integers\n"
+
+
 _BUILT = "built are A1-A6, B2-B6, C2-C6, D4-D6 and G2"
 
 
@@ -250,7 +264,7 @@ _BUILT = "built are A1-A6, B2-B6, C2-C6, D4-D6 and G2"
     (["string", "--type", "G", "--rank", "2", "--lambda", "1,0", "--word", "1,2,1,2,1,2"],
      "(1, 0) is not dominant for G2"),
     (["crystal", "--type", "D", "--rank", "5", "--lambda", "1,1"],
-     "expected 5 coroot coordinates for D5, got 2"),
+     "coweight coordinates (1, 1) do not have rank 5 for D5"),
 ], ids=["D3", "A7", "G2-not-dominant", "D5-short-lambda"])
 def test_refusals_name_the_datum(capsys, argv, message):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")

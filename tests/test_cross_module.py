@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mvcrystals import cli
+from mvcrystals import cli, gallery
 from mvcrystals.affine import AffineRoot, build_gallery_type
 from mvcrystals.crystal import CrystalError, string_parameters
 from mvcrystals.gallery import GalleryError, enumerate_ls, stable_string
@@ -94,10 +94,11 @@ def test_stable_string_lies_in_cone():
         assert in_string_cone(sp.c, rows), (steps, sp.c)
 
 
-def test_enumeration_node_cap_guardrail():
+def test_enumeration_node_cap_guardrail(monkeypatch):
     gtype = build_gallery_type(A2, Coweight((1, 1)))
+    monkeypatch.setattr(gallery, "NODE_CAP", 3)
     with pytest.raises(GalleryError):
-        enumerate_ls(gtype, node_cap=3)
+        enumerate_ls(gtype)
 
 
 def test_precision_setting_bounds():

@@ -268,6 +268,34 @@ def test_gallery_from_dict_reads_only_0_and_1_as_flips(a2_theta_type, entry):
         gallery_from_dict(A2, data)
 
 
+@pytest.mark.parametrize("key", ["word", "deltas"])
+def test_gallery_from_dict_names_a_missing_entry(a2_theta_type, key):
+    # a bare KeyError named neither the record nor what it lacks
+    data = gallery_to_dict(minimal_gallery(a2_theta_type))
+    del data[key]
+    with pytest.raises(GalleryError, match=rf"^gallery record has no '{key}' entry$"):
+        gallery_from_dict(A2, data)
+
+
+@pytest.mark.parametrize("deltas", [[], 5], ids=["empty", "int"])
+def test_gallery_from_dict_refuses_deltas_without_delta_0(a2_theta_type, deltas):
+    # deltas[0] raised IndexError on [] and TypeError on 5
+    data = gallery_to_dict(minimal_gallery(a2_theta_type))
+    data["deltas"] = deltas
+    with pytest.raises(GalleryError, match=rf"^deltas = {re.escape(repr(deltas))} has no delta_0"):
+        gallery_from_dict(A2, data)
+
+
+@pytest.mark.parametrize("entry", [5, [1, "2"], "12", None])
+def test_gallery_from_dict_reads_delta_0_as_a_word(a2_theta_type, entry):
+    # 5 raised "TypeError: 'int' object is not iterable" from word_to_element
+    data = gallery_to_dict(minimal_gallery(a2_theta_type))
+    data["deltas"][0] = entry
+    with pytest.raises(GalleryError, match=rf"^deltas\[0\] = {re.escape(repr(entry))} is not "
+                                           r"a word: delta_0 is a list of letters in 1\.\.2$"):
+        gallery_from_dict(A2, data)
+
+
 def test_recover_tuple_keeps_the_tuple_under_identity_movers(a2_theta_type):
     one = identity_aff(A2)
     for g in enumerate_ls(a2_theta_type).nodes:
@@ -414,9 +442,10 @@ def test_leaving_the_ls_set_error_names_the_gallery(monkeypatch, a1_type):
     assert_names(exc, minimal_gallery(a1_type), 1)
 
 
-def test_node_cap_error_names_the_gallery(a2_theta_type):
+def test_node_cap_error_names_the_gallery(monkeypatch, a2_theta_type):
+    monkeypatch.setattr(gallery, "NODE_CAP", 2)
     with pytest.raises(GalleryError, match="more than 2 LS nodes") as exc:
-        enumerate_ls(a2_theta_type, node_cap=2)
+        enumerate_ls(a2_theta_type)
     assert_names(exc, minimal_gallery(a2_theta_type), 2)
 
 

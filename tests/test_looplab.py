@@ -889,14 +889,23 @@ def test_minor_det_matches_leibniz(n):
                 assert g.minor_det(tuple(rows), cols).equals_exact(want)
 
 
-@pytest.mark.parametrize("word, nps", [((1, 2, 1), 2), ((0, 1), 2), ((1, 3), 2)],
-                         ids=["short-ps", "letter-0", "letter-n"])
-def test_y_product_checks_its_word(word, nps):
+@pytest.mark.parametrize("word", [(0, 1), (1, 3)], ids=["letter-0", "letter-n"])
+def test_y_product_checks_its_letters(word):
     with pytest.raises(RootDataError) as err:
-        G2.y_product(word, [LaurentSeries.one()] * nps)
-    assert str(err.value) == (
-        f"y-product on word {word}: need letters in 1..2 and one parameter per letter; "
-        f"the word has {len(word)} letters, ps has {nps} entries")
+        G2.y_product(word, [LaurentSeries.one()] * 2)
+    assert str(err.value) == f"y-product on word {word}: need letters in 1..2 for A2"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: G2.y_product((1, 2, 1), (1, 2, 3)),
+    lambda: G2.x_product([(1, 0, Fraction(1, 2))]),
+    lambda: G2.x_product([(0, 2, 1.0)], torus=Coweight((1, 1))),
+], ids=["y_product-ints", "x_product-fraction", "x_product-float"])
+def test_x_product_refuses_a_parameter_that_is_not_a_series(make):
+    # the ints reached series arithmetic: 'int' object has no attribute 'coeffs'
+    with pytest.raises(TypeError, match=r"^factor \(.*\) of SL_3 has a parameter of type "
+                                        r"(int|float|Fraction): it needs a LaurentSeries$"):
+        make()
 
 
 def test_factor_y_of_an_exact_y_product_is_exact():
