@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from mvcrystals.affine import build_gallery_type
@@ -26,11 +27,12 @@ __all__ = ["main"]
 
 
 def _ints(text, flag) -> tuple:
-    """The comma-separated integers of flag's text; the datum checks how many."""
-    try:
-        return tuple(int(x) for x in text.split(",")) if text else ()
-    except ValueError:
-        raise ValueError(f"{flag} {text!r} is not a comma-separated list of integers") from None
+    """The comma-separated integers of flag's text, each -?[0-9]+ (int() would
+    also read 1_0, +1, a space or a non-ASCII digit); the datum checks how many."""
+    items = text.split(",") if text else []
+    if not all(re.fullmatch(r"-?[0-9]+", x) for x in items):
+        raise ValueError(f"{flag} {text!r} is not a comma-separated list of integers")
+    return tuple(map(int, items))
 
 
 def _emit(data, out_path):

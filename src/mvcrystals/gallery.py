@@ -364,6 +364,9 @@ def gallery_from_dict(datum: RootDatum, data: dict) -> Gallery:
     raises GalleryError naming it."""
     if missing := [key for key in ("lambda", "word", "deltas") if key not in data]:
         raise GalleryError(f"gallery record has no {missing[0]!r} entry")
+    for key in ("lambda", "word"):
+        if not isinstance(v := data[key], (list, tuple)) or any(type(x) is not int for x in v):
+            raise GalleryError(f"{key} = {v!r} is not a list of integers")
     gtype = build_gallery_type(datum, Coweight(tuple(data["lambda"])), word=tuple(data["word"]))
     if not isinstance(deltas := data["deltas"], (list, tuple)) or not deltas:
         raise GalleryError(f"deltas = {deltas!r} has no delta_0: deltas[0] is its reduced word")

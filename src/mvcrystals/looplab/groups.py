@@ -13,7 +13,9 @@ the wedge power Lambda^k C^n.  Every valuation formula is one routine over the
 k-minors of g^{-1} on column sets S, val(Lambda^k g^{-1} e_S): for [g] in
 S_lambda^+/-, -+<omega_k, lambda> = val(g^{-1} v_{+-omega_k}), on the first or
 last k columns; the orbit takes all S of one size.  With 2k > n, or g not a
-word, the routine reads them off g's (n-k)-minors by Jacobi's identity.
+word, the routine reads them off g's (n-k)-minors by Jacobi's identity.  A word
+gives its determinant t^{sum d} from its torus part t^d, and its single entries
+as entries; factor_y's peel reads its minors with the matrix's Laplace routine.
 
 The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
 q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
@@ -32,6 +34,7 @@ from mvcrystals.looplab.series import (
     LaurentSeries,
     LoopGroupError,
     PrecisionError,
+    laplace_minor,
     sum_products,
     vector_val,
 )
@@ -118,6 +121,8 @@ class LoopGroup:
         if isinstance(p, (int, Fraction)):
             p = LaurentSeries.from_scalar(p)
         j, k = self.root_pair(alpha)
+        if not isinstance(p, LaurentSeries):  # x_product's TypeError, before any shift
+            self.x_product([(j - 1, k - 1, p)])
         return j - 1, k - 1, p.shift(level)
 
     def x_product(self, factors, torus: Coweight | None = None) -> LaurentMatrix:
@@ -206,7 +211,8 @@ class LoopGroup:
         <omega_k, lambda> = min valuation over all k-minors of g, which by
         Jacobi are +- det g times the (n-k)-minors of g^{-1}: the routine of
         mu_plus and mu_minus, which reads g's k-minors for 2k < n or g not a
-        word, and the factored g^{-1}'s (n-k)-minors otherwise."""
+        word, and the factored g^{-1}'s (n-k)-minors otherwise, taking a word's
+        det from its torus part and a single entry as the entry."""
         self._check_size(g)
         lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
                                          for k in range(1, self.n)]))
@@ -276,10 +282,10 @@ class LoopGroup:
             m = 0
             while rows[m] == m:
                 m += 1
-            cur = LaurentMatrix._of(tuple(res))
-            num = cur.minor_det(rows[m:], range(m, b))
+            cols, cache = tuple(range(m, b)), {}  # the minors of this step's residual
+            num = laplace_minor(res, tuple(rows[m:]), cols, cache)
             rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
-            den = cur.minor_det(rows[m:], range(m, b))
+            den = laplace_minor(res, tuple(rows[m:]), cols, cache)
             p = num / _pivot(den, lambda: f"peel minor of y_{i} at step {step} of {word}")
             if p.is_known_zero and not p.is_exact:
                 raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
@@ -332,22 +338,28 @@ def _inverse_vals(g: LaurentMatrix, families) -> tuple:
     the columns S.  With 2k > n, or for a dense g, which is never inverted,
     they are read off g by Jacobi's identity, val Delta_{R,S}(g^{-1}) =
     val Delta_{S^c,R^c}(g) - val det g; the others are minors of a word's
-    factored g.inverse().  A singular g raises ValueError."""
-    n, every = g.n, range(g.n)
-    det = g.minor_det(every, every)
-    if det.is_known_zero and det.is_exact:
-        raise ValueError(f"the matrix is singular (det = 0): it is not in SL_{n}(K)")
+    factored g.inverse().  Single entries are read as entries: a row of g for
+    n - k = 1, a column of g^{-1} for k = 1.  A word t^d prod x_{jk}(p) has val
+    det = sum d, as every root factor is unipotent; only a dense g expands its
+    determinant, and a singular one raises ValueError."""
+    n, every, word = g.n, range(g.n), g._word
+    if word is None:
+        det = g.minor_det(every, every)
+        if det.is_known_zero and det.is_exact:
+            raise ValueError(f"the matrix is singular (det = 0): it is not in SL_{n}(K)")
     vals = []
     for family in map(tuple, families):
         k = len(family[0])
-        if g._word is None or 2 * k > n:
-            vals.append(vector_val([g.minor_det([r for r in every if r not in cols], rows)
-                                    for cols in family
-                                    for rows in combinations(every, n - k)]) - det.val())
+        if word is None or 2 * k > n:
+            comps = [tuple(r for r in every if r not in cols) for cols in family]  # S^c
+            minors = [x for r in comps for x in g.rows[r[0]]] if k == n - 1 else \
+                [g.minor_det(r, c) for r in comps for c in combinations(every, n - k)]
+            vals.append(vector_val(minors) - (sum(word[0]) if word else det.val()))
         else:
             ginv = g.inverse()
-            vals.append(vector_val([ginv.minor_det(rows, cols) for cols in family
-                                    for rows in combinations(every, k)]))
+            minors = [row[cols[0]] for cols in family for row in ginv.rows] if k == 1 else \
+                [ginv.minor_det(rows, cols) for cols in family for rows in combinations(every, k)]
+            vals.append(vector_val(minors))
     return tuple(vals)
 
 

@@ -378,27 +378,7 @@ class LaurentMatrix:
 
     def minor_det(self, rows, cols) -> LaurentSeries:
         """The minor on these rows and columns, in the order given."""
-        return self._minor(tuple(rows), tuple(cols))
-
-    def _minor(self, rows, cols):
-        if len(rows) == 1:  # an entry, read without the cache
-            return self.rows[rows[0]][cols[0]]
-        key = (rows, cols)
-        out = self._minors.get(key)
-        if out is None:
-            if not rows:
-                out = _ONE
-            else:
-                # expand along the first row, without exact-zero entries or sub-minors
-                first, rest, terms = self.rows[rows[0]], rows[1:], []
-                for k, j in enumerate(cols):
-                    if first[j].coeffs or first[j].cap is not None:
-                        m = self._minor(rest, cols[:k] + cols[k + 1:])
-                        if m.coeffs or m.cap is not None:
-                            terms.append((first[j], m, -1 if k % 2 else 1))
-                out = sum_products(terms)
-            self._minors[key] = out
-        return out
+        return laplace_minor(self.rows, tuple(rows), tuple(cols), self._minors)
 
     def equals_exact(self, other) -> bool:
         return all(self.rows[i][j].equals_exact(other.rows[i][j])
@@ -416,6 +396,23 @@ class LaurentMatrix:
         return "LaurentMatrix([\n" + "\n".join(
             "  [" + ", ".join(repr(c) for c in row) + "]," for row in self.rows
         ) + "\n])"
+
+
+def laplace_minor(rows, sel, cols, cache) -> LaurentSeries:
+    """The minor of the square array rows on the row tuple sel and column tuple
+    cols, in order, kept in cache: expanded along its first row, without
+    exact-zero entries or sub-minors; a 1x1 minor is its entry, read without it."""
+    if len(sel) < 2:
+        return rows[sel[0]][cols[0]] if sel else _ONE
+    if (out := cache.get((sel, cols))) is None:
+        first, rest, terms = rows[sel[0]], sel[1:], []
+        for k, j in enumerate(cols):
+            if first[j].coeffs or first[j].cap is not None:
+                m = laplace_minor(rows, rest, cols[:k] + cols[k + 1:], cache)
+                if m.coeffs or m.cap is not None:
+                    terms.append((first[j], m, -1 if k % 2 else 1))
+        out = cache[sel, cols] = sum_products(terms)
+    return out
 
 
 def vector_val(entries) -> int:

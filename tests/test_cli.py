@@ -245,9 +245,16 @@ def test_mv_sample_rejects_input_that_does_not_fit(capsys, flags, message):
     (["string", "--lambda", "1,1", "--word", "1 2 1"], "--word", "1 2 1"),
     (["mv-sample", "--word", "1,2,1", "--c", "1,,0"], "--c", "1,,0"),
     (["trop", "--word", "1,2,1", "--ctilde=-1,0.5,0"], "--ctilde", "-1,0.5,0"),
-], ids=["lambda", "crystal-word", "string-word", "c", "ctilde"])
+    (["crystal", "--lambda", "1_0,1"], "--lambda", "1_0,1"),
+    (["crystal", "--lambda", " 1,1"], "--lambda", " 1,1"),
+    (["crystal", "--lambda", "1,+1"], "--lambda", "1,+1"),
+    (["crystal", "--lambda", "1,\u0661"], "--lambda", "1,\u0661"),
+    (["string", "--lambda", "1,1", "--word", "1,2,-"], "--word", "1,2,-"),
+], ids=["lambda", "crystal-word", "string-word", "c", "ctilde", "underscore", "space",
+        "plus", "arabic-indic-digit", "bare-minus"])
 def test_integer_lists_name_their_flag(capsys, argv, flag, text):
-    # int() named only the literal: invalid literal for int() with base 10: '1/2'
+    # int() named only the literal: invalid literal for int() with base 10: '1/2';
+    # and it read 1_0 as 10, " 1" and +1 as 1 and a non-ASCII digit as its value
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} {text!r} is not a comma-separated list of integers\n"

@@ -277,6 +277,18 @@ def test_gallery_from_dict_names_a_missing_entry(a2_theta_type, key):
         gallery_from_dict(A2, data)
 
 
+@pytest.mark.parametrize("key", ["lambda", "word"])
+@pytest.mark.parametrize("entry", [1, "11", None, [1, "1"], [1.0, 1]],
+                         ids=["int", "str", "none", "str-item", "float-item"])
+def test_gallery_from_dict_reads_lambda_and_word_as_integer_lists(a2_theta_type, key, entry):
+    # an int raised "TypeError: 'int' object is not iterable", which names no entry
+    data = gallery_to_dict(minimal_gallery(a2_theta_type))
+    data[key] = entry
+    with pytest.raises(GalleryError, match=rf"^{key} = {re.escape(repr(entry))} is not "
+                                           r"a list of integers$"):
+        gallery_from_dict(A2, data)
+
+
 @pytest.mark.parametrize("deltas", [[], 5], ids=["empty", "int"])
 def test_gallery_from_dict_refuses_deltas_without_delta_0(a2_theta_type, deltas):
     # deltas[0] raised IndexError on [] and TypeError on 5

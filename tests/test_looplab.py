@@ -589,6 +589,18 @@ def test_valuations_match_the_inverse_minor_reference_off_sl_n(monkeypatch):
                                 "the matrix is not in SL_3(K)")]
 
 
+def test_valuations_match_the_inverse_minor_reference_on_a_torus_word(monkeypatch):
+    # every x_product word has det 1; this one, t^(2, -1, 3) x_01(t) x_20(1 + t)
+    # x_12(t^-1), has det t^4, which the word route reads off its torus part
+    one, t = LaurentSeries.one(), LaurentSeries.t_power(1)
+    g = LaurentMatrix._factored((2, -1, 3), ((0, 1, t), (2, 0, one + t),
+                                             (1, 2, LaurentSeries.t_power(-1))))
+    assert g.det().equals_exact(LaurentSeries.t_power(4))
+    got, ref = _valuations_by_both_routes(G2, g, monkeypatch)
+    assert got == ref
+    assert got == [Coweight((3, 1)), Coweight((-2, -4)), Coweight((-6, -4))]
+
+
 def test_valuations_match_the_inverse_minor_reference_on_a_windowed_entry(monkeypatch):
     # the entry O(t^-2) may hide a valuation below the known minimum 0 of
     # column 1 of g^{-1} and of the entries of g
@@ -900,11 +912,15 @@ def test_y_product_checks_its_letters(word):
     lambda: G2.y_product((1, 2, 1), (1, 2, 3)),
     lambda: G2.x_product([(1, 0, Fraction(1, 2))]),
     lambda: G2.x_product([(0, 2, 1.0)], torus=Coweight((1, 1))),
-], ids=["y_product-ints", "x_product-fraction", "x_product-float"])
+    lambda: G2.gen_x(A2.simple_root(1), 0.5),
+    lambda: G2.x_factor(-A2.simple_root(2), "1", level=1),
+], ids=["y_product-ints", "x_product-fraction", "x_product-float", "gen_x-float",
+        "x_factor-str"])
 def test_x_product_refuses_a_parameter_that_is_not_a_series(make):
-    # the ints reached series arithmetic: 'int' object has no attribute 'coeffs'
+    # the ints reached series arithmetic: 'int' object has no attribute 'coeffs';
+    # x_factor shifted a float or str: 'float' object has no attribute 'shift'
     with pytest.raises(TypeError, match=r"^factor \(.*\) of SL_3 has a parameter of type "
-                                        r"(int|float|Fraction): it needs a LaurentSeries$"):
+                                        r"(int|float|Fraction|str): it needs a LaurentSeries$"):
         make()
 
 
