@@ -13,13 +13,13 @@ is one of alpha_c iff w s_i = s_c w, and Phi_+^aff(Delta'_j, Delta_j) is the
 positive one of +-beta' iff (beta' > 0) != (delta_j = s_{i_j}), else empty
 (Gallery.phi_plus).  Only Delta'_0, in a wall of every root, is evaluated at
 vertices (mvcrystals.affine.phi_plus_aff).  The same pass gives every colour c
-the levels of Delta'_0..Delta'_{p+1} (_levels).  Root operators are implemented
-exactly as face surgery (reflect a window (j, k), translate the tail) followed
-by tuple recovery, which decides only the steps where the mover changes:
-delta_0 when j = 0, delta_j and delta_k, the last two by comparing with
-affine_step.  The recovery checks that the result is again a tuple of the same
-type, which is a theorem, so a failing check is an implementation bug and
-raises GalleryError, which names the datum, the gallery and the colour.
+the levels of Delta'_0..Delta'_{p+1} (_levels).  A root operator's face
+surgery (reflect a window Delta_j..Delta_{k-1} in a wall of alpha_i, translate
+the tail by +-alpha_i^vee) toggles delta_j and delta_k, and delta_0 <- s_i
+delta_0 when j = 0 (_surgery): the reflection fixes Delta'_j, and on the wall of
+Delta'_k it equals the tail's translation.  The child's weight, read off its
+prefixes, must move by +-alpha_i^vee; that is a theorem, so a failing check is
+an implementation bug and raises GalleryError naming datum, gallery and colour.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class Gallery:
     def _origin_roots(self):
         """Phi_+^aff(Delta'_0, Delta_0), evaluated at the vertices: Delta'_0 =
         {0} lies in a wall of every root.  A root operator's child with its
-        parent's delta_0 copies it (_surgery)."""
+        parent's delta_0 copies it (_root_op)."""
         verts = face_vertices(self.gtype.datum, self.prefixes[0])  # vertex 0 is delta_0(0) = 0
         return phi_plus_aff(self.gtype.datum, verts[:1], verts)
 
@@ -186,32 +186,6 @@ def crystal_maps(g: Gallery, i: int):
     return g.weight, -m, _levels(g, i)[-1] - m
 
 
-def _recover_tuple(g: Gallery, i: int, j: int, k: int, refl: AffWeylElt, tail: AffWeylElt):
-    """Tuple recovery (type preservation tripwires) from the new prefixes
-    P'_l = P_l for l < j, refl P_l for j <= l < k and tail P_l for l >= k:
-    delta_l = 1 iff P'_l = P'_{l-1} and delta_l = s_{i_l} iff
-    P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.  Where the mover is the
-    same at l - 1 and l both tests reduce to the same tests on P, so only
-    delta_0 (when j = 0), delta_j and delta_k are decided."""
-    P, flips, delta0 = g.prefixes, list(g.flips), g.delta0
-    if j == 0:
-        d0_aff = refl * P[0]
-        if any(d0_aff.mu):
-            raise GalleryError(f"recovered delta_0 has a translation part ({_where(g, i)})")
-        delta0 = d0_aff.finite
-    for l, before, after in ((j, None, refl), (k, refl, tail)):
-        if not 1 <= l <= g.gtype.p:
-            continue
-        prev, cur = P[l - 1] if before is None else before * P[l - 1], after * P[l]
-        if cur == prev:
-            flips[l - 1] = False
-        elif cur == affine_step(g.gtype.datum, prev, g.gtype.word[l - 1]):
-            flips[l - 1] = True
-        else:
-            raise GalleryError(f"recovered delta_{l} is not in W_{{i_{l}}} ({_where(g, i)})")
-    return Gallery(g.gtype, delta0, tuple(flips))
-
-
 def _window(g: Gallery, i: int, levels):
     """(m, j, k) on the level list levels (_levels or its reverse), or None
     when its first entry is at the lowest wall level m: k is the first index
@@ -233,19 +207,29 @@ def fold_window(g: Gallery, i: int):
     return _window(g, i, _levels(g, i))
 
 
-def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
-    """Reflect Delta_j..Delta_{k-1} in H_{alpha_i, level}, (level alpha_i^vee, s_i),
-    translate the tail by sign * alpha_i^vee, and recover the tuple; the weight
-    read off the recovered tuple's prefixes must move by sign * alpha_i^vee."""
-    datum = g.gtype.datum
-    co = datum.simple_coroot(i).coords
-    refl = AffWeylElt(tuple([level * a for a in co]), datum.simple_reflection(i))
-    tail = AffWeylElt(tuple([sign * a for a in co]), datum.identity_elt())
-    out = _recover_tuple(g, i, j, k, refl, tail)
+def _surgery(g: Gallery, i: int, j: int, k: int) -> Gallery:
+    """The face surgery on the window (j, k) of colour i, on the tuple: toggle
+    delta_j and delta_k (1 <= l <= p), and delta_0 <- s_i delta_0 when j = 0, since
+    the reflection r fixes Delta'_j (r = s_i if j = 0) and is the tail's
+    translation on Delta'_k's wall, so r P_{k-1} = t P_{k-1} s_{i_k}."""
+    flips, delta0 = list(g.flips), g.delta0
+    for l in (j, k):
+        if 1 <= l <= g.gtype.p:
+            flips[l - 1] = not flips[l - 1]
+    if j == 0:
+        delta0 = g.gtype.datum.simple_reflection(i) * delta0
+    return Gallery(g.gtype, delta0, tuple(flips))
+
+
+def _root_op(g: Gallery, i: int, j: int, k: int, sign: int) -> Gallery:
+    """_surgery(g, i, j, k), whose weight, read off its own prefixes, must be
+    g's moved by sign * alpha_i^vee."""
+    out = _surgery(g, i, j, k)
+    step = tuple([sign * a for a in g.gtype.datum.simple_coroot(i).coords])
     nu, new = g.prefixes[-1].mu, out.prefixes[-1].mu
-    if new != tuple(map(add, nu, tail.mu)):
+    if new != tuple(map(add, nu, step)):
         raise GalleryError(f"root operator moved the weight {nu} to {new}, "
-                           f"not by {tail.mu} ({_where(g, i)})")
+                           f"not by {step} ({_where(g, i)})")
     if out.delta0 is g.delta0:
         out._origin_roots = g._origin_roots
     return out
@@ -254,18 +238,14 @@ def _surgery(g: Gallery, i: int, level: int, j: int, k: int, sign: int):
 def root_e(g: Gallery, i: int):
     """Raising root operator e_{alpha_i}; None when undefined (m = 0)."""
     window = fold_window(g, i)
-    return None if window is None else _surgery(g, i, window[0] + 1, *window[1:], 1)
+    return None if window is None else _root_op(g, i, *window[1:], 1)
 
 
 def root_f(g: Gallery, i: int):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>).
     Its window is e's on the reversed levels, with l read as p + 1 - l."""
-    window = _window(g, i, _levels(g, i)[::-1])
-    if window is None:
-        return None
-    m, j, k = window
-    end = g.gtype.p + 1
-    return _surgery(g, i, m, end - k, end - j, -1)
+    window, end = _window(g, i, _levels(g, i)[::-1]), g.gtype.p + 1
+    return None if window is None else _root_op(g, i, end - window[2], end - window[1], -1)
 
 
 def is_positively_folded(g: Gallery) -> bool:

@@ -118,7 +118,7 @@ class LoopGroup:
     def x_factor(self, alpha: Root, p, level=0):
         """The x_product factor of x_{alpha,level}(p) = x_alpha(p t^level):
         (j, k, p t^level) with alpha = eps_{j+1} - eps_{k+1}."""
-        if isinstance(p, (int, Fraction)):
+        if isinstance(p, (int, Fraction)) and type(p) is not bool:
             p = LaurentSeries.from_scalar(p)
         j, k = self.root_pair(alpha)
         if not isinstance(p, LaurentSeries):  # x_product's TypeError, before any shift

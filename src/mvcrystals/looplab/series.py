@@ -3,9 +3,9 @@ tracking, and square matrices of them.
 
 A coefficient is stored as an ``int`` when integral and as a ``Fraction``
 otherwise, so integer data runs on native ints; ``leading`` returns
-``Fraction`` either way.  Any other type (a float above all) raises TypeError
-rather than entering as its binary expansion, and so does an exponent that is
-not an ``int``.  Arithmetic builds results with the trusted
+``Fraction`` either way.  Any other type raises TypeError rather than entering
+the series (a float as its binary expansion, a bool as 0 or 1), and so does an
+exponent that is not an ``int``.  Arithmetic builds results with the trusted
 ``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip those checks and
 the matrix copy and shape check.  Every product, dot product, minor and
 elementary step x + p y (x its base addend) is one ``sum_products`` call, and
@@ -118,7 +118,7 @@ class LaurentSeries:
         for e, c in coeffs.items():
             if type(e) is not int:
                 raise TypeError(f"series exponents are int, got {type(e).__name__} {e!r}")
-            if not isinstance(c, (int, Fraction)):
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
                 raise TypeError("series coefficients are int or Fraction, "
                                 f"got {type(c).__name__} {c!r}")
         self.coeffs = LaurentSeries._of(coeffs, cap).coeffs

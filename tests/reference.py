@@ -6,14 +6,25 @@ valuations read off every minor of g^{-1}, which the library's Jacobi reading
 is checked against; long division that searches the remainder for its lowest
 term at every step, which the series' one upward walk is checked against; the
 adjugate inverse of a matrix that is not a root-subgroup word, which the
-library never inverts; and the peel that rebuilds the whole residual each
-step, which factor_y's one-row peel is checked against."""
+library never inverts; the peel that rebuilds the whole residual each
+step, which factor_y's one-row peel is checked against; and the root
+operators as face surgery on the prefixes (a reflection mover on the window, a
+translation mover on the tail) followed by tuple recovery, which the library's
+toggle rule is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from mvcrystals.affine import AffineRoot, AffWeylElt, face_vertices, fundamentalize, phi_plus_aff
+from mvcrystals.affine import (
+    AffineRoot,
+    AffWeylElt,
+    affine_step,
+    face_vertices,
+    fundamentalize,
+    phi_plus_aff,
+)
+from mvcrystals.gallery import Gallery, GalleryError, _levels, _where, _window, fold_window
 from mvcrystals.looplab.groups import _pivot
 from mvcrystals.looplab.series import (
     GenericityError,
@@ -107,6 +118,61 @@ def face_walls(g):
     levels = {c: tuple(ref_face_level(datum, f, datum.simple_root(c)) for f in faces)
               for c in range(1, datum.rank + 1)}
     return levels, tuple(map(len, ref_phi_plus(g)))
+
+
+def ref_movers(datum, i, level, sign):
+    """The face surgery's movers for colour i: the reflection (level alpha_i^vee,
+    s_i) in H_{alpha_i, level} and the tail's translation by sign * alpha_i^vee."""
+    co = datum.simple_coroot(i).coords
+    return (AffWeylElt(tuple([level * a for a in co]), datum.simple_reflection(i)),
+            AffWeylElt(tuple([sign * a for a in co]), datum.identity_elt()))
+
+
+def ref_recover_tuple(g, i, j, k, refl, tail):
+    """Tuple recovery (type preservation tripwires) from the new prefixes
+    P'_l = P_l for l < j, refl P_l for j <= l < k and tail P_l for l >= k:
+    delta_l = 1 iff P'_l = P'_{l-1} and delta_l = s_{i_l} iff
+    P'_l = P'_{l-1} s_{i_l}, so no inverse is taken.  Where the mover is the
+    same at l - 1 and l both tests reduce to the same tests on P, so only
+    delta_0 (when j = 0), delta_j and delta_k are decided."""
+    P, flips, delta0 = g.prefixes, list(g.flips), g.delta0
+    if j == 0:
+        d0_aff = refl * P[0]
+        if any(d0_aff.mu):
+            raise GalleryError(f"recovered delta_0 has a translation part ({_where(g, i)})")
+        delta0 = d0_aff.finite
+    for l, before, after in ((j, None, refl), (k, refl, tail)):
+        if not 1 <= l <= g.gtype.p:
+            continue
+        prev, cur = P[l - 1] if before is None else before * P[l - 1], after * P[l]
+        if cur == prev:
+            flips[l - 1] = False
+        elif cur == affine_step(g.gtype.datum, prev, g.gtype.word[l - 1]):
+            flips[l - 1] = True
+        else:
+            raise GalleryError(f"recovered delta_{l} is not in W_{{i_{l}}} ({_where(g, i)})")
+    return Gallery(g.gtype, delta0, tuple(flips))
+
+
+def ref_root_e(g, i):
+    """e_{alpha_i} as face surgery: reflect the window in H_{alpha_i, m+1},
+    translate the tail by alpha_i^vee and recover the tuple."""
+    window = fold_window(g, i)
+    if window is None:
+        return None
+    m, j, k = window
+    return ref_recover_tuple(g, i, j, k, *ref_movers(g.gtype.datum, i, m + 1, 1))
+
+
+def ref_root_f(g, i):
+    """f_{alpha_i} as face surgery: e's window on the reversed levels, reflected
+    in H_{alpha_i, m}, with the tail translated by -alpha_i^vee."""
+    window = _window(g, i, _levels(g, i)[::-1])
+    if window is None:
+        return None
+    m, j, k = window
+    end = g.gtype.p + 1
+    return ref_recover_tuple(g, i, end - k, end - j, *ref_movers(g.gtype.datum, i, m, -1))
 
 
 def orbit_from_minors_of_g(g):

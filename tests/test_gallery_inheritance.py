@@ -1,8 +1,9 @@
 """Galleries made by root operators, over the crystals benchmark's lambdas,
 the verify suite's and every reduced word of criterion 4: their walls, read
-off W's tables, must equal the evaluation at their faces' vertices, and the
-recovery and weight tripwires must still fire on galleries two or more root
-operators away from gamma_lambda."""
+off W's tables, must equal the evaluation at their faces' vertices, their root
+operators must equal the reference's face surgery with tuple recovery, and the
+reference's recovery tripwire and the weight tripwire must still fire on
+galleries two or more root operators away from gamma_lambda."""
 
 import pytest
 
@@ -22,7 +23,8 @@ from mvcrystals.gallery import (
     root_f,
 )
 from mvcrystals.rootdata import Coweight, build_root_datum
-from reference import face_walls, ref_phi_plus
+from reference import face_walls, ref_movers, ref_phi_plus, ref_recover_tuple, ref_root_e, \
+    ref_root_f
 
 # the lambdas of the crystals benchmark workload
 CRYSTAL_LAMBDAS = (
@@ -111,35 +113,47 @@ def deep_nodes(series, rank, lam):
     return [node for node in graph.nodes if node not in near]
 
 
-def test_recovery_tripwire_fires_on_inherited_galleries(monkeypatch):
-    # a tail translated by 2 alpha_i^vee leaves W_{i_k} at the window's end
-    calls = [(node, i) for node in deep_nodes("A", 2, (3, 5)) for i in (1, 2)
+def test_root_operators_are_the_face_surgery():
+    # the toggle rule against the reference's movers and tuple recovery on
+    # every (node, colour) of the crystals lambdas and the criteria 1-3 suites
+    nodes = applied = 0
+    for gtype in gallery_types():
+        for node in enumerate_ls(gtype).nodes:
+            for i in range(1, gtype.datum.rank + 1):
+                for op, ref in ((root_e, ref_root_e), (root_f, ref_root_f)):
+                    want = ref(node, i)
+                    assert op(node, i) == want, (node, i, op.__name__)
+                    applied += want is not None
+            nodes += 1
+    assert (nodes, applied) == (385 + 164, 1384)
+
+
+def test_recovery_tripwire_fires_on_inherited_galleries():
+    # the reference's recovery: a tail translated by 2 alpha_i^vee leaves
+    # W_{i_k} at the window's end
+    calls = [(node, i, window) for node in deep_nodes("A", 2, (3, 5)) for i in (1, 2)
              if (window := fold_window(node, i)) is not None and window[2] <= node.gtype.p]
     assert len(calls) > 10
-    real = gallery._recover_tuple
-
-    def doubled_tail(g, i, j, k, refl, tail):
-        return real(g, i, j, k, refl, AffWeylElt(tuple(2 * a for a in tail.mu), tail.finite))
-
-    monkeypatch.setattr(gallery, "_recover_tuple", doubled_tail)
-    for node, i in calls:
+    for node, i, (m, j, k) in calls:
+        refl, tail = ref_movers(node.gtype.datum, i, m + 1, 1)
+        doubled = AffWeylElt(tuple(2 * a for a in tail.mu), tail.finite)
         with pytest.raises(GalleryError, match=r"is not in W_\{i_"):
-            root_e(node, i)
+            ref_recover_tuple(node, i, j, k, refl, doubled)
 
 
 def test_weight_tripwire_checks_the_recovered_tuple(monkeypatch):
-    # the child's weight comes from its recovered tuple, not from the movers:
-    # a recovery that toggles the last step is caught by the weight alone
+    # the child's weight comes from its own tuple, not from the rule: a rule
+    # that also toggles the last step is caught by the weight alone
     calls = [(node, i) for node in deep_nodes("G", 2, (2, 3)) for i in (1, 2)
              if root_f(node, i) is not None]
     assert len(calls) > 10
-    real = gallery._recover_tuple
+    real = gallery._surgery
 
-    def last_step_toggled(g, i, j, k, refl, tail):
-        out = real(g, i, j, k, refl, tail)
+    def last_step_toggled(g, i, j, k):
+        out = real(g, i, j, k)
         return Gallery(out.gtype, out.delta0, out.flips[:-1] + (not out.flips[-1],))
 
-    monkeypatch.setattr(gallery, "_recover_tuple", last_step_toggled)
+    monkeypatch.setattr(gallery, "_surgery", last_step_toggled)
     for node, i in calls:
         with pytest.raises(GalleryError, match="moved the weight"):
             root_f(node, i)

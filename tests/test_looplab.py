@@ -140,16 +140,18 @@ def test_series_sqrt():
     (lambda: LaurentSeries.t_power(1).shift(0.5), "exponents are int, got float"),
     (lambda: LaurentSeries.t_power(1).shift(Fraction(1, 2)), "exponents are int, got Fraction"),
     (lambda: LaurentSeries.t_power(1).shift(True), "exponents are int, got bool"),
+    (lambda: LaurentSeries({0: True}), "int or Fraction, got bool"),
 ], ids=["init", "init-float-zero", "t_power", "from_scalar", "t_power-exponent",
         "init-exponent", "init-cap-float", "init-cap-bool", "init-exponent-bool",
-        "t_power-exponent-bool", "shift-float", "shift-fraction", "shift-bool"])
+        "t_power-exponent-bool", "shift-float", "shift-fraction", "shift-bool",
+        "init-coefficient-bool"])
 def test_series_rejects_float_coefficients(make, message):
     with pytest.raises(TypeError, match=message):
         make()
 
 
 def test_series_stores_integral_coefficients_as_int():
-    s = LaurentSeries({0: Fraction(4, 2), 1: True, 2: Fraction(1, 2), 3: -3})
+    s = LaurentSeries({0: Fraction(4, 2), 1: Fraction(-3, -3), 2: Fraction(1, 2), 3: -3})
     assert s.coeffs == {0: 2, 1: 1, 2: Fraction(1, 2), 3: -3}
     assert [type(s.coeffs[e]) for e in range(4)] == [int, int, Fraction, int]
     for made in (LaurentSeries.one(), LaurentSeries.t_power(3),
@@ -914,13 +916,16 @@ def test_y_product_checks_its_letters(word):
     lambda: G2.x_product([(0, 2, 1.0)], torus=Coweight((1, 1))),
     lambda: G2.gen_x(A2.simple_root(1), 0.5),
     lambda: G2.x_factor(-A2.simple_root(2), "1", level=1),
+    lambda: G2.gen_x(A2.simple_root(1), True),
 ], ids=["y_product-ints", "x_product-fraction", "x_product-float", "gen_x-float",
-        "x_factor-str"])
+        "x_factor-str", "gen_x-bool"])
 def test_x_product_refuses_a_parameter_that_is_not_a_series(make):
     # the ints reached series arithmetic: 'int' object has no attribute 'coeffs';
-    # x_factor shifted a float or str: 'float' object has no attribute 'shift'
+    # x_factor shifted a float or str: 'float' object has no attribute 'shift',
+    # and took True for the int 1
     with pytest.raises(TypeError, match=r"^factor \(.*\) of SL_3 has a parameter of type "
-                                        r"(int|float|Fraction|str): it needs a LaurentSeries$"):
+                                        r"(int|float|Fraction|str|bool): "
+                                        r"it needs a LaurentSeries$"):
         make()
 
 
