@@ -112,8 +112,8 @@ def identity_aff(datum: RootDatum) -> AffWeylElt:
 
 
 def affine_step(datum: RootDatum, P: AffWeylElt, i: int) -> AffWeylElt:
-    """P s_i for i in I^aff: w s_i off w's table, and mu + w(theta^vee) for s_0."""
-    if not 0 <= i <= datum.rank:
+    """P s_i for an int i in I^aff: w s_i off w's table, and mu + w(theta^vee) for s_0."""
+    if type(i) is not int or not 0 <= i <= datum.rank:
         raise RootDataError(f"affine node {i} out of range for {datum}")
     mu, w = P.mu, P.finite
     if not i:

@@ -6,6 +6,13 @@ dual group: weights live in the coweight lattice of the underlying datum and
 the crystal's simple roots are the simple coroots.  The Freudenthal recursion
 therefore runs entirely on the dual side and is independent of the gallery
 model; the two agreeing is an acceptance criterion, not a tautology.
+
+`crystal_isomorphic` is the one graph matcher.  Kashiwara's dual crystal
+(`CrystalGraph.dual`) swaps e_i with f_i and eps_i with phi_i and negates
+the weights, so B(lambda)^vee = B(-w0 lambda) and the contragredient twin of
+every node is crystal_isomorphic(B(lambda), B(-w0 lambda).dual()).  The
+string parameter c and its modified form c~ are one unitriangular sum, read
+in either direction (`_tilde_sum`).
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ __all__ = [
     "string_param_from_c",
     "string_param_from_c_tilde",
     "crystal_isomorphic",
-    "contragredient_node",
 ]
 
 
@@ -80,6 +86,17 @@ class CrystalGraph:
     def lowest_node(self):
         return self._end("lowest", self.f, "sink")
 
+    def dual(self) -> CrystalGraph:
+        """Kashiwara's dual crystal on the same nodes: e_i and f_i swap, so do
+        eps_i and phi_i, and every weight is negated."""
+        return CrystalGraph(self.datum, self.nodes, {b: -w for b, w in self.wt.items()},
+                            self.e_map, self.f_map, self.phi, self.eps)
+
+    def _edges(self):
+        """Every f_i edge as (source id, colour, target id), sorted."""
+        index = self._index
+        return sorted((index[b], i, index[c]) for (b, i), c in self.f_map.items())
+
     def to_dict(self):
         """Structured export: nodes with weight/eps/phi, colored edges."""
         nodes = [{
@@ -88,11 +105,7 @@ class CrystalGraph:
             "eps": [self.eps[(b, i)] for i in self.colors],
             "phi": [self.phi[(b, i)] for i in self.colors],
         } for b in self.nodes]
-        edges = [
-            {"from": self.node_id(b), "to": self.node_id(c), "color": i}
-            for (b, i), c in sorted(self.f_map.items(),
-                                    key=lambda kv: (self.node_id(kv[0][0]), kv[0][1]))
-        ]
+        edges = [{"from": b, "to": c, "color": i} for b, i, c in self._edges()]
         return {"nodes": nodes, "edges": edges}
 
     def to_dot(self):
@@ -100,11 +113,8 @@ class CrystalGraph:
         for b in self.nodes:
             wt = ",".join(str(a) for a in self.wt[b].coords)
             lines.append(f'  n{self.node_id(b)} [label="{wt}"];')
-        for (b, i), c in sorted(self.f_map.items(),
-                                key=lambda kv: (self.node_id(kv[0][0]), kv[0][1])):
-            lines.append(f'  n{self.node_id(b)} -> n{self.node_id(c)} [label="{i}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        lines += [f'  n{b} -> n{c} [label="{i}"];' for b, i, c in self._edges()]
+        return "\n".join(lines + ["}"])
 
 
 def _string_lengths(steps: dict, i, nodes):
@@ -270,31 +280,31 @@ class StringParam:
         self.word, self.c, self.c_tilde = word, c, c_tilde
 
 
-def _c_to_tilde(datum: RootDatum, word, c):
+def _tilde_sum(datum: RootDatum, word, given, from_c):
+    """One side of c~_j = -c_j - sum_{k>j} c_k <alpha_{i_j}, alpha_{i_k}^vee> from
+    the other: c~ from c (from_c) or c from c~, entry j being -given_j minus
+    the sum.  j runs down, so the sum reads c from given or from the entries
+    already found."""
     n = len(word)
-    out = []
-    for j in range(n):
-        s = -c[j]
+    out = [0] * n
+    c = given if from_c else out
+    for j in range(n - 1, -1, -1):
+        s, row = -given[j], datum.cartan[word[j] - 1]
         for k in range(j + 1, n):
-            s -= c[k] * datum.cartan[word[j] - 1][word[k] - 1]
-        out.append(s)
+            s -= c[k] * row[word[k] - 1]
+        out[j] = s
     return tuple(out)
 
 
 def string_param_from_c(datum: RootDatum, word, c) -> StringParam:
-    return StringParam(tuple(word), tuple(c), _c_to_tilde(datum, word, c))
+    c = datum.per_letter(word := tuple(word), c, "c")
+    return StringParam(word, c, _tilde_sum(datum, word, c, True))
 
 
 def string_param_from_c_tilde(datum: RootDatum, word, c_tilde) -> StringParam:
     """Invert the unitriangular c -> c~ map."""
-    n = len(word)
-    c = [0] * n
-    for j in range(n - 1, -1, -1):
-        s = -c_tilde[j]
-        for k in range(j + 1, n):
-            s -= c[k] * datum.cartan[word[j] - 1][word[k] - 1]
-        c[j] = s
-    return StringParam(tuple(word), tuple(c), tuple(c_tilde))
+    c_tilde = datum.per_letter(word := tuple(word), c_tilde, "c~")
+    return StringParam(word, _tilde_sum(datum, word, c_tilde, False), c_tilde)
 
 
 def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
@@ -321,62 +331,30 @@ def crystal_isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     """Match two connected normal crystals from their unique source nodes.
 
     Returns the node bijection as a dict; raises CrystalError at the first
-    mismatch (weights, colors, or graph shape)."""
+    mismatch (weights, colors, or graph shape).  Against g2.dual() the match
+    starts at g2's lowest node and follows f_i in g1 by e_i in g2: the
+    contragredient flip."""
     b1, b2 = g1.highest_node(), g2.highest_node()
     if g1.wt[b1] != g2.wt[b2]:
         raise CrystalError(
             f"source weights differ: {g1.wt[b1].coords} vs {g2.wt[b2].coords}")
     match = {b1: b2}
-    frontier = [b1]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            b = match[a]
-            for i in g1.colors:
-                ca, cb = g1.f(a, i), g2.f(b, i)
-                if (ca is None) != (cb is None):
-                    raise CrystalError(f"f_{i} defined on one side only at node "
-                                       f"{g1.node_id(a)}")
-                if ca is None:
-                    continue
-                if ca in match:
-                    if match[ca] != cb:
-                        raise CrystalError(f"edge mismatch at color {i}")
-                    continue
-                if g1.wt[ca] != g2.wt[cb]:
-                    raise CrystalError(f"weight mismatch along f_{i}")
-                match[ca] = cb
-                nxt.append(ca)
-        frontier = nxt
+    for a in (frontier := [b1]):  # breadth first; frontier grows as nodes match
+        b = match[a]
+        for i in g1.colors:
+            ca, cb = g1.f(a, i), g2.f(b, i)
+            if (ca is None) != (cb is None):
+                raise CrystalError(f"f_{i} defined on one side only at node {g1.node_id(a)}")
+            if ca is None:
+                continue
+            if ca in match:
+                if match[ca] != cb:
+                    raise CrystalError(f"edge mismatch at color {i}")
+                continue
+            if g1.wt[ca] != g2.wt[cb]:
+                raise CrystalError(f"weight mismatch along f_{i}")
+            match[ca] = cb
+            frontier.append(ca)
     if len(match) != len(g1.nodes) or len(match) != len(g2.nodes):
         raise CrystalError("crystals have different sizes")
     return match
-
-
-def contragredient_node(g_from: CrystalGraph, node, g_to: CrystalGraph):
-    """The node of g_to (= B(-w0 lambda)) matching `node` under the weight-
-    negating crystal flip: an f-path from the highest node becomes the same
-    e-path from the lowest node."""
-    path = []
-    cur = node
-    guard = len(g_from.nodes) * len(g_from.colors) + 1
-    while cur != g_from.highest_node():
-        for i in g_from.colors:
-            up = g_from.e(cur, i)
-            if up is not None:
-                path.append(i)
-                cur = up
-                break
-        else:
-            raise CrystalError("node not connected to the highest node")
-        guard -= 1
-        if guard < 0:
-            raise CrystalError("flip path search did not terminate")
-    # x = f_{i_1}(...f_{i_t}(highest)) becomes x^vee = e_{i_1}(...e_{i_t}(lowest))
-    out = g_to.lowest_node()
-    for i in reversed(path):
-        nxt = g_to.e(out, i)
-        if nxt is None:
-            raise CrystalError("flip path is not defined in the target crystal")
-        out = nxt
-    return out

@@ -173,21 +173,14 @@ class LoopGroup:
     def wbar_w0(self) -> LaurentMatrix:
         return self.gen_wbar(self.datum.reduced_word(self.datum.longest_element()))
 
-    def per_letter(self, word, values, name) -> tuple:
-        """values as a tuple, refused unless it has one entry per letter of word."""
-        if len(values := tuple(values)) != len(word):
-            raise RootDataError(f"{name} = {values} on word {word} for {self.datum}: need one "
-                                f"{name} entry per letter; the word has {len(word)} letters, "
-                                f"{name} has {len(values)} entries")
-        return values
-
     def y_product(self, word, ps) -> LaurentMatrix:
         """y_{i_1}(p_1) ... y_{i_N}(p_N); y_i(p) = x_{eps_{i+1} - eps_i}(p)."""
         word = tuple(word)
-        if not all(1 <= i < self.n for i in word):
+        if not all(type(i) is int and 1 <= i < self.n for i in word):
             raise RootDataError(f"y-product on word {word}: need letters in 1..{self.n - 1} "
                                 f"for {self.datum}")
-        return self.x_product((i, i - 1, p) for i, p in zip(word, self.per_letter(word, ps, "ps")))
+        ps = self.datum.per_letter(word, ps, "ps")
+        return self.x_product((i, i - 1, p) for i, p in zip(word, ps))
 
     # -- valuation formulas ----------------------------------------------------------
 

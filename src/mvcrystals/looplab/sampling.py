@@ -72,11 +72,10 @@ def sample_ytilde(group: LoopGroup, word, c, trials=5, seed=7):
     y_{i_j}(p_j) with val(p_j) = c~_j, one per trial in trial order."""
     datum = group.datum
     word = datum.w0_word(word)
-    c = group.per_letter(word, c, "c")
     sp = string_param_from_c(datum, word, c)
     points = []
     for trial in _trials(trials):
-        rng = random.Random(repr((seed, "ytilde", tuple(word), tuple(c), trial)))
+        rng = random.Random(repr((seed, "ytilde", tuple(word), sp.c, trial)))
         ps = [random_unit_series(rng).shift(ct) for ct in sp.c_tilde]
         points.append(group.y_product(word, ps))
     return points
@@ -228,7 +227,7 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
     algorithm, Gauss factor plus peel, where f reads the chamber minors.
     ``seed`` is ignored; the benchmark's tropical workload still passes it."""
     word = group.datum.w0_word(word)
-    c_tilde = group.per_letter(word, c_tilde, "c~")
+    c_tilde = group.datum.per_letter(word, c_tilde, "c~")
     n_vec = trop_eval(string_to_lusztig_map(group, word), list(c_tilde))
     back = trop_eval(lusztig_to_string_map(group, word), n_vec)
     if tuple(back) != c_tilde:

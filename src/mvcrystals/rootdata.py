@@ -271,8 +271,8 @@ class RootDatum:
     # -- basic vectors ------------------------------------------------------
 
     def _node(self, i, what):
-        """The 0-based position of the finite node i, which must be 1..rank."""
-        if not 1 <= i <= self.rank:
+        """The 0-based position of the finite node i, which must be an int in 1..rank."""
+        if type(i) is not int or not 1 <= i <= self.rank:
             raise RootDataError(f"{what} index {i} out of range for {self}")
         return i - 1
 
@@ -435,10 +435,18 @@ class RootDatum:
 
     def is_w0_word(self, word) -> bool:
         """True when word is a reduced word of the longest element w_0: it has
-        |Phi_+| letters in 1..rank and walks to that length, which only w_0 has."""
+        |Phi_+| int letters in 1..rank and walks to that length, which only w_0 has."""
         word, n = tuple(word), len(self.positive_roots)
-        return len(word) == n and 1 <= min(word) and max(word) <= self.rank and \
-            _walk(self.identity_elt(), word).length == n
+        return len(word) == n and all(type(i) is int and 1 <= i <= self.rank for i in word) \
+            and _walk(self.identity_elt(), word).length == n
+
+    def per_letter(self, word, values, name) -> tuple:
+        """values as a tuple, refused unless it has one entry per letter of word."""
+        if len(values := tuple(values)) != len(word):
+            raise RootDataError(f"{name} = {values} on word {word} for {self}: need one "
+                                f"{name} entry per letter; the word has {len(word)} letters, "
+                                f"{name} has {len(values)} entries")
+        return values
 
     def w0_word(self, word) -> tuple:
         """word as a tuple, refused unless it is a reduced word of w_0."""

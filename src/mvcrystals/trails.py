@@ -46,7 +46,7 @@ def enumerate_itrails(gamma: tuple, delta: tuple, word):
     = <gamma_{j-1}, alpha_{i_j}^vee> - n_j = gamma_{j-1}[i_j - 1] - gamma_{j-1}[i_j] - n_j."""
     gamma, delta, word = tuple(gamma), tuple(delta), tuple(word)
     n = len(gamma)
-    if not all(1 <= i < n for i in word):
+    if not all(type(i) is int and 1 <= i < n for i in word):
         raise RootDataError(f"word {word} has a letter outside 1..{n - 1}")
     if len(delta) != n or sum(delta) != sum(gamma) or not set(delta) <= {0, 1}:
         return []

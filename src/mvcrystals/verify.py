@@ -21,7 +21,6 @@ from mvcrystals.affine import affine_step, build_gallery_type, \
 from mvcrystals.crystal import (
     CrystalError,
     character,
-    contragredient_node,
     crystal_isomorphic,
     expected_character,
     string_param_from_c_tilde,
@@ -112,42 +111,33 @@ def _group(graphs, datum):
 # -- criteria -----------------------------------------------------------------
 
 
+def _suite(graphs, check):
+    """Criteria 1-3's one pass over _suite_entries(): check(datum, lam, graph)
+    gives (passed, fields), and each entry's record is its datum and lambda,
+    the check's own fields, then whether lambda is singular."""
+    ok, rows = True, []
+    for datum, lam in _suite_entries():
+        passed, fields = check(datum, lam, _graph(graphs, datum, lam))
+        rows.append({"datum": str(datum), "lambda": list(lam.coords), **fields,
+                     "singular": _is_singular(datum, lam)})
+        ok = ok and passed
+    return ok, rows
+
+
 def crit_1_axioms(graphs):
-    entries = _suite_entries()
-    checked = []
-    ok = True
-    for datum, lam in entries:
-        graph = _graph(graphs, datum, lam)
+    def check(datum, lam, graph):
         bad = validate_axioms(graph)
-        checked.append({
-            "datum": f"{datum.series}{datum.rank}",
-            "lambda": list(lam.coords),
-            "nodes": len(graph.nodes),
-            "violations": bad,
-            "singular": _is_singular(datum, lam),
-        })
-        if bad:
-            ok = False
-    return ok, {"entries": checked}
+        return not bad, {"nodes": len(graph.nodes), "violations": bad}
+    ok, rows = _suite(graphs, check)
+    return ok, {"entries": rows}
 
 
 def crit_2_characters(graphs):
-    entries = _suite_entries()
-    checked = []
-    ok = True
-    for datum, lam in entries:
-        graph = _graph(graphs, datum, lam)
-        got = character(graph)
+    def check(datum, lam, graph):
         want = expected_character(datum, lam)
-        match = got == want
-        checked.append({
-            "datum": f"{datum.series}{datum.rank}",
-            "lambda": list(lam.coords),
-            "dimension": sum(want.values()),
-            "match": match,
-            "singular": _is_singular(datum, lam),
-        })
-        ok = ok and match
+        match = character(graph) == want
+        return match, {"dimension": sum(want.values()), "match": match}
+    ok, rows = _suite(graphs, check)
     # the two pinned instances
     a1 = build_root_datum("A", 1)
     ch1 = character(_graph(graphs, a1, Coweight((1,))))
@@ -156,33 +146,18 @@ def crit_2_characters(graphs):
     ch2 = character(_graph(graphs, a2, Coweight((1, 1))))
     pin2 = sum(ch2.values()) == 8 and ch2[a2.zero_coweight()] == 2
     ok = ok and pin1 and pin2
-    return ok, {"entries": checked, "pinned_a1": pin1, "pinned_a2_theta": pin2}
+    return ok, {"entries": rows, "pinned_a1": pin1, "pinned_a2_theta": pin2}
 
 
 def crit_3_dimension_bookkeeping(graphs):
-    entries = _suite_entries()
-    ok = True
-    rows = []
-    for datum, lam in entries:
+    def check(datum, lam, graph):
         gtype = build_gallery_type(datum, lam)
-        gamma = minimal_gallery(gtype)
-        lhs = dimension(gamma)
-        rhs = len(datum.positive_roots) + gtype.p
-        base_ok = lhs == rhs
-        graph = _graph(graphs, datum, lam)
-        ls_ok = all(
-            lhs - dimension(node) == datum.height(lam - node.weight)
-            for node in graph.nodes
-        )
-        rows.append({
-            "datum": f"{datum.series}{datum.rank}",
-            "lambda": list(lam.coords),
-            "dim_gamma": lhs,
-            "phi_plus_plus_p": rhs,
-            "ls_defect_ok": ls_ok,
-            "singular": _is_singular(datum, lam),
-        })
-        ok = ok and base_ok and ls_ok
+        lhs, rhs = dimension(minimal_gallery(gtype)), gtype.dim_gamma
+        ls_ok = all(lhs - dimension(node) == datum.height(lam - node.weight)
+                    for node in graph.nodes)
+        return lhs == rhs and ls_ok, {"dim_gamma": lhs, "phi_plus_plus_p": rhs,
+                                      "ls_defect_ok": ls_ok}
+    ok, rows = _suite(graphs, check)
     return ok, {"entries": rows}
 
 
@@ -342,7 +317,7 @@ def crit_7_ytilde_sampling(graphs):
                 if not (datum.dominance_leq(lam, mu_plus) and mu_plus != lam):
                     ok = False
         details.append({
-            "datum": f"{datum.series}{datum.rank}",
+            "datum": str(datum),
             "in_cone": [list(c) for c in inside],
             "out_of_cone": [list(c) for c in outside],
         })
@@ -423,6 +398,8 @@ def crit_11_tropical_transition(graphs):
     group = _group(graphs, a2)
     lam = Coweight((1, 1))
     graph = _graph(graphs, a2, lam)
+    # B(-w0 lam) is B(lam) for lam = (1, 1): each node's contragredient twin
+    flip = crystal_isomorphic(graph, graph.dual())
     ok = True
     rows = []
     for word in ((1, 2, 1), (2, 1, 2)):
@@ -432,8 +409,7 @@ def crit_11_tropical_transition(graphs):
         for node in graph.nodes:
             n_vec = lusztig[node]
             nonneg = all(x >= 0 for x in n_vec)
-            flip = contragredient_node(graph, node, graph)
-            mg = morier_genoud_check(group, word, c_tilde[node], lusztig[flip], lam)
+            mg = morier_genoud_check(group, word, c_tilde[node], lusztig[flip[node]], lam)
             rows.append({"word": list(word), "node": graph.node_id(node),
                          "n": n_vec, "nonneg": nonneg, "morier_genoud": mg})
             ok = ok and nonneg and mg

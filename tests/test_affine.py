@@ -234,6 +234,9 @@ def test_build_gamma_lambda_rejects_bad_words():
     longer = (1, 1) + good  # reduced? no: (1,1) cancels; caught as not reduced
     with pytest.raises(RootDataError):
         build_gallery_type(A2, lam2, word=longer)
+    # False would be read as the affine node 0, which A1's (1,) has as its word
+    with pytest.raises(RootDataError, match="affine node False out of range for A1"):
+        build_gallery_type(A1, Coweight((1,)), word=[False])
 
 
 def test_build_gamma_lambda_rejects_lambda_off_the_coroot_lattice():

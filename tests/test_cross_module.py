@@ -62,8 +62,10 @@ W0_ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("word", [(1, 2), (1, 0, 1), (1, 3, 1), (1, 1, 2)],
-                         ids=["too-short", "letter-0", "letter-rank+1", "not-reduced"])
+@pytest.mark.parametrize("word", [(1, 2), (1, 0, 1), (1, 3, 1), (1, 1, 2), (True, 2, True),
+                                  (1.0, 2, 1)],
+                         ids=["too-short", "letter-0", "letter-rank+1", "not-reduced",
+                              "bool-letter", "float-letter"])
 @pytest.mark.parametrize("call,error", [p[1:] for p in W0_ENTRY_POINTS],
                          ids=[p[0] for p in W0_ENTRY_POINTS])
 def test_every_w0_entry_point_refuses_a_bad_word_with_one_message(call, error, word):

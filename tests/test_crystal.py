@@ -12,7 +12,6 @@ from mvcrystals.crystal import (
     CrystalError,
     CrystalGraph,
     character,
-    contragredient_node,
     crystal_isomorphic,
     expected_character,
     string_param_from_c,
@@ -330,18 +329,42 @@ def test_isomorphic_failure_different_weights(a1_graph):
 
 
 def test_contragredient_node_a1(a1_graph):
+    flip = crystal_isomorphic(a1_graph, a1_graph.dual())
     high, low = a1_graph.highest_node(), a1_graph.lowest_node()
-    assert contragredient_node(a1_graph, high, a1_graph) == low
-    assert contragredient_node(a1_graph, low, a1_graph) == high
+    assert flip[high] == low
+    assert flip[low] == high
     mid = a1_graph.e(low, 1)
-    assert contragredient_node(a1_graph, mid, a1_graph) == mid
+    assert flip[mid] == mid
 
 
 def test_contragredient_negates_weight(theta_graph):
     # -w0 lam = lam here, so the flip lands in the same crystal
+    flip = crystal_isomorphic(theta_graph, theta_graph.dual())
     for node in theta_graph.nodes:
-        flip = contragredient_node(theta_graph, node, theta_graph)
-        assert theta_graph.wt[flip] == -theta_graph.wt[node]
+        assert theta_graph.wt[flip[node]] == -theta_graph.wt[node]
+
+
+@pytest.mark.parametrize("series,rank,coords,size", [
+    ("A", 2, (2, 1), 10), ("A", 3, (1, 2, 2), 45), ("B", 2, (2, 1), 10),
+    ("C", 3, (1, 2, 2), 21), ("D", 4, (1, 2, 1, 1), 28), ("G", 2, (1, 2), 7),
+])
+def test_dual_crystal_is_the_crystal_of_minus_w0_lambda(series, rank, coords, size):
+    # Kashiwara's dual B(lam)^vee (e and f, eps and phi swapped, weights
+    # negated) is a normal crystal isomorphic to B(-w0 lam)
+    datum = build_root_datum(series, rank)
+    graph = ls_graph(datum, coords)
+    dual = graph.dual()
+    assert validate_axioms(dual) == []
+    twin = tuple(-a for a in datum.longest_element().act_point(coords))
+    match = crystal_isomorphic(dual, ls_graph(datum, twin))
+    assert len(match) == len(graph.nodes) == size
+
+
+def test_dual_of_a2_21_is_not_b21():
+    # -w0 (2, 1) = (1, 2) on A2: the dual's source is the lowest node, of weight (1, 2)
+    graph = ls_graph(A2, (2, 1))
+    with pytest.raises(CrystalError, match=re.escape("source weights differ: (1, 2) vs (2, 1)")):
+        crystal_isomorphic(graph.dual(), graph)
 
 
 def test_tensor_shift_bookkeeping(theta_graph):

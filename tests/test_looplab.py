@@ -8,7 +8,7 @@ import pytest
 
 from mvcrystals import verify
 from mvcrystals.affine import build_gallery_type
-from mvcrystals.crystal import contragredient_node, string_parameters
+from mvcrystals.crystal import crystal_isomorphic, string_parameters
 from mvcrystals.gallery import crystal_maps, enumerate_ls, min_wall_level, root_e
 from mvcrystals.looplab import (
     LaurentMatrix,
@@ -1373,14 +1373,14 @@ def test_lusztig_from_string_sl2():
 
 def test_lusztig_nonneg_and_morier_genoud(theta_graph):
     lam = Coweight((1, 1))
+    flip = crystal_isomorphic(theta_graph, theta_graph.dual())
     for word in ((1, 2, 1), (2, 1, 2)):
         c_tilde = {node: string_parameters(theta_graph, node, word).c_tilde
                    for node in theta_graph.nodes}
         lusztig = {node: lusztig_from_string(G2, word, c) for node, c in c_tilde.items()}
         for node in theta_graph.nodes:
             assert all(n >= 0 for n in lusztig[node])
-            flip = contragredient_node(theta_graph, node, theta_graph)
-            assert morier_genoud_check(G2, word, c_tilde[node], lusztig[flip], lam)
+            assert morier_genoud_check(G2, word, c_tilde[node], lusztig[flip[node]], lam)
 
 
 def test_cross_word_string_transition(theta_graph):
@@ -1437,10 +1437,10 @@ def _criterion_11_strings(theta_graph):
     """Every string criterion 11 feeds in: each node and its contragredient
     twin, on both reduced words of w_0."""
     inputs = set()
+    flip = crystal_isomorphic(theta_graph, theta_graph.dual())
     for word in ((1, 2, 1), (2, 1, 2)):
         for node in theta_graph.nodes:
-            flip = contragredient_node(theta_graph, node, theta_graph)
-            for b in (node, flip):
+            for b in (node, flip[node]):
                 inputs.add((word, string_parameters(theta_graph, b, word).c_tilde))
     assert len(inputs) == 16
     return sorted(inputs)

@@ -3,7 +3,7 @@ the one message of the check that owns it, and that message names the datum.
 
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
 `RootDatum.dominant_coweight` and the one length check behind both); the c,
-c~ and ps that go along a word are checked by `LoopGroup.per_letter`."""
+c~ and ps that go along a word are checked by `RootDatum.per_letter`."""
 
 import re
 
@@ -11,7 +11,8 @@ import pytest
 
 from mvcrystals.affine import build_gallery_type, minimal_word
 from mvcrystals.cli import main
-from mvcrystals.crystal import expected_character, weyl_dimension
+from mvcrystals.crystal import expected_character, string_param_from_c, \
+    string_param_from_c_tilde, weyl_dimension
 from mvcrystals.looplab import LaurentSeries, LoopGroup, lusztig_from_string, sample_ytilde
 from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
 
@@ -70,7 +71,13 @@ ONE = LaurentSeries.one()
     ("c~", (1, 0), lambda c: lusztig_from_string(G2, (1, 2, 1), c)),
     ("c~", (1, 0, 0, 1), lambda c: lusztig_from_string(G2, (1, 2, 1), c)),
     ("ps", (ONE, ONE), lambda ps: G2.y_product((1, 2, 1), ps)),
-], ids=["sample_ytilde", "lusztig_from_string-short", "lusztig_from_string-long", "y_product"])
+    ("c", (1, 2), lambda c: string_param_from_c(A2, (1, 2, 1), c)),
+    ("c", (1, 2, 1, 5), lambda c: string_param_from_c(A2, (1, 2, 1), c)),
+    ("c~", (1, 2), lambda c: string_param_from_c_tilde(A2, (1, 2, 1), c)),
+    ("c~", (1, 2, 1, 5), lambda c: string_param_from_c_tilde(A2, (1, 2, 1), c)),
+], ids=["sample_ytilde", "lusztig_from_string-short", "lusztig_from_string-long", "y_product",
+        "string_param_from_c-short", "string_param_from_c-long",
+        "string_param_from_c_tilde-short", "string_param_from_c_tilde-long"])
 def test_every_per_letter_parameter_raises_the_one_message(name, values, run):
     message = (f"{name} = {values} on word (1, 2, 1) for A2: need one {name} entry per letter; "
                f"the word has 3 letters, {name} has {len(values)} entries")
