@@ -258,15 +258,14 @@ class GalleryType:
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:
     """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
-    The word defaults to w_lambda's greedy word, fundamentalize's folds; any
-    reduced word of w_lambda is accepted and checked: it is reduced, maps 0
+    lam is refused off the coroot lattice, then if not dominant.  The word
+    defaults to ``minimal_word``'s; a given one is checked: it is reduced, maps 0
     to lam and has l(w_lambda) letters, so it is a reduced word of the minimal
     element of t_lambda W, whose alcoves are all dominant (module docstring)."""
-    datum.dominant_coweight(datum.lattice_coweight(lam))  # lam folds to 0, of type {1..rank}
-    minimal = fundamentalize(datum, lam)[2]
-    word = minimal if word is None else tuple(word)
-    _check_word(datum, word, datum.zero_coweight(), lam)
-    if len(word) != len(minimal):
-        raise RootDataError(f"word {word} for lambda = {lam} on {datum} is not minimal: "
-                            f"w_lambda has {len(minimal)} letters")
-    return GalleryType(datum, lam, word)
+    minimal = minimal_word(datum, datum.lattice_coweight(lam))  # lam folds to 0
+    if word is not None:
+        _check_word(datum, word := tuple(word), datum.zero_coweight(), lam)
+        if len(word) != len(minimal):
+            raise RootDataError(f"word {word} for lambda = {lam} on {datum} is not minimal: "
+                                f"w_lambda has {len(minimal)} letters")
+    return GalleryType(datum, lam, minimal if word is None else word)

@@ -174,12 +174,9 @@ class LoopGroup:
         return self.gen_wbar(self.datum.reduced_word(self.datum.longest_element()))
 
     def y_product(self, word, ps) -> LaurentMatrix:
-        """y_{i_1}(p_1) ... y_{i_N}(p_N); y_i(p) = x_{eps_{i+1} - eps_i}(p)."""
-        word = tuple(word)
-        if not all(type(i) is int and 1 <= i < self.n for i in word):
-            raise RootDataError(f"y-product on word {word}: need letters in 1..{self.n - 1} "
-                                f"for {self.datum}")
-        ps = self.datum.per_letter(word, ps, "ps")
+        """y_{i_1}(p_1) ... y_{i_N}(p_N), y_i(p) = x_{eps_{i+1} - eps_i}(p); per_letter
+        checks the word's letters and ps."""
+        ps = self.datum.per_letter(word := tuple(word), ps, "ps")
         return self.x_product((i, i - 1, p) for i, p in zip(word, ps))
 
     # -- valuation formulas ----------------------------------------------------------

@@ -238,9 +238,11 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
 
 
 def morier_genoud_check(group: LoopGroup, word, c_tilde_node, d, lam: Coweight) -> bool:
-    """d_j = <alpha_{i_j}, -w0 lam> + c~_j where d is the Lusztig parameter of
-    the contragredient twin (lusztig_from_string of its string)."""
+    """d_j = <alpha_{i_j}, -w0 lam> + c~_j, for c~ and d that pass per_letter, where d
+    is the Lusztig parameter of the contragredient twin (lusztig_from_string of its string)."""
     datum = group.datum
+    c_tilde_node = datum.per_letter(word := tuple(word), c_tilde_node, "c~")
+    d = datum.per_letter(word, d, "d")
     w0lam = datum.longest_element().act_coweight(lam)
     for j, i in enumerate(word):
         shift = datum.pairing(datum.simple_root(i), -w0lam)

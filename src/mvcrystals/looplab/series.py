@@ -10,7 +10,7 @@ exponent that is not an ``int``.  Arithmetic builds results with the trusted
 the matrix copy and shape check.  Every product, dot product, minor and
 elementary step x + p y (x its base addend) is one ``sum_products`` call, and
 its loop ``_sum_products``, with the factor of fewer terms outside, is the one
-place coefficients are multiplied.
+place coefficients are multiplied; a sum x +- y is the step with p = +-1.
 
 A series is an immutable value, so arithmetic may hand back an operand, and
 ``zero()`` and ``one()`` are shared constants.  A term with an exact-zero
@@ -190,14 +190,10 @@ class LaurentSeries:
         return LaurentSeries._of({e: -c for e, c in self.coeffs.items()}, self.cap)
 
     def __add__(self, other):
-        cap = _min_cap(self.cap, other.cap)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentSeries._of(out, cap)
+        return sum_products(((other, _ONE, 1),), self)
 
     def __sub__(self, other):
-        return self + (-other)
+        return sum_products(((other, _ONE, -1),), self)
 
     def __mul__(self, other):
         return sum_products(((self, other, 1),))

@@ -380,10 +380,6 @@ class RootDatum:
     def identity_elt(self) -> WeylElt:
         return self._group()[0][0]
 
-    def weyl_length(self, w: WeylElt) -> int:
-        """The number of positive roots w sends negative: its BFS depth."""
-        return w.length
-
     def weyl_elements(self):
         """All of W sorted by (length, cmat), numbered in that order once per
         datum.  W acts simply transitively on the orbit of the regular point
@@ -428,7 +424,7 @@ class RootDatum:
 
     def enumerate_reduced_words(self, w: WeylElt):
         """All reduced words of w (tuples of 1-based indices), sorted."""
-        return _reduced_words(w, self.weyl_length, enumerate(self.generators()[1:], 1))
+        return _reduced_words(w, lambda x: x.length, enumerate(self.generators()[1:], 1))
 
     def word_to_element(self, word) -> WeylElt:
         return _walk(self.identity_elt(), [self._node(i, "simple reflection") + 1 for i in word])
@@ -441,7 +437,10 @@ class RootDatum:
             and _walk(self.identity_elt(), word).length == n
 
     def per_letter(self, word, values, name) -> tuple:
-        """values as a tuple, refused unless it has one entry per letter of word."""
+        """values as a tuple, refused unless word's letters are ints in 1..rank, then
+        unless values has one entry per letter."""
+        if not all(type(i) is int and 1 <= i <= self.rank for i in word):
+            raise RootDataError(f"word {word} has a letter outside 1..{self.rank} for {self}")
         if len(values := tuple(values)) != len(word):
             raise RootDataError(f"{name} = {values} on word {word} for {self}: need one "
                                 f"{name} entry per letter; the word has {len(word)} letters, "

@@ -328,6 +328,66 @@ def test_isomorphic_failure_different_weights(a1_graph):
         crystal_isomorphic(a1_graph, g2)
 
 
+# -- the matcher's and the descent's refusals, each on a small hand-built graph
+
+def hand_graph(datum, wt, edges, phi=None):
+    """A CrystalGraph on the nodes of wt (node -> coweight coordinates) whose
+    f_i edges are the (b, i, c) of edges and e_i their reverses; eps is empty
+    and phi is the given dict, as neither the matcher nor the descent reads
+    the rest."""
+    return CrystalGraph(datum, tuple(wt), {b: Coweight(w) for b, w in wt.items()},
+                        {(b, i): c for b, i, c in edges}, {(c, i): b for b, i, c in edges},
+                        {}, phi or {})
+
+
+A1_EDGE = {"a": (1,), "b": (-1,)}
+# f_1 and f_2 out of a meet at d, through b and through c
+A2_DIAMOND_WT = {"a": (1, 1), "b": (0, 1), "c": (1, 0), "d": (0, 0)}
+A2_DIAMOND = [("a", 1, "b"), ("a", 2, "c"), ("b", 2, "d"), ("c", 1, "d")]
+
+
+def test_isomorphic_refuses_f_defined_on_one_side_only():
+    g1, g2 = hand_graph(A1, A1_EDGE, [("a", 1, "b")]), hand_graph(A1, {"a": (1,)}, [])
+    with pytest.raises(CrystalError, match=r"^f_1 defined on one side only at node 0$"):
+        crystal_isomorphic(g1, g2)
+
+
+def test_isomorphic_refuses_a_weight_mismatch_along_f():
+    g1 = hand_graph(A1, A1_EDGE, [("a", 1, "b")])
+    g2 = hand_graph(A1, {"a": (1,), "b": (0,)}, [("a", 1, "b")])
+    with pytest.raises(CrystalError, match=r"^weight mismatch along f_1$"):
+        crystal_isomorphic(g1, g2)
+
+
+def test_isomorphic_refuses_an_edge_mismatch():
+    # in g2 the path through c ends at e, a copy of d
+    g1 = hand_graph(A2, A2_DIAMOND_WT, A2_DIAMOND)
+    g2 = hand_graph(A2, {**A2_DIAMOND_WT, "e": (0, 0)}, A2_DIAMOND[:3] + [("c", 1, "e")])
+    with pytest.raises(CrystalError, match=r"^edge mismatch at color 1$"):
+        crystal_isomorphic(g1, g2)
+
+
+def test_isomorphic_refuses_crystals_of_different_sizes():
+    # z hangs below a by e_1 only, so no f-edge reaches it from the source
+    g1 = hand_graph(A1, A1_EDGE, [("a", 1, "b")])
+    g2 = hand_graph(A1, {**A1_EDGE, "z": (-1,)}, [("a", 1, "b")])
+    g2.e_map["z", 1] = "a"
+    with pytest.raises(CrystalError, match=r"^crystals have different sizes$"):
+        crystal_isomorphic(g1, g2)
+
+
+def test_highest_node_refuses_two_sources():
+    with pytest.raises(CrystalError, match=r"^expected one source node, found 2$"):
+        hand_graph(A1, A1_EDGE, []).highest_node()
+
+
+def test_string_parameters_refuse_a_descent_short_of_the_lowest_node():
+    graph = hand_graph(A1, A1_EDGE, [("a", 1, "b")], phi={("a", 1): 0})
+    with pytest.raises(CrystalError,
+                       match=r"^string descent did not reach the lowest-weight node$"):
+        string_parameters(graph, "a", (1,))
+
+
 def test_contragredient_node_a1(a1_graph):
     flip = crystal_isomorphic(a1_graph, a1_graph.dual())
     high, low = a1_graph.highest_node(), a1_graph.lowest_node()

@@ -907,7 +907,7 @@ def test_minor_det_matches_leibniz(n):
 def test_y_product_checks_its_letters(word):
     with pytest.raises(RootDataError) as err:
         G2.y_product(word, [LaurentSeries.one()] * 2)
-    assert str(err.value) == f"y-product on word {word}: need letters in 1..2 for A2"
+    assert str(err.value) == f"word {word} has a letter outside 1..2 for A2"
 
 
 @pytest.mark.parametrize("make", [

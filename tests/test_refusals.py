@@ -2,9 +2,12 @@
 the one message of the check that owns it, and that message names the datum.
 
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
-`RootDatum.dominant_coweight` and the one length check behind both); the c,
-c~ and ps that go along a word are checked by `RootDatum.per_letter`."""
+`RootDatum.dominant_coweight` and the one length check behind both); the
+word's letters and the c, c~, d and ps that go along it are checked by
+`RootDatum.per_letter`, letters first.  The other refusals that no module
+test raises are each raised once at the end, with their own messages."""
 
+import random
 import re
 
 import pytest
@@ -13,9 +16,14 @@ from mvcrystals.affine import build_gallery_type, minimal_word
 from mvcrystals.cli import main
 from mvcrystals.crystal import expected_character, string_param_from_c, \
     string_param_from_c_tilde, weyl_dimension
-from mvcrystals.looplab import LaurentSeries, LoopGroup, lusztig_from_string, sample_ytilde
-from mvcrystals.rootdata import Coweight, RootDataError, build_root_datum
+from mvcrystals.gallery import Gallery, GalleryError
+from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup, cell_point, \
+    counterexample_matrix, lusztig_from_string, morier_genoud_check, rank_one_identity_check, \
+    sample_ytilde
+from mvcrystals.rootdata import Coweight, Root, RootDataError, build_root_datum
+from mvcrystals.verify import run_criterion
 
+A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
 G2 = LoopGroup(A2)
 
@@ -75,11 +83,70 @@ ONE = LaurentSeries.one()
     ("c", (1, 2, 1, 5), lambda c: string_param_from_c(A2, (1, 2, 1), c)),
     ("c~", (1, 2), lambda c: string_param_from_c_tilde(A2, (1, 2, 1), c)),
     ("c~", (1, 2, 1, 5), lambda c: string_param_from_c_tilde(A2, (1, 2, 1), c)),
+    ("c~", (0, 0), lambda c: morier_genoud_check(G2, (1, 2, 1), c, (1, 1, 1), Coweight((1, 1)))),
+    ("c~", (0, 0, 0, 9),
+     lambda c: morier_genoud_check(G2, (1, 2, 1), c, (1, 1, 1), Coweight((1, 1)))),
+    ("d", (1, 1), lambda d: morier_genoud_check(G2, (1, 2, 1), (0, 0, 0), d, Coweight((1, 1)))),
+    ("d", (1, 1, 1, 7),
+     lambda d: morier_genoud_check(G2, (1, 2, 1), (0, 0, 0), d, Coweight((1, 1)))),
 ], ids=["sample_ytilde", "lusztig_from_string-short", "lusztig_from_string-long", "y_product",
         "string_param_from_c-short", "string_param_from_c-long",
-        "string_param_from_c_tilde-short", "string_param_from_c_tilde-long"])
+        "string_param_from_c_tilde-short", "string_param_from_c_tilde-long",
+        "morier_genoud_check-c~-short", "morier_genoud_check-c~-long",
+        "morier_genoud_check-d-short", "morier_genoud_check-d-long"])
 def test_every_per_letter_parameter_raises_the_one_message(name, values, run):
     message = (f"{name} = {values} on word (1, 2, 1) for A2: need one {name} entry per letter; "
                f"the word has 3 letters, {name} has {len(values)} entries")
     with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
         run(list(values))
+
+
+# each with two entries for a word of three letters, so a letter refused
+# before the entry count shows
+LETTER_ENTRIES = {
+    "string_param_from_c": lambda word: string_param_from_c(A2, word, (1, 1)),
+    "string_param_from_c_tilde": lambda word: string_param_from_c_tilde(A2, word, (1, 1)),
+    "y_product": lambda word: G2.y_product(word, (ONE, ONE)),
+}
+
+
+@pytest.mark.parametrize("entry", list(LETTER_ENTRIES))
+@pytest.mark.parametrize("word", [(0, 2, 1), (1, 3, 1), (1.0, 2, 1), (True, 2, 1)],
+                         ids=["letter-0", "letter-past-rank", "float-letter", "bool-letter"])
+def test_every_per_letter_word_raises_the_one_letter_message(entry, word):
+    message = f"word {word} has a letter outside 1..2 for A2"
+    with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
+        LETTER_ENTRIES[entry](word)
+
+
+GAMMA = build_gallery_type(A2, Coweight((1, 1)))  # its word (0,) has one letter
+
+# entry -> (the call, the exception type, its message)
+OTHER_REFUSALS = {
+    "build_gallery_type-not-minimal": (
+        lambda: build_gallery_type(A1, Coweight((1,)), word=(0, 1)), RootDataError,
+        "word (0, 1) for lambda = (1) on A1 is not minimal: w_lambda has 1 letters"),
+    "Gallery-flip-count": (lambda: Gallery(GAMMA, A2.identity_elt(), (True, True)),
+                           GalleryError, "2 flips for a type of length 1"),
+    "LaurentMatrix-not-square": (lambda: LaurentMatrix([[ONE, ONE]]), ValueError,
+                                 "a LaurentMatrix needs a square array of series"),
+    "run_criterion-13": (lambda: run_criterion(13), ValueError, "no criterion 13"),
+    "LoopGroup-B2": (lambda: LoopGroup(build_root_datum("B", 2)), RootDataError,
+                     "loop-group matrices are realized for type A only"),
+    "root_pair-A3": (lambda: LoopGroup(build_root_datum("A", 3)).root_pair(Root((1, 0, 1))),
+                     RootDataError, "(1, 0, 1) is not a root of type A"),
+    "cell_point-all-folds": (
+        lambda: cell_point(G2, Gallery(GAMMA, A2.identity_elt(), (False,)), random.Random(1)),
+        RootDataError, "cell sampling requires a positively folded gallery"),
+    "rank_one_identity_check-SL3": (lambda: rank_one_identity_check(G2, 0, 1, ONE),
+                                    RootDataError, "rank-one identity lives in SL_2"),
+    "counterexample_matrix-SL3": (lambda: counterexample_matrix(G2), RootDataError,
+                                  "the counterexample lives in SL_4"),
+}
+
+
+@pytest.mark.parametrize("entry", list(OTHER_REFUSALS))
+def test_every_other_refusal_raises_its_message(entry):
+    run, error, message = OTHER_REFUSALS[entry]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        run()

@@ -171,9 +171,9 @@ def test_weyl_act_examples():
 
 
 def test_weyl_lengths():
-    assert A2.weyl_length(A2.identity_elt()) == 0
-    assert A2.weyl_length(A2.longest_element()) == 3
-    assert A3.weyl_length(A3.longest_element()) == 6
+    assert A2.identity_elt().length == 0
+    assert A2.longest_element().length == 3
+    assert A3.longest_element().length == 6
     assert len(A2.weyl_elements()) == 6
     assert len(A3.weyl_elements()) == 24
     assert len(B2.weyl_elements()) == 8
@@ -192,7 +192,7 @@ def test_reduced_words_multiply_back():
         for w in datum.weyl_elements():
             for word in datum.enumerate_reduced_words(w):
                 assert datum.word_to_element(word) == w
-                assert len(word) == datum.weyl_length(w)
+                assert len(word) == w.length
 
 
 def test_is_w0_word():
@@ -210,8 +210,8 @@ def test_length_changes_by_one():
     for datum in (A2, B2):
         for w in datum.weyl_elements():
             for i in range(1, datum.rank + 1):
-                lw = datum.weyl_length(w)
-                lwi = datum.weyl_length(w * datum.simple_reflection(i))
+                lw = w.length
+                lwi = (w * datum.simple_reflection(i)).length
                 assert abs(lw - lwi) == 1
 
 
@@ -269,7 +269,7 @@ def test_reflection_of_nonsimple_root():
     theta = A2.highest_root
     s = A2.generators()[0]  # s_theta
     assert act_root(A2, s, theta) == -theta
-    assert A2.weyl_length(s) == 3  # s_theta = w0 in A2
+    assert s.length == 3  # s_theta = w0 in A2
     assert s * s == A2.identity_elt()
 
 
@@ -336,7 +336,7 @@ def test_root_action_and_length_match_the_root_matrix_oracle(datum):
             image = Root(tuple(sum(a * b for a, b in zip(row, rt.coords)) for row in m))
             assert act_root(datum, w, rt) == image, (w, rt)
             inverted += rt.is_positive and not image.is_positive
-        assert datum.weyl_length(w) == inverted == depth[w]
+        assert w.length == inverted == depth[w]
 
 
 def ref_matmul(a, b):
