@@ -258,11 +258,12 @@ class GalleryType:
 def build_gallery_type(datum: RootDatum, lam: Coweight, word=None) -> GalleryType:
     """Construct gamma_lambda for a dominant lam in Z Phi^vee and a reduced word of w_lambda.
 
-    lam is refused off the coroot lattice, then if not dominant.  The word
-    defaults to ``minimal_word``'s; a given one is checked: it is reduced, maps 0
-    to lam and has l(w_lambda) letters, so it is a reduced word of the minimal
-    element of t_lambda W, whose alcoves are all dominant (module docstring)."""
-    minimal = minimal_word(datum, datum.lattice_coweight(lam))  # lam folds to 0
+    lam is refused off the coroot lattice, then if not dominant, and kept as
+    lattice_coweight's int coordinates.  The word defaults to ``minimal_word``'s;
+    a given one is checked: it is reduced, maps 0 to lam and has l(w_lambda)
+    letters, so it is a reduced word of the minimal element of t_lambda W,
+    whose alcoves are all dominant (module docstring)."""
+    minimal = minimal_word(datum, lam := datum.lattice_coweight(lam))  # lam folds to 0
     if word is not None:
         _check_word(datum, word := tuple(word), datum.zero_coweight(), lam)
         if len(word) != len(minimal):

@@ -13,7 +13,7 @@ is one of alpha_c iff w s_i = s_c w, and Phi_+^aff(Delta'_j, Delta_j) is the
 positive one of +-beta' iff (beta' > 0) != (delta_j = s_{i_j}), else empty
 (Gallery.phi_plus).  Only Delta'_0, in a wall of every root, is evaluated at
 vertices (mvcrystals.affine.phi_plus_aff).  The same pass gives every colour c
-the levels of Delta'_0..Delta'_{p+1} (_levels).  A root operator's face
+the levels of Delta'_0..Delta'_{p+1} and their least (_colour).  A root operator's face
 surgery (reflect a window Delta_j..Delta_{k-1} in a wall of alpha_i, translate
 the tail by +-alpha_i^vee) toggles delta_j and delta_k, and delta_0 <- s_i
 delta_0 when j = 0 (_surgery): the reflection fixes Delta'_j, and on the wall of
@@ -97,12 +97,11 @@ class Gallery:
 
     @cached_property
     def _walls(self):
-        """(ups, levels, lows) off P_{j-1} = (mu, w) and W's tables (module
-        docstring): ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p,
-        levels[c - 1] is _levels(self, c) and lows[c - 1] its least level."""
+        """(ups, colours) off P_{j-1} = (mu, w) and W's tables (module
+        docstring): ups[j - 1] is beta' > 0 for the facet Delta'_j, j = 1..p, and
+        colours[c - 1] is (levels, least level) for colour c, as _colour reads it."""
         cartan, nu, ups = self.gtype.datum.cartan, self.prefixes[-1].mu, []
         levels = [[0] + [None] * self.gtype.p + [sum(map(mul, row, nu))] for row in cartan]
-        lows = [min(0, row[-1]) for row in levels]
         for j, (P, i) in enumerate(zip(self.prefixes, self.gtype.word), 1):
             w = P.finite
             ws, lefts = w._right[i], w._left
@@ -111,9 +110,9 @@ class Gallery:
             if ws in lefts[1:]:  # w s_i w^-1 = s_c
                 c = lefts.index(ws, 1)
                 n = sum(map(mul, cartan[c - 1], P.mu))
-                n = levels[c - 1][j] = n if i else n - (1 if up else -1)
-                lows[c - 1] = min(lows[c - 1], n)
-        return tuple(ups), tuple(map(tuple, levels)), tuple(lows)
+                levels[c - 1][j] = n if i else n - (1 if up else -1)
+        return tuple(ups), tuple((tuple(row), min(n for n in row if n is not None))
+                                 for row in levels)
 
     @cached_property
     def _origin_roots(self):
@@ -161,11 +160,11 @@ def minimal_gallery(gtype: GalleryType) -> Gallery:
     return Gallery(gtype, gtype.datum.identity_elt(), (True,) * gtype.p)
 
 
-def _levels(g: Gallery, i: int):
-    """For each j = 0..p+1, the integer n with Delta'_j inside H_{alpha_i, n},
-    else None: 0 for Delta'_0 = {0}, the facets' walls, and <alpha_i, nu> for
-    the end vertex nu."""
-    return g._walls[1][i - 1]
+def _colour(g: Gallery, i):
+    """(levels, m) of a colour i in 1..rank, else RootDataError: levels[j] is the n with
+    Delta'_j in H_{alpha_i, n}, else None (0 for Delta'_0 = {0}, the facets' walls,
+    <alpha_i, nu> for j = p + 1), and m their least.  The one reader of _walls' colours."""
+    return g._walls[1][g.gtype.datum._node(i, "colour")]
 
 
 def _where(g: Gallery, i: int) -> str:
@@ -176,21 +175,20 @@ def _where(g: Gallery, i: int) -> str:
 
 def min_wall_level(g: Gallery, i: int) -> int:
     """Smallest integer m such that H_{alpha_i, m} contains some face Delta'_j
-    (see _levels), kept by Gallery._walls; Delta'_0 = {0} forces m <= 0."""
-    return g._walls[2][i - 1]
+    (see _colour); Delta'_0 = {0} forces m <= 0."""
+    return _colour(g, i)[1]
 
 
 def crystal_maps(g: Gallery, i: int):
     """(wt, eps_i, phi_i) with eps_i = -m and phi_i = <alpha_i, nu> - m."""
-    m = min_wall_level(g, i)
-    return g.weight, -m, _levels(g, i)[-1] - m
+    levels, m = _colour(g, i)
+    return g.weight, -m, levels[-1] - m
 
 
-def _window(g: Gallery, i: int, levels):
-    """(m, j, k) on the level list levels (_levels or its reverse), or None
+def _window(g: Gallery, i: int, levels, m):
+    """(m, j, k) on the level list levels (_colour's or its reverse), or None
     when its first entry is at the lowest wall level m: k is the first index
     >= 1 at level m, and j the last index before k at level m+1."""
-    m = min_wall_level(g, i)
     if levels[0] == m:
         return None
     k = levels.index(m, 1)
@@ -202,9 +200,9 @@ def _window(g: Gallery, i: int, levels):
 
 
 def fold_window(g: Gallery, i: int):
-    """The window (m, j, k) that e_{alpha_i} reflects (_window on _levels), or
+    """The window (m, j, k) that e_{alpha_i} reflects (_window on _colour), or
     None when it is undefined (m = 0)."""
-    return _window(g, i, _levels(g, i))
+    return _window(g, i, *_colour(g, i))
 
 
 def _surgery(g: Gallery, i: int, j: int, k: int) -> Gallery:
@@ -244,7 +242,8 @@ def root_e(g: Gallery, i: int):
 def root_f(g: Gallery, i: int):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>).
     Its window is e's on the reversed levels, with l read as p + 1 - l."""
-    window, end = _window(g, i, _levels(g, i)[::-1]), g.gtype.p + 1
+    levels, m = _colour(g, i)
+    window, end = _window(g, i, levels[::-1], m), g.gtype.p + 1
     return None if window is None else _root_op(g, i, end - window[2], end - window[1], -1)
 
 
@@ -291,7 +290,8 @@ def enumerate_ls(gtype: GalleryType):
         nxt.sort(key=Gallery.sort_key)
         order.extend(nxt)
         frontier = nxt
-    # closure under e, and e/f partial-inverse consistency
+    # closure under e, e/f partial-inverse consistency, and eps/phi
+    eps, phi = {}, {}
     for node in order:
         for i in range(1, datum.rank + 1):
             up = root_e(node, i)
@@ -300,9 +300,6 @@ def enumerate_ls(gtype: GalleryType):
                     raise GalleryError(f"LS set is not closed under root_e ({_where(node, i)})")
                 if edges.get((up, i)) != node:
                     raise GalleryError(f"e and f disagree on an edge ({_where(node, i)})")
-    eps, phi = {}, {}
-    for node in order:
-        for i in range(1, datum.rank + 1):
             _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
     return CrystalGraph(datum=datum, nodes=tuple(order), wt={node: node.weight for node in order},
                         f_map=edges, eps=eps, phi=phi,

@@ -97,21 +97,17 @@ class LoopGroup:
         c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
         if not isinstance(v, Coweight):
             raise RootDataError(f"{v!r} is not a Coweight: a torus element t^v needs one")
-        c = tuple(map(int, self.datum.lattice_coweight(v).coords))
+        c = self.datum.lattice_coweight(v).coords
         return (c[0],) + tuple(c[j] - c[j - 1] for j in range(1, self.n - 1)) + (-c[-1],)
 
     def root_pair(self, alpha: Root):
-        """Root -> (j, k) with alpha = eps_j - eps_k (1-based)."""
-        # consecutive support [a, b] means eps_a - eps_{b+1}
-        coords = alpha.coords
-        if alpha.is_positive:
-            support = [i for i, c in enumerate(coords) if c != 0]
-            a, b = support[0], support[-1]
-            if support != list(range(a, b + 1)) or any(coords[i] != 1 for i in support):
-                raise RootDataError(f"{coords} is not a root of type A")
-            return a + 1, b + 2
-        j, k = self.root_pair(-alpha)
-        return k, j
+        """Root -> (j, k) with alpha = eps_j - eps_k (1-based): its coroot's torus
+        exponents are e_j - e_k, so a negative root swaps j and k."""
+        try:
+            d = self.coweight_diag(self.datum.coroot_of(alpha))
+        except KeyError:
+            raise RootDataError(f"{alpha.coords} is not a root of type A") from None
+        return d.index(1) + 1, d.index(-1) + 1
 
     # -- generators -------------------------------------------------------------
 

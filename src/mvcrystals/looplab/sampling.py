@@ -138,7 +138,7 @@ def rank_one_identity_check(group: LoopGroup, nu_c: int, n_steps: int,
 
 def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
     """The SL_4 product y_2(-1) y_1(1/t) y_3(1/t) y_2(t) y_1(-1/t) y_3(-1/t);
-    checked exactly equal to its closed form."""
+    checked exactly equal to its closed form, lower unitriangular (det 1)."""
     if group.n != 4:
         raise RootDataError("the counterexample lives in SL_4")
     t = LaurentSeries.t_power(1)
@@ -154,8 +154,6 @@ def counterexample_matrix(group: LoopGroup) -> LaurentMatrix:
     ])
     if not g.equals_exact(expected):
         raise LoopGroupError("counterexample product drifted from its closed form")
-    if not g.det().equals_exact(one):
-        raise LoopGroupError("counterexample product has determinant != 1")
     return g
 
 
@@ -238,10 +236,10 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
 
 
 def morier_genoud_check(group: LoopGroup, word, c_tilde_node, d, lam: Coweight) -> bool:
-    """d_j = <alpha_{i_j}, -w0 lam> + c~_j, for c~ and d that pass per_letter, where d
-    is the Lusztig parameter of the contragredient twin (lusztig_from_string of its string)."""
+    """d_j = <alpha_{i_j}, -w0 lam> + c~_j on a w_0 word, for c~ and d that pass per_letter,
+    d the Lusztig parameter of the contragredient twin (lusztig_from_string of its string)."""
     datum = group.datum
-    c_tilde_node = datum.per_letter(word := tuple(word), c_tilde_node, "c~")
+    c_tilde_node = datum.per_letter(word := datum.w0_word(word), c_tilde_node, "c~")
     d = datum.per_letter(word, d, "d")
     w0lam = datum.longest_element().act_coweight(lam)
     for j, i in enumerate(word):

@@ -9,8 +9,8 @@ exponent that is not an ``int``.  Arithmetic builds results with the trusted
 ``LaurentSeries._of`` and ``LaurentMatrix._of``, which skip those checks and
 the matrix copy and shape check.  Every product, dot product, minor and
 elementary step x + p y (x its base addend) is one ``sum_products`` call, and
-its loop ``_sum_products``, with the factor of fewer terms outside, is the one
-place coefficients are multiplied; a sum x +- y is the step with p = +-1.
+its one loop, with the factor of fewer terms outside, is the only place
+coefficients are multiplied; a sum x +- y is the step with p = +-1.
 
 A series is an immutable value, so arithmetic may hand back an operand, and
 ``zero()`` and ``one()`` are shared constants.  A term with an exact-zero
@@ -63,24 +63,6 @@ def _min_cap(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
-def _sum_products(terms, cap, base):
-    """base + sum of sign * a * b over (a, b, sign) terms as a dict below cap, with
-    the factor of fewer terms outside: the only place coefficients are multiplied."""
-    out = {} if base is None else dict(base.coeffs)
-    for a, b, sign in terms:
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        bc = b.coeffs.items()
-        for e1, c1 in a.coeffs.items():
-            if sign < 0:
-                c1 = -c1
-            for e2, c2 in bc:
-                e = e1 + e2
-                if cap is None or e < cap:
-                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return out
-
-
 def sum_products(terms, base=None):
     """base + the sum of sign * a * b over (a, b, sign) terms as one series, with
     the caps and coefficients of the chain of ``*`` and ``+``: a term with an
@@ -105,7 +87,19 @@ def sum_products(terms, base=None):
             a if b.cap is None and b.coeffs == _ONE.coeffs else None
         if other is not None:
             return other if sign > 0 else -other
-    return LaurentSeries._of(_sum_products(live, cap, base), cap)
+    out = {} if base is None else dict(base.coeffs)
+    for a, b, sign in live:
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
+        bc = b.coeffs.items()
+        for e1, c1 in a.coeffs.items():
+            if sign < 0:
+                c1 = -c1
+            for e2, c2 in bc:
+                e = e1 + e2
+                if cap is None or e < cap:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return LaurentSeries._of(out, cap)
 
 
 class LaurentSeries:

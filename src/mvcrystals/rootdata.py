@@ -97,10 +97,6 @@ class Root(_Vector):
 
     __slots__ = ()
 
-    @property
-    def is_positive(self):
-        return all(a >= 0 for a in self.coords) and any(a > 0 for a in self.coords)
-
 
 class Coweight(_Vector):
     """An element of Lambda x_Z Q in the simple-coroot basis.
@@ -114,9 +110,6 @@ class Coweight(_Vector):
 
     def is_integral(self):
         return all(type(_norm(a)) is int for a in self.coords)
-
-    def normalized(self):
-        return Coweight(tuple(_norm(a) for a in self.coords))
 
 
 def _of_len(coords, n, datum=None, kind=""):
@@ -321,11 +314,12 @@ class RootDatum:
         return _norm(sum(map(mul, row, self._of_rank(vc))))
 
     def lattice_coweight(self, x: Coweight) -> Coweight:
-        """x, refused unless its coordinates number the rank and it lies in Z Phi^vee."""
+        """x with int coordinates, refused unless its coordinates number the rank
+        and it lies in Z Phi^vee; an integral Fraction coordinate becomes its int."""
         self._of_rank(x.coords)
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")
-        return x
+        return Coweight(tuple(map(int, x.coords)))
 
     def dominant_coweight(self, lam: Coweight) -> Coweight:
         """lam, refused unless it is dominant (its coordinates number the rank)."""
@@ -336,7 +330,7 @@ class RootDatum:
     def height(self, x: Coweight):
         """Height of a coroot-lattice element; errors if x is not in Z Phi^vee."""
         _typed("height", (x,), (Coweight,))
-        return int(sum(self.lattice_coweight(x).coords))
+        return sum(self.lattice_coweight(x).coords)
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""

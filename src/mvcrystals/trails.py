@@ -80,4 +80,7 @@ def string_cone_inequalities(datum: RootDatum, word):
 
 
 def in_string_cone(c, rows) -> bool:
-    return all(sum(r * x for r, x in zip(row, c, strict=True)) >= 0 for row in rows)
+    if rows and len(c) != len(rows[0]):
+        raise ValueError(f"c = {tuple(c)} has {len(c)} entries; the string cone's rows "
+                         f"have {len(rows[0])}")
+    return all(sum(r * x for r, x in zip(row, c)) >= 0 for row in rows)

@@ -24,7 +24,7 @@ from mvcrystals.affine import (
     fundamentalize,
     phi_plus_aff,
 )
-from mvcrystals.gallery import Gallery, GalleryError, _levels, _where, _window, fold_window
+from mvcrystals.gallery import Gallery, GalleryError, _colour, _where, _window, fold_window
 from mvcrystals.looplab.groups import _pivot
 from mvcrystals.looplab.series import (
     GenericityError,
@@ -42,7 +42,7 @@ from mvcrystals.rootdata import Coweight, RootDataError
 def rho_coweight(datum):
     """rho^vee, the sum of the fundamental coweights."""
     return sum((datum.fundamental_coweight(i) for i in range(1, datum.rank + 1)),
-               datum.zero_coweight()).normalized()
+               datum.zero_coweight())
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +167,8 @@ def ref_root_e(g, i):
 def ref_root_f(g, i):
     """f_{alpha_i} as face surgery: e's window on the reversed levels, reflected
     in H_{alpha_i, m}, with the tail translated by -alpha_i^vee."""
-    window = _window(g, i, _levels(g, i)[::-1])
+    levels, m = _colour(g, i)
+    window = _window(g, i, levels[::-1], m)
     if window is None:
         return None
     m, j, k = window

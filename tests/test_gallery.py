@@ -11,7 +11,7 @@ from mvcrystals.affine import AffWeylElt, build_gallery_type, identity_aff
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
-    _levels,
+    _colour,
     crystal_maps,
     crystal_to_dict,
     dimension,
@@ -161,7 +161,7 @@ def test_wall_rule_matches_the_faces_on_every_tuple(datum, lam):
         levels, counts = face_walls(g)
         assert g.phi_plus_counts == counts, g.sort_key()
         for c, want in levels.items():
-            assert _levels(g, c) == want, (g.sort_key(), c)
+            assert _colour(g, c)[0] == want, (g.sort_key(), c)
             assert min_wall_level(g, c) == min(n for n in want if n is not None)
 
 
@@ -405,9 +405,10 @@ def test_weight_error_names_the_gallery(monkeypatch, a1_type):
 
 
 def test_missing_fold_point_error_names_the_gallery(monkeypatch, a1_type):
-    g, real = gal(a1_type, (1,), False), gallery._levels
+    g, real = gal(a1_type, (1,), False), gallery._colour
     assert fold_window(g, 1) == (-1, 0, 1)
-    monkeypatch.setattr(gallery, "_levels", lambda g, i: (None,) + real(g, i)[1:])
+    monkeypatch.setattr(gallery, "_colour",
+                        lambda g, i: ((None,) + real(g, i)[0][1:], real(g, i)[1]))
     with pytest.raises(GalleryError, match=r"^no face at level m\+1 = 0 bounds the window "
                                            r"at level m = -1; gallery is disconnected") as exc:
         root_e(g, 1)
@@ -415,9 +416,9 @@ def test_missing_fold_point_error_names_the_gallery(monkeypatch, a1_type):
 
 
 def test_missing_wall_crossing_error_names_the_gallery(monkeypatch, a1_type):
-    gamma, real = minimal_gallery(a1_type), gallery._levels
-    monkeypatch.setattr(gallery, "_levels",
-                        lambda g, i: tuple(None if n == 1 else n for n in real(g, i)))
+    gamma, real = minimal_gallery(a1_type), gallery._colour
+    monkeypatch.setattr(gallery, "_colour", lambda g, i: (
+        tuple(None if n == 1 else n for n in real(g, i)[0]), real(g, i)[1]))
     # f's window is e's on the reversed levels, so the two share one message
     with pytest.raises(GalleryError, match=r"^no face at level m\+1 = 1 bounds the window "
                                            r"at level m = 0; gallery is disconnected") as exc:

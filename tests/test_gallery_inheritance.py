@@ -13,7 +13,7 @@ from mvcrystals.affine import AffWeylElt, build_gallery_type, \
 from mvcrystals.gallery import (
     Gallery,
     GalleryError,
-    _levels,
+    _colour,
     dimension,
     enumerate_ls,
     fold_window,
@@ -85,7 +85,7 @@ def test_wall_rule_matches_the_faces_on_every_node():
             levels, counts = face_walls(node)
             assert node.phi_plus_counts == counts, node
             for c, want in levels.items():
-                assert _levels(node, c) == want, (node, c)
+                assert _colour(node, c)[0] == want, (node, c)
                 assert min_wall_level(node, c) == min(n for n in want if n is not None)
             checked += 1
     assert checked > 600

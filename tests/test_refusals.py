@@ -4,23 +4,28 @@ the one message of the check that owns it, and that message names the datum.
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
 `RootDatum.dominant_coweight` and the one length check behind both); the
 word's letters and the c, c~, d and ps that go along it are checked by
-`RootDatum.per_letter`, letters first.  The other refusals that no module
-test raises are each raised once at the end, with their own messages."""
+`RootDatum.per_letter`, letters first; a gallery's colour by
+`gallery._colour`, through `RootDatum._node`.  The other refusals that no
+module test raises are each raised once at the end, with their own messages."""
 
+import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from mvcrystals.affine import build_gallery_type, minimal_word
 from mvcrystals.cli import main
-from mvcrystals.crystal import expected_character, string_param_from_c, \
-    string_param_from_c_tilde, weyl_dimension
-from mvcrystals.gallery import Gallery, GalleryError
+from mvcrystals.crystal import CrystalError, expected_character, string_param_from_c, \
+    string_param_from_c_tilde, string_parameters, weyl_dimension
+from mvcrystals.gallery import Gallery, GalleryError, crystal_maps, enumerate_ls, fold_window, \
+    gallery_to_dict, min_wall_level, root_e, root_f
 from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup, cell_point, \
     counterexample_matrix, lusztig_from_string, morier_genoud_check, rank_one_identity_check, \
     sample_ytilde
 from mvcrystals.rootdata import Coweight, Root, RootDataError, build_root_datum
+from mvcrystals.trails import in_string_cone, string_cone_inequalities
 from mvcrystals.verify import run_criterion
 
 A1 = build_root_datum("A", 1)
@@ -119,7 +124,40 @@ def test_every_per_letter_word_raises_the_one_letter_message(entry, word):
         LETTER_ENTRIES[entry](word)
 
 
+def test_a_fraction_lattice_coweight_is_read_as_ints():
+    # lattice_coweight hands back int coordinates, so the type keeps them and
+    # its galleries serialize
+    lam = Coweight((Fraction(1), Fraction(1)))
+    assert expected_character(A2, lam) == expected_character(A2, Coweight((1, 1)))
+    gtype = build_gallery_type(A2, lam)
+    assert [type(a) for a in gtype.lam.coords] == [int, int]
+    for node in enumerate_ls(gtype).nodes:
+        json.dumps(gallery_to_dict(node))
+
+
+CRYSTAL_21 = enumerate_ls(build_gallery_type(A2, Coweight((2, 1))))
+NODE_21 = CRYSTAL_21.nodes[1]  # weight (1, 1)
+
+COLOUR_ENTRIES = {
+    "min_wall_level": min_wall_level,
+    "crystal_maps": crystal_maps,
+    "fold_window": fold_window,
+    "root_e": root_e,
+    "root_f": root_f,
+}
+
+
+@pytest.mark.parametrize("entry", list(COLOUR_ENTRIES))
+@pytest.mark.parametrize("colour", [0, 3, -1, True])
+def test_every_colour_entry_raises_the_datums_message(entry, colour):
+    assert NODE_21.weight == Coweight((1, 1))
+    message = f"colour index {colour} out of range for A2"
+    with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
+        COLOUR_ENTRIES[entry](NODE_21, colour)
+
+
 GAMMA = build_gallery_type(A2, Coweight((1, 1)))  # its word (0,) has one letter
+CRYSTAL_11 = enumerate_ls(GAMMA)
 
 # entry -> (the call, the exception type, its message)
 OTHER_REFUSALS = {
@@ -142,6 +180,15 @@ OTHER_REFUSALS = {
                                     RootDataError, "rank-one identity lives in SL_2"),
     "counterexample_matrix-SL3": (lambda: counterexample_matrix(G2), RootDataError,
                                   "the counterexample lives in SL_4"),
+    "string_parameters-foreign-node": (
+        lambda: string_parameters(CRYSTAL_11, NODE_21, (1, 2, 1)), CrystalError,
+        "the node is not in this crystal of A2 with highest weight (1, 1)"),
+    "in_string_cone-short-c": (
+        lambda: in_string_cone((1, 2), string_cone_inequalities(A2, (1, 2, 1))[0]), ValueError,
+        "c = (1, 2) has 2 entries; the string cone's rows have 3"),
+    "morier_genoud_check-not-w0": (
+        lambda: morier_genoud_check(G2, (1, 1, 1), (0, 0, 0), (1, 1, 1), Coweight((1, 1))),
+        RootDataError, "(1, 1, 1) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),
 }
 
 

@@ -335,7 +335,7 @@ def test_root_action_and_length_match_the_root_matrix_oracle(datum):
         for rt in roots:
             image = Root(tuple(sum(a * b for a, b in zip(row, rt.coords)) for row in m))
             assert act_root(datum, w, rt) == image, (w, rt)
-            inverted += rt.is_positive and not image.is_positive
+            inverted += min(rt.coords) >= 0 and min(image.coords) < 0
         assert w.length == inverted == depth[w]
 
 
