@@ -139,31 +139,31 @@ def validate_axioms(graph: CrystalGraph):
     Normality compares eps/phi with the e-/f-string lengths, found by one
     walk of each string (_string_lengths), so a cyclic string is a violation;
     with f_i e_i = id, the lengths at b and e_i b fix eps/phi's step along e_i."""
-    datum = graph.datum
-    bad = []
-    lengths = {i: (_string_lengths(graph.e_map, i, graph.nodes),
-                   _string_lengths(graph.f_map, i, graph.nodes)) for i in graph.colors}
+    datum, wt, bad = graph.datum, graph.wt, []
+    colours = [(i, datum.pairing_row(datum.simple_root(i).coords), datum.simple_coroot(i),
+                _string_lengths(graph.e_map, i, graph.nodes),
+                _string_lengths(graph.f_map, i, graph.nodes)) for i in graph.colors]
     for b in graph.nodes:
-        for i in graph.colors:
+        x = datum._of_rank(wt[b].coords)  # the pairing's rank check, once per node
+        for i, row, co, e_len, f_len in colours:
             eps_b = graph.eps[(b, i)]
             phi_b = graph.phi[(b, i)]
-            pair = datum.pairing(datum.simple_root(i), graph.wt[b])
-            if phi_b - eps_b != pair:
+            if phi_b - eps_b != sum(map(mul, row, x)):
                 bad.append(f"phi-eps != <alpha_{i}, wt> at node {graph.node_id(b)}")
             up, down = graph.e(b, i), graph.f(b, i)
             if up is not None:
-                if graph.wt[up] != graph.wt[b] + datum.simple_coroot(i):
+                if wt[up] != wt[b] + co:
                     bad.append(f"wt(e_{i} b) != wt(b)+alpha_{i}^vee at {graph.node_id(b)}")
                 if graph.f(up, i) != b:
                     bad.append(f"f_{i} e_{i} != id at {graph.node_id(b)}")
             if down is not None:
-                if graph.wt[down] != graph.wt[b] - datum.simple_coroot(i):
+                if wt[down] != wt[b] - co:
                     bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {graph.node_id(b)}")
                 if graph.e(down, i) != b:
                     bad.append(f"e_{i} f_{i} != id at {graph.node_id(b)}")
-            if lengths[i][0][b] != eps_b:
+            if e_len[b] != eps_b:
                 bad.append(f"eps_{i} != e-string length at {graph.node_id(b)}")
-            if lengths[i][1][b] != phi_b:
+            if f_len[b] != phi_b:
                 bad.append(f"phi_{i} != f-string length at {graph.node_id(b)}")
     return bad
 
@@ -227,7 +227,7 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
     # (alpha^vee, B alpha^vee) per positive coroot
     coroots = [(co.coords, [sum(map(mul, brow, co.coords)) for brow in bmat])
                for co in datum.positive_coroots]
-    mult = {lc: 1}
+    mult, conj = {lc: 1}, {}  # conj: weight -> its dominant conjugate, found once
     for mu in dominants[1:]:  # dominants[0] is lam
         acc = 0
         for co, bco in coroots:
@@ -235,7 +235,9 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
             # weights of L(lam) all satisfy x <= lam, and the condition is
             # monotone along the string since coroot coordinates are nonnegative
             while all(map(le, x, lc)):
-                m = mult.get(datum.dominant_conjugate(Coweight(x)).coords, 0)
+                if (dom := conj.get(x)) is None:
+                    dom = conj[x] = datum.dominant_conjugate(Coweight(x)).coords
+                m = mult.get(dom, 0)
                 if m:
                     acc += m * sum(map(mul, x, bco))
                 x = tuple(map(add, x, co))
@@ -316,15 +318,16 @@ def string_parameters(graph: CrystalGraph, node, word) -> StringParam:
     if node not in graph._index:
         raise CrystalError(f"the node is not in this crystal of {graph.datum} with highest "
                            f"weight {graph.wt[graph.highest_node()]}")
-    cur, c = node, []
+    cur, c, f = node, [], graph.f_map.get
     for i in word:
         n = graph.phi[(cur, i)]
         c.append(n)
         for _ in range(n):
-            cur = graph.f(cur, i)
+            cur = f((cur, i))
     if cur != graph.lowest_node():
         raise CrystalError("string descent did not reach the lowest-weight node")
-    return string_param_from_c(graph.datum, word, c)
+    c = tuple(c)  # one entry per letter of a word w0_word checked: no per_letter
+    return StringParam(word, c, _tilde_sum(graph.datum, word, c, True))
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -17,9 +17,10 @@ the levels of Delta'_0..Delta'_{p+1} and their least (_colour).  A root operator
 surgery (reflect a window Delta_j..Delta_{k-1} in a wall of alpha_i, translate
 the tail by +-alpha_i^vee) toggles delta_j and delta_k, and delta_0 <- s_i
 delta_0 when j = 0 (_surgery): the reflection fixes Delta'_j, and on the wall of
-Delta'_k it equals the tail's translation.  The child's weight, read off its
-prefixes, must move by +-alpha_i^vee; that is a theorem, so a failing check is
-an implementation bug and raises GalleryError naming datum, gallery and colour.
+Delta'_k it equals the tail's translation.  A child equal to a node enumerate_ls
+has found is that node, and its weight, read off prefixes built once from its own
+tuple, must move by +-alpha_i^vee; that is a theorem, so a failing check is an
+implementation bug and raises GalleryError naming datum, gallery and colour.
 """
 
 from __future__ import annotations
@@ -219,10 +220,11 @@ def _surgery(g: Gallery, i: int, j: int, k: int) -> Gallery:
     return Gallery(g.gtype, delta0, tuple(flips))
 
 
-def _root_op(g: Gallery, i: int, j: int, k: int, sign: int) -> Gallery:
-    """_surgery(g, i, j, k), whose weight, read off its own prefixes, must be
-    g's moved by sign * alpha_i^vee."""
+def _root_op(g: Gallery, i: int, j: int, k: int, sign: int, known) -> Gallery:
+    """_surgery(g, i, j, k), as the equal node of known if there is one, whose
+    weight, read off its own prefixes, must be g's moved by sign * alpha_i^vee."""
     out = _surgery(g, i, j, k)
+    out = known.get(out, out) if known else out
     step = tuple([sign * a for a in g.gtype.datum.simple_coroot(i).coords])
     nu, new = g.prefixes[-1].mu, out.prefixes[-1].mu
     if new != tuple(map(add, nu, step)):
@@ -233,18 +235,19 @@ def _root_op(g: Gallery, i: int, j: int, k: int, sign: int) -> Gallery:
     return out
 
 
-def root_e(g: Gallery, i: int):
-    """Raising root operator e_{alpha_i}; None when undefined (m = 0)."""
+def root_e(g: Gallery, i: int, known=None):
+    """Raising root operator e_{alpha_i}; None when undefined (m = 0).  A
+    result equal to a node of the dict known is that node."""
     window = fold_window(g, i)
-    return None if window is None else _root_op(g, i, *window[1:], 1)
+    return None if window is None else _root_op(g, i, *window[1:], 1, known)
 
 
-def root_f(g: Gallery, i: int):
+def root_f(g: Gallery, i: int, known=None):
     """Lowering root operator f_{alpha_i}; None when undefined (m = <alpha,nu>).
     Its window is e's on the reversed levels, with l read as p + 1 - l."""
     levels, m = _colour(g, i)
     window, end = _window(g, i, levels[::-1], m), g.gtype.p + 1
-    return None if window is None else _root_op(g, i, end - window[2], end - window[1], -1)
+    return None if window is None else _root_op(g, i, end - window[2], end - window[1], -1, known)
 
 
 def is_positively_folded(g: Gallery) -> bool:
@@ -268,25 +271,24 @@ def enumerate_ls(gtype: GalleryType):
 
     Asserts every generated gallery is LS and that the set is closed under
     root_e; returns a CrystalGraph whose node payloads are the galleries.
-    Every edge ends at the node object itself, not at an equal copy."""
+    Every edge ends at the node object itself: root_f and root_e get the node table."""
     datum, start = gtype.datum, minimal_gallery(gtype)
     seen, order, edges, frontier = {start: start}, [start], {}, [start]
     while frontier:
         nxt = []
         for node in frontier:
             for i in range(1, datum.rank + 1):
-                child = root_f(node, i)
+                child = root_f(node, i, seen)
                 if child is None:
                     continue
-                known = seen.get(child)
-                if known is None:
+                if child not in seen:  # else child is the node found before
                     if not is_ls(child):
                         raise GalleryError(f"root_f left the LS set ({_where(node, i)})")
-                    known = seen[child] = child
+                    seen[child] = child
                     nxt.append(child)
                     if len(seen) > NODE_CAP:
                         raise GalleryError(f"more than {NODE_CAP} LS nodes ({_where(node, i)})")
-                edges[(node, i)] = known
+                edges[(node, i)] = child
         nxt.sort(key=Gallery.sort_key)
         order.extend(nxt)
         frontier = nxt
@@ -294,7 +296,7 @@ def enumerate_ls(gtype: GalleryType):
     eps, phi = {}, {}
     for node in order:
         for i in range(1, datum.rank + 1):
-            up = root_e(node, i)
+            up = root_e(node, i, seen)
             if up is not None:
                 if up not in seen:
                     raise GalleryError(f"LS set is not closed under root_e ({_where(node, i)})")

@@ -79,14 +79,17 @@ class _Vector:
         return type(self)(tuple(-a for a in self.coords))
 
     def __add__(self, other):  # another type: NotImplemented, so TypeError names both
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(tuple(map(add, self.coords, _of_len(other.coords, len(self.coords)))))
+        return self._zip(add, other)
 
     def __sub__(self, other):
+        return self._zip(sub, other)
+
+    def _zip(self, op, other):
+        """self op other by coordinates, an integral Fraction stored as its int."""
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(tuple(map(sub, self.coords, _of_len(other.coords, len(self.coords)))))
+        out = tuple(map(op, self.coords, _of_len(other.coords, len(self.coords))))
+        return type(self)(tuple(map(_norm, out)) if Fraction in map(type, out) else out)
 
     def scale(self, k):
         return type(self)(tuple(_norm(k * a) for a in self.coords))
@@ -316,6 +319,7 @@ class RootDatum:
     def lattice_coweight(self, x: Coweight) -> Coweight:
         """x with int coordinates, refused unless its coordinates number the rank
         and it lies in Z Phi^vee; an integral Fraction coordinate becomes its int."""
+        _typed("lattice_coweight", (x,), (Coweight,))
         self._of_rank(x.coords)
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")

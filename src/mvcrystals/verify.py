@@ -357,6 +357,7 @@ def crit_9_crystal_op(graphs):
             nu, eps, phi = crystal_maps(node, i)
             m = min_wall_level(node, i)
             rho = nu - a2.simple_coroot(i).scale(a2.pairing(a2.simple_root(i), nu) - m)
+            # an identity that cannot fail: <alpha_i, nu - rho> = 2(<alpha_i, nu> - m) = 2 phi_i
             comb = 2 * phi == a2.pairing(a2.simple_root(i), nu - rho)
             rng = random.Random(repr((_SEED, "crit9", graph.node_id(node), i)))
             pts = [cell_point(group, node, rng) for _ in range(_TRIALS)]

@@ -442,14 +442,14 @@ def test_node_cap_error_names_the_gallery(monkeypatch, a2_theta_type):
 
 def test_e_closure_error_names_the_gallery(monkeypatch, a1_type):
     monkeypatch.setattr(gallery, "root_e",
-                        lambda g, i: Gallery(g.gtype, g.delta0, (False,) * g.gtype.p))
+                        lambda g, i, known: Gallery(g.gtype, g.delta0, (False,) * g.gtype.p))
     with pytest.raises(GalleryError, match="not closed under root_e") as exc:
         enumerate_ls(a1_type)
     assert_names(exc, minimal_gallery(a1_type), 1)
 
 
 def test_e_f_disagreement_error_names_the_gallery(monkeypatch, a1_type):
-    monkeypatch.setattr(gallery, "root_e", lambda g, i: g)
+    monkeypatch.setattr(gallery, "root_e", lambda g, i, known: g)
     with pytest.raises(GalleryError, match="e and f disagree") as exc:
         enumerate_ls(a1_type)
     assert_names(exc, minimal_gallery(a1_type), 1)

@@ -5,6 +5,8 @@ operators must equal the reference's face surgery with tuple recovery, and the
 reference's recovery tripwire and the weight tripwire must still fire on
 galleries two or more root operators away from gamma_lambda."""
 
+from functools import cached_property
+
 import pytest
 
 from mvcrystals import gallery, verify
@@ -157,3 +159,32 @@ def test_weight_tripwire_checks_the_recovered_tuple(monkeypatch):
     for node, i in calls:
         with pytest.raises(GalleryError, match="moved the weight"):
             root_f(node, i)
+
+
+def test_enumeration_builds_each_nodes_prefixes_once(monkeypatch):
+    # a root operator's result equal to a node already found is that node, so
+    # the closure checks and the copies of known nodes build no prefixes
+    built, real = [], Gallery.__dict__["prefixes"].func
+    counted = cached_property(lambda g: built.append(g) or real(g))
+    counted.__set_name__(Gallery, "prefixes")
+    monkeypatch.setattr(Gallery, "prefixes", counted)
+    for datum, lam in verify._suite_entries():
+        gtype = build_gallery_type(datum, lam)
+        built.clear()
+        nodes = enumerate_ls(gtype).nodes
+        assert len(built) == len(nodes) and set(built) == set(nodes), (datum, lam)
+
+
+def test_weight_tripwire_checks_a_known_result(monkeypatch):
+    # a rule that sends every root operator off gamma_lambda's children back
+    # to gamma_lambda returns a known node, whose weight is still checked
+    real = gallery._surgery
+
+    def back_to_gamma(g, i, j, k):
+        gamma = minimal_gallery(g.gtype)
+        return real(g, i, j, k) if g == gamma else gamma
+
+    monkeypatch.setattr(gallery, "_surgery", back_to_gamma)
+    gtype = build_gallery_type(build_root_datum("A", 2), Coweight((1, 1)))
+    with pytest.raises(GalleryError, match="moved the weight"):
+        enumerate_ls(gtype)

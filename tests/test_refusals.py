@@ -17,8 +17,9 @@ import pytest
 
 from mvcrystals.affine import build_gallery_type, minimal_word
 from mvcrystals.cli import main
-from mvcrystals.crystal import CrystalError, expected_character, string_param_from_c, \
-    string_param_from_c_tilde, string_parameters, weyl_dimension
+from mvcrystals.crystal import CrystalError, CrystalGraph, expected_character, \
+    string_param_from_c, string_param_from_c_tilde, string_parameters, validate_axioms, \
+    weyl_dimension
 from mvcrystals.gallery import Gallery, GalleryError, crystal_maps, enumerate_ls, fold_window, \
     gallery_to_dict, min_wall_level, root_e, root_f
 from mvcrystals.looplab import LaurentMatrix, LaurentSeries, LoopGroup, cell_point, \
@@ -164,6 +165,10 @@ OTHER_REFUSALS = {
     "build_gallery_type-not-minimal": (
         lambda: build_gallery_type(A1, Coweight((1,)), word=(0, 1)), RootDataError,
         "word (0, 1) for lambda = (1) on A1 is not minimal: w_lambda has 1 letters"),
+    "build_gallery_type-Root": (lambda: build_gallery_type(A2, Root((1, 1))), TypeError,
+                                "lattice_coweight takes (Coweight); got (Root)"),
+    "build_gallery_type-tuple": (lambda: build_gallery_type(A2, (1, 1)), TypeError,
+                                 "lattice_coweight takes (Coweight); got (tuple)"),
     "Gallery-flip-count": (lambda: Gallery(GAMMA, A2.identity_elt(), (True, True)),
                            GalleryError, "2 flips for a type of length 1"),
     "LaurentMatrix-not-square": (lambda: LaurentMatrix([[ONE, ONE]]), ValueError,
@@ -180,6 +185,10 @@ OTHER_REFUSALS = {
                                     RootDataError, "rank-one identity lives in SL_2"),
     "counterexample_matrix-SL3": (lambda: counterexample_matrix(G2), RootDataError,
                                   "the counterexample lives in SL_4"),
+    "validate_axioms-wrong-rank": (
+        lambda: validate_axioms(CrystalGraph(A2, ("b",), {"b": Coweight((0, 0, 7))}, {}, {},
+                                             {("b", 1): 0, ("b", 2): 0}, {("b", 1): 0, ("b", 2): 0})),
+        RootDataError, "coweight coordinates (0, 0, 7) do not have rank 2 for A2"),
     "string_parameters-foreign-node": (
         lambda: string_parameters(CRYSTAL_11, NODE_21, (1, 2, 1)), CrystalError,
         "the node is not in this crystal of A2 with highest weight (1, 1)"),

@@ -281,6 +281,15 @@ def test_fundamental_coweights_dual_basis():
                                      datum.fundamental_coweight(i)) == int(i == j)
 
 
+def test_a_sum_of_fundamental_coweights_has_int_coordinates():
+    # (2/3, 1/3) + (1/3, 2/3) on A2: a sum or difference stores an integral
+    # Fraction coordinate as its int
+    om1, om2 = A2.fundamental_coweight(1), A2.fundamental_coweight(2)
+    for total in (om1 + om2, om1 - -om2):
+        assert total == Coweight((1, 1))
+        assert [type(a) for a in total.coords] == [int, int]
+
+
 TABLED_DATA = [build_root_datum(series, rank) for series, rank in TABLED]
 
 
