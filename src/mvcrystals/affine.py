@@ -176,9 +176,11 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
     """Fold lam into closure(A_fund) across violated simple affine walls,
     the smallest index first: (lam_fund, J, word) with J the type of the
     folded point and word the folds' indices over I^aff in order, so s_word
-    maps lam_fund to lam.  Each fold crosses a wall separating the point
-    from A_fund, so s_word is w_lambda (reduced, minimal in s_word W_J) and
-    each letter is its smallest left descent: word is the greedy word."""
+    maps lam_fund to lam.  A fold is x - sign side(i) co, co = alpha_i^vee
+    (theta^vee for wall 0).  Each crosses one of the finitely many walls
+    separating the point from A_fund, so the loop ends, s_word is w_lambda
+    (reduced, minimal in s_word W_J) and each letter is its smallest left
+    descent: word is the greedy word."""
     x, word = tuple(lam.coords), []
     walls = [(1, -1, datum.highest_root)] + [(0, 1, a) for a in datum.simple_roots()]
 
@@ -187,17 +189,11 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
         const, sign, alpha = walls[i]
         return const + sign * datum.pairing_coords(alpha.coords, x)
 
-    # bound: each reflection strictly reduces the number of separating walls
-    bound = int(2 * sum(abs(datum.pairing(a, lam)) for a in datum.positive_roots)
-                + 2 * datum.rank + 4)
-    for _ in range(bound):
-        i = next((i for i in range(datum.rank + 1) if side(i) < 0), None)
-        if i is None:
-            break
-        x = simple_affine_reflection(datum, i).act_point(x)
+    while (i := next((i for i in range(datum.rank + 1) if side(i) < 0), None)) is not None:
+        _, sign, alpha = walls[i]
+        k = sign * side(i)
+        x = tuple(_norm(a - k * c) for a, c in zip(x, datum.coroot_of(alpha).coords))
         word.append(i)
-    else:
-        raise RuntimeError("fundamentalize did not terminate within its wall bound")
     return Coweight(x), frozenset(i for i in range(datum.rank + 1) if side(i) == 0), tuple(word)
 
 

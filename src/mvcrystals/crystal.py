@@ -241,11 +241,10 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
                 if m:
                     acc += m * sum(map(mul, x, bco))
                 x = tuple(map(add, x, co))
-        # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho^vee)
+        # |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho^vee) > 0: lam - mu is a
+        # nonzero sum of simple coroots, each pairing positively with lam + mu + 2 rho^vee
         denom = _form_value(bmat, tuple(map(sub, lc, mu)),
                             [a + b + c for a, b, c in zip(lc, mu, two_rho)])
-        if denom == 0:
-            raise CrystalError("Freudenthal denominator vanished")
         val, rem = divmod(2 * acc, denom)
         if rem or val < 0:
             raise CrystalError(f"Freudenthal multiplicity of {Coweight(mu)} came out as "
@@ -262,10 +261,9 @@ def expected_character(datum: RootDatum, lam: Coweight) -> Counter:
                     frontier.append(y)
         for x in orbit:
             out[Coweight(x)] = m
+    # out[lam] = 1: mult[lam] is 1, and no other dominant weight's orbit holds lam
     if sum(out.values()) != weyl_dimension(datum, lam):
         raise CrystalError("Freudenthal total disagrees with the Weyl dimension formula")
-    if out[lam] != 1:
-        raise CrystalError(f"highest weight {lam} has multiplicity {out[lam]}")
     return out
 
 

@@ -118,8 +118,8 @@ class Gallery:
     @cached_property
     def _origin_roots(self):
         """Phi_+^aff(Delta'_0, Delta_0), evaluated at the vertices: Delta'_0 =
-        {0} lies in a wall of every root.  A root operator's child with its
-        parent's delta_0 copies it (_root_op)."""
+        {0} lies in a wall of every root.  A root operator's new gallery with
+        its parent's delta_0 takes the parent's (_surgery)."""
         verts = face_vertices(self.gtype.datum, self.prefixes[0])  # vertex 0 is delta_0(0) = 0
         return phi_plus_aff(self.gtype.datum, verts[:1], verts)
 
@@ -211,13 +211,15 @@ def _surgery(g: Gallery, i: int, j: int, k: int) -> Gallery:
     delta_j and delta_k (1 <= l <= p), and delta_0 <- s_i delta_0 when j = 0, since
     the reflection r fixes Delta'_j (r = s_i if j = 0) and is the tail's
     translation on Delta'_k's wall, so r P_{k-1} = t P_{k-1} s_{i_k}."""
-    flips, delta0 = list(g.flips), g.delta0
+    flips = list(g.flips)
     for l in (j, k):
         if 1 <= l <= g.gtype.p:
             flips[l - 1] = not flips[l - 1]
     if j == 0:
-        delta0 = g.gtype.datum.simple_reflection(i) * delta0
-    return Gallery(g.gtype, delta0, tuple(flips))
+        return Gallery(g.gtype, g.gtype.datum.simple_reflection(i) * g.delta0, tuple(flips))
+    out = Gallery(g.gtype, g.delta0, tuple(flips))
+    out._origin_roots = g._origin_roots  # delta_0, so Delta_0, is g's
+    return out
 
 
 def _root_op(g: Gallery, i: int, j: int, k: int, sign: int, known) -> Gallery:
@@ -230,8 +232,6 @@ def _root_op(g: Gallery, i: int, j: int, k: int, sign: int, known) -> Gallery:
     if new != tuple(map(add, nu, step)):
         raise GalleryError(f"root operator moved the weight {nu} to {new}, "
                            f"not by {step} ({_where(g, i)})")
-    if out.delta0 is g.delta0:
-        out._origin_roots = g._origin_roots
     return out
 
 

@@ -94,9 +94,8 @@ class LoopGroup:
 
     def coweight_diag(self, v: Coweight):
         """Coroot coordinates -> int diagonal exponents: d_j = c_j - c_{j-1} with
-        c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0."""
-        if not isinstance(v, Coweight):
-            raise RootDataError(f"{v!r} is not a Coweight: a torus element t^v needs one")
+        c_0 = c_n = 0, so alpha_i^vee maps to e_i - e_{i+1} and the sum is 0;
+        lattice_coweight refuses any other v."""
         c = self.datum.lattice_coweight(v).coords
         return (c[0],) + tuple(c[j] - c[j - 1] for j in range(1, self.n - 1)) + (-c[-1],)
 

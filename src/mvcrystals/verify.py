@@ -27,7 +27,7 @@ from mvcrystals.crystal import (
     string_parameters,
     validate_axioms,
 )
-from mvcrystals.gallery import crystal_maps, dimension, enumerate_ls, min_wall_level, root_e
+from mvcrystals.gallery import dimension, enumerate_ls
 from mvcrystals.looplab import (
     LaurentMatrix,
     LaurentSeries,
@@ -351,11 +351,11 @@ def crit_9_crystal_op(graphs):
     rows = []
     for node in graph.nodes:
         for i in (1, 2):
-            up = root_e(node, i)
+            up = graph.e(node, i)
             if up is None:
                 continue
-            nu, eps, phi = crystal_maps(node, i)
-            m = min_wall_level(node, i)
+            nu, eps, phi = graph.wt[node], graph.eps[(node, i)], graph.phi[(node, i)]
+            m = -eps
             rho = nu - a2.simple_coroot(i).scale(a2.pairing(a2.simple_root(i), nu) - m)
             # an identity that cannot fail: <alpha_i, nu - rho> = 2(<alpha_i, nu> - m) = 2 phi_i
             comb = 2 * phi == a2.pairing(a2.simple_root(i), nu - rho)

@@ -1,9 +1,12 @@
+import copy
 import gc
 import math
 import operator
 import random
 import re
 import weakref
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -52,6 +55,65 @@ def test_positive_root_counts():
         assert datum.highest_root.coords == theta, (series, rank)
         for rt in datum.positive_roots + tuple(-rt for rt in datum.positive_roots):
             assert datum.pairing(rt, datum.coroot_of(rt)) == 2, (series, rank, rt)
+
+
+def broken_root_facts(datum):
+    """The facts the root closure rests on that datum's fields break, read
+    with no W table: "coroots" (coroot_of commutes with every simple
+    reflection, s_i beta = beta - <beta, alpha_i^vee> alpha_i by column i of
+    C and s_i x = x - <alpha_i, x> alpha_i^vee by row i, and positive_coroots
+    matches positive_roots), "closure" (the roots are +-positive_roots),
+    "highest" (highest_root is the one positive root of greatest height) and
+    "dominant" (<highest_root, alpha_i^vee> >= 0 for every i)."""
+    c, coroot_of, broken = datum.cartan, datum._coroot_of, []
+
+    def reflect(x, i, pair):
+        return x[:i] + (x[i] - pair,) + x[i + 1:]
+
+    for rt, co in coroot_of.items():
+        for i in range(datum.rank):
+            s_rt = reflect(rt.coords, i, sum(a * row[i] for a, row in zip(rt.coords, c)))
+            s_co = reflect(co.coords, i, sum(map(operator.mul, c[i], co.coords)))
+            if coroot_of.get(Root(s_rt)) != Coweight(s_co):
+                broken.append("coroots")
+    if datum.positive_coroots != tuple(coroot_of.get(rt) for rt in datum.positive_roots):
+        broken.append("coroots")
+    if set(coroot_of) != set(datum.positive_roots) | {-rt for rt in datum.positive_roots}:
+        broken.append("closure")
+    top = max(sum(rt.coords) for rt in datum.positive_roots)
+    if [rt for rt in datum.positive_roots if sum(rt.coords) == top] != [datum.highest_root]:
+        broken.append("highest")
+    if any(sum(a * row[i] for a, row in zip(datum.highest_root.coords, c)) < 0
+           for i in range(datum.rank)):
+        broken.append("dominant")
+    return sorted(set(broken))
+
+
+@pytest.mark.parametrize("series,rank", BUILT, ids=[f"{s}{r}" for s, r in BUILT])
+def test_every_built_datum_keeps_the_root_facts(series, rank):
+    # the closure builds these facts without checking them, so each of the 20
+    # data is checked here, on a datum of its own that builds no W table
+    datum = RootDatum(series, rank)
+    assert broken_root_facts(datum) == []
+    assert datum._weyl is None
+
+
+def doctored(datum, **fields):
+    out = copy.copy(datum)
+    for name, value in fields.items():
+        setattr(out, name, value)
+    return out
+
+
+def test_the_root_facts_refuse_a_doctored_datum():
+    roots, coroot_of = A3.positive_roots, A3._coroot_of
+    assert broken_root_facts(doctored(A3, highest_root=roots[-2])) == ["dominant", "highest"]
+    assert broken_root_facts(doctored(B2, highest_root=B2.positive_roots[-2])) == ["highest"]
+    swapped = dict(coroot_of)
+    swapped[roots[0]], swapped[roots[1]] = coroot_of[roots[1]], coroot_of[roots[0]]
+    assert "coroots" in broken_root_facts(doctored(A3, _coroot_of=swapped))
+    dropped = {rt: co for rt, co in coroot_of.items() if rt != -roots[-1]}
+    assert "closure" in broken_root_facts(doctored(A3, _coroot_of=dropped))
 
 
 def test_a2_positive_roots_explicit():
@@ -155,7 +217,8 @@ def test_dominance_leq_refuses_a_root():
 
 
 def test_height_refuses_a_root():
-    with pytest.raises(TypeError, match=r"^height takes \(Coweight\); got \(Root\)$"):
+    # height's one check is lattice_coweight's, so the message names it
+    with pytest.raises(TypeError, match=r"^lattice_coweight takes \(Coweight\); got \(Root\)$"):
         A2.height(Root((1, 1)))
 
 
@@ -409,6 +472,26 @@ def test_height_rejects_a_coweight_of_the_wrong_rank():
     for coords in ((1, 2, 3), (1,)):
         with pytest.raises(RootDataError, match=wrong_rank(coords)):
             A2.height(Coweight(coords))
+
+
+SMALL = [d for d in BUILT if d[1] <= 4]
+
+
+@pytest.mark.parametrize("series,rank", SMALL, ids=[f"{s}{r}" for s, r in SMALL])
+def test_dominant_conjugate_is_the_dominant_point_of_the_orbit(series, rank, deadline):
+    # the oracle reads W(2v) off W's table in integers, keeps its one dominant
+    # point and halves it, an integral half as an int; v runs over -1..1 in
+    # halves, from -1/2 at rank 4, where |W| reaches 384
+    datum = build_root_datum(series, rank)
+    for twice in product(range(-2 + (rank > 3), 3), repeat=rank):
+        orbit = {w.act_point(twice) for w in datum.weyl_elements()}
+        dominant = [x for x in orbit
+                    if all(sum(map(operator.mul, row, x)) >= 0 for row in datum.cartan)]
+        assert len(dominant) == 1, twice
+        want = tuple(Fraction(a, 2) if a % 2 else a // 2 for a in dominant[0])
+        got = datum.dominant_conjugate(Coweight(tuple(Fraction(a, 2) if a % 2 else a // 2
+                                                      for a in twice))).coords
+        assert got == want and list(map(type, got)) == list(map(type, want)), twice
 
 
 def test_dominant_conjugate_rejects_a_coweight_of_the_wrong_rank():
