@@ -483,14 +483,16 @@ def test_dominant_conjugate_is_the_dominant_point_of_the_orbit(series, rank, dea
     # point and halves it, an integral half as an int; v runs over -1..1 in
     # halves, from -1/2 at rank 4, where |W| reaches 384
     datum = build_root_datum(series, rank)
+
+    def half(x):
+        return tuple(Fraction(a, 2) if a % 2 else a // 2 for a in x)
+
     for twice in product(range(-2 + (rank > 3), 3), repeat=rank):
         orbit = {w.act_point(twice) for w in datum.weyl_elements()}
         dominant = [x for x in orbit
                     if all(sum(map(operator.mul, row, x)) >= 0 for row in datum.cartan)]
         assert len(dominant) == 1, twice
-        want = tuple(Fraction(a, 2) if a % 2 else a // 2 for a in dominant[0])
-        got = datum.dominant_conjugate(Coweight(tuple(Fraction(a, 2) if a % 2 else a // 2
-                                                      for a in twice))).coords
+        want, got = half(dominant[0]), datum.dominant_conjugate(Coweight(half(twice))).coords
         assert got == want and list(map(type, got)) == list(map(type, want)), twice
 
 
