@@ -16,6 +16,9 @@ last k columns; the orbit takes all S of one size.  With 2k > n, or g not a
 word, the routine reads them off g's (n-k)-minors by Jacobi's identity.  A word
 gives its determinant t^{sum d} from its torus part t^d, and its single entries
 as entries; factor_y's peel reads its minors with the matrix's Laplace routine.
+A LoopGroup keeps the routine's column-set families, keyed by n (each set with
+its complement), and factor_y's peel plans, keyed by checked w0 words; verify's
+groups live in a run's graph cache, so none outlives a run_all().
 
 The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
 q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
@@ -56,7 +59,14 @@ class LoopGroup:
         if datum.series != "A":
             raise RootDataError("loop-group matrices are realized for type A only")
         self.datum = datum
-        self.n = datum.rank + 1
+        self.n = n = datum.rank + 1
+        self._plans = {}  # factor_y's peel plans, keyed by checked w0 words
+
+        def family(sets):  # _inverse_vals' column sets S of one size, each with S^c
+            return tuple((S, tuple(r for r in range(n) if r not in S)) for S in map(tuple, sets))
+        self._plus = tuple(family([range(k)]) for k in range(1, n))
+        self._minus = tuple(family([range(k, n)]) for k in range(1, n))
+        self._orbit = tuple(family(combinations(range(n), n - k)) for k in range(1, n))
         self._self_check()
 
     def _self_check(self):
@@ -185,11 +195,11 @@ class LoopGroup:
     def mu_plus(self, g: LaurentMatrix) -> Coweight:
         """The stratum parameter of [g] in the S^+ decomposition."""
         self._check_size(g)
-        return -Coweight(_inverse_vals(g, [(range(k),) for k in range(1, self.n)]))
+        return -Coweight(_inverse_vals(g, self._plus))
 
     def mu_minus(self, g: LaurentMatrix) -> Coweight:
         self._check_size(g)
-        return Coweight(_inverse_vals(g, [(range(k, self.n),) for k in range(1, self.n)]))
+        return Coweight(_inverse_vals(g, self._minus))
 
     def orbit_coweight(self, g: LaurentMatrix) -> Coweight:
         """Antidominant lambda with [g] in the G(O)-orbit of [t^lambda]:
@@ -199,8 +209,7 @@ class LoopGroup:
         word, and the factored g^{-1}'s (n-k)-minors otherwise, taking a word's
         det from its torus part and a single entry as the entry."""
         self._check_size(g)
-        lam = Coweight(_inverse_vals(g, [combinations(range(self.n), self.n - k)
-                                         for k in range(1, self.n)]))
+        lam = Coweight(_inverse_vals(g, self._orbit))
         if not self.datum.is_antidominant(lam):  # every valuation read is certified
             raise ValueError(f"orbit parameter {lam.coords} is not antidominant: "
                              f"the matrix is not in SL_{self.n}(K)")
@@ -241,36 +250,30 @@ class LoopGroup:
         multiplication by y_i(p) adds p Delta_{R'} to Delta_R on columns 1..b
         and fixes Delta_{R'}; Delta_R vanishes on the cell of s_i w, so
         p = Delta_R / Delta_{R'} (Berenstein-Zelevinsky, Total positivity in
-        Schubert varieties, 1997).  Peeling y_i(p) off the left is
-        "row i+1 -= p * row i", which changes row i+1 left of column i+1 only
-        when g is exactly zero above the diagonal; a g that is not raises
-        GenericityError.  The residual's entries on and below the diagonal
-        are checked against 1 and 0 at the end; that compares known windows
-        only, so a parameter whose known window is all zero raises
-        PrecisionError when it is peeled."""
+        Schubert varieties, 1997).  Each step's rows and columns depend on
+        the word alone, and the group keeps them as the word's peel plan.
+        Peeling y_i(p) off the left is "row i+1 -= p * row i", which changes
+        row i+1 left of column i+1 only when g is exactly zero above the
+        diagonal; a g that is not raises GenericityError.  The residual's
+        entries on and below the diagonal are checked against 1 and 0 at the
+        end; that compares known windows only, so a parameter whose known
+        window is all zero raises PrecisionError when it is peeled."""
         self._check_size(g)
-        n, word = self.n, self.datum.w0_word(word)
+        n, word = self.n, tuple(word)
+        # int letters only, so no bool or float word hashes onto a kept plan
+        plan = self._plans.get(word) if all(type(i) is int for i in word) else None
+        if plan is None:
+            plan = self._plans[word] = _peel_plan(n, word := self.datum.w0_word(word))
         res = list(g.rows)  # the residual, one row rewritten per step
         if not all(res[a][b].is_known_zero and res[a][b].is_exact
                    for a in range(n) for b in range(a + 1, n)):
             raise GenericityError(f"factor_y input of SL_{n} on {word} is not exactly zero "
                                   f"above the diagonal")
-        perm = list(range(n, 0, -1))  # one-line of w0, swapped in place each step
-        one = LaurentSeries.one()
         ps = []
-        for step, i in enumerate(word):
-            a = perm.index(i) + 1  # i + 1 stands left of i: the word is w0's
-            b = perm.index(i + 1) + 1
-            rows = sorted(x - 1 for x in perm[:b])  # R, 0-based
-            # rows 1..m of a lower unitriangular matrix add an identity block
-            # on columns 1..m; R is not {1..b}, so m < b
-            m = 0
-            while rows[m] == m:
-                m += 1
-            cols, cache = tuple(range(m, b)), {}  # the minors of this step's residual
-            num = laplace_minor(res, tuple(rows[m:]), cols, cache)
-            rows[rows.index(i)] = i - 1  # R': row i+1 -> row i, order kept
-            den = laplace_minor(res, tuple(rows[m:]), cols, cache)
+        for step, i, num_rows, den_rows, cols in plan:
+            cache = {}  # the minors of this step's residual
+            num = laplace_minor(res, num_rows, cols, cache)
+            den = laplace_minor(res, den_rows, cols, cache)
             p = num / _pivot(den, lambda: f"peel minor of y_{i} at step {step} of {word}")
             if p.is_known_zero and not p.is_exact:
                 raise PrecisionError(f"peeled parameter of y_{i} at step {step} of {word} "
@@ -278,10 +281,9 @@ class LoopGroup:
             ps.append(p)
             res[i] = tuple(sum_products(((p, y, -1),), x)
                            for x, y in zip(res[i][:i], res[i - 1])) + res[i][i:]
-            perm[a - 1], perm[b - 1] = i + 1, i
         # the residual must be the identity within precision
-        if not all(res[a][b].agrees_with(one) if a == b else res[a][b].is_known_zero
-                   for a in range(n) for b in range(a + 1)):
+        if not all(res[a][b].agrees_with(LaurentSeries.one()) if a == b else
+                   res[a][b].is_known_zero for a in range(n) for b in range(a + 1)):
             raise GenericityError(f"factorization residual of SL_{n} on {word} is not the identity")
         return ps
 
@@ -318,34 +320,51 @@ class LoopGroup:
 
 
 def _inverse_vals(g: LaurentMatrix, families) -> tuple:
-    """For each family of column sets S of one size k, min over S of
-    val(Lambda^k g^{-1} e_S), the least valuation of the k-minors of g^{-1} on
-    the columns S.  With 2k > n, or for a dense g, which is never inverted,
-    they are read off g by Jacobi's identity, val Delta_{R,S}(g^{-1}) =
-    val Delta_{S^c,R^c}(g) - val det g; the others are minors of a word's
-    factored g.inverse().  Single entries are read as entries: a row of g for
-    n - k = 1, a column of g^{-1} for k = 1.  A word t^d prod x_{jk}(p) has val
-    det = sum d, as every root factor is unipotent; only a dense g expands its
-    determinant, and a singular one raises ValueError."""
+    """For each family of column sets S of one size k, as the group's (S, S^c)
+    pairs, min over S of val(Lambda^k g^{-1} e_S), the least valuation of the
+    k-minors of g^{-1} on the columns S.  With 2k > n, or for a dense g, which
+    is never inverted, they are read off g by Jacobi's identity,
+    val Delta_{R,S}(g^{-1}) = val Delta_{S^c,R^c}(g) - val det g; the others
+    are minors of a word's factored g.inverse().  Single entries are read as
+    entries: a row of g for n - k = 1, a column of g^{-1} for k = 1.  A word
+    t^d prod x_{jk}(p) has val det = sum d, as every root factor is unipotent;
+    only a dense g expands its determinant, and a singular one raises
+    ValueError."""
     n, every, word = g.n, range(g.n), g._word
     if word is None:
         det = g.minor_det(every, every)
         if det.is_known_zero and det.is_exact:
             raise ValueError(f"the matrix is singular (det = 0): it is not in SL_{n}(K)")
     vals = []
-    for family in map(tuple, families):
-        k = len(family[0])
+    for family in families:
+        k = len(family[0][0])
         if word is None or 2 * k > n:
-            comps = [tuple(r for r in every if r not in cols) for cols in family]  # S^c
-            minors = [x for r in comps for x in g.rows[r[0]]] if k == n - 1 else \
-                [g.minor_det(r, c) for r in comps for c in combinations(every, n - k)]
+            minors = [x for _, comp in family for x in g.rows[comp[0]]] if k == n - 1 else \
+                [g.minor_det(comp, c) for _, comp in family for c in combinations(every, n - k)]
             vals.append(vector_val(minors) - (sum(word[0]) if word else det.val()))
         else:
             ginv = g.inverse()
-            minors = [row[cols[0]] for cols in family for row in ginv.rows] if k == 1 else \
-                [ginv.minor_det(rows, cols) for cols in family for rows in combinations(every, k)]
+            minors = [row[cols[0]] for cols, _ in family for row in ginv.rows] if k == 1 else \
+                [ginv.minor_det(rows, cols) for cols, _ in family
+                 for rows in combinations(every, k)]
             vals.append(vector_val(minors))
     return tuple(vals)
+
+
+def _peel_plan(n, word) -> tuple:
+    """factor_y's steps (step, i, R, R', columns) for a checked w0 word of SL_n,
+    0-based; the cell w starts at w0 and moves by s_i per step.  A lower
+    unitriangular residual adds an identity block on rows and columns 1..m, so
+    R and R' drop their first m rows, 1..m, and the columns run m+1..b."""
+    perm, steps = list(range(n, 0, -1)), []  # one-line of w, swapped in place each step
+    for step, i in enumerate(word):
+        a, b = perm.index(i), perm.index(i + 1) + 1  # i + 1 stands left of i in w0's words
+        rows = sorted(x - 1 for x in perm[:b])  # R, 0-based; R is not {1..b}, so m < b
+        m = next(m for m, r in enumerate(rows) if r != m)
+        steps.append((step, i, tuple(rows[m:]), tuple(i - 1 if r == i else r for r in rows[m:]),
+                      tuple(range(m, b))))  # R': row i+1 -> row i, order kept
+        perm[a], perm[b - 1] = i + 1, i
+    return tuple(steps)
 
 
 def _pivot(s: LaurentSeries, what) -> LaurentSeries:

@@ -408,14 +408,20 @@ def laplace_minor(rows, sel, cols, cache) -> LaurentSeries:
 def vector_val(entries) -> int:
     """Valuation of a vector of series: min over components, certified.
 
-    Raises PrecisionError when an all-unknown component could undercut the
-    best known valuation."""
-    known = [min(s.coeffs) for s in entries if s.coeffs]
-    caps = [s.cap for s in entries if s.cap is not None]
-    if not known:
+    One pass takes the least known valuation and the least cap.  Raises
+    PrecisionError when an all-unknown component could undercut the best
+    known valuation."""
+    v = cap = None
+    for s in entries:
+        if s.coeffs:
+            low = min(s.coeffs)
+            if v is None or low < v:
+                v = low
+        if s.cap is not None and (cap is None or s.cap < cap):
+            cap = s.cap
+    if v is None:
         raise PrecisionError("vector indistinguishable from zero")
-    v = min(known)
-    if any(c < v for c in caps):
+    if cap is not None and cap < v:
         # a window ending below v could hide a smaller valuation
         raise PrecisionError("vector valuation not certified at current precision")
     return v

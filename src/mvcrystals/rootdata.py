@@ -316,10 +316,21 @@ class RootDatum:
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")
         return Coweight(tuple(map(int, x.coords)))
 
+    def exact_coords(self, v: Coweight) -> tuple:
+        """v's coordinates, refused unless they number the rank and each is an int
+        or a Fraction.  The entry points that fold or reflect a coweight check it
+        (dominant_coweight, dominant_conjugate, affine.fundamentalize); pairings
+        do not, so the crystal paths pay nothing for it."""
+        if not all(type(a) is int or type(a) is Fraction for a in self._of_rank(v.coords)):
+            raise RootDataError(f"coweight coordinates {v.coords} are not int or Fraction "
+                                f"for {self}")
+        return v.coords
+
     def dominant_coweight(self, lam: Coweight) -> Coweight:
-        """lam, refused unless it is dominant (its coordinates number the rank)."""
+        """lam, refused unless it is dominant, then unless exact_coords takes it."""
         if not self.is_dominant(lam):
             raise RootDataError(f"{lam} is not dominant for {self}")
+        self.exact_coords(lam)
         return lam
 
     def height(self, x: Coweight):
@@ -342,7 +353,7 @@ class RootDatum:
         """The dominant point of W v, by s_i at a negative <alpha_i, x>: each adds a
         positive multiple of alpha_i^vee, so x rises in dominance order on the finite
         orbit W v and the loop ends."""
-        x = self._of_rank(v.coords)
+        x = self.exact_coords(v)
         while (i := next((i for i, row in enumerate(self.cartan)
                           if sum(map(mul, row, x)) < 0), None)) is not None:
             x = _sreflect(x, i, self.cartan[i])

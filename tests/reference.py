@@ -208,12 +208,12 @@ def ref_adjugate_inverse(g):
 
 
 def ref_inverse_vals(g, families):
-    """For each family of column sets S, min over S of val(Lambda^{|S|} g^{-1} e_S):
-    one vector_val over the minors of g^{-1} on the columns S, all row sets,
-    with g^{-1} a root-subgroup word's g.inverse() and any other matrix's
-    adjugate."""
+    """For each family of (S, S^c) pairs of column sets, min over S of
+    val(Lambda^{|S|} g^{-1} e_S): one vector_val over the minors of g^{-1} on
+    the columns S, all row sets, with g^{-1} a root-subgroup word's g.inverse()
+    and any other matrix's adjugate; the complements S^c are not read."""
     ginv = g.inverse() if g._word is not None else ref_adjugate_inverse(g)
-    return tuple(vector_val([ginv.minor_det(rows, cols) for cols in family for rows in
+    return tuple(vector_val([ginv.minor_det(rows, cols) for cols, _ in family for rows in
                              combinations(range(g.n), len(cols))]) for family in families)
 
 

@@ -122,6 +122,25 @@ def test_vector_val_uncertified():
     assert vector_val([known, LaurentSeries({}, cap=5)]) == 3
 
 
+@pytest.mark.parametrize("entries,message", [
+    # every entry O(t^m) with no known term: nothing to take the minimum of
+    ([LaurentSeries({}, cap=4), LaurentSeries({}, cap=-2)], "vector indistinguishable from zero"),
+    ([LaurentSeries({}, cap=0)], "vector indistinguishable from zero"),
+    # a window that ends below the best known valuation, before or after it
+    ([LaurentSeries({}, cap=1), LaurentSeries({3: 1, 4: 2}, cap=6)],
+     "vector valuation not certified at current precision"),
+    ([LaurentSeries({2: 5}), LaurentSeries({}, cap=7), LaurentSeries({5: 1}, cap=6)], None),
+    ([LaurentSeries({2: 5}), LaurentSeries({}, cap=7), LaurentSeries({}, cap=1)],
+     "vector valuation not certified at current precision"),
+], ids=["all-unknown", "one-unknown", "low-cap-first", "certified", "low-cap-last"])
+def test_vector_val_refusals_keep_their_messages(entries, message):
+    if message is None:
+        assert vector_val(entries) == 2
+        return
+    with pytest.raises(PrecisionError, match="^" + re.escape(message) + "$"):
+        vector_val(entries)
+
+
 def test_sqrt_requires_rational_square():
     with pytest.raises(GenericityError):
         sqrt(LaurentSeries({0: 2, 1: 1}))

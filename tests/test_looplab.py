@@ -1013,29 +1013,36 @@ def test_factor_y_rejects_a_peeled_parameter_with_an_empty_window():
 
 
 def _peel_by_both_routes(group, g, word):
-    """factor_y and ref_factor_y of g, a parameter list or the error class."""
+    """factor_y of g twice, the second time on the peel plan the first call
+    kept, and ref_factor_y of g: each a parameter list or the error class."""
     def outcome(peel):
         try:
             return peel(g, word)
         except (GenericityError, PrecisionError) as e:
             return type(e)
 
-    return outcome(group.factor_y), outcome(lambda h, w: ref_factor_y(group, h, w))
+    return outcome(group.factor_y), outcome(group.factor_y), \
+        outcome(lambda h, w: ref_factor_y(group, h, w))
 
 
-@pytest.mark.parametrize("group", [G2, G3], ids=["A2", "A3"])
-def test_factor_y_matches_the_whole_residual_peel(group):
+@pytest.mark.parametrize("datum", [A2, A3], ids=["A2", "A3"])
+def test_factor_y_matches_the_whole_residual_peel(datum):
     # every reduced word of w_0, on the exact y-products of criterion 12's
     # unit series and on the windowed Gauss factors z_of makes of monomials
-    # at relative precision 1 and 32: equal parameters, coefficients and caps
-    datum = group.datum
+    # at relative precision 1 and 32: equal parameters, coefficients and caps.
+    # One new group peels them all, so each word's first call builds its
+    # peel plan and every later call reads the kept one
+    group = LoopGroup(datum)
     rng = random.Random(repr((verify._SEED, "crit12", datum.rank)))
+    words = sorted(datum.enumerate_reduced_words(datum.longest_element()))
     outcomes = []
     before = default_rel_prec()
     try:
-        for word in sorted(datum.enumerate_reduced_words(datum.longest_element())):
+        for word in words:
+            assert word not in group._plans
             ps = [random_unit_series(rng).shift(rng.randint(-3, 3)) for _ in word]
             outcomes.append(_peel_by_both_routes(group, group.y_product(word, ps), word))
+            assert word in group._plans
             mono = random.Random(repr(("peel", word)))
             qs = [LaurentSeries.t_power(mono.randint(-3, 3), mono.randint(1, 3)) for _ in word]
             for prec in (1, 32):
@@ -1043,9 +1050,10 @@ def test_factor_y_matches_the_whole_residual_peel(group):
                 outcomes.append(_peel_by_both_routes(group, group.z_of(word, qs), word))
     finally:
         set_default_rel_prec(before)
-    assert all(got == ref for got, ref in outcomes), outcomes
+    assert sorted(group._plans) == words
+    assert all(first == kept == ref for first, kept, ref in outcomes), outcomes
     # at precision 1 some peeled windows run out, on both routes
-    assert {2: 0, 3: 5}[datum.rank] == sum(got is PrecisionError for got, _ in outcomes)
+    assert {2: 0, 3: 5}[datum.rank] == sum(got is PrecisionError for got, _, _ in outcomes)
 
 
 def test_factor_y_and_the_whole_residual_peel_refuse_the_a4_reproducer():
@@ -1058,7 +1066,7 @@ def test_factor_y_and_the_whole_residual_peel_refuse_the_a4_reproducer():
     try:
         set_default_rel_prec(16)
         u = G4.gauss_decompose(G4.y_product(word, ps) * G4.wbar_w0)
-        assert _peel_by_both_routes(G4, u, word) == (PrecisionError, PrecisionError)
+        assert _peel_by_both_routes(G4, u, word) == (PrecisionError,) * 3
     finally:
         set_default_rel_prec(before)
 

@@ -53,7 +53,8 @@ CASES = [("A", 2, (1, 1), (1, 2, 1)), ("A", 2, (1, 1), (2, 1, 2)),
 
 def generic_bz(n, points):
     """The least D_S over the points, for every nonempty proper S of [n]."""
-    family = [(S,) for k in range(1, n) for S in combinations(range(n), k)]
+    family = [((S, tuple(r for r in range(n) if r not in S)),)
+              for k in range(1, n) for S in combinations(range(n), k)]
     return tuple(map(min, zip(*(_inverse_vals(g, family) for g in points))))
 
 

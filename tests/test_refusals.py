@@ -2,7 +2,8 @@
 the one message of the check that owns it, and that message names the datum.
 
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
-`RootDatum.dominant_coweight` and the one length check behind both); the
+`RootDatum.dominant_coweight`, `RootDatum.exact_coords` and the one length
+check behind them); the
 word's letters and the c, c~, d and ps that go along it are checked by
 `RootDatum.per_letter`, letters first; a gallery's colour by
 `gallery._colour`, through `RootDatum._node`.  The other refusals that no
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvcrystals.affine import build_gallery_type, minimal_word
+from mvcrystals.affine import build_gallery_type, fundamentalize, minimal_word
 from mvcrystals.cli import main
 from mvcrystals.crystal import CrystalError, CrystalGraph, expected_character, \
     string_param_from_c, string_param_from_c_tilde, string_parameters, validate_axioms, \
@@ -52,9 +53,17 @@ COWEIGHT_ENTRIES = {
     "weyl_dimension": lambda lam, _: weyl_dimension(A2, lam),
     "height": lambda lam, _: A2.height(lam),
     "gen_t": lambda lam, _: G2.gen_t(lam),
+    "dominant_coweight": lambda lam, _: A2.dominant_coweight(lam),
+    "fundamentalize": lambda lam, _: fundamentalize(A2, lam),
+    "dominant_conjugate": lambda lam, _: A2.dominant_conjugate(lam),
     "cli-crystal": cli("crystal"),
     "cli-string": cli("string"),
 }
+
+# where a coweight is folded or reflected, a coordinate that is not an int or
+# a Fraction is refused; the lattice entries refuse it as off the lattice
+EXACT_ENTRIES = ["minimal_word", "expected_character", "weyl_dimension", "dominant_coweight",
+                 "fundamentalize", "dominant_conjugate"]
 
 # condition -> (a coweight that fails it, the datum's message, the entry
 # points that check it)
@@ -63,9 +72,16 @@ CONDITIONS = {
              list(COWEIGHT_ENTRIES)),
     "dominant": (Coweight((-1, 0)), "(-1, 0) is not dominant for A2",
                  ["build_gallery_type", "minimal_word", "expected_character", "weyl_dimension",
-                  "cli-crystal", "cli-string"]),
+                  "cli-crystal", "cli-string", "dominant_coweight"]),
     "coroot-lattice": (A2.fundamental_coweight(1), "(2/3, 1/3) is not in the coroot lattice of A2",
                        ["build_gallery_type", "expected_character", "height", "gen_t"]),
+    "float-integral": (Coweight((1.0, 1.0)),
+                       "coweight coordinates (1.0, 1.0) are not int or Fraction for A2",
+                       EXACT_ENTRIES),
+    "float": (Coweight((0.1, 0.2)),
+              "coweight coordinates (0.1, 0.2) are not int or Fraction for A2", EXACT_ENTRIES),
+    "bool": (Coweight((True, 1)),
+             "coweight coordinates (True, 1) are not int or Fraction for A2", EXACT_ENTRIES),
 }
 
 
@@ -123,6 +139,22 @@ def test_every_per_letter_word_raises_the_one_letter_message(entry, word):
     message = f"word {word} has a letter outside 1..2 for A2"
     with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
         LETTER_ENTRIES[entry](word)
+
+
+@pytest.mark.parametrize("word", [(True, 2, True), (1.0, 2.0, 1.0), ([1], 2, 1), (1, 1, 2)],
+                         ids=["bool-letters", "float-letters", "list-letter", "not-reduced"])
+def test_factor_y_refuses_a_word_before_and_after_a_kept_peel_plan(word):
+    # factor_y keeps one peel plan per checked word of w_0; the first two
+    # words compare equal to (1, 2, 1) and hash like it, the third cannot be
+    # hashed, and each is refused as before once (1, 2, 1)'s plan is kept
+    group = LoopGroup(A2)
+    g = group.y_product((1, 2, 1), (ONE, ONE, ONE))
+    message = f"{word} is not a reduced word of w_0 for A2 (3 letters in 1..2)"
+    with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
+        group.factor_y(g, word)
+    assert group.factor_y(g, (1, 2, 1)) == [ONE, ONE, ONE]
+    with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
+        group.factor_y(g, word)
 
 
 def test_a_fraction_lattice_coweight_is_read_as_ints():
