@@ -320,7 +320,7 @@ class RootDatum:
         """v's coordinates, refused unless they number the rank and each is an int
         or a Fraction.  The entry points that fold or reflect a coweight check it
         (dominant_coweight, dominant_conjugate, affine.fundamentalize); pairings
-        do not, so the crystal paths pay nothing for it."""
+        do not, so no pairing pays for it."""
         if not all(type(a) is int or type(a) is Fraction for a in self._of_rank(v.coords)):
             raise RootDataError(f"coweight coordinates {v.coords} are not int or Fraction "
                                 f"for {self}")

@@ -3,9 +3,8 @@ the one message of the check that owns it, and that message names the datum.
 
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
 `RootDatum.dominant_coweight`, `RootDatum.exact_coords` and the one length
-check behind them); the
-word's letters and the c, c~, d and ps that go along it are checked by
-`RootDatum.per_letter`, letters first; a gallery's colour by
+check behind them); the word's letters and the c, c~, d and ps that go along
+it are checked by `RootDatum.per_letter`, letters first; a gallery's colour by
 `gallery._colour`, through `RootDatum._node`.  The other refusals that no
 module test raises are each raised once at the end, with their own messages."""
 
