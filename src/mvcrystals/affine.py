@@ -181,7 +181,7 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
     separating the point from A_fund, so the loop ends, s_word is w_lambda
     (reduced, minimal in s_word W_J) and each letter is its smallest left
     descent: word is the greedy word."""
-    x, word = datum.exact_coords(lam), []
+    x, word = lam.coords, []
     walls = [(1, -1, datum.highest_root)] + [(0, 1, a) for a in datum.simple_roots()]
 
     def side(i):

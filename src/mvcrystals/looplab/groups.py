@@ -17,8 +17,8 @@ word, the routine reads them off g's (n-k)-minors by Jacobi's identity.  A word
 gives its determinant t^{sum d} from its torus part t^d, and its single entries
 as entries; factor_y's peel reads its minors with the matrix's Laplace routine.
 A LoopGroup keeps the routine's column-set families, keyed by n (each set with
-its complement), and factor_y's peel plans, keyed by checked w0 words; verify's
-groups live in a run's graph cache, so none outlives a run_all().
+its complement), and up to _MAX_PLANS of factor_y's peel plans, keyed by checked
+w0 words; verify's groups live in a run's graph cache, so none outlives a run_all().
 
 The string -> Lusztig map reads z's parameters off the flag minors D of g = y(p),
 q_k = -D_{u_k omega_{i*-1}} D_{u_k omega_{i*+1}} / (D_{u_{k-1} omega_{i*}} D_{u_k omega_{i*}})
@@ -44,6 +44,10 @@ from mvcrystals.looplab.series import (
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum
 
 __all__ = ["LoopGroup"]
+
+# factor_y's peel plans a group keeps: at 2.5-2.8 KB a plan, a full group holds
+# about 3 MB and all 768 reduced words of A4's w0 fit; a full group starts over
+_MAX_PLANS = 1024
 
 
 class LoopGroup:
@@ -263,6 +267,8 @@ class LoopGroup:
         # int letters only, so no bool or float word hashes onto a kept plan
         plan = self._plans.get(word) if all(type(i) is int for i in word) else None
         if plan is None:
+            if len(self._plans) >= _MAX_PLANS:
+                self._plans.clear()
             plan = self._plans[word] = _peel_plan(n, word := self.datum.w0_word(word))
         res = list(g.rows)  # the residual, one row rewritten per step
         if not all(res[a][b].is_known_zero and res[a][b].is_exact

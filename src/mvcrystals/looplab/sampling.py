@@ -62,8 +62,8 @@ def random_unit_series(rng: random.Random) -> LaurentSeries:
 
 
 def _trials(trials):
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     return range(trials)
 
 

@@ -1,10 +1,10 @@
 """Exact root-system, Weyl-group and lattice arithmetic for small finite types.
 
-Everything is integer or `fractions.Fraction` arithmetic; there is no floating
-point anywhere.  Simple roots are indexed 1..rank (the affine node, used in
-:mod:`mvcrystals.affine`, gets index 0).  Roots are stored by their integer
-coordinates in the simple-root basis, coweights by their coordinates in the
-simple-coroot basis; arithmetic, pairings and orders that mix the two types
+There is no floating point anywhere: a vector stores each coordinate as an int
+or a non-integral `fractions.Fraction` and refuses any other type (`_norm`).
+Simple roots are indexed 1..rank (the affine node, used in :mod:`mvcrystals.affine`,
+gets index 0).  Roots have coordinates in the simple-root basis, coweights in
+the simple-coroot basis; arithmetic, pairings and orders that mix the two types
 raise TypeError.  The datum answers every Weyl-word question from its tables.
 """
 
@@ -58,8 +58,9 @@ class _Vector:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple):
-        self.coords = coords
+    def __init__(self, coords):
+        self.coords = coords = tuple(coords)  # so that _norm can name the vector it refuses
+        self.coords = tuple([_norm(a, self) for a in coords])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -85,14 +86,13 @@ class _Vector:
         return self._zip(sub, other)
 
     def _zip(self, op, other):
-        """self op other by coordinates, an integral Fraction stored as its int."""
+        """self op other by coordinates."""
         if type(other) is not type(self):
             return NotImplemented
-        out = tuple(map(op, self.coords, _of_len(other.coords, len(self.coords))))
-        return type(self)(tuple(map(_norm, out)) if Fraction in map(type, out) else out)
+        return type(self)(map(op, self.coords, _of_len(other.coords, len(self.coords))))
 
     def scale(self, k):
-        return type(self)(tuple(_norm(k * a) for a in self.coords))
+        return type(self)(k * a for a in self.coords)
 
 
 class Root(_Vector):
@@ -102,17 +102,14 @@ class Root(_Vector):
 
 
 class Coweight(_Vector):
-    """An element of Lambda x_Z Q in the simple-coroot basis.
-
-    Lattice coweights have integer coordinates; fundamental coweights are
-    rational.  Coordinates are normalised through `Fraction` only when a
-    denominator is present, so lattice vectors hash as plain int tuples.
-    """
+    """An element of Lambda x_Z Q in the simple-coroot basis, each coordinate an
+    int or a non-integral Fraction: lattice coweights are int tuples, and hash as
+    such; fundamental coweights are rational."""
 
     __slots__ = ()
 
     def is_integral(self):
-        return all(type(_norm(a)) is int for a in self.coords)
+        return all(type(a) is int for a in self.coords)
 
 
 def _of_len(coords, n, datum=None, kind=""):
@@ -132,9 +129,15 @@ def _typed(what, args, types):
         raise TypeError("{} takes ({}); got ({})".format(what, *names))
 
 
-def _norm(a):
-    """Collapse integral Fractions to int so equal vectors hash equal."""
-    return int(a) if type(a) is Fraction and a.denominator == 1 else a
+def _norm(a, owner=None):
+    """a, exact: an int as it is, a Fraction as its int when integral; any other type
+    (float, bool, str) raises TypeError, naming the vector owner being built, if any."""
+    if type(a) is int:
+        return a
+    if type(a) is Fraction:
+        return int(a) if a.denominator == 1 else a
+    raise TypeError(f"coordinates are int or Fraction, got {type(a).__name__} {a!r}"
+                    + ("" if owner is None else f" in {owner!r}"))
 
 
 def _identity(n):
@@ -218,7 +221,7 @@ class RootDatum:
             for i in range(rank):
                 if i != k and (f := m[i][k]):
                     m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        self._fund_coweights = tuple(Coweight(tuple(map(_norm, col))) for col in [*zip(*m)][rank:])
+        self._fund_coweights = tuple(map(Coweight, [*zip(*m)][rank:]))
         # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
         scale = self.apartment_scale = math.lcm(*(
             Fraction(a, m).denominator
@@ -308,29 +311,18 @@ class RootDatum:
         return _norm(sum(map(mul, row, self._of_rank(vc))))
 
     def lattice_coweight(self, x: Coweight) -> Coweight:
-        """x with int coordinates, refused unless its coordinates number the rank
-        and it lies in Z Phi^vee; an integral Fraction coordinate becomes its int."""
+        """x, refused unless its coordinates number the rank and it lies in
+        Z Phi^vee, so that its coordinates are ints."""
         _typed("lattice_coweight", (x,), (Coweight,))
         self._of_rank(x.coords)
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")
-        return Coweight(tuple(map(int, x.coords)))
-
-    def exact_coords(self, v: Coweight) -> tuple:
-        """v's coordinates, refused unless they number the rank and each is an int
-        or a Fraction.  The entry points that fold or reflect a coweight check it
-        (dominant_coweight, dominant_conjugate, affine.fundamentalize); pairings
-        do not, so no pairing pays for it."""
-        if not all(type(a) is int or type(a) is Fraction for a in self._of_rank(v.coords)):
-            raise RootDataError(f"coweight coordinates {v.coords} are not int or Fraction "
-                                f"for {self}")
-        return v.coords
+        return x
 
     def dominant_coweight(self, lam: Coweight) -> Coweight:
-        """lam, refused unless it is dominant, then unless exact_coords takes it."""
+        """lam, refused unless it is dominant."""
         if not self.is_dominant(lam):
             raise RootDataError(f"{lam} is not dominant for {self}")
-        self.exact_coords(lam)
         return lam
 
     def height(self, x: Coweight):
@@ -340,7 +332,7 @@ class RootDatum:
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""
         _typed("dominance_leq", (mu, lam), (Coweight, Coweight))
-        d = Coweight(tuple(map(sub, self._of_rank(lam.coords), self._of_rank(mu.coords))))
+        d = Coweight(map(sub, self._of_rank(lam.coords), self._of_rank(mu.coords)))
         return d.is_integral() and all(a >= 0 for a in d.coords)
 
     def is_dominant(self, v: Coweight) -> bool:
@@ -353,11 +345,11 @@ class RootDatum:
         """The dominant point of W v, by s_i at a negative <alpha_i, x>: each adds a
         positive multiple of alpha_i^vee, so x rises in dominance order on the finite
         orbit W v and the loop ends."""
-        x = self.exact_coords(v)
+        x = self._of_rank(v.coords)
         while (i := next((i for i, row in enumerate(self.cartan)
                           if sum(map(mul, row, x)) < 0), None)) is not None:
             x = _sreflect(x, i, self.cartan[i])
-        return Coweight(tuple(map(_norm, x)))
+        return Coweight(x)
 
     # -- Weyl group -----------------------------------------------------------
 

@@ -1056,6 +1056,21 @@ def test_factor_y_matches_the_whole_residual_peel(datum):
     assert {2: 0, 3: 5}[datum.rank] == sum(got is PrecisionError for got, _, _ in outcomes)
 
 
+def test_a_group_keeps_at_most_max_plans_peel_plans(monkeypatch):
+    # with the bound lowered to 5, one A3 group peels its 16 reduced words of
+    # w_0 twice over: the kept plans never pass the bound, and every peel,
+    # on a kept plan or a new one, gives the reference's parameters
+    monkeypatch.setattr(groups, "_MAX_PLANS", 5)
+    group = LoopGroup(A3)
+    rng = random.Random(repr(("plans", 3)))
+    words = sorted(A3.enumerate_reduced_words(A3.longest_element()))
+    for word in words + words[::-1]:
+        g = group.y_product(word, [random_unit_series(rng) for _ in word])
+        assert group.factor_y(g, word) == ref_factor_y(group, g, word)
+        assert word in group._plans and len(group._plans) <= 5
+    assert len(words) == 16
+
+
 def test_factor_y_and_the_whole_residual_peel_refuse_the_a4_reproducer():
     # the input of test_factor_y_rejects_a_peeled_parameter_with_an_empty_window
     word = (1, 3, 2, 3, 1, 4, 3, 2, 1, 3)
@@ -1228,9 +1243,11 @@ def test_sample_ytilde_needs_a_reduced_word_of_w0(word, c):
         sample_ytilde(G2, word, c)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, True, 2.0, "3"],
+                         ids=["0", "-3", "bool", "float", "str"])
 def test_samplers_and_trop_eval_need_one_trial(theta_graph, trials):
-    message = f"^trials must be at least 1, got {trials}$"
+    # a count is an int: True would draw one point, 2.0 and "3" raised bare errors
+    message = "^" + re.escape(f"trials must be at least 1, got {trials!r}") + "$"
     for run in (lambda: sample_ytilde(G2, (1, 2, 1), (1, 0, 1), trials=trials),
                 lambda: sample_cell(G2, theta_graph.nodes[0], trials=trials),
                 lambda: trop_eval(lambda ps: ps, [0, 1], trials=trials)):

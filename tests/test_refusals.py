@@ -1,21 +1,26 @@
 """One refusal per input condition: every entry point of a condition raises
 the one message of the check that owns it, and that message names the datum.
 
+The one exception is a coordinate that is not an int or a Fraction: the vector
+type refuses it when a `Coweight` or `Root` is built, before any datum sees
+it, so that refusal names the value (the vector and its coordinates) instead.
 Coweights are checked by the datum (`RootDatum.lattice_coweight`,
-`RootDatum.dominant_coweight`, `RootDatum.exact_coords` and the one length
-check behind them); the word's letters and the c, c~, d and ps that go along
-it are checked by `RootDatum.per_letter`, letters first; a gallery's colour by
+`RootDatum.dominant_coweight` and the one length check behind them); the
+word's letters and the c, c~, d and ps that go along it are checked by
+`RootDatum.per_letter`, letters first; a gallery's colour by
 `gallery._colour`, through `RootDatum._node`.  The other refusals that no
 module test raises are each raised once at the end, with their own messages."""
 
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from mvcrystals.affine import build_gallery_type, fundamentalize, minimal_word
+from mvcrystals.affine import build_gallery_type, fundamentalize, minimal_word, \
+    simple_affine_reflection
 from mvcrystals.cli import main
 from mvcrystals.crystal import CrystalError, CrystalGraph, expected_character, \
     string_param_from_c, string_param_from_c_tilde, string_parameters, validate_axioms, \
@@ -59,11 +64,6 @@ COWEIGHT_ENTRIES = {
     "cli-string": cli("string"),
 }
 
-# where a coweight is folded or reflected, a coordinate that is not an int or
-# a Fraction is refused; the lattice entries refuse it as off the lattice
-EXACT_ENTRIES = ["minimal_word", "expected_character", "weyl_dimension", "dominant_coweight",
-                 "fundamentalize", "dominant_conjugate"]
-
 # condition -> (a coweight that fails it, the datum's message, the entry
 # points that check it)
 CONDITIONS = {
@@ -74,13 +74,6 @@ CONDITIONS = {
                   "cli-crystal", "cli-string", "dominant_coweight"]),
     "coroot-lattice": (A2.fundamental_coweight(1), "(2/3, 1/3) is not in the coroot lattice of A2",
                        ["build_gallery_type", "expected_character", "height", "gen_t"]),
-    "float-integral": (Coweight((1.0, 1.0)),
-                       "coweight coordinates (1.0, 1.0) are not int or Fraction for A2",
-                       EXACT_ENTRIES),
-    "float": (Coweight((0.1, 0.2)),
-              "coweight coordinates (0.1, 0.2) are not int or Fraction for A2", EXACT_ENTRIES),
-    "bool": (Coweight((True, 1)),
-             "coweight coordinates (True, 1) are not int or Fraction for A2", EXACT_ENTRIES),
 }
 
 
@@ -90,6 +83,41 @@ def test_every_coweight_entry_point_raises_the_datums_message(condition, entry, 
     lam, message, _ = CONDITIONS[condition]
     with pytest.raises(RootDataError, match="^" + re.escape(message) + "$"):
         COWEIGHT_ENTRIES[entry](lam, capsys)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Coweight((1.0, 1.0)), "got float 1.0 in Coweight(coords=(1.0, 1.0))"),
+    (lambda: Coweight((0.1, 0.2)), "got float 0.1 in Coweight(coords=(0.1, 0.2))"),
+    (lambda: Coweight((True, 1)), "got bool True in Coweight(coords=(True, 1))"),
+    (lambda: Root((1.0, 0)), "got float 1.0 in Root(coords=(1.0, 0))"),
+    (lambda: Coweight((1, 1)).scale(0.5), "got float 0.5 in Coweight(coords=(0.5, 0.5))"),
+    (lambda: Coweight(a / 2 for a in (2, 4)), "got float 1.0 in Coweight(coords=(1.0, 2.0))"),
+    (lambda: Coweight(("1", 1)), "got str '1' in Coweight(coords=('1', 1))"),
+    (lambda: Coweight((None, 1)), "got NoneType None in Coweight(coords=(None, 1))"),
+    (lambda: Coweight((Decimal(1), 1)),
+     "got Decimal Decimal('1') in Coweight(coords=(Decimal('1'), 1))"),
+    (lambda: Root((True, 0)), "got bool True in Root(coords=(True, 0))"),
+], ids=["float-integral", "float", "bool", "Root-float", "scale-float", "true-division", "str",
+        "None", "Decimal", "Root-bool"])
+def test_a_vector_refuses_an_inexact_coordinate_when_built(build, message):
+    # before any datum sees it: every entry point that takes a coweight or a
+    # root takes one that holds ints and Fractions only
+    with pytest.raises(TypeError, match="^" + re.escape("coordinates are int or Fraction, "
+                                                        + message) + "$"):
+        build()
+
+
+@pytest.mark.parametrize("run,value", [
+    (lambda: A2.pairing_coords((1, 0), (0.5, 0)), 1.0),
+    (lambda: A2.longest_element().act_point((0.5, 1.0)), -1.0),
+    (lambda: simple_affine_reflection(A2, 0).act_point((0.5, 0)), 1.0),
+], ids=["pairing_coords", "WeylElt.act_point", "AffWeylElt.act_point"])
+def test_the_coordinate_tuple_paths_refuse_an_inexact_value(run, value):
+    # the methods that take bare coordinate tuples pass each value they make
+    # through the same normalizer, which names the value alone
+    with pytest.raises(TypeError, match="^" + re.escape(
+            f"coordinates are int or Fraction, got float {value}") + "$"):
+        run()
 
 
 ONE = LaurentSeries.one()
@@ -157,8 +185,8 @@ def test_factor_y_refuses_a_word_before_and_after_a_kept_peel_plan(word):
 
 
 def test_a_fraction_lattice_coweight_is_read_as_ints():
-    # lattice_coweight hands back int coordinates, so the type keeps them and
-    # its galleries serialize
+    # a Coweight stores an integral Fraction as its int, so the gallery type
+    # keeps int coordinates and its galleries serialize
     lam = Coweight((Fraction(1), Fraction(1)))
     assert expected_character(A2, lam) == expected_character(A2, Coweight((1, 1)))
     gtype = build_gallery_type(A2, lam)

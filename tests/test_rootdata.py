@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from mvcrystals.affine import minimal_word
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, build_root_datum
 from reference import act_root, rho_coweight
 
@@ -351,6 +352,23 @@ def test_a_sum_of_fundamental_coweights_has_int_coordinates():
     for total in (om1 + om2, om1 - -om2):
         assert total == Coweight((1, 1))
         assert [type(a) for a in total.coords] == [int, int]
+
+
+def test_a_vector_stores_list_and_generator_coordinates_as_a_tuple():
+    # a vector built from a list or a generator is the vector of the tuple:
+    # it compares and hashes like it, and the datum's methods read it
+    assert Coweight([1, 1]) == Coweight((1, 1)) and {Coweight([1, 1]): 1}[Coweight((1, 1))] == 1
+    assert Coweight(a for a in (1, 1)).coords == (1, 1)
+    assert A2.dominant_conjugate(Coweight([-1, 2])) == Coweight((3, 2))
+    assert minimal_word(A2, Coweight([1, 1])) == (0,)
+    assert A2.pairing(Root([1, 0]), Coweight((1, 1))) == 1
+    assert Root([1, 0]) == A2.simple_root(1)
+
+
+def test_an_integral_fraction_coordinate_is_stored_as_its_int():
+    lam = Coweight((Fraction(2), Fraction(1, 2)))
+    assert lam.coords == (2, Fraction(1, 2)) and type(lam.coords[0]) is int
+    assert A2.lattice_coweight(Coweight((Fraction(1), 1))).coords == (1, 1)
 
 
 TABLED_DATA = [build_root_datum(series, rank) for series, rank in TABLED]
