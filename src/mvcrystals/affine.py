@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _norm, \
-    _of_len, _reduced_words
+from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, WeylElt, _coords, \
+    _norm, _of_len, _reduced_words
 
 __all__ = [
     "AffineRoot",
@@ -104,7 +104,7 @@ class AffWeylElt:
                      for row, b in zip(self.finite.cmat, self.mu))
 
     def act_coweight(self, v: Coweight) -> Coweight:
-        return Coweight(self.act_point(v.coords))
+        return Coweight(self.act_point(_coords(v, Coweight)))
 
 
 def identity_aff(datum: RootDatum) -> AffWeylElt:
@@ -181,7 +181,7 @@ def fundamentalize(datum: RootDatum, lam: Coweight):
     separating the point from A_fund, so the loop ends, s_word is w_lambda
     (reduced, minimal in s_word W_J) and each letter is its smallest left
     descent: word is the greedy word."""
-    x, word = lam.coords, []
+    x, word = datum._of_rank(lam), []
     walls = [(1, -1, datum.highest_root)] + [(0, 1, a) for a in datum.simple_roots()]
 
     def side(i):

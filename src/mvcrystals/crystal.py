@@ -47,15 +47,16 @@ class CrystalGraph:
     """Finite colored graph with weight, eps and phi data per node.
 
     Colors are 1-based simple-root indices.  `f_map[(node, i)]` is f_i(node)
-    when defined, similarly `e_map`; the maps must be mutually inverse.
+    when defined; the graph builds `e_map` as its inverse, so f_i e_i = id, and
+    a non-injective f_i shows in validate_axioms as e_i f_i != id.
     """
 
     __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi", "_index", "_ends")
 
-    def __init__(self, datum: RootDatum, nodes: tuple, wt: dict, f_map: dict, e_map: dict,
-                 eps: dict, phi: dict):
-        self.datum, self.nodes, self.wt = datum, nodes, wt
-        self.f_map, self.e_map, self.eps, self.phi = f_map, e_map, eps, phi
+    def __init__(self, datum: RootDatum, nodes: tuple, wt: dict, f_map: dict, eps: dict,
+                 phi: dict):
+        self.datum, self.nodes, self.wt, self.eps, self.phi = datum, nodes, wt, eps, phi
+        self.f_map, self.e_map = f_map, {(c, i): b for (b, i), c in f_map.items()}
         self._index = {node: k for k, node in enumerate(nodes)}
         self._ends = {}  # found once per graph: "highest"/"lowest" -> node
 
@@ -90,7 +91,7 @@ class CrystalGraph:
         """Kashiwara's dual crystal on the same nodes: e_i and f_i swap, so do
         eps_i and phi_i, and every weight is negated."""
         return CrystalGraph(self.datum, self.nodes, {b: -w for b, w in self.wt.items()},
-                            self.e_map, self.f_map, self.phi, self.eps)
+                            self.e_map, self.phi, self.eps)
 
     def _edges(self):
         """Every f_i edge as (source id, colour, target id), sorted."""
@@ -144,7 +145,7 @@ def validate_axioms(graph: CrystalGraph):
                 _string_lengths(graph.e_map, i, graph.nodes),
                 _string_lengths(graph.f_map, i, graph.nodes)) for i in graph.colors]
     for b in graph.nodes:
-        x = datum._of_rank(wt[b].coords)  # the pairing's rank check, once per node
+        x = datum._of_rank(wt[b])  # the pairing's kind and rank check, once per node
         for i, row, co, e_len, f_len in colours:
             eps_b = graph.eps[(b, i)]
             phi_b = graph.phi[(b, i)]
@@ -154,8 +155,6 @@ def validate_axioms(graph: CrystalGraph):
             if up is not None:
                 if wt[up] != wt[b] + co:
                     bad.append(f"wt(e_{i} b) != wt(b)+alpha_{i}^vee at {graph.node_id(b)}")
-                if graph.f(up, i) != b:
-                    bad.append(f"f_{i} e_{i} != id at {graph.node_id(b)}")
             if down is not None:
                 if wt[down] != wt[b] - co:
                     bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {graph.node_id(b)}")

@@ -303,9 +303,7 @@ def enumerate_ls(gtype: GalleryType):
                 if edges.get((up, i)) != node:
                     raise GalleryError(f"e and f disagree on an edge ({_where(node, i)})")
             _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
-    return CrystalGraph(datum=datum, nodes=tuple(order), wt={node: node.weight for node in order},
-                        f_map=edges, eps=eps, phi=phi,
-                        e_map={(val, i): key_node for (key_node, i), val in edges.items()})
+    return CrystalGraph(datum, tuple(order), {node: node.weight for node in order}, edges, eps, phi)
 
 
 def stable_string(datum: RootDatum, lambdas, selector, word) -> StringParam:

@@ -116,10 +116,7 @@ class LoopGroup:
     def root_pair(self, alpha: Root):
         """Root -> (j, k) with alpha = eps_j - eps_k (1-based): its coroot's torus
         exponents are e_j - e_k, so a negative root swaps j and k."""
-        try:
-            d = self.coweight_diag(self.datum.coroot_of(alpha))
-        except KeyError:
-            raise RootDataError(f"{alpha.coords} is not a root of type A") from None
+        d = self.coweight_diag(self.datum.coroot_of(alpha))
         return d.index(1) + 1, d.index(-1) + 1
 
     # -- generators -------------------------------------------------------------

@@ -236,12 +236,13 @@ def lusztig_from_string(group: LoopGroup, word, c_tilde, seed=None):
 
 
 def morier_genoud_check(group: LoopGroup, word, c_tilde_node, d, lam: Coweight) -> bool:
-    """d_j = <alpha_{i_j}, -w0 lam> + c~_j on a w_0 word, for c~ and d that pass per_letter,
-    d the Lusztig parameter of the contragredient twin (lusztig_from_string of its string)."""
+    """d_j = <alpha_{i_j}, -w0 lam> + c~_j on a w_0 word, for c~ and d that pass per_letter
+    and lam that passes dominant_coweight, d the Lusztig parameter of the contragredient
+    twin (lusztig_from_string of its string)."""
     datum = group.datum
     c_tilde_node = datum.per_letter(word := datum.w0_word(word), c_tilde_node, "c~")
     d = datum.per_letter(word, d, "d")
-    w0lam = datum.longest_element().act_coweight(lam)
+    w0lam = datum.longest_element().act_coweight(datum.dominant_coweight(lam))
     for j, i in enumerate(word):
         shift = datum.pairing(datum.simple_root(i), -w0lam)
         if d[j] != shift + c_tilde_node[j]:

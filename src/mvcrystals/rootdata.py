@@ -4,8 +4,9 @@ There is no floating point anywhere: a vector stores each coordinate as an int
 or a non-integral `fractions.Fraction` and refuses any other type (`_norm`).
 Simple roots are indexed 1..rank (the affine node, used in :mod:`mvcrystals.affine`,
 gets index 0).  Roots have coordinates in the simple-root basis, coweights in
-the simple-coroot basis; arithmetic, pairings and orders that mix the two types
-raise TypeError.  The datum answers every Weyl-word question from its tables.
+the simple-coroot basis; mixed arithmetic raises TypeError, and every method reads
+a vector through `_of_rank` (`_coords` without a datum), whose one TypeError names
+the datum and the value.  The datum answers every Weyl-word question from its tables.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class _Vector:
         return type(self)(map(op, self.coords, _of_len(other.coords, len(self.coords))))
 
     def scale(self, k):
+        if type(k) is not int and type(k) is not Fraction:  # True * a would be an int
+            raise TypeError(f"scale factors are int or Fraction, got {type(k).__name__} {k!r}")
         return type(self)(k * a for a in self.coords)
 
 
@@ -122,11 +125,11 @@ def _of_len(coords, n, datum=None, kind=""):
     return coords
 
 
-def _typed(what, args, types):
-    """The TypeError of a datum method handed a vector of the wrong type."""
-    if not all(map(isinstance, args, types)):
-        names = (", ".join(t.__name__ for t in ts) for ts in (types, map(type, args)))
-        raise TypeError("{} takes ({}); got ({})".format(what, *names))
+def _coords(v, cls, datum=None):
+    """v's coordinates, refused unless v is a cls: the one kind rule."""
+    if type(v) is not cls:
+        raise TypeError(f"expected a {cls.__name__}{f' for {datum}' if datum else ''}, got {v!r}")
+    return v.coords
 
 
 def _norm(a, owner=None):
@@ -191,7 +194,7 @@ class WeylElt:
         return _walk(self, other.word)
 
     def act_coweight(self, v: Coweight) -> Coweight:
-        return Coweight(self.act_point(v.coords))
+        return Coweight(self.act_point(_coords(v, Coweight)))
 
     def act_point(self, coords: tuple) -> tuple:
         coords = _of_len(coords, len(self.cmat))
@@ -279,7 +282,9 @@ class RootDatum:
         return Coweight((0,) * self.rank)
 
     def coroot_of(self, root: Root) -> Coweight:
-        return self._coroot_of[root]
+        if type(root) is not Root or (co := self._coroot_of.get(root)) is None:
+            raise RootDataError(f"{_coords(root, Root, self)} is not a root of {self}")
+        return co
 
     def fundamental_coweight(self, i) -> Coweight:
         """omega_i^vee with <alpha_j, omega_i^vee> = delta_ij; rational in general."""
@@ -287,34 +292,35 @@ class RootDatum:
 
     # -- pairing and orders --------------------------------------------------
 
-    def pairing(self, root, coweight):
+    def _of_rank(self, v, cls=Coweight):
+        """v's coordinates, refused unless v is a cls (_coords) of the datum's rank."""
+        if type(v) is not cls or len(v.coords) != self.rank:  # no call on the way through
+            _of_len(_coords(v, cls, self), self.rank, self, f"{cls.__name__.lower()} ")
+        return v.coords
+
+    def pairing(self, root: Root, coweight: Coweight):
         """<root, coweight>, exact."""
-        _typed("pairing", (root, coweight), (Root, Coweight))
-        return self.pairing_coords(root.coords, coweight.coords)
+        row = self.pairing_row(self._of_rank(root, Root))
+        return _norm(sum(map(mul, row, self._of_rank(coweight))))
 
     def pairing_row(self, rc):
         """The row rc.C, so that <root, x> = row . x for root coordinates rc."""
         row = self._pairing_rows.get(rc)
         if row is None:
-            self._of_rank(rc, "root ")
+            _of_len(rc, self.rank, self, "root ")
             row = tuple(sum(rc[i] * self.cartan[i][j] for i in range(self.rank))
                         for j in range(self.rank))
             self._pairing_rows[rc] = row
         return row
 
-    def _of_rank(self, vc, kind="coweight "):
-        """vc, checked to number rank (coordinate arithmetic zips, so truncates)."""
-        return _of_len(vc, self.rank, self, kind)
-
     def pairing_coords(self, rc, vc):
         row = self.pairing_row(rc)
-        return _norm(sum(map(mul, row, self._of_rank(vc))))
+        return _norm(sum(map(mul, row, _of_len(vc, self.rank, self, "coweight "))))
 
     def lattice_coweight(self, x: Coweight) -> Coweight:
-        """x, refused unless its coordinates number the rank and it lies in
+        """x, refused unless it is a Coweight of the datum's rank (_of_rank) in
         Z Phi^vee, so that its coordinates are ints."""
-        _typed("lattice_coweight", (x,), (Coweight,))
-        self._of_rank(x.coords)
+        self._of_rank(x)
         if not x.is_integral():
             raise RootDataError(f"{x} is not in the coroot lattice of {self}")
         return x
@@ -331,8 +337,7 @@ class RootDatum:
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of positive coroots."""
-        _typed("dominance_leq", (mu, lam), (Coweight, Coweight))
-        d = Coweight(map(sub, self._of_rank(lam.coords), self._of_rank(mu.coords)))
+        d = Coweight(map(sub, self._of_rank(lam), self._of_rank(mu)))
         return d.is_integral() and all(a >= 0 for a in d.coords)
 
     def is_dominant(self, v: Coweight) -> bool:
@@ -345,7 +350,7 @@ class RootDatum:
         """The dominant point of W v, by s_i at a negative <alpha_i, x>: each adds a
         positive multiple of alpha_i^vee, so x rises in dominance order on the finite
         orbit W v and the loop ends."""
-        x = self._of_rank(v.coords)
+        x = self._of_rank(v)
         while (i := next((i for i, row in enumerate(self.cartan)
                           if sum(map(mul, row, x)) < 0), None)) is not None:
             x = _sreflect(x, i, self.cartan[i])

@@ -303,18 +303,15 @@ def crit_7_ytilde_sampling(graphs):
             c = tuple(rng.randint(-3, 3) for _ in range(n))
             if not in_string_cone(c, rows) and c not in outside:
                 outside.append(c)
-        for c in inside:
-            lam = _coroot_sum(datum, word, c)
-            for g in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED):
-                mu_plus, mu_minus = group.mu_plus(g), group.mu_minus(g)
-                if mu_minus != datum.zero_coweight() or mu_plus != lam:
-                    ok = False
-        for c in outside:
+        for k, c in enumerate(inside + outside):  # mu_minus is read inside the cone only
             lam = _coroot_sum(datum, word, c)
             for g in sample_ytilde(group, word, c, trials=_TRIALS, seed=_SEED):
                 mu_plus = group.mu_plus(g)
-                if not (datum.dominance_leq(lam, mu_plus) and mu_plus != lam):
-                    ok = False
+                if k < len(inside):
+                    good = group.mu_minus(g) == datum.zero_coweight() and mu_plus == lam
+                else:
+                    good = datum.dominance_leq(lam, mu_plus) and mu_plus != lam
+                ok = ok and good
         details.append({
             "datum": str(datum),
             "in_cone": [list(c) for c in inside],

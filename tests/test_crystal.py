@@ -72,7 +72,7 @@ def test_validate_axioms_reports_a_cyclic_string():
     a, b = "a", "b"
     av = A1.simple_coroot(1)
     graph = CrystalGraph(datum=A1, nodes=(a, b), wt={a: av, b: -av},
-                         f_map={(a, 1): b, (b, 1): a}, e_map={(b, 1): a, (a, 1): b},
+                         f_map={(a, 1): b, (b, 1): a},
                          eps={(a, 1): 0, (b, 1): 2}, phi={(a, 1): 2, (b, 1): 0})
 
     def hung(signum, frame):
@@ -88,6 +88,17 @@ def test_validate_axioms_reports_a_cyclic_string():
     for node in (0, 1):
         assert f"eps_1 != e-string length at {node}" in bad
         assert f"phi_1 != f-string length at {node}" in bad
+
+
+def test_validate_axioms_reports_a_non_injective_f():
+    # the graph builds e_1 as the inverse of f_1, which keeps one of b's two
+    # f_1-preimages, so the other fails e_1 f_1 = id
+    om = A1.fundamental_coweight(1)
+    graph = CrystalGraph(A1, ("a", "c", "b"), {"a": om, "c": om, "b": -om},
+                         {("a", 1): "b", ("c", 1): "b"}, {("a", 1): 0, ("c", 1): 0, ("b", 1): 1},
+                         {("a", 1): 1, ("c", 1): 1, ("b", 1): 0})
+    assert graph.e("b", 1) == "c"
+    assert validate_axioms(graph) == ["e_1 f_1 != id at 0"]
 
 
 def test_character_examples(a1_graph, theta_graph):
@@ -332,12 +343,11 @@ def test_isomorphic_failure_different_weights(a1_graph):
 
 def hand_graph(datum, wt, edges, phi=None):
     """A CrystalGraph on the nodes of wt (node -> coweight coordinates) whose
-    f_i edges are the (b, i, c) of edges and e_i their reverses; eps is empty
-    and phi is the given dict, as neither the matcher nor the descent reads
-    the rest."""
+    f_i edges are the (b, i, c) of edges (the graph builds e_i as their
+    reverses); eps is empty and phi is the given dict, as neither the matcher
+    nor the descent reads the rest."""
     return CrystalGraph(datum, tuple(wt), {b: Coweight(w) for b, w in wt.items()},
-                        {(b, i): c for b, i, c in edges}, {(c, i): b for b, i, c in edges},
-                        {}, phi or {})
+                        {(b, i): c for b, i, c in edges}, {}, phi or {})
 
 
 A1_EDGE = {"a": (1,), "b": (-1,)}
@@ -368,10 +378,11 @@ def test_isomorphic_refuses_an_edge_mismatch():
 
 
 def test_isomorphic_refuses_crystals_of_different_sizes():
-    # z hangs below a by e_1 only, so no f-edge reaches it from the source
+    # y and z form an f_1 cycle, so neither is a source and no f-edge reaches
+    # them from a
     g1 = hand_graph(A1, A1_EDGE, [("a", 1, "b")])
-    g2 = hand_graph(A1, {**A1_EDGE, "z": (-1,)}, [("a", 1, "b")])
-    g2.e_map["z", 1] = "a"
+    g2 = hand_graph(A1, {**A1_EDGE, "y": (1,), "z": (-1,)},
+                    [("a", 1, "b"), ("y", 1, "z"), ("z", 1, "y")])
     with pytest.raises(CrystalError, match=r"^crystals have different sizes$"):
         crystal_isomorphic(g1, g2)
 

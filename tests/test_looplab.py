@@ -493,8 +493,8 @@ def test_x_product_refuses_a_factor_that_is_no_root_subgroup(jk):
 
 
 def test_torus_needs_a_coweight():
-    # coweight_diag's one check is lattice_coweight's, so the message names it
-    with pytest.raises(TypeError, match=r"^lattice_coweight takes \(Coweight\); got \(tuple\)$"):
+    # coweight_diag reads v through lattice_coweight, whose kind rule names the value
+    with pytest.raises(TypeError, match=r"^expected a Coweight for A2, got \(1, 1\)$"):
         G2.gen_t((1, 1))
 
 

@@ -23,8 +23,8 @@ RECORDS = {
     GalleryType: (("datum", "lam", "word"), (A2, LAM, GTYPE.word)),
     Gallery: (("gtype", "delta0", "flips"),
               (GTYPE, A2.identity_elt(), (True,) * GTYPE.p)),
-    CrystalGraph: (("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi"),
-                   (A2, ("b",), {"b": LAM}, {}, {}, {("b", 1): 0}, {("b", 1): 0})),
+    CrystalGraph: (("datum", "nodes", "wt", "f_map", "eps", "phi"),
+                   (A2, ("b",), {"b": LAM}, {}, {("b", 1): 0}, {("b", 1): 0})),
     StringParam: (("word", "c", "c_tilde"), ((1, 2, 1), (0, 1, 0), (1, -1, 0))),
     ITrail: (("word", "weights", "exponents", "d"),
              ((1,), ((1, 0), (0, 1)), (1,), (0,))),

@@ -4,8 +4,11 @@ the one message of the check that owns it, and that message names the datum.
 The one exception is a coordinate that is not an int or a Fraction: the vector
 type refuses it when a `Coweight` or `Root` is built, before any datum sees
 it, so that refusal names the value (the vector and its coordinates) instead.
-Coweights are checked by the datum (`RootDatum.lattice_coweight`,
-`RootDatum.dominant_coweight` and the one length check behind them); the
+A vector of the wrong kind, or a value that is no vector, is refused by the
+one kind rule (`RootDatum._of_rank`, or `rootdata._coords` where there is no
+datum), which names the datum, if any, and the value.  Coweights are checked
+by the datum (`RootDatum.lattice_coweight`, `RootDatum.dominant_coweight` and
+the one kind and length check behind them); a root by `RootDatum.coroot_of`; the
 word's letters and the c, c~, d and ps that go along it are checked by
 `RootDatum.per_letter`, letters first; a gallery's colour by
 `gallery._colour`, through `RootDatum._node`.  The other refusals that no
@@ -36,6 +39,7 @@ from mvcrystals.verify import run_criterion
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
+A3 = build_root_datum("A", 3)
 G2 = LoopGroup(A2)
 
 
@@ -60,9 +64,17 @@ COWEIGHT_ENTRIES = {
     "dominant_coweight": lambda lam, _: A2.dominant_coweight(lam),
     "fundamentalize": lambda lam, _: fundamentalize(A2, lam),
     "dominant_conjugate": lambda lam, _: A2.dominant_conjugate(lam),
+    "pairing": lambda lam, _: A2.pairing(A2.simple_root(1), lam),
+    "dominance_leq-mu": lambda lam, _: A2.dominance_leq(lam, Coweight((1, 1))),
+    "dominance_leq-lam": lambda lam, _: A2.dominance_leq(Coweight((0, 0)), lam),
+    "validate_axioms": lambda lam, _: validate_axioms(CrystalGraph(
+        A2, ("b",), {"b": lam}, {}, {("b", 1): 0, ("b", 2): 0}, {("b", 1): 0, ("b", 2): 0})),
+    "morier_genoud_check": lambda lam, _: morier_genoud_check(G2, (1, 2, 1), (0, 0, 0),
+                                                              (1, 1, 1), lam),
     "cli-crystal": cli("crystal"),
     "cli-string": cli("string"),
 }
+LIBRARY_ENTRIES = [e for e in COWEIGHT_ENTRIES if not e.startswith("cli-")]  # the CLI parses ints
 
 # condition -> (a coweight that fails it, the datum's message, the entry
 # points that check it)
@@ -71,7 +83,7 @@ CONDITIONS = {
              list(COWEIGHT_ENTRIES)),
     "dominant": (Coweight((-1, 0)), "(-1, 0) is not dominant for A2",
                  ["build_gallery_type", "minimal_word", "expected_character", "weyl_dimension",
-                  "cli-crystal", "cli-string", "dominant_coweight"]),
+                  "cli-crystal", "cli-string", "dominant_coweight", "morier_genoud_check"]),
     "coroot-lattice": (A2.fundamental_coweight(1), "(2/3, 1/3) is not in the coroot lattice of A2",
                        ["build_gallery_type", "expected_character", "height", "gen_t"]),
 }
@@ -85,25 +97,64 @@ def test_every_coweight_entry_point_raises_the_datums_message(condition, entry, 
         COWEIGHT_ENTRIES[entry](lam, capsys)
 
 
+@pytest.mark.parametrize("kind", ["Root", "tuple"])
+@pytest.mark.parametrize("entry", LIBRARY_ENTRIES)
+def test_every_coweight_entry_point_refuses_another_kind(entry, kind, capsys):
+    # the one kind rule, before any coordinate is read: a Root or a bare tuple
+    # was read as a coweight by some entries and raised AttributeError in others
+    value = Root((1, 1)) if kind == "Root" else (1, 1)
+    message = f"expected a Coweight for A2, got {value!r}"
+    with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
+        COWEIGHT_ENTRIES[entry](value, capsys)
+
+
+# entry -> (the call, the head of its message, a vector of the other kind)
+OTHER_KIND_ENTRIES = {
+    "pairing-root": (lambda rt: A2.pairing(rt, Coweight((1, 1))), "expected a Root for A2",
+                     Coweight((1, 1))),
+    "coroot_of": (A2.coroot_of, "expected a Root for A2", Coweight((1, 1))),
+    "WeylElt.act_coweight": (A2.longest_element().act_coweight, "expected a Coweight",
+                             Root((1, 1))),
+    "AffWeylElt.act_coweight": (simple_affine_reflection(A2, 0).act_coweight,
+                                "expected a Coweight", Root((1, 1))),
+}
+
+
+@pytest.mark.parametrize("kind", ["vector", "tuple"])
+@pytest.mark.parametrize("entry", list(OTHER_KIND_ENTRIES))
+def test_every_other_vector_entry_point_refuses_another_kind(entry, kind):
+    # a root entry refuses a coweight; the two act_coweights, which have no
+    # datum, refuse a root with the same message without one
+    run, head, value = OTHER_KIND_ENTRIES[entry]
+    value = value if kind == "vector" else value.coords
+    with pytest.raises(TypeError, match="^" + re.escape(f"{head}, got {value!r}") + "$"):
+        run(value)
+
+
+COORDS = "coordinates are int or Fraction, got "
+SCALE = "scale factors are int or Fraction, got "
+
+
 @pytest.mark.parametrize("build,message", [
-    (lambda: Coweight((1.0, 1.0)), "got float 1.0 in Coweight(coords=(1.0, 1.0))"),
-    (lambda: Coweight((0.1, 0.2)), "got float 0.1 in Coweight(coords=(0.1, 0.2))"),
-    (lambda: Coweight((True, 1)), "got bool True in Coweight(coords=(True, 1))"),
-    (lambda: Root((1.0, 0)), "got float 1.0 in Root(coords=(1.0, 0))"),
-    (lambda: Coweight((1, 1)).scale(0.5), "got float 0.5 in Coweight(coords=(0.5, 0.5))"),
-    (lambda: Coweight(a / 2 for a in (2, 4)), "got float 1.0 in Coweight(coords=(1.0, 2.0))"),
-    (lambda: Coweight(("1", 1)), "got str '1' in Coweight(coords=('1', 1))"),
-    (lambda: Coweight((None, 1)), "got NoneType None in Coweight(coords=(None, 1))"),
+    (lambda: Coweight((1.0, 1.0)), COORDS + "float 1.0 in Coweight(coords=(1.0, 1.0))"),
+    (lambda: Coweight((0.1, 0.2)), COORDS + "float 0.1 in Coweight(coords=(0.1, 0.2))"),
+    (lambda: Coweight((True, 1)), COORDS + "bool True in Coweight(coords=(True, 1))"),
+    (lambda: Root((1.0, 0)), COORDS + "float 1.0 in Root(coords=(1.0, 0))"),
+    (lambda: Coweight((1, 1)).scale(0.5), SCALE + "float 0.5"),
+    (lambda: Coweight((1, 1)).scale(True), SCALE + "bool True"),
+    (lambda: Coweight(a / 2 for a in (2, 4)), COORDS + "float 1.0 in Coweight(coords=(1.0, 2.0))"),
+    (lambda: Coweight(("1", 1)), COORDS + "str '1' in Coweight(coords=('1', 1))"),
+    (lambda: Coweight((None, 1)), COORDS + "NoneType None in Coweight(coords=(None, 1))"),
     (lambda: Coweight((Decimal(1), 1)),
-     "got Decimal Decimal('1') in Coweight(coords=(Decimal('1'), 1))"),
-    (lambda: Root((True, 0)), "got bool True in Root(coords=(True, 0))"),
-], ids=["float-integral", "float", "bool", "Root-float", "scale-float", "true-division", "str",
-        "None", "Decimal", "Root-bool"])
+     COORDS + "Decimal Decimal('1') in Coweight(coords=(Decimal('1'), 1))"),
+    (lambda: Root((True, 0)), COORDS + "bool True in Root(coords=(True, 0))"),
+], ids=["float-integral", "float", "bool", "Root-float", "scale-float", "scale-bool",
+        "true-division", "str", "None", "Decimal", "Root-bool"])
 def test_a_vector_refuses_an_inexact_coordinate_when_built(build, message):
     # before any datum sees it: every entry point that takes a coweight or a
-    # root takes one that holds ints and Fractions only
-    with pytest.raises(TypeError, match="^" + re.escape("coordinates are int or Fraction, "
-                                                        + message) + "$"):
+    # root takes one that holds ints and Fractions only; a scale factor is
+    # refused before the product, as True * 1 is the int 1
+    with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
         build()
 
 
@@ -224,10 +275,6 @@ OTHER_REFUSALS = {
     "build_gallery_type-not-minimal": (
         lambda: build_gallery_type(A1, Coweight((1,)), word=(0, 1)), RootDataError,
         "word (0, 1) for lambda = (1) on A1 is not minimal: w_lambda has 1 letters"),
-    "build_gallery_type-Root": (lambda: build_gallery_type(A2, Root((1, 1))), TypeError,
-                                "lattice_coweight takes (Coweight); got (Root)"),
-    "build_gallery_type-tuple": (lambda: build_gallery_type(A2, (1, 1)), TypeError,
-                                 "lattice_coweight takes (Coweight); got (tuple)"),
     "Gallery-flip-count": (lambda: Gallery(GAMMA, A2.identity_elt(), (True, True)),
                            GalleryError, "2 flips for a type of length 1"),
     "LaurentMatrix-not-square": (lambda: LaurentMatrix([[ONE, ONE]]), ValueError,
@@ -235,8 +282,10 @@ OTHER_REFUSALS = {
     "run_criterion-13": (lambda: run_criterion(13), ValueError, "no criterion 13"),
     "LoopGroup-B2": (lambda: LoopGroup(build_root_datum("B", 2)), RootDataError,
                      "loop-group matrices are realized for type A only"),
-    "root_pair-A3": (lambda: LoopGroup(build_root_datum("A", 3)).root_pair(Root((1, 0, 1))),
-                     RootDataError, "(1, 0, 1) is not a root of type A"),
+    "coroot_of-A3": (lambda: A3.coroot_of(Root((1, 0, 1))), RootDataError,
+                     "(1, 0, 1) is not a root of A3"),
+    "root_pair-A3": (lambda: LoopGroup(A3).root_pair(Root((1, 0, 1))), RootDataError,
+                     "(1, 0, 1) is not a root of A3"),
     "cell_point-all-folds": (
         lambda: cell_point(G2, Gallery(GAMMA, A2.identity_elt(), (False,)), random.Random(1)),
         RootDataError, "cell sampling requires a positively folded gallery"),
@@ -244,10 +293,6 @@ OTHER_REFUSALS = {
                                     RootDataError, "rank-one identity lives in SL_2"),
     "counterexample_matrix-SL3": (lambda: counterexample_matrix(G2), RootDataError,
                                   "the counterexample lives in SL_4"),
-    "validate_axioms-wrong-rank": (
-        lambda: validate_axioms(CrystalGraph(A2, ("b",), {"b": Coweight((0, 0, 7))}, {}, {},
-                                             {("b", 1): 0, ("b", 2): 0}, {("b", 1): 0, ("b", 2): 0})),
-        RootDataError, "coweight coordinates (0, 0, 7) do not have rank 2 for A2"),
     "string_parameters-foreign-node": (
         lambda: string_parameters(CRYSTAL_11, NODE_21, (1, 2, 1)), CrystalError,
         "the node is not in this crystal of A2 with highest weight (1, 1)"),
