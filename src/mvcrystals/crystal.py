@@ -51,18 +51,16 @@ class CrystalGraph:
     a non-injective f_i shows in validate_axioms as e_i f_i != id.
     """
 
-    __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi", "_index", "_ends")
+    __slots__ = ("datum", "nodes", "wt", "f_map", "e_map", "eps", "phi", "colors", "_index",
+                 "_ends")
 
     def __init__(self, datum: RootDatum, nodes: tuple, wt: dict, f_map: dict, eps: dict,
                  phi: dict):
         self.datum, self.nodes, self.wt, self.eps, self.phi = datum, nodes, wt, eps, phi
         self.f_map, self.e_map = f_map, {(c, i): b for (b, i), c in f_map.items()}
+        self.colors = tuple(range(1, datum.rank + 1))
         self._index = {node: k for k, node in enumerate(nodes)}
         self._ends = {}  # found once per graph: "highest"/"lowest" -> node
-
-    @property
-    def colors(self):
-        return tuple(range(1, self.datum.rank + 1))
 
     def node_id(self, node) -> int:
         return self._index[node]
@@ -139,31 +137,40 @@ def validate_axioms(graph: CrystalGraph):
     """Check Kashiwara's axioms on every node and color; returns violations.
     Normality compares eps/phi with the e-/f-string lengths, found by one
     walk of each string (_string_lengths), so a cyclic string is a violation;
-    with f_i e_i = id, the lengths at b and e_i b fix eps/phi's step along e_i."""
-    datum, wt, bad = graph.datum, graph.wt, []
+    with f_i e_i = id, the lengths at b and e_i b fix eps/phi's step along e_i.  A missing
+    eps/phi entry or an edge out of the node set is a violation too, and skips only the
+    checks that read it."""
+    datum, wt, index, bad = graph.datum, graph.wt, graph._index, []
+    e_map, f_map, eps, phi = graph.e_map, graph.f_map, graph.eps, graph.phi
     colours = [(i, datum.pairing_row(datum.simple_root(i).coords), datum.simple_coroot(i),
-                _string_lengths(graph.e_map, i, graph.nodes),
-                _string_lengths(graph.f_map, i, graph.nodes)) for i in graph.colors]
+                _string_lengths(e_map, i, graph.nodes),
+                _string_lengths(f_map, i, graph.nodes)) for i in graph.colors]
     for b in graph.nodes:
         x = datum._of_rank(wt[b])  # the pairing's kind and rank check, once per node
         for i, row, co, e_len, f_len in colours:
-            eps_b = graph.eps[(b, i)]
-            phi_b = graph.phi[(b, i)]
-            if phi_b - eps_b != sum(map(mul, row, x)):
-                bad.append(f"phi-eps != <alpha_{i}, wt> at node {graph.node_id(b)}")
-            up, down = graph.e(b, i), graph.f(b, i)
+            eps_b, phi_b = eps.get(key := (b, i)), phi.get(key)
+            if eps_b is None or phi_b is None:
+                bad += [f"no {name}_{i} entry at node {index[b]}"
+                        for name, v in (("eps", eps_b), ("phi", phi_b)) if v is None]
+            elif phi_b - eps_b != sum(map(mul, row, x)):
+                bad.append(f"phi-eps != <alpha_{i}, wt> at node {index[b]}")
+            up, down = e_map.get(key), f_map.get(key)
             if up is not None:
-                if wt[up] != wt[b] + co:
-                    bad.append(f"wt(e_{i} b) != wt(b)+alpha_{i}^vee at {graph.node_id(b)}")
+                if up not in index:
+                    bad.append(f"e_{i} leaves the node set at {index[b]}")
+                elif wt[up] != wt[b] + co:
+                    bad.append(f"wt(e_{i} b) != wt(b)+alpha_{i}^vee at {index[b]}")
             if down is not None:
-                if wt[down] != wt[b] - co:
-                    bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {graph.node_id(b)}")
-                if graph.e(down, i) != b:
-                    bad.append(f"e_{i} f_{i} != id at {graph.node_id(b)}")
-            if e_len[b] != eps_b:
-                bad.append(f"eps_{i} != e-string length at {graph.node_id(b)}")
-            if f_len[b] != phi_b:
-                bad.append(f"phi_{i} != f-string length at {graph.node_id(b)}")
+                if down not in index:
+                    bad.append(f"f_{i} leaves the node set at {index[b]}")
+                elif wt[down] != wt[b] - co:
+                    bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {index[b]}")
+                if e_map.get((down, i)) != b:
+                    bad.append(f"e_{i} f_{i} != id at {index[b]}")
+            if eps_b is not None and e_len[b] != eps_b:
+                bad.append(f"eps_{i} != e-string length at {index[b]}")
+            if phi_b is not None and f_len[b] != phi_b:
+                bad.append(f"phi_{i} != f-string length at {index[b]}")
     return bad
 
 

@@ -141,13 +141,6 @@ class Gallery:
         return tuple(out)
 
     @cached_property
-    def phi_plus_counts(self):
-        """The sizes of phi_plus without building its roots: for j >= 1, one
-        root iff Delta_j lies beyond the facet's wall."""
-        return (len(self._origin_roots),) + tuple(
-            int(up != flip) for up, flip in zip(self._walls[0], self.flips))
-
-    @cached_property
     def weight(self) -> Coweight:
         """nu = P_p(0), the translation part of P_p."""
         return self.prefixes[-1].translation
@@ -252,12 +245,14 @@ def root_f(g: Gallery, i: int, known=None):
 
 def is_positively_folded(g: Gallery) -> bool:
     """Every fold Delta_{j-1} = Delta_j (delta_j = 1) has a nonempty
-    Phi_+^aff(Delta'_j, Delta_j)."""
-    return all(n for n, flip in zip(g.phi_plus_counts[1:], g.flips) if not flip)
+    Phi_+^aff(Delta'_j, Delta_j), so Delta_j lies beyond its wall (phi_plus)."""
+    return all(up or flip for up, flip in zip(g._walls[0], g.flips))
 
 
 def dimension(g: Gallery) -> int:
-    return sum(g.phi_plus_counts)
+    """The size of phi_plus without building its roots: _origin_roots, then one
+    root per step whose Delta_j lies beyond its wall."""
+    return len(g._origin_roots) + sum([up != flip for up, flip in zip(g._walls[0], g.flips)])
 
 
 def is_ls(g: Gallery) -> bool:
@@ -271,13 +266,21 @@ def enumerate_ls(gtype: GalleryType):
 
     Asserts every generated gallery is LS and that the set is closed under
     root_e; returns a CrystalGraph whose node payloads are the galleries.
-    Every edge ends at the node object itself: root_f and root_e get the node table."""
+    Every edge ends at the node object itself: root_f and root_e get the node table.
+    One pass visits each node once: e_i of a node is one level up, whose f-edges are known."""
     datum, start = gtype.datum, minimal_gallery(gtype)
-    seen, order, edges, frontier = {start: start}, [start], {}, [start]
+    seen, order, edges, eps, phi, frontier = {start: start}, [start], {}, {}, {}, [start]
     while frontier:
         nxt = []
         for node in frontier:
             for i in range(1, datum.rank + 1):
+                up = root_e(node, i, seen)
+                if up is not None:
+                    if up not in seen:
+                        raise GalleryError(f"LS set is not closed under root_e ({_where(node, i)})")
+                    if edges.get((up, i)) != node:
+                        raise GalleryError(f"e and f disagree on an edge ({_where(node, i)})")
+                _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
                 child = root_f(node, i, seen)
                 if child is None:
                     continue
@@ -292,17 +295,6 @@ def enumerate_ls(gtype: GalleryType):
         nxt.sort(key=Gallery.sort_key)
         order.extend(nxt)
         frontier = nxt
-    # closure under e, e/f partial-inverse consistency, and eps/phi
-    eps, phi = {}, {}
-    for node in order:
-        for i in range(1, datum.rank + 1):
-            up = root_e(node, i, seen)
-            if up is not None:
-                if up not in seen:
-                    raise GalleryError(f"LS set is not closed under root_e ({_where(node, i)})")
-                if edges.get((up, i)) != node:
-                    raise GalleryError(f"e and f disagree on an edge ({_where(node, i)})")
-            _, eps[(node, i)], phi[(node, i)] = crystal_maps(node, i)
     return CrystalGraph(datum, tuple(order), {node: node.weight for node in order}, edges, eps, phi)
 
 

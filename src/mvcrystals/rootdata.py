@@ -212,7 +212,6 @@ class RootDatum:
         self.series, self.rank = series, rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(series, rank))
         self._weyl = None  # (W numbered, its generators)
-        self._pairing_rows = {}  # root coords rc -> the row rc.C
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
         self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
         self._build_roots()
@@ -254,6 +253,9 @@ class RootDatum:
         pos = sorted((rt for rt in seen if all(a >= 0 for a in rt) and any(rt)),
                      key=lambda rt: (sum(rt), rt))
         self._coroot_of = {Root(rt): Coweight(co) for rt, co in seen.items()}
+        # root coords rc -> the row rc.C, column by column: <rt, alpha_j^vee>
+        self._root_rows = {rt: tuple([sum(map(mul, rt, col)) for _, col in simple])
+                           for rt in seen}
         self.positive_roots = tuple(Root(rt) for rt in pos)
         self.positive_coroots = tuple(Coweight(seen[rt]) for rt in pos)
         # 2 rho^vee, the sum of the positive coroots, in coroot coordinates
@@ -304,13 +306,11 @@ class RootDatum:
         return _norm(sum(map(mul, row, self._of_rank(coweight))))
 
     def pairing_row(self, rc):
-        """The row rc.C, so that <root, x> = row . x for root coordinates rc."""
-        row = self._pairing_rows.get(rc)
-        if row is None:
+        """The row rc.C, so that <root, x> = row . x for root coordinates rc:
+        a root's row was built with the roots, any other rc's is computed and not kept."""
+        if (row := self._root_rows.get(rc)) is None:
             _of_len(rc, self.rank, self, "root ")
-            row = tuple(sum(rc[i] * self.cartan[i][j] for i in range(self.rank))
-                        for j in range(self.rank))
-            self._pairing_rows[rc] = row
+            row = tuple([sum(map(mul, rc, col)) for col in zip(*self.cartan)])
         return row
 
     def pairing_coords(self, rc, vc):

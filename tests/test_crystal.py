@@ -101,6 +101,27 @@ def test_validate_axioms_reports_a_non_injective_f():
     assert validate_axioms(graph) == ["e_1 f_1 != id at 0"]
 
 
+def test_validate_axioms_reports_a_missing_eps_entry():
+    # B(omega_1) of A1 with eps_1(b) left out: only the checks that read
+    # eps_1(b) are skipped, so phi_1(b) is still checked against its string
+    om = A1.fundamental_coweight(1)
+    graph = CrystalGraph(A1, ("a", "b"), {"a": om, "b": -om}, {("a", 1): "b"},
+                         {("a", 1): 0}, {("a", 1): 1, ("b", 1): 0})
+    assert validate_axioms(graph) == ["no eps_1 entry at node 1"]
+    graph.phi[("b", 1)] = 1
+    assert validate_axioms(graph) == ["no eps_1 entry at node 1",
+                                      "phi_1 != f-string length at 1"]
+
+
+def test_validate_axioms_reports_an_f_edge_that_leaves_the_node_set():
+    om = A1.fundamental_coweight(1)
+    graph = CrystalGraph(A1, ("a",), {"a": om}, {("a", 1): "z"}, {("a", 1): 0}, {("a", 1): 1})
+    assert validate_axioms(graph) == ["f_1 leaves the node set at 0"]
+    # the same edge read from its end: e_1 of the one node is not a node
+    graph = CrystalGraph(A1, ("a",), {"a": -om}, {("z", 1): "a"}, {("a", 1): 1}, {("a", 1): 0})
+    assert validate_axioms(graph) == ["e_1 leaves the node set at 0"]
+
+
 def test_character_examples(a1_graph, theta_graph):
     av = A1.simple_coroot(1)
     assert character(a1_graph) == Counter({av: 1, A1.zero_coweight(): 1, -av: 1})

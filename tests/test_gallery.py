@@ -159,7 +159,8 @@ def test_wall_rule_matches_the_faces_on_every_tuple(datum, lam):
     assert 0 in gtype.word
     for g in all_tuples(gtype):
         levels, counts = face_walls(g)
-        assert g.phi_plus_counts == counts, g.sort_key()
+        assert tuple(map(len, g.phi_plus)) == counts, g.sort_key()
+        assert dimension(g) == sum(counts), g.sort_key()
         for c, want in levels.items():
             assert _colour(g, c)[0] == want, (g.sort_key(), c)
             assert min_wall_level(g, c) == min(n for n in want if n is not None)

@@ -85,7 +85,8 @@ def test_wall_rule_matches_the_faces_on_every_node():
     for gtype in (*gallery_types(), *word_types()):
         for node in enumerate_ls(gtype).nodes:
             levels, counts = face_walls(node)
-            assert node.phi_plus_counts == counts, node
+            assert tuple(map(len, node.phi_plus)) == counts, node
+            assert dimension(node) == sum(counts), node
             for c, want in levels.items():
                 assert _colour(node, c)[0] == want, (node, c)
                 assert min_wall_level(node, c) == min(n for n in want if n is not None)

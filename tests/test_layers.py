@@ -152,6 +152,23 @@ def test_vertex_geometry_is_evaluated_only_in_affine_and_at_the_origin_face():
     assert {(name, scope) for name, scope, _ in found} >= VERTEX_CALLERS
 
 
+def written(node):
+    """The targets node writes: those of an assignment or deletion, and for
+    `setattr(X, ...)` or `delattr(X, ...)` an attribute `X.?`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+            node.func.id in ("setattr", "delattr") and node.args:
+        return [ast.Attribute(value=node.args[0], attr="?")]
+    return node.targets if isinstance(node, (ast.Assign, ast.Delete)) else \
+        [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+
+
+def owner(target):
+    """What a write to target changes: X for `X.attr` or an item of it, else None."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return target.value if isinstance(target, ast.Attribute) else None
+
+
 def datum_writes(tree):
     """Line and target of every write to an attribute of a datum: an
     assignment or deletion on `X.attr` or an item of it, or `setattr(X, ...)`,
@@ -166,20 +183,8 @@ def datum_writes(tree):
         return isinstance(x, ast.Name) and ("datum" in x.id or x.id in built) or \
             isinstance(x, ast.Attribute) and x.attr == "datum"
 
-    found = []
-    for node in ast.walk(tree):
-        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else \
-            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
-                node.func.id in ("setattr", "delattr") and node.args:
-            targets = [ast.Attribute(value=node.args[0], attr="?")]
-        for t in targets:
-            attr = t
-            while isinstance(attr, ast.Subscript):
-                attr = attr.value
-            if isinstance(attr, ast.Attribute) and is_datum(attr.value):
-                found.append(f"{node.lineno}: {ast.unparse(t)}")
-    return found
+    return [f"{node.lineno}: {ast.unparse(t)}" for node in ast.walk(tree)
+            for t in written(node) if is_datum(owner(t))]
 
 
 def test_only_rootdata_writes_onto_a_datum():
@@ -202,3 +207,42 @@ def test_the_datum_write_guard_sees_a_planted_write():
         "    g.x = 3\n")
     assert datum_writes(planted) == ["2: datum.x", "3: g.gtype.datum.memo[1]",
                                      "4: g.gtype.datum.cache", "6: a2.count", "7: datum.?"]
+
+
+# a datum's facts are built with it, and W once on first use: after
+# construction no other method changes what a shared datum holds
+DATUM_WRITERS = {"__init__", "_build_roots", "weyl_elements"}
+
+
+def self_writes(tree, cls):
+    """(method, line and target) of every write of class cls's methods to an
+    attribute of self or an item of one, plain or augmented."""
+    body = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == cls).body
+    return [(func.name, f"{node.lineno}: {ast.unparse(t)}")
+            for func in body if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) for t in written(node)
+            if isinstance(x := owner(t), ast.Name) and x.id == "self"]
+
+
+def test_a_datum_writes_to_itself_only_while_it_is_built():
+    found = self_writes(modules()["mvcrystals.rootdata"], "RootDatum")
+    assert [write for write in found if write[0] not in DATUM_WRITERS] == []
+    # the guard sees each allowed writer, so a rename cannot empty it
+    assert {name for name, _ in found} == DATUM_WRITERS
+
+
+def test_the_datum_self_write_guard_sees_a_planted_write():
+    planted = ast.parse(
+        "class RootDatum:\n"
+        "    def __init__(self):\n"
+        "        self.rows = {}\n"
+        "    def pairing_row(self, rc):\n"
+        "        self.rows[rc] = row = rc\n"
+        "        self.calls += 1\n"
+        "        setattr(self, 'last', rc)\n"
+        "        rc.x = self.y\n"
+        "        return row\n")
+    assert self_writes(planted, "RootDatum") == [
+        ("__init__", "3: self.rows"), ("pairing_row", "5: self.rows[rc]"),
+        ("pairing_row", "6: self.calls"), ("pairing_row", "7: self.?")]

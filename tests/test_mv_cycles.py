@@ -20,13 +20,16 @@ leading term can only cancel, never appear, so D_S there is at least its
 generic value, with equality off a proper closed subset.  The least D_S over
 a few seeded points is therefore the generic value unless every point falls
 in that subset.  With these seeds, one point per side leaves 3 of the 100
-nodes unmatched, and two or three points match them all.
+nodes unmatched, and two or three points match them all.  The Y~ side also
+has an exact datum, with no sampling: min-plus walks at c~
+(mvpolytope.exact_bz), which must equal the sampled one.
 
 The paper relates the varieties of Lusztig's parametrization to MV cycles.
 Kamnitzer (loc. cit.): the Lusztig datum of b along a reduced word of w_0 is
 the list of edge lengths of b's MV polytope along that word's path, so one
 cell datum per node gives the tropical map's Lusztig datum of its string
-along every word (edge_lengths states the formula and its conventions).
+along every word (mvpolytope.edge_lengths states the formula and its
+conventions).
 """
 
 import random
@@ -43,6 +46,7 @@ from mvcrystals.looplab import LoopGroup
 from mvcrystals.looplab.groups import _inverse_vals
 from mvcrystals.looplab.sampling import cell_point, lusztig_from_string, random_unit_series
 from mvcrystals.rootdata import Coweight, build_root_datum
+from mvpolytope import edge_lengths, exact_bz, subsets
 
 POINTS = 3  # seeded points per side; the least value is the generic one
 
@@ -53,8 +57,7 @@ CASES = [("A", 2, (1, 1), (1, 2, 1)), ("A", 2, (1, 1), (2, 1, 2)),
 
 def generic_bz(n, points):
     """The least D_S over the points, for every nonempty proper S of [n]."""
-    family = [((S, tuple(r for r in range(n) if r not in S)),)
-              for k in range(1, n) for S in combinations(range(n), k)]
+    family = [((S, tuple(r for r in range(n) if r not in S)),) for S in subsets(n)]
     return tuple(map(min, zip(*(_inverse_vals(g, family) for g in points))))
 
 
@@ -73,10 +76,8 @@ def cell_cycles(group, graph, shift):
         for t in range(POINTS)]) for k, node in enumerate(graph.nodes)}
 
 
-def cycles(series, rank, lam, word):
-    """The crystal of lam, and for each node delta the generic BZ datum of
-    t^{-w_0 lam} C(delta) and of Y~_{word, string(delta)}."""
-    group, graph, shift = setting(series, rank, lam)
+def ytilde_cycles(group, graph, word):
+    """For each node delta, the generic BZ datum of Y~_{word, string(delta)}."""
     ytilde = {}
     for k, node in enumerate(graph.nodes):
         c = string_parameters(graph, node, word).c
@@ -85,7 +86,14 @@ def cycles(series, rank, lam, word):
         ytilde[node] = generic_bz(group.n, [
             group.y_product(word, [random_unit_series(rng).shift(ct) for ct in c_tilde])
             for rng in rngs])
-    return graph, cell_cycles(group, graph, shift), ytilde
+    return ytilde
+
+
+def cycles(series, rank, lam, word):
+    """The crystal of lam, and for each node delta the generic BZ datum of
+    t^{-w_0 lam} C(delta) and of Y~_{word, string(delta)}."""
+    group, graph, shift = setting(series, rank, lam)
+    return graph, cell_cycles(group, graph, shift), ytilde_cycles(group, graph, word)
 
 
 @pytest.mark.parametrize("series, rank, lam, word", CASES,
@@ -98,6 +106,20 @@ def test_the_cell_of_each_gallery_has_the_cycle_of_ytilde_of_its_string(series, 
     # weight alone does not pass
     twins = [(a, b) for a, b in combinations(graph.nodes, 2) if a.weight == b.weight]
     assert twins and all(cell[a] != ytilde[b] and cell[b] != ytilde[a] for a, b in twins)
+
+
+@pytest.mark.parametrize("series, rank, lam, word", CASES,
+                         ids=[f"{s}{r}-{lam}-{''.join(map(str, w))}" for s, r, lam, w in CASES])
+def test_the_exact_datum_of_each_string_is_the_sampled_ytilde_datum(series, rank, lam, word):
+    # the min-plus walks at c~ give Y~'s BZ datum with no sampling (mvpolytope).
+    # Planted fault: the string c in place of c~ misses most nodes
+    group, graph, _ = setting(series, rank, lam)
+    ytilde = ytilde_cycles(group, graph, word)
+    strings = {node: string_parameters(graph, node, word) for node in graph.nodes}
+    assert [graph.node_id(v) for v in graph.nodes
+            if exact_bz(group.n, word, strings[v].c_tilde) != ytilde[v]] == []
+    missed = sum(exact_bz(group.n, word, strings[v].c) != ytilde[v] for v in graph.nodes)
+    assert missed > len(graph.nodes) // 2, missed
 
 
 def reverse_cell_products(monkeypatch):
@@ -146,29 +168,6 @@ def test_y_i_of_valuation_eps_minus_one_moves_each_cell_onto_the_cell_of_e_i(ser
                 points.append(shift * group.gen_y(i, random_unit_series(rng).shift(val)) * g)
             matched += generic_bz(group.n, points) == cell[graph.e(node, i)]
         assert matched == want, (lift, matched, len(pairs))
-
-
-def edge_lengths(datum, bz, word):
-    """Kamnitzer's edge lengths (Ann. of Math. 171, 2010) of the MV polytope
-    with BZ datum bz, listed in generic_bz's order, along the reduced word
-    (i_1, ..., i_N) of w_0.  With w_k = s_{i_1} ... s_{i_k} in one-line
-    notation (0-based), M_{w omega_j} = D_{w({1..j})} and M = 0 for j in
-    {0, n}, the k-th length is
-    n_k = -(M_{w_{k-1} omega_i} + M_{w_k omega_i} + sum_{j != i} a_{ji} M_{w_k omega_j})
-    at i = i_k, a_{ji} = <alpha_j, alpha_i^vee> (datum.cartan, symmetric in
-    type A).  Kamnitzer: this list is the Lusztig datum along the word of the
-    crystal element of the polytope."""
-    n = datum.rank + 1
-    bz = dict(zip((S for k in range(1, n) for S in combinations(range(n), k)), bz))
-
-    def m(w, j):
-        return bz[tuple(sorted(w[:j]))] if 0 < j < n else 0
-    w, lengths = tuple(range(n)), []
-    for i in word:
-        prev, w = w, w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-        lengths.append(-(m(prev, i) + m(w, i) + sum(datum.cartan[j - 1][i - 1] * m(w, j)
-                                                    for j in range(1, n) if j != i)))
-    return lengths
 
 
 LUSZTIG_CASES = [("A", 2, (1, 1)), ("A", 2, (2, 1)), ("A", 2, (2, 2)), ("A", 3, (1, 1, 1))]

@@ -563,3 +563,42 @@ def test_a_datum_built_directly_is_freed_once_dropped():
     del datum
     gc.collect()
     assert ref() is None
+
+
+def cartan_pairing(datum, rc, x):
+    """<root, x> = sum over i, j of rc_i C_ij x_j, straight from the Cartan matrix."""
+    return sum(rc[i] * datum.cartan[i][j] * x[j] for i in range(datum.rank)
+               for j in range(datum.rank))
+
+
+@pytest.mark.parametrize("series, rank", BUILT, ids=[f"{s}{n}" for s, n in BUILT])
+def test_every_root_has_its_pairing_row(series, rank):
+    datum = build_root_datum(series, rank)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for rt in datum.positive_roots + tuple(-a for a in datum.positive_roots):
+        assert datum.pairing_row(rt.coords) == \
+            tuple(cartan_pairing(datum, rt.coords, e) for e in unit), rt
+
+
+def test_pairing_non_roots_leaves_the_datum_as_it_was():
+    # a datum is shared by every caller of build_root_datum: a pairing with a
+    # vector that is not a root computes its row and keeps nothing
+    rng = random.Random("non-root pairings")
+    roots = set(A2.positive_roots) | {-a for a in A2.positive_roots}
+    pairs = []
+    while len(pairs) < 100:
+        rt = Root((rng.randint(-9, 9), rng.randint(-9, 9)))
+        if rt not in roots:
+            pairs.append((rt, Coweight((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 3)))))
+
+    def held():
+        return {name: (v, len(v) if hasattr(v, "__len__") else None)
+                for name, v in vars(A2).items()}
+
+    before = held()
+    for rt, x in pairs:
+        assert A2.pairing(rt, x) == cartan_pairing(A2, rt.coords, x.coords), (rt, x)
+    after = held()
+    assert after.keys() == before.keys()
+    assert [name for name, (v, n) in before.items()
+            if after[name][0] is not v or after[name][1] != n] == []
