@@ -161,7 +161,7 @@ def build_parser():
     def add_datum_flags(p):
         p.add_argument("--type", default="A", choices=list("ABCDG"))
         p.add_argument("--rank", type=int, default=2, help="A 1-6, B and C 2-6, D 4-6, G 2; "
-                       "the W table of B6 or C6 takes a few seconds")
+                       "the W table of B6 or C6 takes under a second")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("crystal", help="enumerate B(lambda) as LS galleries")

@@ -138,32 +138,35 @@ def validate_axioms(graph: CrystalGraph):
     Normality compares eps/phi with the e-/f-string lengths, found by one
     walk of each string (_string_lengths), so a cyclic string is a violation;
     with f_i e_i = id, the lengths at b and e_i b fix eps/phi's step along e_i.  A missing
-    eps/phi entry or an edge out of the node set is a violation too, and skips only the
-    checks that read it."""
+    weight or eps/phi entry or an edge out of the node set is a violation too, and skips
+    only the checks that read it."""
     datum, wt, index, bad = graph.datum, graph.wt, graph._index, []
     e_map, f_map, eps, phi = graph.e_map, graph.f_map, graph.eps, graph.phi
     colours = [(i, datum.pairing_row(datum.simple_root(i).coords), datum.simple_coroot(i),
                 _string_lengths(e_map, i, graph.nodes),
                 _string_lengths(f_map, i, graph.nodes)) for i in graph.colors]
     for b in graph.nodes:
-        x = datum._of_rank(wt[b])  # the pairing's kind and rank check, once per node
+        if (w := wt.get(b)) is None:
+            bad.append(f"no weight at node {index[b]}")
+        else:
+            x = datum._of_rank(w)  # the pairing's kind and rank check, once per node
         for i, row, co, e_len, f_len in colours:
             eps_b, phi_b = eps.get(key := (b, i)), phi.get(key)
             if eps_b is None or phi_b is None:
                 bad += [f"no {name}_{i} entry at node {index[b]}"
                         for name, v in (("eps", eps_b), ("phi", phi_b)) if v is None]
-            elif phi_b - eps_b != sum(map(mul, row, x)):
+            elif w is not None and phi_b - eps_b != sum(map(mul, row, x)):
                 bad.append(f"phi-eps != <alpha_{i}, wt> at node {index[b]}")
             up, down = e_map.get(key), f_map.get(key)
             if up is not None:
                 if up not in index:
                     bad.append(f"e_{i} leaves the node set at {index[b]}")
-                elif wt[up] != wt[b] + co:
+                elif w is not None and (w_up := wt.get(up)) is not None and w_up != w + co:
                     bad.append(f"wt(e_{i} b) != wt(b)+alpha_{i}^vee at {index[b]}")
             if down is not None:
                 if down not in index:
                     bad.append(f"f_{i} leaves the node set at {index[b]}")
-                elif wt[down] != wt[b] - co:
+                elif w is not None and (w_down := wt.get(down)) is not None and w_down != w - co:
                     bad.append(f"wt(f_{i} b) != wt(b)-alpha_{i}^vee at {index[b]}")
                 if e_map.get((down, i)) != b:
                     bad.append(f"e_{i} f_{i} != id at {index[b]}")

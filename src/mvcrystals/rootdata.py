@@ -31,7 +31,7 @@ class RootDataError(ValueError):
 
 
 # Cartan matrices C[i][j] = <alpha_i, alpha_j^vee>, 0-based, from the Dynkin diagram in
-# Bourbaki's numbering.  W is numbered whole on first use: |W(B6)| = 46,080 takes seconds.
+# Bourbaki's numbering.  W is numbered whole on first use: |W(B6)| = 46,080 takes 0.5-0.8 s.
 MAX_RANK = 6
 
 
@@ -215,15 +215,16 @@ class RootDatum:
         self._simple_roots = tuple(Root(row) for row in _identity(rank))
         self._simple_coroots = tuple(Coweight(row) for row in _identity(rank))
         self._build_roots()
-        # omega_i^vee is column i of C^-1: Gauss-Jordan on [C | 1] over Q needs
-        # no row swaps, as every leading principal minor of C is positive
-        m = [[Fraction(a) for a in row + e] for row, e in zip(self.cartan, _identity(rank))]
+        # omega_i^vee is column i of C^-1: fraction-free (Bareiss) Gauss-Jordan on [C | 1]
+        # over Z, dividing exactly by the last pivot p, needs no row swaps (C's leading
+        # principal minors are positive) and ends at [p 1 | p C^-1] with p = det C
+        m, p = [row + e for row, e in zip(self.cartan, _identity(rank))], 1
         for k in range(rank):
-            m[k] = [a / m[k][k] for a in m[k]]
-            for i in range(rank):
-                if i != k and (f := m[i][k]):
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        self._fund_coweights = tuple(map(Coweight, [*zip(*m)][rank:]))
+            mk = m[k]
+            m = [r if i == k else [(mk[k] * a - r[k] * b) // p for a, b in zip(r, mk)]
+                 for i, r in enumerate(m)]
+            p = mk[k]
+        self._fund_coweights = tuple(Coweight(Fraction(a, p) for a in c) for c in [*zip(*m)][rank:])
         # D: every vertex omega_i^vee / m_i of A_fund lies in (1/D) Z Phi^vee
         scale = self.apartment_scale = math.lcm(*(
             Fraction(a, m).denominator
@@ -308,6 +309,8 @@ class RootDatum:
     def pairing_row(self, rc):
         """The row rc.C, so that <root, x> = row . x for root coordinates rc:
         a root's row was built with the roots, any other rc's is computed and not kept."""
+        if type(rc) is not tuple:
+            raise TypeError(f"expected a tuple of root coordinates for {self}, got {rc!r}")
         if (row := self._root_rows.get(rc)) is None:
             _of_len(rc, self.rank, self, "root ")
             row = tuple([sum(map(mul, rc, col)) for col in zip(*self.cartan)])
@@ -376,27 +379,33 @@ class RootDatum:
 
     def weyl_elements(self):
         """All of W sorted by (length, cmat), numbered in that order once per
-        datum.  W acts simply transitively on the orbit of the regular point
-        2 rho^vee, so a BFS over that orbit by the simple reflections, whose
-        depth is the length, finds every w with each s_g w; then
+        datum.  w is keyed by its columns w(alpha_c^vee), as bytes of indices into
+        the datum's coroots, so s_g w's key is w's translated by s_g's table of
+        coroot images: one lookup per column.  A BFS by the simple reflections,
+        whose depth is the length, finds every w with each s_g w; then
         w s_g = s_i (u s_g) along the BFS edge w = s_i u.  Each depth is
         reached by the smallest letter first, so w's edge is its smallest
         left descent s_i and its word, i then u's, is the greedy reduced word."""
         if self._weyl is None:
+            cos = [co.coords for co in self._coroot_of.values()]
+            at = {co: k for k, co in enumerate(cos)}  # at most 72 (B6, C6): a byte each
             theta = self.pairing_row(self.marks), self.theta_vee
-            start = self.two_rho_vee
-            seen = {start: ((), _identity(self.rank), None)}  # w(start) -> word, cmat, parent
+            # each generator's coroot images, padded to the 256 bytes bytes.translate reads
+            tables = [bytes([at[_reflect(co, *theta)] for co in cos]).ljust(256)] + [
+                bytes([at[_sreflect(co, i, row)] for co in cos]).ljust(256)
+                for i, row in enumerate(self.cartan)]
+            start = bytes(map(at.__getitem__, _identity(self.rank)))
+            seen = {start: ((), _identity(self.rank), None)}  # key -> word, cmat, parent
             left, frontier = {}, [start]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    left[x] = [_reflect(x, *theta)] + [_sreflect(x, i, row)
-                                                       for i, row in enumerate(self.cartan)]
-                for i, row in enumerate(self.cartan):  # smallest letter first over the frontier
+                    left[x] = tuple(map(x.translate, tables))
+                for i in range(self.rank):  # smallest letter first over the frontier
                     for x in frontier:
                         if (y := left[x][i + 1]) not in seen:  # s_i m: m with row i changed
                             word, m, _ = seen[x]
-                            mi = tuple([a - sum(map(mul, row, c)) for a, c in zip(m[i], zip(*m))])
+                            mi = tuple([cos[k][i] for k in y])
                             seen[y] = ((i + 1,) + word, m[:i] + (mi,) + m[i + 1:], x)
                             nxt.append(y)
                 frontier = nxt

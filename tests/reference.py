@@ -1,20 +1,25 @@
 """Root-datum, affine Weyl group and loop-group formulas that only the tests use:
-the apartment's faces evaluated at their vertices, which the library's closed
-forms on W's tables are checked against; the Gauss-plus-peel string ->
-Lusztig parameters, which factor_z's Chamber Ansatz is checked against; the
-valuations read off every minor of g^{-1}, which the library's Jacobi reading
-is checked against; long division that searches the remainder for its lowest
-term at every step, which the series' one upward walk is checked against; the
-adjugate inverse of a matrix that is not a root-subgroup word, which the
-library never inverts; the peel that rebuilds the whole residual each
-step, which factor_y's one-row peel is checked against; and the root
-operators as face surgery on the prefixes (a reflection mover on the window, a
-translation mover on the tail) followed by tuple recovery, which the library's
-toggle rule is checked against."""
+W numbered by reflecting the regular point 2 rho^vee and updating each
+element's matrix by a row product, and the fundamental coweights by
+Gauss-Jordan over Q, which the datum's coroot-index lookups and fraction-free
+elimination are checked against; the apartment's faces evaluated at their
+vertices, which the library's closed forms on W's tables are checked against;
+the Gauss-plus-peel string -> Lusztig parameters, which factor_z's Chamber
+Ansatz is checked against; the valuations read off every minor of g^{-1},
+which the library's Jacobi reading is checked against; long division that
+searches the remainder for its lowest term at every step, which the series'
+one upward walk is checked against; the adjugate inverse of a matrix that is
+not a root-subgroup word, which the library never inverts; the peel that
+rebuilds the whole residual each step, which factor_y's one-row peel is
+checked against; and the root operators as face surgery on the prefixes (a
+reflection mover on the window, a translation mover on the tail) followed by
+tuple recovery, which the library's toggle rule is checked against."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from mvcrystals.affine import (
     AffineRoot,
@@ -36,7 +41,63 @@ from mvcrystals.looplab.series import (
     sum_products,
     vector_val,
 )
-from mvcrystals.rootdata import Coweight, RootDataError
+from mvcrystals.rootdata import Coweight, RootDataError, WeylElt, _identity, _reflect, _sreflect
+
+
+def ref_weyl_elements(datum):
+    """(W sorted by (length, cmat), its generators s_theta, s_1, ..., s_rank), as new
+    WeylElt objects.  W acts simply transitively on the orbit of the regular
+    point 2 rho^vee, so a BFS over that orbit by the simple reflections, whose
+    depth is the length, finds every w with each s_g w; then
+    w s_g = s_i (u s_g) along the BFS edge w = s_i u.  Each depth is reached
+    by the smallest letter first, so w's edge is its smallest left descent s_i
+    and its word, i then u's, is the greedy reduced word."""
+    theta = datum.pairing_row(datum.marks), datum.theta_vee
+    start = datum.two_rho_vee
+    seen = {start: ((), _identity(datum.rank), None)}  # w(start) -> word, cmat, parent
+    left, frontier = {}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            left[x] = [_reflect(x, *theta)] + [_sreflect(x, i, row)
+                                               for i, row in enumerate(datum.cartan)]
+        for i, row in enumerate(datum.cartan):  # smallest letter first over the frontier
+            for x in frontier:
+                if (y := left[x][i + 1]) not in seen:  # s_i m: m with row i changed
+                    word, m, _ = seen[x]
+                    mi = tuple([a - sum(map(mul, row, c)) for a, c in zip(m[i], zip(*m))])
+                    seen[y] = ((i + 1,) + word, m[:i] + (mi,) + m[i + 1:], x)
+                    nxt.append(y)
+        frontier = nxt
+    order = sorted(seen, key=lambda x: (len(seen[x][0]), seen[x][1]))
+    gen_of = {y: g for g, y in enumerate(left[start])}
+    elt = {x: WeylElt(seen[x][1], k, seen[x][0], gen_of.get(x)) for k, x in enumerate(order)}
+    for x, w in elt.items():
+        w._left = tuple(map(elt.__getitem__, left[x]))
+    gens = elt[start]._left
+    for x, w in elt.items():
+        w._right = tuple([u._left[w.word[0]] for u in elt[seen[x][2]]._right]) \
+            if w.length else gens
+    return tuple(elt.values()), gens
+
+
+def ref_alcove_data(datum):
+    """(the fundamental coweights, D, A_fund's vertices in units of 1/D), with
+    omega_i^vee read off column i of C^-1 by Gauss-Jordan on [C | 1] over Q,
+    which needs no row swaps, as every leading principal minor of C is positive."""
+    rank = datum.rank
+    m = [[Fraction(a) for a in row + e] for row, e in zip(datum.cartan, _identity(rank))]
+    for k in range(rank):
+        m[k] = [a / m[k][k] for a in m[k]]
+        for i in range(rank):
+            if i != k and (f := m[i][k]):
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    fund = tuple(map(Coweight, [*zip(*m)][rank:]))
+    scale = math.lcm(*(Fraction(a, mk).denominator
+                       for om, mk in zip(fund, datum.marks) for a in om.coords))
+    vertices = ((0,) * rank,) + tuple(tuple(int(Fraction(a * scale, mk)) for a in om.coords)
+                                      for om, mk in zip(fund, datum.marks))
+    return fund, scale, vertices
 
 
 def rho_coweight(datum):

@@ -113,6 +113,19 @@ def test_validate_axioms_reports_a_missing_eps_entry():
                                       "phi_1 != f-string length at 1"]
 
 
+def test_validate_axioms_reports_a_node_without_a_weight():
+    # the checks that read the missing weight are skipped, at the node and on
+    # the edges into it; eps and phi are still checked against the strings
+    assert validate_axioms(CrystalGraph(A1, ("a",), {}, {}, {("a", 1): 0}, {("a", 1): 0})) \
+        == ["no weight at node 0"]
+    om = A1.fundamental_coweight(1)
+    graph = CrystalGraph(A1, ("a", "b"), {"a": om}, {("a", 1): "b"},
+                         {("a", 1): 0, ("b", 1): 1}, {("a", 1): 1, ("b", 1): 0})
+    assert validate_axioms(graph) == ["no weight at node 1"]
+    graph.eps[("b", 1)] = 2
+    assert validate_axioms(graph) == ["no weight at node 1", "eps_1 != e-string length at 1"]
+
+
 def test_validate_axioms_reports_an_f_edge_that_leaves_the_node_set():
     om = A1.fundamental_coweight(1)
     graph = CrystalGraph(A1, ("a",), {"a": om}, {("a", 1): "z"}, {("a", 1): 0}, {("a", 1): 1})

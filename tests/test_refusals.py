@@ -299,6 +299,10 @@ OTHER_REFUSALS = {
     "in_string_cone-short-c": (
         lambda: in_string_cone((1, 2), string_cone_inequalities(A2, (1, 2, 1))[0]), ValueError,
         "c = (1, 2) has 2 entries; the string cone's rows have 3"),
+    "pairing_row-list": (lambda: A1.pairing_row([1]), TypeError,
+                         "expected a tuple of root coordinates for A1, got [1]"),
+    "pairing_coords-list": (lambda: A1.pairing_coords([1], (1,)), TypeError,
+                            "expected a tuple of root coordinates for A1, got [1]"),
     "morier_genoud_check-not-w0": (
         lambda: morier_genoud_check(G2, (1, 1, 1), (0, 0, 0), (1, 1, 1), Coweight((1, 1))),
         RootDataError, "(1, 1, 1) is not a reduced word of w_0 for A2 (3 letters in 1..2)"),

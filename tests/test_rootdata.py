@@ -12,7 +12,7 @@ import pytest
 
 from mvcrystals.affine import minimal_word
 from mvcrystals.rootdata import Coweight, Root, RootDataError, RootDatum, build_root_datum
-from reference import act_root, rho_coweight
+from reference import act_root, ref_alcove_data, ref_weyl_elements, rho_coweight
 
 
 A1 = build_root_datum("A", 1)
@@ -165,13 +165,42 @@ def test_unsupported_series():
     assert build_root_datum("A", 5).rank == build_root_datum("D", 5).rank == 5
 
 
-# B6, C6 and D6 (46,080, 46,080 and 23,040 elements) take seconds
-ORDERED = [d for d in BUILT if d[1] <= 5] + [("A", 6)]
+# B6, C6 and D6 (46,080, 46,080 and 23,040 elements) take up to 0.8 s each
+RANK_5 = [d for d in BUILT if d[1] <= 5]
+ORDERED = RANK_5 + [("A", 6)]
 
 
 @pytest.mark.parametrize("series,rank", ORDERED, ids=[f"{s}{r}" for s, r in ORDERED])
 def test_weyl_group_order(series, rank):
     assert len(build_root_datum(series, rank).weyl_elements()) == weyl_order(series, rank)
+
+
+@pytest.mark.parametrize("series,rank", RANK_5, ids=[f"{s}{r}" for s, r in RANK_5])
+def test_weyl_elements_match_the_orbit_bfs(series, rank):
+    # the coroot-index tables number W exactly as the BFS over the orbit of
+    # 2 rho^vee with a row product per element did, field by field
+    datum = build_root_datum(series, rank)
+    ref, ref_gens = ref_weyl_elements(datum)
+
+    def fields(w):
+        return (w.cmat, w.index, w.word, w.length, w.gen,
+                [u.index for u in w._left], [u.index for u in w._right])
+
+    assert [fields(w) for w in datum.weyl_elements()] == [fields(w) for w in ref]
+    assert [g.index for g in datum.generators()] == [g.index for g in ref_gens]
+
+
+@pytest.mark.parametrize("series,rank", BUILT, ids=[f"{s}{r}" for s, r in BUILT])
+def test_fraction_free_coweights_match_gauss_jordan_over_q(series, rank):
+    # coordinate types included: an integral coordinate is an int, any other a Fraction
+    datum = build_root_datum(series, rank)
+    fund, scale, vertices = ref_alcove_data(datum)
+
+    def typed(coweights):
+        return [[(type(a), a) for a in om.coords] for om in coweights]
+
+    assert typed(datum.fundamental_coweight(i) for i in range(1, rank + 1)) == typed(fund)
+    assert (datum.apartment_scale, datum.alcove_vertices) == (scale, vertices)
 
 
 def test_cartan_shape_invariants():
